@@ -156,28 +156,9 @@ def carleman_lhs(values, grid: SpaceTimeGrid, beta: float,
     return total
 
 
-def _combine_lower(first: LowerOrderTerm, second: LowerOrderTerm) -> LowerOrderTerm:
-    if first.b is None and first.b0 is None:
-        return second
-    if second.b is None and second.b0 is None:
-        return first
-
-    def add_b(t, Y):
-        parts = [term.b(t, Y) for term in (first, second) if term.b is not None]
-        return sum(np.asarray(p, dtype=float) for p in parts)
-
-    def add_b0(t, Y):
-        parts = [term.b0(t, Y) for term in (first, second) if term.b0 is not None]
-        return sum(np.asarray(p, dtype=float) for p in parts)
-
-    return LowerOrderTerm(
-        b=add_b if (first.b is not None or second.b is not None) else None,
-        b0=add_b0 if (first.b0 is not None or second.b0 is not None) else None)
-
-
 def conjugated_operator(values, grid: SpaceTimeGrid, spec: MultiTermSpec,
-                        frame: HolmgrenFrame, include_drift: bool = True,
-                        lower=None) -> np.ndarray:
+                        frame: HolmgrenFrame,
+                        include_drift: bool = True) -> np.ndarray:
     """Apply the conjugated operator in the convexified coordinates.
 
     The composed second-order operator is rewritten as the effective
@@ -185,10 +166,8 @@ def conjugated_operator(values, grid: SpaceTimeGrid, spec: MultiTermSpec,
     shared finite-difference operator with the conjugation flag.  The drift
     block, the trace of the time-derivative transformation, couples a
     fractional time integral of order k - alpha_l with the normal
-    derivative and carries the X/T factor.  ``lower`` optionally adds the
-    equation's own first-order term (off by default).  The image is set to
-    zero on the boundary ring, where the test functions vanish to high
-    order anyway.
+    derivative and carries the X/T factor.  The image is set to zero on the
+    boundary ring, where the test functions vanish to high order anyway.
     """
     values = np.asarray(values, dtype=float)
     nd = grid.ndim
@@ -197,8 +176,6 @@ def conjugated_operator(values, grid: SpaceTimeGrid, spec: MultiTermSpec,
     shape_t = (-1,) + (1,) * nd
 
     tilt = LowerOrderTerm(b=frame.tilt_drift, b0=None)
-    if lower is not None:
-        tilt = _combine_lower(tilt, lower)
     interior = apply_discrete_operator(values, spec, frame.effective_field(),
                                        tilt, grid, conjugated=True)
     image = np.zeros_like(values)
@@ -234,11 +211,10 @@ def _boundary_ring(grid: SpaceTimeGrid):
 
 def carleman_rhs(values, grid: SpaceTimeGrid, beta: float,
                  weight: CarlemanWeightParams, spec: MultiTermSpec,
-                 frame: HolmgrenFrame, include_drift: bool = True,
-                 lower=None) -> float:
+                 frame: HolmgrenFrame, include_drift: bool = True) -> float:
     """Right side: weighted square of the conjugated operator image."""
     image = conjugated_operator(values, grid, spec, frame,
-                                include_drift=include_drift, lower=lower)
+                                include_drift=include_drift)
     return _weighted_integral(image**2, grid, beta, weight)
 
 

@@ -70,23 +70,7 @@ class EllipticCoeffField:
 
 def identity_field(n: int) -> EllipticCoeffField:
     """Constant identity coefficients."""
-    eye = np.eye(n)
-    zeros = np.zeros((n, n))
-    zeros3 = np.zeros((n, n, n))
-
-    def broadcast(t, y, template):
-        t = np.asarray(t, dtype=float)
-        y = np.asarray(y, dtype=float)
-        batch = np.broadcast_shapes(t.shape, y.shape[:-1])
-        return np.broadcast_to(template, batch + template.shape).copy()
-
-    return EllipticCoeffField(
-        n=n,
-        a=lambda t, y: broadcast(t, y, eye),
-        da_dt=lambda t, y: broadcast(t, y, zeros),
-        da_dy=lambda t, y: broadcast(t, y, zeros3),
-        delta=1.0,
-    )
+    return constant_field(np.eye(n), delta=1.0)
 
 
 def diagonal_variable_field(n: int, amplitude: float = 0.3) -> EllipticCoeffField:

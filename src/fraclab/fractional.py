@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.special import gamma
 
 
@@ -166,6 +165,9 @@ def caputo_oracle(u, derivative, alpha: float, t: float, tol: float = 1e-10,
     t**(k-alpha)/(k-alpha) * integral_0^1 u^(k)(t - t*v**(1/(k-alpha))) dv,
     which absorbs the kernel exactly and leaves a bounded integrand.
     """
+    # scipy.integrate is slow to import and only this oracle needs it
+    from scipy.integrate import IntegrationWarning, quad
+
     k = _order_index(alpha)
     if t <= 0.0:
         raise ValueError("evaluation time must be positive")
@@ -204,18 +206,14 @@ def _backward_difference(values: np.ndarray, dt: float) -> np.ndarray:
     return v
 
 
-def caputo_l1(values: np.ndarray, alpha: float, dt: float,
-              history_window: int | None = None) -> np.ndarray:
+def caputo_l1(values: np.ndarray, alpha: float, dt: float) -> np.ndarray:
     """L1 discrete Caputo derivative along axis 0 of ``values``.
 
     Orders in (0,1) use classical L1 product integration.  Order exactly 1
     falls back to the causal first difference.  Orders in (1,2) apply the L1
     scheme of order alpha-1 to the first discrete derivative, reducing the
-    second-derivative kernel to the first-derivative one.
-
-    ``history_window`` truncates the convolution to the most recent steps;
-    it is None (full history, direct O(N^2) summation) in every certified
-    run.
+    second-derivative kernel to the first-derivative one.  The history is
+    summed in full by direct O(N^2) convolution.
     """
     values = np.asarray(values, dtype=float)
     if not 0.0 < alpha < 2.0:
@@ -224,16 +222,13 @@ def caputo_l1(values: np.ndarray, alpha: float, dt: float,
         return _backward_difference(values, dt)
     if alpha > 1.0:
         v = _backward_difference(values, dt)
-        return caputo_l1(v, alpha - 1.0, dt, history_window)
+        return caputo_l1(v, alpha - 1.0, dt)
 
     n = values.shape[0] - 1
     if n < 1:
         return np.zeros_like(values)
     du = np.diff(values, axis=0)
     b = l1_weights(alpha, n)
-    if history_window is not None:
-        b = b.copy()
-        b[history_window:] = 0.0
     if du.ndim == 1:
         conv = np.convolve(du, b)[:n]
     else:
@@ -276,8 +271,7 @@ def rl_integral_l1(values: np.ndarray, mu: float, dt: float) -> np.ndarray:
     return (dt ** mu / gamma(mu)) * res.reshape(values.shape)
 
 
-def caputo_apply(series: Series, alpha: float,
-                 history_window: int | None = None) -> Series:
+def caputo_apply(series: Series, alpha: float) -> Series:
     """Discrete Caputo derivative of a sampled series.
 
     The series must start at zero, matching the convention that solutions
@@ -287,42 +281,22 @@ def caputo_apply(series: Series, alpha: float,
     """
     if series.values[0] != 0.0:
         raise ValueError("series must vanish at t = 0")
-    out = caputo_l1(series.values, alpha, series.grid.dt, history_window)
+    out = caputo_l1(series.values, alpha, series.grid.dt)
     return Series(values=out, grid=series.grid)
 
 
-def multiterm_apply(series: Series, spec: MultiTermSpec,
-                    history_window: int | None = None) -> Series:
+def multiterm_apply(series: Series, spec: MultiTermSpec) -> Series:
     """Weighted sum of Caputo derivatives over all orders of ``spec``."""
     if series.values[0] != 0.0:
         raise ValueError("series must vanish at t = 0")
-    acc = np.zeros_like(series.values)
-    for q, a in zip(spec.weights, spec.orders):
-        acc += q * caputo_l1(series.values, a, series.grid.dt, history_window)
-    return Series(values=acc, grid=series.grid)
+    return Series(values=multiterm_l1(series.values, spec, series.grid.dt),
+                  grid=series.grid)
 
 
-def multiterm_l1(values: np.ndarray, spec: MultiTermSpec, dt: float,
-                 history_window: int | None = None) -> np.ndarray:
+def multiterm_l1(values: np.ndarray, spec: MultiTermSpec,
+                 dt: float) -> np.ndarray:
     """Array-level multi-term operator along axis 0 (no support check)."""
     acc = np.zeros_like(np.asarray(values, dtype=float))
     for q, a in zip(spec.weights, spec.orders):
-        acc += q * caputo_l1(values, a, dt, history_window)
+        acc += q * caputo_l1(values, a, dt)
     return acc
-
-
-def multiterm_leading_coefficient(spec: MultiTermSpec, dt: float) -> float:
-    """Coefficient of the newest node in the discrete multi-term operator.
-
-    Needed by implicit time stepping: the discrete operator at step k is
-    this coefficient times u_k plus a functional of the history.
-    """
-    c = 0.0
-    for q, a in zip(spec.weights, spec.orders):
-        if a == 1.0:
-            c += q / dt
-        elif a < 1.0:
-            c += q * dt ** (-a) / gamma(2.0 - a)
-        else:
-            c += q * dt ** (-a) / gamma(3.0 - a)
-    return c

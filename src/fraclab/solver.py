@@ -2,11 +2,19 @@
 
 Space is discretized with second-order centered stencils applied to the
 non-divergence form sum a_jk d_j d_k plus a centered first-order term; time
-uses the L1 machinery of :mod:`fraclab.fractional`.  Each step moves the
-discrete history to the right-hand side and solves one sparse system for
-the new level, so the solver output satisfies the assembled discrete
-equation to solver precision by construction, which
-:func:`apply_discrete_operator` verifies independently.
+uses the L1 machinery of :mod:`fraclab.fractional`.
+
+One per-level operator serves the solver, its residual check and the
+Carleman image: a private generator yields -(L + l1) at every time level,
+rows on interior nodes and columns on all nodes, and yields the same matrix
+again while the sampled coefficients stay exactly equal.  Each step moves
+the discrete history to the right-hand side, lifts the Dirichlet data
+through the boundary columns and solves one sparse system for the interior
+unknowns, refactorizing only when the level's matrix changes; the
+``condition_estimate`` diagnostic describes this interior system.  The
+solver output therefore satisfies the assembled discrete equation to solver
+precision by construction, which :func:`apply_discrete_operator` verifies
+independently.
 """
 
 from __future__ import annotations
@@ -21,8 +29,7 @@ import scipy.sparse.linalg as spla
 from scipy.special import gamma
 
 from .fields import EllipticCoeffField
-from .fractional import (MultiTermSpec, TimeGrid, l1_weights,
-                         multiterm_l1, multiterm_leading_coefficient)
+from .fractional import MultiTermSpec, TimeGrid, l1_weights, multiterm_l1
 
 
 @dataclass(frozen=True)
@@ -169,36 +176,31 @@ def export_time_slice_csv(sol: SolutionField, k: int, path: str) -> None:
 # spatial operator assembly
 
 
-def _interior_mesh(grid: SpaceTimeGrid):
-    return grid.mesh()[grid.interior()]
+def _interior_flags(grid: SpaceTimeGrid) -> np.ndarray:
+    """Flat boolean mask of the interior nodes."""
+    inside = np.zeros(grid.shape, dtype=bool)
+    inside[grid.interior()] = True
+    return inside.reshape(-1)
 
 
-def _spatial_matrix(grid: SpaceTimeGrid, coeffs: EllipticCoeffField,
-                    lower: LowerOrderTerm, t: float):
-    """Sparse matrix of -(L + l1) on all nodes, rows on interior nodes only.
+def _spatial_matrix(grid: SpaceTimeGrid, a, bvec, bzero):
+    """Sparse matrix of -(L + l1), rows on interior nodes, columns on all.
 
-    Column space runs over all nodes so boundary coupling can be split off
-    by the caller.
+    ``a``, ``bvec`` and ``bzero`` are the coefficients sampled on the
+    interior nodes (the last two may be None).  The column space runs over
+    all nodes so callers can split off the boundary coupling.
     """
     nd = grid.ndim
     shape = grid.shape
     h = grid.spacing
-    mesh = grid.mesh()
-    n_all = int(np.prod(shape))
     strides = np.array([int(np.prod(shape[d + 1:])) for d in range(nd)])
-
-    inner = np.moveaxis(np.indices(tuple(s - 2 for s in shape)) + 1, 0, -1)
-    inner = inner.reshape(-1, nd)
-    rows_lin = inner @ strides
-    y_int = mesh[grid.interior()].reshape(-1, nd)
-    a = np.asarray(coeffs.a(t, y_int), dtype=float)
-    bvec = None if lower.b is None else np.asarray(lower.b(t, y_int), dtype=float)
-    bzero = None if lower.b0 is None else np.asarray(lower.b0(t, y_int), dtype=float)
+    rows_lin = np.flatnonzero(_interior_flags(grid))
+    row_ids = np.arange(len(rows_lin))
 
     rows, cols, vals = [], [], []
 
     def add(offsets, weight):
-        rows.append(rows_lin)
+        rows.append(row_ids)
         cols.append(rows_lin + offsets @ strides)
         vals.append(weight)
 
@@ -226,21 +228,43 @@ def _spatial_matrix(grid: SpaceTimeGrid, coeffs: EllipticCoeffField,
         center -= bzero
     add(np.zeros(nd, dtype=int), center)
 
-    mat = sp.coo_matrix(
+    return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_all, n_all)).tocsr()
-    return mat, rows_lin
+        shape=(len(rows_lin), int(np.prod(shape)))).tocsr()
 
 
-def _boundary_mask(shape) -> np.ndarray:
-    mask = np.zeros(shape, dtype=bool)
-    for d in range(len(shape)):
-        sl = [slice(None)] * len(shape)
-        sl[d] = 0
-        mask[tuple(sl)] = True
-        sl[d] = -1
-        mask[tuple(sl)] = True
-    return mask
+def _level_operators(grid: SpaceTimeGrid, coeffs: EllipticCoeffField,
+                     lower: LowerOrderTerm, times):
+    """Yield the spatial matrix of :func:`_spatial_matrix` at each time.
+
+    A level whose sampled coefficients equal the previous level's exactly
+    yields the previous matrix object again, so callers reuse work (a
+    factorization) by testing identity.
+    """
+    y_int = grid.mesh()[grid.interior()].reshape(-1, grid.ndim)
+    terms = (coeffs.a, lower.b, lower.b0)
+    previous = mat = None
+    for t in times:
+        sampled = [None if f is None else np.asarray(f(t, y_int), dtype=float)
+                   for f in terms]
+        if mat is None or not all(np.array_equal(s, p)
+                                  for s, p in zip(sampled, previous)
+                                  if s is not None):
+            mat = _spatial_matrix(grid, *sampled)
+            previous = sampled
+        yield mat
+
+
+def _source_levels(source, grid: SpaceTimeGrid) -> np.ndarray:
+    """Source samples of shape (n_steps+1, *shape) from a callable or array."""
+    if callable(source):
+        mesh = grid.mesh()
+        return np.stack([np.asarray(source(t, mesh), dtype=float)
+                         for t in grid.time.nodes])
+    f_all = np.asarray(source, dtype=float)
+    if f_all.shape != (grid.time.n_steps + 1,) + grid.shape:
+        raise ValueError("source array shape mismatch")
+    return f_all
 
 
 @dataclass
@@ -249,12 +273,13 @@ class SolveResult:
     diagnostics: dict
 
 
-def _ellipticity_precondition(grid, coeffs, rng):
+def _ellipticity_precondition(grid, coeffs):
+    """Exact eigenvalue margin of the two-sided bound at t = 0, T/2, T."""
     mesh = grid.mesh().reshape(-1, grid.ndim)
-    pick = rng.choice(len(mesh), size=min(64, len(mesh)), replace=False)
-    probes = rng.normal(size=(8, grid.ndim))
     for t in (0.0, grid.time.t_final / 2.0, grid.time.t_final):
-        margin = coeffs.ellipticity_margin(t, mesh[pick], probes)
+        eigs = np.linalg.eigvalsh(np.asarray(coeffs.a(t, mesh), dtype=float))
+        margin = min(eigs[:, 0].min() - coeffs.delta,
+                     1.0 / coeffs.delta - eigs[:, -1].max())
         if margin < -1e-12:
             raise ValueError(
                 f"coefficient field violates ellipticity at t={t:g} "
@@ -278,8 +303,7 @@ def _history_weights(spec: MultiTermSpec, n_steps: int):
 
 def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
           lower: LowerOrderTerm, source, grid: SpaceTimeGrid,
-          bc=None, history_window: int | None = None,
-          check_residual: bool = True) -> SolveResult:
+          bc=None, check_residual: bool = True) -> SolveResult:
     """March the implicit scheme from the zero initial state.
 
     Parameters
@@ -289,96 +313,69 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
         (n_steps+1, *shape).
     bc : callable or None
         Dirichlet data g(t, Y) on boundary nodes; None means homogeneous.
-    history_window : int or None
-        Truncates the discrete history; None keeps all of it.
 
     Returns the solution field and diagnostics: per-step residual maximum,
-    a one-norm condition estimate of the first step matrix, and ellipticity
-    margins.  The initial level is identically zero, matching the support
-    convention.
+    a one-norm condition estimate of the first interior step matrix, and
+    the leading coefficient.  The initial level is identically zero,
+    matching the support convention.
     """
     if coeffs.n != grid.ndim:
         raise ValueError("field dimension does not match the grid")
-    rng = np.random.default_rng(12345)
-    _ellipticity_precondition(grid, coeffs, rng)
+    _ellipticity_precondition(grid, coeffs)
 
     nt = grid.time.n_steps
     dt = grid.time.dt
     shape = grid.shape
-    n_all = int(np.prod(shape))
-    mesh = grid.mesh()
-    bmask = _boundary_mask(shape).reshape(-1)
+    inside = _interior_flags(grid)
+    n_int = int(inside.sum())
+    y_bnd = grid.mesh().reshape(-1, grid.ndim)[~inside]
     times = grid.time.nodes
 
-    if callable(source):
-        f_all = np.stack([np.asarray(source(t, mesh), dtype=float)
-                          for t in times])
-    else:
-        f_all = np.asarray(source, dtype=float)
-        if f_all.shape != (nt + 1,) + shape:
-            raise ValueError("source array shape mismatch")
-
-    c_lead = multiterm_leading_coefficient(spec, dt)
+    f_all = _source_levels(source, grid)
+    f_int = f_all.reshape(nt + 1, -1)[:, inside]
     weights = _history_weights(spec, nt)
+    c_lead = sum(q * norm * dt ** (-al) for q, al, _, norm in weights)
 
-    u = np.zeros((nt + 1, n_all))
-    du = np.zeros((nt + 1, n_all))           # du[j] = u_j - u_{j-1}
-    dv = np.zeros((nt + 1, n_all))           # dv[j] = v_j - v_{j-1}
+    values = np.zeros((nt + 1, inside.size))
+    u = np.zeros((nt + 1, n_int))            # interior unknowns
+    du = np.zeros((nt + 1, n_int))           # du[j] = u_j - u_{j-1}
+    dv = np.zeros((nt + 1, n_int))           # dv[j] = v_j - v_{j-1}
 
-    # reuse the factorization when the operator does not depend on time
-    probe = mesh.reshape(-1, grid.ndim)[:: max(1, n_all // 7)]
-    static = np.allclose(coeffs.a(0.0, probe), coeffs.a(grid.time.t_final, probe))
-    if lower.b is not None or lower.b0 is not None:
-        static = False
-
-    lu = None
+    factored = None
     cond_estimate = None
     step_residual = 0.0
-    for k in range(1, nt + 1):
-        t_k = times[k]
-        if lu is None or not static:
-            omat, rows_lin = _spatial_matrix(grid, coeffs, lower, t_k)
-            system = (sp.eye(n_all, format="csr") * c_lead + omat).tolil()
-            for i in np.nonzero(bmask)[0]:
-                system.rows[i] = [i]
-                system.data[i] = [1.0]
-            system = system.tocsc()
+    levels = _level_operators(grid, coeffs, lower, times[1:])
+    for k, mat in enumerate(levels, start=1):
+        if mat is not factored:
+            factored = mat
+            system = (sp.eye(n_int, format="csr") * c_lead
+                      + mat[:, inside]).tocsc()
+            lift = mat[:, ~inside]
             lu = spla.splu(system)
             if cond_estimate is None:
                 op = spla.LinearOperator(
-                    (n_all, n_all), matvec=lu.solve,
+                    (n_int, n_int), matvec=lu.solve,
                     rmatvec=lambda b: lu.solve(b, trans="T"))
                 cond_estimate = float(spla.onenormest(system)
                                       * spla.onenormest(op))
 
-        hist = np.zeros(n_all)
+        hist = np.zeros(n_int)
         for (q, al, b, norm) in weights:
             if al == 1.0:
                 hist += q * (-u[k - 1]) / dt
             elif al < 1.0:
-                b_use = b[1:k][::-1]
-                if history_window is not None:
-                    b_use = np.where(np.arange(k - 1, 0, -1) < history_window,
-                                     b_use, 0.0)
-                acc = b_use @ du[1:k] if k > 1 else 0.0
+                acc = b[1:k][::-1] @ du[1:k]
                 hist += q * norm * dt ** (-al) * (acc - u[k - 1])
             else:
-                b_use = b[1:k][::-1]
-                if history_window is not None:
-                    b_use = np.where(np.arange(k - 1, 0, -1) < history_window,
-                                     b_use, 0.0)
-                acc = b_use @ dv[1:k] if k > 1 else 0.0
-                v_prev = du[k - 1] / dt if k > 1 else np.zeros(n_all)
+                acc = b[1:k][::-1] @ dv[1:k]
                 hist += q * norm * dt ** (1.0 - al) * (
-                    acc + (-u[k - 1] / dt - v_prev))
+                    acc + (-u[k - 1] / dt - du[k - 1] / dt))
 
-        rhs = f_all[k].reshape(-1) - hist
-        if bc is None:
-            g_k = np.zeros(bmask.sum())
-        else:
-            g_k = np.asarray(bc(t_k, mesh.reshape(-1, grid.ndim)[bmask]),
-                             dtype=float)
-        rhs[bmask] = g_k
+        rhs = f_int[k] - hist
+        if bc is not None:
+            g_k = np.asarray(bc(times[k], y_bnd), dtype=float)
+            values[k, ~inside] = g_k
+            rhs -= lift @ g_k
         u[k] = lu.solve(rhs)
         du[k] = u[k] - u[k - 1]
         dv[k] = (du[k] - du[k - 1]) / dt
@@ -386,7 +383,8 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
         res = system @ u[k] - rhs
         step_residual = max(step_residual, float(np.abs(res).max()))
 
-    values = u.reshape((nt + 1,) + shape)
+    values[:, inside] = u
+    values = values.reshape((nt + 1,) + shape)
     sol = SolutionField(values=values, grid=grid,
                         bc={"type": "dirichlet",
                             "homogeneous": bc is None},
@@ -397,8 +395,7 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
                    "leading_coefficient": c_lead}
     if check_residual:
         resid = apply_discrete_operator(values, spec, coeffs, lower, grid,
-                                        source=f_all,
-                                        history_window=history_window)
+                                        source=f_all)
         diagnostics["equation_residual_max"] = float(np.abs(resid).max())
     return SolveResult(field=sol, diagnostics=diagnostics)
 
@@ -406,8 +403,7 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
 def apply_discrete_operator(values, spec: MultiTermSpec,
                             coeffs: EllipticCoeffField,
                             lower: LowerOrderTerm, grid: SpaceTimeGrid,
-                            source=None, conjugated: bool = False,
-                            history_window: int | None = None) -> np.ndarray:
+                            source=None, conjugated: bool = False) -> np.ndarray:
     """Discrete operator (or residual) on interior nodes at every time level.
 
     Computes the multi-term time operator minus the spatial operators,
@@ -421,27 +417,21 @@ def apply_discrete_operator(values, spec: MultiTermSpec,
     if values.shape != (nt + 1,) + shape:
         raise ValueError("values shape does not match the grid")
     times = grid.time.nodes
-    work = values
+    work = values.reshape(nt + 1, -1)
     if conjugated:
-        work = values * np.exp(times).reshape((-1,) + (1,) * grid.ndim)
+        work = work * np.exp(times)[:, None]
+    inside = _interior_flags(grid)
 
-    tpart = multiterm_l1(work.reshape(nt + 1, -1), spec, grid.time.dt,
-                         history_window)
-    out = np.empty_like(tpart)
-    for k in range(nt + 1):
-        omat, _ = _spatial_matrix(grid, coeffs, lower, times[k])
-        out[k] = tpart[k] + omat @ work[k].reshape(-1)
-    out = out.reshape((nt + 1,) + shape)
+    out = multiterm_l1(work[:, inside], spec, grid.time.dt)
+    for k, mat in enumerate(_level_operators(grid, coeffs, lower, times)):
+        out[k] += mat @ work[k]
+    out = out.reshape((nt + 1,) + tuple(s - 2 for s in shape))
     if conjugated:
         out = out * np.exp(-times).reshape((-1,) + (1,) * grid.ndim)
     if source is not None:
-        if callable(source):
-            f_all = np.stack([np.asarray(source(t, grid.mesh()), dtype=float)
-                              for t in times])
-        else:
-            f_all = np.asarray(source, dtype=float)
-        out = out - f_all
-    return out[(slice(None),) + grid.interior()]
+        out = out - _source_levels(source, grid)[(slice(None),)
+                                                 + grid.interior()]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import fraclab
 from fraclab.cli import main
 
 SPEC = {"orders": [0.5], "weights": [1.0]}
@@ -171,3 +175,14 @@ class TestCommands:
         body = (out / "caputo.csv").read_text().splitlines()[1]
         exact_field = body.split(",")[6]
         assert len(exact_field.replace(".", "").replace("-", "").lstrip("0")) >= 16
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_integrate_unloaded(self):
+        src = os.path.dirname(os.path.dirname(fraclab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, fraclab.cli; print('scipy.integrate' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

@@ -138,20 +138,6 @@ class TestL1:
             val = caputo_l1(u, alpha, g.dt)[-1]
             assert abs(val - ref) / abs(ref) < 0.05
 
-    def test_history_window_off_matches_full_for_short_runs(self):
-        g = grid(32)
-        u = g.nodes**1.5
-        full = caputo_l1(u, 0.5, g.dt)
-        windowed = caputo_l1(u, 0.5, g.dt, history_window=33)
-        assert np.array_equal(full, windowed)
-
-    def test_history_window_truncates(self):
-        g = grid(64)
-        u = g.nodes**2
-        full = caputo_l1(u, 0.5, g.dt)
-        short = caputo_l1(u, 0.5, g.dt, history_window=4)
-        assert np.max(np.abs(full - short)) > 0.0
-
 
 class TestMultiTerm:
     def test_single_term_reduces(self):

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from fraclab import (EllipticCoeffField, LowerOrderTerm, MultiTermSpec,
                      SolutionField, SpaceTimeGrid, TimeGrid, UcpConfig,
                      apply_discrete_operator, caputo_power_rule,
-                     constant_field, export_time_slice_csv, identity_field,
-                     load_solution, rotating_anisotropic_field, save_solution,
-                     solve, ucp_experiment)
+                     constant_field, diagonal_variable_field,
+                     export_time_slice_csv, identity_field, load_solution,
+                     rotating_anisotropic_field, save_solution, solve,
+                     ucp_experiment)
 
 
 def grid_1d(n_steps, n_nodes, t_final=1.0):
@@ -131,10 +133,12 @@ class TestSolve:
 
         grid = grid_1d(96, 65)
         result = solve(spec, identity_field(1), LowerOrderTerm.zero(),
-                       source, grid, bc=bc, check_residual=False)
+                       source, grid, bc=bc)
         ref = np.stack([exact(t, grid.mesh()) for t in grid.time.nodes])
         err = np.abs(result.field.values - ref).max()
         assert err < 2e-2
+        # the boundary lift keeps the interior equation exact
+        assert result.diagnostics["equation_residual_max"] <= 1e-10
         # prescribed values are honored at every step to solver precision
         assert np.abs(result.field.values[:, 0] - ref[:, 0]).max() < 1e-12
         assert np.abs(result.field.values[:, -1] - ref[:, -1]).max() < 1e-12
@@ -151,6 +155,35 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(spec, bad, LowerOrderTerm.zero(),
                   lambda t, Y: np.zeros(Y.shape[:-1]), grid_1d(8, 9))
+
+    def test_periodic_field_is_refactorized(self):
+        # a(0) == a(T) for a full turn, yet a changes in between
+        field = rotating_anisotropic_field(2, spin=2.0 * math.pi, shear=0.0)
+        spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
+        grid = SpaceTimeGrid(bounds=((0.0, 1.0), (0.0, 1.0)), shape=(9, 9),
+                             time=TimeGrid.from_interval(1.0, 16))
+        result = solve(spec, field, LowerOrderTerm.zero(),
+                       lambda t, Y: t * np.ones(Y.shape[:-1]), grid)
+        assert result.diagnostics["equation_residual_max"] <= 1e-10
+
+    @pytest.mark.parametrize("make_field, factorizations", [
+        (identity_field, 1), (diagonal_variable_field, 12)])
+    def test_factorization_count(self, monkeypatch, make_field,
+                                 factorizations):
+        calls = []
+        splu = spla.splu
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counting)
+        spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
+        grid = SpaceTimeGrid(bounds=((0.0, 1.0), (0.0, 1.0)), shape=(7, 7),
+                             time=TimeGrid.from_interval(1.0, 12))
+        solve(spec, make_field(2), LowerOrderTerm.zero(),
+              lambda t, Y: np.ones(Y.shape[:-1]), grid)
+        assert len(calls) == factorizations
 
     def test_maximum_principle_sanity(self):
         spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
