@@ -388,10 +388,7 @@ def run_lemma21(config, out, rng, threads, seed):
     report = symbols.lemma21_check(sample, spec, frame.field, weight, hmap.c)
     write_csv(os.path.join(out, "char_points.csv"),
               _point_header(frame.field.n), _point_rows(sample))
-    _, _, _, ratio = symbols.bracket_report_batch(
-        (sample.t, sample.x, sample.tau, sample.xi, sample.sigma),
-        spec, frame.field, weight, hmap.c)
-    srt = np.sort(ratio)
+    srt = np.sort(report.extras["ratios"])
     write_xy(os.path.join(out, "lemma21_ratios.xy"),
              [np.linspace(0.0, 1.0, len(srt)), srt])
     return {"pass": bool(report.passed), "min_ratio": report.min_ratio,
@@ -504,8 +501,8 @@ def run_solve(config, out, rng, threads):
     summary = {"pass": result.diagnostics["equation_residual_max"] <= 1e-10,
                **{k: v for k, v in result.diagnostics.items()}}
     if exact is not None:
-        err = np.abs(sol.values - np.stack(
-            [exact(t, grid.mesh()) for t in grid.time.nodes]))
+        times = grid.time.nodes.reshape((-1,) + (1,) * grid.ndim)
+        err = np.abs(sol.values - exact(times, grid.mesh()))
         summary["max_error"] = float(err.max())
     summary["pass"] = bool(summary["pass"])
     return summary

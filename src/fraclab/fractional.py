@@ -10,6 +10,12 @@ each other as oracles.
 
 The multi-term operator is the weighted sum of single-order derivatives with
 unit leading weight and strictly decreasing orders.
+
+Every L1 history is the exact direct sum, a causal convolution with a
+fixed kernel.  A single series goes through ``np.convolve``; a stack of
+columns goes through row blocks of the lower-triangular Toeplitz matrix of
+the kernel, one matrix product per block of ``BLOCK`` time levels, which
+reorders the same O(N^2) arithmetic into BLAS calls.
 """
 
 from __future__ import annotations
@@ -19,6 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gamma
+
+BLOCK = 64
+"""Time levels per Toeplitz row block of a batched history sum."""
 
 
 class ConvergenceError(RuntimeError):
@@ -206,6 +215,46 @@ def _backward_difference(values: np.ndarray, dt: float) -> np.ndarray:
     return v
 
 
+def toeplitz_rows(kernel: np.ndarray, rows, n_cols: int) -> np.ndarray:
+    """Rows ``rows`` of the Toeplitz matrix T[k, j] = kernel[k - j].
+
+    Columns run over j = 0..n_cols-1; entries above the diagonal (k < j) are
+    zero, so T is the causal convolution with ``kernel``.  Every row index
+    must be below len(kernel).
+    """
+    # row k is the window starting at len(kernel)-1-k of the reversed,
+    # zero-padded kernel
+    padded = np.concatenate([kernel[::-1], np.zeros(max(n_cols - 1, 0))])
+    windows = np.lib.stride_tricks.sliding_window_view(padded, n_cols)
+    return windows[len(kernel) - 1 - np.asarray(rows)]
+
+
+def causal_convolve(kernel: np.ndarray, x: np.ndarray,
+                    out: np.ndarray = None) -> np.ndarray:
+    """out[k] = sum_{j<=k} kernel[k-j] x[j] along axis 0 of ``x``.
+
+    ``kernel`` needs at least len(x) entries.  A 1-D series uses
+    ``np.convolve``; several columns are summed as row blocks of
+    :func:`toeplitz_rows` times the data, one product per ``BLOCK`` rows.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    if out is None:
+        out = np.empty_like(x)
+    if x.ndim == 1:
+        out[...] = np.convolve(x, kernel[:n])[:n]
+        return out
+    flat = x.reshape(n, -1)
+    target = out.reshape(flat.shape)
+    for r0 in range(0, n, BLOCK):
+        r1 = min(r0 + BLOCK, n)
+        np.matmul(toeplitz_rows(kernel, range(r0, r1), r1), flat[:r1],
+                  out=target[r0:r1])
+    if not np.shares_memory(target, out):    # ``out`` had no 2-D view
+        out[...] = target.reshape(out.shape)
+    return out
+
+
 def caputo_l1(values: np.ndarray, alpha: float, dt: float) -> np.ndarray:
     """L1 discrete Caputo derivative along axis 0 of ``values``.
 
@@ -213,7 +262,7 @@ def caputo_l1(values: np.ndarray, alpha: float, dt: float) -> np.ndarray:
     falls back to the causal first difference.  Orders in (1,2) apply the L1
     scheme of order alpha-1 to the first discrete derivative, reducing the
     second-derivative kernel to the first-derivative one.  The history is
-    summed in full by direct O(N^2) convolution.
+    the exact direct sum, evaluated by :func:`causal_convolve`.
     """
     values = np.asarray(values, dtype=float)
     if not 0.0 < alpha < 2.0:
@@ -225,20 +274,11 @@ def caputo_l1(values: np.ndarray, alpha: float, dt: float) -> np.ndarray:
         return caputo_l1(v, alpha - 1.0, dt)
 
     n = values.shape[0] - 1
-    if n < 1:
-        return np.zeros_like(values)
-    du = np.diff(values, axis=0)
-    b = l1_weights(alpha, n)
-    if du.ndim == 1:
-        conv = np.convolve(du, b)[:n]
-    else:
-        flat = du.reshape(n, -1)
-        conv = np.empty_like(flat)
-        for col in range(flat.shape[1]):
-            conv[:, col] = np.convolve(flat[:, col], b)[:n]
-        conv = conv.reshape(du.shape)
     out = np.zeros_like(values)
-    out[1:] = conv / (gamma(2.0 - alpha) * dt ** alpha)
+    if n < 1:
+        return out
+    causal_convolve(l1_weights(alpha, n), np.diff(values, axis=0), out=out[1:])
+    out[1:] /= gamma(2.0 - alpha) * dt ** alpha
     return out
 
 
@@ -252,8 +292,9 @@ def rl_integral_l1(values: np.ndarray, mu: float, dt: float) -> np.ndarray:
     if not 0.0 < mu <= 1.0:
         raise ValueError(f"integral order must lie in (0,1], got {mu}")
     n = values.shape[0] - 1
+    res = np.zeros_like(values)
     if n < 1:
-        return np.zeros_like(values)
+        return res
     m = np.arange(1, n + 1, dtype=float)
     upper = m ** (mu + 1.0) / (mu + 1.0) - (m - 1.0) * m ** mu / mu
     lower = (m - 1.0) ** (mu + 1.0) / (mu + 1.0) - (m - 1.0) ** mu * (m - 1.0) / mu
@@ -261,14 +302,11 @@ def rl_integral_l1(values: np.ndarray, mu: float, dt: float) -> np.ndarray:
     upper = m * m ** mu / mu - m ** (mu + 1.0) / (mu + 1.0)
     lower = m * (m - 1.0) ** mu / mu - (m - 1.0) ** (mu + 1.0) / (mu + 1.0)
     b_w = upper - lower                              # weight of the newer node
-    flat = values.reshape(values.shape[0], -1)
-    res = np.zeros_like(flat)
     # J w(t_k) = dt^mu/Gamma(mu) * sum_m [a_m w_{k-m} + b_m w_{k-m+1}]
-    for col in range(flat.shape[1]):
-        older = np.convolve(flat[:-1, col], a_w)[:n]
-        newer = np.convolve(flat[1:, col], b_w)[:n]
-        res[1:, col] = older + newer
-    return (dt ** mu / gamma(mu)) * res.reshape(values.shape)
+    causal_convolve(a_w, values[:-1], out=res[1:])
+    res[1:] += causal_convolve(b_w, values[1:])
+    res *= dt ** mu / gamma(mu)
+    return res
 
 
 def caputo_apply(series: Series, alpha: float) -> Series:

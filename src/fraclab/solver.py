@@ -15,6 +15,13 @@ unknowns, refactorizing only when the level's matrix changes; the
 solver output therefore satisfies the assembled discrete equation to solver
 precision by construction, which :func:`apply_discrete_operator` verifies
 independently.
+
+The history is the exact direct L1 sum, kept in two combined kernels: one
+over the first differences (all orders below 1) and one over the second
+differences (orders above 1).  The stepping loop runs in blocks of
+``fractional.BLOCK`` levels: at a block's first step the history older
+than the block is one Toeplitz matrix product per kernel, and each step
+then adds its at most ``BLOCK`` recent terms.
 """
 
 from __future__ import annotations
@@ -29,7 +36,8 @@ import scipy.sparse.linalg as spla
 from scipy.special import gamma
 
 from .fields import EllipticCoeffField
-from .fractional import MultiTermSpec, TimeGrid, l1_weights, multiterm_l1
+from .fractional import (BLOCK, MultiTermSpec, TimeGrid, l1_weights,
+                         multiterm_l1, toeplitz_rows)
 
 
 @dataclass(frozen=True)
@@ -286,19 +294,36 @@ def _ellipticity_precondition(grid, coeffs):
                 f"(margin {margin:.3e})")
 
 
-def _history_weights(spec: MultiTermSpec, n_steps: int):
-    """Per-order L1 weights and normalizations used by the stepping loop."""
-    parts = []
+def _history_weights(spec: MultiTermSpec, dt: float, n_steps: int):
+    """Combined L1 kernels and local coefficients of the stepping loop.
+
+    Returns ``(c_lead, c_prev, w_u, w_v)``.  The history at step k is
+
+        sum_{0<j<k} (w_u[k-j] du_j + w_v[k-j] dv_j)
+            - c_lead u_{k-1} - c_prev du_{k-1}
+
+    with du_j = u_j - u_{j-1} and dv_j = (du_j - du_{j-1})/dt.  ``w_u``
+    gathers the orders below 1 and ``w_v`` the orders above 1 (None when
+    there are none), each with its q dt^(...)/Gamma factor folded in;
+    ``c_lead`` is also the diagonal the step matrix adds.
+    """
+    c_lead = c_prev = 0.0
+    w_u = w_v = None
     for q, al in zip(spec.weights, spec.orders):
         if al == 1.0:
-            parts.append((q, al, None, 1.0))
+            c_lead += q * dt ** (-al)
         elif al < 1.0:
-            parts.append((q, al, l1_weights(al, n_steps),
-                          1.0 / (gamma(2.0 - al))))
+            scale = q * (1.0 / gamma(2.0 - al)) * dt ** (-al)
+            c_lead += scale
+            w = scale * l1_weights(al, n_steps)
+            w_u = w if w_u is None else w_u + w
         else:
-            parts.append((q, al, l1_weights(al - 1.0, n_steps),
-                          1.0 / (gamma(3.0 - al))))
-    return parts
+            scale = q * (1.0 / gamma(3.0 - al)) * dt ** (-al)
+            c_lead += scale
+            c_prev += scale
+            w = scale * dt * l1_weights(al - 1.0, n_steps)
+            w_v = w if w_v is None else w_v + w
+    return c_lead, c_prev, w_u, w_v
 
 
 def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
@@ -333,13 +358,16 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
 
     f_all = _source_levels(source, grid)
     f_int = f_all.reshape(nt + 1, -1)[:, inside]
-    weights = _history_weights(spec, nt)
-    c_lead = sum(q * norm * dt ** (-al) for q, al, _, norm in weights)
+    c_lead, c_prev, w_u, w_v = _history_weights(spec, dt, nt)
 
     values = np.zeros((nt + 1, inside.size))
     u = np.zeros((nt + 1, n_int))            # interior unknowns
     du = np.zeros((nt + 1, n_int))           # du[j] = u_j - u_{j-1}
     dv = np.zeros((nt + 1, n_int))           # dv[j] = v_j - v_{j-1}
+    # (kernel, its lags within one block as forward-indexed rows, series)
+    span = min(BLOCK, nt)
+    kernels = [(w, toeplitz_rows(w, np.arange(span), span), d)
+               for w, d in ((w_u, du), (w_v, dv)) if w is not None]
 
     factored = None
     cond_estimate = None
@@ -359,17 +387,17 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
                 cond_estimate = float(spla.onenormest(system)
                                       * spla.onenormest(op))
 
-        hist = np.zeros(n_int)
-        for (q, al, b, norm) in weights:
-            if al == 1.0:
-                hist += q * (-u[k - 1]) / dt
-            elif al < 1.0:
-                acc = b[1:k][::-1] @ du[1:k]
-                hist += q * norm * dt ** (-al) * (acc - u[k - 1])
-            else:
-                acc = b[1:k][::-1] @ dv[1:k]
-                hist += q * norm * dt ** (1.0 - al) * (
-                    acc + (-u[k - 1] / dt - du[k - 1] / dt))
+        r = (k - 1) % BLOCK
+        if r == 0:
+            # history older than this block, one product per kernel
+            k0 = k
+            rows = np.arange(k0, min(k0 + BLOCK, nt + 1))
+            older = np.zeros((len(rows), n_int))
+            for w, _, d in kernels:
+                older += toeplitz_rows(w, rows - 1, k0 - 1) @ d[1:k0]
+        hist = older[r] - c_lead * u[k - 1] - c_prev * du[k - 1]
+        for _, near, d in kernels:
+            hist += near[r, :r] @ d[k0:k]
 
         rhs = f_int[k] - hist
         if bc is not None:

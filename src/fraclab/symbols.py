@@ -602,7 +602,10 @@ class CertificateReport:
 def lemma21_check(sample: CharacteristicSample, spec: MultiTermSpec,
                   coeffs: EllipticCoeffField, weight: CarlemanWeightParams,
                   c: float) -> CertificateReport:
-    """Minimum of principal bracket / scale^(3/2) over characteristic samples."""
+    """Minimum of principal bracket / scale^(3/2) over characteristic samples.
+
+    ``extras["ratios"]`` holds the ratio of every sample.
+    """
     if sample.found == 0:
         raise ValueError("empty characteristic sample")
     _, _, principal = _bracket_arrays(sample.t, sample.x, sample.tau,
@@ -612,7 +615,8 @@ def lemma21_check(sample: CharacteristicSample, spec: MultiTermSpec,
     ratio = principal / scale**1.5
     i = int(np.argmin(ratio))
     return CertificateReport(min_ratio=float(ratio[i]), n_samples=len(ratio),
-                             argmin=i, extras={"kappa": sample.kappa})
+                             argmin=i, extras={"kappa": sample.kappa,
+                                               "ratios": ratio})
 
 
 def full_region_sample(region: SampleRegion, spec: MultiTermSpec, n: int,

@@ -8,6 +8,7 @@ from fraclab import (ConvergenceError, MultiTermSpec, Series, TimeGrid,
                      caputo_apply, caputo_l1, caputo_oracle,
                      caputo_power_rule, multiterm_apply, multiterm_l1,
                      rl_integral_l1)
+from fraclab.fractional import BLOCK, causal_convolve
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -204,3 +205,69 @@ class TestFractionalIntegral:
     def test_bad_order(self):
         with pytest.raises(ValueError):
             rl_integral_l1(np.zeros(5), 1.5, 0.1)
+
+
+def per_column_convolve(kernel, x):
+    """Reference: one np.convolve per column along axis 0."""
+    n = x.shape[0]
+    flat = x.reshape(n, -1)
+    cols = [np.convolve(flat[:, j], kernel)[:n] for j in range(flat.shape[1])]
+    return np.stack(cols, axis=1).reshape(x.shape)
+
+
+class TestCausalConvolve:
+    @pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1,
+                                   2 * BLOCK + 3])
+    @pytest.mark.parametrize("trailing", [(3,), (2, 3)], ids=["2d", "3d"])
+    def test_matches_per_column_convolve(self, n, trailing):
+        rng = np.random.default_rng(n)
+        kernel = rng.normal(size=n)
+        x = rng.normal(size=(n,) + trailing)
+        ref = per_column_convolve(kernel, x)
+        out = causal_convolve(kernel, x)
+        assert out.shape == x.shape
+        assert np.allclose(out, ref, rtol=1e-13, atol=1e-13)
+
+    def test_out_into_a_slice(self):
+        n = 2 * BLOCK + 3
+        rng = np.random.default_rng(7)
+        kernel = rng.normal(size=n)
+        x = rng.normal(size=(n, 2, 3))
+        buf = np.full((n + 1, 2, 3), 5.0)
+        result = causal_convolve(kernel, x, out=buf[1:])
+        assert np.shares_memory(result, buf)
+        assert np.all(buf[0] == 5.0)
+        assert np.allclose(buf[1:], per_column_convolve(kernel, x),
+                           rtol=1e-13, atol=1e-13)
+
+    def test_out_without_a_flat_view(self):
+        n = BLOCK + 1
+        rng = np.random.default_rng(8)
+        kernel = rng.normal(size=n)
+        x = rng.normal(size=(n, 2, 3))
+        buf = np.zeros((n, 2, 4))
+        causal_convolve(kernel, x, out=buf[:, :, 1:])
+        assert np.all(buf[:, :, 0] == 0.0)
+        assert np.allclose(buf[:, :, 1:], per_column_convolve(kernel, x),
+                           rtol=1e-13, atol=1e-13)
+
+    def test_single_series_is_np_convolve(self):
+        rng = np.random.default_rng(9)
+        kernel = rng.normal(size=BLOCK + 5)
+        x = rng.normal(size=BLOCK + 5)
+        assert np.array_equal(causal_convolve(kernel, x),
+                              np.convolve(x, kernel)[:BLOCK + 5])
+
+    @pytest.mark.parametrize("op,order", [(caputo_l1, 0.4), (caputo_l1, 1.6),
+                                          (rl_integral_l1, 0.5),
+                                          (rl_integral_l1, 1.0)])
+    def test_stacked_columns_match_single_series(self, op, order):
+        g = grid(2 * BLOCK + 3)
+        t = g.nodes
+        cols = np.stack([t**2, np.sin(3.0 * t), 1.0 - np.cos(t), t**1.5],
+                        axis=1)
+        stacked = op(cols, order, g.dt)
+        for j in range(cols.shape[1]):
+            single = op(cols[:, j], order, g.dt)
+            scale = np.max(np.abs(single))
+            assert np.max(np.abs(stacked[:, j] - single)) <= 1e-14 * scale

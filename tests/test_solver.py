@@ -63,8 +63,15 @@ class TestSolve:
             errs.append(np.abs(result.field.values - ref).max())
         assert errs[1] <= errs[0] / 2.0
 
-    def test_multiterm_with_first_order_term(self):
-        spec = MultiTermSpec(orders=(1.5, 0.5), weights=(1.0, 0.5))
+    # both history kernels and the order-1 term, with the last stepping
+    # block full (128) and partial (133)
+    @pytest.mark.parametrize("n_steps", [128, 133])
+    @pytest.mark.parametrize("orders,weights", [
+        ((1.5, 0.5), (1.0, 0.5)),
+        ((1.5, 1.0, 0.5), (1.0, 0.4, 0.5)),
+    ], ids=["two-orders", "with-order-one"])
+    def test_multiterm_with_first_order_term(self, orders, weights, n_steps):
+        spec = MultiTermSpec(orders=orders, weights=weights)
         lower = LowerOrderTerm(b=lambda t, Y: 0.3 * np.ones(Y.shape),
                                b0=lambda t, Y: -0.2 * np.ones(Y.shape[:-1]))
 
@@ -79,7 +86,7 @@ class TestSolve:
             return (tfrac * s + np.pi**2 * t**2 * s
                     - 0.3 * np.pi * t**2 * c + 0.2 * t**2 * s)
 
-        grid = grid_1d(128, 65)
+        grid = grid_1d(n_steps, 65)
         result = solve(spec, identity_field(1), lower, source, grid)
         ref = np.stack([exact(t, grid.mesh()) for t in grid.time.nodes])
         err = np.abs(result.field.values - ref).max()
