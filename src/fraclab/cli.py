@@ -30,23 +30,14 @@ COMMANDS = ("caputo-check", "symbol-bracket", "char-sample", "lemma21",
             "continuation-plan")
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
 def write_csv(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, (int, float, np.floating))
-                              else str(v) for v in row) + "\n")
+    """Header line, then one line per row of the 2-D array ``rows``."""
+    np.savetxt(path, np.asarray(rows, dtype=float), fmt="%.17g",
+               delimiter=",", header=",".join(header), comments="")
 
 
 def write_xy(path, columns):
-    arr = np.column_stack(columns)
-    with open(path, "w") as fh:
-        for row in arr:
-            fh.write(" ".join(_fmt(v) for v in row) + "\n")
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g")
 
 
 # ---------------------------------------------------------------------------
@@ -264,19 +255,24 @@ def _parallel_char_samples(region, spec, coeffs, weight, c, total, tol,
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(run, range(len(counts))))
-    n = coeffs.n
     cat = lambda key: np.concatenate([getattr(p, key) for p in parts])
     kappas = [p.kappa for p in parts if p.found > 0]
     return symbols.CharacteristicSample(
         t=cat("t"), x=cat("x"), tau=cat("tau"), xi=cat("xi"),
         sigma=cat("sigma"), residual=cat("residual"), requested=total,
-        kappa=max(kappas) if kappas else math.nan)
+        kappa=max(kappas) if kappas else math.nan,
+        solved=sum(p.solved for p in parts),
+        rejected={cause: sum(p.rejected[cause] for p in parts)
+                  for cause in symbols.REJECT_CAUSES})
 
 
 def _point_rows(sample):
-    for i in range(sample.found):
-        yield ([sample.t[i]] + list(sample.x[i]) + [sample.tau[i]]
-               + list(sample.xi[i]) + [sample.sigma[i], sample.residual[i]])
+    return np.column_stack([sample.t, sample.x, sample.tau, sample.xi,
+                            sample.sigma, sample.residual])
+
+
+def _sample_counts(sample):
+    return {"solved": sample.solved, "rejected": dict(sample.rejected)}
 
 
 def _point_header(n):
@@ -316,11 +312,12 @@ def run_caputo_check(config, out, rng, threads):
         worst_oracle = max(worst_oracle, e_oracle)
         rows.append([alpha, p, t_final, n_steps, disc, orc, exact,
                      e_apply, e_oracle])
+    rows = np.array(rows, dtype=float)
     write_csv(os.path.join(out, "caputo.csv"),
               ["alpha", "power", "t", "n_steps", "discrete", "oracle",
                "exact", "rel_err_discrete", "rel_err_oracle"], rows)
     write_xy(os.path.join(out, "caputo_errors.xy"),
-             [np.asarray(alphas), np.array([r[7] for r in rows])])
+             [np.asarray(alphas), rows[:, 7]])
     ok = worst_apply <= tol_apply and worst_oracle <= tol_oracle
     return {"pass": bool(ok), "max_rel_err_discrete": worst_apply,
             "max_rel_err_oracle": worst_oracle}
@@ -345,10 +342,8 @@ def run_symbol_bracket(config, out, rng, threads):
     full, principal, scale, ratio = symbols.bracket_report_batch(
         pts, spec, frame.field, weight, hmap.c)
     t, x, tau, xi, sigma = pts
-    rows = []
-    for i in range(len(t)):
-        rows.append([t[i]] + list(x[i]) + [tau[i]] + list(xi[i])
-                    + [sigma[i], full[i], principal[i], scale[i], ratio[i]])
+    rows = np.column_stack([t, x, tau, xi, sigma, full, principal, scale,
+                            ratio])
     header = (["t"] + [f"x{i + 1}" for i in range(n)] + ["tau"]
               + [f"xi{i + 1}" for i in range(n)]
               + ["sigma", "bracket", "principal", "scale", "ratio"])
@@ -376,7 +371,7 @@ def run_char_sample(config, out, rng, threads, seed):
     return {"pass": bool(ok), "requested": sample.requested,
             "found": sample.found, "kappa": sample.kappa,
             "max_residual": float(sample.residual.max())
-            if sample.found else math.nan}
+            if sample.found else math.nan, **_sample_counts(sample)}
 
 
 def run_lemma21(config, out, rng, threads, seed):
@@ -393,7 +388,8 @@ def run_lemma21(config, out, rng, threads, seed):
              [np.linspace(0.0, 1.0, len(srt)), srt])
     return {"pass": bool(report.passed), "min_ratio": report.min_ratio,
             "n_samples": report.n_samples, "kappa": sample.kappa,
-            "found": sample.found, "requested": sample.requested}
+            "found": sample.found, "requested": sample.requested,
+            **_sample_counts(sample)}
 
 
 def run_garding(config, out, rng, threads, seed):
@@ -410,14 +406,12 @@ def run_garding(config, out, rng, threads, seed):
     varpi, report = symbols.find_min_varpi(
         pts, spec, frame.field, weight, hmap.c,
         varpi_max=config.get("varpi_max", 1e8))
+    elliptic, negative = report.extras["elliptic"], report.extras["negative"]
     sweep_varpis = [varpi * f for f in (0.25, 0.5, 1.0, 2.0, 4.0) if varpi * f > 0]
-    curve = [(v, symbols.garding_precondition_check(
-        pts, spec, frame.field, weight, hmap.c, v).min_ratio)
-        for v in sweep_varpis] or [(0.0, report.min_ratio)]
-    write_xy(os.path.join(out, "garding_curve.xy"),
-             [np.array([c[0] for c in curve]), np.array([c[1] for c in curve])])
-    write_csv(os.path.join(out, "garding.csv"),
-              ["varpi", "min_ratio"], [[v, r] for v, r in curve])
+    curve = np.array([(v, np.min(v * elliptic + negative))
+                      for v in sweep_varpis] or [(0.0, report.min_ratio)])
+    write_xy(os.path.join(out, "garding_curve.xy"), [curve[:, 0], curve[:, 1]])
+    write_csv(os.path.join(out, "garding.csv"), ["varpi", "min_ratio"], curve)
     return {"pass": bool(report.passed), "varpi": varpi,
             "min_ratio": report.min_ratio, "n_samples": report.n_samples}
 
@@ -436,7 +430,7 @@ def run_lemma61(config, out, rng, threads, seed):
         region, spec, frame.field, weight, hmap.c, config["n_samples"],
         config.get("tol", 1e-8), seed, threads,
         tuple(config["sigma_range"]) if "sigma_range" in config else None)
-    report = symbols.lemma61_check(sample, spec, tilde, hmap, weight, rng=rng)
+    report = symbols.lemma61_check(sample, spec, tilde, hmap, weight)
     write_csv(os.path.join(out, "char_points.csv"),
               _point_header(base.n), _point_rows(sample))
     if sample.found:
@@ -447,7 +441,8 @@ def run_lemma61(config, out, rng, threads, seed):
     return {"pass": bool(ok), "min_ratio": report.min_ratio,
             "stage": config["stage"],
             "ellipticity_margin": report.extras["ellipticity_margin"],
-            "found": sample.found, "requested": sample.requested}
+            "found": sample.found, "requested": sample.requested,
+            **_sample_counts(sample)}
 
 
 def _manufactured_pieces(spec, grid):

@@ -48,24 +48,25 @@ class EllipticCoeffField:
         if not 0.0 < self.delta <= 1.0:
             raise ValueError("ellipticity constant must lie in (0, 1]")
 
-    def ellipticity_margin(self, t, y, etas: np.ndarray) -> float:
-        """Worst relative slack of the two-sided ellipticity bound.
+    def ellipticity_margin(self, t, y) -> float:
+        """Worst slack of the two-sided ellipticity bound, exactly.
 
-        Returns min over probes of
-        min(a eta.eta - delta |eta|^2, |eta|^2/delta - a eta.eta) / |eta|^2;
-        values below roundoff witness a violation.
+        Returns min(lambda_min - delta, 1/delta - lambda_max) over the
+        eigenvalues of every sampled matrix; values below roundoff witness
+        a violation.
         """
-        a = np.asarray(self.a(t, y), dtype=float)
-        etas = np.atleast_2d(np.asarray(etas, dtype=float))
-        quad = np.einsum("...jk,pj,pk->...p", a, etas, etas)
-        nrm2 = np.einsum("pj,pj->p", etas, etas)
-        lower = (quad - self.delta * nrm2) / nrm2
-        upper = (nrm2 / self.delta - quad) / nrm2
-        return float(min(lower.min(), upper.min()))
+        return _eigen_margin(self.a(t, y), self.delta)
 
     def symmetry_defect(self, t, y) -> float:
         a = np.asarray(self.a(t, y), dtype=float)
         return float(np.max(np.abs(a - np.swapaxes(a, -1, -2))))
+
+
+def _eigen_margin(a, delta: float) -> float:
+    """min(lambda_min - delta, 1/delta - lambda_max) over stacked matrices."""
+    eigs = np.linalg.eigvalsh(np.asarray(a, dtype=float))
+    return float(min(eigs[..., 0].min() - delta,
+                     1.0 / delta - eigs[..., -1].max()))
 
 
 def identity_field(n: int) -> EllipticCoeffField:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import EllipticCoeffField
+from .fields import EllipticCoeffField, _eigen_margin
 
 
 @dataclass(frozen=True)
@@ -286,22 +286,19 @@ def global_coefficients(coeffs: EllipticCoeffField) -> EllipticCoeffField:
                               delta=coeffs.delta)
 
 
-def weighted_ellipticity_margin(tilde_field: EllipticCoeffField, t, y_tilde,
-                                etas: np.ndarray) -> float:
-    """Relative slack of delta |eta~|^2 <= a~ eta.eta <= |eta~|^2 / delta.
+def weighted_ellipticity_margin(tilde_field: EllipticCoeffField, t,
+                                y_tilde) -> float:
+    """Exact slack of delta |eta~|^2 <= a~ eta.eta <= |eta~|^2 / delta.
 
-    ``eta~`` stretches each component by (1 + y_tilde_j^2)^(3/2).  Values
-    below roundoff witness a violation at (t, y_tilde).
+    ``eta~`` stretches each component by w_j = (1 + y_tilde_j^2)^(3/2), so
+    the bound is the plain one for W^-1 a~ W^-1 with W = diag(w); the
+    margin is min(lambda_min - delta, 1/delta - lambda_max) over every
+    sample.  Values below roundoff witness a violation.
     """
     a = np.asarray(tilde_field.a(t, y_tilde), dtype=float)
     w = stretch_weights(y_tilde)
-    etas = np.atleast_2d(np.asarray(etas, dtype=float))
-    quad = np.einsum("...jk,pj,pk->...p", a, etas, etas)
-    stretched = np.einsum("...j,pj->...pj", w, etas)
-    nrm2 = np.sum(stretched**2, axis=-1)
-    lower = (quad - tilde_field.delta * nrm2) / nrm2
-    upper = (nrm2 / tilde_field.delta - quad) / nrm2
-    return float(min(lower.min(), upper.min()))
+    return _eigen_margin(a / (w[..., :, None] * w[..., None, :]),
+                         tilde_field.delta)
 
 
 # ---------------------------------------------------------------------------

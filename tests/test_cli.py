@@ -3,8 +3,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+
 import fraclab
-from fraclab.cli import main
+from fraclab import symbols
+from fraclab.cli import _build_region, _chunk_counts, main
 
 SPEC = {"orders": [0.5], "weights": [1.0]}
 COEFFS1 = {"preset": "identity", "n": 1}
@@ -66,12 +69,42 @@ class TestCommands:
         assert summary["pass"] and summary["min_ratio"] > 0.0
 
     def test_threads_do_not_change_results(self, tmp_path):
-        config = {"spec": SPEC, "coeffs": COEFFS1, "map": MAP1,
-                  "weight": WEIGHT, "n_samples": 300}
-        _, out1 = run(tmp_path, "lemma21", config, seed=3, threads=1, tag="t1")
-        _, out2 = run(tmp_path, "lemma21", config, seed=3, threads=3, tag="t3")
-        assert (out1 / "char_points.csv").read_bytes() \
-            == (out2 / "char_points.csv").read_bytes()
+        base = {"spec": SPEC, "coeffs": COEFFS1, "map": MAP1,
+                "weight": WEIGHT, "n_samples": 300}
+        configs = {"lemma21": base, "lemma61": {**base, "stage": 3},
+                   "garding": {**base, "n_samples": 3000}}
+        for command, config in configs.items():
+            _, out1 = run(tmp_path, command, config, seed=3, threads=1,
+                          tag=f"{command}1")
+            _, out3 = run(tmp_path, command, config, seed=3, threads=3,
+                          tag=f"{command}3")
+            names = sorted(p.name for p in out1.iterdir()
+                           if p.suffix in (".csv", ".xy"))
+            assert names == sorted(p.name for p in out3.iterdir()
+                                   if p.suffix in (".csv", ".xy"))
+            assert len(names) >= 2
+            for name in names:
+                assert (out1 / name).read_bytes() == (out3 / name).read_bytes()
+
+    def test_rejection_counts_do_not_depend_on_threads(self, tmp_path):
+        # sigma from 10 is below the sign-change floor for part of the seeds,
+        # and the tolerance rejects part of the solved ones
+        config = {"spec": SPEC, "coeffs": COEFFS2, "map": MAP1,
+                  "weight": WEIGHT, "n_samples": 300,
+                  "sigma_range": [10.0, 60.0], "tol": 2e-18}
+        for command, extra in (("char-sample", {}), ("lemma21", {}),
+                               ("lemma61", {"stage": 2})):
+            counts = []
+            for threads in (1, 2, 3):
+                _, out = run(tmp_path, command, {**config, **extra}, seed=4,
+                             threads=threads, tag=f"{command}{threads}")
+                summary = json.loads((out / "summary.json").read_text())
+                counts.append((summary["solved"], summary["rejected"]))
+            assert counts[0] == counts[1] == counts[2]
+            solved, rejected = counts[0]
+            assert sorted(rejected) == sorted(symbols.REJECT_CAUSES)
+            assert rejected["no_sign_change"] > 0 and rejected["residual"] > 0
+            assert solved == summary["found"] + rejected["residual"]
 
     def test_char_sample_partial_fails(self, tmp_path):
         config = {"spec": SPEC, "coeffs": COEFFS1, "map": MAP1,
@@ -90,6 +123,29 @@ class TestCommands:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["min_ratio"] > 0.0
         assert (out / "garding_curve.xy").exists()
+
+    def test_garding_curve_matches_separate_checks(self, tmp_path):
+        config = {"spec": SPEC, "coeffs": COEFFS2, "map": MAP1,
+                  "weight": WEIGHT, "n_samples": 3000}
+        _, out = run(tmp_path, "garding", config, seed=6)
+        spec = fraclab.MultiTermSpec(orders=(0.5,), weights=(1.0,))
+        weight = symbols.CarlemanWeightParams(X=0.05)
+        hmap = fraclab.HolmgrenMap(y_hat=np.zeros(2), **MAP1)
+        frame = fraclab.pushforward_operator(
+            fraclab.field_from_config(COEFFS2), hmap)
+        region = _build_region(None, weight, hmap.T)
+        counts = _chunk_counts(3000)
+        seeds = np.random.SeedSequence(6).spawn(len(counts))
+        parts = [symbols.full_region_sample(region, spec, 2, k,
+                                            np.random.default_rng(sd))
+                 for k, sd in zip(counts, seeds)]
+        pts = tuple(np.concatenate([p[j] for p in parts]) for j in range(5))
+        rows = np.loadtxt(out / "garding.csv", delimiter=",", skiprows=1)
+        assert len(rows) == 5
+        for varpi, min_ratio in rows:
+            report = symbols.garding_precondition_check(
+                pts, spec, frame.field, weight, 1.0, varpi)
+            assert min_ratio == report.min_ratio
 
     def test_lemma61(self, tmp_path):
         config = {"spec": SPEC, "coeffs": COEFFS2, "map": MAP1,

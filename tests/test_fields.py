@@ -26,11 +26,23 @@ def test_symmetry(field):
 @pytest.mark.parametrize("field", PRESETS)
 def test_declared_delta_holds(field):
     rng = np.random.default_rng(1)
-    etas = rng.normal(size=(16, field.n))
     for _ in range(20):
         t = rng.uniform(0.0, 2.0)
         y = rng.normal(size=(9, field.n))
-        assert field.ellipticity_margin(t, y, etas) > -1e-12
+        assert field.ellipticity_margin(t, y) > -1e-12
+
+
+def test_ellipticity_margin_is_exact():
+    rng = np.random.default_rng(3)
+    t = rng.uniform(0.0, 3.0, 200)
+    y = rng.normal(size=(200, 2))
+    lam = 1.0 + 0.3 * np.sin(y) * np.cos(t)[:, None]
+    expected = min(lam.min() - 0.7, 1.0 / 0.7 - lam.max())
+    margin = diagonal_variable_field(2).ellipticity_margin(t, y)
+    assert abs(margin - expected) < 1e-13
+    # eigenvalues {ratio, 1} with delta = ratio: the lower bound is attained
+    rotating = rotating_anisotropic_field(2, ratio=0.5)
+    assert abs(rotating.ellipticity_margin(t, y)) < 1e-14
 
 
 @pytest.mark.parametrize("field", PRESETS)

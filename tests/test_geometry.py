@@ -132,11 +132,10 @@ class TestPushforward:
         hmap = HolmgrenMap(y_hat=np.zeros(3), c=2.0, X=0.05, T=1.0, stage=2)
         frame = pushforward_operator(field, hmap)
         rng = np.random.default_rng(11)
-        probes = rng.normal(size=(8, 3))
         for _ in range(30):
             t = rng.uniform(0.0, 1.0)
             x = rng.normal(size=(5, 3)) * 0.3
-            assert frame.field.ellipticity_margin(t, x, probes) > -1e-12
+            assert frame.field.ellipticity_margin(t, x) > -1e-12
 
     def test_support_pushes_into_upper_half(self):
         # a bump supported in {y_n >= 0}, vanishing for t <= 0, pushes
@@ -212,12 +211,23 @@ class TestGlobalDiffeo:
     def test_weighted_ellipticity_sampled(self):
         tilde = global_coefficients(diagonal_variable_field(3))
         rng = np.random.default_rng(7)
-        etas = rng.normal(size=(16, 3))
         for _ in range(50):
             yt = rng.normal(size=3) * 2.0
-            margin = weighted_ellipticity_margin(tilde, rng.uniform(0, 1),
-                                                 yt, etas)
+            margin = weighted_ellipticity_margin(tilde, rng.uniform(0, 1), yt)
             assert margin > 0.0
+
+    def test_weighted_margin_closed_form(self):
+        # W^-1 a~ W^-1 is diag(1 + 0.3 sin(y_j) cos t) at y = inverse(yt),
+        # and delta = 0.7; on these samples the lower side binds
+        tilde = global_coefficients(diagonal_variable_field(3))
+        rng = np.random.default_rng(12)
+        t = rng.uniform(0.0, 3.0, 400)
+        yt = rng.normal(size=(400, 3)) * 2.0
+        y = global_diffeo_inverse(yt)
+        lam = 1.0 + 0.3 * np.sin(y) * np.cos(t)[:, None]
+        assert lam.min() - 0.7 < 1.0 / 0.7 - lam.max()
+        margin = weighted_ellipticity_margin(tilde, t, yt)
+        assert abs(margin - (lam.min() - 0.7)) < 1e-13
 
 
 class TestCutoffs:

@@ -15,7 +15,10 @@ from fraclab import (CarlemanWeightParams, HolmgrenMap, MultiTermSpec,
                      real_part_margin, region_for, rotating_anisotropic_field,
                      symbol_gradients, total_symbol,
                      weighted_principal_symbol)
-from fraclab.symbols import _weighted_batch, bracket_report_batch
+from fraclab import symbols
+from fraclab.symbols import (SAMPLE_BLOCK, CharacteristicSample, _char_batch,
+                             _char_roots, _garding_terms, _weighted_batch,
+                             bracket_report_batch, fractional_symbol)
 
 RNG = np.random.default_rng(20240817)
 
@@ -425,6 +428,188 @@ class TestCharacteristicSampling:
         _, _, _, ratio2 = bracket_report_batch(scaled, self.spec, self.field,
                                                self.weight, 1.0)
         assert np.max(np.abs(ratio2 - ratio) / np.abs(ratio)) < 1e-9
+
+
+def reference_roots(A, Q, R, spec):
+    """The root-finder as it ran before the active-set version: 60 doubling
+    passes over all points, then 90 bisection passes with np.where."""
+    def g(tau, A, Q, R):
+        s = fractional_symbol(tau, spec)
+        return A * s.imag**2 - Q * (R - s.real)
+
+    lo = np.zeros(len(A))
+    hi = np.ones(len(A))
+    for _ in range(60):
+        bad = g(hi, A, Q, R) <= 0.0
+        if not bad.any():
+            break
+        hi[bad] *= 2.0
+    good = g(hi, A, Q, R) > 0.0
+    lo, hi, A, Q, R = lo[good], hi[good], A[good], Q[good], R[good]
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        gm = g(mid, A, Q, R)
+        lo = np.where(gm < 0.0, mid, lo)
+        hi = np.where(gm < 0.0, hi, mid)
+    return 0.5 * (lo + hi), good
+
+
+def reference_char_batch(region, spec, coeffs, c, X, batch, tol, rng,
+                         sigma_range):
+    """Every filtered seed of a batch solved, in draw order, with the
+    reference root-finder; returns the passing points and the full mask."""
+    n = coeffs.n
+    t, x = region.draw(rng, batch, n)
+    xihat = rng.normal(size=(batch, n))
+    xihat /= np.linalg.norm(xihat, axis=1, keepdims=True)
+    sigma = np.exp(rng.uniform(math.log(sigma_range[0]),
+                               math.log(sigma_range[1]), batch))
+    mu = sigma * (x[:, -1] - 2.0 * X)
+    a = coeffs.a(t, x)
+    what = xihat.copy()
+    what[:, :-1] += 2.0 * c * x[:, :-1] * xihat[:, -1:]
+    vhat = np.concatenate([2.0 * c * x[:, :-1], np.ones((batch, 1))], axis=1)
+    A = np.einsum("ij,ijk,ik->i", what, a, what)
+    B = np.einsum("ij,ijk,ik->i", what, a, vhat)
+    C = np.einsum("ij,ijk,ik->i", vhat, a, vhat)
+    S0 = fractional_symbol(np.zeros(batch), spec)
+    keep = (np.abs(B) > 1e-10 * np.sqrt(np.abs(A * C))) & \
+        (mu**2 * C > S0.real)
+    idx = np.nonzero(keep)[0]
+    tau, good = reference_roots(A[idx], 4.0 * mu[idx]**2 * B[idx]**2,
+                                mu[idx]**2 * C[idx], spec)
+    idx = idx[good]
+    s = fractional_symbol(tau, spec)
+    xi = (-s.imag / (2.0 * B[idx] * mu[idx]))[:, None] * xihat[idx]
+    out = _weighted_batch(t[idx], x[idx], tau, xi, sigma[idx], spec, coeffs,
+                          c, X)
+    resid = np.abs(out["value"]) / anisotropic_scale(xi, sigma[idx], tau,
+                                                     spec.alpha)
+    ok = resid <= tol
+    return ((t[idx][ok], x[idx][ok], tau[ok], xi[ok], sigma[idx][ok],
+             resid[ok]), resid, keep)
+
+
+class TestRootFinder:
+    spec = MultiTermSpec(orders=(0.5, 0.25), weights=(1.0, 0.5))
+
+    def test_bitwise_equal_to_reference(self):
+        rng = np.random.default_rng(17)
+        m = 3000
+        A = 10.0 ** rng.uniform(-3.0, 2.0, m)
+        Q = 10.0 ** rng.uniform(-2.0, 8.0, m)
+        R = self.spec.weight_sum * (1.0 + 10.0 ** rng.uniform(-4.0, 4.0, m))
+        # roots near 0 take all 90 bisection passes; with A = 0,
+        # g = Q (Re S - R) and Re S ~ 0.7 tau^(1/2), so a root beyond 2^60
+        # is dropped and one between 2^59 and 2^60 takes all 60 doublings
+        ws = self.spec.weight_sum
+        A = np.concatenate([A, [1.0, 1.0, 0.0, 0.0]])
+        Q = np.concatenate([Q, [1e-200, 1.0, 1.0, 1.0]])
+        R = np.concatenate([R, [2.0 * ws, ws * (1.0 + 1e-15), 1e12, 7e8]])
+        tau_ref, good_ref = reference_roots(A, Q, R, self.spec)
+        assert good_ref[-4:].tolist() == [True, True, False, True]
+        # tau_ref lists the good points only
+        assert tau_ref[-3] < 2.0**-80 < tau_ref[-2] < 1e-6
+        assert 2.0**59 < tau_ref[-1] < 2.0**60
+        tau, good = _char_roots(A, Q, R, self.spec)
+        assert np.array_equal(good, good_ref)
+        assert np.array_equal(tau[good], tau_ref)
+
+    def _batch_setup(self, seed):
+        field = diagonal_variable_field(2)
+        weight = CarlemanWeightParams(X=0.05)
+        return (region_for(weight), self.spec, field, 1.0, weight.X, 400,
+                np.random.default_rng(seed))
+
+    def test_prefix_matches_reference(self):
+        region, spec, field, c, X, batch, _ = self._batch_setup(0)
+        sr = (15.0, 150.0)
+        pts, resid, keep = reference_char_batch(
+            region, spec, field, c, X, batch, 1e-8,
+            np.random.default_rng(23), sr)
+        need = 100
+        assert keep.sum() > need and len(pts[2]) >= need
+        got, counts = _char_batch(region, spec, field, c, X, batch, need,
+                                  1e-8, np.random.default_rng(23), sr)
+        for mine, ref in zip(got, pts):
+            assert np.array_equal(mine, ref[:need])
+        assert counts["solved"] == need and counts["residual"] == 0
+
+    def test_residual_rejection_solves_a_second_prefix(self):
+        region, spec, field, c, X, batch, _ = self._batch_setup(0)
+        sr = (15.0, 150.0)
+        need = 100
+        _, resid, keep = reference_char_batch(
+            region, spec, field, c, X, batch, 1.0,
+            np.random.default_rng(29), sr)
+        tol = np.sort(resid[:need])[need - 10]   # rejects a few of the first
+        pts, resid, keep = reference_char_batch(
+            region, spec, field, c, X, batch, tol,
+            np.random.default_rng(29), sr)
+        assert len(pts[2]) >= need
+        got, counts = _char_batch(region, spec, field, c, X, batch, need,
+                                  tol, np.random.default_rng(29), sr)
+        for mine, ref in zip(got, pts):
+            assert np.array_equal(mine, ref[:need])
+        assert counts["residual"] > 0
+        assert counts["solved"] == need + counts["residual"]
+        examined = (counts["degenerate_b"] + counts["no_sign_change"]
+                    + counts["solved"])
+        assert examined < batch
+
+    def test_exhausted_batch_counts_every_seed(self):
+        region, spec, field, c, X, batch, _ = self._batch_setup(0)
+        sr = (10.0, 60.0)
+        pts, resid, keep = reference_char_batch(
+            region, spec, field, c, X, batch, 1e-8,
+            np.random.default_rng(31), sr)
+        got, counts = _char_batch(region, spec, field, c, X, batch, batch,
+                                  1e-8, np.random.default_rng(31), sr)
+        for mine, ref in zip(got, pts):
+            assert np.array_equal(mine, ref)
+        assert counts["solved"] == len(resid)
+        assert counts["no_sign_change"] == batch - len(resid) > 0
+        assert counts["degenerate_b"] == counts["residual"] == 0
+
+    def test_sample_counts_add_up(self):
+        weight = CarlemanWeightParams(X=0.05)
+        sample = char_set_sample(region_for(weight), self.spec,
+                                 diagonal_variable_field(2), weight, 1.0,
+                                 300, tol=2e-18, rng=np.random.default_rng(3),
+                                 sigma_range=(10.0, 60.0))
+        assert sample.rejected["no_sign_change"] > 0
+        assert sample.rejected["residual"] > 0
+        assert sample.solved == sample.found + sample.rejected["residual"]
+
+
+class TestBlockedReductions:
+    """Each blocked reduction equals one unblocked call, bit for bit."""
+
+    @pytest.mark.parametrize("m", [SAMPLE_BLOCK - 1, SAMPLE_BLOCK,
+                                   SAMPLE_BLOCK + 1])
+    def test_blocked_equals_unblocked(self, m, monkeypatch):
+        spec = MultiTermSpec(orders=(0.5, 0.25), weights=(1.0, 0.5))
+        base = diagonal_variable_field(2)
+        weight = CarlemanWeightParams(X=0.05)
+        hmap = HolmgrenMap(y_hat=np.zeros(2), c=1.0, X=0.05, T=1.0, stage=3)
+        tilde = global_coefficients(base)
+        pts = full_region_sample(region_for(weight), spec, 2, m,
+                                 np.random.default_rng(m))
+        sample = CharacteristicSample(*pts, residual=np.zeros(m),
+                                      requested=m, kappa=1.0)
+
+        def reductions():
+            return [*bracket_report_batch(pts, spec, base, weight, 1.0),
+                    *_garding_terms(pts, spec, base, weight, 1.0),
+                    lemma21_check(sample, spec, base, weight, 1.0)
+                    .extras["ratios"],
+                    lemma61_check(sample, spec, tilde, hmap, weight).min_ratio]
+
+        blocked = reductions()
+        monkeypatch.setattr(symbols, "SAMPLE_BLOCK", 10 * m)
+        single = reductions()
+        for got, ref in zip(blocked, single):
+            assert np.array_equal(got, ref)
 
 
 class TestGarding:
