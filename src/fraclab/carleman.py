@@ -274,11 +274,15 @@ class SweepResult:
                 return True
         return False
 
+    @property
+    def spread(self) -> float:
+        """max_ratio / min_ratio, or inf when the minimum is not positive."""
+        return (self.max_ratio / self.min_ratio if self.min_ratio > 0
+                else math.inf)
+
     def to_json(self, path=None) -> str:
         doc = {"max_ratio": self.max_ratio, "min_ratio": self.min_ratio,
-               "flagged_rows": self.flagged,
-               "spread": (self.max_ratio / self.min_ratio
-                          if self.min_ratio > 0 else float("inf")),
+               "flagged_rows": self.flagged, "spread": self.spread,
                "top_half_monotone_growth": self.top_half_monotone_growth()}
         text = json.dumps(doc, indent=2)
         if path is not None:
@@ -323,8 +327,7 @@ def beta_sweep(config: BetaSweepConfig, bumps, grid: SpaceTimeGrid,
 
 
 def sweep_rows_csv(result: SweepResult, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write("beta,lhs,rhs,ratio,test_id\n")
-        for r in result.rows:
-            fh.write(f"{r.beta:.17g},{r.lhs:.17g},{r.rhs:.17g},"
-                     f"{r.ratio:.17g},{r.test_id}\n")
+    rows = [(r.beta, r.lhs, r.rhs, r.ratio, r.test_id) for r in result.rows]
+    np.savetxt(path, np.array(rows, dtype=float).reshape(-1, 5),
+               fmt=["%.17g"] * 4 + ["%d"], delimiter=",",
+               header="beta,lhs,rhs,ratio,test_id", comments="")

@@ -25,10 +25,6 @@ from . import fields, geometry, solver, symbols
 from .fractional import (MultiTermSpec, Series, TimeGrid, caputo_l1,
                          caputo_oracle, caputo_power_rule)
 
-COMMANDS = ("caputo-check", "symbol-bracket", "char-sample", "lemma21",
-            "garding", "lemma61", "solve", "carleman-sweep", "ucp-demo",
-            "continuation-plan")
-
 
 def write_csv(path, header, rows):
     """Header line, then one line per row of the 2-D array ``rows``."""
@@ -43,142 +39,76 @@ def write_xy(path, columns):
 # ---------------------------------------------------------------------------
 # config schemas
 
+
+def _object(required, **properties):
+    return {"type": "object", "properties": properties,
+            "required": list(required), "additionalProperties": False}
+
+
 _NUM = {"type": "number"}
 _POSINT = {"type": "integer", "minimum": 1}
 _PAIR = {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2}
+_NUMS = {"type": "array", "items": _NUM, "minItems": 1}
 
-_SPEC = {
-    "type": "object",
-    "properties": {"orders": {"type": "array", "items": _NUM, "minItems": 1},
-                   "weights": {"type": "array", "items": _NUM, "minItems": 1}},
-    "required": ["orders", "weights"],
-    "additionalProperties": False,
-}
-_COEFFS = {
-    "type": "object",
-    "properties": {
-        "preset": {"enum": ["identity", "diagonal-variable",
-                            "rotating-anisotropic", "polynomial"]},
-        "n": _POSINT,
-        "amplitude": _NUM, "ratio": _NUM, "spin": _NUM, "shear": _NUM,
-        "delta": _NUM, "tables": {"type": "array"},
-    },
-    "required": ["preset", "n"],
-    "additionalProperties": False,
-}
-_MAP = {
-    "type": "object",
-    "properties": {"y_hat": {"type": "array", "items": _NUM},
-                   "c": _NUM, "X": _NUM, "T": _NUM, "stage": _POSINT},
-    "required": ["c", "X", "T"],
-    "additionalProperties": False,
-}
-_WEIGHT = {"type": "object", "properties": {"X": _NUM}, "required": ["X"],
-           "additionalProperties": False}
+_SPEC = _object(("orders", "weights"), orders=_NUMS, weights=_NUMS)
+_COEFFS = _object(
+    ("preset", "n"),
+    preset={"enum": ["identity", "diagonal-variable",
+                     "rotating-anisotropic", "polynomial"]},
+    n=_POSINT, amplitude=_NUM, ratio=_NUM, spin=_NUM, shear=_NUM,
+    delta=_NUM, tables={"type": "array"})
+_MAP = _object(("c", "X", "T"), y_hat={"type": "array", "items": _NUM},
+               c=_NUM, X=_NUM, T=_NUM, stage=_POSINT)
+_WEIGHT = _object(("X",), X=_NUM)
 _REGION = {
     "type": "object",
     "properties": {"t": _PAIR, "xn": _PAIR, "xprime_halfwidth": _NUM},
     "additionalProperties": False,
 }
-_GRID = {
-    "type": "object",
-    "properties": {"bounds": {"type": "array", "items": _PAIR, "minItems": 1},
-                   "shape": {"type": "array", "items": _POSINT, "minItems": 1},
-                   "n_steps": _POSINT, "t_final": _NUM},
-    "required": ["bounds", "shape", "n_steps", "t_final"],
-    "additionalProperties": False,
-}
+_GRID = _object(("bounds", "shape", "n_steps", "t_final"),
+                bounds={"type": "array", "items": _PAIR, "minItems": 1},
+                shape={"type": "array", "items": _POSINT, "minItems": 1},
+                n_steps=_POSINT, t_final=_NUM)
+
+# fields shared by the phase-space commands, and those of the
+# characteristic-set samplers
+_SYMBOL_REQUIRED = ("spec", "coeffs", "map", "weight", "n_samples")
+_SYMBOL = dict(spec=_SPEC, coeffs=_COEFFS, map=_MAP, weight=_WEIGHT,
+               region=_REGION, n_samples=_POSINT)
+_CHAR = dict(_SYMBOL, tol=_NUM, sigma_range=_PAIR)
 
 SCHEMAS = {
-    "caputo-check": {
-        "type": "object",
-        "properties": {"alphas": {"type": "array", "items": _NUM, "minItems": 1},
-                       "n_steps": _POSINT, "t_final": _NUM,
-                       "power": _NUM, "tol_apply": _NUM, "tol_oracle": _NUM},
-        "required": ["alphas", "n_steps"],
-        "additionalProperties": False,
-    },
-    "symbol-bracket": {
-        "type": "object",
-        "properties": {"spec": _SPEC, "coeffs": _COEFFS, "map": _MAP,
-                       "weight": _WEIGHT, "region": _REGION,
-                       "n_samples": _POSINT, "mode": {"enum": ["full", "principal"]},
-                       "magnitude_range": _PAIR},
-        "required": ["spec", "coeffs", "map", "weight", "n_samples"],
-        "additionalProperties": False,
-    },
-    "char-sample": {
-        "type": "object",
-        "properties": {"spec": _SPEC, "coeffs": _COEFFS, "map": _MAP,
-                       "weight": _WEIGHT, "region": _REGION,
-                       "n_samples": _POSINT, "tol": _NUM,
-                       "sigma_range": _PAIR},
-        "required": ["spec", "coeffs", "map", "weight", "n_samples"],
-        "additionalProperties": False,
-    },
-    "lemma21": {
-        "type": "object",
-        "properties": {"spec": _SPEC, "coeffs": _COEFFS, "map": _MAP,
-                       "weight": _WEIGHT, "region": _REGION,
-                       "n_samples": _POSINT, "tol": _NUM,
-                       "sigma_range": _PAIR},
-        "required": ["spec", "coeffs", "map", "weight", "n_samples"],
-        "additionalProperties": False,
-    },
-    "garding": {
-        "type": "object",
-        "properties": {"spec": _SPEC, "coeffs": _COEFFS, "map": _MAP,
-                       "weight": _WEIGHT, "region": _REGION,
-                       "n_samples": _POSINT, "varpi_max": _NUM,
-                       "magnitude_range": _PAIR},
-        "required": ["spec", "coeffs", "map", "weight", "n_samples"],
-        "additionalProperties": False,
-    },
-    "lemma61": {
-        "type": "object",
-        "properties": {"spec": _SPEC, "coeffs": _COEFFS, "map": _MAP,
-                       "weight": _WEIGHT, "region": _REGION,
-                       "n_samples": _POSINT, "tol": _NUM,
-                       "sigma_range": _PAIR, "stage": _POSINT},
-        "required": ["spec", "coeffs", "map", "weight", "n_samples", "stage"],
-        "additionalProperties": False,
-    },
-    "solve": {
-        "type": "object",
-        "properties": {"spec": _SPEC, "coeffs": _COEFFS, "grid": _GRID,
-                       "source": {"type": "object"},
-                       "manufactured": {"type": "boolean"}},
-        "required": ["spec", "coeffs", "grid"],
-        "additionalProperties": False,
-    },
-    "carleman-sweep": {
-        "type": "object",
-        "properties": {"spec": _SPEC, "coeffs": _COEFFS, "map": _MAP,
-                       "weight": _WEIGHT, "grid": _GRID,
-                       "betas": {"type": "array", "items": _NUM, "minItems": 2},
-                       "n_bumps": _POSINT, "include_drift": {"type": "boolean"},
-                       "spread_max": _NUM},
-        "required": ["spec", "coeffs", "map", "weight", "grid", "betas"],
-        "additionalProperties": False,
-    },
-    "ucp-demo": {
-        "type": "object",
-        "properties": {"spec": _SPEC, "coeffs": _COEFFS, "grid": _GRID,
-                       "omega": _PAIR, "t_prime": _NUM,
-                       "source_centers": {"type": "array", "items": _NUM},
-                       "source_width": _NUM, "floor": _NUM},
-        "required": ["spec", "coeffs", "grid", "omega", "t_prime",
-                     "source_centers"],
-        "additionalProperties": False,
-    },
-    "continuation-plan": {
-        "type": "object",
-        "properties": {"T": _NUM, "X": _NUM, "s_max": _POSINT, "n": _POSINT,
-                       "c": _NUM, "n_check": _POSINT},
-        "required": ["T", "X", "s_max", "n"],
-        "additionalProperties": False,
-    },
+    "caputo-check": _object(("alphas", "n_steps"), alphas=_NUMS,
+                            n_steps=_POSINT, t_final=_NUM, power=_NUM,
+                            tol_apply=_NUM, tol_oracle=_NUM),
+    "symbol-bracket": _object(_SYMBOL_REQUIRED, **_SYMBOL,
+                              mode={"enum": ["full", "principal"]},
+                              magnitude_range=_PAIR),
+    "char-sample": _object(_SYMBOL_REQUIRED, **_CHAR),
+    "lemma21": _object(_SYMBOL_REQUIRED, **_CHAR),
+    "garding": _object(_SYMBOL_REQUIRED, **_SYMBOL, varpi_max=_NUM,
+                       magnitude_range=_PAIR),
+    "lemma61": _object(_SYMBOL_REQUIRED + ("stage",), **_CHAR, stage=_POSINT),
+    "solve": _object(("spec", "coeffs", "grid"), spec=_SPEC, coeffs=_COEFFS,
+                     grid=_GRID, source={"type": "object"},
+                     manufactured={"type": "boolean"}),
+    "carleman-sweep": _object(
+        ("spec", "coeffs", "map", "weight", "grid", "betas"),
+        spec=_SPEC, coeffs=_COEFFS, map=_MAP, weight=_WEIGHT, grid=_GRID,
+        betas={"type": "array", "items": _NUM, "minItems": 2},
+        n_bumps=_POSINT, include_drift={"type": "boolean"}, spread_max=_NUM),
+    "ucp-demo": _object(
+        ("spec", "coeffs", "grid", "omega", "t_prime", "source_centers"),
+        spec=_SPEC, coeffs=_COEFFS, grid=_GRID, omega=_PAIR, t_prime=_NUM,
+        source_centers={"type": "array", "items": _NUM}, source_width=_NUM,
+        floor=_NUM),
+    "continuation-plan": _object(("T", "X", "s_max", "n"), T=_NUM, X=_NUM,
+                                 s_max=_POSINT, n=_POSINT, c=_NUM,
+                                 n_check=_POSINT),
 }
+
+# command "a-b" is run by run_a_b(config, out, seed, threads)
+COMMANDS = tuple(SCHEMAS)
 
 
 class ConfigError(ValueError):
@@ -212,9 +142,9 @@ def _build_map(cfg, n) -> geometry.HolmgrenMap:
 
 
 def _build_region(cfg, weight, T) -> symbols.SampleRegion:
-    if cfg is None:
-        return symbols.region_for(weight, T=T)
     base = symbols.region_for(weight, T=T)
+    if cfg is None:
+        return base
     return symbols.SampleRegion(
         t_range=tuple(cfg.get("t", base.t_range)),
         xn_range=tuple(cfg.get("xn", base.xn_range)),
@@ -225,6 +155,21 @@ def _build_grid(cfg) -> solver.SpaceTimeGrid:
     time = TimeGrid.from_interval(cfg["t_final"], cfg["n_steps"])
     return solver.SpaceTimeGrid(bounds=tuple(tuple(b) for b in cfg["bounds"]),
                                 shape=tuple(cfg["shape"]), time=time)
+
+
+def _symbol_setup(config, field=None):
+    """Spec, map, pushed-forward frame, weight and sampling region.
+
+    ``field`` replaces the coefficients built from ``config["coeffs"]``.
+    """
+    spec = _build_spec(config["spec"])
+    if field is None:
+        field = fields.field_from_config(config["coeffs"])
+    hmap = _build_map(config["map"], field.n)
+    frame = geometry.pushforward_operator(field, hmap)
+    weight = symbols.CarlemanWeightParams(X=config["weight"]["X"])
+    region = _build_region(config.get("region"), weight, hmap.T)
+    return spec, hmap, frame, weight, region
 
 
 N_CHUNKS = 16
@@ -238,23 +183,31 @@ def _chunk_counts(total: int):
     return [base + (1 if i < total % chunks else 0) for i in range(chunks)]
 
 
-def _parallel_char_samples(region, spec, coeffs, weight, c, total, tol,
-                           seed, threads, sigma_range):
-    """Deterministic chunked sampling; merge order is fixed by chunk index."""
+def _chunked(total, seed, threads, draw):
+    """``draw(count, rng)`` on each chunk of ``total``, in chunk order.
+
+    Each chunk draws from its own child of the seed's sequence, so the
+    parts do not depend on how many threads run them.
+    """
     counts = _chunk_counts(total)
-    seeds = np.random.SeedSequence(seed).spawn(len(counts))
-
-    def run(i):
-        rng = np.random.default_rng(seeds[i])
-        return symbols.char_set_sample(region, spec, coeffs, weight, c,
-                                       counts[i], tol=tol, rng=rng,
-                                       sigma_range=sigma_range)
-
+    rngs = [np.random.default_rng(s)
+            for s in np.random.SeedSequence(seed).spawn(len(counts))]
     if threads <= 1:
-        parts = [run(i) for i in range(len(counts))]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, range(len(counts))))
+        return [draw(k, rng) for k, rng in zip(counts, rngs)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(draw, counts, rngs))
+
+
+def _parallel_char_samples(config, region, spec, coeffs, weight, c, seed,
+                           threads):
+    """Chunked characteristic sample of ``config["n_samples"]`` points."""
+    total = config["n_samples"]
+    tol = config.get("tol", 1e-8)
+    sigma_range = (tuple(config["sigma_range"]) if "sigma_range" in config
+                   else None)
+    parts = _chunked(total, seed, threads, lambda k, rng: (
+        symbols.char_set_sample(region, spec, coeffs, weight, c, k, tol=tol,
+                                rng=rng, sigma_range=sigma_range)))
     cat = lambda key: np.concatenate([getattr(p, key) for p in parts])
     kappas = [p.kappa for p in parts if p.found > 0]
     return symbols.CharacteristicSample(
@@ -266,25 +219,32 @@ def _parallel_char_samples(region, spec, coeffs, weight, c, total, tol,
                   for cause in symbols.REJECT_CAUSES})
 
 
-def _point_rows(sample):
-    return np.column_stack([sample.t, sample.x, sample.tau, sample.xi,
-                            sample.sigma, sample.residual])
+def _write_phase_csv(path, n, columns, tail):
+    """One row per phase point (t, x, tau, xi, sigma, *tail)."""
+    header = (["t"] + [f"x{i + 1}" for i in range(n)] + ["tau"]
+              + [f"xi{i + 1}" for i in range(n)] + ["sigma", *tail])
+    write_csv(path, header, np.column_stack(columns))
+
+
+def _write_char_points(out, sample, n):
+    _write_phase_csv(os.path.join(out, "char_points.csv"), n,
+                     [sample.t, sample.x, sample.tau, sample.xi,
+                      sample.sigma, sample.residual], ["residual"])
+
+
+def _write_sorted(path, values):
+    write_xy(path, [np.linspace(0.0, 1.0, len(values)), np.sort(values)])
 
 
 def _sample_counts(sample):
     return {"solved": sample.solved, "rejected": dict(sample.rejected)}
 
 
-def _point_header(n):
-    return (["t"] + [f"x{i + 1}" for i in range(n)] + ["tau"]
-            + [f"xi{i + 1}" for i in range(n)] + ["sigma", "residual"])
-
-
 # ---------------------------------------------------------------------------
 # command handlers (each returns a summary dict with a "pass" entry)
 
 
-def run_caputo_check(config, out, rng, threads):
+def run_caputo_check(config, out, seed, threads):
     alphas = config["alphas"]
     n_steps = config["n_steps"]
     t_final = config.get("t_final", 1.0)
@@ -323,50 +283,31 @@ def run_caputo_check(config, out, rng, threads):
             "max_rel_err_oracle": worst_oracle}
 
 
-def _symbol_setup(config):
-    spec = _build_spec(config["spec"])
-    base = fields.field_from_config(config["coeffs"])
-    hmap = _build_map(config["map"], base.n)
-    frame = geometry.pushforward_operator(base, hmap)
-    weight = symbols.CarlemanWeightParams(X=config["weight"]["X"])
-    region = _build_region(config.get("region"), weight, hmap.T)
-    return spec, base, hmap, frame, weight, region
-
-
-def run_symbol_bracket(config, out, rng, threads):
-    spec, _, hmap, frame, weight, region = _symbol_setup(config)
+def run_symbol_bracket(config, out, seed, threads):
+    spec, hmap, frame, weight, region = _symbol_setup(config)
     n = frame.field.n
     pts = symbols.full_region_sample(
-        region, spec, n, config["n_samples"], rng,
+        region, spec, n, config["n_samples"], np.random.default_rng(seed),
         magnitude_range=tuple(config.get("magnitude_range", (1.0, 1e3))))
     full, principal, scale, ratio = symbols.bracket_report_batch(
         pts, spec, frame.field, weight, hmap.c)
-    t, x, tau, xi, sigma = pts
-    rows = np.column_stack([t, x, tau, xi, sigma, full, principal, scale,
-                            ratio])
-    header = (["t"] + [f"x{i + 1}" for i in range(n)] + ["tau"]
-              + [f"xi{i + 1}" for i in range(n)]
-              + ["sigma", "bracket", "principal", "scale", "ratio"])
-    write_csv(os.path.join(out, "brackets.csv"), header, rows)
+    _write_phase_csv(os.path.join(out, "brackets.csv"), n,
+                     [*pts, full, principal, scale, ratio],
+                     ["bracket", "principal", "scale", "ratio"])
     write_xy(os.path.join(out, "bracket_ratio.xy"),
              [np.arange(len(ratio)), np.sort(ratio)])
-    return {"pass": True, "n_samples": len(t),
+    return {"pass": True, "n_samples": len(ratio),
             "min_ratio": float(np.min(ratio)),
             "max_ratio": float(np.max(ratio))}
 
 
-def run_char_sample(config, out, rng, threads, seed):
-    spec, _, hmap, frame, weight, region = _symbol_setup(config)
-    sample = _parallel_char_samples(
-        region, spec, frame.field, weight, hmap.c, config["n_samples"],
-        config.get("tol", 1e-8), seed, threads,
-        tuple(config["sigma_range"]) if "sigma_range" in config else None)
-    write_csv(os.path.join(out, "char_points.csv"),
-              _point_header(frame.field.n), _point_rows(sample))
+def run_char_sample(config, out, seed, threads):
+    spec, hmap, frame, weight, region = _symbol_setup(config)
+    sample = _parallel_char_samples(config, region, spec, frame.field,
+                                    weight, hmap.c, seed, threads)
+    _write_char_points(out, sample, frame.field.n)
     if sample.found:
-        write_xy(os.path.join(out, "char_residuals.xy"),
-                 [np.linspace(0.0, 1.0, sample.found),
-                  np.sort(sample.residual)])
+        _write_sorted(os.path.join(out, "char_residuals.xy"), sample.residual)
     ok = sample.found == sample.requested
     return {"pass": bool(ok), "requested": sample.requested,
             "found": sample.found, "kappa": sample.kappa,
@@ -374,35 +315,27 @@ def run_char_sample(config, out, rng, threads, seed):
             if sample.found else math.nan, **_sample_counts(sample)}
 
 
-def run_lemma21(config, out, rng, threads, seed):
-    spec, _, hmap, frame, weight, region = _symbol_setup(config)
-    sample = _parallel_char_samples(
-        region, spec, frame.field, weight, hmap.c, config["n_samples"],
-        config.get("tol", 1e-8), seed, threads,
-        tuple(config["sigma_range"]) if "sigma_range" in config else None)
+def run_lemma21(config, out, seed, threads):
+    spec, hmap, frame, weight, region = _symbol_setup(config)
+    sample = _parallel_char_samples(config, region, spec, frame.field,
+                                    weight, hmap.c, seed, threads)
     report = symbols.lemma21_check(sample, spec, frame.field, weight, hmap.c)
-    write_csv(os.path.join(out, "char_points.csv"),
-              _point_header(frame.field.n), _point_rows(sample))
-    srt = np.sort(report.extras["ratios"])
-    write_xy(os.path.join(out, "lemma21_ratios.xy"),
-             [np.linspace(0.0, 1.0, len(srt)), srt])
+    _write_char_points(out, sample, frame.field.n)
+    _write_sorted(os.path.join(out, "lemma21_ratios.xy"),
+                  report.extras["ratios"])
     return {"pass": bool(report.passed), "min_ratio": report.min_ratio,
             "n_samples": report.n_samples, "kappa": sample.kappa,
             "found": sample.found, "requested": sample.requested,
             **_sample_counts(sample)}
 
 
-def run_garding(config, out, rng, threads, seed):
-    spec, _, hmap, frame, weight, region = _symbol_setup(config)
-    n = frame.field.n
-    total = config["n_samples"]
-    counts = _chunk_counts(total)
-    seeds = np.random.SeedSequence(seed).spawn(len(counts))
-    parts = [symbols.full_region_sample(
-        region, spec, n, counts[i], np.random.default_rng(seeds[i]),
-        magnitude_range=tuple(config.get("magnitude_range", (1.0, 1e3))))
-        for i in range(len(counts))]
-    pts = tuple(np.concatenate([p[j] for p in parts]) for j in range(5))
+def run_garding(config, out, seed, threads):
+    spec, hmap, frame, weight, region = _symbol_setup(config)
+    magnitude_range = tuple(config.get("magnitude_range", (1.0, 1e3)))
+    parts = _chunked(config["n_samples"], seed, threads, lambda k, rng: (
+        symbols.full_region_sample(region, spec, frame.field.n, k, rng,
+                                   magnitude_range=magnitude_range)))
+    pts = tuple(np.concatenate(column) for column in zip(*parts))
     varpi, report = symbols.find_min_varpi(
         pts, spec, frame.field, weight, hmap.c,
         varpi_max=config.get("varpi_max", 1e8))
@@ -416,27 +349,17 @@ def run_garding(config, out, rng, threads, seed):
             "min_ratio": report.min_ratio, "n_samples": report.n_samples}
 
 
-def run_lemma61(config, out, rng, threads, seed):
-    spec = _build_spec(config["spec"])
-    base = fields.field_from_config(config["coeffs"])
-    tilde = geometry.global_coefficients(base)
-    map_cfg = dict(config["map"])
-    map_cfg["stage"] = config["stage"]
-    hmap = _build_map(map_cfg, base.n)
-    frame = geometry.pushforward_operator(tilde, hmap)
-    weight = symbols.CarlemanWeightParams(X=config["weight"]["X"])
-    region = _build_region(config.get("region"), weight, hmap.T)
-    sample = _parallel_char_samples(
-        region, spec, frame.field, weight, hmap.c, config["n_samples"],
-        config.get("tol", 1e-8), seed, threads,
-        tuple(config["sigma_range"]) if "sigma_range" in config else None)
+def run_lemma61(config, out, seed, threads):
+    tilde = geometry.global_coefficients(
+        fields.field_from_config(config["coeffs"]))
+    staged = {**config, "map": {**config["map"], "stage": config["stage"]}}
+    spec, hmap, frame, weight, region = _symbol_setup(staged, tilde)
+    sample = _parallel_char_samples(config, region, spec, frame.field,
+                                    weight, hmap.c, seed, threads)
     report = symbols.lemma61_check(sample, spec, tilde, hmap, weight)
-    write_csv(os.path.join(out, "char_points.csv"),
-              _point_header(base.n), _point_rows(sample))
+    _write_char_points(out, sample, frame.field.n)
     if sample.found:
-        write_xy(os.path.join(out, "char_residuals.xy"),
-                 [np.linspace(0.0, 1.0, sample.found),
-                  np.sort(sample.residual)])
+        _write_sorted(os.path.join(out, "char_residuals.xy"), sample.residual)
     ok = report.passed and report.extras["ellipticity_margin"] >= -1e-12
     return {"pass": bool(ok), "min_ratio": report.min_ratio,
             "stage": config["stage"],
@@ -464,7 +387,7 @@ def _manufactured_pieces(spec, grid):
     return exact, source
 
 
-def run_solve(config, out, rng, threads):
+def run_solve(config, out, seed, threads):
     spec = _build_spec(config["spec"])
     coeffs = fields.field_from_config(config["coeffs"])
     grid = _build_grid(config["grid"])
@@ -486,29 +409,20 @@ def run_solve(config, out, rng, threads):
     solver.save_solution(sol, os.path.join(out, "solution"))
     solver.export_time_slice_csv(sol, grid.time.n_steps,
                                  os.path.join(out, "final_slice.csv"))
-    final = sol.values[-1]
-    if grid.ndim == 1:
-        write_xy(os.path.join(out, "final_profile.xy"),
-                 [grid.axes()[0], final])
-    else:
-        write_xy(os.path.join(out, "final_profile.xy"),
-                 [np.arange(final.size), final.reshape(-1)])
-    summary = {"pass": result.diagnostics["equation_residual_max"] <= 1e-10,
-               **{k: v for k, v in result.diagnostics.items()}}
+    final = sol.values[-1].reshape(-1)
+    nodes = grid.axes()[0] if grid.ndim == 1 else np.arange(final.size)
+    write_xy(os.path.join(out, "final_profile.xy"), [nodes, final])
+    summary = {"pass": bool(result.diagnostics["equation_residual_max"]
+                            <= 1e-10), **result.diagnostics}
     if exact is not None:
         times = grid.time.nodes.reshape((-1,) + (1,) * grid.ndim)
         err = np.abs(sol.values - exact(times, grid.mesh()))
         summary["max_error"] = float(err.max())
-    summary["pass"] = bool(summary["pass"])
     return summary
 
 
-def run_carleman_sweep(config, out, rng, threads):
-    spec = _build_spec(config["spec"])
-    base = fields.field_from_config(config["coeffs"])
-    hmap = _build_map(config["map"], base.n)
-    frame = geometry.pushforward_operator(base, hmap)
-    weight = symbols.CarlemanWeightParams(X=config["weight"]["X"])
+def run_carleman_sweep(config, out, seed, threads):
+    spec, _, frame, weight, _ = _symbol_setup(config)
     grid = _build_grid(config["grid"])
     sweep_cfg = carl.BetaSweepConfig(
         betas=tuple(config["betas"]), weight=weight, spec=spec,
@@ -519,23 +433,18 @@ def run_carleman_sweep(config, out, rng, threads):
     carl.sweep_rows_csv(result, os.path.join(out, "sweep.csv"))
     result.to_json(os.path.join(out, "sweep_summary.json"))
     for tid, pairs in result.ratios_by_test().items():
-        pairs = sorted(pairs)
         write_xy(os.path.join(out, f"ratio_test{tid}.xy"),
-                 [np.array([p[0] for p in pairs]),
-                  np.array([p[1] for p in pairs])])
-    spread_max = config.get("spread_max", 100.0)
-    spread = (result.max_ratio / result.min_ratio
-              if result.min_ratio > 0 else math.inf)
+                 np.array(sorted(pairs)).T)
+    growth = result.top_half_monotone_growth()
     ok = (result.flagged == 0 and math.isfinite(result.max_ratio)
-          and spread <= spread_max
-          and not result.top_half_monotone_growth())
+          and result.spread <= config.get("spread_max", 100.0)
+          and not growth)
     return {"pass": bool(ok), "max_ratio": result.max_ratio,
-            "min_ratio": result.min_ratio, "spread": spread,
-            "flagged": result.flagged,
-            "top_half_monotone_growth": result.top_half_monotone_growth()}
+            "min_ratio": result.min_ratio, "spread": result.spread,
+            "flagged": result.flagged, "top_half_monotone_growth": growth}
 
 
-def run_ucp_demo(config, out, rng, threads):
+def run_ucp_demo(config, out, seed, threads):
     spec = _build_spec(config["spec"])
     coeffs = fields.field_from_config(config["coeffs"])
     grid = _build_grid(config["grid"])
@@ -555,7 +464,8 @@ def run_ucp_demo(config, out, rng, threads):
             "min_ratio": report.min_ratio, "floor": report.floor}
 
 
-def run_continuation_plan(config, out, rng, threads):
+def run_continuation_plan(config, out, seed, threads):
+    rng = np.random.default_rng(seed)
     schedule = geometry.continuation_schedule(
         T=config["T"], X=config["X"], s_max=config["s_max"], n=config["n"],
         c=config.get("c", 1.0))
@@ -605,33 +515,11 @@ def main(argv=None) -> int:
         return 2
 
     os.makedirs(args.out, exist_ok=True)
-    rng = np.random.default_rng(args.seed)
+    # looked up at call time, so a handler replaced on the module is the
+    # one that runs
+    handler = globals()["run_" + args.command.replace("-", "_")]
     try:
-        if args.command == "caputo-check":
-            summary = run_caputo_check(config, args.out, rng, args.threads)
-        elif args.command == "symbol-bracket":
-            summary = run_symbol_bracket(config, args.out, rng, args.threads)
-        elif args.command == "char-sample":
-            summary = run_char_sample(config, args.out, rng, args.threads,
-                                      args.seed)
-        elif args.command == "lemma21":
-            summary = run_lemma21(config, args.out, rng, args.threads,
-                                  args.seed)
-        elif args.command == "garding":
-            summary = run_garding(config, args.out, rng, args.threads,
-                                  args.seed)
-        elif args.command == "lemma61":
-            summary = run_lemma61(config, args.out, rng, args.threads,
-                                  args.seed)
-        elif args.command == "solve":
-            summary = run_solve(config, args.out, rng, args.threads)
-        elif args.command == "carleman-sweep":
-            summary = run_carleman_sweep(config, args.out, rng, args.threads)
-        elif args.command == "ucp-demo":
-            summary = run_ucp_demo(config, args.out, rng, args.threads)
-        else:
-            summary = run_continuation_plan(config, args.out, rng,
-                                            args.threads)
+        summary = handler(config, args.out, args.seed, args.threads)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -441,11 +441,10 @@ class SampleRegion:
         return t, x
 
 
-def region_for(weight: CarlemanWeightParams, T: float = 1.0,
-               xprime_factor: float = 1.0) -> SampleRegion:
-    """Default sampling box |x'| <= factor*sqrt(X), 0 <= x_n <= X."""
+def region_for(weight: CarlemanWeightParams, T: float = 1.0) -> SampleRegion:
+    """Default sampling box |x'| <= sqrt(X), 0 <= x_n <= X."""
     return SampleRegion(t_range=(0.0, T), xn_range=(0.0, weight.X),
-                        xprime_halfwidth=xprime_factor * math.sqrt(weight.X))
+                        xprime_halfwidth=math.sqrt(weight.X))
 
 
 REJECT_CAUSES = ("degenerate_b", "no_sign_change", "residual")
@@ -488,8 +487,8 @@ class CharacteristicSample:
 def char_set_sample(region: SampleRegion, spec: MultiTermSpec,
                     coeffs: EllipticCoeffField, weight: CarlemanWeightParams,
                     c: float, n_samples: int, tol: float = 1e-8,
-                    rng=None, sigma_range: tuple | None = None,
-                    seed_budget_factor: int = 8) -> CharacteristicSample:
+                    rng=None, sigma_range: tuple | None = None
+                    ) -> CharacteristicSample:
     """Sample the characteristic set of the weighted symbol.
 
     For each random base point, dual direction and sigma, the two real
@@ -499,7 +498,8 @@ def char_set_sample(region: SampleRegion, spec: MultiTermSpec,
     but only as many as are still needed are solved, in draw order.  Seeds
     whose scalar equation has no root in the search range, or whose solved
     point misses the residual certificate, are discarded and counted by
-    cause; the result is partial if the seed budget runs out first.
+    cause; the result is partial if the budget of 8 n_samples seeds runs
+    out first.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -514,9 +514,9 @@ def char_set_sample(region: SampleRegion, spec: MultiTermSpec,
     kept = []
     found = solved = 0
     rejected = dict.fromkeys(REJECT_CAUSES, 0)
-    drawn = 0
-    while found < n_samples and drawn < seed_budget_factor * n_samples:
-        batch = min(2 * n_samples, seed_budget_factor * n_samples - drawn)
+    drawn, budget = 0, 8 * n_samples
+    while found < n_samples and drawn < budget:
+        batch = min(2 * n_samples, budget - drawn)
         drawn += batch
         got, counts = _char_batch(region, spec, coeffs, c, X, batch,
                                   n_samples - found, tol, rng, sigma_range)
@@ -713,8 +713,7 @@ def lemma21_check(sample: CharacteristicSample, spec: MultiTermSpec,
 
 
 def full_region_sample(region: SampleRegion, spec: MultiTermSpec, n: int,
-                       n_samples: int, rng, magnitude_range=(1.0, 1e3),
-                       tau_stretch: float = 1.2):
+                       n_samples: int, rng, magnitude_range=(1.0, 1e3)):
     """Phase samples across all of phase space, not just the zero set.
 
     Magnitudes are log-uniform; tau is drawn on the anisotropic scale
@@ -729,7 +728,7 @@ def full_region_sample(region: SampleRegion, spec: MultiTermSpec, n: int,
     xi = rho[:, None] * stretch[:, None] * direction[:, :n]
     sigma = rho * stretch * np.abs(direction[:, n])
     tau = (rng.choice([-1.0, 1.0], n_samples) * rho ** (2.0 / spec.alpha)
-           * rng.uniform(0.0, tau_stretch, n_samples))
+           * rng.uniform(0.0, 1.2, n_samples))
     return t, x, tau, xi, sigma
 
 
@@ -769,7 +768,7 @@ def _garding_report(elliptic, negative, varpi):
 
 def find_min_varpi(points, spec: MultiTermSpec, coeffs: EllipticCoeffField,
                    weight: CarlemanWeightParams, c: float,
-                   varpi_max: float = 1e8, iters: int = 60):
+                   varpi_max: float = 1e8):
     """Bisect for the smallest varpi with a positive minimum ratio.
 
     Returns (varpi, report at that varpi); the report's extras carry the
@@ -790,7 +789,7 @@ def find_min_varpi(points, spec: MultiTermSpec, coeffs: EllipticCoeffField,
         if hi > varpi_max:
             raise RuntimeError(
                 f"no varpi below {varpi_max:g} gives a positive minimum")
-    for _ in range(iters):
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
         if min_ratio(mid) > 0.0:
             hi = mid

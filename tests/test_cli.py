@@ -5,15 +5,34 @@ import sys
 
 import numpy as np
 
+import pytest
+
 import fraclab
-from fraclab import symbols
-from fraclab.cli import _build_region, _chunk_counts, main
+from fraclab import cli, symbols
+from fraclab.cli import COMMANDS, _build_region, _chunk_counts, main
 
 SPEC = {"orders": [0.5], "weights": [1.0]}
 COEFFS1 = {"preset": "identity", "n": 1}
 COEFFS2 = {"preset": "diagonal-variable", "n": 2, "amplitude": 0.3}
 MAP1 = {"c": 1.0, "X": 0.05, "T": 1.0}
 WEIGHT = {"X": 0.05}
+GRID1 = {"bounds": [[0.0, 1.0]], "shape": [9], "n_steps": 8, "t_final": 1.0}
+
+# smallest valid config of every command
+SYMBOL = {"spec": SPEC, "coeffs": COEFFS1, "map": MAP1, "weight": WEIGHT,
+          "n_samples": 10}
+VALID = {
+    "caputo-check": {"alphas": [0.5], "n_steps": 8},
+    "symbol-bracket": SYMBOL, "char-sample": SYMBOL, "lemma21": SYMBOL,
+    "garding": SYMBOL, "lemma61": {**SYMBOL, "stage": 2},
+    "solve": {"spec": SPEC, "coeffs": COEFFS1, "grid": GRID1},
+    "carleman-sweep": {"spec": SPEC, "coeffs": COEFFS1, "map": MAP1,
+                       "weight": WEIGHT, "grid": GRID1, "betas": [1.0, 10.0]},
+    "ucp-demo": {"spec": SPEC, "coeffs": COEFFS1, "grid": GRID1,
+                 "omega": [0.05, 0.25], "t_prime": 0.5,
+                 "source_centers": [0.6]},
+    "continuation-plan": {"T": 1.0, "X": 0.05, "s_max": 2, "n": 1},
+}
 
 
 def run(tmp_path, command, config, seed=0, threads=1, tag="run"):
@@ -45,6 +64,48 @@ class TestValidation:
         code = main(["caputo-check", "--config", str(cfg),
                      "--out", str(tmp_path / "o")])
         assert code == 2
+
+
+class TestCommandTable:
+    def test_every_command_has_one_handler(self):
+        assert set(VALID) == set(COMMANDS)
+        handlers = {name for name in vars(cli) if name.startswith("run_")}
+        assert handlers == {f"run_{c.replace('-', '_')}" for c in COMMANDS}
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_empty_config_names_a_required_field(self, command, tmp_path,
+                                                 capsys):
+        code, _ = run(tmp_path, command, {})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "is a required property" in err
+        assert any(f"'{name}'" in err
+                   for name in cli.SCHEMAS[command]["required"])
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unknown_key_is_named(self, command, tmp_path, capsys):
+        cli.validate_config(command, VALID[command])
+        code, _ = run(tmp_path, command, {**VALID[command], "bogus_key": 1})
+        assert code == 2
+        assert "bogus_key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_main_calls_the_module_handler(self, command, tmp_path,
+                                           monkeypatch):
+        calls = []
+
+        def handler(*args):
+            calls.append(args)
+            return {"pass": True, "marker": 1}
+
+        name = "run_" + command.replace("-", "_")
+        monkeypatch.setattr(cli, name, handler)
+        code, out = run(tmp_path, command, VALID[command], seed=9, threads=2)
+        assert code == 0
+        assert calls == [(VALID[command], str(out), 9, 2)]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary == {"command": command, "seed": 9, "pass": True,
+                           "marker": 1}
 
 
 class TestCommands:
@@ -233,12 +294,39 @@ class TestCommands:
         assert len(exact_field.replace(".", "").replace("-", "").lstrip("0")) >= 16
 
 
+def _subprocess_env():
+    src = os.path.dirname(os.path.dirname(fraclab.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+class TestBenchmarkTracer:
+    def test_tracer_hooks_exist_and_trace_handlers(self, tmp_path):
+        # the benchmark's tracer wraps fraclab's functions by name; a
+        # renamed or deleted one makes install() raise, and a handler not
+        # looked up on the module at call time would go untraced
+        bench = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "bench")
+        config = tmp_path / "plan.json"
+        config.write_text(json.dumps(VALID["continuation-plan"]))
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import spans\n"
+            "tracer = spans.install()\n"
+            "from fraclab import cli\n"
+            "cli.main(['continuation-plan', '--config', sys.argv[2],\n"
+            "          '--out', sys.argv[3]])\n"
+            "print(tracer.report()['calls'].get('cli.handler', 0))\n")
+        out = subprocess.run(
+            [sys.executable, "-c", code, bench, str(config),
+             str(tmp_path / "out")],
+            env=_subprocess_env(), capture_output=True, text=True, check=True)
+        assert out.stdout.strip().splitlines()[-1] == "1"
+
+
 class TestImport:
     def test_cli_import_leaves_scipy_integrate_unloaded(self):
-        src = os.path.dirname(os.path.dirname(fraclab.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = "import sys, fraclab.cli; print('scipy.integrate' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
+        out = subprocess.run([sys.executable, "-c", code],
+                             env=_subprocess_env(), capture_output=True,
+                             text=True, check=True)
         assert out.stdout.strip() == "False"

@@ -192,6 +192,40 @@ class TestSolve:
               lambda t, Y: np.ones(Y.shape[:-1]), grid)
         assert len(calls) == factorizations
 
+    @pytest.mark.parametrize("make_field, shape", [
+        (identity_field, (33,)), (diagonal_variable_field, (15, 15))],
+        ids=["1d", "2d"])
+    def test_condition_estimate_is_exact_and_seed_free(self, monkeypatch,
+                                                       make_field, shape):
+        systems = []
+        splu = spla.splu
+
+        def capturing(matrix, *args, **kwargs):
+            systems.append(matrix)
+            return splu(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", capturing)
+        spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
+        grid = SpaceTimeGrid(bounds=((0.0, 1.0),) * len(shape), shape=shape,
+                             time=TimeGrid.from_interval(1.0, 8))
+        # a random start column would make the estimate follow numpy's
+        # global state
+        estimates = []
+        state = np.random.get_state()
+        try:
+            for seed in (1, 2):
+                np.random.seed(seed)
+                result = solve(spec, make_field(len(shape)),
+                               LowerOrderTerm.zero(),
+                               lambda t, Y: np.ones(Y.shape[:-1]), grid,
+                               check_residual=False)
+                estimates.append(result.diagnostics["condition_estimate"])
+        finally:
+            np.random.set_state(state)
+        exact = np.linalg.cond(systems[0].toarray(), 1)
+        assert estimates[0] == estimates[1]
+        assert abs(estimates[0] - exact) <= 1e-12 * exact
+
     def test_maximum_principle_sanity(self):
         spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
         grid = grid_1d(64, 33)
