@@ -7,20 +7,22 @@ block on the upper order branch), the right side is the weighted square of
 the conjugated operator in the convexified coordinates.  Sweeping the large
 parameter records the ratio per (beta, test function); a single finite
 bound over the sweep is the empirical constant, and monotone growth of the
-ratio in beta would refute the inequality.
+ratio in beta would refute the inequality.  A sweep walks the per-level
+operators once for all bumps; L1 history and drift stay one call per bump.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fractional import MultiTermSpec, rl_integral_l1
 from .geometry import HolmgrenFrame
-from .solver import LowerOrderTerm, SpaceTimeGrid, apply_discrete_operator
+from .solver import (LowerOrderTerm, SpaceTimeGrid, _interior_flags,
+                     _level_rows, _spatial_walk, apply_discrete_operator)
 from .symbols import CarlemanWeightParams
 
 BRANCH_THRESHOLD = 4.0 / 3.0
@@ -50,10 +52,11 @@ class CompactBump:
 
     def values(self, times, mesh):
         """Samples of shape (len(times), *mesh.shape[:-1])."""
+        xs = self._pieces(0.0, mesh)[3]     # the space factors, formed once
+        s = np.clip(np.asarray(times, dtype=float) / self.t_span, 0.0, 1.0)
         out = []
-        for t in np.asarray(times, dtype=float):
-            _, ts, _, xs = self._pieces(t, mesh)
-            v = self.amplitude * ts
+        for si in s:
+            v = self.amplitude * (si * (1.0 - si)) ** 4
             for xb in xs:
                 v = v * xb
             out.append(np.broadcast_to(v, mesh.shape[:-1]).copy())
@@ -114,51 +117,60 @@ def default_bump_family(weight: CarlemanWeightParams, grid: SpaceTimeGrid,
     return bumps
 
 
-def _grid_gradient(values, spacing):
-    """Centered interior differences per space axis; data vanish near edges."""
-    grads = []
-    for d in range(len(spacing)):
-        grads.append(np.gradient(values, spacing[d], axis=d + 1, edge_order=2))
-    return np.stack(grads, axis=-1)
+def _weight_profiles(grid: SpaceTimeGrid, weight, betas) -> list:
+    """exp(2 beta psi(x_n)) on the space grid, one per beta."""
+    psi = weight.psi(grid.mesh()[..., -1])
+    return [np.exp(2.0 * beta * psi) for beta in betas]
 
 
-def _weighted_integral(density, grid: SpaceTimeGrid, beta, weight):
-    """Trapezoid of density * exp(2 beta psi(x_n)) over the cylinder."""
-    mesh = grid.mesh()
-    psi = weight.psi(mesh[..., -1])
-    integrand = density * np.exp(2.0 * beta * psi)
-    for ax in range(integrand.ndim - 1, 0, -1):
-        integrand = np.trapezoid(integrand, dx=grid.spacing[ax - 1], axis=ax)
-    return float(np.trapezoid(integrand, dx=grid.time.dt, axis=0))
+def _weighted_integrals(density, grid: SpaceTimeGrid, profiles) -> list:
+    """Trapezoid of density * profile over the cylinder, per profile."""
+    out = []
+    for profile in profiles:
+        integrand = density * profile
+        for ax in range(integrand.ndim - 1, 0, -1):
+            integrand = np.trapezoid(integrand, dx=grid.spacing[ax - 1],
+                                     axis=ax)
+        out.append(float(np.trapezoid(integrand, dx=grid.time.dt, axis=0)))
+    return out
 
 
-def carleman_lhs(values, grid: SpaceTimeGrid, beta: float,
+def carleman_lhs(values, grid: SpaceTimeGrid, beta,
                  weight: CarlemanWeightParams, alpha: float,
-                 gradient=None, time_derivative=None) -> float:
+                 gradient=None, time_derivative=None):
     """Left side: beta^3 |v|^2 + beta |grad v|^2 blocks under the weight.
 
     On the branch alpha >= 4/3 the block beta^(3 - 4/alpha) |d_t v|^2 is
     added.  ``gradient``/``time_derivative`` override the centered-difference
-    derivatives with exact ones (used by the quadrature oracle tests).
+    derivatives with exact ones (used by the quadrature oracle tests).  A
+    sequence of betas gives one value per beta from each density formed once.
     """
     values = np.asarray(values, dtype=float)
-    total = beta**3 * _weighted_integral(values**2, grid, beta, weight)
-    grads = _grid_gradient(values, grid.spacing) if gradient is None else gradient
-    total += beta * _weighted_integral(np.sum(grads**2, axis=-1), grid, beta,
-                                       weight)
+    betas = [beta] if np.ndim(beta) == 0 else list(beta)
+    profiles = _weight_profiles(grid, weight, betas)
+    totals = [0.0] * len(betas)
+
+    def add(power, density):    # each density is dropped once it is summed
+        for n, part in enumerate(_weighted_integrals(density, grid, profiles)):
+            totals[n] += betas[n] ** power * part
+
+    add(3.0, values**2)
+    if gradient is None:
+        gradient = np.stack([np.gradient(values, h, axis=d + 1, edge_order=2)
+                             for d, h in enumerate(grid.spacing)], axis=-1)
+    add(1.0, np.sum(gradient**2, axis=-1))
+    del gradient
     if alpha >= BRANCH_THRESHOLD:
         if time_derivative is None:
-            dt_v = np.gradient(values, grid.time.dt, axis=0, edge_order=2)
-        else:
-            dt_v = time_derivative
-        total += beta ** (3.0 - 4.0 / alpha) * _weighted_integral(
-            dt_v**2, grid, beta, weight)
-    return total
+            time_derivative = np.gradient(values, grid.time.dt, axis=0,
+                                          edge_order=2)
+        add(3.0 - 4.0 / alpha, time_derivative**2)
+    return totals[0] if np.ndim(beta) == 0 else totals
 
 
 def conjugated_operator(values, grid: SpaceTimeGrid, spec: MultiTermSpec,
-                        frame: HolmgrenFrame,
-                        include_drift: bool = True) -> np.ndarray:
+                        frame: HolmgrenFrame, include_drift: bool = True,
+                        spatial=None) -> np.ndarray:
     """Apply the conjugated operator in the convexified coordinates.
 
     The composed second-order operator is rewritten as the effective
@@ -168,45 +180,39 @@ def conjugated_operator(values, grid: SpaceTimeGrid, spec: MultiTermSpec,
     fractional time integral of order k - alpha_l with the normal
     derivative and carries the X/T factor.  The image is set to zero on the
     boundary ring, where the test functions vanish to high order anyway.
+    ``spatial`` is the values' column of the walk :func:`beta_sweep` makes
+    over all bumps with :func:`_conjugated_terms`.
     """
     values = np.asarray(values, dtype=float)
-    nd = grid.ndim
-    nt = grid.time.n_steps
-    times = grid.time.nodes
-    shape_t = (-1,) + (1,) * nd
-
-    tilt = LowerOrderTerm(b=frame.tilt_drift, b0=None)
-    interior = apply_discrete_operator(values, spec, frame.effective_field(),
-                                       tilt, grid, conjugated=True)
+    nt, dt = grid.time.n_steps, grid.time.dt
+    shape_t = (-1,) + (1,) * grid.ndim
     image = np.zeros_like(values)
-    image[(slice(None),) + grid.interior()] = interior
-
     if include_drift:
-        w = values * np.exp(times).reshape(shape_t)
-        dn = np.gradient(w, grid.spacing[-1], axis=nd, edge_order=2)
-        drift = np.zeros_like(w)
+        # the drift first, so that it and the interior part are not both held
+        dn = np.gradient(values * np.exp(grid.time.nodes).reshape(shape_t),
+                         grid.spacing[-1], axis=grid.ndim, edge_order=2)
         for q, al in zip(spec.weights, spec.orders):
             if al < 1.0:
-                block = rl_integral_l1(dn.reshape(nt + 1, -1), 1.0 - al,
-                                       grid.time.dt)
+                block = rl_integral_l1(dn.reshape(nt + 1, -1), 1.0 - al, dt)
             elif al == 1.0:
-                block = dn.reshape(nt + 1, -1)
+                block = dn
             else:
-                dtdn = np.zeros_like(dn)
-                dtdn[1:] = np.diff(dn, axis=0) / grid.time.dt
-                block = rl_integral_l1(dtdn.reshape(nt + 1, -1), 2.0 - al,
-                                       grid.time.dt)
-            drift += q * frame.drift_ratio * block.reshape(w.shape)
-        drift *= np.exp(-times).reshape(shape_t)
-        drift[(slice(None),) + _boundary_ring(grid)] = 0.0
-        image += drift
+                block = np.zeros_like(dn)
+                block[1:] = np.diff(dn, axis=0) / dt
+                block = rl_integral_l1(block.reshape(nt + 1, -1), 2.0 - al, dt)
+            image += q * frame.drift_ratio * block.reshape(dn.shape)
+        del dn, block
+        image *= np.exp(-grid.time.nodes).reshape(shape_t)
+        image[:, ~_interior_flags(grid).reshape(grid.shape)] = 0.0
+    image[(slice(None),) + grid.interior()] += apply_discrete_operator(
+        values, spec, *_conjugated_terms(frame), grid, conjugated=True,
+        spatial=spatial)
     return image
 
 
-def _boundary_ring(grid: SpaceTimeGrid):
-    mask = np.ones(grid.shape, dtype=bool)
-    mask[grid.interior()] = False
-    return np.nonzero(mask)
+def _conjugated_terms(frame: HolmgrenFrame):
+    """Effective field and tilt drift: the conjugated operator's spatial part."""
+    return frame.effective_field(), LowerOrderTerm(frame.tilt_drift)
 
 
 def carleman_rhs(values, grid: SpaceTimeGrid, beta: float,
@@ -215,7 +221,8 @@ def carleman_rhs(values, grid: SpaceTimeGrid, beta: float,
     """Right side: weighted square of the conjugated operator image."""
     image = conjugated_operator(values, grid, spec, frame,
                                 include_drift=include_drift)
-    return _weighted_integral(image**2, grid, beta, weight)
+    return _weighted_integrals(image**2, grid,
+                               _weight_profiles(grid, weight, [beta]))[0]
 
 
 @dataclass(frozen=True)
@@ -299,19 +306,30 @@ def beta_sweep(config: BetaSweepConfig, bumps, grid: SpaceTimeGrid,
     use this to exercise the degenerate-row flag).  Rows with zero right
     side and positive left side are flagged rather than dropped.
     """
-    mesh = grid.mesh()
-    times = grid.time.nodes
+    bumps = list(bumps)
+    times, mesh = grid.time.nodes, grid.mesh()
+    profiles = _weight_profiles(grid, config.weight, config.betas)
+    if operator is None and bumps:
+        # one walk over the levels for all bumps; each bump is evaluated again
+        # below rather than held beside its L1 sums
+        block = np.stack([_level_rows(b.values(times, mesh), grid, True)
+                          for b in bumps], axis=-1)
+        spatial = _spatial_walk(grid, *_conjugated_terms(frame), block,
+                                np.zeros((len(times), math.prod(
+                                    s - 2 for s in grid.shape), len(bumps))))
+        del block
     rows = []
     for test_id, bump in enumerate(bumps):
         values = bump.values(times, mesh)
-        if operator is None:
-            image = conjugated_operator(values, grid, config.spec, frame,
-                                        include_drift=config.include_drift)
-        else:
-            image = operator(values)
-        for beta in config.betas:
-            lhs = carleman_lhs(values, grid, beta, config.weight, config.alpha)
-            rhs = _weighted_integral(image**2, grid, beta, config.weight)
+        lhs_all = carleman_lhs(values, grid, config.betas, config.weight,
+                               config.alpha)
+        density = (operator(values) if operator is not None else
+                   conjugated_operator(values, grid, config.spec, frame,
+                                       include_drift=config.include_drift,
+                                       spatial=spatial[..., test_id])) ** 2
+        rhs_all = _weighted_integrals(density, grid, profiles)
+        del density     # not held through the next bump's operator
+        for beta, lhs, rhs in zip(config.betas, lhs_all, rhs_all):
             # numerically zero right side with a nonzero left side means the
             # test function sits in the discrete kernel (both sides are
             # quadratic, so the threshold is squared solver precision)

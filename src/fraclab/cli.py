@@ -82,7 +82,6 @@ SCHEMAS = {
                             n_steps=_POSINT, t_final=_NUM, power=_NUM,
                             tol_apply=_NUM, tol_oracle=_NUM),
     "symbol-bracket": _object(_SYMBOL_REQUIRED, **_SYMBOL,
-                              mode={"enum": ["full", "principal"]},
                               magnitude_range=_PAIR),
     "char-sample": _object(_SYMBOL_REQUIRED, **_CHAR),
     "lemma21": _object(_SYMBOL_REQUIRED, **_CHAR),

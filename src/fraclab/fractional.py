@@ -16,6 +16,10 @@ fixed kernel.  A single series goes through ``np.convolve``; a stack of
 columns goes through row blocks of the lower-triangular Toeplitz matrix of
 the kernel, one matrix product per block of ``BLOCK`` time levels, which
 reorders the same O(N^2) arithmetic into BLAS calls.
+
+scipy is imported inside the functions that call it, so importing the
+package loads none of it; ``math.gamma`` would differ from
+``scipy.special.gamma`` in the last bit and move the outputs.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma
 
 BLOCK = 64
 """Time levels per Toeplitz row block of a batched history sum."""
@@ -140,6 +143,8 @@ def caputo_power_rule(p: float, alpha: float, t) -> float:
     Gamma(p+1)/Gamma(p+1-alpha) * t**(p-alpha).  Valid for any order in
     (0,2), including exactly 1.
     """
+    from scipy.special import gamma
+
     return gamma(p + 1.0) / gamma(p + 1.0 - alpha) * np.asarray(t) ** (p - alpha)
 
 
@@ -176,6 +181,7 @@ def caputo_oracle(u, derivative, alpha: float, t: float, tol: float = 1e-10,
     """
     # scipy.integrate is slow to import and only this oracle needs it
     from scipy.integrate import IntegrationWarning, quad
+    from scipy.special import gamma
 
     k = _order_index(alpha)
     if t <= 0.0:
@@ -264,6 +270,8 @@ def caputo_l1(values: np.ndarray, alpha: float, dt: float) -> np.ndarray:
     second-derivative kernel to the first-derivative one.  The history is
     the exact direct sum, evaluated by :func:`causal_convolve`.
     """
+    from scipy.special import gamma
+
     values = np.asarray(values, dtype=float)
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"order must lie in (0,2), got {alpha}")
@@ -288,6 +296,8 @@ def rl_integral_l1(values: np.ndarray, mu: float, dt: float) -> np.ndarray:
     Piecewise-linear product integration: exact on linear interpolants of
     the data, matching the accuracy class of the L1 derivative weights.
     """
+    from scipy.special import gamma
+
     values = np.asarray(values, dtype=float)
     if not 0.0 < mu <= 1.0:
         raise ValueError(f"integral order must lie in (0,1], got {mu}")

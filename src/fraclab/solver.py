@@ -7,10 +7,11 @@ uses the L1 machinery of :mod:`fraclab.fractional`.
 One per-level operator serves the solver, its residual check and the
 Carleman image: a private generator yields -(L + l1) at every time level,
 rows on interior nodes and columns on all nodes, and yields the same matrix
-again while the sampled coefficients stay exactly equal.  Each step moves
-the discrete history to the right-hand side, lifts the Dirichlet data
-through the boundary columns and solves one sparse system for the interior
-unknowns, refactorizing only when the level's matrix changes.  The
+again while the sampled coefficients stay exactly equal; one walk over the
+levels serves a block of grid functions, as in the Carleman sweep.  Each
+step moves the discrete history to the right-hand side, lifts the Dirichlet
+data through the boundary columns and solves one sparse system for the
+interior unknowns, refactorizing only when the level's matrix changes.  The
 ``condition_estimate`` diagnostic is the one-norm condition number of the
 first interior system: its exact largest column sum times the single-column
 Higham estimate of the inverse's norm through the LU factors, which draws
@@ -33,9 +34,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.special import gamma
 
 from .fields import EllipticCoeffField
 from .fractional import (BLOCK, MultiTermSpec, TimeGrid, l1_weights,
@@ -198,6 +196,7 @@ def _spatial_matrix(grid: SpaceTimeGrid, a, bvec, bzero):
     interior nodes (the last two may be None).  The column space runs over
     all nodes so callers can split off the boundary coupling.
     """
+    import scipy.sparse as sp
     nd = grid.ndim
     shape = grid.shape
     h = grid.spacing
@@ -305,6 +304,7 @@ def _history_weights(spec: MultiTermSpec, dt: float, n_steps: int):
     there are none), each with its q dt^(...)/Gamma factor folded in;
     ``c_lead`` is also the diagonal the step matrix adds.
     """
+    from scipy.special import gamma
     c_lead = c_prev = 0.0
     w_u = w_v = None
     for q, al in zip(spec.weights, spec.orders):
@@ -342,6 +342,8 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
     the leading coefficient.  The initial level is identically zero,
     matching the support convention.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
     if coeffs.n != grid.ndim:
         raise ValueError("field dimension does not match the grid")
     _ellipticity_precondition(grid, coeffs)
@@ -428,37 +430,59 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
     return SolveResult(field=sol, diagnostics=diagnostics)
 
 
+def _level_rows(values, grid: SpaceTimeGrid, conjugated: bool) -> np.ndarray:
+    """A grid function as one row per time level, times e^t if conjugated."""
+    work = np.asarray(values, dtype=float).reshape(grid.time.n_steps + 1, -1)
+    return work * np.exp(grid.time.nodes)[:, None] if conjugated else work
+
+
+def _spatial_walk(grid: SpaceTimeGrid, coeffs: EllipticCoeffField,
+                  lower: LowerOrderTerm, work, out):
+    """Add each level's spatial operator applied to ``work[k]`` to ``out[k]``.
+
+    ``work`` is (nt+1, nodes) or a block (nt+1, nodes, B) of B grid
+    functions: a CSR product with a block rounds column by column like B
+    matrix-vector products, so one walk serves a whole batch.
+    """
+    for k, mat in enumerate(_level_operators(grid, coeffs, lower,
+                                             grid.time.nodes)):
+        out[k] += mat @ work[k]
+    return out
+
+
 def apply_discrete_operator(values, spec: MultiTermSpec,
                             coeffs: EllipticCoeffField,
                             lower: LowerOrderTerm, grid: SpaceTimeGrid,
-                            source=None, conjugated: bool = False) -> np.ndarray:
+                            source=None, conjugated: bool = False,
+                            spatial=None) -> np.ndarray:
     """Discrete operator (or residual) on interior nodes at every time level.
 
     Computes the multi-term time operator minus the spatial operators,
     minus ``source`` when given.  With ``conjugated`` the grid function is
     multiplied by e^t first and the result by e^-t, realizing the
-    conjugated operator with the same discrete machinery.
+    conjugated operator with the same discrete machinery.  ``spatial`` is
+    this grid function's column of a :func:`_spatial_walk` over a batch,
+    made with the same ``coeffs``, ``lower`` and scaling; it is added in
+    place of a walk of its own.
     """
     values = np.asarray(values, dtype=float)
     nt = grid.time.n_steps
     shape = grid.shape
     if values.shape != (nt + 1,) + shape:
         raise ValueError("values shape does not match the grid")
-    times = grid.time.nodes
-    work = values.reshape(nt + 1, -1)
+    # the full rows are formed again for a walk rather than held through L1
+    out = multiterm_l1(_level_rows(values, grid, conjugated)[
+        :, _interior_flags(grid)], spec, grid.time.dt)
+    if spatial is None:
+        _spatial_walk(grid, coeffs, lower,
+                      _level_rows(values, grid, conjugated), out)
+    else:
+        out += spatial
     if conjugated:
-        work = work * np.exp(times)[:, None]
-    inside = _interior_flags(grid)
-
-    out = multiterm_l1(work[:, inside], spec, grid.time.dt)
-    for k, mat in enumerate(_level_operators(grid, coeffs, lower, times)):
-        out[k] += mat @ work[k]
+        out *= np.exp(-grid.time.nodes)[:, None]
     out = out.reshape((nt + 1,) + tuple(s - 2 for s in shape))
-    if conjugated:
-        out = out * np.exp(-times).reshape((-1,) + (1,) * grid.ndim)
     if source is not None:
-        out = out - _source_levels(source, grid)[(slice(None),)
-                                                 + grid.interior()]
+        out -= _source_levels(source, grid)[(slice(None),) + grid.interior()]
     return out
 
 

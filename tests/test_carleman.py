@@ -6,8 +6,11 @@ import pytest
 from fraclab import (BetaSweepConfig, CarlemanWeightParams, HolmgrenMap,
                      MultiTermSpec, SpaceTimeGrid, CompactBump, TimeGrid,
                      beta_sweep, carleman_lhs, carleman_rhs,
-                     conjugated_operator, default_bump_family, identity_field,
+                     conjugated_operator, default_bump_family,
+                     diagonal_variable_field, identity_field,
                      pushforward_operator, sweep_rows_csv)
+from fraclab import solver
+from fraclab.carleman import BRANCH_THRESHOLD
 
 X = 0.1
 
@@ -109,6 +112,17 @@ class TestSides:
                                       include_drift=False)
         delta = np.abs(with_drift - without).max()
         assert 0.0 < delta < 0.5 * np.abs(without).max()
+
+    def test_image_does_not_depend_on_memory_layout(self):
+        # the boundary ring of the drift is zeroed for any layout of values
+        spec, frame, _, grid = sweep_case(2, 1.5)
+        v = np.random.default_rng(4).normal(size=(21, 13, 17))
+        c_order = conjugated_operator(v, grid, spec, frame)
+        f_order = conjugated_operator(np.asfortranarray(v), grid, spec, frame)
+        ring = ~solver._interior_flags(grid).reshape(grid.shape)
+        assert np.abs(c_order[:, ring]).max() == 0.0
+        assert (np.ascontiguousarray(f_order).tobytes()
+                == c_order.tobytes())
 
 
 class TestBumpShapes:
@@ -231,3 +245,81 @@ class TestSweep:
         assert len(lines) == 1 + len(result.rows)
         doc = result.to_json()
         assert "max_ratio" in doc
+
+
+def sweep_case(ndim, alpha):
+    """A small sweep setup with a time-dependent field in ``ndim`` dims."""
+    spec = MultiTermSpec(orders=(alpha, alpha / 2.0), weights=(1.0, 0.5))
+    hmap = HolmgrenMap(y_hat=np.zeros(ndim), c=1.0, X=0.3, T=1.0)
+    frame = pushforward_operator(diagonal_variable_field(ndim), hmap)
+    weight = CarlemanWeightParams(X=0.3)
+    bounds = ((-0.3, 0.3),) * (ndim - 1) + ((0.0, 0.3),)
+    grid = SpaceTimeGrid(bounds=bounds, shape=(13,) * (ndim - 1) + (17,),
+                         time=TimeGrid.from_interval(1.0, 20))
+    return spec, frame, weight, grid
+
+
+def reference_rows(config, bumps, grid, frame):
+    """(lhs, rhs, ratio) per row, one conjugated_operator call per bump and
+    each side's weighted integrals formed per beta."""
+    mesh = grid.mesh()
+    psi = config.weight.psi(mesh[..., -1])
+
+    def weighted(density, beta):
+        integrand = density * np.exp(2.0 * beta * psi)
+        for ax in range(integrand.ndim - 1, 0, -1):
+            integrand = np.trapezoid(integrand, dx=grid.spacing[ax - 1],
+                                     axis=ax)
+        return float(np.trapezoid(integrand, dx=grid.time.dt, axis=0))
+
+    rows = []
+    for bump in bumps:
+        v = bump.values(grid.time.nodes, mesh)
+        image = conjugated_operator(v, grid, config.spec, frame,
+                                    include_drift=config.include_drift)
+        for beta in config.betas:
+            grads = np.stack([np.gradient(v, h, axis=d + 1, edge_order=2)
+                              for d, h in enumerate(grid.spacing)], axis=-1)
+            lhs = beta**3 * weighted(v**2, beta)
+            lhs += beta * weighted(np.sum(grads**2, axis=-1), beta)
+            if config.alpha >= BRANCH_THRESHOLD:
+                dt_v = np.gradient(v, grid.time.dt, axis=0, edge_order=2)
+                lhs += beta ** (3.0 - 4.0 / config.alpha) * weighted(
+                    dt_v**2, beta)
+            rhs = weighted(image**2, beta)
+            rows.append((lhs, rhs, lhs / rhs))
+    return rows
+
+
+class TestSweepBatching:
+    @pytest.mark.parametrize("ndim", [1, 2])
+    @pytest.mark.parametrize("include_drift", [True, False])
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    @pytest.mark.parametrize("count", [1, 5])
+    def test_rows_equal_per_bump_reference_bitwise(self, ndim, include_drift,
+                                                   alpha, count):
+        spec, frame, weight, grid = sweep_case(ndim, alpha)
+        config = BetaSweepConfig(betas=(25.0, 100.0, 400.0), weight=weight,
+                                 spec=spec, include_drift=include_drift)
+        bumps = default_bump_family(weight, grid, count=count)
+        result = beta_sweep(config, bumps, grid, frame)
+        got = [(r.lhs, r.rhs, r.ratio) for r in result.rows]
+        assert got == reference_rows(config, bumps, grid, frame)
+
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_one_walk_over_the_levels_per_sweep(self, count, monkeypatch):
+        spec, frame, weight, grid = sweep_case(2, 1.5)
+        assembled = []
+        original = solver._spatial_matrix
+
+        def counting(*args):
+            assembled.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(solver, "_spatial_matrix", counting)
+        config = BetaSweepConfig(betas=(25.0, 250.0), weight=weight,
+                                 spec=spec)
+        beta_sweep(config, default_bump_family(weight, grid, count=count),
+                   grid, frame)
+        # the field depends on time, so each level is assembled once
+        assert len(assembled) == grid.time.n_steps + 1

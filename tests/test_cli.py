@@ -89,6 +89,13 @@ class TestCommandTable:
         assert code == 2
         assert "bogus_key" in capsys.readouterr().err
 
+    def test_symbol_bracket_has_no_mode_key(self, tmp_path, capsys):
+        # both brackets are always written, so a mode switch selects nothing
+        code, _ = run(tmp_path, "symbol-bracket",
+                      {**VALID["symbol-bracket"], "mode": "full"})
+        assert code == 2
+        assert "'mode'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", COMMANDS)
     def test_main_calls_the_module_handler(self, command, tmp_path,
                                            monkeypatch):
@@ -330,3 +337,16 @@ class TestImport:
                              env=_subprocess_env(), capture_output=True,
                              text=True, check=True)
         assert out.stdout.strip() == "False"
+
+    def test_certify_command_loads_no_scipy(self, tmp_path):
+        cfg = tmp_path / "lemma21.json"
+        cfg.write_text(json.dumps(VALID["lemma21"]))
+        code = ("import sys; from fraclab.cli import main; "
+                f"code = main(['lemma21', '--config', {str(cfg)!r}, "
+                f"'--out', {str(tmp_path / 'out')!r}]); "
+                "print(code, sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code],
+                             env=_subprocess_env(), capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip().splitlines()[-1] == "0 []"

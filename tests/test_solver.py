@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from fraclab import solver
 from fraclab import (EllipticCoeffField, LowerOrderTerm, MultiTermSpec,
                      SolutionField, SpaceTimeGrid, TimeGrid, UcpConfig,
                      apply_discrete_operator, caputo_power_rule,
@@ -277,6 +278,45 @@ class TestDiscreteOperator:
             u * np.exp(times)[:, None], spec, field, lower, grid)
         manual *= np.exp(-times)[:, None]
         assert np.abs(direct - manual).max() < 1e-10 * max(1.0, np.abs(manual).max())
+
+    def test_level_matrix_on_a_block_equals_matvecs_bitwise(self):
+        # the batched walk relies on this: CSR @ (n x B) rounds column by
+        # column exactly like B matrix-vector products
+        grid = SpaceTimeGrid(bounds=((0.0, 1.0), (0.0, 1.0)), shape=(9, 11),
+                             time=TimeGrid.from_interval(1.0, 3))
+        lower = LowerOrderTerm(b=lambda t, Y: np.stack(
+            [np.cos(Y[..., 0] + t), Y[..., 1]], axis=-1))
+        block = np.random.default_rng(7).normal(size=(99, 5))
+        for mat in solver._level_operators(grid, diagonal_variable_field(2),
+                                           lower, grid.time.nodes):
+            product = mat @ block
+            for b in range(block.shape[1]):
+                assert (product[:, b].tobytes()
+                        == (mat @ block[:, b]).tobytes())
+
+    def test_walked_spatial_part_is_bitwise_the_own_walk(self):
+        spec = MultiTermSpec(orders=(1.5, 0.5), weights=(1.0, 0.5))
+        grid = SpaceTimeGrid(bounds=((0.0, 1.0), (0.0, 1.0)), shape=(7, 8),
+                             time=TimeGrid.from_interval(1.0, 12))
+        field = diagonal_variable_field(2)
+        lower = LowerOrderTerm(b0=lambda t, Y: np.sin(Y[..., 0] * t))
+        batch = np.random.default_rng(2).normal(size=(13, 7, 8, 3))
+        for conjugated in (False, True):
+            # one walk over the levels for the whole batch
+            block = np.stack([solver._level_rows(batch[..., b], grid,
+                                                 conjugated)
+                              for b in range(3)], axis=-1)
+            walked = solver._spatial_walk(grid, field, lower, block,
+                                          np.zeros((13, 30, 3)))
+            for b in range(3):
+                own = apply_discrete_operator(batch[..., b], spec, field,
+                                              lower, grid,
+                                              conjugated=conjugated)
+                given = apply_discrete_operator(batch[..., b], spec, field,
+                                                lower, grid,
+                                                conjugated=conjugated,
+                                                spatial=walked[..., b])
+                assert given.tobytes() == own.tobytes()
 
     def test_conjugated_first_order_limit(self):
         # for order one the conjugated operator is (d_t + 1 - L) up to the
