@@ -22,7 +22,7 @@ from jsonschema import Draft202012Validator
 
 from . import carleman as carl
 from . import fields, geometry, solver, symbols
-from .fractional import (MultiTermSpec, Series, TimeGrid, caputo_l1,
+from .fractional import (MultiTermSpec, Series, TimeGrid, _caputo_l1_final,
                          caputo_oracle, caputo_power_rule)
 
 
@@ -253,9 +253,9 @@ def run_caputo_check(config, out, seed, threads):
     grid = TimeGrid.from_interval(t_final, n_steps)
     rows = []
     worst_apply = worst_oracle = 0.0
+    u = Series.from_function(lambda t: t**p, grid)
     for alpha in alphas:
-        u = Series.from_function(lambda t: t**p, grid)
-        disc = caputo_l1(u.values, alpha, grid.dt)[-1]
+        disc = _caputo_l1_final(u.values, alpha, grid.dt)
         exact = caputo_power_rule(p, alpha, t_final)
         if alpha != 1.0:
             orc = caputo_oracle(lambda t: t**p,
@@ -368,7 +368,10 @@ def run_lemma61(config, out, seed, threads):
 
 
 def _manufactured_pieces(spec, grid):
-    """u* = t^2 prod sin(pi y_d) and the matching identity-coefficient source."""
+    """u* = t^2 prod sin(pi y_d) and the matching identity-coefficient source.
+
+    Both take ``t`` on a broadcast time axis, shape (n_steps+1, 1, ..., 1).
+    """
     def exact(t, Y):
         v = np.asarray(t, dtype=float) ** 2
         for d in range(grid.ndim):
@@ -379,7 +382,7 @@ def _manufactured_pieces(spec, grid):
         sine = np.ones(Y.shape[:-1])
         for d in range(grid.ndim):
             sine = sine * np.sin(np.pi * Y[..., d])
-        tfrac = sum(q * caputo_power_rule(2.0, al, max(t, 0.0))
+        tfrac = sum(q * caputo_power_rule(2.0, al, np.maximum(t, 0.0))
                     for q, al in zip(spec.weights, spec.orders))
         return (tfrac + grid.ndim * np.pi**2 * t**2) * sine
 
@@ -390,6 +393,8 @@ def run_solve(config, out, seed, threads):
     spec = _build_spec(config["spec"])
     coeffs = fields.field_from_config(config["coeffs"])
     grid = _build_grid(config["grid"])
+    times = grid.time.nodes.reshape((-1,) + (1,) * grid.ndim)
+    mesh = grid.mesh()
     manufactured = config.get("manufactured", True)
     if manufactured:
         exact, source = _manufactured_pieces(spec, grid)
@@ -400,10 +405,11 @@ def run_solve(config, out, seed, threads):
 
         def source(t, Y):
             r2 = np.sum(((Y - center) / width) ** 2, axis=-1)
-            return np.clip(1.0 - r2, 0.0, None) ** 4 * min(t, 1.0) ** 2
+            return np.clip(1.0 - r2, 0.0, None) ** 4 * np.minimum(t, 1.0) ** 2
         exact = None
-    result = solver.solve(spec, coeffs, solver.LowerOrderTerm.zero(), source,
-                          grid)
+    # every level's source in one call
+    result = solver.solve(spec, coeffs, solver.LowerOrderTerm.zero(),
+                          source(times, mesh), grid)
     sol = result.field
     solver.save_solution(sol, os.path.join(out, "solution"))
     solver.export_time_slice_csv(sol, grid.time.n_steps,
@@ -414,8 +420,7 @@ def run_solve(config, out, seed, threads):
     summary = {"pass": bool(result.diagnostics["equation_residual_max"]
                             <= 1e-10), **result.diagnostics}
     if exact is not None:
-        times = grid.time.nodes.reshape((-1,) + (1,) * grid.ndim)
-        err = np.abs(sol.values - exact(times, grid.mesh()))
+        err = np.abs(sol.values - exact(times, mesh))
         summary["max_error"] = float(err.max())
     return summary
 

@@ -34,6 +34,9 @@ class EllipticCoeffField:
     delta : float
         Constant with delta |xi|^2 <= a xi.xi <= |xi|^2 / delta on the
         region of interest.
+    time_independent : bool
+        True when ``a`` does not depend on t, so one sample in time serves
+        every time level.
     """
 
     n: int
@@ -41,6 +44,7 @@ class EllipticCoeffField:
     da_dt: Callable
     da_dy: Callable
     delta: float
+    time_independent: bool = False
 
     def __post_init__(self):
         if self.n < 1:
@@ -252,6 +256,7 @@ def constant_field(matrix, delta: float | None = None) -> EllipticCoeffField:
         da_dt=lambda t, y: broadcast(t, y, np.zeros((n, n))),
         da_dy=lambda t, y: broadcast(t, y, np.zeros((n, n, n))),
         delta=delta,
+        time_independent=True,
     )
 
 

@@ -290,6 +290,30 @@ def caputo_l1(values: np.ndarray, alpha: float, dt: float) -> np.ndarray:
     return out
 
 
+def _caputo_l1_final(values: np.ndarray, alpha: float, dt: float) -> float:
+    """``caputo_l1(values, alpha, dt)[-1]`` of a 1-D series, bitwise.
+
+    Only the sum at the last node is formed: the full-overlap dot product
+    that ``np.convolve`` computes for that node.
+    """
+    from scipy.special import gamma
+
+    values = np.asarray(values, dtype=float)
+    if not 0.0 < alpha < 2.0:
+        raise ValueError(f"order must lie in (0,2), got {alpha}")
+    if alpha == 1.0:
+        return float(_backward_difference(values, dt)[-1])
+    if alpha > 1.0:
+        return _caputo_l1_final(_backward_difference(values, dt),
+                                alpha - 1.0, dt)
+    n = values.shape[0] - 1
+    if n < 1:
+        return 0.0
+    history = np.convolve(np.diff(values), l1_weights(alpha, n),
+                          mode="valid")[0]
+    return float(history / (gamma(2.0 - alpha) * dt ** alpha))
+
+
 def rl_integral_l1(values: np.ndarray, mu: float, dt: float) -> np.ndarray:
     """Riemann-Liouville integral of order mu in (0,1] along axis 0.
 

@@ -6,18 +6,26 @@ uses the L1 machinery of :mod:`fraclab.fractional`.
 
 One per-level operator serves the solver, its residual check and the
 Carleman image: a private generator yields -(L + l1) at every time level,
-rows on interior nodes and columns on all nodes, and yields the same matrix
-again while the sampled coefficients stay exactly equal; one walk over the
-levels serves a block of grid functions, as in the Carleman sweep.  Each
-step moves the discrete history to the right-hand side, lifts the Dirichlet
-data through the boundary columns and solves one sparse system for the
-interior unknowns, refactorizing only when the level's matrix changes.  The
-``condition_estimate`` diagnostic is the one-norm condition number of the
-first interior system: its exact largest column sum times the single-column
-Higham estimate of the inverse's norm through the LU factors, which draws
-no random numbers.  The solver output therefore satisfies the assembled
-discrete equation to solver precision by construction, which
-:func:`apply_discrete_operator` verifies independently.
+rows on interior nodes and columns on all nodes.  A time-independent field
+without lower-order terms is sampled and assembled once for all levels;
+otherwise the generator yields the same matrix again while the sampled
+coefficients stay exactly equal.  One walk over the levels serves a block
+of grid functions, as in the Carleman sweep, and applies a run of levels
+sharing one matrix as one product.  Each step moves the discrete history to
+the right-hand side, lifts the Dirichlet data through the boundary columns
+and solves one sparse system for the interior unknowns.  A level whose
+matrix is the factorized one is solved directly.  When the matrix changes,
+the LU of the earlier matrix is kept and iterative refinement with it runs
+until the residual is at most 1e-13 of the right-hand side; a step that
+needs more than ``REFINE_CAP`` refinement steps refactorizes and solves
+directly.  The diagnostics count factorizations, steps solved through a
+stale LU (``lu_reuses``) and refinement steps.  The ``condition_estimate``
+diagnostic is the one-norm condition number of the first interior system:
+its exact largest column sum times the single-column Higham estimate of
+the inverse's norm through the LU factors, which draws no random numbers.
+The solver output therefore satisfies the assembled discrete equation to
+solver precision by construction, which :func:`apply_discrete_operator`
+verifies independently, sampling and assembling its own levels.
 
 The history is the exact direct L1 sum, kept in two combined kernels: one
 over the first differences (all orders below 1) and one over the second
@@ -29,6 +37,7 @@ then adds its at most ``BLOCK`` recent terms.
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 from dataclasses import dataclass, field
@@ -244,11 +253,19 @@ def _level_operators(grid: SpaceTimeGrid, coeffs: EllipticCoeffField,
                      lower: LowerOrderTerm, times):
     """Yield the spatial matrix of :func:`_spatial_matrix` at each time.
 
-    A level whose sampled coefficients equal the previous level's exactly
-    yields the previous matrix object again, so callers reuse work (a
-    factorization) by testing identity.
+    A time-independent field without lower-order terms is sampled and
+    assembled once.  Otherwise a level whose sampled coefficients equal the
+    previous level's exactly yields the previous matrix object again.
+    Either way callers reuse work (a factorization, a block product) by
+    testing identity.
     """
     y_int = grid.mesh()[grid.interior()].reshape(-1, grid.ndim)
+    if coeffs.time_independent and lower.b is None and lower.b0 is None:
+        mat = _spatial_matrix(
+            grid, np.asarray(coeffs.a(times[0], y_int), dtype=float),
+            None, None)
+        yield from itertools.repeat(mat, len(times))
+        return
     terms = (coeffs.a, lower.b, lower.b0)
     previous = mat = None
     for t in times:
@@ -272,6 +289,32 @@ def _source_levels(source, grid: SpaceTimeGrid) -> np.ndarray:
     if f_all.shape != (grid.time.n_steps + 1,) + grid.shape:
         raise ValueError("source array shape mismatch")
     return f_all
+
+
+REFINE_CAP = 8
+"""Refinement steps a stale LU may take at one time step before the solver
+refactorizes."""
+
+
+def _refine(lu, system, rhs):
+    """Solve ``system x = rhs`` through the LU of an earlier matrix.
+
+    Iterative refinement x += LU^-1 (rhs - system x) runs until
+    max|rhs - system x| <= 1e-13 max|rhs|.  Returns ``(x, residual,
+    steps)``, with x None when ``REFINE_CAP`` steps do not reach that.
+    """
+    x = lu.solve(rhs)
+    res = rhs - system @ x
+    tol = 1e-13 * np.abs(rhs).max()
+    steps = 0
+    # "not <=" so that a NaN residual counts as not converged
+    while not np.abs(res).max() <= tol:
+        if steps == REFINE_CAP:
+            return None, None, steps
+        x += lu.solve(res)
+        res = rhs - system @ x
+        steps += 1
+    return x, res, steps
 
 
 @dataclass
@@ -338,8 +381,10 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
         Dirichlet data g(t, Y) on boundary nodes; None means homogeneous.
 
     Returns the solution field and diagnostics: per-step residual maximum,
-    a one-norm condition estimate of the first interior step matrix, and
-    the leading coefficient.  The initial level is identically zero,
+    a one-norm condition estimate of the first interior step matrix, the
+    leading coefficient, and the counts ``factorizations``, ``lu_reuses``
+    (steps whose changed matrix was solved by refinement with an earlier
+    LU) and ``refinement_steps``.  The initial level is identically zero,
     matching the support convention.
     """
     import scipy.sparse as sp
@@ -369,25 +414,17 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
     kernels = [(w, toeplitz_rows(w, np.arange(span), span), d)
                for w, d in ((w_u, du), (w_v, dv)) if w is not None]
 
-    factored = None
-    cond_estimate = None
+    cond_estimate = lu = None
+    current = factored = None      # the level matrices of system and lu
+    factorizations = lu_reuses = refinement_steps = 0
     step_residual = 0.0
     levels = _level_operators(grid, coeffs, lower, times[1:])
     for k, mat in enumerate(levels, start=1):
-        if mat is not factored:
-            factored = mat
+        if mat is not current:
+            current = mat
             system = (sp.eye(n_int, format="csr") * c_lead
                       + mat[:, inside]).tocsc()
             lift = mat[:, ~inside]
-            lu = spla.splu(system)
-            if cond_estimate is None:
-                op = spla.LinearOperator(
-                    (n_int, n_int), matvec=lu.solve,
-                    rmatvec=lambda b: lu.solve(b, trans="T"))
-                # exact column-sum norm of A; t=1 makes the estimate of
-                # the inverse's norm draw no random start columns
-                cond_estimate = float(abs(system).sum(axis=0).max()
-                                      * spla.onenormest(op, t=1))
 
         r = (k - 1) % BLOCK
         if r == 0:
@@ -406,11 +443,30 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
             g_k = np.asarray(bc(times[k], y_bnd), dtype=float)
             values[k, ~inside] = g_k
             rhs -= lift @ g_k
-        u[k] = lu.solve(rhs)
+        x = None
+        if factored is not None and factored is not mat:
+            x, res, steps = _refine(lu, system, rhs)
+            refinement_steps += steps
+            if x is not None:
+                lu_reuses += 1
+        if x is None:
+            if factored is not mat:
+                lu = spla.splu(system)
+                factored = mat
+                factorizations += 1
+                if cond_estimate is None:
+                    op = spla.LinearOperator(
+                        (n_int, n_int), matvec=lu.solve,
+                        rmatvec=lambda b: lu.solve(b, trans="T"))
+                    # exact column-sum norm of A; t=1 makes the estimate
+                    # of the inverse's norm draw no random start columns
+                    cond_estimate = float(abs(system).sum(axis=0).max()
+                                          * spla.onenormest(op, t=1))
+            x = lu.solve(rhs)
+            res = system @ x - rhs
+        u[k] = x
         du[k] = u[k] - u[k - 1]
         dv[k] = (du[k] - du[k - 1]) / dt
-
-        res = system @ u[k] - rhs
         step_residual = max(step_residual, float(np.abs(res).max()))
 
     values[:, inside] = u
@@ -422,7 +478,10 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
                                 else "array"})
     diagnostics = {"condition_estimate": cond_estimate,
                    "linear_residual_max": step_residual,
-                   "leading_coefficient": c_lead}
+                   "leading_coefficient": c_lead,
+                   "factorizations": factorizations,
+                   "lu_reuses": lu_reuses,
+                   "refinement_steps": refinement_steps}
     if check_residual:
         resid = apply_discrete_operator(values, spec, coeffs, lower, grid,
                                         source=f_all)
@@ -442,11 +501,25 @@ def _spatial_walk(grid: SpaceTimeGrid, coeffs: EllipticCoeffField,
 
     ``work`` is (nt+1, nodes) or a block (nt+1, nodes, B) of B grid
     functions: a CSR product with a block rounds column by column like B
-    matrix-vector products, so one walk serves a whole batch.
+    matrix-vector products, so one walk serves a whole batch, and a run of
+    levels sharing one matrix object is applied as one product over at most
+    ``BLOCK`` levels.
     """
-    for k, mat in enumerate(_level_operators(grid, coeffs, lower,
-                                             grid.time.nodes)):
-        out[k] += mat @ work[k]
+    start, current = 0, None
+    levels = _level_operators(grid, coeffs, lower, grid.time.nodes)
+    # a trailing None flushes the last run
+    for k, mat in enumerate(itertools.chain(levels, [None])):
+        if mat is current and k - start < BLOCK:
+            continue
+        if k - start == 1:
+            out[start] += current @ work[start]
+        elif k > start:
+            # levels become columns: (nodes, levels * B)
+            run = np.moveaxis(work[start:k], 0, 1)
+            product = current @ run.reshape(run.shape[0], -1)
+            out[start:k] += np.moveaxis(
+                product.reshape((-1,) + run.shape[1:]), 0, 1)
+        start, current = k, mat
     return out
 
 
@@ -537,16 +610,16 @@ def ucp_experiment(config: UcpConfig, floor: float = 1e-13) -> UcpReport:
     mask[(axis >= lo) & (axis <= hi)] = True
     tmask = grid.time.nodes <= config.t_prime
 
+    # the time ramp on a broadcast time axis, times the bump of each center
+    ramp = (config.source_amplitude
+            * np.minimum(grid.time.nodes / grid.time.t_final, 1.0) ** 2)
+    ramp = ramp.reshape((-1,) + (1,) * grid.ndim)
+    first = grid.mesh()[..., 0]
     rows = []
     for center in config.source_centers:
         if lo <= center <= hi:
             raise ValueError("source must be supported away from the window")
-
-        def f(t, Y, center=center):
-            r = (Y[..., 0] - center) / config.source_width
-            return (config.source_amplitude * min(t / grid.time.t_final, 1.0) ** 2
-                    * _bump(r))
-
+        f = ramp * _bump((first - center) / config.source_width)
         result = solve(config.spec, config.coeffs, LowerOrderTerm.zero(), f,
                        grid, check_residual=False)
         sol = result.field

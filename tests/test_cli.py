@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fraclab
-from fraclab import cli, symbols
+from fraclab import cli, solver, symbols
 from fraclab.cli import COMMANDS, _build_region, _chunk_counts, main
 
 SPEC = {"orders": [0.5], "weights": [1.0]}
@@ -257,6 +257,64 @@ class TestCommands:
         assert "max_error" not in summary
         assert summary["equation_residual_max"] <= 1e-10
         assert (out / "final_profile.xy").exists()
+
+    @pytest.mark.parametrize("manufactured", [True, False],
+                             ids=["manufactured", "bump"])
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_solve_source_is_the_per_level_stack(self, tmp_path, monkeypatch,
+                                                 ndim, manufactured):
+        captured = []
+        original = solver.solve
+
+        def capturing(spec, coeffs, lower, source, grid, **kwargs):
+            captured.append((spec, source, grid))
+            return original(spec, coeffs, lower, source, grid, **kwargs)
+
+        monkeypatch.setattr(solver, "solve", capturing)
+        config = {"spec": {"orders": [1.5, 0.5], "weights": [1.0, 0.5]},
+                  "coeffs": {"preset": "identity", "n": ndim},
+                  "grid": {"bounds": [[0.0, 1.0]] * ndim,
+                           "shape": [9] * ndim, "n_steps": 12,
+                           "t_final": 1.5},
+                  "manufactured": manufactured,
+                  "source": {"center": [0.6] * ndim, "width": 0.3}}
+        code, _ = run(tmp_path, "solve", config)
+        assert code == 0
+        ((spec, source, grid),) = captured
+
+        # the sources as scalar-time callables, one call per level
+        def manufactured_source(t, Y):
+            sine = np.ones(Y.shape[:-1])
+            for d in range(ndim):
+                sine = sine * np.sin(np.pi * Y[..., d])
+            tfrac = sum(q * fraclab.caputo_power_rule(2.0, al, max(t, 0.0))
+                        for q, al in zip(spec.weights, spec.orders))
+            return (tfrac + ndim * np.pi**2 * t**2) * sine
+
+        def bump_source(t, Y):
+            r2 = np.sum(((Y - 0.6) / 0.3) ** 2, axis=-1)
+            return np.clip(1.0 - r2, 0.0, None) ** 4 * min(t, 1.0) ** 2
+
+        f = manufactured_source if manufactured else bump_source
+        mesh = grid.mesh()
+        expected = np.stack([f(t, mesh) for t in grid.time.nodes])
+        assert np.array_equal(source, expected)
+
+    def test_solve_summary_is_a_function_of_the_seed(self, tmp_path):
+        config = {"spec": SPEC, "coeffs": COEFFS2,
+                  "grid": {"bounds": [[0.0, 1.0]] * 2, "shape": [9, 9],
+                           "n_steps": 16, "t_final": 1.0}}
+        summaries = []
+        for tag in ("first", "second"):
+            code, out = run(tmp_path, "solve", config, seed=5, tag=tag)
+            assert code == 0
+            summaries.append((out / "summary.json").read_bytes())
+        assert summaries[0] == summaries[1]
+        summary = json.loads(summaries[0])
+        assert summary["factorizations"] >= 1
+        assert (summary["factorizations"] + summary["lu_reuses"]
+                == config["grid"]["n_steps"])
+        assert summary["refinement_steps"] >= 0
 
     def test_carleman_sweep(self, tmp_path):
         config = {"spec": SPEC, "coeffs": COEFFS1,

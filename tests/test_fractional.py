@@ -8,7 +8,7 @@ from fraclab import (ConvergenceError, MultiTermSpec, Series, TimeGrid,
                      caputo_apply, caputo_l1, caputo_oracle,
                      caputo_power_rule, multiterm_apply, multiterm_l1,
                      rl_integral_l1)
-from fraclab.fractional import BLOCK, causal_convolve
+from fraclab.fractional import BLOCK, _caputo_l1_final, causal_convolve
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -130,6 +130,27 @@ class TestL1:
         g = grid(2048)
         val = caputo_l1(u(g.nodes), alpha, g.dt)[-1]
         assert abs(val - ref) / abs(ref) < 5e-3
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+    def test_observed_order_lower_branch(self, alpha):
+        # u = t^2 at t = 1: the L1 scheme's order is 2 - alpha
+        ref = caputo_power_rule(2.0, alpha, 1.0)
+        errs = []
+        for n in (512, 1024, 2048, 4096):
+            g = grid(n)
+            errs.append(abs(caputo_l1(g.nodes**2, alpha, g.dt)[-1] - ref))
+        orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+        assert np.all(np.abs(orders - (2.0 - alpha)) <= 0.05)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 1.5, 1.75])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 4096])
+    def test_final_node_is_the_last_entry_bitwise(self, alpha, n):
+        g = grid(n)
+        t = g.nodes
+        for u in (t**2, np.sin(3.0 * t), 1.0 - np.cos(t) + t**1.5):
+            final = _caputo_l1_final(u, alpha, g.dt)
+            assert (np.float64(final).tobytes()
+                    == caputo_l1(u, alpha, g.dt)[-1].tobytes())
 
     def test_order_sweep_tracks_power_rule(self):
         g = grid(2048)

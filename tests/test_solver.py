@@ -1,8 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.special import gamma
 
 from fraclab import solver
 from fraclab import (EllipticCoeffField, LowerOrderTerm, MultiTermSpec,
@@ -30,6 +33,31 @@ def manufactured_1d(spec):
         return (tfrac + np.pi**2 * t**2) * sine
 
     return exact, source
+
+
+def marched_reference(spec, field, source, grid):
+    """The solve for one order below 1, level by level with a fresh LU.
+
+    The discrete operator at level k is c u_k + A_k u_k plus terms in the
+    earlier levels, so with u_k = 0 it gives the rest, and the step solves
+    (c + A_k) u_k = -rest through ``spla.splu``.
+    """
+    (alpha,) = spec.orders
+    dt = grid.time.dt
+    c = 1.0 / (gamma(2.0 - alpha) * dt ** alpha)
+    inside = np.zeros(grid.shape, dtype=bool)
+    inside[grid.interior()] = True
+    inside = inside.reshape(-1)
+    mats = list(solver._level_operators(grid, field, LowerOrderTerm.zero(),
+                                        grid.time.nodes))
+    u = np.zeros((grid.time.n_steps + 1,) + grid.shape)
+    for k in range(1, grid.time.n_steps + 1):
+        rest = apply_discrete_operator(u, spec, field, LowerOrderTerm.zero(),
+                                       grid, source=source)[k].reshape(-1)
+        system = (c * sp.eye(int(inside.sum())) + mats[k][:, inside]).tocsc()
+        u[k][grid.interior()] = spla.splu(system).solve(-rest).reshape(
+            tuple(s - 2 for s in grid.shape))
+    return u
 
 
 class TestSolve:
@@ -175,7 +203,7 @@ class TestSolve:
         assert result.diagnostics["equation_residual_max"] <= 1e-10
 
     @pytest.mark.parametrize("make_field, factorizations", [
-        (identity_field, 1), (diagonal_variable_field, 12)])
+        (identity_field, 1), (diagonal_variable_field, 2)])
     def test_factorization_count(self, monkeypatch, make_field,
                                  factorizations):
         calls = []
@@ -189,9 +217,77 @@ class TestSolve:
         spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
         grid = SpaceTimeGrid(bounds=((0.0, 1.0), (0.0, 1.0)), shape=(7, 7),
                              time=TimeGrid.from_interval(1.0, 12))
-        solve(spec, make_field(2), LowerOrderTerm.zero(),
-              lambda t, Y: np.ones(Y.shape[:-1]), grid)
+        result = solve(spec, make_field(2), LowerOrderTerm.zero(),
+                       lambda t, Y: np.ones(Y.shape[:-1]), grid)
         assert len(calls) == factorizations
+        assert result.diagnostics["factorizations"] == factorizations
+
+    @pytest.mark.parametrize("shape", [(33,), (9, 8)], ids=["1d", "2d"])
+    def test_unflagged_constant_field_matches_identity_bitwise(self, shape):
+        flagged = identity_field(len(shape))
+        plain = EllipticCoeffField(n=flagged.n, a=flagged.a,
+                                   da_dt=flagged.da_dt, da_dy=flagged.da_dy,
+                                   delta=flagged.delta)
+        assert flagged.time_independent and not plain.time_independent
+        spec = MultiTermSpec(orders=(1.5, 0.5), weights=(1.0, 0.5))
+        grid = SpaceTimeGrid(bounds=((0.0, 1.0),) * len(shape), shape=shape,
+                             time=TimeGrid.from_interval(1.0, 2 * 64 + 3))
+        source = lambda t, Y: t * np.sin(np.pi * Y[..., 0])
+        results = [solve(spec, field, LowerOrderTerm.zero(), source, grid)
+                   for field in (flagged, plain)]
+        assert (results[0].field.values.tobytes()
+                == results[1].field.values.tobytes())
+        assert (results[0].diagnostics["equation_residual_max"]
+                == results[1].diagnostics["equation_residual_max"])
+
+    def test_time_independent_field_is_sampled_once(self):
+        calls = []
+        field = identity_field(1)
+
+        def counting(t, y):
+            calls.append(1)
+            return field.a(t, y)
+
+        spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
+        grid = grid_1d(64, 17)
+        result = solve(spec, dataclasses.replace(field, a=counting),
+                       LowerOrderTerm.zero(),
+                       lambda t, Y: t * np.ones(Y.shape[:-1]), grid)
+        assert result.diagnostics["equation_residual_max"] <= 1e-10
+        # three for the ellipticity precondition, one for the solve and one
+        # for its residual check, not one per level in each
+        assert len(calls) <= 5
+
+    def test_stale_lu_matches_per_step_factorization(self):
+        spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
+        grid = SpaceTimeGrid(bounds=((0.0, 1.0), (0.0, 1.0)), shape=(9, 9),
+                             time=TimeGrid.from_interval(1.0, 24))
+        field = diagonal_variable_field(2)
+        times = grid.time.nodes.reshape(-1, 1, 1)
+        mesh = grid.mesh()
+        source = (np.sin(np.pi * mesh[..., 0]) * (1.0 + mesh[..., 1])
+                  * times ** 1.5)
+        result = solve(spec, field, LowerOrderTerm.zero(), source, grid)
+        assert result.diagnostics["lu_reuses"] > 0
+        assert result.diagnostics["equation_residual_max"] <= 1e-10
+        reference = marched_reference(spec, field, source, grid)
+        scale = np.abs(reference).max()
+        assert np.abs(result.field.values - reference).max() <= 1e-11 * scale
+
+    def test_fast_rotating_field_passes_the_cap(self):
+        # a quarter of a radian per step: refinement with the last LU
+        # converges too slowly, so every step refactorizes
+        field = rotating_anisotropic_field(2, spin=2.0 * math.pi, shear=0.0)
+        spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
+        grid = SpaceTimeGrid(bounds=((0.0, 1.0), (0.0, 1.0)), shape=(9, 9),
+                             time=TimeGrid.from_interval(1.0, 24))
+        result = solve(spec, field, LowerOrderTerm.zero(),
+                       lambda t, Y: t * np.ones(Y.shape[:-1]), grid)
+        diag = result.diagnostics
+        assert diag["factorizations"] == 24
+        assert diag["lu_reuses"] == 0
+        assert diag["refinement_steps"] == solver.REFINE_CAP * 23
+        assert diag["equation_residual_max"] <= 1e-10
 
     @pytest.mark.parametrize("make_field, shape", [
         (identity_field, (33,)), (diagonal_variable_field, (15, 15))],
@@ -294,6 +390,26 @@ class TestDiscreteOperator:
                 assert (product[:, b].tobytes()
                         == (mat @ block[:, b]).tobytes())
 
+    @pytest.mark.parametrize("trailing", [(), (3,)], ids=["rows", "block"])
+    def test_runs_of_one_matrix_equal_per_level_products_bitwise(self,
+                                                                 trailing):
+        # a time-independent field gives one matrix object for every level;
+        # the walk applies it to up to BLOCK levels in one product
+        grid = SpaceTimeGrid(bounds=((0.0, 1.0), (0.0, 1.0)), shape=(9, 11),
+                             time=TimeGrid.from_interval(1.0, 2 * 64 + 3))
+        field = constant_field(np.array([[1.0, 0.3], [0.3, 0.8]]))
+        rng = np.random.default_rng(11)
+        work = rng.normal(size=(132, 99) + trailing)
+        start = rng.normal(size=(132, 63) + trailing)
+        walked = solver._spatial_walk(grid, field, LowerOrderTerm.zero(),
+                                      work, start.copy())
+        mats = list(solver._level_operators(grid, field, LowerOrderTerm.zero(),
+                                            grid.time.nodes))
+        assert all(mat is mats[0] for mat in mats)
+        for k, mat in enumerate(mats):
+            assert (walked[k].tobytes()
+                    == (start[k] + mat @ work[k]).tobytes())
+
     def test_walked_spatial_part_is_bitwise_the_own_walk(self):
         spec = MultiTermSpec(orders=(1.5, 0.5), weights=(1.0, 0.5))
         grid = SpaceTimeGrid(bounds=((0.0, 1.0), (0.0, 1.0)), shape=(7, 8),
@@ -380,6 +496,28 @@ class TestUcp:
     def test_source_inside_window_rejected(self):
         with pytest.raises(ValueError):
             ucp_experiment(self.make_config((0.1,)))
+
+    def test_sources_are_the_per_level_stack(self, monkeypatch):
+        sources = []
+        original = solver.solve
+
+        def capturing(spec, coeffs, lower, source, grid, **kwargs):
+            sources.append(source)
+            return original(spec, coeffs, lower, source, grid, **kwargs)
+
+        monkeypatch.setattr(solver, "solve", capturing)
+        cfg = self.make_config((0.5, 0.7, 0.9))
+        ucp_experiment(cfg)
+        grid = cfg.grid
+        mesh = grid.mesh()
+        for center, source in zip(cfg.source_centers, sources):
+            def f(t, Y):
+                r = (Y[..., 0] - center) / cfg.source_width
+                return (cfg.source_amplitude
+                        * min(t / grid.time.t_final, 1.0) ** 2
+                        * np.clip(1.0 - r**2, 0.0, None) ** 4)
+            expected = np.stack([f(t, mesh) for t in grid.time.nodes])
+            assert np.array_equal(source, expected)
 
     def test_linearity_of_norms(self):
         cfg = self.make_config((0.6,))
