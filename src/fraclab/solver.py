@@ -443,6 +443,8 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
             g_k = np.asarray(bc(times[k], y_bnd), dtype=float)
             values[k, ~inside] = g_k
             rhs -= lift @ g_k
+        # a changed matrix is first solved by refinement with the last LU;
+        # the first step, and a step past the cap, factorize
         x = None
         if factored is not None and factored is not mat:
             x, res, steps = _refine(lu, system, rhs)

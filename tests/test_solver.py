@@ -222,8 +222,13 @@ class TestSolve:
         assert len(calls) == factorizations
         assert result.diagnostics["factorizations"] == factorizations
 
+    @pytest.mark.parametrize("lower", [
+        LowerOrderTerm.zero(),
+        LowerOrderTerm(b0=lambda t, Y: -t * np.cos(Y[..., 0]))],
+        ids=["no-lower", "time-dependent-b0"])
     @pytest.mark.parametrize("shape", [(33,), (9, 8)], ids=["1d", "2d"])
-    def test_unflagged_constant_field_matches_identity_bitwise(self, shape):
+    def test_unflagged_constant_field_matches_identity_bitwise(self, shape,
+                                                               lower):
         flagged = identity_field(len(shape))
         plain = EllipticCoeffField(n=flagged.n, a=flagged.a,
                                    da_dt=flagged.da_dt, da_dy=flagged.da_dy,
@@ -233,7 +238,7 @@ class TestSolve:
         grid = SpaceTimeGrid(bounds=((0.0, 1.0),) * len(shape), shape=shape,
                              time=TimeGrid.from_interval(1.0, 2 * 64 + 3))
         source = lambda t, Y: t * np.sin(np.pi * Y[..., 0])
-        results = [solve(spec, field, LowerOrderTerm.zero(), source, grid)
+        results = [solve(spec, field, lower, source, grid)
                    for field in (flagged, plain)]
         assert (results[0].field.values.tobytes()
                 == results[1].field.values.tobytes())
