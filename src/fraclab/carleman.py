@@ -21,8 +21,8 @@ import numpy as np
 
 from .fractional import MultiTermSpec, rl_integral_l1
 from .geometry import HolmgrenFrame
-from .solver import (LowerOrderTerm, SpaceTimeGrid, _interior_flags,
-                     _level_rows, _spatial_walk, apply_discrete_operator)
+from .solver import (LowerOrderTerm, SpaceTimeGrid, _spatial_walk,
+                     apply_discrete_operator)
 from .symbols import CarlemanWeightParams
 
 BRANCH_THRESHOLD = 4.0 / 3.0
@@ -174,8 +174,9 @@ def conjugated_operator(values, grid: SpaceTimeGrid, spec: MultiTermSpec,
     """Apply the conjugated operator in the convexified coordinates.
 
     The composed second-order operator is rewritten as the effective
-    quadratic form plus its first-order by-product and fed through the
-    shared finite-difference operator with the conjugation flag.  The drift
+    quadratic form plus its first-order by-product; the shared
+    finite-difference operator is applied to e^t times the values and its
+    image scaled by e^-t, which realizes the conjugation.  The drift
     block, the trace of the time-derivative transformation, couples a
     fractional time integral of order k - alpha_l with the normal
     derivative and carries the X/T factor.  The image is set to zero on the
@@ -186,11 +187,13 @@ def conjugated_operator(values, grid: SpaceTimeGrid, spec: MultiTermSpec,
     values = np.asarray(values, dtype=float)
     nt, dt = grid.time.n_steps, grid.time.dt
     shape_t = (-1,) + (1,) * grid.ndim
-    image = np.zeros_like(values)
+    growth = np.exp(grid.time.nodes).reshape(shape_t)
+    inner = (slice(None),) + grid.interior()
+    drift = 0.0
     if include_drift:
-        # the drift first, so that it and the interior part are not both held
-        dn = np.gradient(values * np.exp(grid.time.nodes).reshape(shape_t),
-                         grid.spacing[-1], axis=grid.ndim, edge_order=2)
+        # the drift first, each part with its own e^t product, never both held
+        dn = np.gradient(values * growth, grid.spacing[-1], axis=grid.ndim,
+                         edge_order=2)
         for q, al in zip(spec.weights, spec.orders):
             if al < 1.0:
                 block = rl_integral_l1(dn.reshape(nt + 1, -1), 1.0 - al, dt)
@@ -200,13 +203,16 @@ def conjugated_operator(values, grid: SpaceTimeGrid, spec: MultiTermSpec,
                 block = np.zeros_like(dn)
                 block[1:] = np.diff(dn, axis=0) / dt
                 block = rl_integral_l1(block.reshape(nt + 1, -1), 2.0 - al, dt)
-            image += q * frame.drift_ratio * block.reshape(dn.shape)
+            drift += q * frame.drift_ratio * block.reshape(dn.shape)[inner]
         del dn, block
-        image *= np.exp(-grid.time.nodes).reshape(shape_t)
-        image[:, ~_interior_flags(grid).reshape(grid.shape)] = 0.0
-    image[(slice(None),) + grid.interior()] += apply_discrete_operator(
-        values, spec, *_conjugated_terms(frame), grid, conjugated=True,
-        spatial=spatial)
+        drift *= np.exp(-grid.time.nodes).reshape(shape_t)
+    interior = apply_discrete_operator(values * growth, spec,
+                                       *_conjugated_terms(frame), grid,
+                                       spatial=spatial)
+    interior *= np.exp(-grid.time.nodes).reshape(shape_t)
+    interior += drift
+    image = np.zeros_like(values)
+    image[inner] = interior
     return image
 
 
@@ -227,12 +233,11 @@ def carleman_rhs(values, grid: SpaceTimeGrid, beta: float,
 
 @dataclass(frozen=True)
 class BetaSweepConfig:
-    """Sweep controls: betas, bump family, weight, branch order."""
+    """Sweep controls: betas, weight, spec (whose alpha picks the branch)."""
 
     betas: tuple
     weight: CarlemanWeightParams
     spec: MultiTermSpec
-    alpha: float = None
     include_drift: bool = True
 
     def __post_init__(self):
@@ -244,8 +249,6 @@ class BetaSweepConfig:
             raise ValueError("beta grid must increase")
         if max(betas) / min(betas) < 10.0:
             raise ValueError("beta grid must span at least one decade")
-        if self.alpha is None:
-            object.__setattr__(self, "alpha", self.spec.alpha)
 
 
 @dataclass(frozen=True)
@@ -310,10 +313,11 @@ def beta_sweep(config: BetaSweepConfig, bumps, grid: SpaceTimeGrid,
     times, mesh = grid.time.nodes, grid.mesh()
     profiles = _weight_profiles(grid, config.weight, config.betas)
     if operator is None and bumps:
-        # one walk over the levels for all bumps; each bump is evaluated again
-        # below rather than held beside its L1 sums
-        block = np.stack([_level_rows(b.values(times, mesh), grid, True)
+        # one walk over the levels for all bumps, times e^t; each bump is
+        # evaluated again below rather than held beside its L1 sums
+        block = np.stack([b.values(times, mesh).reshape(len(times), -1)
                           for b in bumps], axis=-1)
+        block *= np.exp(times)[:, None, None]
         spatial = _spatial_walk(grid, *_conjugated_terms(frame), block,
                                 np.zeros((len(times), math.prod(
                                     s - 2 for s in grid.shape), len(bumps))))
@@ -322,7 +326,7 @@ def beta_sweep(config: BetaSweepConfig, bumps, grid: SpaceTimeGrid,
     for test_id, bump in enumerate(bumps):
         values = bump.values(times, mesh)
         lhs_all = carleman_lhs(values, grid, config.betas, config.weight,
-                               config.alpha)
+                               config.spec.alpha)
         density = (operator(values) if operator is not None else
                    conjugated_operator(values, grid, config.spec, frame,
                                        include_drift=config.include_drift,

@@ -6,7 +6,9 @@ finite differences.  Callables are batch-aware: ``t`` may be a scalar or a
 shape (N,) array, ``y`` a shape (n,) or (N, n) array, and the matrix comes
 back with matching batch axes, i.e. (n, n) or (N, n, n).  The space
 derivative carries the direction as the first matrix axis: element [r, j, k]
-is the derivative of a_jk along y_r.
+is the derivative of a_jk along y_r.  A field declares nothing about its
+time dependence: the solver samples it on blocks of time levels and lets
+consecutive levels whose samples are exactly equal share one matrix.
 """
 
 from __future__ import annotations
@@ -15,6 +17,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+# Batched callers sample at most this many points (or one time level) per
+# call, so temporaries stay small; blocks change no bit of the result.
+SAMPLE_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -34,9 +40,6 @@ class EllipticCoeffField:
     delta : float
         Constant with delta |xi|^2 <= a xi.xi <= |xi|^2 / delta on the
         region of interest.
-    time_independent : bool
-        True when ``a`` does not depend on t, so one sample in time serves
-        every time level.
     """
 
     n: int
@@ -44,7 +47,6 @@ class EllipticCoeffField:
     da_dt: Callable
     da_dy: Callable
     delta: float
-    time_independent: bool = False
 
     def __post_init__(self):
         if self.n < 1:
@@ -256,7 +258,6 @@ def constant_field(matrix, delta: float | None = None) -> EllipticCoeffField:
         da_dt=lambda t, y: broadcast(t, y, np.zeros((n, n))),
         da_dy=lambda t, y: broadcast(t, y, np.zeros((n, n, n))),
         delta=delta,
-        time_independent=True,
     )
 
 

@@ -5,19 +5,19 @@ non-divergence form sum a_jk d_j d_k plus a centered first-order term; time
 uses the L1 machinery of :mod:`fraclab.fractional`.
 
 One per-level operator serves the solver, its residual check and the
-Carleman image: a private generator yields -(L + l1) at every time level,
-rows on interior nodes and columns on all nodes.  A time-independent field
-without lower-order terms is sampled and assembled once for all levels;
-otherwise the generator yields the same matrix again while the sampled
-coefficients stay exactly equal.  One walk over the levels serves a block
-of grid functions, as in the Carleman sweep, and applies a run of levels
-sharing one matrix as one product.  Each step moves the discrete history to
-the right-hand side, lifts the Dirichlet data through the boundary columns
-and solves one sparse system for the interior unknowns.  A level whose
-matrix is the factorized one is solved directly.  When the matrix changes,
-the LU of the earlier matrix is kept and iterative refinement with it runs
-until the residual is at most 1e-13 of the right-hand side; a step that
-needs more than ``REFINE_CAP`` refinement steps refactorizes and solves
+Carleman image: a private generator samples a, b and b0 on blocks of time
+levels and yields -(L + l1), rows on interior nodes and columns on all
+nodes, as runs ``(matrix, count)``.  A level starts a new run exactly when
+one of its samples differs from the level before it, so reuse is decided
+from the samples alone.  One walk over the levels serves a block of grid
+functions, as in the Carleman sweep, and applies each run as one product
+per at most ``BLOCK`` levels.  Each step moves the discrete history to the
+right-hand side, lifts the Dirichlet data through the boundary columns and
+solves one sparse system for the interior unknowns.  A level of a run whose
+matrix has been factorized is solved directly.  Otherwise the LU of an
+earlier run is kept and iterative refinement with it runs until the
+residual is at most 1e-13 of the right-hand side; a step that needs more
+than ``REFINE_CAP`` refinement steps factorizes its run's matrix and solves
 directly.  The diagnostics count factorizations, steps solved through a
 stale LU (``lu_reuses``) and refinement steps.  The ``condition_estimate``
 diagnostic is the one-norm condition number of the first interior system:
@@ -37,14 +37,13 @@ then adds its at most ``BLOCK`` recent terms.
 
 from __future__ import annotations
 
-import itertools
 import json
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import EllipticCoeffField
+from .fields import SAMPLE_BLOCK, EllipticCoeffField
 from .fractional import (BLOCK, MultiTermSpec, TimeGrid, l1_weights,
                          multiterm_l1, toeplitz_rows)
 
@@ -251,32 +250,41 @@ def _spatial_matrix(grid: SpaceTimeGrid, a, bvec, bzero):
 
 def _level_operators(grid: SpaceTimeGrid, coeffs: EllipticCoeffField,
                      lower: LowerOrderTerm, times):
-    """Yield the spatial matrix of :func:`_spatial_matrix` at each time.
+    """Yield the matrices of :func:`_spatial_matrix` at ``times`` as runs.
 
-    A time-independent field without lower-order terms is sampled and
-    assembled once.  Otherwise a level whose sampled coefficients equal the
-    previous level's exactly yields the previous matrix object again.
-    Either way callers reuse work (a factorization, a block product) by
-    testing identity.
+    Each run is ``(matrix, count)`` for ``count`` consecutive levels, and
+    the counts sum to ``len(times)``.  ``a``, ``b`` and ``b0`` are sampled
+    on a block of levels per call, at most ``SAMPLE_BLOCK`` points (or one
+    level), as flat ``t`` of shape (N,) and ``y`` of shape (N, n).  A level
+    starts a new run when any of its samples differs from the level before
+    it, the previous block's last level included, so each run's matrix is
+    assembled once.
     """
     y_int = grid.mesh()[grid.interior()].reshape(-1, grid.ndim)
-    if coeffs.time_independent and lower.b is None and lower.b0 is None:
-        mat = _spatial_matrix(
-            grid, np.asarray(coeffs.a(times[0], y_int), dtype=float),
-            None, None)
-        yield from itertools.repeat(mat, len(times))
-        return
-    terms = (coeffs.a, lower.b, lower.b0)
-    previous = mat = None
-    for t in times:
-        sampled = [None if f is None else np.asarray(f(t, y_int), dtype=float)
-                   for f in terms]
-        if mat is None or not all(np.array_equal(s, p)
-                                  for s, p in zip(sampled, previous)
-                                  if s is not None):
-            mat = _spatial_matrix(grid, *sampled)
-            previous = sampled
-        yield mat
+    n_int, n = y_int.shape
+    terms = ((coeffs.a, (n, n)), (lower.b, (n,)), (lower.b0, ()))
+    per_call = max(1, SAMPLE_BLOCK // n_int)
+    mat = last = None
+    for s in range(0, len(times), per_call):
+        t = times[s:s + per_call]
+        m = len(t)
+        sampled = [None if f is None else np.asarray(
+            f(np.repeat(t, n_int), np.tile(y_int, (m, 1))),
+            dtype=float).reshape((m, n_int) + tail) for f, tail in terms]
+        # one exact comparison of every level with the level before it
+        flat = np.hstack([v.reshape(m, -1) for v in sampled if v is not None])
+        both = np.vstack([flat[:1] if last is None else last, flat])
+        new = (both[1:] != both[:-1]).any(axis=1)
+        new[0] |= last is None
+        last = flat[-1:]
+        for i in range(m):
+            if new[i]:
+                if mat is not None:
+                    yield mat, count
+                mat, count = _spatial_matrix(grid, *(
+                    None if v is None else v[i] for v in sampled)), 0
+            count += 1
+    yield mat, count
 
 
 def _source_levels(source, grid: SpaceTimeGrid) -> np.ndarray:
@@ -415,16 +423,18 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
                for w, d in ((w_u, du), (w_v, dv)) if w is not None]
 
     cond_estimate = lu = None
-    current = factored = None      # the level matrices of system and lu
     factorizations = lu_reuses = refinement_steps = 0
     step_residual = 0.0
-    levels = _level_operators(grid, coeffs, lower, times[1:])
-    for k, mat in enumerate(levels, start=1):
-        if mat is not current:
-            current = mat
+    runs = _level_operators(grid, coeffs, lower, times[1:])
+    left = 0                       # levels of the current run still to go
+    for k in range(1, nt + 1):
+        if left == 0:
+            mat, left = next(runs)
             system = (sp.eye(n_int, format="csr") * c_lead
                       + mat[:, inside]).tocsc()
             lift = mat[:, ~inside]
+            fresh = False          # whether lu factorizes this run's system
+        left -= 1
 
         r = (k - 1) % BLOCK
         if r == 0:
@@ -443,18 +453,18 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
             g_k = np.asarray(bc(times[k], y_bnd), dtype=float)
             values[k, ~inside] = g_k
             rhs -= lift @ g_k
-        # a changed matrix is first solved by refinement with the last LU;
-        # the first step, and a step past the cap, factorize
+        # a run without its own LU is first solved by refinement with the
+        # last LU; the first step, and a step past the cap, factorize
         x = None
-        if factored is not None and factored is not mat:
+        if lu is not None and not fresh:
             x, res, steps = _refine(lu, system, rhs)
             refinement_steps += steps
             if x is not None:
                 lu_reuses += 1
         if x is None:
-            if factored is not mat:
+            if not fresh:
                 lu = spla.splu(system)
-                factored = mat
+                fresh = True
                 factorizations += 1
                 if cond_estimate is None:
                     op = spla.LinearOperator(
@@ -487,14 +497,9 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
     if check_residual:
         resid = apply_discrete_operator(values, spec, coeffs, lower, grid,
                                         source=f_all)
-        diagnostics["equation_residual_max"] = float(np.abs(resid).max())
+        # level 0 is pinned to zero, never solved
+        diagnostics["equation_residual_max"] = float(np.abs(resid[1:]).max())
     return SolveResult(field=sol, diagnostics=diagnostics)
-
-
-def _level_rows(values, grid: SpaceTimeGrid, conjugated: bool) -> np.ndarray:
-    """A grid function as one row per time level, times e^t if conjugated."""
-    work = np.asarray(values, dtype=float).reshape(grid.time.n_steps + 1, -1)
-    return work * np.exp(grid.time.nodes)[:, None] if conjugated else work
 
 
 def _spatial_walk(grid: SpaceTimeGrid, coeffs: EllipticCoeffField,
@@ -503,58 +508,46 @@ def _spatial_walk(grid: SpaceTimeGrid, coeffs: EllipticCoeffField,
 
     ``work`` is (nt+1, nodes) or a block (nt+1, nodes, B) of B grid
     functions: a CSR product with a block rounds column by column like B
-    matrix-vector products, so one walk serves a whole batch, and a run of
-    levels sharing one matrix object is applied as one product over at most
+    matrix-vector products, so one walk serves a whole batch, and each run
+    of :func:`_level_operators` is applied as one product per at most
     ``BLOCK`` levels.
     """
-    start, current = 0, None
-    levels = _level_operators(grid, coeffs, lower, grid.time.nodes)
-    # a trailing None flushes the last run
-    for k, mat in enumerate(itertools.chain(levels, [None])):
-        if mat is current and k - start < BLOCK:
-            continue
-        if k - start == 1:
-            out[start] += current @ work[start]
-        elif k > start:
+    end = 0
+    for mat, count in _level_operators(grid, coeffs, lower, grid.time.nodes):
+        end += count
+        for start in range(end - count, end, BLOCK):
+            stop = min(start + BLOCK, end)
             # levels become columns: (nodes, levels * B)
-            run = np.moveaxis(work[start:k], 0, 1)
-            product = current @ run.reshape(run.shape[0], -1)
-            out[start:k] += np.moveaxis(
+            run = np.moveaxis(work[start:stop], 0, 1)
+            product = mat @ run.reshape(run.shape[0], -1)
+            out[start:stop] += np.moveaxis(
                 product.reshape((-1,) + run.shape[1:]), 0, 1)
-        start, current = k, mat
     return out
 
 
 def apply_discrete_operator(values, spec: MultiTermSpec,
                             coeffs: EllipticCoeffField,
                             lower: LowerOrderTerm, grid: SpaceTimeGrid,
-                            source=None, conjugated: bool = False,
-                            spatial=None) -> np.ndarray:
+                            source=None, spatial=None) -> np.ndarray:
     """Discrete operator (or residual) on interior nodes at every time level.
 
     Computes the multi-term time operator minus the spatial operators,
-    minus ``source`` when given.  With ``conjugated`` the grid function is
-    multiplied by e^t first and the result by e^-t, realizing the
-    conjugated operator with the same discrete machinery.  ``spatial`` is
-    this grid function's column of a :func:`_spatial_walk` over a batch,
-    made with the same ``coeffs``, ``lower`` and scaling; it is added in
-    place of a walk of its own.
+    minus ``source`` when given.  ``spatial`` is this grid function's column
+    of a :func:`_spatial_walk` over a batch, made with the same ``coeffs``
+    and ``lower``; it is added in place of a walk of its own.
     """
     values = np.asarray(values, dtype=float)
     nt = grid.time.n_steps
     shape = grid.shape
     if values.shape != (nt + 1,) + shape:
         raise ValueError("values shape does not match the grid")
-    # the full rows are formed again for a walk rather than held through L1
-    out = multiterm_l1(_level_rows(values, grid, conjugated)[
-        :, _interior_flags(grid)], spec, grid.time.dt)
+    # the time part reads the interior through a view, copying nothing
+    out = multiterm_l1(values[(slice(None),) + grid.interior()], spec,
+                       grid.time.dt).reshape(nt + 1, -1)
     if spatial is None:
-        _spatial_walk(grid, coeffs, lower,
-                      _level_rows(values, grid, conjugated), out)
+        _spatial_walk(grid, coeffs, lower, values.reshape(nt + 1, -1), out)
     else:
         out += spatial
-    if conjugated:
-        out *= np.exp(-grid.time.nodes)[:, None]
     out = out.reshape((nt + 1,) + tuple(s - 2 for s in shape))
     if source is not None:
         out -= _source_levels(source, grid)[(slice(None),) + grid.interior()]

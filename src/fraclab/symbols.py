@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import EllipticCoeffField
+from .fields import SAMPLE_BLOCK, EllipticCoeffField
 from .fractional import MultiTermSpec
 from .geometry import HolmgrenMap, pushforward_operator, stretch_weights, \
     weighted_ellipticity_margin
@@ -672,12 +672,6 @@ class CertificateReport:
     @property
     def passed(self) -> bool:
         return self.n_samples > 0 and self.min_ratio > 0.0
-
-
-# Reductions evaluate the brackets on blocks of this many samples, so the
-# gradient temporaries stay small; every step is per sample, so the result
-# equals one call on all samples bit for bit.
-SAMPLE_BLOCK = 8192
 
 
 def _blockwise(fn, *arrays):

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from fraclab import (BetaSweepConfig, CarlemanWeightParams, HolmgrenMap,
-                     MultiTermSpec, SpaceTimeGrid, CompactBump, TimeGrid,
+                     LowerOrderTerm, MultiTermSpec, SpaceTimeGrid,
+                     CompactBump, TimeGrid, apply_discrete_operator,
                      beta_sweep, carleman_lhs, carleman_rhs,
                      conjugated_operator, default_bump_family,
                      diagonal_variable_field, identity_field,
                      pushforward_operator, sweep_rows_csv)
 from fraclab import solver
-from fraclab.carleman import BRANCH_THRESHOLD
+from fraclab.carleman import BRANCH_THRESHOLD, _conjugated_terms
 
 X = 0.1
 
@@ -123,6 +124,66 @@ class TestSides:
         assert np.abs(c_order[:, ring]).max() == 0.0
         assert (np.ascontiguousarray(f_order).tobytes()
                 == c_order.tobytes())
+
+
+class TestConjugation:
+    """The conjugated operator is e^-t times the shared operator of e^t v.
+
+    In one dimension the frame of the identity field has the identity as
+    its effective field and a zero tilt drift."""
+
+    def test_conjugation_is_pre_post_multiplication(self):
+        spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
+        _, frame, _ = setup()
+        grid = layer_grid(24, 17)
+        rng = np.random.default_rng(5)
+        u = rng.normal(size=(25, 17))
+        u[0] = 0.0
+        field = identity_field(1)
+        lower = LowerOrderTerm.zero()
+        times = grid.time.nodes
+        direct = conjugated_operator(u, grid, spec, frame,
+                                     include_drift=False)[:, 1:-1]
+        manual = apply_discrete_operator(
+            u * np.exp(times)[:, None], spec, field, lower, grid)
+        manual *= np.exp(-times)[:, None]
+        assert np.abs(direct - manual).max() < 1e-10 * max(1.0, np.abs(manual).max())
+
+    def test_conjugated_first_order_limit(self):
+        # for order one the conjugated operator is (d_t + 1 - L) up to the
+        # backward-difference error O(dt)
+        spec = MultiTermSpec(orders=(1.0,), weights=(1.0,))
+        _, frame, _ = setup()
+        grid = SpaceTimeGrid(bounds=((0.0, 1.0),), shape=(17,),
+                             time=TimeGrid.from_interval(1.0, 256))
+        mesh = grid.mesh()
+        times = grid.time.nodes
+        u = np.stack([t**3 * np.sin(np.pi * mesh[..., 0]) for t in times])
+        conj = conjugated_operator(u, grid, spec, frame,
+                                   include_drift=False)[:, 1:-1]
+        y = mesh[grid.interior()][..., 0]
+        expected = np.stack([
+            3.0 * t**2 * np.sin(np.pi * y) + t**3 * np.sin(np.pi * y)
+            + np.pi**2 * t**3 * np.sin(np.pi * y) for t in times])
+        err = np.abs(conj - expected)[1:].max()
+        assert err < 0.1  # dominated by O(dt) of the causal difference
+
+    @pytest.mark.parametrize("include_drift", [True, False])
+    def test_walked_spatial_part_is_bitwise_the_own_walk(self, include_drift):
+        spec, frame, _, grid = sweep_case(2, 1.5)
+        batch = np.random.default_rng(2).normal(size=(21, 13, 17, 3))
+        # one walk over the levels for the whole batch, of e^t times each
+        block = batch.reshape(21, -1, 3) * np.exp(grid.time.nodes)[:, None,
+                                                                     None]
+        walked = solver._spatial_walk(grid, *_conjugated_terms(frame), block,
+                                      np.zeros((21, 11 * 15, 3)))
+        for b in range(3):
+            own = conjugated_operator(batch[..., b], grid, spec, frame,
+                                      include_drift=include_drift)
+            given = conjugated_operator(batch[..., b], grid, spec, frame,
+                                        include_drift=include_drift,
+                                        spatial=walked[..., b])
+            assert given.tobytes() == own.tobytes()
 
 
 class TestBumpShapes:
@@ -282,9 +343,9 @@ def reference_rows(config, bumps, grid, frame):
                               for d, h in enumerate(grid.spacing)], axis=-1)
             lhs = beta**3 * weighted(v**2, beta)
             lhs += beta * weighted(np.sum(grads**2, axis=-1), beta)
-            if config.alpha >= BRANCH_THRESHOLD:
+            if config.spec.alpha >= BRANCH_THRESHOLD:
                 dt_v = np.gradient(v, grid.time.dt, axis=0, edge_order=2)
-                lhs += beta ** (3.0 - 4.0 / config.alpha) * weighted(
+                lhs += beta ** (3.0 - 4.0 / config.spec.alpha) * weighted(
                     dt_v**2, beta)
             rhs = weighted(image**2, beta)
             rows.append((lhs, rhs, lhs / rhs))

@@ -48,8 +48,9 @@ def marched_reference(spec, field, source, grid):
     inside = np.zeros(grid.shape, dtype=bool)
     inside[grid.interior()] = True
     inside = inside.reshape(-1)
-    mats = list(solver._level_operators(grid, field, LowerOrderTerm.zero(),
-                                        grid.time.nodes))
+    mats = [mat for mat, count in solver._level_operators(
+        grid, field, LowerOrderTerm.zero(), grid.time.nodes)
+        for _ in range(count)]
     u = np.zeros((grid.time.n_steps + 1,) + grid.shape)
     for k in range(1, grid.time.n_steps + 1):
         rest = apply_discrete_operator(u, spec, field, LowerOrderTerm.zero(),
@@ -233,10 +234,13 @@ class TestSolve:
         plain = EllipticCoeffField(n=flagged.n, a=flagged.a,
                                    da_dt=flagged.da_dt, da_dy=flagged.da_dy,
                                    delta=flagged.delta)
-        assert flagged.time_independent and not plain.time_independent
         spec = MultiTermSpec(orders=(1.5, 0.5), weights=(1.0, 0.5))
         grid = SpaceTimeGrid(bounds=((0.0, 1.0),) * len(shape), shape=shape,
                              time=TimeGrid.from_interval(1.0, 2 * 64 + 3))
+        # b0 changes at every level, so only the field without it is one run
+        counts = [count for _, count in solver._level_operators(
+            grid, plain, lower, grid.time.nodes)]
+        assert counts == ([132] if lower.b0 is None else [1] * 132)
         source = lambda t, Y: t * np.sin(np.pi * Y[..., 0])
         results = [solve(spec, field, lower, source, grid)
                    for field in (flagged, plain)]
@@ -244,6 +248,15 @@ class TestSolve:
                 == results[1].field.values.tobytes())
         assert (results[0].diagnostics["equation_residual_max"]
                 == results[1].diagnostics["equation_residual_max"])
+
+    def test_residual_skips_the_pinned_initial_level(self):
+        # f(0) = 1 is never solved for: u_0 is pinned to zero
+        spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
+        grid = SpaceTimeGrid(bounds=((0.0, 1.0), (0.0, 1.0)), shape=(7, 7),
+                             time=TimeGrid.from_interval(1.0, 12))
+        result = solve(spec, diagonal_variable_field(2), LowerOrderTerm.zero(),
+                       lambda t, Y: np.ones(Y.shape[:-1]), grid)
+        assert result.diagnostics["equation_residual_max"] <= 1e-10
 
     def test_time_independent_field_is_sampled_once(self):
         calls = []
@@ -364,22 +377,6 @@ class TestDiscreteOperator:
         rhs = 2.0 * op(u) - 3.0 * op(v)
         assert np.abs(lhs - rhs).max() < 1e-11
 
-    def test_conjugation_flag_is_pre_post_multiplication(self):
-        spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
-        grid = grid_1d(24, 17)
-        rng = np.random.default_rng(5)
-        u = rng.normal(size=(25, 17))
-        u[0] = 0.0
-        field = identity_field(1)
-        lower = LowerOrderTerm.zero()
-        times = grid.time.nodes
-        direct = apply_discrete_operator(u, spec, field, lower, grid,
-                                         conjugated=True)
-        manual = apply_discrete_operator(
-            u * np.exp(times)[:, None], spec, field, lower, grid)
-        manual *= np.exp(-times)[:, None]
-        assert np.abs(direct - manual).max() < 1e-10 * max(1.0, np.abs(manual).max())
-
     def test_level_matrix_on_a_block_equals_matvecs_bitwise(self):
         # the batched walk relies on this: CSR @ (n x B) rounds column by
         # column exactly like B matrix-vector products
@@ -388,8 +385,8 @@ class TestDiscreteOperator:
         lower = LowerOrderTerm(b=lambda t, Y: np.stack(
             [np.cos(Y[..., 0] + t), Y[..., 1]], axis=-1))
         block = np.random.default_rng(7).normal(size=(99, 5))
-        for mat in solver._level_operators(grid, diagonal_variable_field(2),
-                                           lower, grid.time.nodes):
+        for mat, _ in solver._level_operators(grid, diagonal_variable_field(2),
+                                              lower, grid.time.nodes):
             product = mat @ block
             for b in range(block.shape[1]):
                 assert (product[:, b].tobytes()
@@ -398,8 +395,8 @@ class TestDiscreteOperator:
     @pytest.mark.parametrize("trailing", [(), (3,)], ids=["rows", "block"])
     def test_runs_of_one_matrix_equal_per_level_products_bitwise(self,
                                                                  trailing):
-        # a time-independent field gives one matrix object for every level;
-        # the walk applies it to up to BLOCK levels in one product
+        # a constant field gives one run for every level; the walk applies
+        # its matrix to up to BLOCK levels in one product
         grid = SpaceTimeGrid(bounds=((0.0, 1.0), (0.0, 1.0)), shape=(9, 11),
                              time=TimeGrid.from_interval(1.0, 2 * 64 + 3))
         field = constant_field(np.array([[1.0, 0.3], [0.3, 0.8]]))
@@ -408,10 +405,10 @@ class TestDiscreteOperator:
         start = rng.normal(size=(132, 63) + trailing)
         walked = solver._spatial_walk(grid, field, LowerOrderTerm.zero(),
                                       work, start.copy())
-        mats = list(solver._level_operators(grid, field, LowerOrderTerm.zero(),
-                                            grid.time.nodes))
-        assert all(mat is mats[0] for mat in mats)
-        for k, mat in enumerate(mats):
+        ((mat, count),) = solver._level_operators(
+            grid, field, LowerOrderTerm.zero(), grid.time.nodes)
+        assert count == 132
+        for k in range(count):
             assert (walked[k].tobytes()
                     == (start[k] + mat @ work[k]).tobytes())
 
@@ -422,40 +419,117 @@ class TestDiscreteOperator:
         field = diagonal_variable_field(2)
         lower = LowerOrderTerm(b0=lambda t, Y: np.sin(Y[..., 0] * t))
         batch = np.random.default_rng(2).normal(size=(13, 7, 8, 3))
-        for conjugated in (False, True):
-            # one walk over the levels for the whole batch
-            block = np.stack([solver._level_rows(batch[..., b], grid,
-                                                 conjugated)
-                              for b in range(3)], axis=-1)
-            walked = solver._spatial_walk(grid, field, lower, block,
-                                          np.zeros((13, 30, 3)))
-            for b in range(3):
-                own = apply_discrete_operator(batch[..., b], spec, field,
-                                              lower, grid,
-                                              conjugated=conjugated)
-                given = apply_discrete_operator(batch[..., b], spec, field,
-                                                lower, grid,
-                                                conjugated=conjugated,
-                                                spatial=walked[..., b])
-                assert given.tobytes() == own.tobytes()
+        # one walk over the levels for the whole batch
+        block = batch.reshape(13, -1, 3)
+        walked = solver._spatial_walk(grid, field, lower, block,
+                                      np.zeros((13, 30, 3)))
+        for b in range(3):
+            own = apply_discrete_operator(batch[..., b], spec, field,
+                                          lower, grid)
+            given = apply_discrete_operator(batch[..., b], spec, field,
+                                            lower, grid,
+                                            spatial=walked[..., b])
+            assert given.tobytes() == own.tobytes()
 
-    def test_conjugated_first_order_limit(self):
-        # for order one the conjugated operator is (d_t + 1 - L) up to the
-        # backward-difference error O(dt)
-        spec = MultiTermSpec(orders=(1.0,), weights=(1.0,))
-        grid = grid_1d(256, 17)
-        mesh = grid.mesh()
+
+def switching_field(t_on, t_off):
+    """1D field a = 0.5 on [t_on, t_off) and 1 elsewhere."""
+    def a(t, y):
+        t = np.asarray(t, dtype=float)
+        level = np.where((t >= t_on) & (t < t_off), 0.5, 1.0)[..., None, None]
+        batch = np.broadcast_shapes(t.shape, np.shape(y)[:-1])
+        return np.broadcast_to(level, batch + (1, 1)).copy()
+
+    return EllipticCoeffField(
+        n=1, a=a, da_dt=lambda t, y: np.zeros(np.shape(y)[:-1] + (1, 1)),
+        da_dy=lambda t, y: np.zeros(np.shape(y)[:-1] + (1, 1, 1)), delta=0.5)
+
+
+def per_level_runs(grid, coeffs, lower, times):
+    """Runs from one sample and one _spatial_matrix per level, merged while
+    consecutive samples are exactly equal."""
+    y_int = grid.mesh()[grid.interior()].reshape(-1, grid.ndim)
+    terms = (coeffs.a, lower.b, lower.b0)
+    runs = []
+    for t in times:
+        sampled = [None if f is None else np.asarray(f(t, y_int), dtype=float)
+                   for f in terms]
+        if runs and all(s is None or np.array_equal(s, p)
+                        for s, p in zip(sampled, runs[-1][2])):
+            runs[-1][1] += 1
+        else:
+            runs.append([solver._spatial_matrix(grid, *sampled), 1, sampled])
+    for mat, count, _ in runs:
+        yield mat, count
+
+
+class TestLevelRuns:
+    def test_switch_at_a_sampling_block_boundary(self, monkeypatch):
+        # 128 interior nodes: 64 levels per sampling call, so level 64 (A->B)
+        # opens the walk's second block and closes the solve's first
+        n_steps = 130
+        grid = grid_1d(n_steps, 130)
+        dt = grid.time.dt
+        assert solver.SAMPLE_BLOCK // 128 == 64
+        field = switching_field(63.5 * dt, 99.5 * dt)
+        lower = LowerOrderTerm.zero()
         times = grid.time.nodes
-        u = np.stack([t**3 * np.sin(np.pi * mesh[..., 0]) for t in times])
-        field = identity_field(1)
-        conj = apply_discrete_operator(u, spec, field, LowerOrderTerm.zero(),
-                                       grid, conjugated=True)
-        y = mesh[grid.interior()][..., 0]
-        expected = np.stack([
-            3.0 * t**2 * np.sin(np.pi * y) + t**3 * np.sin(np.pi * y)
-            + np.pi**2 * t**3 * np.sin(np.pi * y) for t in times])
-        err = np.abs(conj - expected)[1:].max()
-        assert err < 0.1  # dominated by O(dt) of the causal difference
+        for levels, counts in ((times, [64, 36, 31]),
+                               (times[1:], [63, 36, 31])):
+            runs = list(solver._level_operators(grid, field, lower, levels))
+            assert [count for _, count in runs] == counts
+        spec = MultiTermSpec(orders=(1.5, 0.5), weights=(1.0, 0.5))
+        source = lambda t, Y: t * np.sin(np.pi * Y[..., 0])
+        result = solve(spec, field, lower, source, grid)
+        monkeypatch.setattr(solver, "_level_operators", per_level_runs)
+        reference = solve(spec, field, lower, source, grid)
+        assert (result.field.values.tobytes()
+                == reference.field.values.tobytes())
+        assert result.diagnostics == reference.diagnostics
+        assert result.diagnostics["equation_residual_max"] <= 1e-10
+
+    def test_time_constant_terms_assemble_once_per_walk(self, monkeypatch):
+        identity = identity_field(2)
+        field = EllipticCoeffField(n=2, a=identity.a, da_dt=identity.da_dt,
+                                   da_dy=identity.da_dy, delta=1.0)
+        lower = LowerOrderTerm(b0=lambda t, Y: -0.5 * np.cos(Y[..., 0]))
+        # 49 interior nodes: 167 levels per sampling call, three calls
+        grid = SpaceTimeGrid(bounds=((0.0, 1.0), (0.0, 1.0)), shape=(9, 9),
+                             time=TimeGrid.from_interval(1.0, 400))
+        calls = []
+        assemble = solver._spatial_matrix
+
+        def counting(*args):
+            calls.append(1)
+            return assemble(*args)
+
+        monkeypatch.setattr(solver, "_spatial_matrix", counting)
+        work = np.random.default_rng(1).normal(size=(401, 81))
+        solver._spatial_walk(grid, field, lower, work, np.zeros((401, 49)))
+        assert len(calls) == 1
+        ((_, count),) = solver._level_operators(grid, field, lower,
+                                                grid.time.nodes)
+        assert count == 401
+
+    @pytest.mark.parametrize("make_field, shape, n_steps", [
+        (lambda: identity_field(1), (33,), 200),
+        (lambda: diagonal_variable_field(2), (9, 9), 400),
+        (lambda: rotating_anisotropic_field(2, spin=0.0), (9, 9), 400),
+        (lambda: switching_field(0.3, 0.6), (17,), 1000),
+        # more interior nodes than SAMPLE_BLOCK: one level per call
+        (lambda: diagonal_variable_field(2), (93, 93), 3),
+    ], ids=["identity", "diagonal", "rotating-still", "switching", "large"])
+    def test_run_counts_sum_to_the_levels(self, make_field, shape, n_steps):
+        grid = SpaceTimeGrid(bounds=((0.0, 1.0),) * len(shape), shape=shape,
+                             time=TimeGrid.from_interval(1.0, n_steps))
+        lower = LowerOrderTerm(
+            b=lambda t, Y: np.cos(Y + np.asarray(t)[..., None]))
+        for times in (grid.time.nodes, grid.time.nodes[1:]):
+            for terms in (LowerOrderTerm.zero(), lower):
+                counts = [count for _, count in solver._level_operators(
+                    grid, make_field(), terms, times)]
+                assert sum(counts) == len(times)
+                assert min(counts) >= 1
 
 
 class TestSerialization:
