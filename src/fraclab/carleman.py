@@ -54,13 +54,13 @@ class CompactBump:
         """Samples of shape (len(times), *mesh.shape[:-1])."""
         xs = self._pieces(0.0, mesh)[3]     # the space factors, formed once
         s = np.clip(np.asarray(times, dtype=float) / self.t_span, 0.0, 1.0)
-        out = []
-        for si in s:
-            v = self.amplitude * (si * (1.0 - si)) ** 4
-            for xb in xs:
-                v = v * xb
-            out.append(np.broadcast_to(v, mesh.shape[:-1]).copy())
-        return np.stack(out)
+        # the time factor per level as a scalar power: an array ** 4
+        # rounds differently
+        v = np.array([self.amplitude * (si * (1.0 - si)) ** 4 for si in s])
+        v = v.reshape((-1,) + (1,) * (mesh.ndim - 1))
+        for xb in xs:
+            v = v * xb
+        return v
 
     def space_gradient(self, times, mesh):
         """Analytic first derivatives, shape (nt, *space, ndim)."""

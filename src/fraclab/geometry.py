@@ -83,6 +83,28 @@ class HolmgrenMap:
                 "T": self.T, "stage": self.stage}
 
 
+def _congruence(m, a):
+    """M^T a M of stacked matrices, as explicit products.
+
+    Each entry sums (m[j, i] a[j, k]) m[k, l] over j in the outer loop and
+    k in the inner one, starting from 0.0.  A floating-point sum depends on
+    its order: this is the order ``np.einsum`` takes for the same
+    three-operand contraction on C-ordered operands, as the fields return,
+    so the result is bitwise the einsum's, while ``swapaxes(m) @ a @ m``
+    sums in another order and is not.
+    """
+    n = m.shape[-1]
+    out = np.empty(np.broadcast_shapes(m.shape, a.shape))
+    for i in range(n):
+        for l in range(n):
+            acc = np.zeros(out.shape[:-2])
+            for j in range(n):
+                for k in range(n):
+                    acc += m[..., j, i] * a[..., j, k] * m[..., k, l]
+            out[..., i, l] = acc
+    return out
+
+
 @dataclass(frozen=True)
 class HolmgrenFrame:
     """Coefficient data of the operator rewritten in the new coordinates.
@@ -118,8 +140,7 @@ class HolmgrenFrame:
         M maps duals by zeta_j = xi_j + 2 c x_j xi_n (j < n), zeta_n = xi_n.
         """
         a = np.asarray(self.field.a(t, x), dtype=float)
-        m = self._tilt_matrix(x)
-        return np.einsum("...ji,...jk,...kl->...il", m, a, m)
+        return _congruence(self._tilt_matrix(x), a)
 
     def effective_field(self) -> EllipticCoeffField:
         """Field of the tilted quadratic form, with exact derivatives.
@@ -137,9 +158,8 @@ class HolmgrenFrame:
             return self.effective_matrix(t, x)
 
         def da_dt(t, x):
-            m = self._tilt_matrix(x)
-            return np.einsum("...ji,...jk,...kl->...il", m,
-                             np.asarray(base.da_dt(t, x), dtype=float), m)
+            return _congruence(self._tilt_matrix(x),
+                               np.asarray(base.da_dt(t, x), dtype=float))
 
         def da_dx(t, x):
             x = np.asarray(x, dtype=float)

@@ -7,7 +7,8 @@ uses the L1 machinery of :mod:`fraclab.fractional`.
 One per-level operator serves the solver, its residual check and the
 Carleman image: a private generator samples a, b and b0 on blocks of time
 levels and yields -(L + l1), rows on interior nodes and columns on all
-nodes, as runs ``(matrix, count)``.  A level starts a new run exactly when
+nodes, as runs ``(matrix, count)``.  Every matrix fills one CSR sparsity
+pattern, built once per walk.  A level starts a new run exactly when
 one of its samples differs from the level before it, so reuse is decided
 from the samples alone.  One walk over the levels serves a block of grid
 functions, as in the Carleman sweep, and applies each run as one product
@@ -18,7 +19,8 @@ matrix has been factorized is solved directly.  Otherwise the LU of an
 earlier run is kept and iterative refinement with it runs until the
 residual is at most 1e-13 of the right-hand side; a step that needs more
 than ``REFINE_CAP`` refinement steps factorizes its run's matrix and solves
-directly.  The diagnostics count factorizations, steps solved through a
+directly, and so does a step whose refinement contracts too slowly for
+the cap.  The diagnostics count factorizations, steps solved through a
 stale LU (``lu_reuses``) and refinement steps.  The ``condition_estimate``
 diagnostic is the one-norm condition number of the first interior system:
 its exact largest column sum times the single-column Higham estimate of
@@ -38,6 +40,7 @@ then adds its at most ``BLOCK`` recent terms.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -197,55 +200,76 @@ def _interior_flags(grid: SpaceTimeGrid) -> np.ndarray:
     return inside.reshape(-1)
 
 
-def _spatial_matrix(grid: SpaceTimeGrid, a, bvec, bzero):
-    """Sparse matrix of -(L + l1), rows on interior nodes, columns on all.
+def _stencil_pattern(grid: SpaceTimeGrid):
+    """CSR structure shared by every matrix of :func:`_spatial_matrix`.
 
-    ``a``, ``bvec`` and ``bzero`` are the coefficients sampled on the
-    interior nodes (the last two may be None).  The column space runs over
-    all nodes so callers can split off the boundary coupling.
+    Each interior row holds one entry per stencil offset, in column order,
+    whatever the coefficients (exact zeros stay stored), so the structure
+    depends on the grid shape alone.  Returns ``(template, slot)``: a CSR
+    matrix whose ``indices`` and ``indptr`` every level shares, and the
+    position in a row of each linear offset.
     """
     import scipy.sparse as sp
     nd = grid.ndim
     shape = grid.shape
-    h = grid.spacing
-    strides = np.array([int(np.prod(shape[d + 1:])) for d in range(nd)])
+    strides = [math.prod(shape[d + 1:]) for d in range(nd)]
+    offsets = {0}
+    for d1 in range(nd):
+        offsets |= {strides[d1], -strides[d1]}
+        for d2 in range(d1 + 1, nd):
+            offsets |= {s1 * strides[d1] + s2 * strides[d2]
+                        for s1 in (1, -1) for s2 in (1, -1)}
+    ordered = np.array(sorted(offsets))
     rows_lin = np.flatnonzero(_interior_flags(grid))
-    row_ids = np.arange(len(rows_lin))
+    indices = (rows_lin[:, None] + ordered).reshape(-1)
+    indptr = np.arange(0, indices.size + 1, len(ordered))
+    # scipy picks the index dtype here, once; each level reuses the arrays
+    template = sp.csr_matrix((np.zeros(indices.size), indices, indptr),
+                             shape=(len(rows_lin), math.prod(shape)))
+    return template, {int(o): j for j, o in enumerate(ordered)}
 
-    rows, cols, vals = [], [], []
 
-    def add(offsets, weight):
-        rows.append(row_ids)
-        cols.append(rows_lin + offsets @ strides)
-        vals.append(weight)
+def _spatial_matrix(grid: SpaceTimeGrid, a, bvec, bzero, pattern=None):
+    """Sparse matrix of -(L + l1), rows on interior nodes, columns on all.
 
-    center = np.zeros(len(rows_lin))
+    ``a``, ``bvec`` and ``bzero`` are the coefficients sampled on the
+    interior nodes (the last two may be None).  The column space runs over
+    all nodes so callers can split off the boundary coupling.  ``pattern``
+    is the grid's :func:`_stencil_pattern`, built here when not given.  The
+    first-order term shares the slots of the axis neighbours; with two
+    addends per slot the order of the sum cannot change it.
+    """
+    import scipy.sparse as sp
+    template, slot = _stencil_pattern(grid) if pattern is None else pattern
+    nd = grid.ndim
+    h = grid.spacing
+    strides = [math.prod(grid.shape[d + 1:]) for d in range(nd)]
+    data = np.empty((template.shape[0], len(slot)))
+
+    center = np.zeros(len(data))
     for d in range(nd):
-        off = np.zeros(nd, dtype=int)
-        off[d] = 1
         w2 = a[:, d, d] / h[d] ** 2
-        add(off, -w2)
-        add(-off, -w2)
+        up, down = slot[strides[d]], slot[-strides[d]]
+        data[:, up] = -w2
+        data[:, down] = -w2
         center += 2.0 * w2
         if bvec is not None:
             w1 = bvec[:, d] / (2.0 * h[d])
-            add(off, -w1)
-            add(-off, w1)
+            data[:, up] -= w1
+            data[:, down] += w1
     for d1 in range(nd):
         for d2 in range(d1 + 1, nd):
             w = 2.0 * a[:, d1, d2] / (4.0 * h[d1] * h[d2])
             for s1 in (1, -1):
                 for s2 in (1, -1):
-                    off = np.zeros(nd, dtype=int)
-                    off[d1], off[d2] = s1, s2
-                    add(off, -w * s1 * s2)
+                    data[:, slot[s1 * strides[d1] + s2 * strides[d2]]] = (
+                        -w * s1 * s2)
     if bzero is not None:
         center -= bzero
-    add(np.zeros(nd, dtype=int), center)
+    data[:, slot[0]] = center
 
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(len(rows_lin), int(np.prod(shape)))).tocsr()
+    return sp.csr_matrix((data.reshape(-1), template.indices,
+                          template.indptr), shape=template.shape)
 
 
 def _level_operators(grid: SpaceTimeGrid, coeffs: EllipticCoeffField,
@@ -258,10 +282,11 @@ def _level_operators(grid: SpaceTimeGrid, coeffs: EllipticCoeffField,
     level), as flat ``t`` of shape (N,) and ``y`` of shape (N, n).  A level
     starts a new run when any of its samples differs from the level before
     it, the previous block's last level included, so each run's matrix is
-    assembled once.
+    assembled once, into the :func:`_stencil_pattern` built once per walk.
     """
     y_int = grid.mesh()[grid.interior()].reshape(-1, grid.ndim)
     n_int, n = y_int.shape
+    pattern = _stencil_pattern(grid)
     terms = ((coeffs.a, (n, n)), (lower.b, (n,)), (lower.b0, ()))
     per_call = max(1, SAMPLE_BLOCK // n_int)
     mat = last = None
@@ -282,7 +307,8 @@ def _level_operators(grid: SpaceTimeGrid, coeffs: EllipticCoeffField,
                 if mat is not None:
                     yield mat, count
                 mat, count = _spatial_matrix(grid, *(
-                    None if v is None else v[i] for v in sampled)), 0
+                    None if v is None else v[i] for v in sampled),
+                    pattern=pattern), 0
             count += 1
     yield mat, count
 
@@ -310,17 +336,26 @@ def _refine(lu, system, rhs):
     Iterative refinement x += LU^-1 (rhs - system x) runs until
     max|rhs - system x| <= 1e-13 max|rhs|.  Returns ``(x, residual,
     steps)``, with x None when ``REFINE_CAP`` steps do not reach that.
+    From the second step on it also gives up once the residual, shrunk by
+    the best contraction ratio so far at each step left, would still miss
+    the target: a ratio of 1 or more, or NaN, never reaches it.
     """
     x = lu.solve(rhs)
     res = rhs - system @ x
     tol = 1e-13 * np.abs(rhs).max()
+    size = np.abs(res).max()
+    best = np.inf
     steps = 0
-    # "not <=" so that a NaN residual counts as not converged
-    while not np.abs(res).max() <= tol:
-        if steps == REFINE_CAP:
+    # "not <=" so that a NaN residual or ratio counts as not converging
+    while not size <= tol:
+        if steps == REFINE_CAP or (
+                steps >= 2
+                and not size * best ** (REFINE_CAP - steps) <= tol):
             return None, None, steps
         x += lu.solve(res)
         res = rhs - system @ x
+        last, size = size, np.abs(res).max()
+        best = np.minimum(best, size / last)   # propagates a NaN ratio
         steps += 1
     return x, res, steps
 

@@ -216,6 +216,28 @@ class TestBumpShapes:
         assert np.abs(d_exact - d_fd).max() < 2e-3 * np.abs(d_exact).max()
 
 
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_values_equal_per_level_products_bitwise(self, ndim):
+        grid = SpaceTimeGrid(bounds=((0.0, X),) * ndim,
+                             shape=(9,) * (ndim - 1) + (17,),
+                             time=TimeGrid.from_interval(1.3, 37))
+        mesh = grid.mesh()
+        bump = CompactBump(centers=(0.4 * X,) * ndim,
+                           halfwidths=(0.35 * X,) * ndim, t_span=1.1,
+                           amplitude=1.7)
+        xs = [np.clip(1.0 - ((mesh[..., i] - c) / w) ** 2, 0.0, None) ** 4
+              for i, (c, w) in enumerate(zip(bump.centers, bump.halfwidths))]
+        levels = []
+        for t in grid.time.nodes:
+            s = min(max(t / bump.t_span, 0.0), 1.0)
+            v = bump.amplitude * np.float64(s * (1.0 - s)) ** 4
+            for xb in xs:
+                v = v * xb
+            levels.append(v)
+        got = bump.values(grid.time.nodes, mesh)
+        assert got.tobytes() == np.stack(levels).tobytes()
+
+
 class TestSweep:
     def test_config_validation(self):
         weight = CarlemanWeightParams(X=X)
@@ -373,9 +395,9 @@ class TestSweepBatching:
         assembled = []
         original = solver._spatial_matrix
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             assembled.append(1)
-            return original(*args)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(solver, "_spatial_matrix", counting)
         config = BetaSweepConfig(betas=(25.0, 250.0), weight=weight,

@@ -1,0 +1,31 @@
+"""Smoke test: every demo script and every demo config runs and passes."""
+
+import json
+import pathlib
+import runpy
+
+import pytest
+
+from fraclab import cli
+
+DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+
+
+@pytest.mark.parametrize("script", sorted(DEMOS.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_demo_script_runs(script, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    try:
+        runpy.run_path(str(script), run_name="__main__")
+    except SystemExit as exc:
+        assert exc.code in (None, 0)
+
+
+@pytest.mark.parametrize("config", sorted(DEMOS.glob("configs/*.json")),
+                         ids=lambda p: p.stem)
+def test_demo_config_passes(config, tmp_path):
+    out = tmp_path / config.stem
+    code = cli.main([config.stem, "--config", str(config), "--out", str(out)])
+    assert code == 0
+    with open(out / "summary.json") as fh:
+        assert json.load(fh)["pass"] is True

@@ -9,9 +9,31 @@ from fraclab import (ContinuationRegion, CutoffSpec, HolmgrenMap,
                      diagonal_variable_field, global_coefficients,
                      global_diffeo_forward, global_diffeo_inverse,
                      global_diffeo_jacobian_diag, identity_field,
-                     make_cutoffs, pushforward_operator, smooth_step,
+                     make_cutoffs, polynomial_field, pushforward_operator,
+                     rotating_anisotropic_field, smooth_step,
                      stretch_weights, weighted_ellipticity_margin)
 from fraclab.geometry import schedule_to_json
+
+
+def polynomial_preset(n):
+    tables = [{"j": j, "k": j, "terms": [
+        {"coeff": 1.5, "t_pow": 0, "y_pows": [0] * n},
+        {"coeff": 0.2, "t_pow": 1, "y_pows": [2] + [0] * (n - 1)}]}
+        for j in range(n)]
+    if n > 1:
+        tables.append({"j": 0, "k": n - 1, "terms": [
+            {"coeff": 0.1, "t_pow": 1, "y_pows": [1] + [0] * (n - 2) + [1]}]})
+    return polynomial_field(n, tables, delta=0.5)
+
+
+FIELD_PRESETS = {
+    "identity": identity_field,
+    "diagonal": diagonal_variable_field,
+    "rotating": lambda n: rotating_anisotropic_field(n, spin=0.7, shear=1.1),
+    "polynomial": polynomial_preset,
+    "constant": lambda n: constant_field(
+        np.eye(n) + 0.2 * np.ones((n, n)), delta=0.5),
+}
 
 
 class TestHolmgrenMap:
@@ -156,6 +178,30 @@ class TestPushforward:
         _, y = hmap.inverse(t, x)
         pushed = bump(t, y)
         assert np.all(pushed[x[:, -1] < 0.0] == 0.0)
+
+
+class TestCongruence:
+    @pytest.mark.parametrize("c", [0.0, 1.5])
+    @pytest.mark.parametrize("preset, n", [
+        (preset, n) for preset in sorted(FIELD_PRESETS) for n in (1, 2, 3)
+        # the rotating field needs two dimensions
+        if (preset, n) != ("rotating", 1)])
+    def test_effective_forms_equal_einsum_bitwise(self, preset, n, c):
+        hmap = HolmgrenMap(y_hat=np.zeros(n), c=c, X=0.05, T=1.0)
+        frame = pushforward_operator(FIELD_PRESETS[preset](n), hmap)
+        eff = frame.effective_field()
+        rng = np.random.default_rng(n)
+        points = [(rng.uniform(0.0, 1.0, 500), rng.normal(size=(500, n))),
+                  (0.3, rng.normal(size=(7, 9, n))),
+                  (0.8, rng.normal(size=n))]
+        for t, x in points:
+            m = frame._tilt_matrix(x)
+            for got, base in ((frame.effective_matrix(t, x), frame.field.a),
+                              (eff.da_dt(t, x), frame.field.da_dt)):
+                want = np.einsum("...ji,...jk,...kl->...il", m,
+                                 np.asarray(base(t, x), dtype=float), m)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 class TestGlobalDiffeo:

@@ -61,6 +61,22 @@ def marched_reference(spec, field, source, grid):
     return u
 
 
+def capped_refine(lu, system, rhs):
+    """``solver._refine`` without its contraction stop: it runs until the
+    target or ``REFINE_CAP`` steps."""
+    x = lu.solve(rhs)
+    res = rhs - system @ x
+    tol = 1e-13 * np.abs(rhs).max()
+    steps = 0
+    while not np.abs(res).max() <= tol:
+        if steps == solver.REFINE_CAP:
+            return None, None, steps
+        x += lu.solve(res)
+        res = rhs - system @ x
+        steps += 1
+    return x, res, steps
+
+
 class TestSolve:
     def test_zero_data_zero_solution(self):
         spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
@@ -304,8 +320,34 @@ class TestSolve:
         diag = result.diagnostics
         assert diag["factorizations"] == 24
         assert diag["lu_reuses"] == 0
-        assert diag["refinement_steps"] == solver.REFINE_CAP * 23
+        # each step gives up after the two steps its contraction rate needs
+        assert diag["refinement_steps"] == 2 * 23
         assert diag["equation_residual_max"] <= 1e-10
+
+    # every step refactorizes at spin 2 pi and 50; at spin 2 a rule that
+    # judged the rate from one ratio would also give up on converging steps
+    @pytest.mark.parametrize("spin", [2.0 * math.pi, 50.0, 2.0, 0.3])
+    def test_refinement_stops_when_it_cannot_converge(self, monkeypatch,
+                                                      spin):
+        field = rotating_anisotropic_field(2, spin=spin, shear=0.5)
+        spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
+        grid = SpaceTimeGrid(bounds=((0.0, 1.0), (0.0, 1.0)), shape=(25, 25),
+                             time=TimeGrid.from_interval(1.0, 32))
+
+        def run():
+            return solve(spec, field, LowerOrderTerm.zero(),
+                         lambda t, Y: t * np.ones(Y.shape[:-1]), grid,
+                         check_residual=False)
+
+        result = run()
+        monkeypatch.setattr(solver, "_refine", capped_refine)
+        reference = run()
+        assert (result.field.values.tobytes()
+                == reference.field.values.tobytes())
+        diag, ref = result.diagnostics, reference.diagnostics
+        for key in ("factorizations", "lu_reuses", "condition_estimate"):
+            assert diag[key] == ref[key]
+        assert diag["refinement_steps"] < ref["refinement_steps"]
 
     @pytest.mark.parametrize("make_field, shape", [
         (identity_field, (33,)), (diagonal_variable_field, (15, 15))],
@@ -499,9 +541,9 @@ class TestLevelRuns:
         calls = []
         assemble = solver._spatial_matrix
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             calls.append(1)
-            return assemble(*args)
+            return assemble(*args, **kwargs)
 
         monkeypatch.setattr(solver, "_spatial_matrix", counting)
         work = np.random.default_rng(1).normal(size=(401, 81))
@@ -530,6 +572,111 @@ class TestLevelRuns:
                     grid, make_field(), terms, times)]
                 assert sum(counts) == len(times)
                 assert min(counts) >= 1
+
+
+def coo_spatial_matrix(grid, a, bvec, bzero):
+    """-(L + l1) assembled term by term as COO triplets, summed by tocsr."""
+    nd = grid.ndim
+    shape = grid.shape
+    h = grid.spacing
+    strides = np.array([int(np.prod(shape[d + 1:])) for d in range(nd)])
+    rows_lin = np.flatnonzero(solver._interior_flags(grid))
+    row_ids = np.arange(len(rows_lin))
+    rows, cols, vals = [], [], []
+
+    def add(offsets, weight):
+        rows.append(row_ids)
+        cols.append(rows_lin + offsets @ strides)
+        vals.append(weight)
+
+    center = np.zeros(len(rows_lin))
+    for d in range(nd):
+        off = np.zeros(nd, dtype=int)
+        off[d] = 1
+        w2 = a[:, d, d] / h[d] ** 2
+        add(off, -w2)
+        add(-off, -w2)
+        center += 2.0 * w2
+        if bvec is not None:
+            w1 = bvec[:, d] / (2.0 * h[d])
+            add(off, -w1)
+            add(-off, w1)
+    for d1 in range(nd):
+        for d2 in range(d1 + 1, nd):
+            w = 2.0 * a[:, d1, d2] / (4.0 * h[d1] * h[d2])
+            for s1 in (1, -1):
+                for s2 in (1, -1):
+                    off = np.zeros(nd, dtype=int)
+                    off[d1], off[d2] = s1, s2
+                    add(off, -w * s1 * s2)
+    if bzero is not None:
+        center -= bzero
+    add(np.zeros(nd, dtype=int), center)
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(len(rows_lin), int(np.prod(shape)))).tocsr()
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("with_b0", [False, True], ids=["", "b0"])
+    @pytest.mark.parametrize("with_b", [False, True], ids=["", "b"])
+    @pytest.mark.parametrize("shape", [(9,), (7, 8), (5, 6, 7)],
+                             ids=["1d", "2d", "3d"])
+    def test_pattern_assembly_equals_coo_reference(self, shape, with_b,
+                                                   with_b0):
+        rng = np.random.default_rng(len(shape) + 3 * with_b + 7 * with_b0)
+        # spacing 1/8, so b = 16 a makes b/(2h) equal a/h^2 exactly
+        grid = SpaceTimeGrid(bounds=tuple((0.0, (s - 1) / 8.0)
+                                          for s in shape),
+                             shape=shape, time=TimeGrid.from_interval(1.0, 4))
+        n_int, n = math.prod(s - 2 for s in shape), len(shape)
+        # exact zeros of both signs, stored and from cancelling addends
+        a = rng.normal(size=(n_int, n, n))
+        a[rng.random(a.shape) < 0.3] = 0.0
+        a[::4] *= -0.0
+        b = rng.normal(size=(n_int, n)) if with_b else None
+        if with_b:
+            b[rng.random(b.shape) < 0.3] = 0.0
+            b[1::4] = 16.0 * a[1::4, range(n), range(n)]
+        b0 = np.where(rng.random(n_int) < 0.3, 0.0,
+                      rng.normal(size=n_int)) if with_b0 else None
+        got = solver._spatial_matrix(grid, a, b, b0)
+        want = coo_spatial_matrix(grid, a, b, b0)
+        assert got.shape == want.shape
+        for name in ("data", "indices", "indptr"):
+            mine, theirs = getattr(got, name), getattr(want, name)
+            assert mine.dtype == theirs.dtype
+            assert mine.tobytes() == theirs.tobytes()
+        # a shared pattern gives the same matrix
+        shared = solver._spatial_matrix(grid, a, b, b0,
+                                        pattern=solver._stencil_pattern(grid))
+        assert shared.data.tobytes() == want.data.tobytes()
+
+    def test_pattern_is_built_once_per_walk(self, monkeypatch):
+        grid = SpaceTimeGrid(bounds=((0.0, 1.0), (0.0, 1.0)), shape=(9, 9),
+                             time=TimeGrid.from_interval(1.0, 400))
+        lower = LowerOrderTerm(
+            b=lambda t, Y: np.cos(Y + np.asarray(t)[..., None]))
+        built, assembled = [], []
+        pattern, assemble = solver._stencil_pattern, solver._spatial_matrix
+
+        def counting_pattern(*args):
+            built.append(1)
+            return pattern(*args)
+
+        def counting_assembly(*args, **kwargs):
+            assembled.append(kwargs.get("pattern"))
+            return assemble(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_stencil_pattern", counting_pattern)
+        monkeypatch.setattr(solver, "_spatial_matrix", counting_assembly)
+        work = np.random.default_rng(2).normal(size=(401, 81))
+        solver._spatial_walk(grid, diagonal_variable_field(2), lower, work,
+                             np.zeros((401, 49)))
+        # the field and b change at every level: 401 runs, one pattern
+        assert len(assembled) == 401
+        assert len(built) == 1
+        assert all(p is assembled[0] for p in assembled)
 
 
 class TestSerialization:
