@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fractional import MultiTermSpec, rl_integral_l1
+from .fractional import MultiTermSpec, multiterm_lowered
 from .geometry import HolmgrenFrame
 from .solver import (LowerOrderTerm, SpaceTimeGrid, _spatial_walk,
                      apply_discrete_operator)
@@ -185,27 +185,16 @@ def conjugated_operator(values, grid: SpaceTimeGrid, spec: MultiTermSpec,
     over all bumps with :func:`_conjugated_terms`.
     """
     values = np.asarray(values, dtype=float)
-    nt, dt = grid.time.n_steps, grid.time.dt
     shape_t = (-1,) + (1,) * grid.ndim
     growth = np.exp(grid.time.nodes).reshape(shape_t)
     inner = (slice(None),) + grid.interior()
     drift = 0.0
     if include_drift:
         # the drift first, each part with its own e^t product, never both held
-        dn = np.gradient(values * growth, grid.spacing[-1], axis=grid.ndim,
-                         edge_order=2)
-        for q, al in zip(spec.weights, spec.orders):
-            if al < 1.0:
-                block = rl_integral_l1(dn.reshape(nt + 1, -1), 1.0 - al, dt)
-            elif al == 1.0:
-                block = dn
-            else:
-                block = np.zeros_like(dn)
-                block[1:] = np.diff(dn, axis=0) / dt
-                block = rl_integral_l1(block.reshape(nt + 1, -1), 2.0 - al, dt)
-            drift += q * frame.drift_ratio * block.reshape(dn.shape)[inner]
-        del dn, block
-        drift *= np.exp(-grid.time.nodes).reshape(shape_t)
+        drift = multiterm_lowered(np.gradient(
+            values * growth, grid.spacing[-1], axis=grid.ndim, edge_order=2),
+            spec, grid.time.dt, frame.drift_ratio)
+        drift = drift[inner] * np.exp(-grid.time.nodes).reshape(shape_t)
     interior = apply_discrete_operator(values * growth, spec,
                                        *_conjugated_terms(frame), grid,
                                        spatial=spatial)

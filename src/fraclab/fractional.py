@@ -17,6 +17,11 @@ columns goes through row blocks of the lower-triangular Toeplitz matrix of
 the kernel, one matrix product per block of ``BLOCK`` time levels, which
 reorders the same O(N^2) arithmetic into BLAS calls.
 
+The solver steps with :class:`L1March` and the Carleman drift is
+:func:`multiterm_lowered`, so only this module discretizes orders in time.
+The march runs in blocks of ``BLOCK`` levels: a block's first step forms its
+older history as one Toeplitz product per kernel, each step its recent terms.
+
 scipy is imported inside the functions that call it, so importing the
 package loads none of it; ``math.gamma`` would differ from
 ``scipy.special.gamma`` in the last bit and move the outputs.
@@ -123,10 +128,6 @@ class MultiTermSpec:
             raise ValueError("weights must be positive")
 
     @property
-    def m(self) -> int:
-        return len(self.orders)
-
-    @property
     def alpha(self) -> float:
         """Leading (largest) order."""
         return self.orders[0]
@@ -221,7 +222,7 @@ def _backward_difference(values: np.ndarray, dt: float) -> np.ndarray:
     return v
 
 
-def toeplitz_rows(kernel: np.ndarray, rows, n_cols: int) -> np.ndarray:
+def _toeplitz_rows(kernel: np.ndarray, rows, n_cols: int) -> np.ndarray:
     """Rows ``rows`` of the Toeplitz matrix T[k, j] = kernel[k - j].
 
     Columns run over j = 0..n_cols-1; entries above the diagonal (k < j) are
@@ -241,7 +242,7 @@ def causal_convolve(kernel: np.ndarray, x: np.ndarray,
 
     ``kernel`` needs at least len(x) entries.  A 1-D series uses
     ``np.convolve``; several columns are summed as row blocks of
-    :func:`toeplitz_rows` times the data, one product per ``BLOCK`` rows.
+    :func:`_toeplitz_rows` times the data, one product per ``BLOCK`` rows.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
@@ -254,7 +255,7 @@ def causal_convolve(kernel: np.ndarray, x: np.ndarray,
     target = out.reshape(flat.shape)
     for r0 in range(0, n, BLOCK):
         r1 = min(r0 + BLOCK, n)
-        np.matmul(toeplitz_rows(kernel, range(r0, r1), r1), flat[:r1],
+        np.matmul(_toeplitz_rows(kernel, range(r0, r1), r1), flat[:r1],
                   out=target[r0:r1])
     if not np.shares_memory(target, out):    # ``out`` had no 2-D view
         out[...] = target.reshape(out.shape)
@@ -314,6 +315,66 @@ def _caputo_l1_final(values: np.ndarray, alpha: float, dt: float) -> float:
     return float(history / (gamma(2.0 - alpha) * dt ** alpha))
 
 
+class L1March:
+    """The multi-term L1 operator in stepping form on ``n_cols`` columns.
+
+    From the zero state the operator at step k is lead u_k + history(k):
+    sum_{0<j<k} (w_u[k-j] du_j + w_v[k-j] dv_j) - lead u_{k-1} - prev du_{k-1}
+    with du_j = u_j - u_{j-1}, dv_j = (du_j - du_{j-1})/dt, and the kernels
+    w_u, w_v summing the orders below and above 1.  Call ``history(k)``, then
+    ``push(k, u_k)``.
+    """
+
+    def __init__(self, spec: MultiTermSpec, dt: float, n_steps: int,
+                 n_cols: int):
+        from scipy.special import gamma
+        self.lead = self._prev = 0.0
+        w_u = w_v = None
+        for q, al in zip(spec.weights, spec.orders):
+            if al == 1.0:
+                self.lead += q * dt ** (-al)
+            elif al < 1.0:
+                scale = q * (1.0 / gamma(2.0 - al)) * dt ** (-al)
+                self.lead += scale
+                w = scale * l1_weights(al, n_steps)
+                w_u = w if w_u is None else w_u + w
+            else:
+                scale = q * (1.0 / gamma(3.0 - al)) * dt ** (-al)
+                self.lead += scale
+                self._prev += scale
+                w = scale * dt * l1_weights(al - 1.0, n_steps)
+                w_v = w if w_v is None else w_v + w
+        self._dt = dt
+        self._last = np.zeros(n_cols)                # u_{k-1}
+        self._du, self._dv = np.zeros((2, n_steps + 1, n_cols))
+        # (kernel, its lags within one block as forward-indexed rows, series)
+        span = min(BLOCK, n_steps)
+        self._kernels = [(w, _toeplitz_rows(w, np.arange(span), span), d)
+                         for w, d in ((w_u, self._du), (w_v, self._dv))
+                         if w is not None]
+
+    def history(self, k: int) -> np.ndarray:
+        """Every term of the operator at step k except ``lead * u_k``."""
+        r = (k - 1) % BLOCK
+        if r == 0:
+            # history older than this block, one product per kernel
+            rows = np.arange(k, min(k + BLOCK, len(self._du)))
+            self._older = np.zeros((len(rows), self._last.size))
+            for w, _, d in self._kernels:
+                self._older += _toeplitz_rows(w, rows - 1, k - 1) @ d[1:k]
+        hist = (self._older[r] - self.lead * self._last
+                - self._prev * self._du[k - 1])
+        for _, near, d in self._kernels:
+            hist += near[r, :r] @ d[k - r:k]
+        return hist
+
+    def push(self, k: int, x: np.ndarray) -> None:
+        """Record the solved level u_k."""
+        self._du[k] = x - self._last
+        self._dv[k] = (self._du[k] - self._du[k - 1]) / self._dt
+        self._last[...] = x
+
+
 def rl_integral_l1(values: np.ndarray, mu: float, dt: float) -> np.ndarray:
     """Riemann-Liouville integral of order mu in (0,1] along axis 0.
 
@@ -341,6 +402,27 @@ def rl_integral_l1(values: np.ndarray, mu: float, dt: float) -> np.ndarray:
     res[1:] += causal_convolve(b_w, values[1:])
     res *= dt ** mu / gamma(mu)
     return res
+
+
+def multiterm_lowered(values: np.ndarray, spec: MultiTermSpec, dt: float,
+                      ratio: float) -> np.ndarray:
+    """Sum over l of ratio q_l times the order alpha_l - 1 operator, axis 0.
+
+    Below 1 that is :func:`rl_integral_l1` of order 1 - alpha, at 1 the
+    identity, above 1 that of order 2 - alpha of the causal first difference.
+    """
+    flat = np.asarray(values, dtype=float).reshape(len(values), -1)
+    acc = 0.0
+    for q, al in zip(spec.weights, spec.orders):
+        if al < 1.0:
+            block = rl_integral_l1(flat, 1.0 - al, dt)
+        elif al == 1.0:
+            block = flat
+        else:      # the first difference is zero at node 0
+            d1 = np.diff(flat, axis=0, prepend=flat[:1]) / dt
+            block = rl_integral_l1(d1, 2.0 - al, dt)
+        acc += q * ratio * block
+    return acc.reshape(np.shape(values))
 
 
 def caputo_apply(series: Series, alpha: float) -> Series:

@@ -2,7 +2,7 @@
 
 Space is discretized with second-order centered stencils applied to the
 non-divergence form sum a_jk d_j d_k plus a centered first-order term; time
-uses the L1 machinery of :mod:`fraclab.fractional`.
+steps with the L1 march of :mod:`fraclab.fractional`.
 
 One per-level operator serves the solver, its residual check and the
 Carleman image: a private generator samples a, b and b0 on blocks of time
@@ -28,13 +28,6 @@ the inverse's norm through the LU factors, which draws no random numbers.
 The solver output therefore satisfies the assembled discrete equation to
 solver precision by construction, which :func:`apply_discrete_operator`
 verifies independently, sampling and assembling its own levels.
-
-The history is the exact direct L1 sum, kept in two combined kernels: one
-over the first differences (all orders below 1) and one over the second
-differences (orders above 1).  The stepping loop runs in blocks of
-``fractional.BLOCK`` levels: at a block's first step the history older
-than the block is one Toeplitz matrix product per kernel, and each step
-then adds its at most ``BLOCK`` recent terms.
 """
 
 from __future__ import annotations
@@ -47,8 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import SAMPLE_BLOCK, EllipticCoeffField
-from .fractional import (BLOCK, MultiTermSpec, TimeGrid, l1_weights,
-                         multiterm_l1, toeplitz_rows)
+from .fractional import BLOCK, L1March, MultiTermSpec, TimeGrid, multiterm_l1
 
 
 @dataclass(frozen=True)
@@ -377,39 +369,6 @@ def _ellipticity_precondition(grid, coeffs):
                 f"(margin {margin:.3e})")
 
 
-def _history_weights(spec: MultiTermSpec, dt: float, n_steps: int):
-    """Combined L1 kernels and local coefficients of the stepping loop.
-
-    Returns ``(c_lead, c_prev, w_u, w_v)``.  The history at step k is
-
-        sum_{0<j<k} (w_u[k-j] du_j + w_v[k-j] dv_j)
-            - c_lead u_{k-1} - c_prev du_{k-1}
-
-    with du_j = u_j - u_{j-1} and dv_j = (du_j - du_{j-1})/dt.  ``w_u``
-    gathers the orders below 1 and ``w_v`` the orders above 1 (None when
-    there are none), each with its q dt^(...)/Gamma factor folded in;
-    ``c_lead`` is also the diagonal the step matrix adds.
-    """
-    from scipy.special import gamma
-    c_lead = c_prev = 0.0
-    w_u = w_v = None
-    for q, al in zip(spec.weights, spec.orders):
-        if al == 1.0:
-            c_lead += q * dt ** (-al)
-        elif al < 1.0:
-            scale = q * (1.0 / gamma(2.0 - al)) * dt ** (-al)
-            c_lead += scale
-            w = scale * l1_weights(al, n_steps)
-            w_u = w if w_u is None else w_u + w
-        else:
-            scale = q * (1.0 / gamma(3.0 - al)) * dt ** (-al)
-            c_lead += scale
-            c_prev += scale
-            w = scale * dt * l1_weights(al - 1.0, n_steps)
-            w_v = w if w_v is None else w_v + w
-    return c_lead, c_prev, w_u, w_v
-
-
 def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
           lower: LowerOrderTerm, source, grid: SpaceTimeGrid,
           bc=None, check_residual: bool = True) -> SolveResult:
@@ -437,8 +396,6 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
     _ellipticity_precondition(grid, coeffs)
 
     nt = grid.time.n_steps
-    dt = grid.time.dt
-    shape = grid.shape
     inside = _interior_flags(grid)
     n_int = int(inside.sum())
     y_bnd = grid.mesh().reshape(-1, grid.ndim)[~inside]
@@ -446,16 +403,8 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
 
     f_all = _source_levels(source, grid)
     f_int = f_all.reshape(nt + 1, -1)[:, inside]
-    c_lead, c_prev, w_u, w_v = _history_weights(spec, dt, nt)
-
+    march = L1March(spec, grid.time.dt, nt, n_int)
     values = np.zeros((nt + 1, inside.size))
-    u = np.zeros((nt + 1, n_int))            # interior unknowns
-    du = np.zeros((nt + 1, n_int))           # du[j] = u_j - u_{j-1}
-    dv = np.zeros((nt + 1, n_int))           # dv[j] = v_j - v_{j-1}
-    # (kernel, its lags within one block as forward-indexed rows, series)
-    span = min(BLOCK, nt)
-    kernels = [(w, toeplitz_rows(w, np.arange(span), span), d)
-               for w, d in ((w_u, du), (w_v, dv)) if w is not None]
 
     cond_estimate = lu = None
     factorizations = lu_reuses = refinement_steps = 0
@@ -465,25 +414,13 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
     for k in range(1, nt + 1):
         if left == 0:
             mat, left = next(runs)
-            system = (sp.eye(n_int, format="csr") * c_lead
+            system = (sp.eye(n_int, format="csr") * march.lead
                       + mat[:, inside]).tocsc()
             lift = mat[:, ~inside]
             fresh = False          # whether lu factorizes this run's system
         left -= 1
 
-        r = (k - 1) % BLOCK
-        if r == 0:
-            # history older than this block, one product per kernel
-            k0 = k
-            rows = np.arange(k0, min(k0 + BLOCK, nt + 1))
-            older = np.zeros((len(rows), n_int))
-            for w, _, d in kernels:
-                older += toeplitz_rows(w, rows - 1, k0 - 1) @ d[1:k0]
-        hist = older[r] - c_lead * u[k - 1] - c_prev * du[k - 1]
-        for _, near, d in kernels:
-            hist += near[r, :r] @ d[k0:k]
-
-        rhs = f_int[k] - hist
+        rhs = f_int[k] - march.history(k)
         if bc is not None:
             g_k = np.asarray(bc(times[k], y_bnd), dtype=float)
             values[k, ~inside] = g_k
@@ -511,13 +448,11 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
                                           * spla.onenormest(op, t=1))
             x = lu.solve(rhs)
             res = system @ x - rhs
-        u[k] = x
-        du[k] = u[k] - u[k - 1]
-        dv[k] = (du[k] - du[k - 1]) / dt
+        march.push(k, x)
+        values[k, inside] = x
         step_residual = max(step_residual, float(np.abs(res).max()))
 
-    values[:, inside] = u
-    values = values.reshape((nt + 1,) + shape)
+    values = values.reshape((nt + 1,) + grid.shape)
     sol = SolutionField(values=values, grid=grid,
                         bc={"type": "dirichlet",
                             "homogeneous": bc is None},
@@ -525,7 +460,7 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
                                 else "array"})
     diagnostics = {"condition_estimate": cond_estimate,
                    "linear_residual_max": step_residual,
-                   "leading_coefficient": c_lead,
+                   "leading_coefficient": march.lead,
                    "factorizations": factorizations,
                    "lu_reuses": lu_reuses,
                    "refinement_steps": refinement_steps}
@@ -618,7 +553,7 @@ class UcpReport:
 
     @property
     def all_above_floor(self) -> bool:
-        return all(r[4] > self.floor for r in self.rows if r[3] > 0.0)
+        return all(r[4] > self.floor for r in self.rows)
 
 
 def _bump(r):
@@ -630,8 +565,10 @@ def ucp_experiment(config: UcpConfig, floor: float = 1e-13) -> UcpReport:
 
     For each source center the solution norm restricted to
     omega x (0, t_prime) is compared with the norm over the whole cylinder.
-    A ratio above the resolution floor for every nonzero source is the
-    expected outcome: the computed fields never vanish on the window alone.
+    A ratio above the resolution floor for every source is the expected
+    outcome: the computed fields never vanish on the window alone.  A
+    source inside the window, or zero on every interior node, raises
+    ``ValueError``.
     """
     grid = config.grid
     lo, hi = config.omega
@@ -650,12 +587,13 @@ def ucp_experiment(config: UcpConfig, floor: float = 1e-13) -> UcpReport:
         if lo <= center <= hi:
             raise ValueError("source must be supported away from the window")
         f = ramp * _bump((first - center) / config.source_width)
+        if not f[(slice(None),) + grid.interior()].any():
+            raise ValueError(f"source at {center} is zero on the interior")
         result = solve(config.spec, config.coeffs, LowerOrderTerm.zero(), f,
                        grid, check_residual=False)
         sol = result.field
         n_omega = sol.norm_l2(t_mask=tmask, space_mask=mask)
         n_total = sol.norm_l2()
         distance = min(abs(center - lo), abs(center - hi))
-        ratio = n_omega / n_total if n_total > 0.0 else 0.0
-        rows.append((center, distance, n_omega, n_total, ratio))
+        rows.append((center, distance, n_omega, n_total, n_omega / n_total))
     return UcpReport(rows=rows, floor=floor)

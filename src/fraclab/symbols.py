@@ -78,10 +78,6 @@ class CarlemanWeightParams:
         return (0.5 * (np.asarray(x_n, dtype=float) - 2.0 * self.X) ** 2
                 + self.psi_shift)
 
-    def offset(self, x_n):
-        """Signed distance x_n - 2X; negative throughout the layer."""
-        return np.asarray(x_n, dtype=float) - 2.0 * self.X
-
 
 @dataclass(frozen=True)
 class SymbolValue:
@@ -477,11 +473,6 @@ class CharacteristicSample:
     @property
     def found(self) -> int:
         return len(self.tau)
-
-    def points(self):
-        return [PhasePoint(t=self.t[i], x=self.x[i], tau=self.tau[i],
-                           xi=self.xi[i], sigma=self.sigma[i])
-                for i in range(self.found)]
 
 
 def char_set_sample(region: SampleRegion, spec: MultiTermSpec,

@@ -387,6 +387,36 @@ class TestBenchmarkTracer:
             env=_subprocess_env(), capture_output=True, text=True, check=True)
         assert out.stdout.strip().splitlines()[-1] == "1"
 
+    def test_tracer_counts_the_l1_calls(self, tmp_path):
+        # the drift reaches rl_integral_l1 and the residual check caputo_l1
+        # through their module names; a call that bypassed them would zero
+        # these per-layer counts
+        bench = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "bench")
+        spec = {"orders": [1.5, 0.5], "weights": [1.0, 0.5]}
+        paths = []
+        for command in ("carleman-sweep", "solve"):
+            path = tmp_path / f"{command}.json"
+            path.write_text(json.dumps({**VALID[command], "spec": spec}))
+            paths += [command, str(path)]
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import spans\n"
+            "tracer = spans.install()\n"
+            "from fraclab import cli\n"
+            "for command, path in zip(sys.argv[2::2], sys.argv[3::2]):\n"
+            "    cli.main([command, '--config', path,\n"
+            "              '--out', path + '.out'])\n"
+            "counts = tracer.report()['counts']\n"
+            "print(*(counts.get(key, 0) for key in (\n"
+            "    'fractional.rl_integral_l1_columns',\n"
+            "    'fractional.caputo_l1_columns', 'solver.solve_calls')))\n")
+        out = subprocess.run([sys.executable, "-c", code, bench, *paths],
+                             env=_subprocess_env(), capture_output=True,
+                             text=True, check=True)
+        # 5 bumps x 2 orders x 9 columns; 5 bumps and the solve's residual
+        # check x 2 orders x 7 interior columns
+        assert out.stdout.strip().splitlines()[-1] == "90 84 1"
+
 
 class TestImport:
     def test_cli_import_leaves_scipy_integrate_unloaded(self):

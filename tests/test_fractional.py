@@ -8,7 +8,8 @@ from fraclab import (ConvergenceError, MultiTermSpec, Series, TimeGrid,
                      caputo_apply, caputo_l1, caputo_oracle,
                      caputo_power_rule, multiterm_apply, multiterm_l1,
                      rl_integral_l1)
-from fraclab.fractional import BLOCK, _caputo_l1_final, causal_convolve
+from fraclab.fractional import (BLOCK, L1March, _caputo_l1_final,
+                                causal_convolve, l1_weights, multiterm_lowered)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -131,16 +132,23 @@ class TestL1:
         val = caputo_l1(u(g.nodes), alpha, g.dt)[-1]
         assert abs(val - ref) / abs(ref) < 5e-3
 
-    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
-    def test_observed_order_lower_branch(self, alpha):
-        # u = t^2 at t = 1: the L1 scheme's order is 2 - alpha
+    # the ids keep each case named by its order alone
+    @pytest.mark.parametrize("alpha,order", [
+        (0.25, 1.75), (0.5, 1.5), (0.75, 1.25),
+        (1.25, 1.0), (1.5, 1.0), (1.75, 1.0)],
+        ids=["0.25", "0.5", "0.75", "1.25", "1.5", "1.75"])
+    def test_observed_order_lower_branch(self, alpha, order):
+        # u = t^2 at t = 1: the L1 scheme's order is 2 - alpha below 1.  Above
+        # 1 it is L1 of order alpha - 1 on a backward difference, whose first
+        # order caps the scheme at 1; the L1-2 scheme of Sun & Wu reaches
+        # 3 - alpha there and is the target of the upper branch's next step.
         ref = caputo_power_rule(2.0, alpha, 1.0)
         errs = []
         for n in (512, 1024, 2048, 4096):
             g = grid(n)
             errs.append(abs(caputo_l1(g.nodes**2, alpha, g.dt)[-1] - ref))
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
-        assert np.all(np.abs(orders - (2.0 - alpha)) <= 0.05)
+        assert np.all(np.abs(orders - order) <= 0.05)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 1.5, 1.75])
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 4096])
@@ -292,3 +300,131 @@ class TestCausalConvolve:
             single = op(cols[:, j], order, g.dt)
             scale = np.max(np.abs(single))
             assert np.max(np.abs(stacked[:, j] - single)) <= 1e-14 * scale
+
+
+def parent_history_weights(spec, dt, n_steps):
+    """The solver's combined kernels before the march owned them."""
+    c_lead = c_prev = 0.0
+    w_u = w_v = None
+    for q, al in zip(spec.weights, spec.orders):
+        if al == 1.0:
+            c_lead += q * dt ** (-al)
+        elif al < 1.0:
+            scale = q * (1.0 / gamma(2.0 - al)) * dt ** (-al)
+            c_lead += scale
+            w = scale * l1_weights(al, n_steps)
+            w_u = w if w_u is None else w_u + w
+        else:
+            scale = q * (1.0 / gamma(3.0 - al)) * dt ** (-al)
+            c_lead += scale
+            c_prev += scale
+            w = scale * dt * l1_weights(al - 1.0, n_steps)
+            w_v = w if w_v is None else w_v + w
+    return c_lead, c_prev, w_u, w_v
+
+
+def parent_toeplitz_rows(kernel, rows, n_cols):
+    """Rows of the causal Toeplitz matrix of ``kernel``, as the solver had."""
+    padded = np.concatenate([kernel[::-1], np.zeros(max(n_cols - 1, 0))])
+    windows = np.lib.stride_tricks.sliding_window_view(padded, n_cols)
+    return windows[len(kernel) - 1 - np.asarray(rows)]
+
+
+def parent_stepping(spec, dt, levels):
+    """The solver's inline blocked history, fed ``levels`` as solved steps.
+
+    Returns the leading coefficient and the history at every step.
+    """
+    nt, n_int = levels.shape[0] - 1, levels.shape[1]
+    c_lead, c_prev, w_u, w_v = parent_history_weights(spec, dt, nt)
+    u = np.zeros((nt + 1, n_int))
+    du = np.zeros((nt + 1, n_int))
+    dv = np.zeros((nt + 1, n_int))
+    span = min(BLOCK, nt)
+    kernels = [(w, parent_toeplitz_rows(w, np.arange(span), span), d)
+               for w, d in ((w_u, du), (w_v, dv)) if w is not None]
+    hists = []
+    for k in range(1, nt + 1):
+        r = (k - 1) % BLOCK
+        if r == 0:
+            k0 = k
+            rows = np.arange(k0, min(k0 + BLOCK, nt + 1))
+            older = np.zeros((len(rows), n_int))
+            for w, _, d in kernels:
+                older += parent_toeplitz_rows(w, rows - 1, k0 - 1) @ d[1:k0]
+        hist = older[r] - c_lead * u[k - 1] - c_prev * du[k - 1]
+        for _, near, d in kernels:
+            hist += near[r, :r] @ d[k0:k]
+        hists.append(hist)
+        u[k] = levels[k]
+        du[k] = u[k] - u[k - 1]
+        dv[k] = (du[k] - du[k - 1]) / dt
+    return c_lead, hists
+
+
+def parent_drift(dn, spec, dt, ratio, inner):
+    """The Carleman drift's own per-order loop before it moved here."""
+    nt = dn.shape[0] - 1
+    drift = 0.0
+    for q, al in zip(spec.weights, spec.orders):
+        if al < 1.0:
+            block = rl_integral_l1(dn.reshape(nt + 1, -1), 1.0 - al, dt)
+        elif al == 1.0:
+            block = dn
+        else:
+            block = np.zeros_like(dn)
+            block[1:] = np.diff(dn, axis=0) / dt
+            block = rl_integral_l1(block.reshape(nt + 1, -1), 2.0 - al, dt)
+        drift += q * ratio * block.reshape(dn.shape)[inner]
+    return drift
+
+
+SPECS = [MultiTermSpec((0.5,), (1.0,)), MultiTermSpec((1.0,), (1.0,)),
+         MultiTermSpec((1.5,), (1.0,)), MultiTermSpec((1.5, 0.5), (1.0, 0.5)),
+         MultiTermSpec((1.75, 1.0, 0.25), (1.0, 0.7, 0.3))]
+
+
+class TestL1March:
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: str(s.orders))
+    @pytest.mark.parametrize("n_steps", [1, 63, 64, 65, 131])
+    def test_matches_the_solver_stepping_bitwise(self, spec, n_steps):
+        dt = 1.0 / n_steps
+        levels = np.random.default_rng(n_steps).standard_normal(
+            (n_steps + 1, 5))
+        levels[0] = 0.0
+        lead, expected = parent_stepping(spec, dt, levels)
+        march = L1March(spec, dt, n_steps, 5)
+        assert np.float64(march.lead).tobytes() == np.float64(lead).tobytes()
+        for k in range(1, n_steps + 1):
+            assert march.history(k).tobytes() == expected[k - 1].tobytes()
+            march.push(k, levels[k])
+
+    def test_lead_plus_history_is_the_whole_series_operator(self):
+        # the two forms sum in different orders: allow rounding of the
+        # largest addend, lead * max|u|
+        spec = SPECS[-1]
+        g = grid(131)
+        u = np.sin(3.0 * g.nodes)[:, None] * np.array([1.0, -2.0])
+        u[0] = 0.0
+        whole = multiterm_l1(u, spec, g.dt)
+        march = L1March(spec, g.dt, g.n_steps, 2)
+        tol = 1e-14 * march.lead * np.abs(u).max()
+        for k in range(1, g.n_steps + 1):
+            step = march.lead * u[k] + march.history(k)
+            assert np.abs(step - whole[k]).max() <= tol
+            march.push(k, u[k])
+
+
+class TestLoweredOrders:
+    @pytest.mark.parametrize("orders,weights", [
+        ((0.5,), (1.0,)), ((1.0,), (1.0,)), ((1.5,), (1.0,)),
+        ((1.5, 1.0, 0.5), (1.0, 0.6, 0.3))])
+    @pytest.mark.parametrize("space", [(9,), (7, 6)])
+    def test_matches_the_drift_loop_bitwise(self, orders, weights, space):
+        spec = MultiTermSpec(orders, weights)
+        dn = np.random.default_rng(len(space)).standard_normal((41,) + space)
+        inner = (slice(None),) + tuple(slice(1, -1) for _ in space)
+        got = multiterm_lowered(dn, spec, 0.025, 0.37)
+        assert got.shape == dn.shape
+        assert (got[inner].tobytes()
+                == parent_drift(dn, spec, 0.025, 0.37, inner).tobytes())

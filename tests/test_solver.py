@@ -723,6 +723,12 @@ class TestUcp:
         with pytest.raises(ValueError):
             ucp_experiment(self.make_config((0.1,)))
 
+    def test_source_off_the_grid_rejected(self):
+        # a centre at 1.5 leaves the bump zero on every node of [0, 1]; the
+        # ratio 0/0 would otherwise be reported as a ratio of 0
+        with pytest.raises(ValueError, match="1.5"):
+            ucp_experiment(self.make_config((0.5, 1.5)))
+
     def test_sources_are_the_per_level_stack(self, monkeypatch):
         sources = []
         original = solver.solve
