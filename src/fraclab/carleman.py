@@ -206,8 +206,8 @@ def conjugated_operator(values, grid: SpaceTimeGrid, spec: MultiTermSpec,
 
 
 def _conjugated_terms(frame: HolmgrenFrame):
-    """Effective field and tilt drift: the conjugated operator's spatial part."""
-    return frame.effective_field(), LowerOrderTerm(frame.tilt_drift)
+    """Tilted matrix and tilt drift: the conjugated operator's spatial part."""
+    return frame.effective_matrix, LowerOrderTerm(frame.tilt_drift)
 
 
 def carleman_rhs(values, grid: SpaceTimeGrid, beta: float,

@@ -47,16 +47,26 @@ def _object(required, **properties):
 
 _NUM = {"type": "number"}
 _POSINT = {"type": "integer", "minimum": 1}
+_NATURAL = {"type": "integer", "minimum": 0}
 _PAIR = {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2}
 _NUMS = {"type": "array", "items": _NUM, "minItems": 1}
 
 _SPEC = _object(("orders", "weights"), orders=_NUMS, weights=_NUMS)
-_COEFFS = _object(
-    ("preset", "n"),
-    preset={"enum": ["identity", "diagonal-variable",
-                     "rotating-anisotropic", "polynomial"]},
-    n=_POSINT, amplitude=_NUM, ratio=_NUM, spin=_NUM, shear=_NUM,
-    delta=_NUM, tables={"type": "array"})
+_TERM = _object(("coeff", "t_pow", "y_pows"), coeff=_NUM, t_pow=_NATURAL,
+                y_pows={"type": "array", "items": _NATURAL})
+_TABLE = _object(("j", "k", "terms"), j=_NATURAL, k=_NATURAL,
+                 terms={"type": "array", "items": _TERM})
+_COEFFS = {
+    **_object(("preset", "n"),
+              preset={"enum": ["identity", "diagonal-variable",
+                               "rotating-anisotropic", "polynomial"]},
+              n=_POSINT, amplitude=_NUM, ratio=_NUM, spin=_NUM, shear=_NUM,
+              delta=_NUM, tables={"type": "array", "items": _TABLE}),
+    # the polynomial preset is built from its tables and declared delta
+    "if": {"properties": {"preset": {"const": "polynomial"}},
+           "required": ["preset"]},
+    "then": {"required": ["tables", "delta"]},
+}
 _MAP = _object(("c", "X", "T"), y_hat={"type": "array", "items": _NUM},
                c=_NUM, X=_NUM, T=_NUM, stage=_POSINT)
 _WEIGHT = _object(("X",), X=_NUM)
@@ -89,7 +99,8 @@ SCHEMAS = {
                        magnitude_range=_PAIR),
     "lemma61": _object(_SYMBOL_REQUIRED + ("stage",), **_CHAR, stage=_POSINT),
     "solve": _object(("spec", "coeffs", "grid"), spec=_SPEC, coeffs=_COEFFS,
-                     grid=_GRID, source={"type": "object"},
+                     grid=_GRID,
+                     source=_object((), center=_NUMS, width=_NUM),
                      manufactured={"type": "boolean"}),
     "carleman-sweep": _object(
         ("spec", "coeffs", "map", "weight", "grid", "betas"),
@@ -99,7 +110,7 @@ SCHEMAS = {
     "ucp-demo": _object(
         ("spec", "coeffs", "grid", "omega", "t_prime", "source_centers"),
         spec=_SPEC, coeffs=_COEFFS, grid=_GRID, omega=_PAIR, t_prime=_NUM,
-        source_centers={"type": "array", "items": _NUM}, source_width=_NUM,
+        source_centers=_NUMS, source_width=_NUM,
         floor=_NUM),
     "continuation-plan": _object(("T", "X", "s_max", "n"), T=_NUM, X=_NUM,
                                  s_max=_POSINT, n=_POSINT, c=_NUM,
@@ -518,6 +529,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    created = not os.path.isdir(args.out)
     os.makedirs(args.out, exist_ok=True)
     # looked up at call time, so a handler replaced on the module is the
     # one that runs
@@ -526,6 +538,9 @@ def main(argv=None) -> int:
         summary = handler(config, args.out, args.seed, args.threads)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        # a rejected run leaves no empty directory of its own making
+        if created and not os.listdir(args.out):
+            os.rmdir(args.out)
         return 3
 
     summary = {"command": args.command, "seed": args.seed, **summary}

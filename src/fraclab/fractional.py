@@ -346,7 +346,9 @@ class L1March:
                 w_v = w if w_v is None else w_v + w
         self._dt = dt
         self._last = np.zeros(n_cols)                # u_{k-1}
-        self._du, self._dv = np.zeros((2, n_steps + 1, n_cols))
+        self._du = np.zeros((n_steps + 1, n_cols))
+        # only the kernel of the orders above 1 reads the second differences
+        self._dv = None if w_v is None else np.zeros((n_steps + 1, n_cols))
         # (kernel, its lags within one block as forward-indexed rows, series)
         span = min(BLOCK, n_steps)
         self._kernels = [(w, _toeplitz_rows(w, np.arange(span), span), d)
@@ -371,7 +373,8 @@ class L1March:
     def push(self, k: int, x: np.ndarray) -> None:
         """Record the solved level u_k."""
         self._du[k] = x - self._last
-        self._dv[k] = (self._du[k] - self._du[k - 1]) / self._dt
+        if self._dv is not None:
+            self._dv[k] = (self._du[k] - self._du[k - 1]) / self._dt
         self._last[...] = x
 
 

@@ -4,9 +4,12 @@ The local map flattens the vanishing region and tilts it in time,
 
     x' = y' - yhat',   x_n = y_n + c |y' - yhat'|^2 + s*X*t/T - (s-1)*X,
 
-with stage s = 1 recovering the basic transformation.  The global map sends
-the open unit cube onto all of space coordinate-wise, multiplying the
-coefficients by explicit weights.  Both directions are exact closed forms,
+with stage s = 1 recovering the basic transformation.  In the new
+coordinates the operator's second-order part is the matrix callable
+``HolmgrenFrame.effective_matrix`` (M^T a M), which the solver's discrete
+operator samples directly, plus the first-order ``tilt_drift``.  The global
+map sends the open unit cube onto all of space coordinate-wise, multiplying
+the coefficients by explicit weights.  Both directions are exact closed forms,
 so round trips are checked at machine precision.
 """
 
@@ -138,44 +141,13 @@ class HolmgrenFrame:
         """Quadratic-form matrix M^T a M with the tilt folded in.
 
         M maps duals by zeta_j = xi_j + 2 c x_j xi_n (j < n), zeta_n = xi_n.
+        Together with :meth:`tilt_drift` this rewrites the composed
+        second-order operator as an ordinary non-divergence form plus a
+        first-order term, so the solver's per-level operator applies it as
+        its coefficient matrix callable, with the usual stencils.
         """
         a = np.asarray(self.field.a(t, x), dtype=float)
         return _congruence(self._tilt_matrix(x), a)
-
-    def effective_field(self) -> EllipticCoeffField:
-        """Field of the tilted quadratic form, with exact derivatives.
-
-        Together with :meth:`tilt_drift` this rewrites the composed
-        second-order operator as an ordinary non-divergence form plus a
-        first-order term, which lets the finite-difference machinery apply
-        it with its usual stencils.
-        """
-        n = self.map.n
-        c = self.c
-        base = self.field
-
-        def a(t, x):
-            return self.effective_matrix(t, x)
-
-        def da_dt(t, x):
-            return _congruence(self._tilt_matrix(x),
-                               np.asarray(base.da_dt(t, x), dtype=float))
-
-        def da_dx(t, x):
-            x = np.asarray(x, dtype=float)
-            m = self._tilt_matrix(x)
-            amat = np.asarray(base.a(t, x), dtype=float)
-            dmat = np.asarray(base.da_dy(t, x), dtype=float)
-            out = np.einsum("...ji,...rjk,...kl->...ril", m, dmat, m)
-            am = np.einsum("...jk,...kl->...jl", amat, m)
-            # dM/dx_r has the single entry [r, n] = 2c for r < n
-            for r in range(n - 1):
-                out[..., r, -1, :] += 2.0 * c * am[..., r, :]
-                out[..., r, :, -1] += 2.0 * c * am[..., r, :]
-            return out
-
-        return EllipticCoeffField(n=n, a=a, da_dt=da_dt, da_dy=da_dx,
-                                  delta=base.delta)
 
     def tilt_drift(self, t, x):
         """First-order by-product 2 c sum_{j<n} a_jj of the composed form,

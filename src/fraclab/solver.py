@@ -5,12 +5,15 @@ non-divergence form sum a_jk d_j d_k plus a centered first-order term; time
 steps with the L1 march of :mod:`fraclab.fractional`.
 
 One per-level operator serves the solver, its residual check and the
-Carleman image: a private generator samples a, b and b0 on blocks of time
-levels and yields -(L + l1), rows on interior nodes and columns on all
-nodes, as runs ``(matrix, count)``.  Every matrix fills one CSR sparsity
-pattern, built once per walk.  A level starts a new run exactly when
-one of its samples differs from the level before it, so reuse is decided
-from the samples alone.  One walk over the levels serves a block of grid
+Carleman image.  It reads the coefficient matrix as a callable
+a(t, Y) -> (..., n, n), not a field: :func:`solve` passes its field's ``a``,
+the Carleman image the Holmgren frame's tilted matrix.  A private generator
+samples a, b and b0 on blocks of time levels and yields -(L + l1), rows on
+interior nodes and columns on all nodes, as runs ``(matrix, count)``.
+Every matrix fills one CSR sparsity pattern, built once per walk.  A level
+starts a new run exactly when one of its samples differs from the level
+before it, so reuse is decided from the samples alone.  One walk over the
+levels serves a block of grid
 functions, as in the Carleman sweep, and applies each run as one product
 per at most ``BLOCK`` levels.  Each step moves the discrete history to the
 right-hand side, lifts the Dirichlet data through the boundary columns and
@@ -264,14 +267,14 @@ def _spatial_matrix(grid: SpaceTimeGrid, a, bvec, bzero, pattern=None):
                           template.indptr), shape=template.shape)
 
 
-def _level_operators(grid: SpaceTimeGrid, coeffs: EllipticCoeffField,
-                     lower: LowerOrderTerm, times):
+def _level_operators(grid: SpaceTimeGrid, a, lower: LowerOrderTerm, times):
     """Yield the matrices of :func:`_spatial_matrix` at ``times`` as runs.
 
-    Each run is ``(matrix, count)`` for ``count`` consecutive levels, and
-    the counts sum to ``len(times)``.  ``a``, ``b`` and ``b0`` are sampled
-    on a block of levels per call, at most ``SAMPLE_BLOCK`` points (or one
-    level), as flat ``t`` of shape (N,) and ``y`` of shape (N, n).  A level
+    ``a(t, Y) -> (..., n, n)`` is the coefficient matrix callable.  Each run
+    is ``(matrix, count)`` for ``count`` consecutive levels, and the counts
+    sum to ``len(times)``.  ``a``, ``b`` and ``b0`` are sampled on a block
+    of levels per call, at most ``SAMPLE_BLOCK`` points (or one level), as
+    flat ``t`` of shape (N,) and ``y`` of shape (N, n).  A level
     starts a new run when any of its samples differs from the level before
     it, the previous block's last level included, so each run's matrix is
     assembled once, into the :func:`_stencil_pattern` built once per walk.
@@ -279,7 +282,7 @@ def _level_operators(grid: SpaceTimeGrid, coeffs: EllipticCoeffField,
     y_int = grid.mesh()[grid.interior()].reshape(-1, grid.ndim)
     n_int, n = y_int.shape
     pattern = _stencil_pattern(grid)
-    terms = ((coeffs.a, (n, n)), (lower.b, (n,)), (lower.b0, ()))
+    terms = ((a, (n, n)), (lower.b, (n,)), (lower.b0, ()))
     per_call = max(1, SAMPLE_BLOCK // n_int)
     mat = last = None
     for s in range(0, len(times), per_call):
@@ -409,7 +412,7 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
     cond_estimate = lu = None
     factorizations = lu_reuses = refinement_steps = 0
     step_residual = 0.0
-    runs = _level_operators(grid, coeffs, lower, times[1:])
+    runs = _level_operators(grid, coeffs.a, lower, times[1:])
     left = 0                       # levels of the current run still to go
     for k in range(1, nt + 1):
         if left == 0:
@@ -465,17 +468,17 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
                    "lu_reuses": lu_reuses,
                    "refinement_steps": refinement_steps}
     if check_residual:
-        resid = apply_discrete_operator(values, spec, coeffs, lower, grid,
+        resid = apply_discrete_operator(values, spec, coeffs.a, lower, grid,
                                         source=f_all)
         # level 0 is pinned to zero, never solved
         diagnostics["equation_residual_max"] = float(np.abs(resid[1:]).max())
     return SolveResult(field=sol, diagnostics=diagnostics)
 
 
-def _spatial_walk(grid: SpaceTimeGrid, coeffs: EllipticCoeffField,
-                  lower: LowerOrderTerm, work, out):
+def _spatial_walk(grid: SpaceTimeGrid, a, lower: LowerOrderTerm, work, out):
     """Add each level's spatial operator applied to ``work[k]`` to ``out[k]``.
 
+    ``a`` is the coefficient matrix callable of :func:`_level_operators`.
     ``work`` is (nt+1, nodes) or a block (nt+1, nodes, B) of B grid
     functions: a CSR product with a block rounds column by column like B
     matrix-vector products, so one walk serves a whole batch, and each run
@@ -483,7 +486,7 @@ def _spatial_walk(grid: SpaceTimeGrid, coeffs: EllipticCoeffField,
     ``BLOCK`` levels.
     """
     end = 0
-    for mat, count in _level_operators(grid, coeffs, lower, grid.time.nodes):
+    for mat, count in _level_operators(grid, a, lower, grid.time.nodes):
         end += count
         for start in range(end - count, end, BLOCK):
             stop = min(start + BLOCK, end)
@@ -495,16 +498,16 @@ def _spatial_walk(grid: SpaceTimeGrid, coeffs: EllipticCoeffField,
     return out
 
 
-def apply_discrete_operator(values, spec: MultiTermSpec,
-                            coeffs: EllipticCoeffField,
+def apply_discrete_operator(values, spec: MultiTermSpec, a,
                             lower: LowerOrderTerm, grid: SpaceTimeGrid,
                             source=None, spatial=None) -> np.ndarray:
     """Discrete operator (or residual) on interior nodes at every time level.
 
     Computes the multi-term time operator minus the spatial operators,
-    minus ``source`` when given.  ``spatial`` is this grid function's column
-    of a :func:`_spatial_walk` over a batch, made with the same ``coeffs``
-    and ``lower``; it is added in place of a walk of its own.
+    minus ``source`` when given.  ``a(t, Y) -> (..., n, n)`` is the
+    coefficient matrix callable.  ``spatial`` is this grid function's column
+    of a :func:`_spatial_walk` over a batch, made with the same ``a`` and
+    ``lower``; it is added in place of a walk of its own.
     """
     values = np.asarray(values, dtype=float)
     nt = grid.time.n_steps
@@ -515,7 +518,7 @@ def apply_discrete_operator(values, spec: MultiTermSpec,
     out = multiterm_l1(values[(slice(None),) + grid.interior()], spec,
                        grid.time.dt).reshape(nt + 1, -1)
     if spatial is None:
-        _spatial_walk(grid, coeffs, lower, values.reshape(nt + 1, -1), out)
+        _spatial_walk(grid, a, lower, values.reshape(nt + 1, -1), out)
     else:
         out += spatial
     out = out.reshape((nt + 1,) + tuple(s - 2 for s in shape))

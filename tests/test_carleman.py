@@ -145,7 +145,7 @@ class TestConjugation:
         direct = conjugated_operator(u, grid, spec, frame,
                                      include_drift=False)[:, 1:-1]
         manual = apply_discrete_operator(
-            u * np.exp(times)[:, None], spec, field, lower, grid)
+            u * np.exp(times)[:, None], spec, field.a, lower, grid)
         manual *= np.exp(-times)[:, None]
         assert np.abs(direct - manual).max() < 1e-10 * max(1.0, np.abs(manual).max())
 
@@ -270,12 +270,13 @@ class TestSweep:
         # a boundary-forced homogeneous solution of the effective equation,
         # times e^{-t}, lies in the discrete kernel of the conjugated
         # operator (drift off); the sweep must flag such rows, not average
-        # them into the certificate
+        # them into the certificate; in 1-D the tilt matrix is [[1]], so the
+        # frame's field has the effective matrix bitwise
         from fraclab import LowerOrderTerm, solve
         spec, frame, weight = setup()
         grid = layer_grid(32, 33)
         tilt = LowerOrderTerm(b=frame.tilt_drift, b0=None)
-        result = solve(spec, frame.effective_field(), tilt,
+        result = solve(spec, frame.field, tilt,
                        lambda t, Y: np.zeros(Y.shape[:-1]), grid,
                        bc=lambda t, Yb: t**2 * np.ones(Yb.shape[0]),
                        check_residual=False)

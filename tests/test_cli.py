@@ -17,6 +17,10 @@ COEFFS2 = {"preset": "diagonal-variable", "n": 2, "amplitude": 0.3}
 MAP1 = {"c": 1.0, "X": 0.05, "T": 1.0}
 WEIGHT = {"X": 0.05}
 GRID1 = {"bounds": [[0.0, 1.0]], "shape": [9], "n_steps": 8, "t_final": 1.0}
+# a = 1 + t y_1 / 4 as monomial tables
+POLYNOMIAL1 = {"preset": "polynomial", "n": 1, "delta": 0.5, "tables": [
+    {"j": 0, "k": 0, "terms": [{"coeff": 1.0, "t_pow": 0, "y_pows": [0]},
+                               {"coeff": 0.25, "t_pow": 1, "y_pows": [1]}]}]}
 
 # smallest valid config of every command
 SYMBOL = {"spec": SPEC, "coeffs": COEFFS1, "map": MAP1, "weight": WEIGHT,
@@ -64,6 +68,35 @@ class TestValidation:
         code = main(["caputo-check", "--config", str(cfg),
                      "--out", str(tmp_path / "o")])
         assert code == 2
+
+    @pytest.mark.parametrize("command, config, where", [
+        ("ucp-demo", {**VALID["ucp-demo"], "source_centers": []},
+         "$.source_centers"),
+        ("solve", {**VALID["solve"], "manufactured": False,
+                   "source": {"centre": [0.2]}}, "$.source"),
+        ("solve", {**VALID["solve"], "coeffs": {
+            k: v for k, v in POLYNOMIAL1.items() if k != "delta"}},
+         "$.coeffs"),
+        ("solve", {**VALID["solve"], "coeffs": {
+            **POLYNOMIAL1, "tables": [{"j": 0, "k": 0}]}},
+         "$.coeffs.tables[0]"),
+        ("solve", {**VALID["solve"], "coeffs": {
+            **POLYNOMIAL1, "tables": [{"j": 0, "k": 0, "terms": [
+                {"coeff": 1.0, "t_pow": 0}]}]}},
+         "$.coeffs.tables[0].terms[0]"),
+    ], ids=["no-source-centers", "source-key", "polynomial-no-delta",
+            "table-no-terms", "term-no-y-pows"])
+    def test_nested_config_error_is_located(self, command, config, where,
+                                            tmp_path, capsys):
+        code, _ = run(tmp_path, command, config)
+        assert code == 2
+        assert f"config error at {where}:" in capsys.readouterr().err
+
+    def test_polynomial_preset_solves(self, tmp_path):
+        config = {**VALID["solve"], "coeffs": POLYNOMIAL1}
+        code, out = run(tmp_path, "solve", config)
+        assert code == 0
+        assert json.loads((out / "summary.json").read_text())["pass"]
 
 
 class TestCommandTable:
@@ -342,6 +375,25 @@ class TestCommands:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["min_ratio"] > summary["floor"]
 
+    def test_rejected_run_removes_the_directory_it_made(self, tmp_path,
+                                                        capsys):
+        config = {**VALID["ucp-demo"], "source_centers": [1.5]}
+        code, out = run(tmp_path, "ucp-demo", config)
+        assert code == 3
+        assert "zero on the interior" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rejected_run_keeps_a_directory_it_found(self, tmp_path):
+        config = {**VALID["ucp-demo"], "source_centers": [1.5]}
+        for tag, kept in (("empty", []), ("full", ["notes.txt"])):
+            out = tmp_path / f"{tag}_out"
+            out.mkdir()
+            for name in kept:
+                (out / name).write_text("kept")
+            code, _ = run(tmp_path, "ucp-demo", config, tag=tag)
+            assert code == 3
+            assert sorted(os.listdir(out)) == kept
+
     def test_continuation_plan(self, tmp_path):
         config = {"T": 1.0, "X": 0.05, "s_max": 5, "n": 2}
         code, out = run(tmp_path, "continuation-plan", config)
@@ -416,6 +468,38 @@ class TestBenchmarkTracer:
         # 5 bumps x 2 orders x 9 columns; 5 bumps and the solve's residual
         # check x 2 orders x 7 interior columns
         assert out.stdout.strip().splitlines()[-1] == "90 84 1"
+
+    def test_tracer_counts_the_sweep_sampling(self, tmp_path):
+        # the sweep's one walk samples the frame's tilted matrix through
+        # HolmgrenFrame.effective_matrix and the configured field's a, once
+        # per sampling block of levels for the matrix and once more for the
+        # tilt drift; a call that bypassed either would change these counts
+        bench = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "bench")
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({
+            "spec": {"orders": [1.5, 0.5], "weights": [1.0, 0.5]},
+            "coeffs": COEFFS2, "map": {"c": 1.0, "X": 0.3, "T": 1.0},
+            "weight": {"X": 0.3},
+            "grid": {"bounds": [[-0.3, 0.3], [0.0, 0.3]], "shape": [21, 21],
+                     "n_steps": 48, "t_final": 1.0},
+            "betas": [25.0, 250.0], "n_bumps": 2}))
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import spans\n"
+            "tracer = spans.install()\n"
+            "from fraclab import cli\n"
+            "cli.main(['carleman-sweep', '--config', sys.argv[2],\n"
+            "          '--out', sys.argv[3]])\n"
+            "counts = tracer.report()['counts']\n"
+            "print(*(counts.get(key, 0) for key in (\n"
+            "    'geometry.effective_matrix_calls', 'fields.a_calls',\n"
+            "    'fields.a_points')))\n")
+        out = subprocess.run(
+            [sys.executable, "-c", code, bench, str(config),
+             str(tmp_path / "out")],
+            env=_subprocess_env(), capture_output=True, text=True, check=True)
+        # 361 interior nodes: 22 levels per call, 49 levels in 3 blocks
+        assert out.stdout.strip().splitlines()[-1] == "3 6 35378"
 
 
 class TestImport:

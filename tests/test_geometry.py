@@ -132,23 +132,6 @@ class TestPushforward:
                 fd = (frame.field.a(t, x + e) - frame.field.a(t, x - e)) / (2 * h)
                 assert np.max(np.abs(fd - frame.field.da_dy(t, x)[r])) < 1e-7
 
-    def test_effective_field_derivatives(self):
-        field = diagonal_variable_field(2)
-        hmap = HolmgrenMap(y_hat=np.zeros(2), c=1.0, X=0.05, T=1.0)
-        eff = pushforward_operator(field, hmap).effective_field()
-        rng = np.random.default_rng(5)
-        h = 1e-6
-        for _ in range(20):
-            t = rng.uniform(0.1, 0.9)
-            x = rng.normal(size=2) * 0.2
-            fd_t = (eff.a(t + h, x) - eff.a(t - h, x)) / (2 * h)
-            assert np.max(np.abs(fd_t - eff.da_dt(t, x))) < 1e-7
-            for r in range(2):
-                e = np.zeros(2)
-                e[r] = h
-                fd = (eff.a(t, x + e) - eff.a(t, x - e)) / (2 * h)
-                assert np.max(np.abs(fd - eff.da_dy(t, x)[r])) < 1e-7
-
     def test_pushforward_preserves_ellipticity(self):
         field = diagonal_variable_field(3)
         hmap = HolmgrenMap(y_hat=np.zeros(3), c=2.0, X=0.05, T=1.0, stage=2)
@@ -189,19 +172,17 @@ class TestCongruence:
     def test_effective_forms_equal_einsum_bitwise(self, preset, n, c):
         hmap = HolmgrenMap(y_hat=np.zeros(n), c=c, X=0.05, T=1.0)
         frame = pushforward_operator(FIELD_PRESETS[preset](n), hmap)
-        eff = frame.effective_field()
         rng = np.random.default_rng(n)
         points = [(rng.uniform(0.0, 1.0, 500), rng.normal(size=(500, n))),
                   (0.3, rng.normal(size=(7, 9, n))),
                   (0.8, rng.normal(size=n))]
         for t, x in points:
             m = frame._tilt_matrix(x)
-            for got, base in ((frame.effective_matrix(t, x), frame.field.a),
-                              (eff.da_dt(t, x), frame.field.da_dt)):
-                want = np.einsum("...ji,...jk,...kl->...il", m,
-                                 np.asarray(base(t, x), dtype=float), m)
-                assert got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
+            got = frame.effective_matrix(t, x)
+            want = np.einsum("...ji,...jk,...kl->...il", m,
+                             np.asarray(frame.field.a(t, x), dtype=float), m)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestGlobalDiffeo:

@@ -49,11 +49,11 @@ def marched_reference(spec, field, source, grid):
     inside[grid.interior()] = True
     inside = inside.reshape(-1)
     mats = [mat for mat, count in solver._level_operators(
-        grid, field, LowerOrderTerm.zero(), grid.time.nodes)
+        grid, field.a, LowerOrderTerm.zero(), grid.time.nodes)
         for _ in range(count)]
     u = np.zeros((grid.time.n_steps + 1,) + grid.shape)
     for k in range(1, grid.time.n_steps + 1):
-        rest = apply_discrete_operator(u, spec, field, LowerOrderTerm.zero(),
+        rest = apply_discrete_operator(u, spec, field.a, LowerOrderTerm.zero(),
                                        grid, source=source)[k].reshape(-1)
         system = (c * sp.eye(int(inside.sum())) + mats[k][:, inside]).tocsc()
         u[k][grid.interior()] = spla.splu(system).solve(-rest).reshape(
@@ -255,7 +255,7 @@ class TestSolve:
                              time=TimeGrid.from_interval(1.0, 2 * 64 + 3))
         # b0 changes at every level, so only the field without it is one run
         counts = [count for _, count in solver._level_operators(
-            grid, plain, lower, grid.time.nodes)]
+            grid, plain.a, lower, grid.time.nodes)]
         assert counts == ([132] if lower.b0 is None else [1] * 132)
         source = lambda t, Y: t * np.sin(np.pi * Y[..., 0])
         results = [solve(spec, field, lower, source, grid)
@@ -400,7 +400,7 @@ class TestDiscreteOperator:
         result = solve(spec, identity_field(1), LowerOrderTerm.zero(),
                        source, grid, check_residual=False)
         resid = apply_discrete_operator(result.field.values, spec,
-                                        identity_field(1),
+                                        identity_field(1).a,
                                         LowerOrderTerm.zero(), grid,
                                         source=source)
         assert np.abs(resid).max() <= 1e-10
@@ -413,7 +413,7 @@ class TestDiscreteOperator:
         v = rng.normal(size=(17, 17))
         u[0] = v[0] = 0.0
         field = identity_field(1)
-        op = lambda w: apply_discrete_operator(w, spec, field,
+        op = lambda w: apply_discrete_operator(w, spec, field.a,
                                                LowerOrderTerm.zero(), grid)
         lhs = op(2.0 * u - 3.0 * v)
         rhs = 2.0 * op(u) - 3.0 * op(v)
@@ -427,8 +427,8 @@ class TestDiscreteOperator:
         lower = LowerOrderTerm(b=lambda t, Y: np.stack(
             [np.cos(Y[..., 0] + t), Y[..., 1]], axis=-1))
         block = np.random.default_rng(7).normal(size=(99, 5))
-        for mat, _ in solver._level_operators(grid, diagonal_variable_field(2),
-                                              lower, grid.time.nodes):
+        for mat, _ in solver._level_operators(
+                grid, diagonal_variable_field(2).a, lower, grid.time.nodes):
             product = mat @ block
             for b in range(block.shape[1]):
                 assert (product[:, b].tobytes()
@@ -445,10 +445,10 @@ class TestDiscreteOperator:
         rng = np.random.default_rng(11)
         work = rng.normal(size=(132, 99) + trailing)
         start = rng.normal(size=(132, 63) + trailing)
-        walked = solver._spatial_walk(grid, field, LowerOrderTerm.zero(),
+        walked = solver._spatial_walk(grid, field.a, LowerOrderTerm.zero(),
                                       work, start.copy())
         ((mat, count),) = solver._level_operators(
-            grid, field, LowerOrderTerm.zero(), grid.time.nodes)
+            grid, field.a, LowerOrderTerm.zero(), grid.time.nodes)
         assert count == 132
         for k in range(count):
             assert (walked[k].tobytes()
@@ -463,12 +463,12 @@ class TestDiscreteOperator:
         batch = np.random.default_rng(2).normal(size=(13, 7, 8, 3))
         # one walk over the levels for the whole batch
         block = batch.reshape(13, -1, 3)
-        walked = solver._spatial_walk(grid, field, lower, block,
+        walked = solver._spatial_walk(grid, field.a, lower, block,
                                       np.zeros((13, 30, 3)))
         for b in range(3):
-            own = apply_discrete_operator(batch[..., b], spec, field,
+            own = apply_discrete_operator(batch[..., b], spec, field.a,
                                           lower, grid)
-            given = apply_discrete_operator(batch[..., b], spec, field,
+            given = apply_discrete_operator(batch[..., b], spec, field.a,
                                             lower, grid,
                                             spatial=walked[..., b])
             assert given.tobytes() == own.tobytes()
@@ -487,11 +487,11 @@ def switching_field(t_on, t_off):
         da_dy=lambda t, y: np.zeros(np.shape(y)[:-1] + (1, 1, 1)), delta=0.5)
 
 
-def per_level_runs(grid, coeffs, lower, times):
+def per_level_runs(grid, a, lower, times):
     """Runs from one sample and one _spatial_matrix per level, merged while
     consecutive samples are exactly equal."""
     y_int = grid.mesh()[grid.interior()].reshape(-1, grid.ndim)
-    terms = (coeffs.a, lower.b, lower.b0)
+    terms = (a, lower.b, lower.b0)
     runs = []
     for t in times:
         sampled = [None if f is None else np.asarray(f(t, y_int), dtype=float)
@@ -518,7 +518,7 @@ class TestLevelRuns:
         times = grid.time.nodes
         for levels, counts in ((times, [64, 36, 31]),
                                (times[1:], [63, 36, 31])):
-            runs = list(solver._level_operators(grid, field, lower, levels))
+            runs = list(solver._level_operators(grid, field.a, lower, levels))
             assert [count for _, count in runs] == counts
         spec = MultiTermSpec(orders=(1.5, 0.5), weights=(1.0, 0.5))
         source = lambda t, Y: t * np.sin(np.pi * Y[..., 0])
@@ -547,9 +547,9 @@ class TestLevelRuns:
 
         monkeypatch.setattr(solver, "_spatial_matrix", counting)
         work = np.random.default_rng(1).normal(size=(401, 81))
-        solver._spatial_walk(grid, field, lower, work, np.zeros((401, 49)))
+        solver._spatial_walk(grid, field.a, lower, work, np.zeros((401, 49)))
         assert len(calls) == 1
-        ((_, count),) = solver._level_operators(grid, field, lower,
+        ((_, count),) = solver._level_operators(grid, field.a, lower,
                                                 grid.time.nodes)
         assert count == 401
 
@@ -569,7 +569,7 @@ class TestLevelRuns:
         for times in (grid.time.nodes, grid.time.nodes[1:]):
             for terms in (LowerOrderTerm.zero(), lower):
                 counts = [count for _, count in solver._level_operators(
-                    grid, make_field(), terms, times)]
+                    grid, make_field().a, terms, times)]
                 assert sum(counts) == len(times)
                 assert min(counts) >= 1
 
@@ -671,7 +671,7 @@ class TestAssembly:
         monkeypatch.setattr(solver, "_stencil_pattern", counting_pattern)
         monkeypatch.setattr(solver, "_spatial_matrix", counting_assembly)
         work = np.random.default_rng(2).normal(size=(401, 81))
-        solver._spatial_walk(grid, diagonal_variable_field(2), lower, work,
+        solver._spatial_walk(grid, diagonal_variable_field(2).a, lower, work,
                              np.zeros((401, 49)))
         # the field and b change at every level: 401 runs, one pattern
         assert len(assembled) == 401
