@@ -250,6 +250,13 @@ def _sample_counts(sample):
     return {"solved": sample.solved, "rejected": dict(sample.rejected)}
 
 
+def _witness(report, t, x, tau, xi, sigma):
+    """The phase point (t, x, tau, xi, sigma) where ``report`` is least."""
+    i = report.argmin
+    return {"t": float(t[i]), "x": x[i].tolist(), "tau": float(tau[i]),
+            "xi": xi[i].tolist(), "sigma": float(sigma[i])}
+
+
 # ---------------------------------------------------------------------------
 # command handlers (each returns a summary dict with a "pass" entry)
 
@@ -336,7 +343,9 @@ def run_lemma21(config, out, seed, threads):
     return {"pass": bool(report.passed), "min_ratio": report.min_ratio,
             "n_samples": report.n_samples, "kappa": sample.kappa,
             "found": sample.found, "requested": sample.requested,
-            **_sample_counts(sample)}
+            **_sample_counts(sample),
+            "witness": _witness(report, sample.t, sample.x, sample.tau,
+                                sample.xi, sample.sigma)}
 
 
 def run_garding(config, out, seed, threads):
@@ -356,7 +365,8 @@ def run_garding(config, out, seed, threads):
     write_xy(os.path.join(out, "garding_curve.xy"), [curve[:, 0], curve[:, 1]])
     write_csv(os.path.join(out, "garding.csv"), ["varpi", "min_ratio"], curve)
     return {"pass": bool(report.passed), "varpi": varpi,
-            "min_ratio": report.min_ratio, "n_samples": report.n_samples}
+            "min_ratio": report.min_ratio, "n_samples": report.n_samples,
+            "witness": _witness(report, *pts)}
 
 
 def run_lemma61(config, out, seed, threads):
@@ -375,7 +385,9 @@ def run_lemma61(config, out, seed, threads):
             "stage": config["stage"],
             "ellipticity_margin": report.extras["ellipticity_margin"],
             "found": sample.found, "requested": sample.requested,
-            **_sample_counts(sample)}
+            **_sample_counts(sample),
+            "witness": _witness(report, sample.t, sample.x, sample.tau,
+                                sample.xi, sample.sigma)}
 
 
 def _manufactured_pieces(spec, grid):
@@ -413,14 +425,19 @@ def run_solve(config, out, seed, threads):
         src_cfg = config.get("source", {})
         center = np.asarray(src_cfg.get("center", [0.5] * grid.ndim))
         width = src_cfg.get("width", 0.1)
+        if len(center) != grid.ndim:
+            raise ValueError(f"source center has length {len(center)}, "
+                             f"the grid dimension is {grid.ndim}")
 
         def source(t, Y):
             r2 = np.sum(((Y - center) / width) ** 2, axis=-1)
             return np.clip(1.0 - r2, 0.0, None) ** 4 * np.minimum(t, 1.0) ** 2
         exact = None
     # every level's source in one call
-    result = solver.solve(spec, coeffs, solver.LowerOrderTerm.zero(),
-                          source(times, mesh), grid)
+    f = source(times, mesh)
+    if not f[(slice(None),) + grid.interior()].any():
+        raise ValueError("source is zero on every interior node")
+    result = solver.solve(spec, coeffs, solver.LowerOrderTerm.zero(), f, grid)
     sol = result.field
     solver.save_solution(sol, os.path.join(out, "solution"))
     solver.export_time_slice_csv(sol, grid.time.n_steps,

@@ -22,13 +22,17 @@ The solver steps with :class:`L1March` and the Carleman drift is
 The march runs in blocks of ``BLOCK`` levels: a block's first step forms its
 older history as one Toeplitz product per kernel, each step its recent terms.
 
-scipy is imported inside the functions that call it, so importing the
-package loads none of it; ``math.gamma`` would differ from
-``scipy.special.gamma`` in the last bit and move the outputs.
+Gamma is :func:`_gamma`, a line-for-line port of the cephes ``Gamma``
+that ``scipy.special.gamma`` evaluates, so the module's numbers are those
+of scipy without loading ``scipy.special``.  ``math.gamma`` cannot stand in
+for it: it differs in the last bit at most arguments and would move the
+outputs.  Only :func:`caputo_oracle` imports scipy, for its quadrature,
+and it does so when called, so importing the package loads none of it.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -36,6 +40,76 @@ import numpy as np
 
 BLOCK = 64
 """Time levels per Toeplitz row block of a batched history sum."""
+
+
+# cephes gamma.c: the rational approximation on [2, 3) and the Stirling
+# series above 33
+_GAMMA_P = (1.60119522476751861407e-4, 1.19135147006586384913e-3,
+            1.04213797561761569935e-2, 4.76367800457137231464e-2,
+            2.07448227648435975150e-1, 4.94214826801497100753e-1,
+            9.99999999999999996796e-1)
+_GAMMA_Q = (-2.31581873324120129819e-5, 5.39605580493303397842e-4,
+            -4.45641913851797240494e-3, 1.18139785222060435552e-2,
+            3.58236398605498653373e-2, -2.34591795718243348568e-1,
+            7.14304917030273074085e-2, 1.00000000000000000320e0)
+_GAMMA_STIR = (7.87311395793093628397e-4, -2.29549961613378126380e-4,
+               -2.68132617805781232825e-3, 3.47222221605458667310e-3,
+               8.33333333333482257126e-2)
+_MAXGAM = 171.624376956302725
+_MAXSTIR = 143.01608
+_SQRT_2PI = 2.50662827463100050242e0
+
+
+def _polevl(x: float, coef) -> float:
+    """Horner evaluation, highest degree first, as cephes ``polevl``."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _stirf(x: float) -> float:
+    """Stirling's formula of cephes for 33 < x; inf from ``_MAXGAM`` on."""
+    if x >= _MAXGAM:
+        return math.inf
+    w = 1.0 / x
+    w = 1.0 + w * _polevl(w, _GAMMA_STIR)
+    y = math.exp(x)
+    if x > _MAXSTIR:          # x**(x - 0.5) alone would overflow
+        v = math.pow(x, 0.5 * x - 0.25)
+        y = v * (v / y)
+    else:
+        y = math.pow(x, x - 0.5) / y
+    return _SQRT_2PI * y * w
+
+
+def _gamma(x: float) -> float:
+    """Gamma(x) for x > 0, bitwise equal to ``scipy.special.gamma``.
+
+    The cephes ``Gamma`` for positive arguments, step for step: above 33
+    Stirling's formula; below, the recurrence shifts x into [2, 3), where
+    the rational approximation P/Q applies, and below 1e-9 the two-term
+    expansion 1 / ((1 + euler_gamma x) x).  Arguments x <= 0 (and NaN)
+    raise ``ValueError``; the module never passes one.
+    """
+    x = float(x)
+    if not x > 0.0:
+        raise ValueError(f"gamma argument must be positive, got {x}")
+    if x > 33.0:
+        return _stirf(x)
+    z = 1.0
+    while x >= 3.0:
+        x -= 1.0
+        z *= x
+    while x < 2.0:
+        if x < 1e-9:
+            return z / ((1.0 + 0.5772156649015329 * x) * x)
+        z /= x
+        x += 1.0
+    if x == 2.0:
+        return z
+    x -= 2.0
+    return z * _polevl(x, _GAMMA_P) / _polevl(x, _GAMMA_Q)
 
 
 class ConvergenceError(RuntimeError):
@@ -144,9 +218,8 @@ def caputo_power_rule(p: float, alpha: float, t) -> float:
     Gamma(p+1)/Gamma(p+1-alpha) * t**(p-alpha).  Valid for any order in
     (0,2), including exactly 1.
     """
-    from scipy.special import gamma
-
-    return gamma(p + 1.0) / gamma(p + 1.0 - alpha) * np.asarray(t) ** (p - alpha)
+    return (_gamma(p + 1.0) / _gamma(p + 1.0 - alpha)
+            * np.asarray(t) ** (p - alpha))
 
 
 def caputo_oracle(u, derivative, alpha: float, t: float, tol: float = 1e-10,
@@ -182,7 +255,6 @@ def caputo_oracle(u, derivative, alpha: float, t: float, tol: float = 1e-10,
     """
     # scipy.integrate is slow to import and only this oracle needs it
     from scipy.integrate import IntegrationWarning, quad
-    from scipy.special import gamma
 
     k = _order_index(alpha)
     if t <= 0.0:
@@ -198,8 +270,8 @@ def caputo_oracle(u, derivative, alpha: float, t: float, tol: float = 1e-10,
         warnings.simplefilter("ignore", IntegrationWarning)
         value, abserr = quad(integrand, 0.0, 1.0, epsabs=tol, epsrel=tol,
                              limit=max_subdivisions)
-    value *= t ** (k - alpha) / ((k - alpha) * gamma(k - alpha))
-    abserr *= t ** (k - alpha) / ((k - alpha) * gamma(k - alpha))
+    value *= t ** (k - alpha) / ((k - alpha) * _gamma(k - alpha))
+    abserr *= t ** (k - alpha) / ((k - alpha) * _gamma(k - alpha))
     if abserr > tol * max(1.0, abs(value)):
         raise ConvergenceError(
             f"quadrature error estimate {abserr:.3e} exceeds tolerance "
@@ -271,8 +343,6 @@ def caputo_l1(values: np.ndarray, alpha: float, dt: float) -> np.ndarray:
     second-derivative kernel to the first-derivative one.  The history is
     the exact direct sum, evaluated by :func:`causal_convolve`.
     """
-    from scipy.special import gamma
-
     values = np.asarray(values, dtype=float)
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"order must lie in (0,2), got {alpha}")
@@ -287,7 +357,7 @@ def caputo_l1(values: np.ndarray, alpha: float, dt: float) -> np.ndarray:
     if n < 1:
         return out
     causal_convolve(l1_weights(alpha, n), np.diff(values, axis=0), out=out[1:])
-    out[1:] /= gamma(2.0 - alpha) * dt ** alpha
+    out[1:] /= _gamma(2.0 - alpha) * dt ** alpha
     return out
 
 
@@ -297,8 +367,6 @@ def _caputo_l1_final(values: np.ndarray, alpha: float, dt: float) -> float:
     Only the sum at the last node is formed: the full-overlap dot product
     that ``np.convolve`` computes for that node.
     """
-    from scipy.special import gamma
-
     values = np.asarray(values, dtype=float)
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"order must lie in (0,2), got {alpha}")
@@ -312,7 +380,7 @@ def _caputo_l1_final(values: np.ndarray, alpha: float, dt: float) -> float:
         return 0.0
     history = np.convolve(np.diff(values), l1_weights(alpha, n),
                           mode="valid")[0]
-    return float(history / (gamma(2.0 - alpha) * dt ** alpha))
+    return float(history / (_gamma(2.0 - alpha) * dt ** alpha))
 
 
 class L1March:
@@ -327,19 +395,18 @@ class L1March:
 
     def __init__(self, spec: MultiTermSpec, dt: float, n_steps: int,
                  n_cols: int):
-        from scipy.special import gamma
         self.lead = self._prev = 0.0
         w_u = w_v = None
         for q, al in zip(spec.weights, spec.orders):
             if al == 1.0:
                 self.lead += q * dt ** (-al)
             elif al < 1.0:
-                scale = q * (1.0 / gamma(2.0 - al)) * dt ** (-al)
+                scale = q * (1.0 / _gamma(2.0 - al)) * dt ** (-al)
                 self.lead += scale
                 w = scale * l1_weights(al, n_steps)
                 w_u = w if w_u is None else w_u + w
             else:
-                scale = q * (1.0 / gamma(3.0 - al)) * dt ** (-al)
+                scale = q * (1.0 / _gamma(3.0 - al)) * dt ** (-al)
                 self.lead += scale
                 self._prev += scale
                 w = scale * dt * l1_weights(al - 1.0, n_steps)
@@ -384,8 +451,6 @@ def rl_integral_l1(values: np.ndarray, mu: float, dt: float) -> np.ndarray:
     Piecewise-linear product integration: exact on linear interpolants of
     the data, matching the accuracy class of the L1 derivative weights.
     """
-    from scipy.special import gamma
-
     values = np.asarray(values, dtype=float)
     if not 0.0 < mu <= 1.0:
         raise ValueError(f"integral order must lie in (0,1], got {mu}")
@@ -403,7 +468,7 @@ def rl_integral_l1(values: np.ndarray, mu: float, dt: float) -> np.ndarray:
     # J w(t_k) = dt^mu/Gamma(mu) * sum_m [a_m w_{k-m} + b_m w_{k-m+1}]
     causal_convolve(a_w, values[:-1], out=res[1:])
     res[1:] += causal_convolve(b_w, values[1:])
-    res *= dt ** mu / gamma(mu)
+    res *= dt ** mu / _gamma(mu)
     return res
 
 

@@ -10,14 +10,16 @@ a(t, Y) -> (..., n, n), not a field: :func:`solve` passes its field's ``a``,
 the Carleman image the Holmgren frame's tilted matrix.  A private generator
 samples a, b and b0 on blocks of time levels and yields -(L + l1), rows on
 interior nodes and columns on all nodes, as runs ``(matrix, count)``.
-Every matrix fills one CSR sparsity pattern, built once per walk.  A level
-starts a new run exactly when one of its samples differs from the level
-before it, so reuse is decided from the samples alone.  One walk over the
-levels serves a block of grid
-functions, as in the Carleman sweep, and applies each run as one product
-per at most ``BLOCK`` levels.  Each step moves the discrete history to the
-right-hand side, lifts the Dirichlet data through the boundary columns and
-solves one sparse system for the interior unknowns.  A level of a run whose
+Every matrix is a numpy array of stencil values on one array of columns,
+built once per walk, and its product with a vector or a block is numpy
+too.  A level starts a new run exactly when one of its samples differs
+from the level before it, so reuse is decided from the samples alone.  One
+walk over the levels serves a block of grid functions, as in the Carleman
+sweep, and applies each run as one product per at most ``BLOCK`` levels;
+the walk loads no scipy.  Each step of :func:`solve` turns its run's
+matrix into scipy CSR, moves the discrete history to the right-hand side,
+lifts the Dirichlet data through the boundary columns and solves one
+sparse system for the interior unknowns.  A level of a run whose
 matrix has been factorized is solved directly.  Otherwise the LU of an
 earlier run is kept and iterative refinement with it runs until the
 residual is at most 1e-13 of the right-hand side; a step that needs more
@@ -196,15 +198,14 @@ def _interior_flags(grid: SpaceTimeGrid) -> np.ndarray:
 
 
 def _stencil_pattern(grid: SpaceTimeGrid):
-    """CSR structure shared by every matrix of :func:`_spatial_matrix`.
+    """Columns shared by every matrix of :func:`_spatial_matrix`.
 
     Each interior row holds one entry per stencil offset, in column order,
-    whatever the coefficients (exact zeros stay stored), so the structure
-    depends on the grid shape alone.  Returns ``(template, slot)``: a CSR
-    matrix whose ``indices`` and ``indptr`` every level shares, and the
-    position in a row of each linear offset.
+    whatever the coefficients (exact zeros stay stored), so the columns
+    depend on the grid shape alone.  Returns ``(cols, slot)``: the
+    ``(rows, slots)`` integer array of each interior row's columns, which
+    every level shares, and the slot of each linear offset.
     """
-    import scipy.sparse as sp
     nd = grid.ndim
     shape = grid.shape
     strides = [math.prod(shape[d + 1:]) for d in range(nd)]
@@ -216,16 +217,49 @@ def _stencil_pattern(grid: SpaceTimeGrid):
                         for s1 in (1, -1) for s2 in (1, -1)}
     ordered = np.array(sorted(offsets))
     rows_lin = np.flatnonzero(_interior_flags(grid))
-    indices = (rows_lin[:, None] + ordered).reshape(-1)
-    indptr = np.arange(0, indices.size + 1, len(ordered))
-    # scipy picks the index dtype here, once; each level reuses the arrays
-    template = sp.csr_matrix((np.zeros(indices.size), indices, indptr),
-                             shape=(len(rows_lin), math.prod(shape)))
-    return template, {int(o): j for j, o in enumerate(ordered)}
+    # column-major, so that each slot's columns are contiguous
+    cols = np.asfortranarray(rows_lin[:, None] + ordered)
+    return cols, {int(o): j for j, o in enumerate(ordered)}
+
+
+@dataclass(frozen=True, eq=False)
+class _StencilMatrix:
+    """One level's -(L + l1): row i holds ``values[i, s]`` at ``cols[i, s]``.
+
+    Rows run over the interior nodes, columns over all ``n_nodes`` nodes;
+    ``cols`` is the :func:`_stencil_pattern` of the walk.
+    """
+
+    values: np.ndarray
+    cols: np.ndarray
+    n_nodes: int
+
+    def __matmul__(self, x):
+        """Product with a vector or a (nodes, K) block of vectors.
+
+        From zeros it adds ``values[:, s] * x[cols[:, s]]`` slot by slot,
+        in column order: per element the ``y += a*x`` sequence of scipy's
+        ``csr_matvec`` and ``csr_matvecs``, so the product is bitwise that
+        of :meth:`tocsr`.
+        """
+        out = np.zeros((len(self.values),) + x.shape[1:])
+        for s in range(self.cols.shape[1]):
+            term = x.take(self.cols[:, s], axis=0)
+            term *= self.values[:, s].reshape((-1,) + (1,) * (x.ndim - 1))
+            out += term
+        return out
+
+    def tocsr(self):
+        """The same matrix as scipy CSR, for factorization and the lift."""
+        import scipy.sparse as sp
+        rows, slots = self.cols.shape
+        return sp.csr_matrix((self.values.reshape(-1), self.cols.reshape(-1),
+                              np.arange(0, rows * slots + 1, slots)),
+                             shape=(rows, self.n_nodes))
 
 
 def _spatial_matrix(grid: SpaceTimeGrid, a, bvec, bzero, pattern=None):
-    """Sparse matrix of -(L + l1), rows on interior nodes, columns on all.
+    """The :class:`_StencilMatrix` of -(L + l1), rows on interior nodes.
 
     ``a``, ``bvec`` and ``bzero`` are the coefficients sampled on the
     interior nodes (the last two may be None).  The column space runs over
@@ -234,12 +268,11 @@ def _spatial_matrix(grid: SpaceTimeGrid, a, bvec, bzero, pattern=None):
     first-order term shares the slots of the axis neighbours; with two
     addends per slot the order of the sum cannot change it.
     """
-    import scipy.sparse as sp
-    template, slot = _stencil_pattern(grid) if pattern is None else pattern
+    cols, slot = _stencil_pattern(grid) if pattern is None else pattern
     nd = grid.ndim
     h = grid.spacing
     strides = [math.prod(grid.shape[d + 1:]) for d in range(nd)]
-    data = np.empty((template.shape[0], len(slot)))
+    data = np.empty(cols.shape, order="F")
 
     center = np.zeros(len(data))
     for d in range(nd):
@@ -262,9 +295,8 @@ def _spatial_matrix(grid: SpaceTimeGrid, a, bvec, bzero, pattern=None):
     if bzero is not None:
         center -= bzero
     data[:, slot[0]] = center
-
-    return sp.csr_matrix((data.reshape(-1), template.indices,
-                          template.indptr), shape=template.shape)
+    return _StencilMatrix(values=data, cols=cols,
+                          n_nodes=math.prod(grid.shape))
 
 
 def _level_operators(grid: SpaceTimeGrid, a, lower: LowerOrderTerm, times):
@@ -416,7 +448,8 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
     left = 0                       # levels of the current run still to go
     for k in range(1, nt + 1):
         if left == 0:
-            mat, left = next(runs)
+            stencil, left = next(runs)
+            mat = stencil.tocsr()
             system = (sp.eye(n_int, format="csr") * march.lead
                       + mat[:, inside]).tocsc()
             lift = mat[:, ~inside]
@@ -480,7 +513,7 @@ def _spatial_walk(grid: SpaceTimeGrid, a, lower: LowerOrderTerm, work, out):
 
     ``a`` is the coefficient matrix callable of :func:`_level_operators`.
     ``work`` is (nt+1, nodes) or a block (nt+1, nodes, B) of B grid
-    functions: a CSR product with a block rounds column by column like B
+    functions: a stencil product with a block rounds column by column like B
     matrix-vector products, so one walk serves a whole batch, and each run
     of :func:`_level_operators` is applied as one product per at most
     ``BLOCK`` levels.

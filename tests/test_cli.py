@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fraclab
-from fraclab import cli, solver, symbols
+from fraclab import cli, geometry, solver, symbols
 from fraclab.cli import COMMANDS, _build_region, _chunk_counts, main
 
 SPEC = {"orders": [0.5], "weights": [1.0]}
@@ -257,6 +257,42 @@ class TestCommands:
         assert summary["min_ratio"] > 0.0
         assert summary["ellipticity_margin"] >= -1e-12
 
+    @pytest.mark.parametrize("command", ["lemma21", "lemma61", "garding"])
+    def test_witness_reproduces_the_minimum(self, tmp_path, command):
+        # the summary alone (with the config) gives the minimum back
+        config = {"spec": SPEC, "coeffs": COEFFS2, "map": MAP1,
+                  "weight": WEIGHT, "n_samples": 400}
+        if command == "lemma61":
+            config["stage"] = 3
+        code, out = run(tmp_path, command, config, seed=7)
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        w = summary["witness"]
+        point = (np.array([w["t"]]), np.array([w["x"]]),
+                 np.array([w["tau"]]), np.array([w["xi"]]),
+                 np.array([w["sigma"]]))
+        spec = fraclab.MultiTermSpec(orders=(0.5,), weights=(1.0,))
+        weight = symbols.CarlemanWeightParams(X=0.05)
+        field = fraclab.field_from_config(COEFFS2)
+        sample = symbols.CharacteristicSample(*point, residual=np.zeros(1),
+                                              requested=1, kappa=0.0)
+        if command == "lemma61":
+            hmap = fraclab.HolmgrenMap(y_hat=np.zeros(2), stage=3, **MAP1)
+            report = symbols.lemma61_check(
+                sample, spec, geometry.global_coefficients(field), hmap,
+                weight)
+        else:
+            hmap = fraclab.HolmgrenMap(y_hat=np.zeros(2), **MAP1)
+            frame = fraclab.pushforward_operator(field, hmap)
+            report = (symbols.lemma21_check(sample, spec, frame.field,
+                                            weight, hmap.c)
+                      if command == "lemma21" else
+                      symbols.garding_precondition_check(
+                          point, spec, frame.field, weight, hmap.c,
+                          summary["varpi"]))
+        assert (abs(report.min_ratio - summary["min_ratio"])
+                <= 1e-12 * abs(summary["min_ratio"]))
+
     def test_symbol_bracket_csv_columns(self, tmp_path):
         config = {"spec": SPEC, "coeffs": COEFFS2, "map": MAP1,
                   "weight": WEIGHT, "n_samples": 100}
@@ -290,6 +326,26 @@ class TestCommands:
         assert "max_error" not in summary
         assert summary["equation_residual_max"] <= 1e-10
         assert (out / "final_profile.xy").exists()
+
+    @pytest.mark.parametrize("ndim, source, message", [
+        (1, {"center": [0.5, 3.0], "width": 0.1},
+         "source center has length 2, the grid dimension is 1"),
+        (2, {"center": [0.5]},
+         "source center has length 1, the grid dimension is 2"),
+        (1, {"center": [3.0], "width": 0.1},
+         "source is zero on every interior node"),
+    ], ids=["long-center", "short-center", "off-the-grid"])
+    def test_solve_rejects_a_source_that_cannot_be_right(
+            self, tmp_path, capsys, ndim, source, message):
+        config = {"spec": SPEC, "coeffs": {"preset": "identity", "n": ndim},
+                  "grid": {"bounds": [[0.0, 1.0]] * ndim,
+                           "shape": [33] * ndim, "n_steps": 8,
+                           "t_final": 1.0},
+                  "manufactured": False, "source": source}
+        code, out = run(tmp_path, "solve", config)
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("manufactured", [True, False],
                              ids=["manufactured", "bump"])
@@ -503,12 +559,13 @@ class TestBenchmarkTracer:
 
 
 class TestImport:
-    def test_cli_import_leaves_scipy_integrate_unloaded(self):
-        code = "import sys, fraclab.cli; print('scipy.integrate' in sys.modules)"
+    def test_cli_import_loads_no_scipy(self):
+        code = ("import sys, fraclab.cli; print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
         out = subprocess.run([sys.executable, "-c", code],
                              env=_subprocess_env(), capture_output=True,
                              text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
 
     def test_certify_command_loads_no_scipy(self, tmp_path):
         cfg = tmp_path / "lemma21.json"
@@ -518,6 +575,31 @@ class TestImport:
                 f"'--out', {str(tmp_path / 'out')!r}]); "
                 "print(code, sorted(m for m in sys.modules "
                 "if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code],
+                             env=_subprocess_env(), capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip().splitlines()[-1] == "0 []"
+
+    @pytest.mark.parametrize("command, banned", [
+        ("carleman-sweep", "scipy"), ("solve", "scipy.special")])
+    def test_evolution_commands_leave_scipy_unloaded(self, tmp_path, command,
+                                                     banned):
+        # the sweep's operator product and every Gamma value are numpy and
+        # Python; only the solver's factorization loads scipy.sparse
+        config = VALID[command]
+        if command == "carleman-sweep":     # a sweep that passes
+            config = {**config, "map": {"c": 1.0, "X": 0.3, "T": 1.0},
+                      "weight": {"X": 0.3},
+                      "grid": {"bounds": [[0.0, 0.3]], "shape": [41],
+                               "n_steps": 32, "t_final": 1.0},
+                      "betas": [25.0, 100.0, 400.0], "n_bumps": 2}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        code = ("import sys; from fraclab.cli import main; "
+                f"code = main([{command!r}, '--config', {str(cfg)!r}, "
+                f"'--out', {str(tmp_path / 'out')!r}]); "
+                "print(code, sorted(m for m in sys.modules "
+                f"if m == {banned!r} or m.startswith({banned + '.'!r})))")
         out = subprocess.run([sys.executable, "-c", code],
                              env=_subprocess_env(), capture_output=True,
                              text=True, check=True)

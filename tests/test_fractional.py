@@ -8,7 +8,8 @@ from fraclab import (ConvergenceError, MultiTermSpec, Series, TimeGrid,
                      caputo_apply, caputo_l1, caputo_oracle,
                      caputo_power_rule, multiterm_apply, multiterm_l1,
                      rl_integral_l1)
-from fraclab.fractional import (BLOCK, L1March, _caputo_l1_final,
+from fraclab import fractional
+from fraclab.fractional import (BLOCK, L1March, _caputo_l1_final, _gamma,
                                 causal_convolve, l1_weights, multiterm_lowered)
 
 SQRT_PI = math.sqrt(math.pi)
@@ -16,6 +17,53 @@ SQRT_PI = math.sqrt(math.pi)
 
 def grid(n, t_final=1.0):
     return TimeGrid.from_interval(t_final, n)
+
+
+class TestGamma:
+    def test_equals_scipy_bitwise_on_a_dense_grid(self):
+        # both branches of the recurrence, the small-argument expansion,
+        # the Stirling series with and without the split power, and the
+        # overflow to inf past 171.62
+        x = np.concatenate([np.geomspace(1e-300, 1e-6, 2001),
+                            np.linspace(1e-6, 33.0, 200_003),
+                            np.linspace(33.0, 171.6, 100_001),
+                            np.arange(1.0, 172.0), [171.62, 171.63, 200.0]])
+        got = np.array([_gamma(v) for v in x.tolist()])
+        assert got.tobytes() == gamma(x).tobytes()
+
+    def test_equals_scipy_at_every_argument_the_module_passes(self,
+                                                              monkeypatch):
+        seen = []
+
+        def recording(x):
+            seen.append(x)
+            return _gamma(x)
+
+        monkeypatch.setattr(fractional, "_gamma", recording)
+        g = grid(8)
+        u = g.nodes ** 2
+        orders = [0.25, 0.5, 0.75, 1.25, 1.5, 1.75,
+                  *np.linspace(0.01, 0.99, 50), *np.linspace(1.01, 1.99, 50)]
+        for alpha in orders:
+            spec = MultiTermSpec(orders=(alpha,), weights=(1.0,))
+            caputo_l1(u, alpha, g.dt)                    # 2 - alpha
+            _caputo_l1_final(u, alpha, g.dt)
+            L1March(spec, g.dt, 8, 1)                    # 2 or 3 - alpha
+            multiterm_lowered(u, spec, g.dt, 1.0)        # mu = 1 or 2 - alpha
+            for p in (1.0, 2.0, 2.5):                    # p + 1, p + 1 - alpha
+                caputo_power_rule(p, alpha, 1.0)
+        for alpha in (0.5, 1.5):                         # k - alpha
+            caputo_oracle(lambda t: t**2, lambda t, a=alpha: (
+                2.0 * t if a < 1.0 else 2.0), alpha, 1.0)
+        assert len(set(seen)) >= 200
+        x = np.array(seen)
+        assert np.array([_gamma(v) for v in seen]).tobytes() \
+            == gamma(x).tobytes()
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, -0.5, -1.0, -40.0, math.nan])
+    def test_nonpositive_argument_raises(self, x):
+        with pytest.raises(ValueError, match="positive"):
+            _gamma(x)
 
 
 class TestOracle:

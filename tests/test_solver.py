@@ -55,7 +55,8 @@ def marched_reference(spec, field, source, grid):
     for k in range(1, grid.time.n_steps + 1):
         rest = apply_discrete_operator(u, spec, field.a, LowerOrderTerm.zero(),
                                        grid, source=source)[k].reshape(-1)
-        system = (c * sp.eye(int(inside.sum())) + mats[k][:, inside]).tocsc()
+        system = (c * sp.eye(int(inside.sum()))
+                  + mats[k].tocsr()[:, inside]).tocsc()
         u[k][grid.interior()] = spla.splu(system).solve(-rest).reshape(
             tuple(s - 2 for s in grid.shape))
     return u
@@ -138,6 +139,24 @@ class TestSolve:
         err = np.abs(result.field.values - ref).max()
         assert err < 5e-2
         assert result.diagnostics["equation_residual_max"] <= 1e-10
+
+    def test_observed_time_order_upper_branch(self):
+        # alpha = 1.5: the difference of successive halvings on one space
+        # grid cancels the spatial error and needs no reference solution.
+        # The branch applies L1 of order alpha - 1 to a backward difference
+        # and reaches order 1.00 (0.987 at N = 128 -> 512); 3 - alpha, the
+        # order of the L1-2 scheme of Sun & Wu, is the target of its next
+        # step, which must change the expected order, not the tolerance
+        spec = MultiTermSpec(orders=(1.5,), weights=(1.0,))
+        _, source = manufactured_1d(spec)
+        finals = []
+        for n in (128, 256, 512):
+            result = solve(spec, identity_field(1), LowerOrderTerm.zero(),
+                           source, grid_1d(n, 17), check_residual=False)
+            finals.append(result.field.values[::n // 128])
+        order = math.log2(np.abs(finals[0] - finals[1]).max()
+                          / np.abs(finals[1] - finals[2]).max())
+        assert abs(order - 1.0) <= 0.05
 
     def test_two_dimensional_cross_terms(self):
         theta = math.pi / 5.0
@@ -640,7 +659,7 @@ class TestAssembly:
             b[1::4] = 16.0 * a[1::4, range(n), range(n)]
         b0 = np.where(rng.random(n_int) < 0.3, 0.0,
                       rng.normal(size=n_int)) if with_b0 else None
-        got = solver._spatial_matrix(grid, a, b, b0)
+        got = solver._spatial_matrix(grid, a, b, b0).tocsr()
         want = coo_spatial_matrix(grid, a, b, b0)
         assert got.shape == want.shape
         for name in ("data", "indices", "indptr"):
@@ -650,7 +669,36 @@ class TestAssembly:
         # a shared pattern gives the same matrix
         shared = solver._spatial_matrix(grid, a, b, b0,
                                         pattern=solver._stencil_pattern(grid))
-        assert shared.data.tobytes() == want.data.tobytes()
+        assert shared.tocsr().data.tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize("shape", [(9,), (7, 8), (5, 6, 7)],
+                             ids=["1d", "2d", "3d"])
+    def test_stencil_product_is_the_csr_product_bitwise(self, shape):
+        # the walk's numpy product adds slot by slot in column order from
+        # zeros, as scipy's csr_matvec and csr_matvecs do per element
+        rng = np.random.default_rng(len(shape))
+        grid = SpaceTimeGrid(bounds=((0.0, 1.0),) * len(shape), shape=shape,
+                             time=TimeGrid.from_interval(1.0, 4))
+        n_int, n = math.prod(s - 2 for s in shape), len(shape)
+        nodes = math.prod(shape)
+        a = rng.normal(size=(n_int, n, n))
+        a[::4] *= -0.0
+        b = rng.normal(size=(n_int, n))
+        b0 = rng.normal(size=n_int)
+        # magnitudes over 16 decades and zeros of both signs
+        block = (rng.normal(size=(nodes, 4))
+                 * 10.0 ** rng.integers(-8, 8, size=(nodes, 4)))
+        block[::5] = -0.0
+        block[1::7, 1] = 0.0
+        # a = -0.0 stores +0.0 in 1-D, and a sum of -0.0 products is +0.0
+        zero = np.full((n_int, n, n), -0.0)
+        for mat in (solver._spatial_matrix(grid, a, b, b0),
+                    solver._spatial_matrix(grid, zero, None, None)):
+            csr = mat.tocsr()
+            for x in (block, block[:, 0], block[:, 1].copy(), block[:, :1],
+                      np.full(nodes, -0.0)):
+                assert (mat @ x).shape == (csr @ x).shape
+                assert (mat @ x).tobytes() == (csr @ x).tobytes()
 
     def test_pattern_is_built_once_per_walk(self, monkeypatch):
         grid = SpaceTimeGrid(bounds=((0.0, 1.0), (0.0, 1.0)), shape=(9, 9),
