@@ -26,14 +26,41 @@ from .fractional import (MultiTermSpec, Series, TimeGrid, _caputo_l1_final,
                          caputo_oracle, caputo_power_rule)
 
 
-def write_csv(path, header, rows):
-    """Header line, then one line per row of the 2-D array ``rows``."""
-    np.savetxt(path, np.asarray(rows, dtype=float), fmt="%.17g",
-               delimiter=",", header=",".join(header), comments="")
+# rows per "%" call: enough to amortize the call, few enough that a
+# block's text stays near a MB
+WRITE_BLOCK = 4096
+
+
+def _write_rows(path, columns, header=None, delimiter=" "):
+    """Write ``"%.17g"`` rows, the bytes of ``np.savetxt``, block by block.
+
+    ``columns`` holds 1-D arrays (one column each) and 2-D arrays (one
+    column per entry of their second axis), all with the same row count.
+    Each block of ``WRITE_BLOCK`` rows is sliced from the columns, so the
+    whole table is never stacked into one array.
+    """
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    columns = [c[:, None] if c.ndim == 1 else c for c in columns]
+    width = sum(c.shape[1] for c in columns)
+    line = delimiter.join(["%.17g"] * width) + "\n"
+    n = len(columns[0])
+    with open(path, "w") as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        for start in range(0, n, WRITE_BLOCK):
+            block = np.concatenate([c[start:start + WRITE_BLOCK]
+                                    for c in columns], axis=1)
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+
+
+def write_csv(path, header, columns):
+    """Header line, then one comma-separated row per index of ``columns``."""
+    _write_rows(path, columns, header=",".join(header), delimiter=",")
 
 
 def write_xy(path, columns):
-    np.savetxt(path, np.column_stack(columns), fmt="%.17g")
+    """One whitespace-separated row per index of ``columns``."""
+    _write_rows(path, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -193,19 +220,44 @@ def _chunk_counts(total: int):
     return [base + (1 if i < total % chunks else 0) for i in range(chunks)]
 
 
-def _chunked(total, seed, threads, draw):
-    """``draw(count, rng)`` on each chunk of ``total``, in chunk order.
+def _chunked(total, seed, threads, columns, draw):
+    """Run ``draw(count, rng)`` on each chunk of ``total`` rows, in order.
 
     Each chunk draws from its own child of the seed's sequence, so the
-    parts do not depend on how many threads run them.
+    rows do not depend on how many threads run them.  ``draw`` returns
+    ``(rows, info)``: ``rows`` holds at most ``count`` rows of each of
+    ``columns`` (arrays of ``total`` rows), and the chunk copies them into
+    its place there as soon as it is done, so no worker thread keeps a
+    chunk's arrays on its heap.  Rows that a chunk did not fill are closed
+    up.  Returns the merged columns and the chunks' ``info``, in order.
     """
     counts = _chunk_counts(total)
+    starts = [sum(counts[:i]) for i in range(len(counts))]
     rngs = [np.random.default_rng(s)
             for s in np.random.SeedSequence(seed).spawn(len(counts))]
+
+    def run(start, count, rng):
+        rows, info = draw(count, rng)
+        for column, values in zip(columns, rows):
+            column[start:start + len(values)] = values
+        return len(rows[0]), info
+
     if threads <= 1:
-        return [draw(k, rng) for k, rng in zip(counts, rngs)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(draw, counts, rngs))
+        done = [run(*chunk) for chunk in zip(starts, counts, rngs)]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            done = list(pool.map(run, starts, counts, rngs))
+    if sum(filled for filled, _ in done) < total:
+        keep = np.concatenate([np.arange(start, start + filled)
+                               for start, (filled, _) in zip(starts, done)])
+        columns = [column[keep] for column in columns]
+    return columns, [info for _, info in done]
+
+
+def _phase_columns(total, n):
+    """Empty columns t, x, tau, xi and sigma of ``total`` rows."""
+    return [np.empty(total), np.empty((total, n)), np.empty(total),
+            np.empty((total, n)), np.empty(total)]
 
 
 def _parallel_char_samples(config, region, spec, coeffs, weight, c, seed,
@@ -215,25 +267,33 @@ def _parallel_char_samples(config, region, spec, coeffs, weight, c, seed,
     tol = config.get("tol", 1e-8)
     sigma_range = (tuple(config["sigma_range"]) if "sigma_range" in config
                    else None)
-    parts = _chunked(total, seed, threads, lambda k, rng: (
-        symbols.char_set_sample(region, spec, coeffs, weight, c, k, tol=tol,
-                                rng=rng, sigma_range=sigma_range)))
-    cat = lambda key: np.concatenate([getattr(p, key) for p in parts])
-    kappas = [p.kappa for p in parts if p.found > 0]
+
+    def draw(count, rng):
+        part = symbols.char_set_sample(region, spec, coeffs, weight, c, count,
+                                       tol=tol, rng=rng,
+                                       sigma_range=sigma_range)
+        return ((part.t, part.x, part.tau, part.xi, part.sigma,
+                 part.residual),
+                (part.kappa, part.solved, part.rejected, part.root_passes))
+
+    (t, x, tau, xi, sigma, residual), infos = _chunked(
+        total, seed, threads,
+        _phase_columns(total, coeffs.n) + [np.empty(total)], draw)
+    kappas = [kappa for kappa, *_ in infos if not math.isnan(kappa)]
     return symbols.CharacteristicSample(
-        t=cat("t"), x=cat("x"), tau=cat("tau"), xi=cat("xi"),
-        sigma=cat("sigma"), residual=cat("residual"), requested=total,
-        kappa=max(kappas) if kappas else math.nan,
-        solved=sum(p.solved for p in parts),
-        rejected={cause: sum(p.rejected[cause] for p in parts)
-                  for cause in symbols.REJECT_CAUSES})
+        t=t, x=x, tau=tau, xi=xi, sigma=sigma, residual=residual,
+        requested=total, kappa=max(kappas) if kappas else math.nan,
+        solved=sum(info[1] for info in infos),
+        rejected={cause: sum(info[2][cause] for info in infos)
+                  for cause in symbols.REJECT_CAUSES},
+        root_passes=sum(info[3] for info in infos))
 
 
 def _write_phase_csv(path, n, columns, tail):
     """One row per phase point (t, x, tau, xi, sigma, *tail)."""
     header = (["t"] + [f"x{i + 1}" for i in range(n)] + ["tau"]
               + [f"xi{i + 1}" for i in range(n)] + ["sigma", *tail])
-    write_csv(path, header, np.column_stack(columns))
+    write_csv(path, header, columns)
 
 
 def _write_char_points(out, sample, n):
@@ -247,7 +307,8 @@ def _write_sorted(path, values):
 
 
 def _sample_counts(sample):
-    return {"solved": sample.solved, "rejected": dict(sample.rejected)}
+    return {"solved": sample.solved, "rejected": dict(sample.rejected),
+            "root_passes": sample.root_passes}
 
 
 def _witness(report, t, x, tau, xi, sigma):
@@ -292,7 +353,7 @@ def run_caputo_check(config, out, seed, threads):
     rows = np.array(rows, dtype=float)
     write_csv(os.path.join(out, "caputo.csv"),
               ["alpha", "power", "t", "n_steps", "discrete", "oracle",
-               "exact", "rel_err_discrete", "rel_err_oracle"], rows)
+               "exact", "rel_err_discrete", "rel_err_oracle"], [rows])
     write_xy(os.path.join(out, "caputo_errors.xy"),
              [np.asarray(alphas), rows[:, 7]])
     ok = worst_apply <= tol_apply and worst_oracle <= tol_oracle
@@ -351,10 +412,11 @@ def run_lemma21(config, out, seed, threads):
 def run_garding(config, out, seed, threads):
     spec, hmap, frame, weight, region = _symbol_setup(config)
     magnitude_range = tuple(config.get("magnitude_range", (1.0, 1e3)))
-    parts = _chunked(config["n_samples"], seed, threads, lambda k, rng: (
-        symbols.full_region_sample(region, spec, frame.field.n, k, rng,
-                                   magnitude_range=magnitude_range)))
-    pts = tuple(np.concatenate(column) for column in zip(*parts))
+    total, n = config["n_samples"], frame.field.n
+    pts, _ = _chunked(total, seed, threads, _phase_columns(total, n),
+                      lambda k, rng: (symbols.full_region_sample(
+                          region, spec, n, k, rng,
+                          magnitude_range=magnitude_range), None))
     varpi, report = symbols.find_min_varpi(
         pts, spec, frame.field, weight, hmap.c,
         varpi_max=config.get("varpi_max", 1e8))
@@ -363,9 +425,10 @@ def run_garding(config, out, seed, threads):
     curve = np.array([(v, np.min(v * elliptic + negative))
                       for v in sweep_varpis] or [(0.0, report.min_ratio)])
     write_xy(os.path.join(out, "garding_curve.xy"), [curve[:, 0], curve[:, 1]])
-    write_csv(os.path.join(out, "garding.csv"), ["varpi", "min_ratio"], curve)
+    write_csv(os.path.join(out, "garding.csv"), ["varpi", "min_ratio"], [curve])
     return {"pass": bool(report.passed), "varpi": varpi,
             "min_ratio": report.min_ratio, "n_samples": report.n_samples,
+            "varpi_steps": report.extras["varpi_steps"],
             "witness": _witness(report, *pts)}
 
 
@@ -488,7 +551,7 @@ def run_ucp_demo(config, out, seed, threads):
     report = solver.ucp_experiment(ucp, floor=config.get("floor", 1e-13))
     write_csv(os.path.join(out, "ucp.csv"),
               ["center", "distance", "norm_window", "norm_total", "ratio"],
-              report.rows)
+              [np.asarray(report.rows, dtype=float)])
     write_xy(os.path.join(out, "ucp_ratio.xy"),
              [np.array([r[1] for r in report.rows]),
               np.array([r[4] for r in report.rows])])

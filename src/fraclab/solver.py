@@ -202,9 +202,11 @@ def _stencil_pattern(grid: SpaceTimeGrid):
 
     Each interior row holds one entry per stencil offset, in column order,
     whatever the coefficients (exact zeros stay stored), so the columns
-    depend on the grid shape alone.  Returns ``(cols, slot)``: the
-    ``(rows, slots)`` integer array of each interior row's columns, which
-    every level shares, and the slot of each linear offset.
+    depend on the grid shape alone.  Returns ``(cols, slot, csr_index)``:
+    the ``(rows, slots)`` integer array of each interior row's columns,
+    which every level shares, the slot of each linear offset, and the CSR
+    ``(indices, indptr)`` of that pattern in the int32 scipy would pick, so
+    that :meth:`_StencilMatrix.tocsr` casts nothing.
     """
     nd = grid.ndim
     shape = grid.shape
@@ -219,7 +221,12 @@ def _stencil_pattern(grid: SpaceTimeGrid):
     rows_lin = np.flatnonzero(_interior_flags(grid))
     # column-major, so that each slot's columns are contiguous
     cols = np.asfortranarray(rows_lin[:, None] + ordered)
-    return cols, {int(o): j for j, o in enumerate(ordered)}
+    rows, slots = cols.shape
+    index = (np.int32 if max(math.prod(shape), rows * slots)
+             <= np.iinfo(np.int32).max else np.int64)
+    csr_index = (cols.reshape(-1).astype(index),
+                 np.arange(0, rows * slots + 1, slots, dtype=index))
+    return cols, {int(o): j for j, o in enumerate(ordered)}, csr_index
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,11 +234,13 @@ class _StencilMatrix:
     """One level's -(L + l1): row i holds ``values[i, s]`` at ``cols[i, s]``.
 
     Rows run over the interior nodes, columns over all ``n_nodes`` nodes;
-    ``cols`` is the :func:`_stencil_pattern` of the walk.
+    ``cols`` and ``csr_index`` come from the :func:`_stencil_pattern` of
+    the walk.
     """
 
     values: np.ndarray
     cols: np.ndarray
+    csr_index: tuple
     n_nodes: int
 
     def __matmul__(self, x):
@@ -252,10 +261,8 @@ class _StencilMatrix:
     def tocsr(self):
         """The same matrix as scipy CSR, for factorization and the lift."""
         import scipy.sparse as sp
-        rows, slots = self.cols.shape
-        return sp.csr_matrix((self.values.reshape(-1), self.cols.reshape(-1),
-                              np.arange(0, rows * slots + 1, slots)),
-                             shape=(rows, self.n_nodes))
+        return sp.csr_matrix((self.values.reshape(-1), *self.csr_index),
+                             shape=(len(self.values), self.n_nodes))
 
 
 def _spatial_matrix(grid: SpaceTimeGrid, a, bvec, bzero, pattern=None):
@@ -268,7 +275,8 @@ def _spatial_matrix(grid: SpaceTimeGrid, a, bvec, bzero, pattern=None):
     first-order term shares the slots of the axis neighbours; with two
     addends per slot the order of the sum cannot change it.
     """
-    cols, slot = _stencil_pattern(grid) if pattern is None else pattern
+    cols, slot, csr_index = (_stencil_pattern(grid) if pattern is None
+                             else pattern)
     nd = grid.ndim
     h = grid.spacing
     strides = [math.prod(grid.shape[d + 1:]) for d in range(nd)]
@@ -295,7 +303,7 @@ def _spatial_matrix(grid: SpaceTimeGrid, a, bvec, bzero, pattern=None):
     if bzero is not None:
         center -= bzero
     data[:, slot[0]] = center
-    return _StencilMatrix(values=data, cols=cols,
+    return _StencilMatrix(values=data, cols=cols, csr_index=csr_index,
                           n_nodes=math.prod(grid.shape))
 
 

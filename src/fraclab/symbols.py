@@ -14,10 +14,11 @@ assembled left-hand side and the anisotropic scale, and the run's value is
 the certificate.
 
 - The characteristic sampler draws seeds in batches of 2n but solves only
-  as many as it still needs, in draw order; a point leaves the
-  root-finder's working set once its bracket can no longer move, so every
-  kept root is bit-identical to a full fixed-pass run.  Rejected seeds are
-  counted by cause.
+  as many as it still needs, in draw order.  Its root-finder brackets each
+  root by doubling and refines it by safeguarded Newton steps, and a point
+  leaves the working set once it has converged, so a root does not depend
+  on which other points share its batch.  Rejected seeds are counted by
+  cause.
 - Certificates evaluate brackets on blocks of ``SAMPLE_BLOCK`` samples and
   keep only the per-sample scalars they need.
 - Ellipticity margins are exact eigenvalue margins, not probe vectors.
@@ -168,16 +169,49 @@ def real_part_margin(alpha: float, taus) -> float:
 
 
 def fractional_symbol(tau, spec: MultiTermSpec, derivative: bool = False):
-    """Multi-term factor sum q_l (1 + i tau)^alpha_l and optionally d/dtau."""
+    """Multi-term factor sum q_l (1 + i tau)^alpha_l and optionally d/dtau.
+
+    Evaluated in polar form, (1 + i tau)^a = hypot(1, tau)^a e^(i a arctan
+    tau), so no intermediate overflows for large |tau|.  The derivative is
+    i / (1 + i tau) times sum a_l q_l (1 + i tau)^a_l.  Works in place on
+    a few arrays of the shape of ``tau``: the root-finder calls it on every
+    pass.
+    """
     tau = np.asarray(tau, dtype=float)
+    r = np.hypot(1.0, tau)
+    theta = np.arctan(tau)
     val = np.zeros(tau.shape, dtype=complex)
+    if derivative:
+        acc = np.zeros(tau.shape, dtype=complex)
+    im = np.empty(tau.shape)
     for q, a in zip(spec.weights, spec.orders):
-        val = val + q * (1.0 + 1j * tau) ** a
+        m = r**a
+        m *= q
+        np.multiply(theta, a, out=im)
+        re = np.cos(im)
+        re *= m
+        np.sin(im, out=im)
+        im *= m
+        val.real += re
+        val.imag += im
+        if derivative:
+            re *= a
+            im *= a
+            acc.real += re
+            acc.imag += im
     if not derivative:
         return val
-    der = np.zeros(tau.shape, dtype=complex)
-    for q, a in zip(spec.weights, spec.orders):
-        der = der + q * a * 1j * (1.0 + 1j * tau) ** (a - 1.0)
+    # i / (1 + i tau) = (sin theta + i cos theta) / r with cos theta = 1 / r;
+    # the last factor 1 / r comes last so that nothing underflows early
+    cos = 1.0 / r
+    sin = tau * cos
+    der = np.empty(tau.shape, dtype=complex)
+    np.multiply(acc.real, sin, out=der.real)
+    der.real -= acc.imag * cos
+    der.real *= cos
+    np.multiply(acc.real, cos, out=der.imag)
+    der.imag += acc.imag * sin
+    der.imag *= cos
     return val, der
 
 
@@ -451,11 +485,12 @@ class CharacteristicSample:
     """Near-zeros of the weighted symbol with their certificates.
 
     ``solved`` counts the seeds whose scalar equation was bracketed and
-    bisected; ``rejected`` counts seeds by cause: "degenerate_b" (the
+    solved; ``rejected`` counts seeds by cause: "degenerate_b" (the
     scalar equation degenerates), "no_sign_change" (g(0) >= 0, or no sign
     change within 60 doublings) and "residual" (solved, but the residual
     exceeds the tolerance).  Seeds drawn after the last one needed are
-    never examined and appear in neither.
+    never examined and appear in neither.  ``root_passes`` counts the
+    root-finder's passes, doubling and refinement, over all batches.
     """
 
     t: np.ndarray
@@ -469,6 +504,7 @@ class CharacteristicSample:
     solved: int = 0
     rejected: dict = field(
         default_factory=lambda: dict.fromkeys(REJECT_CAUSES, 0))
+    root_passes: int = 0
 
     @property
     def found(self) -> int:
@@ -484,8 +520,9 @@ def char_set_sample(region: SampleRegion, spec: MultiTermSpec,
 
     For each random base point, dual direction and sigma, the two real
     equations Re p = Im p = 0 reduce to one scalar equation in tau (the
-    imaginary equation fixes the radial scaling of xi), which is solved by
-    bracketing and bisection.  Seeds are drawn in batches of 2 n_samples,
+    imaginary equation fixes the radial scaling of xi), which is bracketed
+    by doubling and solved by safeguarded Newton steps (see
+    :func:`_char_roots`).  Seeds are drawn in batches of 2 n_samples,
     but only as many as are still needed are solved, in draw order.  Seeds
     whose scalar equation has no root in the search range, or whose solved
     point misses the residual certificate, are discarded and counted by
@@ -503,7 +540,7 @@ def char_set_sample(region: SampleRegion, spec: MultiTermSpec,
         sigma_range = (3.0 * floor, 30.0 * floor)
 
     kept = []
-    found = solved = 0
+    found = solved = root_passes = 0
     rejected = dict.fromkeys(REJECT_CAUSES, 0)
     drawn, budget = 0, 8 * n_samples
     while found < n_samples and drawn < budget:
@@ -514,6 +551,7 @@ def char_set_sample(region: SampleRegion, spec: MultiTermSpec,
         kept.append(got)
         found += len(got[2])
         solved += counts.pop("solved")
+        root_passes += counts.pop("root_passes")
         for cause, k in counts.items():
             rejected[cause] += k
 
@@ -523,14 +561,15 @@ def char_set_sample(region: SampleRegion, spec: MultiTermSpec,
                                     xi=np.empty((0, n)), sigma=empty,
                                     residual=empty, requested=n_samples,
                                     kappa=math.nan, solved=solved,
-                                    rejected=rejected)
+                                    rejected=rejected,
+                                    root_passes=root_passes)
     t, x, tau, xi, sigma, resid = (np.concatenate(col) for col in zip(*kept))
     kap = ((np.sum(xi**2, axis=-1) + np.abs(1.0 + 1j * tau) ** spec.alpha)
            / (sigma * X) ** 2)
     return CharacteristicSample(t=t, x=x, tau=tau, xi=xi, sigma=sigma,
                                 residual=resid, requested=n_samples,
                                 kappa=float(kap.max()), solved=solved,
-                                rejected=rejected)
+                                rejected=rejected, root_passes=root_passes)
 
 
 def _char_batch(region, spec, coeffs, c, X, batch, need, tol, rng,
@@ -540,7 +579,8 @@ def _char_batch(region, spec, coeffs, c, X, batch, need, tol, rng,
     Every seed is drawn, so the random stream does not depend on ``need``.
     The seeds that pass the degeneracy and sign filters are solved a prefix
     of ``need - found`` at a time.  Returns the kept (t, x, tau, xi, sigma,
-    residual) arrays and the seed counts of the examined part of the batch.
+    residual) arrays and the seed counts of the examined part of the batch,
+    with the root-finder's passes over it.
     """
     n = coeffs.n
     t, x = region.draw(rng, batch, n)
@@ -557,8 +597,9 @@ def _char_batch(region, spec, coeffs, c, X, batch, need, tol, rng,
     A = np.einsum("ij,ijk,ik->i", what, a, what)
     B = np.einsum("ij,ijk,ik->i", what, a, vhat)
     C = np.einsum("ij,ijk,ik->i", vhat, a, vhat)
+    del a, what, vhat
 
-    S0 = fractional_symbol(np.zeros(batch), spec)
+    S0 = fractional_symbol(0.0, spec)
     nondegenerate = np.abs(B) > 1e-10 * np.sqrt(np.abs(A * C))
     # g(tau) = A Im(S)^2 - Q (R - Re S) vanishes iff (tau, rho(tau)) solves
     # Re p = Im p = 0; R > S0.real makes it negative at tau = 0
@@ -567,12 +608,13 @@ def _char_batch(region, spec, coeffs, c, X, batch, need, tol, rng,
     idx = np.flatnonzero(nondegenerate & (R > S0.real))
 
     parts = [(t[:0], x[:0], t[:0], x[:0], t[:0], t[:0])]
-    counts = dict(solved=0, no_sign_change=0, residual=0)
+    counts = dict(solved=0, no_sign_change=0, residual=0, root_passes=0)
     found = pos = 0
     while found < need and pos < len(idx):
         j = idx[pos:pos + need - found]
         pos += len(j)
-        tau, good = _char_roots(A[j], Q[j], R[j], spec)
+        tau, good, passes = _char_roots(A[j], Q[j], R[j], spec)
+        counts["root_passes"] += passes
         counts["no_sign_change"] += int(np.count_nonzero(~good))
         j, tau = j[good], tau[good]
         s = fractional_symbol(tau, spec)
@@ -601,10 +643,17 @@ def _char_roots(A, Q, R, spec):
 
     g(0) < 0 at every point.  The upper end doubles from 1 while g <= 0
     there, at most 60 times, and a point is kept if g > 0 at its final
-    upper end; 90 bisection steps follow.  Returns (tau, good) with tau
-    defined where good holds.  Points leave the working set once their
-    state can no longer change, so each point gets exactly the arithmetic
-    of 60 doubling and 90 bisection passes over all points.
+    upper end.  A kept point is then refined inside its bracket [hi/2, hi]
+    ([0, 1] if hi never doubled) by Newton steps on
+    g' = 2 A Im(S) Im(S') + Q Re(S'), from the secant point of the bracket
+    (the midpoint of [0, 1]).  A Newton step that leaves the bracket or
+    does not halve the step before it becomes a bisection step, as in
+    ``rtsafe``, so every iterate stays in the bracket.  A point stops at
+    its Newton point once that step is within four ulp (g = 0 gives a zero
+    step), or at the midpoint once its bracket holds no float inside.
+    Returns (tau, good, passes): tau is defined where good holds,
+    and passes counts the symbol evaluations over the working set,
+    doubling and refinement together.
     """
     def gfun(tau, j):
         s = fractional_symbol(tau, spec)
@@ -613,38 +662,84 @@ def _char_roots(A, Q, R, spec):
     m = len(A)
     hi = np.ones(m)
     g_hi = np.empty(m)
+    g_lo = np.zeros(m)             # g(hi/2), once hi has doubled
     act = np.arange(m)
+    passes = 0
     for _ in range(60):
+        passes += 1
         g_hi[act] = gfun(hi[act], act)
         bad = g_hi[act] <= 0.0
         n_bad = int(np.count_nonzero(bad))
         if n_bad == 0:
             break
+        g_lo[act[bad]] = g_hi[act[bad]]
         hi[act[bad]] *= 2.0
         if 2 * n_bad <= len(act):
             act = act[bad]
     else:
         act = act[g_hi[act] <= 0.0]
+        passes += 1
         g_hi[act] = gfun(hi[act], act)
     good = g_hi > 0.0
 
-    # lo only takes values with g < 0 and hi values with g >= 0 (or NaN),
-    # so a point whose midpoint equals an end keeps its state forever
+    # one row per quantity and one column per point still refining; the
+    # columns of finished points are compacted out in place, so the passes
+    # reuse these two buffers rather than allocate state whose freed heap
+    # the allocator keeps, which peak RSS shows
     act = np.flatnonzero(good)
-    lo = np.zeros(m)
-    for _ in range(90):
-        l, h = lo[act], hi[act]
-        mid = 0.5 * (l + h)
-        live = (mid != l) & (mid != h)
-        n_live = int(np.count_nonzero(live))
-        if n_live == 0:
+    n = len(act)
+    state = np.empty((7, n))
+    lo, h, x, last, a, q, r = state
+    h[:] = hi[act]
+    doubled = h > 1.0
+    lo[:] = np.where(doubled, 0.5 * h, 0.0)
+    gl, gh = g_lo[act], g_hi[act]
+    x[:] = np.where(doubled, h - gh * ((h - lo) / (gh - gl)), 0.5 * h)
+    x[:] = np.where((x > lo) & (x < h), x, 0.5 * (lo + h))
+    np.subtract(h, lo, out=last)
+    a[:], q[:], r[:] = A[act], Q[act], R[act]
+    work = np.empty((4, n))
+    tau = np.zeros(m)
+    # halvings of [0, 1] down to the least subnormal, then 53 more bits
+    for _ in range(1130):
+        if n == 0:
             break
-        if 2 * n_live <= len(act):
-            act, l, h, mid = act[live], l[live], h[live], mid[live]
-        neg = gfun(mid, act) < 0.0
-        lo[act] = np.where(neg, mid, l)
-        hi[act] = np.where(neg, h, mid)
-    return 0.5 * (lo + hi), good
+        passes += 1
+        lo, h, x, last, a, q, r = state[:, :n]
+        g, dg, newton, mid = work[:, :n]
+        s, ds = fractional_symbol(x, spec, derivative=True)
+        np.subtract(r, s.real, out=g)
+        g *= -q
+        g += a * s.imag**2
+        np.multiply(s.imag, ds.imag, out=dg)
+        dg *= 2.0 * a
+        dg += q * ds.real
+        del s, ds
+        neg = g < 0.0
+        np.copyto(lo, x, where=neg)
+        np.copyto(h, x, where=~neg)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(g, dg, out=newton)
+        np.subtract(x, newton, out=newton)
+        step = np.abs(newton - x)
+        converged = step <= 4.0 * np.spacing(x)
+        np.add(lo, h, out=mid)
+        mid *= 0.5
+        take = (newton > lo) & (newton < h) & (step <= 0.5 * last)
+        done = converged | (mid == lo) | (mid == h)
+        tau[act[:n][done]] = np.where(converged, newton, mid)[done]
+        np.copyto(newton, mid, where=~take)
+        np.subtract(newton, x, out=last)
+        np.abs(last, out=last)
+        x[:] = newton
+        keep = ~done
+        k = int(np.count_nonzero(keep))
+        if k < n:
+            state[:, :k] = state[:, :n][:, keep]
+            act[:k] = act[:n][keep]
+        n = k
+    tau[act[:n]] = state[2, :n]
+    return tau, good, passes
 
 
 # ---------------------------------------------------------------------------
@@ -742,13 +837,14 @@ def _garding_terms(points, spec, coeffs, weight, c):
     return _blockwise(terms, *points)
 
 
-def _garding_report(elliptic, negative, varpi):
+def _garding_report(elliptic, negative, varpi, **extras):
     ratio = varpi * elliptic + negative
     i = int(np.argmin(ratio))
     return CertificateReport(min_ratio=float(ratio[i]), n_samples=len(ratio),
                              argmin=i, extras={"varpi": varpi,
                                                "elliptic": elliptic,
-                                               "negative": negative})
+                                               "negative": negative,
+                                               **extras})
 
 
 def find_min_varpi(points, spec: MultiTermSpec, coeffs: EllipticCoeffField,
@@ -757,7 +853,9 @@ def find_min_varpi(points, spec: MultiTermSpec, coeffs: EllipticCoeffField,
     """Bisect for the smallest varpi with a positive minimum ratio.
 
     Returns (varpi, report at that varpi); the report's extras carry the
-    per-sample terms, as in :func:`garding_precondition_check`.  Raises if
+    per-sample terms, as in :func:`garding_precondition_check`, and
+    "varpi_steps", the number of trial varpi after 0 (doublings of the
+    upper end, then 60 bisection steps).  Raises if
     even ``varpi_max`` fails, which would refute the sharpened bound on
     this sample cloud.
     """
@@ -767,10 +865,12 @@ def find_min_varpi(points, spec: MultiTermSpec, coeffs: EllipticCoeffField,
         return float(np.min(varpi * elliptic + negative))
 
     if min_ratio(0.0) > 0.0:
-        return 0.0, _garding_report(elliptic, negative, 0.0)
+        return 0.0, _garding_report(elliptic, negative, 0.0, varpi_steps=0)
     lo, hi = 0.0, 1.0
+    steps = 1
     while min_ratio(hi) <= 0.0:
         hi *= 2.0
+        steps += 1
         if hi > varpi_max:
             raise RuntimeError(
                 f"no varpi below {varpi_max:g} gives a positive minimum")
@@ -780,7 +880,8 @@ def find_min_varpi(points, spec: MultiTermSpec, coeffs: EllipticCoeffField,
             hi = mid
         else:
             lo = mid
-    return hi, _garding_report(elliptic, negative, hi)
+    return hi, _garding_report(elliptic, negative, hi,
+                               varpi_steps=steps + 60)
 
 
 def lemma61_check(sample: CharacteristicSample, spec: MultiTermSpec,

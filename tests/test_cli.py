@@ -99,6 +99,46 @@ class TestValidation:
         assert json.loads((out / "summary.json").read_text())["pass"]
 
 
+class TestWriters:
+    """The block writers give the bytes of np.savetxt with "%.17g"."""
+
+    @pytest.mark.parametrize("rows", [0, 1, cli.WRITE_BLOCK - 1,
+                                      cli.WRITE_BLOCK, cli.WRITE_BLOCK + 1])
+    def test_bytes_equal_savetxt(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        table = rng.normal(size=(rows, 3)) * 10.0 ** rng.integers(
+            -300, 300, (rows, 3))
+        column = rng.normal(size=rows)
+        specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.0 / 3.0]
+        table.flat[:len(specials)] = specials[:table.size]
+        column[:len(specials)] = specials[:rows]
+
+        def same(mine, ref):
+            return (tmp_path / mine).read_bytes() == (tmp_path / ref).read_bytes()
+
+        cli.write_csv(tmp_path / "a.csv", ["p", "q", "r", "s"],
+                      [table, column])
+        np.savetxt(tmp_path / "b.csv", np.column_stack([table, column]),
+                   fmt="%.17g", delimiter=",", header="p,q,r,s", comments="")
+        assert same("a.csv", "b.csv")
+        cli.write_csv(tmp_path / "a1.csv", ["p", "q", "r"], [table])
+        np.savetxt(tmp_path / "b1.csv", table, fmt="%.17g", delimiter=",",
+                   header="p,q,r", comments="")
+        assert same("a1.csv", "b1.csv")
+        cli.write_xy(tmp_path / "a.xy", [column, table])
+        np.savetxt(tmp_path / "b.xy", np.column_stack([column, table]),
+                   fmt="%.17g")
+        assert same("a.xy", "b.xy")
+        cli.write_xy(tmp_path / "a1.xy", [column])
+        np.savetxt(tmp_path / "b1.xy", column, fmt="%.17g")
+        assert same("a1.xy", "b1.xy")
+        # an integer column prints as savetxt prints its float image
+        cli.write_xy(tmp_path / "a2.xy", [np.arange(rows), column])
+        np.savetxt(tmp_path / "b2.xy", np.column_stack([np.arange(rows),
+                                                        column]), fmt="%.17g")
+        assert same("a2.xy", "b2.xy")
+
+
 class TestCommandTable:
     def test_every_command_has_one_handler(self):
         assert set(VALID) == set(COMMANDS)
@@ -200,12 +240,24 @@ class TestCommands:
                 _, out = run(tmp_path, command, {**config, **extra}, seed=4,
                              threads=threads, tag=f"{command}{threads}")
                 summary = json.loads((out / "summary.json").read_text())
-                counts.append((summary["solved"], summary["rejected"]))
+                counts.append((summary["solved"], summary["rejected"],
+                               summary["root_passes"]))
             assert counts[0] == counts[1] == counts[2]
-            solved, rejected = counts[0]
+            solved, rejected, passes = counts[0]
             assert sorted(rejected) == sorted(symbols.REJECT_CAUSES)
             assert rejected["no_sign_change"] > 0 and rejected["residual"] > 0
             assert solved == summary["found"] + rejected["residual"]
+            # every chunk doubles at least once and refines at least once
+            assert passes >= 2 * cli.N_CHUNKS
+        steps = []
+        for threads in (1, 2, 3):
+            _, out = run(tmp_path, "garding",
+                         {"spec": SPEC, "coeffs": COEFFS2, "map": MAP1,
+                          "weight": WEIGHT, "n_samples": 3000}, seed=4,
+                         threads=threads, tag=f"garding{threads}")
+            steps.append(json.loads((out / "summary.json").read_text())
+                         ["varpi_steps"])
+        assert steps[0] == steps[1] == steps[2] > 60
 
     def test_char_sample_partial_fails(self, tmp_path):
         config = {"spec": SPEC, "coeffs": COEFFS1, "map": MAP1,
