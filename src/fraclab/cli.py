@@ -1,11 +1,13 @@
 """Command-line front end: configured experiments, CSV/JSON/xy artifacts.
 
-Every command reads one JSON config (schema-validated, unknown fields
-rejected), runs the corresponding library verification, and writes its
-artifacts into the output directory: CSV tables with full-precision
-numbers, a ``summary.json`` with the pass/fail verdict, and whitespace
-separated xy files for plotting.  A fixed seed makes runs bit-reproducible;
-worker threads only split sampling into deterministic chunks.
+Every command reads one JSON config, checks it against its JSON Schema in
+``SCHEMAS`` (unknown fields rejected) with a small validator of just the
+keywords those schemas use, runs the corresponding library verification,
+and writes its artifacts into the output directory: CSV tables with
+full-precision numbers, a ``summary.json`` with the pass/fail verdict, and
+whitespace separated xy files for plotting.  A fixed seed makes runs
+bit-reproducible; worker threads only split sampling into deterministic
+chunks.  Importing this module loads neither jsonschema nor scipy.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from . import carleman as carl
 from . import fields, geometry, solver, symbols
@@ -152,15 +153,76 @@ class ConfigError(ValueError):
     pass
 
 
+# the JSON-Schema types of SCHEMAS; an "integer" is a JSON integer, so
+# 2.0 is not one (Draft 2020-12 would admit it)
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "number": lambda v: (isinstance(v, (int, float))
+                         and not isinstance(v, bool)),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "boolean": lambda v: isinstance(v, bool),
+}
+# every keyword _schema_errors interprets; any other one raises
+_KEYWORDS = frozenset({"type", "properties", "required",
+                       "additionalProperties", "items", "minItems",
+                       "maxItems", "minimum", "enum", "const", "if", "then"})
+
+
+def _schema_errors(schema, value, path=()):
+    """Yield ``(path, message)`` for each way ``value`` breaks ``schema``.
+
+    Keywords are read in the schema's order and apply, as in JSON Schema,
+    only to values of their own type.  ``path`` holds the keys and indices
+    from the config's root down to ``value``.
+    """
+    is_object, is_array = _TYPES["object"](value), _TYPES["array"](value)
+    for key, arg in schema.items():
+        if (key not in _KEYWORDS or key == "type" and arg not in _TYPES
+                or key == "additionalProperties" and arg is not False):
+            raise NotImplementedError(f"schema keyword {key!r}: {arg!r}")
+        if key == "type" and not _TYPES[arg](value):
+            yield path, f"{value!r} is not of type {arg!r}"
+        elif key == "properties" and is_object:
+            for name, sub in arg.items():
+                if name in value:
+                    yield from _schema_errors(sub, value[name], path + (name,))
+        elif key == "required" and is_object:
+            for name in arg:
+                if name not in value:
+                    yield path, f"{name!r} is a required property"
+        elif key == "additionalProperties" and is_object:
+            extras = [name for name in value
+                      if name not in schema.get("properties", {})]
+            if extras:
+                yield path, ("Additional properties are not allowed ("
+                             f"{', '.join(map(repr, extras))} unexpected)")
+        elif key == "items" and is_array:
+            for i, item in enumerate(value):
+                yield from _schema_errors(arg, item, path + (i,))
+        elif key == "minItems" and is_array and len(value) < arg:
+            yield path, f"{value!r} is too short"
+        elif key == "maxItems" and is_array and len(value) > arg:
+            yield path, f"{value!r} is too long"
+        elif key == "minimum" and _TYPES["number"](value) and value < arg:
+            yield path, f"{value!r} is less than the minimum of {arg!r}"
+        elif key == "enum" and value not in arg:
+            yield path, f"{value!r} is not one of {arg!r}"
+        elif key == "const" and value != arg:
+            yield path, f"{arg!r} was expected"
+        elif key == "if" and not any(_schema_errors(arg, value, path)):
+            yield from _schema_errors(schema.get("then", {}), value, path)
+
+
 def validate_config(command: str, config) -> None:
-    validator = Draft202012Validator(SCHEMAS[command])
-    errors = sorted(validator.iter_errors(config),
-                    key=lambda e: (len(e.absolute_path), str(e.absolute_path)))
+    """Raise :class:`ConfigError` at the shallowest error, by (depth, path)."""
+    errors = sorted(_schema_errors(SCHEMAS[command], config),
+                    key=lambda e: (len(e[0]), e[0]))
     if errors:
-        err = errors[0]
+        path, message = errors[0]
         where = "$" + "".join(f".{p}" if isinstance(p, str) else f"[{p}]"
-                              for p in err.absolute_path)
-        raise ConfigError(f"config error at {where}: {err.message}")
+                              for p in path)
+        raise ConfigError(f"config error at {where}: {message}")
 
 
 # ---------------------------------------------------------------------------

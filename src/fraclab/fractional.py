@@ -2,11 +2,12 @@
 
 Two independent evaluation routes are provided.  ``caputo_oracle`` integrates
 the defining convolution of the k-th classical derivative against the weakly
-singular kernel by adaptive quadrature after a graded substitution that
-removes the endpoint singularity.  ``caputo_apply`` discretizes sampled
-series with L1-type product integration (piecewise-linear interpolation of
-the integrand).  The two routes share no code, so they can be played against
-each other as oracles.
+singular kernel after a graded substitution that removes the endpoint
+singularity, by global adaptive Gauss-Kronrod quadrature (QUADPACK's
+21-point rule, bisecting the interval of largest error estimate).
+``caputo_apply`` discretizes sampled series with L1-type product
+integration (piecewise-linear interpolation of the integrand).  The two
+routes share no code, so they can be played against each other as oracles.
 
 The multi-term operator is the weighted sum of single-order derivatives with
 unit leading weight and strictly decreasing orders.
@@ -26,14 +27,12 @@ Gamma is :func:`_gamma`, a line-for-line port of the cephes ``Gamma``
 that ``scipy.special.gamma`` evaluates, so the module's numbers are those
 of scipy without loading ``scipy.special``.  ``math.gamma`` cannot stand in
 for it: it differs in the last bit at most arguments and would move the
-outputs.  Only :func:`caputo_oracle` imports scipy, for its quadrature,
-and it does so when called, so importing the package loads none of it.
+outputs.  The module imports no scipy at all.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -222,6 +221,77 @@ def caputo_power_rule(p: float, alpha: float, t) -> float:
             * np.asarray(t) ** (p - alpha))
 
 
+# QUADPACK qk21, the 21-point Gauss-Kronrod rule on [-1, 1], by symmetry:
+# the Kronrod abscissae in [0, 1), decreasing, whose odd entries are the
+# 10-point Gauss nodes; their Kronrod weights; and the Gauss weights on the
+# same abscissae, zero at the Kronrod-only ones
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208100046624, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_WG = np.array([
+    0.0, 0.066671344308688137593568809893332,
+    0.0, 0.149451349150580593145776339657697,
+    0.0, 0.219086362515982043995534934228163,
+    0.0, 0.269266719309996355091226921569469,
+    0.0, 0.295524224714752870173892994651338,
+    0.0])
+
+
+def _gk21(f, lo, hi):
+    """``[K21, G10]`` of f on each interval [lo_i, hi_i], as lists.
+
+    f takes the (m, 21) array of every interval's nodes at once; the sums
+    run in the order of QUADPACK's qk21.
+    """
+    lo, hi = np.array(lo), np.array(hi)
+    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    offset = half[:, None] * _XGK[:10]
+    nodes = np.concatenate([centre[:, None], centre[:, None] - offset,
+                            centre[:, None] + offset], axis=1)
+    fx = np.broadcast_to(np.asarray(f(nodes), dtype=float), nodes.shape)
+    pairs = fx[:, 1:11] + fx[:, 11:]
+    kronrod, gauss = _WGK[10] * fx[:, 0], 0.0
+    for j in (1, 3, 5, 7, 9):
+        gauss = gauss + _WG[j] * pairs[:, j]
+        kronrod = kronrod + _WGK[j] * pairs[:, j]
+    for j in (0, 2, 4, 6, 8):
+        kronrod = kronrod + _WGK[j] * pairs[:, j]
+    return np.stack([kronrod * half, gauss * half], axis=1).tolist()
+
+
+def _adaptive_gk21(f, tol: float, max_subdivisions: int):
+    """Integral of f over [0, 1] and its error estimate.
+
+    Global adaptive: the interval with the largest |K21 - G10| is bisected
+    until the summed estimate is within ``tol * max(1, |integral|)`` or
+    ``max_subdivisions`` intervals exist.
+    """
+    intervals = [(0.0, 1.0)]
+    (value, gauss), = _gk21(f, [0.0], [1.0])
+    values, errors = [value], [abs(value - gauss)]
+    while (sum(errors) > tol * max(1.0, abs(sum(values)))
+           and len(values) < max_subdivisions):
+        i = max(range(len(errors)), key=errors.__getitem__)
+        lo, hi = intervals[i]
+        mid = 0.5 * (lo + hi)
+        (v1, g1), (v2, g2) = _gk21(f, [lo, mid], [mid, hi])
+        intervals[i:i + 1] = [(lo, mid), (mid, hi)]
+        values[i:i + 1] = [v1, v2]
+        errors[i:i + 1] = [abs(v1 - g1), abs(v2 - g2)]
+    return sum(values), sum(errors)
+
+
 def caputo_oracle(u, derivative, alpha: float, t: float, tol: float = 1e-10,
                   max_subdivisions: int = 200) -> float:
     """Caputo derivative of a smooth function by adaptive quadrature.
@@ -233,15 +303,16 @@ def caputo_oracle(u, derivative, alpha: float, t: float, tol: float = 1e-10,
         only its k-th derivative enters the convolution.
     derivative : callable
         The k-th classical derivative of ``u``, where k = 1 for orders below
-        1 and k = 2 above.
+        1 and k = 2 above.  It is called on arrays of times and may return
+        a scalar where it is constant.
     alpha : float
         Order in (0,1) or (1,2).  Exactly 1 and anything outside (0,2) raise
         ``ValueError``.
     t : float
         Evaluation time, t > 0.
     tol : float
-        Relative tolerance passed to the quadrature and enforced on its
-        reported error estimate.
+        Tolerance of the quadrature, absolute and relative, and enforced on
+        its error estimate of the scaled result.
     max_subdivisions : int
         Adaptive subdivision budget; exceeding it (or failing the error
         check) raises :class:`ConvergenceError`.
@@ -251,25 +322,16 @@ def caputo_oracle(u, derivative, alpha: float, t: float, tol: float = 1e-10,
     With k = ceil(alpha) the integral of (t-s)**(k-1-alpha) u^(k)(s) is
     mapped by the graded substitution t - s = t*v**(1/(k-alpha)) onto
     t**(k-alpha)/(k-alpha) * integral_0^1 u^(k)(t - t*v**(1/(k-alpha))) dv,
-    which absorbs the kernel exactly and leaves a bounded integrand.
+    which absorbs the kernel exactly and leaves a bounded integrand for
+    :func:`_adaptive_gk21`.
     """
-    # scipy.integrate is slow to import and only this oracle needs it
-    from scipy.integrate import IntegrationWarning, quad
-
     k = _order_index(alpha)
     if t <= 0.0:
         raise ValueError("evaluation time must be positive")
     u(0.0)  # surfaces obviously broken callables early
     power = 1.0 / (k - alpha)
-
-    def integrand(v):
-        return derivative(t - t * v ** power)
-
-    with warnings.catch_warnings():
-        # subdivision exhaustion surfaces as ConvergenceError below
-        warnings.simplefilter("ignore", IntegrationWarning)
-        value, abserr = quad(integrand, 0.0, 1.0, epsabs=tol, epsrel=tol,
-                             limit=max_subdivisions)
+    value, abserr = _adaptive_gk21(lambda v: derivative(t - t * v ** power),
+                                   tol, max_subdivisions)
     value *= t ** (k - alpha) / ((k - alpha) * _gamma(k - alpha))
     abserr *= t ** (k - alpha) / ((k - alpha) * _gamma(k - alpha))
     if abserr > tol * max(1.0, abs(value)):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -38,6 +39,24 @@ VALID = {
     "continuation-plan": {"T": 1.0, "X": 0.05, "s_max": 2, "n": 1},
 }
 
+# configs rejected below the top level, and where
+LOCATED = [
+    ("ucp-demo", {**VALID["ucp-demo"], "source_centers": []},
+     "$.source_centers"),
+    ("solve", {**VALID["solve"], "manufactured": False,
+               "source": {"centre": [0.2]}}, "$.source"),
+    ("solve", {**VALID["solve"], "coeffs": {
+        k: v for k, v in POLYNOMIAL1.items() if k != "delta"}},
+     "$.coeffs"),
+    ("solve", {**VALID["solve"], "coeffs": {
+        **POLYNOMIAL1, "tables": [{"j": 0, "k": 0}]}},
+     "$.coeffs.tables[0]"),
+    ("solve", {**VALID["solve"], "coeffs": {
+        **POLYNOMIAL1, "tables": [{"j": 0, "k": 0, "terms": [
+            {"coeff": 1.0, "t_pow": 0}]}]}},
+     "$.coeffs.tables[0].terms[0]"),
+]
+
 
 def run(tmp_path, command, config, seed=0, threads=1, tag="run"):
     cfg_path = tmp_path / f"{tag}.json"
@@ -69,34 +88,184 @@ class TestValidation:
                      "--out", str(tmp_path / "o")])
         assert code == 2
 
-    @pytest.mark.parametrize("command, config, where", [
-        ("ucp-demo", {**VALID["ucp-demo"], "source_centers": []},
-         "$.source_centers"),
-        ("solve", {**VALID["solve"], "manufactured": False,
-                   "source": {"centre": [0.2]}}, "$.source"),
-        ("solve", {**VALID["solve"], "coeffs": {
-            k: v for k, v in POLYNOMIAL1.items() if k != "delta"}},
-         "$.coeffs"),
-        ("solve", {**VALID["solve"], "coeffs": {
-            **POLYNOMIAL1, "tables": [{"j": 0, "k": 0}]}},
-         "$.coeffs.tables[0]"),
-        ("solve", {**VALID["solve"], "coeffs": {
-            **POLYNOMIAL1, "tables": [{"j": 0, "k": 0, "terms": [
-                {"coeff": 1.0, "t_pow": 0}]}]}},
-         "$.coeffs.tables[0].terms[0]"),
-    ], ids=["no-source-centers", "source-key", "polynomial-no-delta",
-            "table-no-terms", "term-no-y-pows"])
+    @pytest.mark.parametrize("command, config, where", LOCATED,
+                             ids=["no-source-centers", "source-key",
+                                  "polynomial-no-delta", "table-no-terms",
+                                  "term-no-y-pows"])
     def test_nested_config_error_is_located(self, command, config, where,
                                             tmp_path, capsys):
         code, _ = run(tmp_path, command, config)
         assert code == 2
         assert f"config error at {where}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key, value, where", [
+        ("continuation-plan", "s_max", 2.0, "$.s_max"),
+        ("caputo-check", "n_steps", 64.0, "$.n_steps"),
+        ("solve", "grid", {**GRID1, "shape": [9.0]}, "$.grid.shape[0]")])
+    def test_float_integer_is_rejected(self, command, key, value, where,
+                                       tmp_path, capsys):
+        # JSON Schema Draft 2020-12 counts 2.0 as an integer, but the
+        # handlers count with it (range(2.0) raises): only a JSON integer is
+        code, _ = run(tmp_path, command, {**VALID[command], key: value})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config error at {where}: " in err
+        assert "is not of type 'integer'" in err
+
     def test_polynomial_preset_solves(self, tmp_path):
         config = {**VALID["solve"], "coeffs": POLYNOMIAL1}
         code, out = run(tmp_path, "solve", config)
         assert code == 0
         assert json.loads((out / "summary.json").read_text())["pass"]
+
+
+# configs with every optional field that VALID leaves out
+RICH = [
+    ("lemma21", {**SYMBOL, "map": {**MAP1, "y_hat": [0.0], "stage": 1},
+                 "region": {"t": [0.1, 0.9], "xn": [0.0, 0.05],
+                            "xprime_halfwidth": 0.5},
+                 "tol": 1e-8, "sigma_range": [0.5, 2.0]}),
+    ("garding", {**SYMBOL, "varpi_max": 1e6, "magnitude_range": [1.0, 10.0]}),
+    ("solve", {**VALID["solve"], "coeffs": POLYNOMIAL1, "manufactured": False,
+               "source": {"center": [0.5], "width": 0.1}}),
+    ("carleman-sweep", {**VALID["carleman-sweep"], "n_bumps": 2,
+                        "include_drift": False, "spread_max": 10.0}),
+    ("caputo-check", {**VALID["caputo-check"], "t_final": 1.0, "power": 2.0,
+                      "tol_apply": 0.05, "tol_oracle": 1e-8}),
+    ("ucp-demo", {**VALID["ucp-demo"], "source_width": 0.08,
+                  "floor": 1e-13}),
+    ("continuation-plan", {**VALID["continuation-plan"], "c": 1.0,
+                           "n_check": 10}),
+]
+
+
+def _nodes(value, schema, path=()):
+    """Every (path, value, schema) of a valid config, the root first."""
+    yield path, value, schema
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _nodes(item, schema["properties"][key], path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _nodes(item, schema["items"], path + (i,))
+
+
+def _replaced(config, path, new):
+    """A copy of ``config`` with the value at ``path`` replaced by ``new``."""
+    if not path:
+        return new
+    copy = list(config) if isinstance(config, list) else dict(config)
+    copy[path[0]] = _replaced(config[path[0]], path[1:], new)
+    return copy
+
+
+def _mutations(config, schema):
+    """(path, replacement) pairs that change a valid config at one place."""
+    for path, value, sub in _nodes(config, schema):
+        changes = ["text"]      # a wrong type, or an unknown preset
+        if isinstance(value, dict):
+            changes += [{k: v for k, v in value.items() if k != key}
+                        for key in value]
+            changes.append({**value, "bogus_key": 1})
+        if isinstance(value, list):
+            changes += [[], value + value[-1:]]
+        if sub.get("type") in ("number", "integer"):
+            changes.append(True)
+        if sub.get("type") == "integer":
+            changes += [sub["minimum"] - 1, value + 0.5]
+        for new in changes:
+            yield path, new
+
+
+def _bases(command):
+    return [VALID[command]] + [c for name, c in RICH if name == command]
+
+
+def _corpus(command):
+    """Valid configs, each one-place change of them, and every seventh pair
+    of changes under two different top-level keys (so that the shallowest
+    error and the first path in order can differ)."""
+    bases = _bases(command)
+    corpus = list(bases) + [c for name, c, _ in LOCATED if name == command]
+    for base in bases:
+        changes = list(_mutations(base, cli.SCHEMAS[command]))
+        corpus += [_replaced(base, path, new) for path, new in changes]
+        pairs = [(a, b) for a, b in itertools.combinations(changes, 2)
+                 if a[0] and b[0] and a[0][0] != b[0][0]]
+        corpus += [_replaced(_replaced(base, *a), *b) for a, b in pairs[::7]]
+    return corpus
+
+
+def _dollar(path):
+    return "$" + "".join(f".{p}" if isinstance(p, str) else f"[{p}]"
+                         for p in path)
+
+
+def _where(command, config):
+    """The ``$`` path that validate_config reports, or None."""
+    try:
+        cli.validate_config(command, config)
+    except cli.ConfigError as exc:
+        return str(exc).removeprefix("config error at ").split(": ")[0]
+    return None
+
+
+def _schemas(schema):
+    """``schema`` and every schema nested in it."""
+    yield schema
+    for key in ("items", "if", "then"):
+        if key in schema:
+            yield from _schemas(schema[key])
+    for sub in schema.get("properties", {}).values():
+        yield from _schemas(sub)
+
+
+class TestValidator:
+    """validate_config against jsonschema's Draft 2020-12 validator."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_agrees_with_jsonschema(self, command):
+        jsonschema = pytest.importorskip("jsonschema")
+        oracle = jsonschema.Draft202012Validator(cli.SCHEMAS[command])
+        corpus = _corpus(command)
+        rejected = 0
+        for config in corpus:
+            errors = sorted(oracle.iter_errors(config), key=lambda e: (
+                len(e.absolute_path), str(e.absolute_path)))
+            expected = _dollar(errors[0].absolute_path) if errors else None
+            assert _where(command, config) == expected, config
+            rejected += expected is not None
+        assert len(corpus) - rejected >= 1 and rejected >= 20
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_float_integers_are_the_one_difference(self, command):
+        # Draft 2020-12 admits 2.0 where an integer goes; this validator
+        # admits JSON integers only
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = cli.SCHEMAS[command]
+        oracle = jsonschema.Draft202012Validator(schema)
+        for base in _bases(command):
+            for path, value, sub in _nodes(base, schema):
+                if sub.get("type") == "integer":
+                    config = _replaced(base, path, float(value))
+                    assert oracle.is_valid(config)
+                    assert _where(command, config) == _dollar(path)
+
+    def test_schemas_use_only_implemented_keywords(self):
+        for command, schema in cli.SCHEMAS.items():
+            for sub in _schemas(schema):
+                assert set(sub) <= cli._KEYWORDS, (command, sub)
+                assert sub.get("type", "object") in cli._TYPES
+                assert sub.get("additionalProperties", False) is False
+
+    @pytest.mark.parametrize("keyword", [
+        {"minProperties": 1}, {"additionalProperties": {"type": "number"}},
+        {"type": "string"}], ids=["unknown", "schema-valued", "string-type"])
+    def test_unimplemented_keyword_raises(self, keyword, monkeypatch):
+        monkeypatch.setitem(cli.SCHEMAS, "caputo-check",
+                            {**cli.SCHEMAS["caputo-check"], **keyword})
+        with pytest.raises(NotImplementedError):
+            cli.validate_config("caputo-check", VALID["caputo-check"])
 
 
 class TestWriters:
@@ -197,6 +366,15 @@ class TestCommands:
         assert summary["pass"] is True
         assert (out / "caputo.csv").exists()
         assert (out / "caputo_errors.xy").exists()
+
+    def test_caputo_check_oracle_is_near_exact(self, tmp_path):
+        # the benchmark's six orders; the oracle does not use n_steps
+        config = {"alphas": [0.25, 0.5, 0.75, 1.25, 1.5, 1.75],
+                  "n_steps": 256}
+        code, out = run(tmp_path, "caputo-check", config)
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["max_rel_err_oracle"] <= 1e-12
 
     def test_lemma21_pass_and_determinism(self, tmp_path):
         config = {"spec": SPEC, "coeffs": COEFFS2, "map": MAP1,
@@ -619,6 +797,14 @@ class TestImport:
                              text=True, check=True)
         assert out.stdout.strip() == "[]"
 
+    def test_cli_import_loads_no_jsonschema(self):
+        code = ("import sys, fraclab.cli; print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'jsonschema'))")
+        out = subprocess.run([sys.executable, "-c", code],
+                             env=_subprocess_env(), capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
     def test_certify_command_loads_no_scipy(self, tmp_path):
         cfg = tmp_path / "lemma21.json"
         cfg.write_text(json.dumps(VALID["lemma21"]))
@@ -633,11 +819,13 @@ class TestImport:
         assert out.stdout.strip().splitlines()[-1] == "0 []"
 
     @pytest.mark.parametrize("command, banned", [
-        ("carleman-sweep", "scipy"), ("solve", "scipy.special")])
+        ("carleman-sweep", "scipy"), ("solve", "scipy.special"),
+        ("caputo-check", "scipy")])
     def test_evolution_commands_leave_scipy_unloaded(self, tmp_path, command,
                                                      banned):
-        # the sweep's operator product and every Gamma value are numpy and
-        # Python; only the solver's factorization loads scipy.sparse
+        # the sweep's operator product, the Caputo oracle's quadrature and
+        # every Gamma value are numpy and Python; only the solver's
+        # factorization loads scipy.sparse
         config = VALID[command]
         if command == "carleman-sweep":     # a sweep that passes
             config = {**config, "map": {"c": 1.0, "X": 0.3, "T": 1.0},
@@ -645,6 +833,8 @@ class TestImport:
                       "grid": {"bounds": [[0.0, 0.3]], "shape": [41],
                                "n_steps": 32, "t_final": 1.0},
                       "betas": [25.0, 100.0, 400.0], "n_bumps": 2}
+        if command == "caputo-check":       # 0.25 subdivides, 1.5 does not
+            config = {"alphas": [0.25, 1.5], "n_steps": 64}
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(config))
         code = ("import sys; from fraclab.cli import main; "

@@ -106,6 +106,53 @@ class TestOracle:
                           0.5, 1.0, tol=1e-12, max_subdivisions=2)
 
 
+class TestQuadrature:
+    """The Gauss-Kronrod 21 / Gauss 10 pair behind ``caputo_oracle``."""
+
+    @staticmethod
+    def rule(weights):
+        """Nodes and weights on [-1, 1] of the rule given on [0, 1)."""
+        nodes = np.concatenate([-fractional._XGK, fractional._XGK[-2::-1]])
+        return nodes, np.concatenate([weights, weights[-2::-1]])
+
+    @pytest.mark.parametrize("weights, degree", [("_WGK", 31), ("_WG", 19)])
+    def test_exact_up_to_its_degree(self, weights, degree):
+        # a mistyped digit in a node or a weight breaks one of these
+        nodes, w = self.rule(getattr(fractional, weights))
+        for d in range(degree + 1):
+            exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+            assert abs(w @ nodes**d - exact) <= 4e-16, d
+        # and the next degree is out of reach, so the degree is the rule's
+        assert abs(w @ nodes**(degree + 1) - 2.0 / (degree + 2)) > 1e-13
+
+    def test_gauss_part_is_numpy_legendre(self):
+        nodes, w = self.rule(fractional._WG)
+        order = np.argsort(nodes)
+        nodes, w = nodes[order][w[order] > 0], w[order][w[order] > 0]
+        x, wx = np.polynomial.legendre.leggauss(10)
+        assert np.allclose(nodes, x, rtol=0, atol=1e-15)
+        assert np.allclose(w, wx, rtol=0, atol=1e-15)
+
+    def test_adaptive_stops_at_tolerance(self):
+        # sqrt has an endpoint singularity: the estimate must be met by
+        # bisection, and the value must be at least as good as the estimate
+        value, err = fractional._adaptive_gk21(np.sqrt, 1e-10, 200)
+        assert err <= 1e-10
+        assert abs(value - 2.0 / 3.0) <= err
+
+    def test_subdivision_budget_is_kept(self):
+        calls = []
+
+        def f(v):
+            calls.append(v.shape)
+            return np.sqrt(v)
+
+        _, err = fractional._adaptive_gk21(f, 1e-15, 5)
+        assert err > 1e-15
+        # one rule on [0, 1], then one call per bisection, 4 of them
+        assert calls == [(1, 21)] + [(2, 21)] * 4
+
+
 class TestL1:
     def test_zero_series(self):
         g = grid(64)
