@@ -391,6 +391,8 @@ def run_caputo_check(config, out, seed, threads):
     p = config.get("power", 2.0)
     tol_apply = config.get("tol_apply", 0.05)
     tol_oracle = config.get("tol_oracle", 1e-8)
+    # the quadrature aims at least as low as the gate it is judged by
+    tol_quad = min(tol_oracle, 1e-10)
     grid = TimeGrid.from_interval(t_final, n_steps)
     rows = []
     worst_apply = worst_oracle = 0.0
@@ -403,7 +405,7 @@ def run_caputo_check(config, out, seed, threads):
                                 lambda t, a=alpha: (p * t**(p - 1.0)
                                                     if a < 1.0
                                                     else p * (p - 1.0) * t**(p - 2.0)),
-                                alpha, t_final)
+                                alpha, t_final, tol=tol_quad)
         else:
             orc = exact
         e_apply = abs(disc - exact) / abs(exact)
@@ -515,10 +517,12 @@ def run_lemma61(config, out, seed, threads):
                                 sample.xi, sample.sigma)}
 
 
-def _manufactured_pieces(spec, grid):
-    """u* = t^2 prod sin(pi y_d) and the matching identity-coefficient source.
+def _manufactured_pieces(spec, coeffs, grid):
+    """u* = t^2 S, S = prod sin(pi y_d), and its source for the field.
 
-    Both take ``t`` on a broadcast time axis, shape (n_steps+1, 1, ..., 1).
+    The source is sum q D^alpha(t^2) S - t^2 sum a_jk d_j d_k S, with ``a``
+    sampled once on the broadcast (t, Y).  Both take ``t`` on a broadcast
+    time axis, shape (n_steps+1, 1, ..., 1).
     """
     def exact(t, Y):
         v = np.asarray(t, dtype=float) ** 2
@@ -527,12 +531,22 @@ def _manufactured_pieces(spec, grid):
         return v
 
     def source(t, Y):
-        sine = np.ones(Y.shape[:-1])
-        for d in range(grid.ndim):
-            sine = sine * np.sin(np.pi * Y[..., d])
+        n = grid.ndim
+        sines = [np.sin(np.pi * Y[..., d]) for d in range(n)]
+        sine = math.prod(sines, start=np.ones(Y.shape[:-1]))
         tfrac = sum(q * caputo_power_rule(2.0, al, np.maximum(t, 0.0))
                     for q, al in zip(spec.weights, spec.orders))
-        return (tfrac + grid.ndim * np.pi**2 * t**2) * sine
+        a = coeffs.a(t, Y)
+        # d_j d_j S = -pi^2 S; for j != k, d_j d_k S = pi^2 cos cos prod sin
+        trace = sum(a[..., d, d] for d in range(n))
+        f = (tfrac + np.pi**2 * trace * t**2) * sine
+        for j in range(n):
+            for k in range(j + 1, n):
+                mixed = math.prod(
+                    (sines[d] for d in range(n) if d not in (j, k)),
+                    start=np.cos(np.pi * Y[..., j]) * np.cos(np.pi * Y[..., k]))
+                f = f - 2.0 * np.pi**2 * t**2 * a[..., j, k] * mixed
+        return f
 
     return exact, source
 
@@ -545,7 +559,7 @@ def run_solve(config, out, seed, threads):
     mesh = grid.mesh()
     manufactured = config.get("manufactured", True)
     if manufactured:
-        exact, source = _manufactured_pieces(spec, grid)
+        exact, source = _manufactured_pieces(spec, coeffs, grid)
     else:
         src_cfg = config.get("source", {})
         center = np.asarray(src_cfg.get("center", [0.5] * grid.ndim))
@@ -667,12 +681,12 @@ def main(argv=None) -> int:
         with open(args.config) as fh:
             config = json.load(fh)
         validate_config(args.command, config)
+        created = not os.path.isdir(args.out)
+        os.makedirs(args.out, exist_ok=True)
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    created = not os.path.isdir(args.out)
-    os.makedirs(args.out, exist_ok=True)
     # looked up at call time, so a handler replaced on the module is the
     # one that runs
     handler = globals()["run_" + args.command.replace("-", "_")]

@@ -226,19 +226,17 @@ def anisotropic_scale(xi, sigma, tau, alpha: float):
 # batched assembly of the weighted symbol and its analytic partials
 
 
-def _weighted_batch(t, x, tau, xi, sigma, spec, coeffs, c, X,
-                    part: str = "full", grads: bool = False):
+def _weighted_batch(t, x, tau, xi, sigma, spec, coeffs, c, X, grads=False):
     """Assemble the weighted symbol over batched samples.
 
     Shapes: t (N,), x (N, n), tau (N,), xi (N, n), sigma (N,).  Returns a
-    dict with 'value' and, when requested, 'd_tau', 'd_xi', 'd_x', 'd_t'.
+    dict with 'value' and, when ``grads``, 'd_tau', 'd_xi', 'd_x', 'd_t'.
     """
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     tau = np.asarray(tau, dtype=float)
     xi = np.asarray(xi, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    n = x.shape[-1]
 
     a = np.asarray(coeffs.a(t, x), dtype=float)
     mu = np.abs(sigma) * (x[..., -1] - 2.0 * X)
@@ -247,33 +245,11 @@ def _weighted_batch(t, x, tau, xi, sigma, spec, coeffs, c, X,
     W[..., -1] = xi[..., -1] + 1j * mu
     W[..., :-1] = xi[..., :-1] + 2.0 * c * x[..., :-1] * W[..., -1:]
     G = np.einsum("...jk,...k->...j", a, W)
-
-    out = {}
-    if part in ("full", "corrections") or grads:
-        S, dS = fractional_symbol(tau, spec, derivative=True)
-        full_value = S + np.einsum("...j,...j->...", W, G)
-
-    if part == "full":
-        out["value"] = full_value
-    elif part == "leading":
-        out["value"] = _leading_value(a, xi, mu)
-    elif part == "corrections":
-        # explicit tilt terms B_j = 2 c x_j W_n plus the fractional sum
-        B = 2.0 * c * x[..., :-1] * W[..., -1:]
-        ajn = a[..., :-1, -1]
-        app = a[..., :-1, :-1]
-        val = S.copy()
-        val = val + 2.0 * np.einsum("...j,...j->...", ajn, B) * W[..., -1]
-        val = val + np.einsum("...jk,...j,...k->...", app, B, B)
-        val = val + 2.0 * np.einsum("...jk,...j,...k->...",
-                                    app, xi[..., :-1].astype(complex), B)
-        out["value"] = val
-    else:
-        raise ValueError(f"unknown symbol part {part!r}")
-
+    quad = np.einsum("...j,...j->...", W, G)
     if not grads:
-        return out
+        return {"value": fractional_symbol(tau, spec) + quad}
 
+    S, dS = fractional_symbol(tau, spec, derivative=True)
     da_dt = np.asarray(coeffs.da_dt(t, x), dtype=float)
     da_dx = np.asarray(coeffs.da_dy(t, x), dtype=float)
     WW = W[..., :, None] * W[..., None, :]
@@ -289,47 +265,8 @@ def _weighted_batch(t, x, tau, xi, sigma, spec, coeffs, c, X,
     d_x[..., -1] += 2j * np.abs(sigma) * (G[..., -1] + 2.0 * c * tilt)
 
     d_t = np.einsum("...jk,...jk->...", da_dt, WW)
-    d_tau = dS
-
-    if part != "full":
-        lead = _leading_grads(a, da_dt, da_dx, xi, mu, sigma)
-        if part == "leading":
-            d_xi, d_x, d_t, d_tau = lead
-        else:
-            d_xi = d_xi - lead[0]
-            d_x = d_x - lead[1]
-            d_t = d_t - lead[2]
-            d_tau = d_tau - lead[3]
-
-    out.update(d_xi=d_xi, d_x=d_x, d_t=d_t, d_tau=d_tau)
-    return out
-
-
-def _leading_value(a, xi, mu):
-    """x'-free quadratic core: a xi.xi - a_nn mu^2 + 2 i mu (a xi)_n."""
-    quad = np.einsum("...jk,...j,...k->...", a, xi, xi)
-    cross = np.einsum("...j,...j->...", a[..., -1, :], xi)
-    return quad - a[..., -1, -1] * mu**2 + 2j * mu * cross
-
-
-def _leading_grads(a, da_dt, da_dx, xi, mu, sigma):
-    axi = np.einsum("...jk,...k->...j", a, xi)
-    cross = axi[..., -1]
-    d_xi = 2.0 * axi.astype(complex)
-    d_xi += 2j * mu[..., None] * a[..., :, -1]
-
-    def with_matrix(m):
-        quad = np.einsum("...jk,...j,...k->...", m, xi, xi)
-        cr = np.einsum("...j,...j->...", m[..., -1, :], xi)
-        return quad - m[..., -1, -1] * mu**2 + 2j * mu * cr
-
-    d_x = np.stack([with_matrix(da_dx[..., r, :, :])
-                    for r in range(xi.shape[-1])], axis=-1).astype(complex)
-    d_x[..., -1] += (-2.0 * a[..., -1, -1] * mu * np.abs(sigma)
-                     + 2j * np.abs(sigma) * cross)
-    d_t = with_matrix(da_dt)
-    d_tau = np.zeros(mu.shape, dtype=complex)
-    return d_xi, d_x, d_t, d_tau
+    return {"value": S + quad, "d_xi": d_xi, "d_x": d_x, "d_t": d_t,
+            "d_tau": dS}
 
 
 def _point_batch(point: PhasePoint):
@@ -355,7 +292,7 @@ def total_symbol(point: PhasePoint, spec: MultiTermSpec,
     if point.sigma != 0.0:
         raise ValueError("total symbol is defined on the sigma = 0 slice")
     args = _point_batch(point)
-    quad = _weighted_batch(*args, spec, coeffs, map.c, 0.0, part="full")
+    quad = _weighted_batch(*args, spec, coeffs, map.c, 0.0)
     value = complex(quad["value"][0])
     if drift is not None:
         tau = point.tau
@@ -376,27 +313,20 @@ def total_symbol(point: PhasePoint, spec: MultiTermSpec,
 
 def weighted_principal_symbol(point: PhasePoint, spec: MultiTermSpec,
                               coeffs: EllipticCoeffField,
-                              weight: CarlemanWeightParams, c: float,
-                              part: str = "full") -> SymbolValue:
-    """Weighted symbol with xi_n shifted by i|sigma|(x_n - 2X).
-
-    ``part`` selects "full", the x'-free quadratic core "leading", or the
-    complementary "corrections" (tilt terms plus the fractional sum); the
-    two parts add up to the full symbol exactly.
-    """
+                              weight: CarlemanWeightParams,
+                              c: float) -> SymbolValue:
+    """Weighted symbol: a W.W in the tilted duals W plus the fractional sum."""
     args = _point_batch(point)
-    out = _weighted_batch(*args, spec, coeffs, c, weight.X, part=part)
+    out = _weighted_batch(*args, spec, coeffs, c, weight.X)
     return SymbolValue(value=complex(out["value"][0]))
 
 
 def symbol_gradients(point: PhasePoint, spec: MultiTermSpec,
                      coeffs: EllipticCoeffField,
-                     weight: CarlemanWeightParams, c: float,
-                     part: str = "full") -> SymbolValue:
-    """Weighted symbol together with its analytic partial derivatives."""
+                     weight: CarlemanWeightParams, c: float) -> SymbolValue:
+    """Weighted symbol with its analytic partials in tau, xi, x and t."""
     args = _point_batch(point)
-    out = _weighted_batch(*args, spec, coeffs, c, weight.X, part=part,
-                          grads=True)
+    out = _weighted_batch(*args, spec, coeffs, c, weight.X, grads=True)
     return SymbolValue(value=complex(out["value"][0]),
                        d_tau=complex(out["d_tau"][0]),
                        d_xi=out["d_xi"][0],
@@ -461,6 +391,12 @@ class SampleRegion:
     xn_range: tuple = (0.0, 0.05)
     xprime_halfwidth: float = 0.22
 
+    def __post_init__(self):
+        (t0, t1), (x0, x1) = self.t_range, self.xn_range
+        if not (t0 <= t1 and x0 <= x1 and self.xprime_halfwidth >= 0.0):
+            raise ValueError("region needs lo <= hi and xprime_halfwidth >= 0"
+                             f", got {self!r}")
+
     def draw(self, rng, n_samples: int, n: int):
         t = rng.uniform(*self.t_range, n_samples)
         x = np.empty((n_samples, n))
@@ -469,6 +405,14 @@ class SampleRegion:
                                     self.xprime_halfwidth, (n_samples, n - 1))
         x[:, -1] = rng.uniform(*self.xn_range, n_samples)
         return t, x
+
+
+def _log_uniform(rng, bounds, size, name):
+    """``size`` log-uniform draws on ``bounds``, a pair 0 < lo <= hi."""
+    lo, hi = bounds
+    if not 0.0 < lo <= hi < math.inf:
+        raise ValueError(f"{name} needs 0 < lo <= hi, got {name}={bounds!r}")
+    return np.exp(rng.uniform(math.log(lo), math.log(hi), size))
 
 
 def region_for(weight: CarlemanWeightParams, T: float = 1.0) -> SampleRegion:
@@ -586,8 +530,7 @@ def _char_batch(region, spec, coeffs, c, X, batch, need, tol, rng,
     t, x = region.draw(rng, batch, n)
     xihat = rng.normal(size=(batch, n))
     xihat /= np.linalg.norm(xihat, axis=1, keepdims=True)
-    sigma = np.exp(rng.uniform(math.log(sigma_range[0]),
-                               math.log(sigma_range[1]), batch))
+    sigma = _log_uniform(rng, sigma_range, batch, "sigma_range")
     mu = sigma * (x[:, -1] - 2.0 * X)
 
     a = np.asarray(coeffs.a(t, x), dtype=float)
@@ -800,8 +743,7 @@ def full_region_sample(region: SampleRegion, spec: MultiTermSpec, n: int,
     rho^(2/alpha) so all three scale contributions are exercised.
     """
     t, x = region.draw(rng, n_samples, n)
-    rho = np.exp(rng.uniform(math.log(magnitude_range[0]),
-                             math.log(magnitude_range[1]), n_samples))
+    rho = _log_uniform(rng, magnitude_range, n_samples, "magnitude_range")
     direction = rng.normal(size=(n_samples, n + 1))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     stretch = rng.uniform(0.2, 1.0, n_samples)

@@ -376,6 +376,47 @@ class TestCommands:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["max_rel_err_oracle"] <= 1e-12
 
+    def test_caputo_check_quadrature_meets_a_tight_gate(self, tmp_path):
+        # the oracle's quadrature is asked for the gate it is judged by
+        config = {"alphas": [0.25, 0.5], "n_steps": 256, "tol_oracle": 1e-14}
+        code, out = run(tmp_path, "caputo-check", config)
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["max_rel_err_oracle"] <= 1e-14
+
+    @pytest.mark.parametrize("command, extra, name, value", [
+        ("symbol-bracket", {"magnitude_range": [0, 1000]}, "magnitude_range",
+         (0, 1000)),
+        ("garding", {"magnitude_range": [-1, 10]}, "magnitude_range",
+         (-1, 10)),
+        ("garding", {"magnitude_range": [10, 1]}, "magnitude_range", (10, 1)),
+        ("char-sample", {"sigma_range": [0.0, 1.0]}, "sigma_range",
+         (0.0, 1.0)),
+        ("lemma21", {"sigma_range": [2.0, 1.0]}, "sigma_range", (2.0, 1.0)),
+        ("lemma21", {"region": {"t": [0.9, 0.1]}}, "t_range", (0.9, 0.1)),
+        ("char-sample", {"region": {"xprime_halfwidth": -0.1}},
+         "xprime_halfwidth", -0.1),
+    ], ids=["magnitude-zero", "magnitude-negative", "magnitude-reversed",
+            "sigma-zero", "sigma-reversed", "region-reversed",
+            "region-negative-width"])
+    def test_sampled_range_is_checked(self, command, extra, name, value,
+                                      tmp_path, capsys):
+        code, out = run(tmp_path, command, {**VALID[command], **extra})
+        assert code == 3
+        assert f"{name}={value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_naming_a_file_is_a_usage_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(VALID["caputo-check"]))
+        code = main(["caputo-check", "--config", str(cfg),
+                     "--out", str(taken)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert taken.read_text() == ""
+
     def test_lemma21_pass_and_determinism(self, tmp_path):
         config = {"spec": SPEC, "coeffs": COEFFS2, "map": MAP1,
                   "weight": WEIGHT, "n_samples": 400}
@@ -543,6 +584,24 @@ class TestCommands:
         assert (out / "final_slice.csv").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["max_error"] < 0.05
+
+    @pytest.mark.parametrize("preset", ["diagonal-variable",
+                                        "rotating-anisotropic"])
+    def test_solve_manufactured_follows_the_field(self, tmp_path, preset):
+        # the source is built from the configured field, so the error is
+        # the scheme's own and falls about fourfold per halving of h and dt
+        errors = []
+        for size in (17, 33):
+            config = {"spec": SPEC, "coeffs": {"preset": preset, "n": 2},
+                      "grid": {"bounds": [[0.0, 1.0]] * 2,
+                               "shape": [size] * 2, "n_steps": size - 1,
+                               "t_final": 1.0}}
+            code, out = run(tmp_path, "solve", config, tag=f"{preset}{size}")
+            assert code == 0
+            errors.append(json.loads((out / "summary.json").read_text())
+                          ["max_error"])
+        assert errors[0] < 5e-3
+        assert errors[0] / errors[1] > 3.0
 
     def test_solve_bump_source(self, tmp_path):
         config = {"spec": SPEC, "coeffs": COEFFS1,
