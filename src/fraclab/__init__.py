@@ -34,8 +34,8 @@ from .symbols import (BracketReport, CarlemanWeightParams,
                       weighted_principal_symbol)
 from .solver import (LowerOrderTerm, SolutionField, SolveResult,
                      SpaceTimeGrid, UcpConfig, UcpReport,
-                     apply_discrete_operator, export_time_slice_csv,
-                     load_solution, save_solution, solve, ucp_experiment)
+                     apply_discrete_operator, load_solution, save_solution,
+                     solve, ucp_experiment)
 from .carleman import (BetaSweepConfig, SweepResult, SweepRow, CompactBump,
                        beta_sweep, carleman_lhs, carleman_rhs,
                        conjugated_operator, default_bump_family,

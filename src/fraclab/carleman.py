@@ -298,6 +298,8 @@ def beta_sweep(config: BetaSweepConfig, bumps, grid: SpaceTimeGrid,
     use this to exercise the degenerate-row flag).  Rows with zero right
     side and positive left side are flagged rather than dropped.
     """
+    if frame.field.n != grid.ndim:
+        raise ValueError("field dimension does not match the grid")
     bumps = list(bumps)
     times, mesh = grid.time.nodes, grid.mesh()
     profiles = _weight_profiles(grid, config.weight, config.betas)

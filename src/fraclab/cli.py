@@ -153,6 +153,15 @@ class ConfigError(ValueError):
     pass
 
 
+def _finite(text):
+    """``json.load``'s float and constant hook: only finite numbers, so
+    ``Infinity``, ``NaN`` and ``1e999`` are config errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config error: {text} is not a finite number")
+    return value
+
+
 # the JSON-Schema types of SCHEMAS; an "integer" is a JSON integer, so
 # 2.0 is not one (Draft 2020-12 would admit it)
 _TYPES = {
@@ -564,6 +573,8 @@ def run_solve(config, out, seed, threads):
         src_cfg = config.get("source", {})
         center = np.asarray(src_cfg.get("center", [0.5] * grid.ndim))
         width = src_cfg.get("width", 0.1)
+        if not width > 0.0:
+            raise ValueError(f"source width must be positive, got {width}")
         if len(center) != grid.ndim:
             raise ValueError(f"source center has length {len(center)}, "
                              f"the grid dimension is {grid.ndim}")
@@ -579,9 +590,10 @@ def run_solve(config, out, seed, threads):
     result = solver.solve(spec, coeffs, solver.LowerOrderTerm.zero(), f, grid)
     sol = result.field
     solver.save_solution(sol, os.path.join(out, "solution"))
-    solver.export_time_slice_csv(sol, grid.time.n_steps,
-                                 os.path.join(out, "final_slice.csv"))
     final = sol.values[-1].reshape(-1)
+    write_csv(os.path.join(out, "final_slice.csv"),
+              [f"y{i + 1}" for i in range(grid.ndim)] + ["u"],
+              [mesh.reshape(-1, grid.ndim), final])
     nodes = grid.axes()[0] if grid.ndim == 1 else np.arange(final.size)
     write_xy(os.path.join(out, "final_profile.xy"), [nodes, final])
     summary = {"pass": bool(result.diagnostics["equation_residual_max"]
@@ -679,7 +691,8 @@ def main(argv=None) -> int:
 
     try:
         with open(args.config) as fh:
-            config = json.load(fh)
+            config = json.load(fh, parse_float=_finite,
+                               parse_constant=_finite)
         validate_config(args.command, config)
         created = not os.path.isdir(args.out)
         os.makedirs(args.out, exist_ok=True)

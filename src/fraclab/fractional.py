@@ -23,11 +23,8 @@ The solver steps with :class:`L1March` and the Carleman drift is
 The march runs in blocks of ``BLOCK`` levels: a block's first step forms its
 older history as one Toeplitz product per kernel, each step its recent terms.
 
-Gamma is :func:`_gamma`, a line-for-line port of the cephes ``Gamma``
-that ``scipy.special.gamma`` evaluates, so the module's numbers are those
-of scipy without loading ``scipy.special``.  ``math.gamma`` cannot stand in
-for it: it differs in the last bit at most arguments and would move the
-outputs.  The module imports no scipy at all.
+Gamma is :func:`_gamma`, the standard library's ``math.gamma`` with inf
+past its overflow, so the module imports no scipy at all.
 """
 
 from __future__ import annotations
@@ -41,74 +38,15 @@ BLOCK = 64
 """Time levels per Toeplitz row block of a batched history sum."""
 
 
-# cephes gamma.c: the rational approximation on [2, 3) and the Stirling
-# series above 33
-_GAMMA_P = (1.60119522476751861407e-4, 1.19135147006586384913e-3,
-            1.04213797561761569935e-2, 4.76367800457137231464e-2,
-            2.07448227648435975150e-1, 4.94214826801497100753e-1,
-            9.99999999999999996796e-1)
-_GAMMA_Q = (-2.31581873324120129819e-5, 5.39605580493303397842e-4,
-            -4.45641913851797240494e-3, 1.18139785222060435552e-2,
-            3.58236398605498653373e-2, -2.34591795718243348568e-1,
-            7.14304917030273074085e-2, 1.00000000000000000320e0)
-_GAMMA_STIR = (7.87311395793093628397e-4, -2.29549961613378126380e-4,
-               -2.68132617805781232825e-3, 3.47222221605458667310e-3,
-               8.33333333333482257126e-2)
-_MAXGAM = 171.624376956302725
-_MAXSTIR = 143.01608
-_SQRT_2PI = 2.50662827463100050242e0
-
-
-def _polevl(x: float, coef) -> float:
-    """Horner evaluation, highest degree first, as cephes ``polevl``."""
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _stirf(x: float) -> float:
-    """Stirling's formula of cephes for 33 < x; inf from ``_MAXGAM`` on."""
-    if x >= _MAXGAM:
-        return math.inf
-    w = 1.0 / x
-    w = 1.0 + w * _polevl(w, _GAMMA_STIR)
-    y = math.exp(x)
-    if x > _MAXSTIR:          # x**(x - 0.5) alone would overflow
-        v = math.pow(x, 0.5 * x - 0.25)
-        y = v * (v / y)
-    else:
-        y = math.pow(x, x - 0.5) / y
-    return _SQRT_2PI * y * w
-
-
 def _gamma(x: float) -> float:
-    """Gamma(x) for x > 0, bitwise equal to ``scipy.special.gamma``.
-
-    The cephes ``Gamma`` for positive arguments, step for step: above 33
-    Stirling's formula; below, the recurrence shifts x into [2, 3), where
-    the rational approximation P/Q applies, and below 1e-9 the two-term
-    expansion 1 / ((1 + euler_gamma x) x).  Arguments x <= 0 (and NaN)
-    raise ``ValueError``; the module never passes one.
-    """
-    x = float(x)
+    """``math.gamma`` for x > 0, inf past its overflow (above 171.62 or
+    below about 5e-309); x <= 0 or NaN, which a config can pass, raises."""
     if not x > 0.0:
         raise ValueError(f"gamma argument must be positive, got {x}")
-    if x > 33.0:
-        return _stirf(x)
-    z = 1.0
-    while x >= 3.0:
-        x -= 1.0
-        z *= x
-    while x < 2.0:
-        if x < 1e-9:
-            return z / ((1.0 + 0.5772156649015329 * x) * x)
-        z /= x
-        x += 1.0
-    if x == 2.0:
-        return z
-    x -= 2.0
-    return z * _polevl(x, _GAMMA_P) / _polevl(x, _GAMMA_Q)
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        return math.inf
 
 
 class ConvergenceError(RuntimeError):

@@ -178,14 +178,6 @@ def load_solution(prefix: str) -> SolutionField:
                          source=meta["source"])
 
 
-def export_time_slice_csv(sol: SolutionField, k: int, path: str) -> None:
-    mesh = sol.grid.mesh().reshape(-1, sol.grid.ndim)
-    vals = sol.values[k].reshape(-1)
-    header = ",".join([f"y{i + 1}" for i in range(sol.grid.ndim)] + ["u"])
-    np.savetxt(path, np.column_stack([mesh, vals]), fmt="%.17g",
-               delimiter=",", header=header, comments="")
-
-
 # ---------------------------------------------------------------------------
 # spatial operator assembly
 
@@ -611,7 +603,8 @@ def ucp_experiment(config: UcpConfig, floor: float = 1e-13) -> UcpReport:
     omega x (0, t_prime) is compared with the norm over the whole cylinder.
     A ratio above the resolution floor for every source is the expected
     outcome: the computed fields never vanish on the window alone.  A
-    source inside the window, or zero on every interior node, raises
+    source inside the window or zero on every interior node, a window
+    holding no interior node and a width that is not positive raise
     ``ValueError``.
     """
     grid = config.grid
@@ -619,6 +612,11 @@ def ucp_experiment(config: UcpConfig, floor: float = 1e-13) -> UcpReport:
     axis = grid.axes()[0]
     mask = np.zeros(grid.shape, dtype=bool)
     mask[(axis >= lo) & (axis <= hi)] = True
+    if not mask[grid.interior()].any():
+        raise ValueError(f"omega {config.omega} holds no interior grid node")
+    if not config.source_width > 0.0:
+        raise ValueError(
+            f"source_width must be positive, got {config.source_width}")
     tmask = grid.time.nodes <= config.t_prime
 
     # the time ramp on a broadcast time axis, times the bump of each center

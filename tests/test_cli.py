@@ -98,6 +98,21 @@ class TestValidation:
         assert code == 2
         assert f"config error at {where}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN",
+                                       "1e999"])
+    def test_non_finite_number_is_a_config_error(self, token, tmp_path,
+                                                 capsys):
+        # json.load accepts these, and a "number" is any float: the run
+        # died in the sampler with exit 1, the code of a FAIL verdict
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**SYMBOL, "region": {"t": [0.0, 7.0]}})
+                       .replace("7.0", token))
+        out = tmp_path / "out"
+        code = main(["lemma21", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert f"{token} is not a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, key, value, where", [
         ("continuation-plan", "s_max", 2.0, "$.s_max"),
         ("caputo-check", "n_steps", 64.0, "$.n_steps"),
@@ -623,7 +638,10 @@ class TestCommands:
          "source center has length 1, the grid dimension is 2"),
         (1, {"center": [3.0], "width": 0.1},
          "source is zero on every interior node"),
-    ], ids=["long-center", "short-center", "off-the-grid"])
+        (1, {"width": 0.0}, "source width must be positive, got 0.0"),
+        (1, {"width": -0.1}, "source width must be positive, got -0.1"),
+    ], ids=["long-center", "short-center", "off-the-grid", "zero-width",
+            "negative-width"])
     def test_solve_rejects_a_source_that_cannot_be_right(
             self, tmp_path, capsys, ndim, source, message):
         config = {"spec": SPEC, "coeffs": {"preset": "identity", "n": ndim},
@@ -719,6 +737,32 @@ class TestCommands:
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["min_ratio"] > summary["floor"]
+
+    @pytest.mark.parametrize("change, message", [
+        ({"omega": [0.25, 0.05]}, "omega (0.25, 0.05) holds no interior"),
+        ({"omega": [0.051, 0.052]}, "omega (0.051, 0.052) holds no interior"),
+        ({"source_width": 0.0}, "source_width must be positive, got 0.0"),
+        ({"source_width": -0.08}, "source_width must be positive, got -0.08"),
+    ], ids=["reversed-omega", "omega-between-nodes", "zero-width",
+            "negative-width"])
+    def test_ucp_demo_rejects_a_malformed_input(self, tmp_path, capsys,
+                                                change, message):
+        # the demo's 97-node grid: these read as min_ratio 0 and a FAIL
+        config = {**VALID["ucp-demo"], **change,
+                  "grid": {**GRID1, "shape": [97]}}
+        code, out = run(tmp_path, "ucp-demo", config)
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_carleman_sweep_rejects_a_dimension_mismatch(self, tmp_path,
+                                                         capsys):
+        config = {**VALID["carleman-sweep"], "coeffs": COEFFS2}
+        code, out = run(tmp_path, "carleman-sweep", config)
+        assert code == 3
+        assert ("field dimension does not match the grid"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_rejected_run_removes_the_directory_it_made(self, tmp_path,
                                                         capsys):

@@ -1,18 +1,19 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.special import gamma
 
-from fraclab import solver
+from fraclab import cli, solver
+from fraclab.fractional import _gamma
 from fraclab import (EllipticCoeffField, LowerOrderTerm, MultiTermSpec,
-                     SolutionField, SpaceTimeGrid, TimeGrid, UcpConfig,
+                     SpaceTimeGrid, TimeGrid, UcpConfig,
                      apply_discrete_operator, caputo_power_rule,
                      constant_field, diagonal_variable_field,
-                     export_time_slice_csv, identity_field, load_solution,
+                     identity_field, load_solution,
                      rotating_anisotropic_field, save_solution, solve,
                      ucp_experiment)
 
@@ -44,7 +45,7 @@ def marched_reference(spec, field, source, grid):
     """
     (alpha,) = spec.orders
     dt = grid.time.dt
-    c = 1.0 / (gamma(2.0 - alpha) * dt ** alpha)
+    c = 1.0 / (_gamma(2.0 - alpha) * dt ** alpha)
     inside = np.zeros(grid.shape, dtype=bool)
     inside[grid.interior()] = True
     inside = inside.reshape(-1)
@@ -742,13 +743,32 @@ class TestSerialization:
         assert back.grid.time.n_steps == grid.time.n_steps
 
     def test_time_slice_csv(self, tmp_path):
-        grid = grid_1d(4, 9)
-        sol = SolutionField(values=np.zeros((5, 9)), grid=grid)
-        path = tmp_path / "slice.csv"
-        export_time_slice_csv(sol, 2, str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "y1,u"
-        assert len(lines) == 10
+        # solve's final_slice.csv: mesh and last level, the bytes of
+        # np.savetxt with "%.17g"
+        for shape in ((9,), (5, 7)):
+            ndim = len(shape)
+            config = {"spec": {"orders": [0.5], "weights": [1.0]},
+                      "coeffs": {"preset": "identity", "n": ndim},
+                      "grid": {"bounds": [[0.0, 1.0]] * ndim,
+                               "shape": list(shape), "n_steps": 4,
+                               "t_final": 1.0}}
+            cfg = tmp_path / f"solve{ndim}.json"
+            cfg.write_text(json.dumps(config))
+            out = tmp_path / f"out{ndim}"
+            assert cli.main(["solve", "--config", str(cfg), "--out",
+                             str(out)]) == 0
+            sol = load_solution(str(out / "solution"))
+            header = ",".join([f"y{i + 1}" for i in range(ndim)] + ["u"])
+            ref = tmp_path / f"ref{ndim}.csv"
+            np.savetxt(ref, np.column_stack(
+                [sol.grid.mesh().reshape(-1, ndim),
+                 sol.values[-1].reshape(-1)]),
+                fmt="%.17g", delimiter=",", header=header, comments="")
+            slice_csv = (out / "final_slice.csv").read_bytes()
+            assert slice_csv == ref.read_bytes()
+            lines = slice_csv.decode().splitlines()
+            assert lines[0] == header
+            assert len(lines) == 1 + math.prod(shape)
 
 
 class TestUcp:
