@@ -50,7 +50,8 @@ def _gamma(x: float) -> float:
 
 
 class ConvergenceError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """Adaptive quadrature failed to reach the requested tolerance, or the
+    solver's block factorization met a singular block."""
 
 
 def _order_index(alpha: float) -> int:

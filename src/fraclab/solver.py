@@ -15,21 +15,24 @@ built once per walk, and its product with a vector or a block is numpy
 too.  A level starts a new run exactly when one of its samples differs
 from the level before it, so reuse is decided from the samples alone.  One
 walk over the levels serves a block of grid functions, as in the Carleman
-sweep, and applies each run as one product per at most ``BLOCK`` levels;
-the walk loads no scipy.  Each step of :func:`solve` turns its run's
-matrix into scipy CSR, moves the discrete history to the right-hand side,
-lifts the Dirichlet data through the boundary columns and solves one
-sparse system for the interior unknowns.  A level of a run whose
-matrix has been factorized is solved directly.  Otherwise the LU of an
-earlier run is kept and iterative refinement with it runs until the
-residual is at most 1e-13 of the right-hand side; a step that needs more
-than ``REFINE_CAP`` refinement steps factorizes its run's matrix and solves
-directly, and so does a step whose refinement contracts too slowly for
-the cap.  The diagnostics count factorizations, steps solved through a
-stale LU (``lu_reuses``) and refinement steps.  The ``condition_estimate``
-diagnostic is the one-norm condition number of the first interior system:
-its exact largest column sum times the single-column Higham estimate of
-the inverse's norm through the LU factors, which draws no random numbers.
+sweep, and applies each run as one product per at most ``BLOCK`` levels.
+Each step of :func:`solve` folds its run's
+leading coefficient into the centre slot of the interior columns once,
+moves the discrete history to the right-hand side, lifts the Dirichlet
+data through the boundary columns and solves for the interior unknowns
+with :class:`_BlockLU`, a numpy block LU of the system, which is
+block-tridiagonal over slabs of the first axis.  A level of a run whose
+matrix has been factorized is solved directly, with one refinement step.
+Otherwise the factor of an earlier run is kept and iterative refinement
+with it runs until the residual is at most 1e-13 of the right-hand side;
+a step that needs more than ``REFINE_CAP`` refinement steps factorizes
+its run's matrix and solves directly, and so does a step whose
+refinement contracts too slowly for the cap.  The diagnostics count
+factorizations, steps solved through a stale factor (``lu_reuses``) and
+stale-factor refinement steps.  The ``condition_estimate`` diagnostic is
+the one-norm condition number of the first interior system: its exact
+largest column sum times Higham's single-column estimate of the
+inverse's norm through the factor, which draws no random numbers.
 The solver output therefore satisfies the assembled discrete equation to
 solver precision by construction, which :func:`apply_discrete_operator`
 verifies independently, sampling and assembling its own levels.
@@ -45,7 +48,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import SAMPLE_BLOCK, EllipticCoeffField
-from .fractional import BLOCK, L1March, MultiTermSpec, TimeGrid, multiterm_l1
+from .fractional import (BLOCK, ConvergenceError, L1March, MultiTermSpec,
+                         TimeGrid, multiterm_l1)
 
 
 @dataclass(frozen=True)
@@ -194,11 +198,10 @@ def _stencil_pattern(grid: SpaceTimeGrid):
 
     Each interior row holds one entry per stencil offset, in column order,
     whatever the coefficients (exact zeros stay stored), so the columns
-    depend on the grid shape alone.  Returns ``(cols, slot, csr_index)``:
-    the ``(rows, slots)`` integer array of each interior row's columns,
-    which every level shares, the slot of each linear offset, and the CSR
-    ``(indices, indptr)`` of that pattern in the int32 scipy would pick, so
-    that :meth:`_StencilMatrix.tocsr` casts nothing.
+    depend on the grid shape alone.  Returns ``(cols, slot)``: the
+    ``(rows, slots)`` integer array of each interior row's columns, which
+    every level shares, and the slot of each linear offset.  The offsets
+    are symmetric about 0, so the centre is the middle slot.
     """
     nd = grid.ndim
     shape = grid.shape
@@ -213,35 +216,29 @@ def _stencil_pattern(grid: SpaceTimeGrid):
     rows_lin = np.flatnonzero(_interior_flags(grid))
     # column-major, so that each slot's columns are contiguous
     cols = np.asfortranarray(rows_lin[:, None] + ordered)
-    rows, slots = cols.shape
-    index = (np.int32 if max(math.prod(shape), rows * slots)
-             <= np.iinfo(np.int32).max else np.int64)
-    csr_index = (cols.reshape(-1).astype(index),
-                 np.arange(0, rows * slots + 1, slots, dtype=index))
-    return cols, {int(o): j for j, o in enumerate(ordered)}, csr_index
+    return cols, {int(o): j for j, o in enumerate(ordered)}
 
 
 @dataclass(frozen=True, eq=False)
 class _StencilMatrix:
     """One level's -(L + l1): row i holds ``values[i, s]`` at ``cols[i, s]``.
 
-    Rows run over the interior nodes, columns over all ``n_nodes`` nodes;
-    ``cols`` and ``csr_index`` come from the :func:`_stencil_pattern` of
-    the walk.
+    Rows run over the interior nodes and columns over ``n_nodes`` nodes:
+    all nodes, with ``cols`` from the :func:`_stencil_pattern` of the walk,
+    or the interior nodes alone for :func:`_interior_system`.
     """
 
     values: np.ndarray
     cols: np.ndarray
-    csr_index: tuple
     n_nodes: int
 
     def __matmul__(self, x):
         """Product with a vector or a (nodes, K) block of vectors.
 
         From zeros it adds ``values[:, s] * x[cols[:, s]]`` slot by slot,
-        in column order: per element the ``y += a*x`` sequence of scipy's
-        ``csr_matvec`` and ``csr_matvecs``, so the product is bitwise that
-        of :meth:`tocsr`.
+        in column order: per element the ``y += a*x`` sequence of a CSR
+        product with the columns of each row sorted, for a vector and for
+        every column of a block alike.
         """
         out = np.zeros((len(self.values),) + x.shape[1:])
         for s in range(self.cols.shape[1]):
@@ -249,12 +246,6 @@ class _StencilMatrix:
             term *= self.values[:, s].reshape((-1,) + (1,) * (x.ndim - 1))
             out += term
         return out
-
-    def tocsr(self):
-        """The same matrix as scipy CSR, for factorization and the lift."""
-        import scipy.sparse as sp
-        return sp.csr_matrix((self.values.reshape(-1), *self.csr_index),
-                             shape=(len(self.values), self.n_nodes))
 
 
 def _spatial_matrix(grid: SpaceTimeGrid, a, bvec, bzero, pattern=None):
@@ -267,8 +258,7 @@ def _spatial_matrix(grid: SpaceTimeGrid, a, bvec, bzero, pattern=None):
     first-order term shares the slots of the axis neighbours; with two
     addends per slot the order of the sum cannot change it.
     """
-    cols, slot, csr_index = (_stencil_pattern(grid) if pattern is None
-                             else pattern)
+    cols, slot = _stencil_pattern(grid) if pattern is None else pattern
     nd = grid.ndim
     h = grid.spacing
     strides = [math.prod(grid.shape[d + 1:]) for d in range(nd)]
@@ -295,7 +285,7 @@ def _spatial_matrix(grid: SpaceTimeGrid, a, bvec, bzero, pattern=None):
     if bzero is not None:
         center -= bzero
     data[:, slot[0]] = center
-    return _StencilMatrix(values=data, cols=cols, csr_index=csr_index,
+    return _StencilMatrix(values=data, cols=cols,
                           n_nodes=math.prod(grid.shape))
 
 
@@ -350,6 +340,164 @@ def _source_levels(source, grid: SpaceTimeGrid) -> np.ndarray:
     if f_all.shape != (grid.time.n_steps + 1,) + grid.shape:
         raise ValueError("source array shape mismatch")
     return f_all
+
+
+# ---------------------------------------------------------------------------
+# block-tridiagonal factorization
+
+
+DENSE_1D = 128
+"""Interior nodes up to which a 1-D system is one dense block; a longer
+grid is cut into equal chunks of at most this many nodes."""
+
+
+def _blocking(grid: SpaceTimeGrid):
+    """Blocks of :class:`_BlockLU`: interior row boundaries and slab size.
+
+    A slab is the interior nodes at one index of the first axis, and the
+    stencil couples a node only with the slabs either side of its own, so
+    cutting the interior rows (in natural order) between slabs gives a
+    block-tridiagonal system whose off-diagonal blocks reach one slab.  A
+    block is one slab in more than one dimension, and a chunk of at most
+    ``DENSE_1D`` nodes in 1-D, where a slab is a single node.  Returns
+    ``(edges, slab)``.
+    """
+    m = [s - 2 for s in grid.shape]
+    if grid.ndim == 1:
+        count = -(-m[0] // DENSE_1D)
+        return [i * m[0] // count for i in range(count + 1)], 1
+    slab = math.prod(m[1:])
+    return [i * slab for i in range(m[0] + 1)], slab
+
+
+def _interior_system(stencil: _StencilMatrix, inside, lead: float):
+    """``lead`` times the identity plus the interior columns of ``stencil``.
+
+    The result is a :class:`_StencilMatrix` on the interior columns, the
+    one matrix of a step's factor blocks, refinement residual and
+    ``linear_residual_max``.  ``lead`` is added to the centre slot once; a
+    slot whose column is a boundary node keeps the value 0, pointing at the
+    row's own unknown.
+    """
+    on = inside[stencil.cols]
+    rows = np.arange(len(stencil.values))
+    cols = np.where(on, (np.cumsum(inside) - 1)[stencil.cols], rows[:, None])
+    values = np.where(on, stencil.values, 0.0)
+    values[:, values.shape[1] // 2] += lead
+    return _StencilMatrix(values=np.asfortranarray(values),
+                          cols=np.asfortranarray(cols), n_nodes=len(rows))
+
+
+class _BlockLU:
+    """Block LU of a block-tridiagonal system, without pivoting across blocks.
+
+    ``system`` is a :class:`_StencilMatrix` on its own rows' columns; block
+    i holds the rows and columns ``edges[i]:edges[i + 1]``, and a block
+    couples only with the ``slab`` columns next to it (:func:`_blocking`).
+    With D_i, L_i and U_i the diagonal, lower and upper blocks, the Schur
+    complements are S_0 = D_0 and S_i = D_i - L_i S_{i-1}^-1 U_{i-1}.  The
+    factor keeps S_i^-1 and the nonzero columns of L_i and S_i^-1 U_i as
+    dense arrays, so a solve is two sweeps of dense products over the
+    blocks, for one right-hand side or a block of them.  A Schur block that
+    is singular, or whose inverse has a norm that is not finite, raises
+    :class:`ConvergenceError` naming the block.
+    """
+
+    def __init__(self, system: _StencilMatrix, edges, slab: int):
+        self.slab = slab
+        self.blocks = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+        self.lower, self.inv, self.upper = [], [], []
+        for i, rows in enumerate(self.blocks):
+            # the block row over its own columns and a slab either side
+            first = max(rows.start - slab, 0)
+            last = min(rows.stop + slab, edges[-1])
+            band = np.zeros((rows.stop - rows.start, last - first))
+            # summed, so that the zero slots at the row's own column add 0
+            np.add.at(band, (np.arange(len(band))[:, None],
+                             system.cols[rows] - first), system.values[rows])
+            schur = band[:, rows.start - first:rows.stop - first]
+            if i:
+                self.lower.append(band[:, :slab].copy())
+                schur[:, :slab] -= self.lower[-1] @ self.upper[-1][-slab:]
+            try:
+                inv = np.linalg.inv(schur)
+            except np.linalg.LinAlgError:
+                inv = None
+            if inv is None or not np.isfinite(np.abs(inv).sum(axis=0).max()):
+                raise ConvergenceError(
+                    f"Schur block {i} of the block factorization (interior "
+                    f"rows {rows.start}:{rows.stop}) is singular")
+            self.inv.append(inv)
+            if rows.stop < last:
+                self.upper.append(inv @ band[:, -slab:])
+
+    def solve(self, b, trans: bool = False):
+        """x with ``system @ x = b``, or its transpose's when ``trans``.
+
+        ``b`` is (n,) or (n, B).  With the factor written L U, L block lower
+        bidiagonal with (S_i, L_i) and U unit block upper bidiagonal with
+        S_i^-1 U_i, the transpose solves U^T z = b, then L^T x = z.
+        """
+        blocks, slab = self.blocks, self.slab
+        x = np.array(b, dtype=float)
+        # ndarray.dot: BLAS like @, with less overhead on these small blocks
+        if not trans:
+            for i, rows in enumerate(blocks):
+                rest = x[rows]
+                if i:
+                    rest = rest - self.lower[i - 1].dot(
+                        x[rows.start - slab:rows.start])
+                x[rows] = self.inv[i].dot(rest)
+            for i in range(len(blocks) - 2, -1, -1):
+                end = blocks[i].stop
+                x[blocks[i]] -= self.upper[i].dot(x[end:end + slab])
+            return x
+        for i in range(1, len(blocks)):
+            start = blocks[i].start
+            x[start:start + slab] -= self.upper[i - 1].T.dot(x[blocks[i - 1]])
+        for i in range(len(blocks) - 1, -1, -1):
+            if i < len(blocks) - 1:
+                end = blocks[i].stop
+                x[end - slab:end] -= self.lower[i].T.dot(x[blocks[i + 1]])
+            x[blocks[i]] = self.inv[i].T.dot(x[blocks[i]])
+        return x
+
+
+def _condition_estimate(system: _StencilMatrix, lu: _BlockLU) -> float:
+    """One-norm condition number of ``system`` through its factor ``lu``.
+
+    The norm of the system is its exact largest column sum.  The norm of
+    its inverse is Higham's estimate with one column (t = 1; Hager, SIAM J.
+    Sci. Stat. Comput. 5, 1984; Higham, ACM TOMS 14, 1988), started from
+    the constant vector, so it draws no random numbers: alternate solves
+    with the system and its transpose move a unit vector to the column of
+    largest sum, and the estimate is that column's norm, a lower bound.
+    It stops after at most five iterations, as scipy's ``onenormest``.
+    """
+    n = system.n_nodes
+    norm = np.bincount(system.cols.ravel(), np.abs(system.values).ravel(),
+                       minlength=n).max()
+    x = np.full(n, 1.0 / n)
+    sign = np.zeros(n)
+    best = None
+    for k in range(6):
+        y = lu.solve(x)
+        est = np.abs(y).sum()
+        if best is not None and est <= est_old:
+            break
+        est_old = est
+        if k == 5:
+            break
+        sign_old, sign = sign, np.where(y >= 0.0, 1.0, -1.0)
+        if sign @ sign_old == n:
+            break
+        h = np.abs(lu.solve(sign, trans=True))
+        if best is not None and h.max() == h[best]:
+            break
+        best = int(np.argmax(h))
+        x = np.zeros(n)
+        x[best] = 1.0
+    return float(norm * est_old)
 
 
 REFINE_CAP = 8
@@ -421,11 +569,9 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
     a one-norm condition estimate of the first interior step matrix, the
     leading coefficient, and the counts ``factorizations``, ``lu_reuses``
     (steps whose changed matrix was solved by refinement with an earlier
-    LU) and ``refinement_steps``.  The initial level is identically zero,
-    matching the support convention.
+    LU) and ``refinement_steps`` (those taken with an earlier LU).  The
+    initial level is identically zero, matching the support convention.
     """
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
     if coeffs.n != grid.ndim:
         raise ValueError("field dimension does not match the grid")
     _ellipticity_precondition(grid, coeffs)
@@ -433,6 +579,7 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
     nt = grid.time.n_steps
     inside = _interior_flags(grid)
     n_int = int(inside.sum())
+    edges, slab = _blocking(grid)
     y_bnd = grid.mesh().reshape(-1, grid.ndim)[~inside]
     times = grid.time.nodes
 
@@ -449,18 +596,15 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
     for k in range(1, nt + 1):
         if left == 0:
             stencil, left = next(runs)
-            mat = stencil.tocsr()
-            system = (sp.eye(n_int, format="csr") * march.lead
-                      + mat[:, inside]).tocsc()
-            lift = mat[:, ~inside]
+            system = _interior_system(stencil, inside, march.lead)
             fresh = False          # whether lu factorizes this run's system
         left -= 1
 
         rhs = f_int[k] - march.history(k)
         if bc is not None:
-            g_k = np.asarray(bc(times[k], y_bnd), dtype=float)
-            values[k, ~inside] = g_k
-            rhs -= lift @ g_k
+            values[k, ~inside] = bc(times[k], y_bnd)
+            # the lift: the interior of values[k] is still zero
+            rhs -= stencil @ values[k]
         # a run without its own LU is first solved by refinement with the
         # last LU; the first step, and a step past the cap, factorize
         x = None
@@ -471,18 +615,15 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
                 lu_reuses += 1
         if x is None:
             if not fresh:
-                lu = spla.splu(system)
+                lu = _BlockLU(system, edges, slab)
                 fresh = True
                 factorizations += 1
                 if cond_estimate is None:
-                    op = spla.LinearOperator(
-                        (n_int, n_int), matvec=lu.solve,
-                        rmatvec=lambda b: lu.solve(b, trans="T"))
-                    # exact column-sum norm of A; t=1 makes the estimate
-                    # of the inverse's norm draw no random start columns
-                    cond_estimate = float(abs(system).sum(axis=0).max()
-                                          * spla.onenormest(op, t=1))
+                    cond_estimate = _condition_estimate(system, lu)
             x = lu.solve(rhs)
+            # one refinement step: the explicit block inverses alone leave
+            # a residual a few times that of a pivoted LU
+            x += lu.solve(rhs - system @ x)
             res = system @ x - rhs
         march.push(k, x)
         values[k, inside] = x
@@ -604,8 +745,9 @@ def ucp_experiment(config: UcpConfig, floor: float = 1e-13) -> UcpReport:
     A ratio above the resolution floor for every source is the expected
     outcome: the computed fields never vanish on the window alone.  A
     source inside the window or zero on every interior node, a window
-    holding no interior node and a width that is not positive raise
-    ``ValueError``.
+    holding no interior node, a ``t_prime`` below the first time step (the
+    window would hold only the initial level, pinned to zero) and a width
+    that is not positive raise ``ValueError``.
     """
     grid = config.grid
     lo, hi = config.omega
@@ -618,6 +760,10 @@ def ucp_experiment(config: UcpConfig, floor: float = 1e-13) -> UcpReport:
         raise ValueError(
             f"source_width must be positive, got {config.source_width}")
     tmask = grid.time.nodes <= config.t_prime
+    if not tmask[1:].any():
+        raise ValueError(
+            f"t_prime {config.t_prime} lies below the first time step "
+            f"{grid.time.nodes[1]}")
 
     # the time ramp on a broadcast time axis, times the bump of each center
     ramp = (config.source_amplitude

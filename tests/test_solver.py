@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from fraclab import cli, solver
-from fraclab.fractional import _gamma
+from fraclab.fractional import ConvergenceError, _gamma
 from fraclab import (EllipticCoeffField, LowerOrderTerm, MultiTermSpec,
                      SpaceTimeGrid, TimeGrid, UcpConfig,
                      apply_discrete_operator, caputo_power_rule,
@@ -36,6 +36,15 @@ def manufactured_1d(spec):
     return exact, source
 
 
+def csr(mat):
+    """The scipy CSR matrix of a ``solver._StencilMatrix``: row i holds
+    ``values[i, s]`` at ``cols[i, s]``."""
+    rows, slots = mat.values.shape
+    return sp.csr_matrix((mat.values.reshape(-1), mat.cols.reshape(-1),
+                          np.arange(0, rows * slots + 1, slots)),
+                         shape=(rows, mat.n_nodes))
+
+
 def marched_reference(spec, field, source, grid):
     """The solve for one order below 1, level by level with a fresh LU.
 
@@ -57,7 +66,7 @@ def marched_reference(spec, field, source, grid):
         rest = apply_discrete_operator(u, spec, field.a, LowerOrderTerm.zero(),
                                        grid, source=source)[k].reshape(-1)
         system = (c * sp.eye(int(inside.sum()))
-                  + mats[k].tocsr()[:, inside]).tocsc()
+                  + csr(mats[k])[:, inside]).tocsc()
         u[k][grid.interior()] = spla.splu(system).solve(-rest).reshape(
             tuple(s - 2 for s in grid.shape))
     return u
@@ -244,13 +253,13 @@ class TestSolve:
     def test_factorization_count(self, monkeypatch, make_field,
                                  factorizations):
         calls = []
-        splu = spla.splu
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return splu(*args, **kwargs)
+        class Counting(solver._BlockLU):
+            def __init__(self, *args):
+                calls.append(1)
+                super().__init__(*args)
 
-        monkeypatch.setattr(spla, "splu", counting)
+        monkeypatch.setattr(solver, "_BlockLU", Counting)
         spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
         grid = SpaceTimeGrid(bounds=((0.0, 1.0), (0.0, 1.0)), shape=(7, 7),
                              time=TimeGrid.from_interval(1.0, 12))
@@ -375,13 +384,13 @@ class TestSolve:
     def test_condition_estimate_is_exact_and_seed_free(self, monkeypatch,
                                                        make_field, shape):
         systems = []
-        splu = spla.splu
 
-        def capturing(matrix, *args, **kwargs):
-            systems.append(matrix)
-            return splu(matrix, *args, **kwargs)
+        class Capturing(solver._BlockLU):
+            def __init__(self, system, *args):
+                systems.append(system)
+                super().__init__(system, *args)
 
-        monkeypatch.setattr(spla, "splu", capturing)
+        monkeypatch.setattr(solver, "_BlockLU", Capturing)
         spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
         grid = SpaceTimeGrid(bounds=((0.0, 1.0),) * len(shape), shape=shape,
                              time=TimeGrid.from_interval(1.0, 8))
@@ -399,7 +408,7 @@ class TestSolve:
                 estimates.append(result.diagnostics["condition_estimate"])
         finally:
             np.random.set_state(state)
-        exact = np.linalg.cond(systems[0].toarray(), 1)
+        exact = np.linalg.cond(csr(systems[0]).toarray(), 1)
         assert estimates[0] == estimates[1]
         assert abs(estimates[0] - exact) <= 1e-12 * exact
 
@@ -660,7 +669,7 @@ class TestAssembly:
             b[1::4] = 16.0 * a[1::4, range(n), range(n)]
         b0 = np.where(rng.random(n_int) < 0.3, 0.0,
                       rng.normal(size=n_int)) if with_b0 else None
-        got = solver._spatial_matrix(grid, a, b, b0).tocsr()
+        got = csr(solver._spatial_matrix(grid, a, b, b0))
         want = coo_spatial_matrix(grid, a, b, b0)
         assert got.shape == want.shape
         for name in ("data", "indices", "indptr"):
@@ -670,7 +679,7 @@ class TestAssembly:
         # a shared pattern gives the same matrix
         shared = solver._spatial_matrix(grid, a, b, b0,
                                         pattern=solver._stencil_pattern(grid))
-        assert shared.tocsr().data.tobytes() == want.data.tobytes()
+        assert csr(shared).data.tobytes() == want.data.tobytes()
 
     @pytest.mark.parametrize("shape", [(9,), (7, 8), (5, 6, 7)],
                              ids=["1d", "2d", "3d"])
@@ -695,11 +704,11 @@ class TestAssembly:
         zero = np.full((n_int, n, n), -0.0)
         for mat in (solver._spatial_matrix(grid, a, b, b0),
                     solver._spatial_matrix(grid, zero, None, None)):
-            csr = mat.tocsr()
+            oracle = csr(mat)
             for x in (block, block[:, 0], block[:, 1].copy(), block[:, :1],
                       np.full(nodes, -0.0)):
-                assert (mat @ x).shape == (csr @ x).shape
-                assert (mat @ x).tobytes() == (csr @ x).tobytes()
+                assert (mat @ x).shape == (oracle @ x).shape
+                assert (mat @ x).tobytes() == (oracle @ x).tobytes()
 
     def test_pattern_is_built_once_per_walk(self, monkeypatch):
         grid = SpaceTimeGrid(bounds=((0.0, 1.0), (0.0, 1.0)), shape=(9, 9),
@@ -726,6 +735,61 @@ class TestAssembly:
         assert len(assembled) == 401
         assert len(built) == 1
         assert all(p is assembled[0] for p in assembled)
+
+
+class TestBlockFactorization:
+    @pytest.mark.parametrize("make_field, shape", [
+        (lambda: identity_field(1), (129,)),
+        # more interior nodes than DENSE_1D: chunks of the first axis
+        (lambda: identity_field(1), (301,)),
+        (lambda: diagonal_variable_field(2), (17, 15)),
+        (lambda: rotating_anisotropic_field(2, spin=1.0, shear=0.5),
+         (16, 13)),
+        (lambda: diagonal_variable_field(3), (6, 7, 8)),
+    ], ids=["1d", "1d-chunks", "2d-diagonal", "2d-anisotropic", "3d"])
+    def test_block_solve_matches_superlu(self, make_field, shape):
+        grid = SpaceTimeGrid(bounds=((0.0, 1.0),) * len(shape), shape=shape,
+                             time=TimeGrid.from_interval(1.0, 4))
+        # a first-order term makes the system unsymmetric
+        lower = LowerOrderTerm(b=lambda t, Y: np.cos(3.0 * Y),
+                               b0=lambda t, Y: np.sin(Y[..., 0]))
+        stencil, _ = next(solver._level_operators(
+            grid, make_field().a, lower, grid.time.nodes[1:]))
+        inside = solver._interior_flags(grid)
+        system = solver._interior_system(stencil, inside, 2.5)
+        oracle = (2.5 * sp.eye(int(inside.sum()))
+                  + csr(stencil)[:, inside]).tocsc()
+        assert abs(csr(system) - oracle).max() == 0.0
+        lu = solver._BlockLU(system, *solver._blocking(grid))
+        reference = spla.splu(oracle)
+        rhs = np.random.default_rng(len(shape)).normal(size=(oracle.shape[0],
+                                                             3))
+        for b in (rhs, rhs[:, 0]):
+            for trans in (False, True):
+                want = reference.solve(b, trans="T" if trans else "N")
+                got = lu.solve(b, trans=trans)
+                assert got.shape == want.shape
+                assert (np.abs(got - want).max()
+                        <= 1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("centre, neighbour, block", [
+        # S_1 = I - I I^-1 I = 0 exactly
+        (1.0, 1.0, 1),
+        # S_0 = 1e-310 I, whose inverse overflows
+        (1e-310, 0.0, 0)], ids=["singular", "overflow"])
+    def test_guard_names_the_failing_schur_block(self, centre, neighbour,
+                                                 block):
+        grid = SpaceTimeGrid(bounds=((0.0, 1.0),) * 2, shape=(5, 5),
+                             time=TimeGrid.from_interval(1.0, 4))
+        cols, slot = solver._stencil_pattern(grid)
+        values = np.zeros(cols.shape, order="F")
+        values[:, slot[0]] = centre
+        values[:, slot[5]] = values[:, slot[-5]] = neighbour
+        stencil = solver._StencilMatrix(values=values, cols=cols, n_nodes=25)
+        system = solver._interior_system(
+            stencil, solver._interior_flags(grid), 0.0)
+        with pytest.raises(ConvergenceError, match=f"Schur block {block} "):
+            solver._BlockLU(system, *solver._blocking(grid))
 
 
 class TestSerialization:
