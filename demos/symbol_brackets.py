@@ -11,9 +11,9 @@ precision; the bracket is also exactly cubic under the anisotropic scaling
 
 import numpy as np
 
-from fraclab import (CarlemanWeightParams, MultiTermSpec, PhasePoint,
-                     constant_field, poisson_bracket, symbol_gradients,
-                     weighted_principal_symbol)
+from fraclab import (CarlemanWeightParams, MultiTermSpec, constant_field,
+                     weighted_symbol)
+from fraclab.symbols import bracket_report_batch
 
 print(__doc__)
 
@@ -21,40 +21,39 @@ spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
 weight = CarlemanWeightParams(X=0.1)
 field = constant_field(np.array([[1.0]]))
 
-point = PhasePoint(t=0.0, x=np.array([0.0]), tau=0.0,
-                   xi=np.array([1.0]), sigma=1.0)
-sym = weighted_principal_symbol(point, spec, field, weight, c=1.0)
-print(f"hand point (tau=0, xi_n=1, sigma=1, X=0.1): value = {sym.value}")
+# every call takes a batch (t, x, tau, xi, sigma) of samples; one point here
+point = (np.zeros(1), np.zeros((1, 1)), np.zeros(1), np.ones((1, 1)),
+         np.ones(1))
+g = weighted_symbol(*point, spec, field, c=1.0, X=weight.X, grads=True)
+print(f"hand point (tau=0, xi_n=1, sigma=1, X=0.1): value = {g['value'][0]}")
 print("  (analytically 1 + (1 - 0.2i)^2 = 1.96 - 0.4i)")
-
-g = symbol_gradients(point, spec, field, weight, c=1.0)
-print(f"  d/dxi_n = {g.d_xi[0]}, d/dx_n = {g.d_x[0]}, d/dtau = {g.d_tau}")
+print(f"  d/dxi_n = {g['d_xi'][0, 0]}, d/dx_n = {g['d_x'][0, 0]}, "
+      f"d/dtau = {g['d_tau'][0]}")
 
 rng = np.random.default_rng(1)
 print("\nClosed-form bracket, random constant coefficients (n = 2, c = 0):")
 m = rng.normal(size=(2, 2))
 field2 = constant_field(m @ m.T + 2.0 * np.eye(2))
 a = field2.a(0.0, np.zeros(2))
-for _ in range(4):
-    point = PhasePoint(t=0.3, x=np.array([0.0, rng.uniform(0.0, 0.1)]),
-                       tau=rng.uniform(-2, 2), xi=rng.normal(size=2),
-                       sigma=rng.uniform(0.5, 3.0))
-    rep = poisson_bracket(point, spec, field2, weight, c=0.0,
-                          mode="principal")
-    mu = point.sigma * (point.x[-1] - 2.0 * weight.X)
-    closed = (4.0 * point.sigma * (a[:, -1] @ point.xi) ** 2
-              + 4.0 * a[-1, -1] ** 2 * point.sigma * mu**2)
-    print(f"  bracket {rep.principal:16.10f}  closed {closed:16.10f}  "
-          f"rel dev {abs(rep.principal-closed)/closed:.2e}")
+draws = [(0.3, [0.0, rng.uniform(0.0, 0.1)], rng.uniform(-2, 2),
+          rng.normal(size=2), rng.uniform(0.5, 3.0)) for _ in range(4)]
+t, x, tau, xi, sigma = (np.array(col) for col in zip(*draws))
+_, principal, _, _ = bracket_report_batch((t, x, tau, xi, sigma), spec,
+                                          field2, weight, c=0.0)
+mu = sigma * (x[:, -1] - 2.0 * weight.X)
+closed = (4.0 * sigma * (xi @ a[:, -1]) ** 2
+          + 4.0 * a[-1, -1] ** 2 * sigma * mu**2)
+for got, want in zip(principal, closed):
+    print(f"  bracket {got:16.10f}  closed {want:16.10f}  "
+          f"rel dev {abs(got - want) / want:.2e}")
 
 print("\nCubic homogeneity of bracket/rho^3 along the anisotropic scaling:")
-base = PhasePoint(t=0.4, x=np.array([0.05, 0.02]), tau=1.1,
-                  xi=np.array([0.8, -1.2]), sigma=1.7)
-ref = poisson_bracket(base, spec, field2, weight, 1.0, mode="principal")
-for rho in (10.0, 100.0, 1000.0):
-    scaled = PhasePoint(t=base.t, x=base.x,
-                        tau=base.tau * rho ** (2.0 / spec.alpha),
-                        xi=base.xi * rho, sigma=base.sigma * rho)
-    rep = poisson_bracket(scaled, spec, field2, weight, 1.0, mode="principal")
-    print(f"  rho = {rho:6.0f}: bracket/rho^3 = {rep.principal / rho**3:.12f}"
-          f"  (base {ref.principal:.12f})")
+rho = np.array([1.0, 10.0, 100.0, 1000.0])
+ones = np.ones_like(rho)
+scaled = (0.4 * ones, np.array([0.05, 0.02]) * ones[:, None],
+          1.1 * rho ** (2.0 / spec.alpha),
+          np.array([0.8, -1.2]) * rho[:, None], 1.7 * rho)
+_, principal, _, _ = bracket_report_batch(scaled, spec, field2, weight, 1.0)
+for r, value in zip(rho[1:], principal[1:]):
+    print(f"  rho = {r:6.0f}: bracket/rho^3 = {value / r**3:.12f}"
+          f"  (base {principal[0]:.12f})")

@@ -150,11 +150,14 @@ class MultiTermSpec:
 
 
 def caputo_power_rule(p: float, alpha: float, t) -> float:
-    """Exact Caputo derivative of t**p for p > alpha - 1.
+    """Exact Caputo derivative of t**p for p > ceil(alpha) - 1.
 
     Independent closed-form reference used by the tests:
     Gamma(p+1)/Gamma(p+1-alpha) * t**(p-alpha).  Valid for any order in
-    (0,2), including exactly 1.
+    (0,2), including exactly 1.  Below that bound t**p is a polynomial the
+    Caputo derivative annihilates (p = 0, or p = 1 for alpha > 1), or its
+    derivative is not integrable at 0; the formula is then the
+    Riemann-Liouville derivative (p > alpha - 1) or meaningless.
     """
     return (_gamma(p + 1.0) / _gamma(p + 1.0 - alpha)
             * np.asarray(t) ** (p - alpha))
@@ -253,8 +256,9 @@ def caputo_oracle(u, derivative, alpha: float, t: float, tol: float = 1e-10,
         Tolerance of the quadrature, absolute and relative, and enforced on
         its error estimate of the scaled result.
     max_subdivisions : int
-        Adaptive subdivision budget; exceeding it (or failing the error
-        check) raises :class:`ConvergenceError`.
+        Adaptive subdivision budget; exceeding it, failing the error
+        check, or a value or estimate that is not finite raises
+        :class:`ConvergenceError`.
 
     Notes
     -----
@@ -273,6 +277,11 @@ def caputo_oracle(u, derivative, alpha: float, t: float, tol: float = 1e-10,
                                    tol, max_subdivisions)
     value *= t ** (k - alpha) / ((k - alpha) * _gamma(k - alpha))
     abserr *= t ** (k - alpha) / ((k - alpha) * _gamma(k - alpha))
+    # an integrand singular at s = 0 makes both inf, and inf > inf is False
+    if not (math.isfinite(value) and math.isfinite(abserr)):
+        raise ConvergenceError(
+            f"quadrature value {value!r} with error estimate {abserr!r} is "
+            "not finite; the derivative may be singular at s = 0")
     if abserr > tol * max(1.0, abs(value)):
         raise ConvergenceError(
             f"quadrature error estimate {abserr:.3e} exceeds tolerance "

@@ -627,7 +627,8 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
             res = system @ x - rhs
         march.push(k, x)
         values[k, inside] = x
-        step_residual = max(step_residual, float(np.abs(res).max()))
+        # np.maximum, unlike max(), keeps a NaN residual
+        step_residual = float(np.maximum(step_residual, np.abs(res).max()))
 
     values = values.reshape((nt + 1,) + grid.shape)
     sol = SolutionField(values=values, grid=grid,

@@ -38,29 +38,6 @@ from .geometry import HolmgrenMap, pushforward_operator, stretch_weights, \
 
 
 @dataclass(frozen=True)
-class PhasePoint:
-    """A cotangent sample: base point (t, x) and duals (tau, xi, sigma)."""
-
-    t: float
-    x: np.ndarray
-    tau: float
-    xi: np.ndarray
-    sigma: float
-
-    def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        xi = np.atleast_1d(np.asarray(self.xi, dtype=float))
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "xi", xi)
-        if x.shape != xi.shape:
-            raise ValueError("x and xi must have the same dimension")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(xi))
-                and np.isfinite(self.t) and np.isfinite(self.tau)
-                and np.isfinite(self.sigma)):
-            raise ValueError("phase point components must be finite")
-
-
-@dataclass(frozen=True)
 class CarlemanWeightParams:
     """Layer thickness X of the quadratic weight psi = (x_n - 2X)^2 / 2.
 
@@ -78,27 +55,6 @@ class CarlemanWeightParams:
     def psi(self, x_n):
         return (0.5 * (np.asarray(x_n, dtype=float) - 2.0 * self.X) ** 2
                 + self.psi_shift)
-
-
-@dataclass(frozen=True)
-class SymbolValue:
-    """Complex symbol value with optional analytic partials."""
-
-    value: complex
-    d_tau: complex | None = None
-    d_xi: np.ndarray | None = None
-    d_x: np.ndarray | None = None
-    d_t: complex | None = None
-
-
-@dataclass(frozen=True)
-class BracketReport:
-    """Bracket values at one phase point, with the anisotropic scale."""
-
-    bracket: float          # full bracket, including the (tau, t) pair
-    principal: float        # spatial pairs only
-    scale: float            # (|xi|^2 + sigma^2 + |tau|^alpha)^(3/2)
-    ratio: float            # principal / scale
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +179,15 @@ def anisotropic_scale(xi, sigma, tau, alpha: float):
 
 
 # ---------------------------------------------------------------------------
-# batched assembly of the weighted symbol and its analytic partials
+# the weighted and total symbols and their brackets, on batched samples
 
 
-def _weighted_batch(t, x, tau, xi, sigma, spec, coeffs, c, X, grads=False):
-    """Assemble the weighted symbol over batched samples.
+def weighted_symbol(t, x, tau, xi, sigma, spec, coeffs, c, X, grads=False):
+    """Weighted symbol: a W.W in the tilted duals W plus the fractional sum.
 
     Shapes: t (N,), x (N, n), tau (N,), xi (N, n), sigma (N,).  Returns a
-    dict with 'value' and, when ``grads``, 'd_tau', 'd_xi', 'd_x', 'd_t'.
+    dict with 'value' and, when ``grads``, the analytic partials 'd_tau',
+    'd_xi', 'd_x' and 'd_t'.
     """
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -269,74 +226,40 @@ def _weighted_batch(t, x, tau, xi, sigma, spec, coeffs, c, X, grads=False):
             "d_tau": dS}
 
 
-def _point_batch(point: PhasePoint):
-    return (np.asarray([point.t]), point.x[None, :], np.asarray([point.tau]),
-            point.xi[None, :], np.asarray([point.sigma]))
-
-
-# ---------------------------------------------------------------------------
-# public scalar interfaces
-
-
-def total_symbol(point: PhasePoint, spec: MultiTermSpec,
+def total_symbol(t, x, tau, xi, sigma, spec: MultiTermSpec,
                  coeffs: EllipticCoeffField, map: HolmgrenMap,
-                 drift: str | None = "displayed") -> SymbolValue:
+                 drift: str | None = "displayed"):
     """Total symbol of the conjugated operator in the new coordinates.
 
     Quadratic form in the tilted duals plus the multi-term fractional sum,
     plus a first-order drift term proportional to X/T.  ``drift`` selects
     its tau-factor: "displayed" uses i^alpha (tau - i)^(alpha_l - 1),
     "conjugation" uses (1 + i tau)^(alpha_l - 1), and None drops the term.
-    Requires sigma = 0; the extra dual enters only the weighted symbol.
+    Takes the arrays of :func:`weighted_symbol` and returns the complex
+    values.  Requires sigma = 0; the extra dual enters only the weighted
+    symbol.
     """
-    if point.sigma != 0.0:
+    if np.any(np.asarray(sigma) != 0.0):
         raise ValueError("total symbol is defined on the sigma = 0 slice")
-    args = _point_batch(point)
-    quad = _weighted_batch(*args, spec, coeffs, map.c, 0.0)
-    value = complex(quad["value"][0])
-    if drift is not None:
-        tau = point.tau
-        xin = point.xi[-1]
-        ratio = map.drift_ratio
-        if drift == "displayed":
-            factor = 1j ** spec.alpha
-            low = sum(q * ratio * factor * (tau - 1j) ** (al - 1.0) * xin
-                      for q, al in zip(spec.weights, spec.orders))
-        elif drift == "conjugation":
-            low = sum(q * ratio * (1.0 + 1j * tau) ** (al - 1.0) * xin
-                      for q, al in zip(spec.weights, spec.orders))
-        else:
-            raise ValueError(f"unknown drift convention {drift!r}")
-        value += low
-    return SymbolValue(value=value)
-
-
-def weighted_principal_symbol(point: PhasePoint, spec: MultiTermSpec,
-                              coeffs: EllipticCoeffField,
-                              weight: CarlemanWeightParams,
-                              c: float) -> SymbolValue:
-    """Weighted symbol: a W.W in the tilted duals W plus the fractional sum."""
-    args = _point_batch(point)
-    out = _weighted_batch(*args, spec, coeffs, c, weight.X)
-    return SymbolValue(value=complex(out["value"][0]))
-
-
-def symbol_gradients(point: PhasePoint, spec: MultiTermSpec,
-                     coeffs: EllipticCoeffField,
-                     weight: CarlemanWeightParams, c: float) -> SymbolValue:
-    """Weighted symbol with its analytic partials in tau, xi, x and t."""
-    args = _point_batch(point)
-    out = _weighted_batch(*args, spec, coeffs, c, weight.X, grads=True)
-    return SymbolValue(value=complex(out["value"][0]),
-                       d_tau=complex(out["d_tau"][0]),
-                       d_xi=out["d_xi"][0],
-                       d_x=out["d_x"][0],
-                       d_t=complex(out["d_t"][0]))
+    tau = np.asarray(tau, dtype=float)
+    if drift == "displayed":
+        factors = [1j ** spec.alpha * (tau - 1j) ** (al - 1.0)
+                   for al in spec.orders]
+    elif drift == "conjugation":
+        factors = [(1.0 + 1j * tau) ** (al - 1.0) for al in spec.orders]
+    elif drift is not None:
+        raise ValueError(f"unknown drift convention {drift!r}")
+    value = weighted_symbol(t, x, tau, xi, sigma, spec, coeffs, map.c,
+                            0.0)["value"]
+    if drift is None:
+        return value
+    low = sum(q * f for q, f in zip(spec.weights, factors))
+    return value + map.drift_ratio * low * np.asarray(xi, dtype=float)[..., -1]
 
 
 def _bracket_arrays(t, x, tau, xi, sigma, spec, coeffs, c, X):
     """Full and principal brackets of (Re, Im) of the weighted symbol."""
-    out = _weighted_batch(t, x, tau, xi, sigma, spec, coeffs, c, X,
+    out = weighted_symbol(t, x, tau, xi, sigma, spec, coeffs, c, X,
                           grads=True)
     d_xi, d_x = out["d_xi"], out["d_x"]
     principal = np.sum(d_xi.real * d_x.imag - d_x.real * d_xi.imag, axis=-1)
@@ -344,37 +267,17 @@ def _bracket_arrays(t, x, tau, xi, sigma, spec, coeffs, c, X):
     return out, principal + extra, principal
 
 
-def poisson_bracket(point: PhasePoint, spec: MultiTermSpec,
-                    coeffs: EllipticCoeffField, weight: CarlemanWeightParams,
-                    c: float, mode: str = "full") -> BracketReport:
-    """Poisson bracket of the real and imaginary parts of the symbol.
+def poisson_bracket_generic(grads_f, grads_g):
+    """Bracket of two real symbols from their gradient bundles, per sample.
 
-    "full" includes the (tau, t) conjugate pair; "principal" keeps the
-    spatial pairs only.  In both cases the report records the principal
-    value and its ratio against the anisotropic scale.
+    Each bundle is a dict with 'd_xi', 'd_x' (shape (N, n)) and 'd_tau',
+    'd_t' (shape (N,)), as the real or imaginary parts of the partials of
+    :func:`weighted_symbol`.  Used by the algebra tests and as an oracle
+    for the specialized bracket.
     """
-    if mode not in ("full", "principal"):
-        raise ValueError("mode must be 'full' or 'principal'")
-    args = _point_batch(point)
-    _, full, principal = _bracket_arrays(*args, spec, coeffs, c, weight.X)
-    scale = float(anisotropic_scale(point.xi, point.sigma, point.tau,
-                                    spec.alpha) ** 1.5)
-    principal = float(principal[0])
-    bracket = float(full[0]) if mode == "full" else principal
-    ratio = principal / scale if scale > 0.0 else math.inf
-    return BracketReport(bracket=bracket, principal=principal, scale=scale,
-                         ratio=ratio)
-
-
-def poisson_bracket_generic(grads_f, grads_g) -> float:
-    """Bracket of two real symbols from their gradient bundles.
-
-    Each bundle is a dict with keys 'd_xi', 'd_x' (arrays) and 'd_tau',
-    'd_t' (scalars).  Used by the algebra tests and as an oracle for the
-    specialized bracket.
-    """
-    spatial = float(np.sum(np.asarray(grads_f["d_xi"]) * np.asarray(grads_g["d_x"])
-                           - np.asarray(grads_f["d_x"]) * np.asarray(grads_g["d_xi"])))
+    spatial = np.sum(np.asarray(grads_f["d_xi"]) * np.asarray(grads_g["d_x"])
+                     - np.asarray(grads_f["d_x"]) * np.asarray(grads_g["d_xi"]),
+                     axis=-1)
     return spatial + grads_f["d_tau"] * grads_g["d_t"] \
         - grads_f["d_t"] * grads_g["d_tau"]
 
@@ -563,7 +466,7 @@ def _char_batch(region, spec, coeffs, c, X, batch, need, tol, rng,
         s = fractional_symbol(tau, spec)
         rho = -s.imag / (2.0 * B[j] * mu[j])
         xi = rho[:, None] * xihat[j]
-        out = _weighted_batch(t[j], x[j], tau, xi, sigma[j], spec, coeffs,
+        out = weighted_symbol(t[j], x[j], tau, xi, sigma[j], spec, coeffs,
                               c, X)
         scale = anisotropic_scale(xi, sigma[j], tau, spec.alpha)
         resid = np.abs(out["value"]) / scale
@@ -779,51 +682,50 @@ def _garding_terms(points, spec, coeffs, weight, c):
     return _blockwise(terms, *points)
 
 
-def _garding_report(elliptic, negative, varpi, **extras):
+def _garding_report(elliptic, negative, varpi):
     ratio = varpi * elliptic + negative
     i = int(np.argmin(ratio))
     return CertificateReport(min_ratio=float(ratio[i]), n_samples=len(ratio),
                              argmin=i, extras={"varpi": varpi,
                                                "elliptic": elliptic,
-                                               "negative": negative,
-                                               **extras})
+                                               "negative": negative})
 
 
 def find_min_varpi(points, spec: MultiTermSpec, coeffs: EllipticCoeffField,
                    weight: CarlemanWeightParams, c: float,
                    varpi_max: float = 1e8):
-    """Bisect for the smallest varpi with a positive minimum ratio.
+    """The least float varpi with a positive minimum ratio.
 
-    Returns (varpi, report at that varpi); the report's extras carry the
-    per-sample terms, as in :func:`garding_precondition_check`, and
-    "varpi_steps", the number of trial varpi after 0 (doublings of the
-    upper end, then 60 bisection steps).  Raises if
-    even ``varpi_max`` fails, which would refute the sharpened bound on
-    this sample cloud.
+    varpi * elliptic + negative > 0 at every sample once varpi exceeds
+    -negative / elliptic over the samples whose negative term is <= 0 (0 if
+    there are none).  That closed form is moved by whole floats to the least
+    float at which the rounded minimum is positive.  Returns (varpi, report
+    at that varpi); the report's extras carry the per-sample terms, as in
+    :func:`garding_precondition_check`.  Raises if no varpi up to
+    ``varpi_max`` passes, which would refute the sharpened bound on this
+    sample cloud, or if a term is NaN.
     """
     elliptic, negative = _garding_terms(points, spec, coeffs, weight, c)
 
-    def min_ratio(varpi):
-        return float(np.min(varpi * elliptic + negative))
+    def passes(varpi):
+        return np.min(varpi * elliptic + negative) > 0.0
 
-    if min_ratio(0.0) > 0.0:
-        return 0.0, _garding_report(elliptic, negative, 0.0, varpi_steps=0)
-    lo, hi = 0.0, 1.0
-    steps = 1
-    while min_ratio(hi) <= 0.0:
-        hi *= 2.0
-        steps += 1
-        if hi > varpi_max:
-            raise RuntimeError(
-                f"no varpi below {varpi_max:g} gives a positive minimum")
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if min_ratio(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi, _garding_report(elliptic, negative, hi,
-                               varpi_steps=steps + 60)
+    nans = int(np.count_nonzero(np.isnan(elliptic + negative)))
+    if nans:
+        raise RuntimeError(
+            f"the garding terms are NaN at {nans} of {len(negative)} "
+            "samples, so no varpi gives a positive minimum")
+    need = negative <= 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        varpi = float(np.max(-negative[need] / elliptic[need], initial=0.0))
+    while varpi <= varpi_max and not passes(varpi):
+        varpi = float(np.nextafter(varpi, math.inf))
+    if not varpi <= varpi_max:
+        raise RuntimeError(
+            f"no varpi below {varpi_max:g} gives a positive minimum")
+    while varpi > 0.0 and passes(np.nextafter(varpi, 0.0)):
+        varpi = float(np.nextafter(varpi, 0.0))
+    return varpi, _garding_report(elliptic, negative, varpi)
 
 
 def lemma61_check(sample: CharacteristicSample, spec: MultiTermSpec,

@@ -11,16 +11,16 @@ import numpy as np
 import pytest
 
 from fraclab import (BetaSweepConfig, CarlemanWeightParams, HolmgrenMap,
-                     LowerOrderTerm, MultiTermSpec, PhasePoint, SpaceTimeGrid,
-                     TimeGrid, beta_sweep, c_alpha_sharp, caputo_l1, caputo_oracle,
+                     LowerOrderTerm, MultiTermSpec, SpaceTimeGrid, TimeGrid,
+                     beta_sweep, c_alpha_sharp, caputo_l1, caputo_oracle,
                      caputo_power_rule, char_set_sample, constant_field,
                      default_bump_family, diagonal_variable_field,
                      find_min_varpi, full_region_sample, global_coefficients,
                      identity_field, imag_part_margin, lemma21_check,
-                     lemma61_check, poisson_bracket, pushforward_operator,
-                     real_part_margin, region_for, rotating_anisotropic_field,
-                     solve, symbol_gradients)
-from fraclab.symbols import _weighted_batch
+                     lemma61_check, pushforward_operator, real_part_margin,
+                     region_for, rotating_anisotropic_field, solve,
+                     weighted_symbol)
+from fraclab.symbols import bracket_report_batch
 
 X_LAYER = 0.05
 
@@ -64,63 +64,61 @@ def test_criterion_01_caputo_power_rule():
     assert ok
 
 
+def stack(draws):
+    """Arrays (t, x, tau, xi, sigma) from per-point draws, in draw order."""
+    return tuple(np.array(col) for col in zip(*draws))
+
+
 def test_criterion_02_gradient_consistency():
     rng = np.random.default_rng(7)
-    worst = 0.0
-    checked = 0
+    rels = []
     for n in (1, 2, 3):
         spec = MultiTermSpec(orders=(1.3, 0.6), weights=(1.0, 0.4))
         field = (rotating_anisotropic_field(n) if n >= 2
                  else diagonal_variable_field(1))
         weight = CarlemanWeightParams(X=X_LAYER)
-        for _ in range(1000):
-            point = PhasePoint(
-                t=rng.uniform(0.1, 0.9),
-                x=np.concatenate([rng.uniform(-0.2, 0.2, n - 1),
-                                  [rng.uniform(0.0, X_LAYER)]]),
-                tau=rng.uniform(0.5, 3.0) * rng.choice([-1.0, 1.0]),
-                xi=rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n),
-                sigma=rng.uniform(0.5, 3.0))
-            g = symbol_gradients(point, spec, field, weight, 1.0)
+        t, x, tau, xi, sigma = stack(
+            (rng.uniform(0.1, 0.9),
+             np.concatenate([rng.uniform(-0.2, 0.2, n - 1),
+                             [rng.uniform(0.0, X_LAYER)]]),
+             rng.uniform(0.5, 3.0) * rng.choice([-1.0, 1.0]),
+             rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n),
+             rng.uniform(0.5, 3.0)) for _ in range(1000))
+        g = weighted_symbol(t, x, tau, xi, sigma, spec, field, 1.0,
+                            weight.X, grads=True)
 
-            def value(t, x, tau, xi):
-                return _weighted_batch(
-                    np.asarray([t]), x[None, :], np.asarray([tau]),
-                    xi[None, :], np.asarray([point.sigma]), spec, field,
-                    1.0, weight.X)["value"][0]
+        def value(t, x, tau, xi):
+            return weighted_symbol(t, x, tau, xi, sigma, spec, field, 1.0,
+                                   weight.X)["value"]
 
-            h = 1e-5
-            pairs = []
-            for r in range(n):
-                e = np.zeros(n)
-                e[r] = h * max(1.0, abs(point.xi[r]))
-                fd = (value(point.t, point.x, point.tau, point.xi + e)
-                      - value(point.t, point.x, point.tau, point.xi - e)) \
-                    / (2.0 * e[r])
-                pairs.append((g.d_xi[r], fd))
-                e[r] = h * max(1.0, abs(point.x[r]))
-                fd = (value(point.t, point.x + e, point.tau, point.xi)
-                      - value(point.t, point.x - e, point.tau, point.xi)) \
-                    / (2.0 * e[r])
-                pairs.append((g.d_x[r], fd))
-            ht = h * max(1.0, abs(point.tau))
-            fd = (value(point.t, point.x, point.tau + ht, point.xi)
-                  - value(point.t, point.x, point.tau - ht, point.xi)) \
-                / (2.0 * ht)
-            pairs.append((g.d_tau, fd))
-            fd = (value(point.t + h, point.x, point.tau, point.xi)
-                  - value(point.t - h, point.x, point.tau, point.xi)) \
-                / (2.0 * h)
-            pairs.append((g.d_t, fd))
-            # a partial that is incidentally near zero cannot carry a pure
-            # relative comparison (the difference quotient resolves it only
-            # to truncation level), so the denominator is floored at a small
-            # multiple of the symbol scale at that point
-            floor = 1e-4 * (1.0 + abs(g.value))
-            for analytic, fd in pairs:
-                rel = abs(fd - analytic) / max(abs(analytic), floor)
-                worst = max(worst, rel)
-                checked += 1
+        h = 1e-5
+        pairs = []
+        for r in range(n):
+            e = np.zeros(xi.shape)
+            e[:, r] = h * np.maximum(1.0, np.abs(xi[:, r]))
+            fd = (value(t, x, tau, xi + e) - value(t, x, tau, xi - e)) \
+                / (2.0 * e[:, r])
+            pairs.append((g["d_xi"][:, r], fd))
+            e[:, r] = h * np.maximum(1.0, np.abs(x[:, r]))
+            fd = (value(t, x + e, tau, xi) - value(t, x - e, tau, xi)) \
+                / (2.0 * e[:, r])
+            pairs.append((g["d_x"][:, r], fd))
+        ht = h * np.maximum(1.0, np.abs(tau))
+        fd = (value(t, x, tau + ht, xi) - value(t, x, tau - ht, xi)) \
+            / (2.0 * ht)
+        pairs.append((g["d_tau"], fd))
+        fd = (value(t + h, x, tau, xi) - value(t - h, x, tau, xi)) / (2.0 * h)
+        pairs.append((g["d_t"], fd))
+        # a partial that is incidentally near zero cannot carry a pure
+        # relative comparison (the difference quotient resolves it only
+        # to truncation level), so the denominator is floored at a small
+        # multiple of the symbol scale at that point
+        floor = 1e-4 * (1.0 + np.abs(g["value"]))
+        for analytic, fd in pairs:
+            rels.append(np.abs(fd - analytic)
+                        / np.maximum(np.abs(analytic), floor))
+    rels = np.concatenate(rels)
+    worst, checked = float(np.max(rels)), rels.size
     ok = worst < 1e-6
     verdict(2, "gradient consistency", ok,
             f"{checked} partials over n in (1,2,3); worst rel err "
@@ -130,7 +128,7 @@ def test_criterion_02_gradient_consistency():
 
 def test_criterion_03_closed_form_bracket():
     rng = np.random.default_rng(12)
-    worst = 0.0
+    rels = []
     weight = CarlemanWeightParams(X=0.1)
     spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
     for n in (1, 2, 3):
@@ -139,19 +137,20 @@ def test_criterion_03_closed_form_bracket():
         a = field.a(0.0, np.zeros(n))
         # the convexification is switched off so the tilt terms vanish and
         # the spatial bracket collapses to its two-term closed form
-        for _ in range(1000):
-            point = PhasePoint(
-                t=rng.uniform(0.0, 1.0),
-                x=np.concatenate([np.zeros(n - 1), [rng.uniform(0.0, 0.1)]]),
-                tau=rng.uniform(-3.0, 3.0),
-                xi=rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n),
-                sigma=rng.uniform(0.5, 3.0))
-            rep = poisson_bracket(point, spec, field, weight, c=0.0,
-                                  mode="principal")
-            mu = point.sigma * (point.x[-1] - 2.0 * weight.X)
-            closed = (4.0 * point.sigma * (a[:, -1] @ point.xi) ** 2
-                      + 4.0 * a[-1, -1] ** 2 * point.sigma * mu**2)
-            worst = max(worst, abs(rep.principal - closed) / abs(closed))
+        points = stack(
+            (rng.uniform(0.0, 1.0),
+             np.concatenate([np.zeros(n - 1), [rng.uniform(0.0, 0.1)]]),
+             rng.uniform(-3.0, 3.0),
+             rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n),
+             rng.uniform(0.5, 3.0)) for _ in range(1000))
+        _, principal, _, _ = bracket_report_batch(points, spec, field,
+                                                  weight, c=0.0)
+        _, x, _, xi, sigma = points
+        mu = sigma * (x[:, -1] - 2.0 * weight.X)
+        closed = (4.0 * sigma * (xi @ a[:, -1]) ** 2
+                  + 4.0 * a[-1, -1] ** 2 * sigma * mu**2)
+        rels.append(np.abs(principal - closed) / np.abs(closed))
+    worst = float(np.max(np.concatenate(rels)))
     ok = worst <= 1e-12
     verdict(3, "closed-form spatial bracket", ok,
             f"3000 constant-coefficient points with x'=0; worst rel dev "
@@ -198,7 +197,7 @@ def test_criterion_05_sharpened_full_region_bound():
     ok = all(r[4] > 0.0 for r in results)
     max_varpi = max(r[3] for r in results)
     verdict(5, "sharpened full-region bound", ok,
-            f"16 configs x 10^5 samples; bisected multipliers up to "
+            f"16 configs x 10^5 samples; least multipliers up to "
             f"{max_varpi:.4g}; min ratios all positive: {ok}")
     assert ok
 
@@ -232,24 +231,21 @@ def test_criterion_07_bracket_homogeneity():
     spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
     field = diagonal_variable_field(2)
     weight = CarlemanWeightParams(X=X_LAYER)
-    worst = 0.0
-    for _ in range(100):
-        point = PhasePoint(
-            t=rng.uniform(0.1, 0.9),
-            x=np.array([rng.uniform(-0.2, 0.2), rng.uniform(0.0, X_LAYER)]),
-            tau=rng.uniform(-2.0, 2.0),
-            xi=rng.uniform(0.5, 2.0, 2) * rng.choice([-1.0, 1.0], 2),
-            sigma=rng.uniform(0.5, 3.0))
-        scaled = {}
-        for rho in (100.0, 1000.0):
-            p = PhasePoint(t=point.t, x=point.x,
-                           tau=point.tau * rho ** (2.0 / spec.alpha),
-                           xi=point.xi * rho, sigma=point.sigma * rho)
-            rep = poisson_bracket(p, spec, field, weight, 1.0,
-                                  mode="principal")
-            scaled[rho] = rep.principal / rho**3
-        worst = max(worst, abs(scaled[1000.0] - scaled[100.0])
-                    / abs(scaled[100.0]))
+    t, x, tau, xi, sigma = stack(
+        (rng.uniform(0.1, 0.9),
+         np.array([rng.uniform(-0.2, 0.2), rng.uniform(0.0, X_LAYER)]),
+         rng.uniform(-2.0, 2.0),
+         rng.uniform(0.5, 2.0, 2) * rng.choice([-1.0, 1.0], 2),
+         rng.uniform(0.5, 3.0)) for _ in range(100))
+    scaled = {}
+    for rho in (100.0, 1000.0):
+        points = (t, x, tau * rho ** (2.0 / spec.alpha), xi * rho,
+                  sigma * rho)
+        _, principal, _, _ = bracket_report_batch(points, spec, field,
+                                                  weight, 1.0)
+        scaled[rho] = principal / rho**3
+    worst = float(np.max(np.abs(scaled[1000.0] - scaled[100.0])
+                         / np.abs(scaled[100.0])))
     ok = worst < 0.05
     verdict(7, "anisotropic scaling of the bracket", ok,
             f"100 base points; worst rel variation of bracket/rho^3 between "

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -399,6 +400,21 @@ class TestCommands:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["max_rel_err_oracle"] <= 1e-14
 
+    @pytest.mark.parametrize("alphas, power, cause", [
+        ([0.5, 1.5], 200, "is not finite"),       # Gamma(201) overflows
+        ([1.5], 1, "must exceed ceil(alpha) - 1"),
+        ([0.5], 0, "must exceed ceil(alpha) - 1"),
+    ], ids=["gamma-overflow", "linear-above-one", "constant"])
+    def test_caputo_check_rejects_a_power_the_rule_misses(
+            self, alphas, power, cause, tmp_path, capsys):
+        config = {"alphas": alphas, "n_steps": 64, "power": power}
+        code, out = run(tmp_path, "caputo-check", config)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert cause in err
+        assert f"power={power!r}" in err and f"alpha={alphas[0]!r}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, extra, name, value", [
         ("symbol-bracket", {"magnitude_range": [0, 1000]}, "magnitude_range",
          (0, 1000)),
@@ -483,15 +499,16 @@ class TestCommands:
             assert solved == summary["found"] + rejected["residual"]
             # every chunk doubles at least once and refines at least once
             assert passes >= 2 * cli.N_CHUNKS
-        steps = []
+        varpis = []
         for threads in (1, 2, 3):
             _, out = run(tmp_path, "garding",
                          {"spec": SPEC, "coeffs": COEFFS2, "map": MAP1,
                           "weight": WEIGHT, "n_samples": 3000}, seed=4,
                          threads=threads, tag=f"garding{threads}")
-            steps.append(json.loads((out / "summary.json").read_text())
-                         ["varpi_steps"])
-        assert steps[0] == steps[1] == steps[2] > 60
+            summary = json.loads((out / "summary.json").read_text())
+            assert "varpi_steps" not in summary
+            varpis.append(summary["varpi"])
+        assert varpis[0] == varpis[1] == varpis[2] > 0.0
 
     def test_char_sample_partial_fails(self, tmp_path):
         config = {"spec": SPEC, "coeffs": COEFFS1, "map": MAP1,
@@ -510,6 +527,16 @@ class TestCommands:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["min_ratio"] > 0.0
         assert (out / "garding_curve.xy").exists()
+
+    def test_garding_with_nan_terms_is_an_error(self, tmp_path, capsys):
+        # tau = rho^(2/alpha) overflows for rho near 1e200, and the terms
+        # of those samples are NaN, which no varpi makes positive
+        config = {**VALID["garding"], "magnitude_range": [1.0, 1e200]}
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out = run(tmp_path, "garding", config)
+        assert code == 3
+        assert "terms are NaN" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_garding_curve_matches_separate_checks(self, tmp_path):
         config = {"spec": SPEC, "coeffs": COEFFS2, "map": MAP1,
@@ -794,6 +821,16 @@ class TestCommands:
         assert len(doc) == 5
         summary = json.loads((out / "summary.json").read_text())
         assert summary["roundtrip_error"] <= 1e-14
+
+    def test_continuation_plan_fails_on_nan_round_trips(self, tmp_path):
+        # c = 1e308 overflows the map, so every round trip is NaN
+        config = {"T": 1, "X": 0.5, "s_max": 2, "n": 2, "c": 1e308}
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out = run(tmp_path, "continuation-plan", config)
+        assert code == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["pass"] is False
+        assert math.isnan(summary["roundtrip_error"])
 
     def test_csv_full_precision(self, tmp_path):
         config = {"alphas": [0.5], "n_steps": 64}

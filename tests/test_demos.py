@@ -1,4 +1,8 @@
-"""Smoke test: every demo script and every demo config runs and passes."""
+"""Smoke test: every demo script and every demo config runs and passes.
+
+Both run with RuntimeWarning as an error, so an overflow or a NaN in a demo
+fails the test instead of printing a warning.
+"""
 
 import json
 import pathlib
@@ -11,6 +15,7 @@ from fraclab import cli
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("script", sorted(DEMOS.glob("*.py")),
                          ids=lambda p: p.stem)
 def test_demo_script_runs(script, tmp_path, monkeypatch):
@@ -21,6 +26,7 @@ def test_demo_script_runs(script, tmp_path, monkeypatch):
         assert exc.code in (None, 0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("config", sorted(DEMOS.glob("configs/*.json")),
                          ids=lambda p: p.stem)
 def test_demo_config_passes(config, tmp_path):

@@ -110,6 +110,16 @@ class TestOracle:
                           / (t + 1e-3) ** 2,
                           0.5, 1.0, tol=1e-12, max_subdivisions=2)
 
+    @pytest.mark.parametrize("p", [1.2, 0.8])
+    def test_singular_derivative_raises(self, p):
+        # u'' = p (p - 1) s^(p - 2) is infinite at s = 0, where the
+        # adaptive rule bisects; its value and estimate come out infinite
+        with np.errstate(divide="ignore"):
+            with pytest.raises(ConvergenceError, match="not finite"):
+                caputo_oracle(lambda s: s**p,
+                              lambda s: p * (p - 1.0) * s ** (p - 2.0),
+                              1.5, 1.0)
+
 
 class TestQuadrature:
     """The Gauss-Kronrod 21 / Gauss 10 pair behind ``caputo_oracle``."""

@@ -303,6 +303,17 @@ class TestSolve:
                        lambda t, Y: np.ones(Y.shape[:-1]), grid)
         assert result.diagnostics["equation_residual_max"] <= 1e-10
 
+    def test_nan_step_reaches_the_residual_maxima(self):
+        # a NaN in one level's source makes that step and every later one
+        # NaN; a maximum that dropped NaN would report the earlier steps
+        spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
+        source = np.zeros((9, 9))
+        source[3, 4] = np.nan
+        result = solve(spec, identity_field(1), LowerOrderTerm.zero(),
+                       source, grid_1d(8, 9))
+        assert math.isnan(result.diagnostics["linear_residual_max"])
+        assert math.isnan(result.diagnostics["equation_residual_max"])
+
     def test_time_independent_field_is_sampled_once(self):
         calls = []
         field = identity_field(1)

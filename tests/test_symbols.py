@@ -4,20 +4,18 @@ import numpy as np
 import pytest
 
 from fraclab import (CarlemanWeightParams, HolmgrenMap, MultiTermSpec,
-                     PhasePoint, SampleRegion, anisotropic_scale, c_alpha,
-                     c_alpha_sharp, char_set_sample, constant_field,
-                     diagonal_variable_field, find_min_varpi,
-                     full_region_sample, garding_precondition_check,
-                     global_coefficients, identity_field, imag_part_margin,
-                     lambda_symbol, lemma21_check, lemma61_check,
-                     poisson_bracket, poisson_bracket_generic,
+                     SampleRegion, anisotropic_scale, c_alpha, c_alpha_sharp,
+                     char_set_sample, constant_field, diagonal_variable_field,
+                     find_min_varpi, full_region_sample,
+                     garding_precondition_check, global_coefficients,
+                     identity_field, imag_part_margin, lambda_symbol,
+                     lemma21_check, lemma61_check, poisson_bracket_generic,
                      pushforward_operator, real_part_constant,
                      real_part_margin, region_for, rotating_anisotropic_field,
-                     symbol_gradients, total_symbol,
-                     weighted_principal_symbol)
+                     total_symbol, weighted_symbol)
 from fraclab import symbols
 from fraclab.symbols import (SAMPLE_BLOCK, CharacteristicSample, _char_batch,
-                             _char_roots, _garding_terms, _weighted_batch,
+                             _char_roots, _garding_terms,
                              bracket_report_batch, fractional_symbol)
 
 RNG = np.random.default_rng(20240817)
@@ -28,14 +26,20 @@ def random_spd_field(n, rng):
     return constant_field(m @ m.T + n * np.eye(n))
 
 
-def random_point(n, rng, sigma=None):
-    return PhasePoint(
-        t=rng.uniform(0.1, 0.9),
-        x=np.concatenate([rng.uniform(-0.2, 0.2, n - 1), [rng.uniform(0.0, 0.05)]]),
-        tau=rng.uniform(0.5, 3.0) * rng.choice([-1.0, 1.0]),
-        xi=rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n),
-        sigma=rng.uniform(0.5, 3.0) if sigma is None else sigma,
-    )
+def batch(*points):
+    """Arrays (t, x, tau, xi, sigma) of points given as such tuples."""
+    return tuple(np.array(col, dtype=float) for col in zip(*points))
+
+
+def random_points(n, rng, count=1, sigma=None):
+    """``count`` points drawn one after another, stacked into a batch."""
+    return batch(*((rng.uniform(0.1, 0.9),
+                    np.concatenate([rng.uniform(-0.2, 0.2, n - 1),
+                                    [rng.uniform(0.0, 0.05)]]),
+                    rng.uniform(0.5, 3.0) * rng.choice([-1.0, 1.0]),
+                    rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n),
+                    rng.uniform(0.5, 3.0) if sigma is None else sigma)
+                   for _ in range(count)))
 
 
 class TestElementary:
@@ -124,42 +128,38 @@ class TestFractionalSymbol:
 
 class TestTotalSymbol:
     def test_hand_value_without_drift(self):
-        point = PhasePoint(t=0.0, x=np.zeros(1), tau=0.0,
-                           xi=np.array([2.0]), sigma=0.0)
+        points = batch((0.0, [0.0], 0.0, [2.0], 0.0))
         spec = MultiTermSpec(orders=(1.0,), weights=(1.0,))
         hmap = HolmgrenMap(y_hat=np.zeros(1), c=1.0, X=0.1, T=1.0)
-        val = total_symbol(point, spec, identity_field(1), hmap, drift=None)
-        assert abs(val.value - 5.0) < 1e-15
+        val = total_symbol(*points, spec, identity_field(1), hmap, drift=None)
+        assert abs(val[0] - 5.0) < 1e-15
 
     def test_zero_duals_give_weight_sum(self):
         spec = MultiTermSpec(orders=(1.5, 0.5), weights=(1.0, 0.7))
-        point = PhasePoint(t=0.2, x=np.array([0.1, 0.0]), tau=0.0,
-                           xi=np.zeros(2), sigma=0.0)
+        points = batch((0.2, [0.1, 0.0], 0.0, [0.0, 0.0], 0.0))
         hmap = HolmgrenMap(y_hat=np.zeros(2), c=1.0, X=0.05, T=1.0)
-        val = total_symbol(point, spec, identity_field(2), hmap, drift=None)
-        assert abs(val.value - 1.7) < 1e-15
+        val = total_symbol(*points, spec, identity_field(2), hmap, drift=None)
+        assert abs(val[0] - 1.7) < 1e-15
 
     def test_quadratic_homogeneity(self):
         spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
         field = random_spd_field(2, np.random.default_rng(5))
         hmap = HolmgrenMap(y_hat=np.zeros(2), c=1.0, X=0.05, T=1.0)
-        x = np.array([0.1, 0.02])
+        x = [0.1, 0.02]
         xi = np.array([0.7, -1.1])
-        p1 = total_symbol(PhasePoint(t=0.0, x=x, tau=0.0, xi=xi, sigma=0.0),
-                          spec, field, hmap, drift=None).value
-        p2 = total_symbol(PhasePoint(t=0.0, x=x, tau=0.0, xi=2 * xi, sigma=0.0),
-                          spec, field, hmap, drift=None).value
+        p1, p2 = total_symbol(*batch((0.0, x, 0.0, xi, 0.0),
+                                     (0.0, x, 0.0, 2 * xi, 0.0)),
+                              spec, field, hmap, drift=None)
         assert abs((p2 - 1.0) - 4.0 * (p1 - 1.0)) < 1e-12
 
     def test_drift_conventions(self):
         spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
         hmap = HolmgrenMap(y_hat=np.zeros(1), c=1.0, X=0.1, T=1.0)
-        point = PhasePoint(t=0.0, x=np.zeros(1), tau=1.3,
-                           xi=np.array([2.0]), sigma=0.0)
+        points = batch((0.0, [0.0], 1.3, [2.0], 0.0))
         field = identity_field(1)
-        bare = total_symbol(point, spec, field, hmap, drift=None).value
-        shown = total_symbol(point, spec, field, hmap, drift="displayed").value
-        conj = total_symbol(point, spec, field, hmap, drift="conjugation").value
+        bare, = total_symbol(*points, spec, field, hmap, drift=None)
+        shown, = total_symbol(*points, spec, field, hmap, drift="displayed")
+        conj, = total_symbol(*points, spec, field, hmap, drift="conjugation")
         expected_shown = (0.1 * 1j**0.5 * (1.3 - 1j) ** (-0.5) * 2.0)
         expected_conj = (0.1 * (1.0 + 1.3j) ** (-0.5) * 2.0)
         assert abs((shown - bare) - expected_shown) < 1e-14
@@ -168,20 +168,19 @@ class TestTotalSymbol:
     def test_sigma_must_vanish(self):
         spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
         hmap = HolmgrenMap(y_hat=np.zeros(1), c=1.0, X=0.1, T=1.0)
-        point = PhasePoint(t=0.0, x=np.zeros(1), tau=0.0,
-                           xi=np.array([1.0]), sigma=1.0)
+        points = batch((0.0, [0.0], 0.0, [1.0], 0.0),
+                       (0.0, [0.0], 0.0, [1.0], 1.0))
         with pytest.raises(ValueError):
-            total_symbol(point, spec, identity_field(1), hmap)
+            total_symbol(*points, spec, identity_field(1), hmap)
 
 
 class TestWeightedSymbol:
     def test_hand_value(self):
-        point = PhasePoint(t=0.0, x=np.zeros(1), tau=0.0,
-                           xi=np.array([1.0]), sigma=1.0)
+        points = batch((0.0, [0.0], 0.0, [1.0], 1.0))
         spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
-        val = weighted_principal_symbol(point, spec, identity_field(1),
-                                        CarlemanWeightParams(X=0.1), c=1.0)
-        assert abs(val.value - (1.96 - 0.4j)) < 1e-15
+        val = weighted_symbol(*points, spec, identity_field(1), c=1.0,
+                              X=0.1)["value"]
+        assert abs(val[0] - (1.96 - 0.4j)) < 1e-15
 
     def test_sigma_zero_matches_driftless_total(self):
         rng = np.random.default_rng(11)
@@ -189,31 +188,29 @@ class TestWeightedSymbol:
             spec = MultiTermSpec(orders=(1.2, 0.4), weights=(1.0, 0.5))
             field = random_spd_field(n, rng)
             hmap = HolmgrenMap(y_hat=np.zeros(n), c=1.5, X=0.05, T=1.0)
-            point = random_point(n, rng, sigma=0.0)
-            a = total_symbol(point, spec, field, hmap, drift=None).value
-            b = weighted_principal_symbol(point, spec, field,
-                                          CarlemanWeightParams(X=0.05),
-                                          c=1.5).value
-            assert abs(a - b) < 1e-12 * max(1.0, abs(a))
+            points = random_points(n, rng, sigma=0.0)
+            a = total_symbol(*points, spec, field, hmap, drift=None)
+            b = weighted_symbol(*points, spec, field, c=1.5, X=0.05)["value"]
+            assert np.all(np.abs(a - b) < 1e-12 * np.maximum(1.0, np.abs(a)))
 
 
 class TestGradients:
     def test_tau_derivative_at_origin(self):
         spec = MultiTermSpec(orders=(0.7,), weights=(1.0,))
-        point = PhasePoint(t=0.1, x=np.zeros(1), tau=0.0,
-                           xi=np.array([1.0]), sigma=0.5)
-        g = symbol_gradients(point, spec, identity_field(1),
-                             CarlemanWeightParams(X=0.1), 1.0)
-        assert abs(g.d_tau - 0.7j) < 1e-14
+        points = batch((0.1, [0.0], 0.0, [1.0], 0.5))
+        g = weighted_symbol(*points, spec, identity_field(1), c=1.0, X=0.1,
+                            grads=True)
+        assert abs(g["d_tau"][0] - 0.7j) < 1e-14
 
     def test_sigma_zero_kills_leading_imaginary_normal_slope(self):
         # sigma = 0 leaves the tilted duals real, so the x_n slope is real
         rng = np.random.default_rng(2)
         field = random_spd_field(2, rng)
-        point = random_point(2, rng, sigma=0.0)
-        g = symbol_gradients(point, MultiTermSpec(orders=(0.5,), weights=(1.0,)),
-                             field, CarlemanWeightParams(X=0.1), 1.0)
-        assert g.d_x[-1].imag == 0.0
+        points = random_points(2, rng, sigma=0.0)
+        g = weighted_symbol(*points,
+                            MultiTermSpec(orders=(0.5,), weights=(1.0,)),
+                            field, c=1.0, X=0.1, grads=True)
+        assert g["d_x"][0, -1].imag == 0.0
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_finite_difference_consistency(self, n):
@@ -222,67 +219,66 @@ class TestGradients:
         field = (rotating_anisotropic_field(n) if n >= 2
                  else diagonal_variable_field(1))
         weight = CarlemanWeightParams(X=0.05)
-        for _ in range(40):
-            point = random_point(n, rng)
-            _assert_gradients_match(point, spec, field, weight, 1.0,
-                                    rtol=1e-6)
+        _assert_gradients_match(random_points(n, rng, 40), spec, field,
+                                weight, 1.0, rtol=1e-6)
 
 
-def _assert_gradients_match(point, spec, field, weight, c, rtol):
-    g = symbol_gradients(point, spec, field, weight, c)
+def _assert_gradients_match(points, spec, field, weight, c, rtol):
+    t, x, tau, xi, sigma = points
+    g = weighted_symbol(*points, spec, field, c, weight.X, grads=True)
 
     def value(t, x, tau, xi):
-        return _weighted_batch(np.asarray([t]), x[None, :], np.asarray([tau]),
-                               xi[None, :], np.asarray([point.sigma]),
-                               spec, field, c, weight.X)["value"][0]
+        return weighted_symbol(t, x, tau, xi, sigma, spec, field, c,
+                               weight.X)["value"]
 
-    floor = 1e-4 * (1.0 + abs(g.value))
+    floor = 1e-4 * (1.0 + np.abs(g["value"]))
 
     def check(analytic, plus, minus, h):
         fd = (plus - minus) / (2.0 * h)
-        denom = max(abs(analytic), floor)
-        assert abs(fd - analytic) / denom < rtol
+        denom = np.maximum(np.abs(analytic), floor)
+        assert np.all(np.abs(fd - analytic) / denom < rtol)
 
     h = 1e-5
-    for r in range(len(point.xi)):
-        e = np.zeros(len(point.xi))
-        e[r] = h * max(1.0, abs(point.xi[r]))
-        check(g.d_xi[r], value(point.t, point.x, point.tau, point.xi + e),
-              value(point.t, point.x, point.tau, point.xi - e), e[r])
-        e[r] = h * max(1.0, abs(point.x[r]))
-        check(g.d_x[r], value(point.t, point.x + e, point.tau, point.xi),
-              value(point.t, point.x - e, point.tau, point.xi), e[r])
-    ht = h * max(1.0, abs(point.tau))
-    check(g.d_tau, value(point.t, point.x, point.tau + ht, point.xi),
-          value(point.t, point.x, point.tau - ht, point.xi), ht)
-    check(g.d_t, value(point.t + h, point.x, point.tau, point.xi),
-          value(point.t - h, point.x, point.tau, point.xi), h)
+    for r in range(xi.shape[1]):
+        e = np.zeros(xi.shape)
+        e[:, r] = h * np.maximum(1.0, np.abs(xi[:, r]))
+        check(g["d_xi"][:, r], value(t, x, tau, xi + e),
+              value(t, x, tau, xi - e), e[:, r])
+        e[:, r] = h * np.maximum(1.0, np.abs(x[:, r]))
+        check(g["d_x"][:, r], value(t, x + e, tau, xi),
+              value(t, x - e, tau, xi), e[:, r])
+    ht = h * np.maximum(1.0, np.abs(tau))
+    check(g["d_tau"], value(t, x, tau + ht, xi), value(t, x, tau - ht, xi),
+          ht)
+    check(g["d_t"], value(t + h, x, tau, xi), value(t - h, x, tau, xi), h)
 
 
 class TestBracket:
     def test_line_case_hand_value(self):
         # 4*1*1 + 4*1*1*(0.2)^2 = 4.16 at xi_n = sigma = 1, x_n = 0, X = 0.1
-        point = PhasePoint(t=0.0, x=np.zeros(1), tau=0.0,
-                           xi=np.array([1.0]), sigma=1.0)
-        rep = poisson_bracket(point, MultiTermSpec(orders=(0.5,), weights=(1.0,)),
-                              identity_field(1), CarlemanWeightParams(X=0.1),
-                              c=1.0, mode="principal")
-        assert abs(rep.principal - 4.16) < 1e-14
+        _, principal, _, _ = bracket_report_batch(
+            batch((0.0, [0.0], 0.0, [1.0], 1.0)),
+            MultiTermSpec(orders=(0.5,), weights=(1.0,)), identity_field(1),
+            CarlemanWeightParams(X=0.1), c=1.0)
+        assert abs(principal[0] - 4.16) < 1e-14
 
     def test_antisymmetry_and_self_bracket(self):
         rng = np.random.default_rng(4)
-        point = random_point(2, rng)
+        points = random_points(2, rng)
         spec = MultiTermSpec(orders=(0.8,), weights=(1.0,))
-        g = symbol_gradients(point, spec, diagonal_variable_field(2),
-                             CarlemanWeightParams(X=0.05), 1.0)
-        re = {"d_xi": g.d_xi.real, "d_x": g.d_x.real,
-              "d_tau": g.d_tau.real, "d_t": g.d_t.real}
-        im = {"d_xi": g.d_xi.imag, "d_x": g.d_x.imag,
-              "d_tau": g.d_tau.imag, "d_t": g.d_t.imag}
-        assert poisson_bracket_generic(re, re) == 0.0
+        field = diagonal_variable_field(2)
+        weight = CarlemanWeightParams(X=0.05)
+        g = weighted_symbol(*points, spec, field, 1.0, weight.X, grads=True)
+        keys = ("d_xi", "d_x", "d_tau", "d_t")
+        re = {k: g[k].real for k in keys}
+        im = {k: g[k].imag for k in keys}
+        assert np.all(poisson_bracket_generic(re, re) == 0.0)
         ab = poisson_bracket_generic(re, im)
         ba = poisson_bracket_generic(im, re)
-        assert abs(ab + ba) < 1e-12 * max(1.0, abs(ab))
+        assert np.all(np.abs(ab + ba) < 1e-12 * np.maximum(1.0, np.abs(ab)))
+        # the generic bracket is the oracle of the specialized full bracket
+        full = bracket_report_batch(points, spec, field, weight, 1.0)[0]
+        assert np.all(np.abs(ab - full) < 1e-12 * np.maximum(1.0, np.abs(ab)))
 
     def test_bilinearity_on_random_polynomial_symbols(self):
         rng = np.random.default_rng(13)
@@ -306,44 +302,46 @@ class TestBracket:
         a = field.a(0.0, np.zeros(n))
         weight = CarlemanWeightParams(X=0.1)
         spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
-        for _ in range(200):
-            point = random_point(n, rng)
-            rep = poisson_bracket(point, spec, field, weight, c=0.0,
-                                  mode="principal")
-            mu = abs(point.sigma) * (point.x[-1] - 2.0 * weight.X)
-            closed = (4.0 * abs(point.sigma) * (a[:, -1] @ point.xi) ** 2
-                      + 4.0 * a[-1, -1] ** 2 * abs(point.sigma) * mu**2)
-            assert abs(rep.principal - closed) <= 1e-12 * abs(closed)
+        points = random_points(n, rng, 200)
+        _, principal, _, _ = bracket_report_batch(points, spec, field,
+                                                  weight, c=0.0)
+        _, x, _, xi, sigma = points
+        mu = np.abs(sigma) * (x[:, -1] - 2.0 * weight.X)
+        closed = (4.0 * np.abs(sigma) * (xi @ a[:, -1]) ** 2
+                  + 4.0 * a[-1, -1] ** 2 * np.abs(sigma) * mu**2)
+        assert np.all(np.abs(principal - closed) <= 1e-12 * np.abs(closed))
 
     def test_closed_form_line_case_any_tilt(self):
         rng = np.random.default_rng(77)
         field = constant_field(np.array([[1.7]]))
         weight = CarlemanWeightParams(X=0.1)
         spec = MultiTermSpec(orders=(1.5,), weights=(1.0,))
-        for _ in range(100):
-            point = random_point(1, rng)
-            rep = poisson_bracket(point, spec, field, weight, c=3.0,
-                                  mode="principal")
-            mu = abs(point.sigma) * (point.x[-1] - 2.0 * weight.X)
-            closed = (4.0 * abs(point.sigma) * (1.7 * point.xi[0]) ** 2
-                      + 4.0 * 1.7**2 * abs(point.sigma) * mu**2)
-            assert abs(rep.principal - closed) <= 1e-12 * abs(closed)
+        points = random_points(1, rng, 100)
+        _, principal, _, _ = bracket_report_batch(points, spec, field,
+                                                  weight, c=3.0)
+        _, x, _, xi, sigma = points
+        mu = np.abs(sigma) * (x[:, -1] - 2.0 * weight.X)
+        closed = (4.0 * np.abs(sigma) * (1.7 * xi[:, 0]) ** 2
+                  + 4.0 * 1.7**2 * np.abs(sigma) * mu**2)
+        assert np.all(np.abs(principal - closed) <= 1e-12 * np.abs(closed))
 
     def test_full_equals_principal_for_static_coefficients(self):
         rng = np.random.default_rng(6)
-        point = random_point(2, rng)
+        points = random_points(2, rng)
         spec = MultiTermSpec(orders=(0.9,), weights=(1.0,))
-        rep = poisson_bracket(point, spec, random_spd_field(2, rng),
-                              CarlemanWeightParams(X=0.05), 1.0, mode="full")
-        assert rep.bracket == rep.principal
+        full, principal, _, _ = bracket_report_batch(
+            points, spec, random_spd_field(2, rng),
+            CarlemanWeightParams(X=0.05), 1.0)
+        assert full[0] == principal[0]
 
     def test_full_differs_for_time_dependent_coefficients(self):
         rng = np.random.default_rng(8)
-        point = random_point(2, rng)
+        points = random_points(2, rng)
         spec = MultiTermSpec(orders=(0.9,), weights=(1.0,))
-        rep = poisson_bracket(point, spec, rotating_anisotropic_field(2),
-                              CarlemanWeightParams(X=0.05), 1.0, mode="full")
-        assert rep.bracket != rep.principal
+        full, principal, _, _ = bracket_report_batch(
+            points, spec, rotating_anisotropic_field(2),
+            CarlemanWeightParams(X=0.05), 1.0)
+        assert full[0] != principal[0]
 
     def test_sympy_oracle_variable_coefficients(self):
         sympy = pytest.importorskip("sympy")
@@ -366,28 +364,27 @@ class TestBracket:
         spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
         weight = CarlemanWeightParams(X=X)
         rng = np.random.default_rng(21)
-        for _ in range(25):
-            point = random_point(1, rng)
-            rep = poisson_bracket(point, spec, field, weight, 1.0, mode="full")
-            ref = float(fn(point.t, point.x[0], point.tau, point.xi[0],
-                           point.sigma))
-            assert abs(rep.bracket - ref) < 1e-9 * max(1.0, abs(ref))
+        points = random_points(1, rng, 25)
+        full = bracket_report_batch(points, spec, field, weight, 1.0)[0]
+        t, x, tau, xi, sigma = points
+        ref = np.array([float(fn(*p)) for p in
+                        zip(t, x[:, 0], tau, xi[:, 0], sigma)])
+        assert np.all(np.abs(full - ref) < 1e-9 * np.maximum(1.0, np.abs(ref)))
 
     def test_exact_anisotropic_homogeneity(self):
         rng = np.random.default_rng(30)
         spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
         field = diagonal_variable_field(2)
         weight = CarlemanWeightParams(X=0.05)
-        base = random_point(2, rng)
-        rep0 = poisson_bracket(base, spec, field, weight, 1.0, mode="principal")
-        for rho in (10.0, 100.0, 1000.0):
-            scaled = PhasePoint(t=base.t, x=base.x,
-                                tau=base.tau * rho ** (2.0 / spec.alpha),
-                                xi=base.xi * rho, sigma=base.sigma * rho)
-            rep = poisson_bracket(scaled, spec, field, weight, 1.0,
-                                  mode="principal")
-            assert abs(rep.principal / rho**3 - rep0.principal) \
-                < 1e-10 * abs(rep0.principal)
+        t, x, tau, xi, sigma = random_points(2, rng)
+        rho = np.array([1.0, 10.0, 100.0, 1000.0])
+        scaled = (np.repeat(t, 4), np.repeat(x, 4, axis=0),
+                  tau * rho ** (2.0 / spec.alpha), xi * rho[:, None],
+                  sigma * rho)
+        _, principal, _, _ = bracket_report_batch(scaled, spec, field,
+                                                  weight, 1.0)
+        assert np.all(np.abs(principal / rho**3 - principal[0])
+                      < 1e-10 * abs(principal[0]))
 
 
 class TestCharacteristicSampling:
@@ -500,7 +497,7 @@ def reference_char_batch(region, spec, coeffs, c, X, batch, tol, rng,
     idx = idx[good]
     s = fractional_symbol(tau, spec)
     xi = (-s.imag / (2.0 * B[idx] * mu[idx]))[:, None] * xihat[idx]
-    out = _weighted_batch(t[idx], x[idx], tau, xi, sigma[idx], spec, coeffs,
+    out = weighted_symbol(t[idx], x[idx], tau, xi, sigma[idx], spec, coeffs,
                           c, X)
     resid = np.abs(out["value"]) / anisotropic_scale(xi, sigma[idx], tau,
                                                      spec.alpha)
@@ -671,17 +668,22 @@ class TestGarding:
                                         self.weight, 1.0, varpi=2.0)
         assert r2.min_ratio >= r1.min_ratio
 
-    def test_bisection_matches_closed_form(self):
-        from fraclab.symbols import _garding_terms
+    def test_varpi_is_the_least_passing_float(self):
         varpi, report = find_min_varpi(self.points, self.spec, self.field,
                                        self.weight, 1.0)
-        assert report.min_ratio > 0.0
-        elliptic, negative = _garding_terms(self.points, self.spec, self.field,
-                                            self.weight, 1.0)
-        mask = negative < 0.0
-        exact = np.max(-negative[mask] / elliptic[mask]) if mask.any() else 0.0
-        assert varpi >= exact
-        assert varpi <= max(2.0 * exact, 1e-12) + 1e-9
+        elliptic, negative = (report.extras["elliptic"],
+                              report.extras["negative"])
+        assert report.extras["varpi"] == varpi
+        assert report.min_ratio == np.min(varpi * elliptic + negative) > 0.0
+        below = np.nextafter(varpi, 0.0)
+        assert np.min(below * elliptic + negative) <= 0.0
+        # within a few floats of the closed form
+        mask = negative <= 0.0
+        exact = np.max(-negative[mask] / elliptic[mask])
+        assert abs(varpi - exact) <= 4.0 * np.spacing(exact)
+        with pytest.raises(RuntimeError, match="no varpi below"):
+            find_min_varpi(self.points, self.spec, self.field, self.weight,
+                           1.0, varpi_max=below)
 
 
 class TestStageCertificate:
