@@ -9,8 +9,8 @@ side of 1, plus the multi-term operator combining them.
 
 import numpy as np
 
-from fraclab import (MultiTermSpec, Series, TimeGrid, caputo_l1,
-                     caputo_oracle, caputo_power_rule, multiterm_apply)
+from fraclab import (MultiTermSpec, TimeGrid, caputo_l1, caputo_oracle,
+                     caputo_power_rule, multiterm_l1)
 
 print(__doc__)
 
@@ -19,7 +19,7 @@ print(f"{'alpha':>6} {'N':>6} {'L1 value':>14} {'rel err':>10} "
 for alpha in (0.25, 0.5, 0.75, 1.25, 1.5, 1.75):
     exact = caputo_power_rule(2.0, alpha, 1.0)
     deriv = (lambda t: 2.0 * t) if alpha < 1 else (lambda t: 2.0)
-    oracle = caputo_oracle(lambda t: t**2, deriv, alpha, 1.0, tol=1e-12)
+    oracle = caputo_oracle(deriv, alpha, 1.0, tol=1e-12)
     for n in (256, 1024, 4096):
         grid = TimeGrid.from_interval(1.0, n)
         val = caputo_l1(grid.nodes**2, alpha, grid.dt)[-1]
@@ -40,8 +40,7 @@ print("\nMulti-term operator on u = t^2 at t = 1, orders (1.0, 0.5),"
       " weights (1, 2):")
 grid = TimeGrid.from_interval(1.0, 4096)
 spec = MultiTermSpec(orders=(1.0, 0.5), weights=(1.0, 2.0))
-series = Series.from_function(lambda t: t**2, grid)
-value = multiterm_apply(series, spec).values[-1]
+value = multiterm_l1(grid.nodes**2, spec, grid.dt)[-1]
 closed = sum(q * caputo_power_rule(2.0, a, 1.0)
              for q, a in zip(spec.weights, spec.orders))
 print(f"  discrete {value:.8f} vs closed form {closed:.8f} "

@@ -11,10 +11,9 @@ from .fields import (EllipticCoeffField, constant_field,
                      diagonal_variable_field, field_from_config,
                      identity_field, polynomial_field,
                      rotating_anisotropic_field)
-from .fractional import (ConvergenceError, MultiTermSpec, Series, TimeGrid,
-                         caputo_apply, caputo_l1, caputo_oracle,
-                         caputo_power_rule, l1_weights, multiterm_apply,
-                         multiterm_l1, rl_integral_l1)
+from .fractional import (ConvergenceError, MultiTermSpec, TimeGrid,
+                         caputo_l1, caputo_oracle, caputo_power_rule,
+                         l1_weights, multiterm_l1, rl_integral_l1)
 from .geometry import (ContinuationRegion, CutoffSpec, HolmgrenFrame,
                        HolmgrenMap, continuation_schedule,
                        global_coefficients, global_diffeo_forward,

@@ -26,6 +26,7 @@ from .solver import (LowerOrderTerm, SpaceTimeGrid, _spatial_walk,
 from .symbols import CarlemanWeightParams
 
 BRANCH_THRESHOLD = 4.0 / 3.0
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)   # np.exp overflows past it
 
 
 @dataclass(frozen=True)
@@ -118,8 +119,19 @@ def default_bump_family(weight: CarlemanWeightParams, grid: SpaceTimeGrid,
 
 
 def _weight_profiles(grid: SpaceTimeGrid, weight, betas) -> list:
-    """exp(2 beta psi(x_n)) on the space grid, one per beta."""
+    """exp(2 beta psi(x_n)) on the space grid, one per beta.
+
+    A beta whose profile overflows a float raises ``ValueError``: its
+    infinite weight times a zero density is NaN on both sides.
+    """
     psi = weight.psi(grid.mesh()[..., -1])
+    top = float(np.max(psi))
+    for beta in betas:
+        if 2.0 * beta * top > _LOG_FLOAT_MAX:
+            raise ValueError(
+                f"beta={beta!r} overflows the weight exp(2 beta psi) at "
+                f"max psi = {top!r}; beta must stay at or below "
+                f"{_LOG_FLOAT_MAX / (2.0 * top):.6g}")
     return [np.exp(2.0 * beta * psi) for beta in betas]
 
 

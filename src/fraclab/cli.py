@@ -23,7 +23,7 @@ import numpy as np
 
 from . import carleman as carl
 from . import fields, geometry, solver, symbols
-from .fractional import (MultiTermSpec, Series, TimeGrid, _caputo_l1_final,
+from .fractional import (MultiTermSpec, TimeGrid, _caputo_l1_final,
                          caputo_oracle, caputo_power_rule)
 
 
@@ -404,7 +404,7 @@ def run_caputo_check(config, out, seed, threads):
     tol_quad = min(tol_oracle, 1e-10)
     grid = TimeGrid.from_interval(t_final, n_steps)
     rows = []
-    u = Series.from_function(lambda t: t**p, grid)
+    u = grid.nodes ** p
     for alpha in alphas:
         # the power rule is the Caputo derivative of t**p only past the
         # order's polynomial kernel, t**0 .. t**(ceil(alpha) - 1)
@@ -416,10 +416,9 @@ def run_caputo_check(config, out, seed, threads):
         if not math.isfinite(exact):
             raise ValueError(f"the power rule at power={p!r}, "
                              f"alpha={alpha!r} is not finite ({exact!r})")
-        disc = _caputo_l1_final(u.values, alpha, grid.dt)
+        disc = _caputo_l1_final(u, alpha, grid.dt)
         if alpha != 1.0:
-            orc = caputo_oracle(lambda t: t**p,
-                                lambda t, a=alpha: (p * t**(p - 1.0)
+            orc = caputo_oracle(lambda t, a=alpha: (p * t**(p - 1.0)
                                                     if a < 1.0
                                                     else p * (p - 1.0) * t**(p - 2.0)),
                                 alpha, t_final, tol=tol_quad)
@@ -455,7 +454,10 @@ def run_symbol_bracket(config, out, seed, threads):
                      ["bracket", "principal", "scale", "ratio"])
     write_xy(os.path.join(out, "bracket_ratio.xy"),
              [np.arange(len(ratio)), np.sort(ratio)])
-    return {"pass": True, "n_samples": len(ratio),
+    # a NaN or inf ratio, as from overflowing magnitudes, fails the run
+    non_finite = int(np.count_nonzero(~np.isfinite(ratio)))
+    return {"pass": non_finite == 0, "n_samples": len(ratio),
+            "non_finite_ratios": non_finite,
             "min_ratio": float(np.min(ratio)),
             "max_ratio": float(np.max(ratio))}
 

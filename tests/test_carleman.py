@@ -71,6 +71,39 @@ class TestSides:
                               gradient=grads)
         assert abs(pipeline - oracle) / oracle < 1e-6
 
+    def test_upper_branch_time_block_against_exact_derivatives(self):
+        # the block beta^(3 - 4/alpha) |d_t v|^2 is what alpha = 1.5 adds
+        # to alpha = 0.5; its centered time differences converge to the
+        # analytic time derivative at order 2 (errors 4.9e-4 .. 3.1e-5)
+        _, _, weight = setup()
+        beta = 50.0
+        errs = []
+        for n in (192, 384, 768):
+            grid = layer_grid(n, 4097)
+            bump = single_bump(grid)
+            t, mesh = grid.time.nodes, grid.mesh()
+            v = bump.values(t, mesh)
+            exact = {"gradient": bump.space_gradient(t, mesh),
+                     "time_derivative": bump.time_derivative(t, mesh)}
+            block, oracle = (
+                carleman_lhs(v, grid, beta, weight, 1.5, **derivs)
+                - carleman_lhs(v, grid, beta, weight, 0.5, **derivs)
+                for derivs in ({}, exact))
+            errs.append(abs(block - oracle) / oracle)
+        orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+        assert np.all(np.abs(orders - 2.0) <= 0.05)
+        # v = T(t) S(x) separates, T = (t (1 - t))^4: the exact block is
+        # beta^(3 - 4/1.5) times the polynomial integral of T'^2 times
+        # the weighted space integral of S^2, which pins the power of beta
+        s = np.polynomial.Polynomial([0.0, 1.0, -1.0])
+        t_int = ((4.0 * s**3 * np.polynomial.Polynomial([1.0, -2.0])) ** 2
+                 ).integ()(1.0)
+        space = (256.0 * bump.values([0.5], mesh)[0]) ** 2    # T(1/2) = 1/256
+        x_int = np.trapezoid(np.exp(2.0 * beta * weight.psi(mesh[..., 0]))
+                             * space, dx=grid.spacing[0])
+        closed = beta ** (3.0 - 4.0 / 1.5) * t_int * x_int
+        assert abs(oracle - closed) <= 1e-9 * closed
+
     def test_weight_shift_cancels_in_ratio(self):
         spec, frame, weight = setup()
         grid = layer_grid(40, 41)

@@ -13,6 +13,9 @@ import fraclab
 from fraclab import cli, geometry, solver, symbols
 from fraclab.cli import COMMANDS, _build_region, _chunk_counts, main
 
+# an overflow or a NaN in a command fails its test instead of printing
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 SPEC = {"orders": [0.5], "weights": [1.0]}
 COEFFS1 = {"preset": "identity", "n": 1}
 COEFFS2 = {"preset": "diagonal-variable", "n": 2, "amplitude": 0.3}
@@ -615,6 +618,23 @@ class TestCommands:
         assert header == ("t,x1,x2,tau,xi1,xi2,sigma,"
                           "bracket,principal,scale,ratio")
 
+    def test_symbol_bracket_fails_on_non_finite_ratios(self, tmp_path,
+                                                       capsys):
+        # tau = rho^(2/alpha) overflows for rho near 1e200; the ratios of
+        # those samples are NaN, and a NaN minimum used to print PASS
+        config = {**SYMBOL, "n_samples": 100,
+                  "magnitude_range": [1.0, 1e200]}
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out = run(tmp_path, "symbol-bracket", config)
+        assert code == 1
+        assert capsys.readouterr().out.startswith("FAIL symbol-bracket")
+        summary = json.loads((out / "summary.json").read_text())
+        ratio = np.loadtxt(out / "brackets.csv", delimiter=",",
+                           skiprows=1)[:, -1]
+        assert summary["non_finite_ratios"] == np.sum(~np.isfinite(ratio))
+        assert summary["non_finite_ratios"] > 0
+        assert not summary["pass"]
+
     def test_solve_manufactured(self, tmp_path):
         config = {"spec": SPEC, "coeffs": COEFFS1,
                   "grid": {"bounds": [[0.0, 1.0]], "shape": [33],
@@ -753,6 +773,24 @@ class TestCommands:
         assert summary["spread"] <= 100.0
         assert (out / "sweep.csv").exists()
         assert (out / "ratio_test0.xy").exists()
+
+    def test_carleman_sweep_rejects_an_overflowing_beta(self, tmp_path,
+                                                        capsys):
+        # max psi is 0.18 here: exp(2 beta psi) is inf past beta ~ 1971.6,
+        # and its rows used to read lhs = rhs = nan under a PASS
+        config = {"spec": SPEC, "coeffs": COEFFS1,
+                  "map": {"c": 1.0, "X": 0.3, "T": 1.0},
+                  "weight": {"X": 0.3},
+                  "grid": {"bounds": [[0.0, 0.3]], "shape": [61],
+                           "n_steps": 48, "t_final": 1.0},
+                  "betas": [25.0, 50.0, 100.0, 200.0, 400.0, 5000.0],
+                  "n_bumps": 2}
+        code, out = run(tmp_path, "carleman-sweep", config)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "beta=5000.0 overflows the weight" in err
+        assert "max psi = 0.18" in err
+        assert not out.exists()
 
     def test_ucp_demo(self, tmp_path):
         config = {"spec": SPEC, "coeffs": COEFFS1,

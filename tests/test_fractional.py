@@ -4,9 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from fraclab import (ConvergenceError, MultiTermSpec, Series, TimeGrid,
-                     caputo_apply, caputo_l1, caputo_oracle,
-                     caputo_power_rule, multiterm_apply, multiterm_l1,
+from fraclab import (ConvergenceError, MultiTermSpec, TimeGrid, caputo_l1,
+                     caputo_oracle, caputo_power_rule, multiterm_l1,
                      rl_integral_l1)
 from fraclab import fractional
 from fraclab.fractional import (BLOCK, L1March, _caputo_l1_final, _gamma,
@@ -51,8 +50,8 @@ class TestGamma:
             for p in (1.0, 2.0, 2.5):                    # p + 1, p + 1 - alpha
                 caputo_power_rule(p, alpha, 1.0)
         for alpha in (0.5, 1.5):                         # k - alpha
-            caputo_oracle(lambda t: t**2, lambda t, a=alpha: (
-                2.0 * t if a < 1.0 else 2.0), alpha, 1.0)
+            caputo_oracle(lambda t, a=alpha: 2.0 * t if a < 1.0 else 2.0,
+                          alpha, 1.0)
         assert len(set(seen)) >= 200
         assert max(ulps_from_mpmath(x) for x in set(seen)) <= 8.0
 
@@ -73,17 +72,17 @@ class TestGamma:
 
 class TestOracle:
     def test_constant_vanishes(self):
-        val = caputo_oracle(lambda t: 7.0, lambda t: 0.0, 0.5, 1.0)
+        val = caputo_oracle(lambda t: 0.0, 0.5, 1.0)
         assert val == 0.0
 
     def test_linear_power_rule(self):
         # d^0.5 t at t=1 equals 2/sqrt(pi)
-        val = caputo_oracle(lambda t: t, lambda t: 1.0, 0.5, 1.0, tol=1e-12)
+        val = caputo_oracle(lambda t: 1.0, 0.5, 1.0, tol=1e-12)
         assert abs(val - 2.0 / SQRT_PI) < 1e-10
 
     def test_quadratic_upper_branch(self):
         # d^1.5 t^2 at t=1 equals 4/sqrt(pi), second-derivative kernel
-        val = caputo_oracle(lambda t: t**2, lambda t: 2.0, 1.5, 1.0, tol=1e-12)
+        val = caputo_oracle(lambda t: 2.0, 1.5, 1.0, tol=1e-12)
         assert abs(val - 4.0 / SQRT_PI) < 1e-10
 
     @pytest.mark.parametrize("p,alpha,t", [(1.5, 0.3, 0.7), (2.5, 0.8, 1.3),
@@ -94,19 +93,19 @@ class TestOracle:
             deriv = lambda s: p * s ** (p - 1.0)
         else:
             deriv = lambda s: p * (p - 1.0) * s ** (p - 2.0)
-        val = caputo_oracle(lambda s: s**p, deriv, alpha, t, tol=1e-11)
+        val = caputo_oracle(deriv, alpha, t, tol=1e-11)
         ref = caputo_power_rule(p, alpha, t)
         assert abs(val - ref) / abs(ref) < 1e-9
 
     @pytest.mark.parametrize("alpha", [1.0, 0.0, 2.0, -0.3, 2.5])
     def test_domain_errors(self, alpha):
         with pytest.raises(ValueError):
-            caputo_oracle(lambda t: t, lambda t: 1.0, alpha, 1.0)
+            caputo_oracle(lambda t: 1.0, alpha, 1.0)
 
     def test_nonconvergence_raises(self):
         with pytest.raises(ConvergenceError):
-            caputo_oracle(lambda t: np.sin(200.0 / (t + 1e-3)),
-                          lambda t: -200.0 * np.cos(200.0 / (t + 1e-3))
+            # u = sin(200 / (t + 1e-3))
+            caputo_oracle(lambda t: -200.0 * np.cos(200.0 / (t + 1e-3))
                           / (t + 1e-3) ** 2,
                           0.5, 1.0, tol=1e-12, max_subdivisions=2)
 
@@ -116,8 +115,7 @@ class TestOracle:
         # adaptive rule bisects; its value and estimate come out infinite
         with np.errstate(divide="ignore"):
             with pytest.raises(ConvergenceError, match="not finite"):
-                caputo_oracle(lambda s: s**p,
-                              lambda s: p * (p - 1.0) * s ** (p - 2.0),
+                caputo_oracle(lambda s: p * (p - 1.0) * s ** (p - 2.0),
                               1.5, 1.0)
 
 
@@ -171,20 +169,20 @@ class TestQuadrature:
 class TestL1:
     def test_zero_series(self):
         g = grid(64)
-        out = caputo_apply(Series(np.zeros(65), g), 0.7)
-        assert np.all(out.values == 0.0)
+        out = caputo_l1(np.zeros(65), 0.7, g.dt)
+        assert np.all(out == 0.0)
 
     def test_linear_series_power_rule(self):
         g = grid(1024)
-        out = caputo_apply(Series.from_function(lambda t: t, g), 0.5)
+        out = caputo_l1(g.nodes, 0.5, g.dt)
         ref = 2.0 * math.sqrt(1.0 / math.pi)
-        assert abs(out.values[-1] - ref) / ref < 1e-2
+        assert abs(out[-1] - ref) / ref < 1e-2
 
     def test_quadratic_upper_branch(self):
         g = grid(4096)
-        out = caputo_apply(Series.from_function(lambda t: t**2, g), 1.5)
+        out = caputo_l1(g.nodes**2, 1.5, g.dt)
         ref = 4.0 / SQRT_PI
-        assert abs(out.values[-1] - ref) / ref < 5e-2
+        assert abs(out[-1] - ref) / ref < 5e-2
 
     def test_linearity_machine_precision(self):
         g = grid(128)
@@ -199,20 +197,10 @@ class TestL1:
 
     def test_constant_annihilation(self):
         g = grid(80)
-        series = Series(np.full(81, 3.25) - 3.25, g)
+        series = np.full(81, 3.25) - 3.25
         for alpha in (0.4, 1.0, 1.6):
-            out = caputo_apply(series, alpha)
-            assert np.max(np.abs(out.values)) == 0.0
-
-    def test_nonzero_start_rejected(self):
-        g = grid(16)
-        with pytest.raises(ValueError):
-            caputo_apply(Series(np.ones(17), g), 0.5)
-
-    def test_shape_mismatch(self):
-        g = grid(16)
-        with pytest.raises(ValueError):
-            Series(np.zeros(10), g)
+            out = caputo_l1(series, alpha, g.dt)
+            assert np.max(np.abs(out)) == 0.0
 
     @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9])
     @pytest.mark.parametrize("p", [1.0, 2.0, 2.5])
@@ -237,7 +225,7 @@ class TestL1:
         # u' vanish at 0), which the upper-branch reduction assumes.
         u = lambda t: 1.0 - np.cos(t)
         deriv = np.sin if alpha < 1 else np.cos
-        ref = caputo_oracle(u, deriv, alpha, 1.0, tol=1e-12)
+        ref = caputo_oracle(deriv, alpha, 1.0, tol=1e-12)
         g = grid(2048)
         val = caputo_l1(u(g.nodes), alpha, g.dt)[-1]
         assert abs(val - ref) / abs(ref) < 5e-3
@@ -282,27 +270,26 @@ class TestL1:
 class TestMultiTerm:
     def test_single_term_reduces(self):
         g = grid(200)
-        series = Series.from_function(lambda t: t**2, g)
+        series = g.nodes**2
         spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
-        a = multiterm_apply(series, spec).values
-        b = caputo_apply(series, 0.5).values
+        a = multiterm_l1(series, spec, g.dt)
+        b = caputo_l1(series, 0.5, g.dt)
         assert np.array_equal(a, b)
 
     def test_mixed_orders_power_rule(self):
         # orders (1.0, 0.5) with weights (1, 2) on t^2 at t=1:
         # Gamma(3)/Gamma(2) + 2 Gamma(3)/Gamma(2.5) = 5.009011112254701
         g = grid(4096)
-        series = Series.from_function(lambda t: t**2, g)
         spec = MultiTermSpec(orders=(1.0, 0.5), weights=(1.0, 2.0))
-        val = multiterm_apply(series, spec).values[-1]
+        val = multiterm_l1(g.nodes**2, spec, g.dt)[-1]
         assert abs(val - 5.009011112254701) < 2e-3
 
     def test_scaling(self):
         g = grid(64)
-        series = Series.from_function(lambda t: t**1.5, g)
+        series = g.nodes**1.5
         spec = MultiTermSpec(orders=(0.9, 0.4), weights=(1.0, 0.5))
-        one = multiterm_apply(series, spec).values
-        three = multiterm_apply(Series(3.0 * series.values, g), spec).values
+        one = multiterm_l1(series, spec, g.dt)
+        three = multiterm_l1(3.0 * series, spec, g.dt)
         assert np.allclose(three, 3.0 * one, rtol=1e-14, atol=1e-14)
 
     def test_spec_validation(self):
@@ -314,14 +301,6 @@ class TestMultiTerm:
             MultiTermSpec(orders=(0.5,), weights=(2.0,))          # leading weight
         with pytest.raises(ValueError):
             MultiTermSpec(orders=(1.5, 0.5), weights=(1.0, -1.0))
-
-    def test_array_level_matches_series_level(self):
-        g = grid(100)
-        vals = g.nodes**2
-        spec = MultiTermSpec(orders=(1.5, 0.5), weights=(1.0, 0.3))
-        a = multiterm_l1(vals, spec, g.dt)
-        b = multiterm_apply(Series(vals, g), spec).values
-        assert np.array_equal(a, b)
 
 
 class TestFractionalIntegral:
