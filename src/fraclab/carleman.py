@@ -136,14 +136,16 @@ def _weight_profiles(grid: SpaceTimeGrid, weight, betas) -> list:
 
 
 def _weighted_integrals(density, grid: SpaceTimeGrid, profiles) -> list:
-    """Trapezoid of density * profile over the cylinder, per profile."""
+    """Trapezoid of density * profile over the cylinder, per profile: the
+    profiles do not depend on t, so time is contracted first, once."""
+    w = grid.time.dt * np.r_[0.5, np.ones(len(density) - 2), 0.5]
+    space = (w @ density.reshape(len(w), -1)).reshape(density.shape[1:])
     out = []
     for profile in profiles:
-        integrand = density * profile
-        for ax in range(integrand.ndim - 1, 0, -1):
-            integrand = np.trapezoid(integrand, dx=grid.spacing[ax - 1],
-                                     axis=ax)
-        out.append(float(np.trapezoid(integrand, dx=grid.time.dt, axis=0)))
+        integrand = space * profile
+        for ax in range(integrand.ndim - 1, -1, -1):
+            integrand = np.trapezoid(integrand, dx=grid.spacing[ax], axis=ax)
+        out.append(float(integrand))
     return out
 
 
@@ -167,11 +169,9 @@ def carleman_lhs(values, grid: SpaceTimeGrid, beta,
             totals[n] += betas[n] ** power * part
 
     add(3.0, values**2)
-    if gradient is None:
-        gradient = np.stack([np.gradient(values, h, axis=d + 1, edge_order=2)
-                             for d, h in enumerate(grid.spacing)], axis=-1)
-    add(1.0, np.sum(gradient**2, axis=-1))
-    del gradient
+    for d, h in enumerate(grid.spacing):     # |grad v|^2 one axis at a time
+        add(1.0, (np.gradient(values, h, axis=d + 1, edge_order=2)
+                  if gradient is None else gradient[..., d]) ** 2)
     if alpha >= BRANCH_THRESHOLD:
         if time_derivative is None:
             time_derivative = np.gradient(values, grid.time.dt, axis=0,
@@ -308,7 +308,9 @@ def beta_sweep(config: BetaSweepConfig, bumps, grid: SpaceTimeGrid,
 
     ``operator`` may replace the conjugated-operator application (the tests
     use this to exercise the degenerate-row flag).  Rows with zero right
-    side and positive left side are flagged rather than dropped.
+    side and positive left side are flagged rather than dropped.  A bump
+    that is zero on every node, as every bump is on a grid of one time
+    step, raises ``ValueError``.
     """
     if frame.field.n != grid.ndim:
         raise ValueError("field dimension does not match the grid")
@@ -328,6 +330,11 @@ def beta_sweep(config: BetaSweepConfig, bumps, grid: SpaceTimeGrid,
     rows = []
     for test_id, bump in enumerate(bumps):
         values = bump.values(times, mesh)
+        if not values.any():    # both sides would be 0: no ratio
+            raise ValueError(
+                f"bump {test_id} is zero on every grid node; the grid has "
+                f"{len(times)} time levels, t = {float(times[0])!r} to "
+                f"{float(times[-1])!r}")
         lhs_all = carleman_lhs(values, grid, config.betas, config.weight,
                                config.spec.alpha)
         density = (operator(values) if operator is not None else

@@ -364,7 +364,7 @@ class TestSweep:
         assert "max_ratio" in doc
 
 
-def sweep_case(ndim, alpha):
+def sweep_case(ndim, alpha, n_steps=20):
     """A small sweep setup with a time-dependent field in ``ndim`` dims."""
     spec = MultiTermSpec(orders=(alpha, alpha / 2.0), weights=(1.0, 0.5))
     hmap = HolmgrenMap(y_hat=np.zeros(ndim), c=1.0, X=0.3, T=1.0)
@@ -372,22 +372,26 @@ def sweep_case(ndim, alpha):
     weight = CarlemanWeightParams(X=0.3)
     bounds = ((-0.3, 0.3),) * (ndim - 1) + ((0.0, 0.3),)
     grid = SpaceTimeGrid(bounds=bounds, shape=(13,) * (ndim - 1) + (17,),
-                         time=TimeGrid.from_interval(1.0, 20))
+                         time=TimeGrid.from_interval(1.0, n_steps))
     return spec, frame, weight, grid
 
 
 def reference_rows(config, bumps, grid, frame):
     """(lhs, rhs, ratio) per row, one conjugated_operator call per bump and
-    each side's weighted integrals formed per beta."""
+    each side's weighted integrals formed per beta, in the production
+    order: over time first, by the trapezoid weights' contraction, then
+    over space under the weight; |grad v|^2 one axis at a time."""
     mesh = grid.mesh()
     psi = config.weight.psi(mesh[..., -1])
+    w = np.full(grid.time.n_steps + 1, grid.time.dt)
+    w[[0, -1]] /= 2.0
 
     def weighted(density, beta):
-        integrand = density * np.exp(2.0 * beta * psi)
-        for ax in range(integrand.ndim - 1, 0, -1):
-            integrand = np.trapezoid(integrand, dx=grid.spacing[ax - 1],
-                                     axis=ax)
-        return float(np.trapezoid(integrand, dx=grid.time.dt, axis=0))
+        integrand = ((w @ density.reshape(len(w), -1)).reshape(grid.shape)
+                     * np.exp(2.0 * beta * psi))
+        for ax in range(grid.ndim - 1, -1, -1):
+            integrand = np.trapezoid(integrand, dx=grid.spacing[ax], axis=ax)
+        return float(integrand)
 
     rows = []
     for bump in bumps:
@@ -395,10 +399,10 @@ def reference_rows(config, bumps, grid, frame):
         image = conjugated_operator(v, grid, config.spec, frame,
                                     include_drift=config.include_drift)
         for beta in config.betas:
-            grads = np.stack([np.gradient(v, h, axis=d + 1, edge_order=2)
-                              for d, h in enumerate(grid.spacing)], axis=-1)
             lhs = beta**3 * weighted(v**2, beta)
-            lhs += beta * weighted(np.sum(grads**2, axis=-1), beta)
+            for d, h in enumerate(grid.spacing):
+                lhs += beta * weighted(
+                    np.gradient(v, h, axis=d + 1, edge_order=2) ** 2, beta)
             if config.spec.alpha >= BRANCH_THRESHOLD:
                 dt_v = np.gradient(v, grid.time.dt, axis=0, edge_order=2)
                 lhs += beta ** (3.0 - 4.0 / config.spec.alpha) * weighted(
@@ -440,3 +444,56 @@ class TestSweepBatching:
                    grid, frame)
         # the field depends on time, so each level is assembled once
         assert len(assembled) == grid.time.n_steps + 1
+
+
+def space_first(density, grid, beta, weight):
+    """The nested trapezoid over space under the weight, then over time."""
+    integrand = density * np.exp(2.0 * beta * weight.psi(grid.mesh()[..., -1]))
+    for ax in range(integrand.ndim - 1, 0, -1):
+        integrand = np.trapezoid(integrand, dx=grid.spacing[ax - 1], axis=ax)
+    return float(np.trapezoid(integrand, dx=grid.time.dt, axis=0))
+
+
+class TestIntegrationOrder:
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    @pytest.mark.parametrize("n_steps", [2, 64])
+    def test_sides_match_the_space_first_oracle(self, ndim, alpha, n_steps):
+        # time first reorders the sums only: both sides agree with the
+        # space-first nested trapezoid to a few ulps over the beta decades
+        spec, frame, weight, grid = sweep_case(ndim, alpha, n_steps)
+        betas = (25.0, 50.0, 100.0, 200.0, 400.0)
+        v = default_bump_family(weight, grid, count=1)[0].values(
+            grid.time.nodes, grid.mesh())
+        grads = np.stack([np.gradient(v, h, axis=d + 1, edge_order=2)
+                          for d, h in enumerate(grid.spacing)], axis=-1)
+        dt_v = np.gradient(v, grid.time.dt, axis=0, edge_order=2)
+        image = conjugated_operator(v, grid, spec, frame)
+        lhs = carleman_lhs(v, grid, betas, weight, alpha)
+        for beta, got in zip(betas, lhs):
+            oracle = (beta**3 * space_first(v**2, grid, beta, weight)
+                      + beta * space_first(np.sum(grads**2, axis=-1),
+                                           grid, beta, weight))
+            if alpha >= BRANCH_THRESHOLD:
+                oracle += beta ** (3.0 - 4.0 / alpha) * space_first(
+                    dt_v**2, grid, beta, weight)
+            assert abs(got - oracle) <= 1e-14 * oracle
+            rhs = carleman_rhs(v, grid, beta, weight, spec, frame)
+            oracle = space_first(image**2, grid, beta, weight)
+            assert abs(rhs - oracle) <= 1e-14 * oracle
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_derivative_overrides_equal_the_default_path_bitwise(self, ndim,
+                                                                 alpha):
+        # a gradient= stack is read one axis at a time, like the default
+        _, _, weight, grid = sweep_case(ndim, alpha)
+        v = default_bump_family(weight, grid, count=1)[0].values(
+            grid.time.nodes, grid.mesh())
+        betas = (25.0, 100.0, 400.0)
+        grads = np.stack([np.gradient(v, h, axis=d + 1, edge_order=2)
+                          for d, h in enumerate(grid.spacing)], axis=-1)
+        dt_v = np.gradient(v, grid.time.dt, axis=0, edge_order=2)
+        assert (carleman_lhs(v, grid, betas, weight, alpha, gradient=grads,
+                             time_derivative=dt_v)
+                == carleman_lhs(v, grid, betas, weight, alpha))

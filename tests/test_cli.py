@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -16,6 +17,7 @@ from fraclab.cli import COMMANDS, _build_region, _chunk_counts, main
 # an overflow or a NaN in a command fails its test instead of printing
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
+DEMO_CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "demos/configs"
 SPEC = {"orders": [0.5], "weights": [1.0]}
 COEFFS1 = {"preset": "identity", "n": 1}
 COEFFS2 = {"preset": "diagonal-variable", "n": 2, "amplitude": 0.3}
@@ -791,6 +793,45 @@ class TestCommands:
         assert "beta=5000.0 overflows the weight" in err
         assert "max psi = 0.18" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("order", [0.5, 1.5])
+    def test_carleman_sweep_rejects_bumps_that_vanish_on_every_node(
+            self, tmp_path, capsys, order):
+        # one time step leaves the levels t = 0 and T, where every bump is
+        # 0: the run read as a FAIL with an infinite max_ratio (order 0.5)
+        # or died in np.gradient on two levels (order 1.5)
+        config = json.loads((DEMO_CONFIGS / "carleman-sweep.json").read_text())
+        config["spec"]["orders"] = [order]
+        config["grid"]["n_steps"] = 1
+        code, out = run(tmp_path, "carleman-sweep", config)
+        assert code == 3
+        assert ("bump 0 is zero on every grid node; the grid has 2 time "
+                "levels, t = 0.0 to 1.0" in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_carleman_sweep_repeat_runs_are_byte_identical(self, tmp_path,
+                                                           ndim):
+        # the weighted integrals contract over time through BLAS; the 1-D
+        # run is the demo, the 2-D run a 41x41 grid with a moving field
+        config = json.loads((DEMO_CONFIGS / "carleman-sweep.json").read_text())
+        if ndim == 2:
+            config.update(
+                spec={"orders": [1.5, 0.5], "weights": [1.0, 0.5]},
+                coeffs={"preset": "diagonal-variable", "n": 2},
+                grid={"bounds": [[-0.3, 0.3], [0.0, 0.3]], "shape": [41, 41],
+                      "n_steps": 40, "t_final": 1.0})
+        outs = [run(tmp_path, "carleman-sweep", config, seed=3, tag=tag)
+                for tag in ("a", "b")]
+        assert [code for code, _ in outs] == [0, 0]
+        names = sorted(p.name for p in outs[0][1].iterdir()
+                       if p.name != "summary.json")
+        assert names == ["ratio_test0.xy", "ratio_test1.xy", "ratio_test2.xy",
+                         "ratio_test3.xy", "ratio_test4.xy", "sweep.csv",
+                         "sweep_summary.json"]
+        for name in names:
+            assert ((outs[0][1] / name).read_bytes()
+                    == (outs[1][1] / name).read_bytes()), name
 
     def test_ucp_demo(self, tmp_path):
         config = {"spec": SPEC, "coeffs": COEFFS1,
