@@ -7,7 +7,8 @@ and writes its artifacts into the output directory: CSV tables with
 full-precision numbers, a ``summary.json`` with the pass/fail verdict, and
 whitespace separated xy files for plotting.  A fixed seed makes runs
 bit-reproducible; worker threads only split sampling into deterministic
-chunks.  Importing this module loads neither jsonschema nor scipy.
+chunks.  Importing this module loads neither jsonschema nor scipy, nor
+the thread pool's ``concurrent.futures``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -316,6 +316,8 @@ def _chunked(total, seed, threads, columns, draw):
     if threads <= 1:
         done = [run(*chunk) for chunk in zip(starts, counts, rngs)]
     else:
+        # imported here: it loads logging, which no single-thread run needs
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             done = list(pool.map(run, starts, counts, rngs))
     if sum(filled for filled, _ in done) < total:
@@ -592,11 +594,16 @@ def run_solve(config, out, seed, threads):
             r2 = np.sum(((Y - center) / width) ** 2, axis=-1)
             return np.clip(1.0 - r2, 0.0, None) ** 4 * np.minimum(t, 1.0) ** 2
         exact = None
-    # every level's source in one call
-    f = source(times, mesh)
+    # a block of levels per call, at most SAMPLE_BLOCK points, as the
+    # solver samples the field
+    per_call = max(1, fields.SAMPLE_BLOCK // mesh[..., 0].size)
+    f = np.empty((len(times),) + grid.shape)
+    for s in range(0, len(times), per_call):
+        f[s:s + per_call] = source(times[s:s + per_call], mesh)
     if not f[(slice(None),) + grid.interior()].any():
         raise ValueError("source is zero on every interior node")
     result = solver.solve(spec, coeffs, solver.LowerOrderTerm.zero(), f, grid)
+    del f                          # before max_error's arrays
     sol = result.field
     solver.save_solution(sol, os.path.join(out, "solution"))
     final = sol.values[-1].reshape(-1)
@@ -608,7 +615,9 @@ def run_solve(config, out, seed, threads):
     summary = {"pass": bool(result.diagnostics["equation_residual_max"]
                             <= 1e-10), **result.diagnostics}
     if exact is not None:
-        err = np.abs(sol.values - exact(times, mesh))
+        err = exact(times, mesh)
+        err -= sol.values
+        np.abs(err, out=err)
         summary["max_error"] = float(err.max())
     return summary
 

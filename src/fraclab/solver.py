@@ -150,7 +150,7 @@ def save_solution(sol: SolutionField, prefix: str) -> None:
         fh.write(struct.pack("<d", grid.time.dt))
         fh.write(struct.pack(f"<{grid.ndim}d", *grid.spacing))
         fh.write(struct.pack(f"<{grid.ndim}d", *(lo for lo, _ in grid.bounds)))
-        sol.values.astype("<f8").tofile(fh)
+        sol.values.astype("<f8", copy=False).tofile(fh)
     sidecar = {
         "n_space": grid.ndim,
         "shape": list(grid.shape),
@@ -334,8 +334,10 @@ def _source_levels(source, grid: SpaceTimeGrid) -> np.ndarray:
     """Source samples of shape (n_steps+1, *shape) from a callable or array."""
     if callable(source):
         mesh = grid.mesh()
-        return np.stack([np.asarray(source(t, mesh), dtype=float)
-                         for t in grid.time.nodes])
+        f_all = np.empty((grid.time.n_steps + 1,) + grid.shape)
+        for k, t in enumerate(grid.time.nodes):
+            f_all[k] = source(t, mesh)
+        return f_all
     f_all = np.asarray(source, dtype=float)
     if f_all.shape != (grid.time.n_steps + 1,) + grid.shape:
         raise ValueError("source array shape mismatch")
@@ -584,7 +586,7 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
     times = grid.time.nodes
 
     f_all = _source_levels(source, grid)
-    f_int = f_all.reshape(nt + 1, -1)[:, inside]
+    f_levels = f_all.reshape(nt + 1, -1)
     march = L1March(spec, grid.time.dt, nt, n_int)
     values = np.zeros((nt + 1, inside.size))
 
@@ -600,7 +602,7 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
             fresh = False          # whether lu factorizes this run's system
         left -= 1
 
-        rhs = f_int[k] - march.history(k)
+        rhs = f_levels[k, inside] - march.history(k)
         if bc is not None:
             values[k, ~inside] = bc(times[k], y_bnd)
             # the lift: the interior of values[k] is still zero
@@ -629,6 +631,8 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
         values[k, inside] = x
         # np.maximum, unlike max(), keeps a NaN residual
         step_residual = float(np.maximum(step_residual, np.abs(res).max()))
+    lead = march.lead
+    del march                      # its series, before the check's arrays
 
     values = values.reshape((nt + 1,) + grid.shape)
     sol = SolutionField(values=values, grid=grid,
@@ -638,15 +642,16 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
                                 else "array"})
     diagnostics = {"condition_estimate": cond_estimate,
                    "linear_residual_max": step_residual,
-                   "leading_coefficient": march.lead,
+                   "leading_coefficient": lead,
                    "factorizations": factorizations,
                    "lu_reuses": lu_reuses,
                    "refinement_steps": refinement_steps}
     if check_residual:
         resid = apply_discrete_operator(values, spec, coeffs.a, lower, grid,
                                         source=f_all)
+        np.abs(resid, out=resid)
         # level 0 is pinned to zero, never solved
-        diagnostics["equation_residual_max"] = float(np.abs(resid[1:]).max())
+        diagnostics["equation_residual_max"] = float(resid[1:].max())
     return SolveResult(field=sol, diagnostics=diagnostics)
 
 

@@ -643,10 +643,20 @@ def full_region_sample(region: SampleRegion, spec: MultiTermSpec, n: int,
     """Phase samples across all of phase space, not just the zero set.
 
     Magnitudes are log-uniform; tau is drawn on the anisotropic scale
-    rho^(2/alpha) so all three scale contributions are exercised.
+    rho^(2/alpha) so all three scale contributions are exercised.  A range
+    whose largest tau, 1.2 hi^(2/alpha), is not a finite float raises
+    ``ValueError``.
     """
     t, x = region.draw(rng, n_samples, n)
     rho = _log_uniform(rng, magnitude_range, n_samples, "magnitude_range")
+    try:
+        top = 1.2 * magnitude_range[1] ** (2.0 / spec.alpha)
+    except OverflowError:
+        top = math.inf
+    if not math.isfinite(top):
+        raise ValueError(
+            f"magnitude_range={tuple(magnitude_range)!r} overflows tau: "
+            f"1.2*hi^(2/alpha) is not finite at alpha={spec.alpha}")
     direction = rng.normal(size=(n_samples, n + 1))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     stretch = rng.uniform(0.2, 1.0, n_samples)

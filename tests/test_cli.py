@@ -533,12 +533,20 @@ class TestCommands:
         assert summary["min_ratio"] > 0.0
         assert (out / "garding_curve.xy").exists()
 
-    def test_garding_with_nan_terms_is_an_error(self, tmp_path, capsys):
-        # tau = rho^(2/alpha) overflows for rho near 1e200, and the terms
-        # of those samples are NaN, which no varpi makes positive
-        config = {**VALID["garding"], "magnitude_range": [1.0, 1e200]}
+    def test_garding_with_nan_terms_is_an_error(self, tmp_path, monkeypatch,
+                                                capsys):
+        # a tau past the float range, which an in-range magnitude no longer
+        # produces, makes the terms NaN, which no varpi makes positive
+        original = symbols.full_region_sample
+
+        def with_inf(*args, **kwargs):
+            t, x, tau, xi, sigma = original(*args, **kwargs)
+            tau[:2] = np.inf
+            return t, x, tau, xi, sigma
+
+        monkeypatch.setattr(symbols, "full_region_sample", with_inf)
         with np.errstate(over="ignore", invalid="ignore"):
-            code, out = run(tmp_path, "garding", config)
+            code, out = run(tmp_path, "garding", VALID["garding"])
         assert code == 3
         assert "terms are NaN" in capsys.readouterr().err
         assert not out.exists()
@@ -620,21 +628,38 @@ class TestCommands:
         assert header == ("t,x1,x2,tau,xi1,xi2,sigma,"
                           "bracket,principal,scale,ratio")
 
-    def test_symbol_bracket_fails_on_non_finite_ratios(self, tmp_path,
-                                                       capsys):
-        # tau = rho^(2/alpha) overflows for rho near 1e200; the ratios of
-        # those samples are NaN, and a NaN minimum used to print PASS
+    @pytest.mark.parametrize("command", ["garding", "symbol-bracket"])
+    def test_overflowing_magnitude_range_is_named(self, command, tmp_path,
+                                                  capsys):
+        # tau = 1.2 rho^(2/alpha) overflows for rho near 1e200; the terms or
+        # ratios of those samples used to be NaN, with no word of the range
         config = {**SYMBOL, "n_samples": 100,
                   "magnitude_range": [1.0, 1e200]}
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, out = run(tmp_path, "symbol-bracket", config)
+        code, out = run(tmp_path, command, config, threads=2)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "magnitude_range=(1.0, 1e+200) overflows tau" in err
+        assert "alpha=0.5" in err
+        assert not out.exists()
+
+    def test_symbol_bracket_fails_on_non_finite_ratios(self, tmp_path,
+                                                       monkeypatch, capsys):
+        # a NaN ratio, which an in-range magnitude no longer produces,
+        # still fails the run rather than passing on a NaN minimum
+        original = symbols.bracket_report_batch
+
+        def with_nan(*args, **kwargs):
+            full, principal, scale, ratio = original(*args, **kwargs)
+            ratio[3] = np.nan
+            return full, principal, scale, ratio
+
+        monkeypatch.setattr(symbols, "bracket_report_batch", with_nan)
+        code, out = run(tmp_path, "symbol-bracket", {**SYMBOL,
+                                                     "n_samples": 100})
         assert code == 1
         assert capsys.readouterr().out.startswith("FAIL symbol-bracket")
         summary = json.loads((out / "summary.json").read_text())
-        ratio = np.loadtxt(out / "brackets.csv", delimiter=",",
-                           skiprows=1)[:, -1]
-        assert summary["non_finite_ratios"] == np.sum(~np.isfinite(ratio))
-        assert summary["non_finite_ratios"] > 0
+        assert summary["non_finite_ratios"] == 1
         assert not summary["pass"]
 
     def test_solve_manufactured(self, tmp_path):
@@ -744,6 +769,50 @@ class TestCommands:
         mesh = grid.mesh()
         expected = np.stack([f(t, mesh) for t in grid.time.nodes])
         assert np.array_equal(source, expected)
+
+    @pytest.mark.parametrize("preset,ndim", [
+        ("identity", 1), ("identity", 2), ("identity", 3),
+        ("diagonal-variable", 1), ("diagonal-variable", 2),
+        ("diagonal-variable", 3), ("rotating-anisotropic", 2),
+        ("rotating-anisotropic", 3), ("polynomial", 1), ("polynomial", 2),
+        ("polynomial", 3)])
+    def test_blocked_source_is_one_whole_call_bitwise(self, tmp_path,
+                                                       monkeypatch, preset,
+                                                       ndim):
+        # 13 levels of 9^ndim nodes, 5 levels per sampling block: two full
+        # blocks and a partial one
+        captured = []
+        original = solver.solve
+
+        def capturing(spec, coeffs, lower, source, grid, **kwargs):
+            captured.append((spec, coeffs, source, grid))
+            return original(spec, coeffs, lower, source, grid, **kwargs)
+
+        monkeypatch.setattr(solver, "solve", capturing)
+        monkeypatch.setattr(fraclab.fields, "SAMPLE_BLOCK", 5 * 9**ndim + 3)
+        coeffs = {"preset": preset, "n": ndim}
+        if preset == "polynomial":
+            # a_jj = 1 + t y_1 / 4, a_01 = y_2 / 10 from two dimensions on
+            pows = [[int(r == d) for r in range(ndim)] for d in range(ndim)]
+            tables = [{"j": j, "k": j, "terms": [
+                {"coeff": 1.0, "t_pow": 0, "y_pows": [0] * ndim},
+                {"coeff": 0.25, "t_pow": 1, "y_pows": pows[0]}]}
+                for j in range(ndim)]
+            if ndim > 1:
+                tables.append({"j": 0, "k": 1, "terms": [
+                    {"coeff": 0.1, "t_pow": 0, "y_pows": pows[1]}]})
+            coeffs = {**coeffs, "delta": 0.5, "tables": tables}
+        config = {"spec": {"orders": [1.5, 0.5], "weights": [1.0, 0.5]},
+                  "coeffs": coeffs,
+                  "grid": {"bounds": [[0.0, 1.0]] * ndim,
+                           "shape": [9] * ndim, "n_steps": 12,
+                           "t_final": 1.5}}
+        code, _ = run(tmp_path, "solve", config)
+        assert code == 0
+        ((spec, field, source, grid),) = captured
+        _, whole = cli._manufactured_pieces(spec, field, grid)
+        times = grid.time.nodes.reshape((-1,) + (1,) * ndim)
+        assert np.array_equal(source, whole(times, grid.mesh()))
 
     def test_solve_summary_is_a_function_of_the_seed(self, tmp_path):
         config = {"spec": SPEC, "coeffs": COEFFS2,
@@ -1026,6 +1095,16 @@ class TestImport:
                              env=_subprocess_env(), capture_output=True,
                              text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+    def test_cli_import_loads_no_thread_pool(self):
+        # concurrent.futures (and the logging it loads) comes in only when
+        # a sampling command starts threads
+        code = ("import sys, fraclab.cli; "
+                "print('concurrent.futures' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code],
+                             env=_subprocess_env(), capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_certify_command_loads_no_scipy(self, tmp_path):
         cfg = tmp_path / "lemma21.json"

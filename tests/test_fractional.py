@@ -8,8 +8,9 @@ from fraclab import (ConvergenceError, MultiTermSpec, TimeGrid, caputo_l1,
                      caputo_oracle, caputo_power_rule, multiterm_l1,
                      rl_integral_l1)
 from fraclab import fractional
-from fraclab.fractional import (BLOCK, L1March, _caputo_l1_final, _gamma,
-                                causal_convolve, l1_weights, multiterm_lowered)
+from fraclab.fractional import (BLOCK, FFT_LEVELS, L1March, _caputo_l1_final,
+                                _gamma, causal_convolve, l1_weights,
+                                multiterm_lowered)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -376,6 +377,32 @@ class TestCausalConvolve:
         x = rng.normal(size=BLOCK + 5)
         assert np.array_equal(causal_convolve(kernel, x),
                               np.convolve(x, kernel)[:BLOCK + 5])
+
+    @pytest.mark.parametrize("n", [FFT_LEVELS - 1, FFT_LEVELS,
+                                   FFT_LEVELS + 1, 4096])
+    def test_fft_path_matches_the_toeplitz_path(self, n, monkeypatch):
+        # 19 columns: four full FFT column blocks and a partial one
+        rng = np.random.default_rng(n)
+        kernel = l1_weights(0.5, n)
+        x = rng.normal(size=(n, 19))
+        fast = causal_convolve(kernel, x)
+        monkeypatch.setattr(fractional, "FFT_LEVELS", n + 1)
+        direct = causal_convolve(kernel, x)
+        if n < FFT_LEVELS:
+            assert np.array_equal(fast, direct)
+        scale = np.max(np.abs(direct), axis=0)
+        assert np.all(np.max(np.abs(fast - direct), axis=0) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK + 1, 2 * BLOCK + 3,
+                                   FFT_LEVELS])
+    def test_in_place_equals_out_of_place_bitwise(self, n):
+        rng = np.random.default_rng(n + 1)
+        kernel = rng.normal(size=n)
+        x = rng.normal(size=(n, 2, 5))
+        ref = causal_convolve(kernel, x)
+        result = causal_convolve(kernel, x, out=x)
+        assert result is x
+        assert np.array_equal(x, ref)
 
     @pytest.mark.parametrize("op,order", [(caputo_l1, 0.4), (caputo_l1, 1.6),
                                           (rl_integral_l1, 0.5),

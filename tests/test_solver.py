@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -817,6 +818,25 @@ class TestSerialization:
         assert back.grid.shape == grid.shape
         assert back.grid.time.n_steps == grid.time.n_steps
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_payload_bytes_equal_the_copying_writer(self, tmp_path, order):
+        # the payload as written before the writer stopped copying it
+        def copying_payload(sol, path):
+            with open(path, "wb") as fh:
+                sol.values.astype("<f8").tofile(fh)
+
+        grid = SpaceTimeGrid(bounds=((0.0, 1.0), (0.0, 2.0)), shape=(5, 7),
+                             time=TimeGrid.from_interval(1.0, 6))
+        values = np.asarray(np.random.default_rng(5).normal(
+            size=(7, 5, 7)), order=order)
+        sol = solver.SolutionField(values=values, grid=grid)
+        save_solution(sol, str(tmp_path / "run"))
+        copying_payload(sol, tmp_path / "ref.bin")
+        payload = (tmp_path / "ref.bin").read_bytes()
+        written = (tmp_path / "run.bin").read_bytes()
+        assert len(payload) == values.size * 8
+        assert written[-len(payload):] == payload
+
     def test_time_slice_csv(self, tmp_path):
         # solve's final_slice.csv: mesh and last level, the bytes of
         # np.savetxt with "%.17g"
@@ -904,3 +924,27 @@ class TestUcp:
         r2 = ucp_experiment(cfg2)
         assert abs(r2.rows[0][2] - 2.0 * r1.rows[0][2]) < 1e-9
         assert abs(r2.rows[0][3] - 2.0 * r1.rows[0][3]) < 1e-9
+
+
+class TestMemory:
+    def test_solve_with_its_check_holds_few_level_arrays(self):
+        # the solution, the march's series while stepping, and during the
+        # check the residual and one order's term, about 3.4 level arrays
+        # with the temporaries; the source is the input.  One more level
+        # array, as a copy of the source or a march kept through the
+        # check, crosses 4
+        spec = MultiTermSpec(orders=(0.5, 0.25), weights=(1.0, 0.5))
+        grid = grid_1d(2048, 129)
+        _, source = manufactured_1d(spec)
+        mesh = grid.mesh()
+        f = np.stack([source(t, mesh) for t in grid.time.nodes])
+        field = identity_field(1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = solve(spec, field, LowerOrderTerm.zero(), f, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.diagnostics["equation_residual_max"] <= 1e-10
+        assert peak - base < 4.0 * f.nbytes

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -684,6 +685,36 @@ class TestGarding:
         with pytest.raises(RuntimeError, match="no varpi below"):
             find_min_varpi(self.points, self.spec, self.field, self.weight,
                            1.0, varpi_max=below)
+
+    def test_nan_terms_are_named(self):
+        # a tau past the float range, which full_region_sample refuses
+        t, x, tau, xi, sigma = (np.array(a, dtype=float, copy=True)
+                                for a in self.points)
+        tau[:3] = np.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RuntimeError,
+                               match="terms are NaN at 3 of 20000 samples"):
+                find_min_varpi((t, x, tau, xi, sigma), self.spec, self.field,
+                               self.weight, 1.0)
+
+    @pytest.mark.parametrize("alpha,hi", [(0.5, 1e77), (1.5, 1e230)])
+    def test_largest_finite_tau_is_sampled(self, alpha, hi):
+        spec = MultiTermSpec(orders=(alpha,), weights=(1.0,))
+        _, _, tau, _, _ = full_region_sample(
+            self.region, spec, 2, 100, np.random.default_rng(4),
+            magnitude_range=(1.0, hi))
+        assert np.all(np.isfinite(tau))
+
+    @pytest.mark.parametrize("alpha,hi", [(0.5, 1e78), (1.5, 1e233),
+                                          (0.5, 1e200)])
+    def test_overflowing_tau_names_the_range(self, alpha, hi):
+        spec = MultiTermSpec(orders=(alpha,), weights=(1.0,))
+        message = (f"magnitude_range=(1.0, {hi!r}) overflows tau: "
+                   f"1.2*hi^(2/alpha) is not finite at alpha={alpha}")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            full_region_sample(self.region, spec, 2, 100,
+                               np.random.default_rng(4),
+                               magnitude_range=(1.0, hi))
 
 
 class TestStageCertificate:
