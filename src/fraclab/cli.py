@@ -1,14 +1,17 @@
-"""Command-line front end: configured experiments, CSV/JSON/xy artifacts.
+"""Command-line front end: configured experiments, CSV/npy/JSON/xy artifacts.
 
 Every command reads one JSON config, checks it against its JSON Schema in
 ``SCHEMAS`` (unknown fields rejected) with a small validator of just the
 keywords those schemas use, runs the corresponding library verification,
-and writes its artifacts into the output directory: CSV tables with
-full-precision numbers, a ``summary.json`` with the pass/fail verdict, and
-whitespace separated xy files for plotting.  A fixed seed makes runs
-bit-reproducible; worker threads only split sampling into deterministic
-chunks.  Importing this module loads neither jsonschema nor scipy, nor
-the thread pool's ``concurrent.futures``.
+and writes its artifacts into the output directory: CSV and ``.npy``
+tables with full-precision numbers (the per-sample phase tables are
+structured ``.npy`` arrays whose field names are their column names, each
+with a CSV of its columns' min, max and mean beside it), a
+``summary.json`` with the pass/fail verdict, and whitespace separated xy
+files for plotting.  A fixed seed makes runs bit-reproducible; worker
+threads only split sampling into deterministic chunks.  Importing this
+module loads neither jsonschema nor scipy, nor the thread pool's
+``concurrent.futures``.
 """
 
 from __future__ import annotations
@@ -27,30 +30,40 @@ from .fractional import (MultiTermSpec, TimeGrid, _caputo_l1_final,
                          caputo_oracle, caputo_power_rule)
 
 
-# rows per "%" call: enough to amortize the call, few enough that a
-# block's text stays near a MB
+# rows per block: enough to amortize the "%" call of the text writers,
+# few enough that a block's text stays near a MB
 WRITE_BLOCK = 4096
 
 
-def _write_rows(path, columns, header=None, delimiter=" "):
-    """Write ``"%.17g"`` rows, the bytes of ``np.savetxt``, block by block.
+def _as_2d(columns):
+    """``columns`` as 2-D float arrays, without copying float input.
 
     ``columns`` holds 1-D arrays (one column each) and 2-D arrays (one
     column per entry of their second axis), all with the same row count.
-    Each block of ``WRITE_BLOCK`` rows is sliced from the columns, so the
-    whole table is never stacked into one array.
     """
     columns = [np.asarray(c, dtype=float) for c in columns]
-    columns = [c[:, None] if c.ndim == 1 else c for c in columns]
-    width = sum(c.shape[1] for c in columns)
-    line = delimiter.join(["%.17g"] * width) + "\n"
-    n = len(columns[0])
+    return [c[:, None] if c.ndim == 1 else c for c in columns]
+
+
+def _blocks(columns):
+    """Blocks of ``WRITE_BLOCK`` rows of ``columns``, side by side.
+
+    Each block is sliced from the columns as a float array, so the whole
+    table is never stacked into one array.
+    """
+    columns = _as_2d(columns)
+    for start in range(0, len(columns[0]), WRITE_BLOCK):
+        yield np.concatenate([c[start:start + WRITE_BLOCK] for c in columns],
+                             axis=1)
+
+
+def _write_rows(path, columns, header=None, delimiter=" "):
+    """Write ``"%.17g"`` rows, the bytes of ``np.savetxt``, block by block."""
     with open(path, "w") as fh:
         if header is not None:
             fh.write(header + "\n")
-        for start in range(0, n, WRITE_BLOCK):
-            block = np.concatenate([c[start:start + WRITE_BLOCK]
-                                    for c in columns], axis=1)
+        for block in _blocks(columns):
+            line = delimiter.join(["%.17g"] * block.shape[1]) + "\n"
             fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
@@ -62,6 +75,25 @@ def write_csv(path, header, columns):
 def write_xy(path, columns):
     """One whitespace-separated row per index of ``columns``."""
     _write_rows(path, columns)
+
+
+def write_npy(path, header, columns):
+    """A structured array with one ``<f8`` field per name of ``header``.
+
+    The bytes are those of ``np.save`` of the stacked table, written block
+    by block from ``columns`` as in ``write_csv``.
+    """
+    columns = _as_2d(columns)
+    width = sum(c.shape[1] for c in columns)
+    if width != len(header):
+        raise ValueError(f"{len(header)} field names for {width} columns")
+    dtype = np.dtype([(name, "<f8") for name in header])
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, {
+            "descr": np.lib.format.dtype_to_descr(dtype),
+            "fortran_order": False, "shape": (len(columns[0]),)})
+        for block in _blocks(columns):
+            fh.write(block.astype("<f8", copy=False).tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -362,17 +394,29 @@ def _parallel_char_samples(config, region, spec, coeffs, weight, c, seed,
         root_passes=sum(info[3] for info in infos))
 
 
-def _write_phase_csv(path, n, columns, tail):
-    """One row per phase point (t, x, tau, xi, sigma, *tail)."""
+def _write_phase_table(out, name, n, columns, tail):
+    """One record per phase point (t, x, tau, xi, sigma, *tail).
+
+    ``name.npy`` holds the records; ``name_stats.csv``, with the same
+    column names, holds each column's min, max and mean, one row each (no
+    rows for an empty table).
+    """
     header = (["t"] + [f"x{i + 1}" for i in range(n)] + ["tau"]
               + [f"xi{i + 1}" for i in range(n)] + ["sigma", *tail])
-    write_csv(path, header, columns)
+    write_npy(os.path.join(out, f"{name}.npy"), header, columns)
+    stats = np.empty((0, len(header)))
+    if len(columns[0]):
+        # NaN and inf entries carry into their column's row, unwarned
+        with np.errstate(invalid="ignore", over="ignore"):
+            stats = np.array([[col.min(), col.max(), col.mean()]
+                              for c in _as_2d(columns) for col in c.T]).T
+    write_csv(os.path.join(out, f"{name}_stats.csv"), header, [stats])
 
 
 def _write_char_points(out, sample, n):
-    _write_phase_csv(os.path.join(out, "char_points.csv"), n,
-                     [sample.t, sample.x, sample.tau, sample.xi,
-                      sample.sigma, sample.residual], ["residual"])
+    _write_phase_table(out, "char_points", n,
+                       [sample.t, sample.x, sample.tau, sample.xi,
+                        sample.sigma, sample.residual], ["residual"])
 
 
 def _write_sorted(path, values):
@@ -451,9 +495,9 @@ def run_symbol_bracket(config, out, seed, threads):
         magnitude_range=tuple(config.get("magnitude_range", (1.0, 1e3))))
     full, principal, scale, ratio = symbols.bracket_report_batch(
         pts, spec, frame.field, weight, hmap.c)
-    _write_phase_csv(os.path.join(out, "brackets.csv"), n,
-                     [*pts, full, principal, scale, ratio],
-                     ["bracket", "principal", "scale", "ratio"])
+    _write_phase_table(out, "brackets", n,
+                       [*pts, full, principal, scale, ratio],
+                       ["bracket", "principal", "scale", "ratio"])
     write_xy(os.path.join(out, "bracket_ratio.xy"),
              [np.arange(len(ratio)), np.sort(ratio)])
     # a NaN or inf ratio, as from overflowing magnitudes, fails the run
@@ -702,7 +746,8 @@ def run_continuation_plan(config, out, seed, threads):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="fraclab",
-        description="configured verification runs with CSV/JSON/xy artifacts")
+        description=("configured verification runs with CSV/npy/JSON/xy "
+                     "artifacts"))
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", required=True, help="output directory")

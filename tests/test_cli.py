@@ -5,8 +5,10 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
+from numpy.lib import recfunctions
 
 import pytest
 
@@ -289,19 +291,29 @@ class TestValidator:
             cli.validate_config("caputo-check", VALID["caputo-check"])
 
 
-class TestWriters:
-    """The block writers give the bytes of np.savetxt with "%.17g"."""
+def _writer_table(rows):
+    """A (rows, 3) table and a column of wide-ranging doubles, specials
+    first."""
+    rng = np.random.default_rng(rows)
+    table = rng.normal(size=(rows, 3)) * 10.0 ** rng.integers(
+        -300, 300, (rows, 3))
+    column = rng.normal(size=rows)
+    specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.0 / 3.0]
+    table.flat[:len(specials)] = specials[:table.size]
+    column[:len(specials)] = specials[:rows]
+    return table, column
 
-    @pytest.mark.parametrize("rows", [0, 1, cli.WRITE_BLOCK - 1,
-                                      cli.WRITE_BLOCK, cli.WRITE_BLOCK + 1])
+
+WRITER_ROWS = [0, 1, cli.WRITE_BLOCK - 1, cli.WRITE_BLOCK, cli.WRITE_BLOCK + 1]
+
+
+class TestWriters:
+    """The block writers give the bytes of np.savetxt with "%.17g", and of
+    np.save of the stacked structured array."""
+
+    @pytest.mark.parametrize("rows", WRITER_ROWS)
     def test_bytes_equal_savetxt(self, tmp_path, rows):
-        rng = np.random.default_rng(rows)
-        table = rng.normal(size=(rows, 3)) * 10.0 ** rng.integers(
-            -300, 300, (rows, 3))
-        column = rng.normal(size=rows)
-        specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.0 / 3.0]
-        table.flat[:len(specials)] = specials[:table.size]
-        column[:len(specials)] = specials[:rows]
+        table, column = _writer_table(rows)
 
         def same(mine, ref):
             return (tmp_path / mine).read_bytes() == (tmp_path / ref).read_bytes()
@@ -327,6 +339,47 @@ class TestWriters:
         np.savetxt(tmp_path / "b2.xy", np.column_stack([np.arange(rows),
                                                         column]), fmt="%.17g")
         assert same("a2.xy", "b2.xy")
+
+    @pytest.mark.parametrize("rows", WRITER_ROWS)
+    def test_npy_bytes_equal_save(self, tmp_path, rows):
+        table, column = _writer_table(rows)
+        # a reversed view is a non-contiguous 2-D column
+        columns = [column, table[:, ::-1], column]
+        names = ["p", "q1", "q2", "q3", "r"]
+        cli.write_npy(tmp_path / "a.npy", names, columns)
+        stacked = recfunctions.unstructured_to_structured(
+            np.column_stack(columns),
+            np.dtype([(name, "<f8") for name in names]))
+        np.save(tmp_path / "b.npy", stacked)
+        assert (tmp_path / "a.npy").read_bytes() \
+            == (tmp_path / "b.npy").read_bytes()
+        assert np.load(tmp_path / "a.npy").dtype.names == tuple(names)
+
+    @pytest.mark.parametrize("rows", WRITER_ROWS)
+    def test_npy_round_trips_the_csv(self, tmp_path, rows):
+        # %.17g round-trips a double, so both files hold the same bits
+        table, column = _writer_table(rows)
+        names = ["p", "q1", "q2", "q3"]
+        cli.write_csv(tmp_path / "a.csv", names, [column, table])
+        cli.write_npy(tmp_path / "a.npy", names, [column, table])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # empty at 0 rows
+            text = np.loadtxt(tmp_path / "a.csv", delimiter=",", skiprows=1,
+                              ndmin=2).reshape(rows, len(names))
+        binary = recfunctions.structured_to_unstructured(
+            np.load(tmp_path / "a.npy"))
+        assert binary.shape == text.shape
+        assert np.array_equal(np.isnan(binary), np.isnan(text))
+        kept = ~np.isnan(text)
+        assert np.array_equal(binary[kept].view(np.uint64),
+                              text[kept].view(np.uint64))
+
+    @pytest.mark.parametrize("rows", [0, 3])
+    def test_npy_names_must_match_columns(self, tmp_path, rows):
+        with pytest.raises(ValueError, match="3 field names for 4 columns"):
+            cli.write_npy(tmp_path / "a.npy", ["p", "q", "r"],
+                          [np.zeros(rows), np.zeros((rows, 3))])
+        assert not (tmp_path / "a.npy").exists()
 
 
 class TestCommandTable:
@@ -459,28 +512,34 @@ class TestCommands:
         code1, out1 = run(tmp_path, "lemma21", config, seed=5, tag="a")
         code2, out2 = run(tmp_path, "lemma21", config, seed=5, tag="b")
         assert code1 == code2 == 0
-        assert (out1 / "char_points.csv").read_bytes() \
-            == (out2 / "char_points.csv").read_bytes()
+        assert (out1 / "char_points.npy").read_bytes() \
+            == (out2 / "char_points.npy").read_bytes()
         summary = json.loads((out1 / "summary.json").read_text())
         assert summary["pass"] and summary["min_ratio"] > 0.0
 
     def test_threads_do_not_change_results(self, tmp_path):
         base = {"spec": SPEC, "coeffs": COEFFS1, "map": MAP1,
                 "weight": WEIGHT, "n_samples": 300}
-        configs = {"lemma21": base, "lemma61": {**base, "stage": 3},
-                   "garding": {**base, "n_samples": 3000}}
+        configs = {"char-sample": base, "lemma21": base,
+                   "lemma61": {**base, "stage": 3},
+                   "garding": {**base, "n_samples": 3000},
+                   "symbol-bracket": base}
+        suffixes = (".csv", ".npy", ".xy")
         for command, config in configs.items():
-            _, out1 = run(tmp_path, command, config, seed=3, threads=1,
-                          tag=f"{command}1")
-            _, out3 = run(tmp_path, command, config, seed=3, threads=3,
-                          tag=f"{command}3")
-            names = sorted(p.name for p in out1.iterdir()
-                           if p.suffix in (".csv", ".xy"))
-            assert names == sorted(p.name for p in out3.iterdir()
-                                   if p.suffix in (".csv", ".xy"))
+            # threads 1, 2 and 3, and a repeat at 3
+            outs = [run(tmp_path, command, config, seed=3, threads=threads,
+                        tag=f"{command}{tag}")[1]
+                    for tag, threads in (("1", 1), ("2", 2), ("3", 3),
+                                         ("3again", 3))]
+            names = sorted(p.name for p in outs[0].iterdir()
+                           if p.suffix in suffixes)
             assert len(names) >= 2
-            for name in names:
-                assert (out1 / name).read_bytes() == (out3 / name).read_bytes()
+            for out in outs[1:]:
+                assert names == sorted(p.name for p in out.iterdir()
+                                       if p.suffix in suffixes)
+                for name in names:
+                    assert (out / name).read_bytes() \
+                        == (outs[0] / name).read_bytes()
 
     def test_rejection_counts_do_not_depend_on_threads(self, tmp_path):
         # sigma from 10 is below the sign-change floor for part of the seeds,
@@ -624,9 +683,30 @@ class TestCommands:
                   "weight": WEIGHT, "n_samples": 100}
         code, out = run(tmp_path, "symbol-bracket", config)
         assert code == 0
-        header = (out / "brackets.csv").read_text().splitlines()[0]
-        assert header == ("t,x1,x2,tau,xi1,xi2,sigma,"
-                          "bracket,principal,scale,ratio")
+        header = ("t,x1,x2,tau,xi1,xi2,sigma,"
+                  "bracket,principal,scale,ratio")
+        assert ",".join(np.load(out / "brackets.npy").dtype.names) == header
+        assert (out / "brackets_stats.csv").read_text().splitlines()[0] \
+            == header
+
+    def test_phase_table_stats_are_its_columns_min_max_mean(self, tmp_path):
+        config = {"spec": SPEC, "coeffs": COEFFS2, "map": MAP1,
+                  "weight": WEIGHT, "n_samples": 200}
+        code, out = run(tmp_path, "lemma21", config)
+        assert code == 0
+        table = np.load(out / "char_points.npy")
+        stats = np.loadtxt(out / "char_points_stats.csv", delimiter=",",
+                           skiprows=1)
+        assert stats.shape == (3, len(table.dtype.names))
+        for i, name in enumerate(table.dtype.names):
+            assert stats[:, i].tolist() == [table[name].min(),
+                                            table[name].max(),
+                                            table[name].mean()]
+        cli._write_phase_table(tmp_path, "empty", 1, [np.empty(0)] * 4 + [
+            np.empty(0)], [])
+        assert (tmp_path / "empty_stats.csv").read_text() \
+            == "t,x1,tau,xi1,sigma\n"
+        assert len(np.load(tmp_path / "empty.npy")) == 0
 
     @pytest.mark.parametrize("command", ["garding", "symbol-bracket"])
     def test_overflowing_magnitude_range_is_named(self, command, tmp_path,
