@@ -17,18 +17,16 @@ from .fractional import (ConvergenceError, MultiTermSpec, TimeGrid,
 from .geometry import (ContinuationRegion, CutoffSpec, HolmgrenFrame,
                        HolmgrenMap, continuation_schedule,
                        global_coefficients, global_diffeo_forward,
-                       global_diffeo_inverse, global_diffeo_jacobian_diag,
-                       make_cutoffs, pushforward_operator, smooth_step,
-                       stretch_weights, weighted_ellipticity_margin)
+                       global_diffeo_inverse, make_cutoffs,
+                       pushforward_operator, smooth_step, stretch_weights,
+                       weighted_ellipticity_margin)
 from .symbols import (CarlemanWeightParams, CharacteristicSample,
                       CertificateReport, SampleRegion, anisotropic_scale,
                       c_alpha, c_alpha_sharp, char_set_sample,
                       find_min_varpi, fractional_symbol, full_region_sample,
                       garding_precondition_check, imag_part_margin,
-                      lambda_symbol, lemma21_check, lemma61_check,
-                      poisson_bracket_generic, real_part_constant,
-                      real_part_margin, region_for, total_symbol,
-                      weighted_symbol)
+                      lemma21_check, lemma61_check, real_part_constant,
+                      real_part_margin, region_for, weighted_symbol)
 from .solver import (LowerOrderTerm, SolutionField, SolveResult,
                      SpaceTimeGrid, UcpConfig, UcpReport,
                      apply_discrete_operator, load_solution, save_solution,

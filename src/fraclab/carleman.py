@@ -303,21 +303,19 @@ class SweepResult:
 
 
 def beta_sweep(config: BetaSweepConfig, bumps, grid: SpaceTimeGrid,
-               frame: HolmgrenFrame, operator=None) -> SweepResult:
+               frame: HolmgrenFrame) -> SweepResult:
     """Evaluate both sides over the (beta, bump) lattice.
 
-    ``operator`` may replace the conjugated-operator application (the tests
-    use this to exercise the degenerate-row flag).  Rows with zero right
-    side and positive left side are flagged rather than dropped.  A bump
-    that is zero on every node, as every bump is on a grid of one time
-    step, raises ``ValueError``.
+    Rows with zero right side and positive left side are flagged rather
+    than dropped.  A bump that is zero on every node, as every bump is on a
+    grid of one time step, raises ``ValueError``.
     """
     if frame.field.n != grid.ndim:
         raise ValueError("field dimension does not match the grid")
     bumps = list(bumps)
     times, mesh = grid.time.nodes, grid.mesh()
     profiles = _weight_profiles(grid, config.weight, config.betas)
-    if operator is None and bumps:
+    if bumps:
         # one walk over the levels for all bumps, times e^t; each bump is
         # evaluated again below rather than held beside its L1 sums
         block = np.stack([b.values(times, mesh).reshape(len(times), -1)
@@ -337,10 +335,9 @@ def beta_sweep(config: BetaSweepConfig, bumps, grid: SpaceTimeGrid,
                 f"{float(times[-1])!r}")
         lhs_all = carleman_lhs(values, grid, config.betas, config.weight,
                                config.spec.alpha)
-        density = (operator(values) if operator is not None else
-                   conjugated_operator(values, grid, config.spec, frame,
-                                       include_drift=config.include_drift,
-                                       spatial=spatial[..., test_id])) ** 2
+        density = conjugated_operator(values, grid, config.spec, frame,
+                                      include_drift=config.include_drift,
+                                      spatial=spatial[..., test_id]) ** 2
         rhs_all = _weighted_integrals(density, grid, profiles)
         del density     # not held through the next bump's operator
         for beta, lhs, rhs in zip(config.betas, lhs_all, rhs_all):

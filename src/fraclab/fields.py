@@ -63,10 +63,6 @@ class EllipticCoeffField:
         """
         return _eigen_margin(self.a(t, y), self.delta)
 
-    def symmetry_defect(self, t, y) -> float:
-        a = np.asarray(self.a(t, y), dtype=float)
-        return float(np.max(np.abs(a - np.swapaxes(a, -1, -2))))
-
 
 def _eigen_margin(a, delta: float) -> float:
     """min(lambda_min - delta, 1/delta - lambda_max) over stacked matrices."""

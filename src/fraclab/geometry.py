@@ -218,14 +218,6 @@ def global_diffeo_inverse(y_tilde):
     return y_tilde / np.sqrt(1.0 + y_tilde**2)
 
 
-def global_diffeo_jacobian_diag(y):
-    """Diagonal Jacobian entries (1 - y_j^2)^(-3/2); positive on the cube."""
-    y = np.asarray(y, dtype=float)
-    if np.any(np.abs(y) >= 1.0):
-        raise ValueError("point must lie in the open unit cube")
-    return (1.0 - y**2) ** (-1.5)
-
-
 def stretch_weights(y_tilde):
     """Per-coordinate weights (1 + y_tilde_j^2)^(3/2) of the stretched duals."""
     y_tilde = np.asarray(y_tilde, dtype=float)

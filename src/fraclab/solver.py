@@ -71,6 +71,14 @@ class SpaceTimeGrid:
             raise ValueError("need at least 3 interior nodes per axis")
         if any(hi <= lo for lo, hi in bounds):
             raise ValueError("bounds must be increasing")
+        # the stencil divides by h_i^2 and by 4 h_i h_j, which lies between
+        # 4 h_i^2 and 4 h_j^2, so checking each axis checks every pair
+        for d, h in enumerate(self.spacing):
+            if not (0.0 < h * h and 4.0 * h * h < math.inf):
+                raise ValueError(
+                    f"grid spacing h = {h!r} on axis {d}: h*h = {h * h!r} "
+                    f"and 4*h*h = {4.0 * h * h!r} must be positive finite "
+                    "floats")
 
     @property
     def ndim(self) -> int:
@@ -248,17 +256,17 @@ class _StencilMatrix:
         return out
 
 
-def _spatial_matrix(grid: SpaceTimeGrid, a, bvec, bzero, pattern=None):
+def _spatial_matrix(grid: SpaceTimeGrid, a, bvec, bzero, pattern):
     """The :class:`_StencilMatrix` of -(L + l1), rows on interior nodes.
 
     ``a``, ``bvec`` and ``bzero`` are the coefficients sampled on the
     interior nodes (the last two may be None).  The column space runs over
     all nodes so callers can split off the boundary coupling.  ``pattern``
-    is the grid's :func:`_stencil_pattern`, built here when not given.  The
-    first-order term shares the slots of the axis neighbours; with two
-    addends per slot the order of the sum cannot change it.
+    is the grid's :func:`_stencil_pattern`.  The first-order term shares
+    the slots of the axis neighbours; with two addends per slot the order
+    of the sum cannot change it.
     """
-    cols, slot = _stencil_pattern(grid) if pattern is None else pattern
+    cols, slot = pattern
     nd = grid.ndim
     h = grid.spacing
     strides = [math.prod(grid.shape[d + 1:]) for d in range(nd)]
@@ -548,6 +556,10 @@ def _ellipticity_precondition(grid, coeffs):
     mesh = grid.mesh().reshape(-1, grid.ndim)
     for t in (0.0, grid.time.t_final / 2.0, grid.time.t_final):
         margin = coeffs.ellipticity_margin(t, mesh)
+        if math.isnan(margin):
+            raise ValueError(
+                f"coefficient field's ellipticity margin is NaN at t={t:g}: "
+                "a coefficient on the grid nodes is NaN or infinite")
         if margin < -1e-12:
             raise ValueError(
                 f"coefficient field violates ellipticity at t={t:g} "
@@ -722,7 +734,6 @@ class UcpConfig:
     t_prime: float
     source_centers: tuple
     source_width: float = 0.08
-    source_amplitude: float = 1.0
 
 
 @dataclass
@@ -772,8 +783,7 @@ def ucp_experiment(config: UcpConfig, floor: float = 1e-13) -> UcpReport:
             f"{grid.time.nodes[1]}")
 
     # the time ramp on a broadcast time axis, times the bump of each center
-    ramp = (config.source_amplitude
-            * np.minimum(grid.time.nodes / grid.time.t_final, 1.0) ** 2)
+    ramp = np.minimum(grid.time.nodes / grid.time.t_final, 1.0) ** 2
     ramp = ramp.reshape((-1,) + (1,) * grid.ndim)
     first = grid.mesh()[..., 0]
     rows = []

@@ -39,41 +39,20 @@ from .geometry import HolmgrenMap, pushforward_operator, stretch_weights, \
 
 @dataclass(frozen=True)
 class CarlemanWeightParams:
-    """Layer thickness X of the quadratic weight psi = (x_n - 2X)^2 / 2.
-
-    ``psi_shift`` adds a constant to psi; both sides of the weighted
-    inequality pick up the same exponential factor, so ratios must not move.
-    """
+    """Layer thickness X of the quadratic weight psi = (x_n - 2X)^2 / 2."""
 
     X: float
-    psi_shift: float = 0.0
 
     def __post_init__(self):
         if self.X <= 0.0:
             raise ValueError("layer thickness must be positive")
 
     def psi(self, x_n):
-        return (0.5 * (np.asarray(x_n, dtype=float) - 2.0 * self.X) ** 2
-                + self.psi_shift)
+        return 0.5 * (np.asarray(x_n, dtype=float) - 2.0 * self.X) ** 2
 
 
 # ---------------------------------------------------------------------------
 # elementary symbols and the two scalar constants
-
-
-def lambda_symbol(order: float, alpha: float, tau, xi):
-    """Anisotropic weight ((1 + |xi|^2)^(1/alpha) + i tau)^(order*alpha/2).
-
-    The base has real part at least 1, so the principal branch never crosses
-    its cut.
-    """
-    if not 0.0 < alpha < 2.0:
-        raise ValueError("alpha must lie in (0, 2)")
-    tau = np.asarray(tau, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    base = (1.0 + np.sum(xi * xi, axis=-1)) ** (1.0 / alpha) + 1j * tau
-    out = base ** (order * alpha / 2.0)
-    return complex(out) if out.ndim == 0 else out
 
 
 def c_alpha(alpha: float) -> float:
@@ -179,7 +158,7 @@ def anisotropic_scale(xi, sigma, tau, alpha: float):
 
 
 # ---------------------------------------------------------------------------
-# the weighted and total symbols and their brackets, on batched samples
+# the weighted symbol and its brackets, on batched samples
 
 
 def weighted_symbol(t, x, tau, xi, sigma, spec, coeffs, c, X, grads=False):
@@ -226,37 +205,6 @@ def weighted_symbol(t, x, tau, xi, sigma, spec, coeffs, c, X, grads=False):
             "d_tau": dS}
 
 
-def total_symbol(t, x, tau, xi, sigma, spec: MultiTermSpec,
-                 coeffs: EllipticCoeffField, map: HolmgrenMap,
-                 drift: str | None = "displayed"):
-    """Total symbol of the conjugated operator in the new coordinates.
-
-    Quadratic form in the tilted duals plus the multi-term fractional sum,
-    plus a first-order drift term proportional to X/T.  ``drift`` selects
-    its tau-factor: "displayed" uses i^alpha (tau - i)^(alpha_l - 1),
-    "conjugation" uses (1 + i tau)^(alpha_l - 1), and None drops the term.
-    Takes the arrays of :func:`weighted_symbol` and returns the complex
-    values.  Requires sigma = 0; the extra dual enters only the weighted
-    symbol.
-    """
-    if np.any(np.asarray(sigma) != 0.0):
-        raise ValueError("total symbol is defined on the sigma = 0 slice")
-    tau = np.asarray(tau, dtype=float)
-    if drift == "displayed":
-        factors = [1j ** spec.alpha * (tau - 1j) ** (al - 1.0)
-                   for al in spec.orders]
-    elif drift == "conjugation":
-        factors = [(1.0 + 1j * tau) ** (al - 1.0) for al in spec.orders]
-    elif drift is not None:
-        raise ValueError(f"unknown drift convention {drift!r}")
-    value = weighted_symbol(t, x, tau, xi, sigma, spec, coeffs, map.c,
-                            0.0)["value"]
-    if drift is None:
-        return value
-    low = sum(q * f for q, f in zip(spec.weights, factors))
-    return value + map.drift_ratio * low * np.asarray(xi, dtype=float)[..., -1]
-
-
 def _bracket_arrays(t, x, tau, xi, sigma, spec, coeffs, c, X):
     """Full and principal brackets of (Re, Im) of the weighted symbol."""
     out = weighted_symbol(t, x, tau, xi, sigma, spec, coeffs, c, X,
@@ -265,21 +213,6 @@ def _bracket_arrays(t, x, tau, xi, sigma, spec, coeffs, c, X):
     principal = np.sum(d_xi.real * d_x.imag - d_x.real * d_xi.imag, axis=-1)
     extra = out["d_tau"].real * out["d_t"].imag - out["d_t"].real * out["d_tau"].imag
     return out, principal + extra, principal
-
-
-def poisson_bracket_generic(grads_f, grads_g):
-    """Bracket of two real symbols from their gradient bundles, per sample.
-
-    Each bundle is a dict with 'd_xi', 'd_x' (shape (N, n)) and 'd_tau',
-    'd_t' (shape (N,)), as the real or imaginary parts of the partials of
-    :func:`weighted_symbol`.  Used by the algebra tests and as an oracle
-    for the specialized bracket.
-    """
-    spatial = np.sum(np.asarray(grads_f["d_xi"]) * np.asarray(grads_g["d_x"])
-                     - np.asarray(grads_f["d_x"]) * np.asarray(grads_g["d_xi"]),
-                     axis=-1)
-    return spatial + grads_f["d_tau"] * grads_g["d_t"] \
-        - grads_f["d_t"] * grads_g["d_tau"]
 
 
 # ---------------------------------------------------------------------------

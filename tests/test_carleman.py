@@ -10,7 +10,7 @@ from fraclab import (BetaSweepConfig, CarlemanWeightParams, HolmgrenMap,
                      conjugated_operator, default_bump_family,
                      diagonal_variable_field, identity_field,
                      pushforward_operator, sweep_rows_csv)
-from fraclab import solver
+from fraclab import carleman, solver
 from fraclab.carleman import BRANCH_THRESHOLD, _conjugated_terms
 
 X = 0.1
@@ -29,6 +29,14 @@ def setup(alpha=0.5, m=1):
     frame = pushforward_operator(identity_field(1), hmap)
     weight = CarlemanWeightParams(X=X)
     return spec, frame, weight
+
+
+class ShiftedWeight(CarlemanWeightParams):
+    """psi plus a constant: both sides pick up the same exponential factor,
+    so ratios must not move."""
+
+    def psi(self, x_n):
+        return super().psi(x_n) + 0.005
 
 
 def single_bump(grid):
@@ -111,7 +119,7 @@ class TestSides:
         beta = 50.0
         base = (carleman_lhs(v, grid, beta, weight, spec.alpha)
                 / carleman_rhs(v, grid, beta, weight, spec, frame))
-        shifted_weight = CarlemanWeightParams(X=X, psi_shift=0.005)
+        shifted_weight = ShiftedWeight(X=X)
         shifted = (carleman_lhs(v, grid, beta, shifted_weight, spec.alpha)
                    / carleman_rhs(v, grid, beta, shifted_weight, spec, frame))
         assert abs(shifted - base) / base < 1e-12
@@ -340,13 +348,14 @@ class TestSweep:
         assert all(math.isfinite(r.ratio) and r.ratio > 0.0
                    for r in result.rows)
 
-    def test_zero_image_rows_flagged(self):
+    def test_zero_image_rows_flagged(self, monkeypatch):
         spec, frame, weight = setup()
         grid = layer_grid(24, 25)
         config = BetaSweepConfig(betas=(25.0, 250.0), weight=weight, spec=spec)
         bumps = default_bump_family(weight, grid, count=1)
-        result = beta_sweep(config, bumps, grid, frame,
-                            operator=lambda v: np.zeros_like(v))
+        monkeypatch.setattr(carleman, "conjugated_operator",
+                            lambda values, *_, **__: np.zeros_like(values))
+        result = beta_sweep(config, bumps, grid, frame)
         assert result.flagged == len(result.rows)
 
     def test_csv_and_json(self, tmp_path):

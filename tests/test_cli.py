@@ -1022,6 +1022,43 @@ class TestCommands:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_solve_names_a_nan_coefficient(self, tmp_path, capsys):
+        # a = 1 + y^4 - y^4 on [0, 1e80]: y^4 overflows and a is NaN, whose
+        # margin passed the precondition and failed later as a singular
+        # Schur block
+        coeffs = {**POLYNOMIAL1, "tables": [{"j": 0, "k": 0, "terms": [
+            {"coeff": coeff, "t_pow": 0, "y_pows": [power]}
+            for coeff, power in ((1.0, 0), (1.0, 4), (-1.0, 4))]}]}
+        config = {**VALID["solve"], "coeffs": coeffs,
+                  "grid": {**GRID1, "bounds": [[0.0, 1e80]]}}
+        with pytest.warns(RuntimeWarning) as caught:
+            code, out = run(tmp_path, "solve", config)
+        assert {str(w.message) for w in caught} == {
+            "overflow encountered in power",
+            "invalid value encountered in add"}
+        assert code == 3
+        assert ("coefficient field's ellipticity margin is NaN at t=0"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "carleman-sweep",
+                                         "ucp-demo"])
+    @pytest.mark.parametrize("upper, product", [(1e160, "inf"),
+                                                (1e-170, "0.0")],
+                             ids=["overflow", "underflow"])
+    def test_grid_spacing_whose_square_is_no_float_is_named(
+            self, tmp_path, capsys, command, upper, product):
+        # 9 nodes: solve died on h**2 with an OverflowError traceback (exit
+        # 1, the code of a FAIL), and read a square that underflows to 0
+        # as a singular Schur block
+        config = {**VALID[command],
+                  "grid": {**GRID1, "bounds": [[0.0, upper]]}}
+        code, out = run(tmp_path, command, config)
+        assert code == 3
+        assert (f"on axis 0: h*h = {product} and 4*h*h = {product} must be "
+                "positive finite floats" in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_rejected_run_removes_the_directory_it_made(self, tmp_path,
                                                         capsys):
         config = {**VALID["ucp-demo"], "source_centers": [1.5]}

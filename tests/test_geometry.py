@@ -8,10 +8,10 @@ from fraclab import (ContinuationRegion, CutoffSpec, HolmgrenMap,
                      constant_field, continuation_schedule,
                      diagonal_variable_field, global_coefficients,
                      global_diffeo_forward, global_diffeo_inverse,
-                     global_diffeo_jacobian_diag, identity_field,
-                     make_cutoffs, polynomial_field, pushforward_operator,
-                     rotating_anisotropic_field, smooth_step,
-                     stretch_weights, weighted_ellipticity_margin)
+                     identity_field, make_cutoffs, polynomial_field,
+                     pushforward_operator, rotating_anisotropic_field,
+                     smooth_step, stretch_weights,
+                     weighted_ellipticity_margin)
 from fraclab.geometry import schedule_to_json
 
 
@@ -199,9 +199,11 @@ class TestGlobalDiffeo:
         assert np.max(np.abs(global_diffeo_inverse(yt) - y)) < 1e-12
 
     def test_jacobian_positive(self):
+        # the Jacobian diagonal (1 - y^2)^(-3/2) is the stretch weight of
+        # the image point
         rng = np.random.default_rng(3)
         y = rng.uniform(-0.999, 0.999, size=(2000, 2))
-        jac = global_diffeo_jacobian_diag(y)
+        jac = stretch_weights(global_diffeo_forward(y))
         assert np.all(jac > 0.0)
         assert np.allclose(jac, (1.0 - y**2) ** -1.5)
 

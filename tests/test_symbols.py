@@ -9,11 +9,10 @@ from fraclab import (CarlemanWeightParams, HolmgrenMap, MultiTermSpec,
                      char_set_sample, constant_field, diagonal_variable_field,
                      find_min_varpi, full_region_sample,
                      garding_precondition_check, global_coefficients,
-                     identity_field, imag_part_margin, lambda_symbol,
-                     lemma21_check, lemma61_check, poisson_bracket_generic,
-                     pushforward_operator, real_part_constant,
+                     identity_field, imag_part_margin, lemma21_check,
+                     lemma61_check, pushforward_operator, real_part_constant,
                      real_part_margin, region_for, rotating_anisotropic_field,
-                     total_symbol, weighted_symbol)
+                     weighted_symbol)
 from fraclab import symbols
 from fraclab.symbols import (SAMPLE_BLOCK, CharacteristicSample, _char_batch,
                              _char_roots, _garding_terms,
@@ -44,17 +43,6 @@ def random_points(n, rng, count=1, sigma=None):
 
 
 class TestElementary:
-    def test_lambda_zeroth_power(self):
-        assert lambda_symbol(0.0, 0.7, 3.4, np.array([1.0, -2.0])) == 1.0
-
-    def test_lambda_unit_base(self):
-        assert lambda_symbol(1.3, 0.9, 0.0, np.zeros(2)) == 1.0
-
-    def test_lambda_hand_value(self):
-        # order 2, alpha 1: exponent 1, base 1 + 3i
-        val = lambda_symbol(2.0, 1.0, 3.0, np.zeros(1))
-        assert abs(val - (1.0 + 3.0j)) < 1e-15
-
     def test_c_alpha_values(self):
         assert abs(c_alpha(1.0) - math.sqrt(2.0) / 2.0) < 1e-15
         assert abs(c_alpha(1.8) - 0.3090169943749474) < 1e-15
@@ -128,51 +116,31 @@ class TestFractionalSymbol:
 
 
 class TestTotalSymbol:
+    """The total symbol without drift: the weighted symbol at sigma = 0."""
+
     def test_hand_value_without_drift(self):
         points = batch((0.0, [0.0], 0.0, [2.0], 0.0))
         spec = MultiTermSpec(orders=(1.0,), weights=(1.0,))
-        hmap = HolmgrenMap(y_hat=np.zeros(1), c=1.0, X=0.1, T=1.0)
-        val = total_symbol(*points, spec, identity_field(1), hmap, drift=None)
+        val = weighted_symbol(*points, spec, identity_field(1), c=1.0,
+                              X=0.0)["value"]
         assert abs(val[0] - 5.0) < 1e-15
 
     def test_zero_duals_give_weight_sum(self):
         spec = MultiTermSpec(orders=(1.5, 0.5), weights=(1.0, 0.7))
         points = batch((0.2, [0.1, 0.0], 0.0, [0.0, 0.0], 0.0))
-        hmap = HolmgrenMap(y_hat=np.zeros(2), c=1.0, X=0.05, T=1.0)
-        val = total_symbol(*points, spec, identity_field(2), hmap, drift=None)
+        val = weighted_symbol(*points, spec, identity_field(2), c=1.0,
+                              X=0.0)["value"]
         assert abs(val[0] - 1.7) < 1e-15
 
     def test_quadratic_homogeneity(self):
         spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
         field = random_spd_field(2, np.random.default_rng(5))
-        hmap = HolmgrenMap(y_hat=np.zeros(2), c=1.0, X=0.05, T=1.0)
         x = [0.1, 0.02]
         xi = np.array([0.7, -1.1])
-        p1, p2 = total_symbol(*batch((0.0, x, 0.0, xi, 0.0),
-                                     (0.0, x, 0.0, 2 * xi, 0.0)),
-                              spec, field, hmap, drift=None)
+        p1, p2 = weighted_symbol(*batch((0.0, x, 0.0, xi, 0.0),
+                                        (0.0, x, 0.0, 2 * xi, 0.0)),
+                                 spec, field, c=1.0, X=0.0)["value"]
         assert abs((p2 - 1.0) - 4.0 * (p1 - 1.0)) < 1e-12
-
-    def test_drift_conventions(self):
-        spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
-        hmap = HolmgrenMap(y_hat=np.zeros(1), c=1.0, X=0.1, T=1.0)
-        points = batch((0.0, [0.0], 1.3, [2.0], 0.0))
-        field = identity_field(1)
-        bare, = total_symbol(*points, spec, field, hmap, drift=None)
-        shown, = total_symbol(*points, spec, field, hmap, drift="displayed")
-        conj, = total_symbol(*points, spec, field, hmap, drift="conjugation")
-        expected_shown = (0.1 * 1j**0.5 * (1.3 - 1j) ** (-0.5) * 2.0)
-        expected_conj = (0.1 * (1.0 + 1.3j) ** (-0.5) * 2.0)
-        assert abs((shown - bare) - expected_shown) < 1e-14
-        assert abs((conj - bare) - expected_conj) < 1e-14
-
-    def test_sigma_must_vanish(self):
-        spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
-        hmap = HolmgrenMap(y_hat=np.zeros(1), c=1.0, X=0.1, T=1.0)
-        points = batch((0.0, [0.0], 0.0, [1.0], 0.0),
-                       (0.0, [0.0], 0.0, [1.0], 1.0))
-        with pytest.raises(ValueError):
-            total_symbol(*points, spec, identity_field(1), hmap)
 
 
 class TestWeightedSymbol:
@@ -184,13 +152,13 @@ class TestWeightedSymbol:
         assert abs(val[0] - (1.96 - 0.4j)) < 1e-15
 
     def test_sigma_zero_matches_driftless_total(self):
+        # at sigma = 0 the layer thickness X drops out of the symbol
         rng = np.random.default_rng(11)
         for n in (1, 2, 3):
             spec = MultiTermSpec(orders=(1.2, 0.4), weights=(1.0, 0.5))
             field = random_spd_field(n, rng)
-            hmap = HolmgrenMap(y_hat=np.zeros(n), c=1.5, X=0.05, T=1.0)
             points = random_points(n, rng, sigma=0.0)
-            a = total_symbol(*points, spec, field, hmap, drift=None)
+            a = weighted_symbol(*points, spec, field, c=1.5, X=0.0)["value"]
             b = weighted_symbol(*points, spec, field, c=1.5, X=0.05)["value"]
             assert np.all(np.abs(a - b) < 1e-12 * np.maximum(1.0, np.abs(a)))
 
@@ -252,6 +220,21 @@ def _assert_gradients_match(points, spec, field, weight, c, rtol):
     check(g["d_tau"], value(t, x, tau + ht, xi), value(t, x, tau - ht, xi),
           ht)
     check(g["d_t"], value(t + h, x, tau, xi), value(t - h, x, tau, xi), h)
+
+
+def poisson_bracket_generic(grads_f, grads_g):
+    """Bracket of two real symbols from their gradient bundles, per sample.
+
+    Each bundle is a dict with 'd_xi', 'd_x' (shape (N, n)) and 'd_tau',
+    'd_t' (shape (N,)), as the real or imaginary parts of the partials of
+    :func:`weighted_symbol`.  Used by the algebra tests and as an oracle
+    for the specialized bracket.
+    """
+    spatial = np.sum(np.asarray(grads_f["d_xi"]) * np.asarray(grads_g["d_x"])
+                     - np.asarray(grads_f["d_x"]) * np.asarray(grads_g["d_xi"]),
+                     axis=-1)
+    return spatial + grads_f["d_tau"] * grads_g["d_t"] \
+        - grads_f["d_t"] * grads_g["d_tau"]
 
 
 class TestBracket:
