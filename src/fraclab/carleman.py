@@ -7,8 +7,16 @@ block on the upper order branch), the right side is the weighted square of
 the conjugated operator in the convexified coordinates.  Sweeping the large
 parameter records the ratio per (beta, test function); a single finite
 bound over the sweep is the empirical constant, and monotone growth of the
-ratio in beta would refute the inequality.  A sweep walks the per-level
-operators once for all bumps; L1 history and drift stay one call per bump.
+ratio in beta would refute the inequality.
+
+A sweep walks the per-level operators once for all bumps, and forms the
+bumps' values for that walk one block of levels at a time, so the walk
+holds its output, (levels, interior nodes, bumps), and no stack of its
+input.  L1 history and drift stay one call per bump, and each bump has one
+workspace: its values, which become e^t times them once the left side is
+summed, then its image, then the image's square.  The largest set held at
+once is the drift's: the workspace, the drift's input, its difference
+quotient and its output, each the size of one bump's values.
 """
 
 from __future__ import annotations
@@ -21,8 +29,8 @@ import numpy as np
 
 from .fractional import MultiTermSpec, multiterm_lowered
 from .geometry import HolmgrenFrame
-from .solver import (LowerOrderTerm, SpaceTimeGrid, _spatial_walk,
-                     apply_discrete_operator)
+from .solver import (LowerOrderTerm, SpaceTimeGrid, _ellipticity_precondition,
+                     _spatial_walk, apply_discrete_operator)
 from .symbols import CarlemanWeightParams
 
 BRANCH_THRESHOLD = 4.0 / 3.0
@@ -51,17 +59,20 @@ class CompactBump:
         xs = [np.clip(1.0 - r**2, 0.0, None) ** 4 for r in rs]
         return s, ts, rs, xs
 
-    def values(self, times, mesh):
-        """Samples of shape (len(times), *mesh.shape[:-1])."""
-        xs = self._pieces(0.0, mesh)[3]     # the space factors, formed once
+    def factors(self, times, mesh):
+        """The time factor per level, shaped to broadcast over the mesh, and
+        the space factors per axis; :meth:`values` multiplies them in order.
+        """
+        xs = self._pieces(0.0, mesh)[3]
         s = np.clip(np.asarray(times, dtype=float) / self.t_span, 0.0, 1.0)
         # the time factor per level as a scalar power: an array ** 4
         # rounds differently
         v = np.array([self.amplitude * (si * (1.0 - si)) ** 4 for si in s])
-        v = v.reshape((-1,) + (1,) * (mesh.ndim - 1))
-        for xb in xs:
-            v = v * xb
-        return v
+        return v.reshape((-1,) + (1,) * (mesh.ndim - 1)), xs
+
+    def values(self, times, mesh):
+        """Samples of shape (len(times), *mesh.shape[:-1])."""
+        return _product(*self.factors(times, mesh))
 
     def space_gradient(self, times, mesh):
         """Analytic first derivatives, shape (nt, *space, ndim)."""
@@ -93,6 +104,38 @@ class CompactBump:
                 v = v * xb
             out.append(np.broadcast_to(v, mesh.shape[:-1]).copy())
         return np.stack(out)
+
+
+def _product(time_factor, space_factors):
+    """time_factor * space_factors[0] * ..., one new array."""
+    v = time_factor * space_factors[0]
+    for xb in space_factors[1:]:
+        v *= xb
+    return v
+
+
+class _GrownLevels:
+    """e^t times the bumps' values, stacked (levels, nodes, bumps) and
+    formed only on indexing, a block of levels at a time.
+
+    ``factors`` holds each bump's :meth:`CompactBump.factors` on the grid,
+    and ``[start:stop]`` is bitwise those levels of the whole stack, which
+    is never held.
+    """
+
+    def __init__(self, factors, grid: SpaceTimeGrid):
+        self._factors = factors
+        self._growth = np.exp(grid.time.nodes)
+        self._nodes = math.prod(grid.shape)
+
+    def __getitem__(self, levels):
+        growth = self._growth[levels]
+        block = np.empty((len(growth), self._nodes, len(self._factors)))
+        for b, (time_factor, space_factors) in enumerate(self._factors):
+            block[..., b] = _product(time_factor[levels], space_factors
+                                     ).reshape(len(growth), -1)
+        block *= growth[:, None, None]
+        return block
 
 
 def default_bump_family(weight: CarlemanWeightParams, grid: SpaceTimeGrid,
@@ -182,7 +225,7 @@ def carleman_lhs(values, grid: SpaceTimeGrid, beta,
 
 def conjugated_operator(values, grid: SpaceTimeGrid, spec: MultiTermSpec,
                         frame: HolmgrenFrame, include_drift: bool = True,
-                        spatial=None) -> np.ndarray:
+                        spatial=None, out=None) -> np.ndarray:
     """Apply the conjugated operator in the convexified coordinates.
 
     The composed second-order operator is rewritten as the effective
@@ -194,32 +237,49 @@ def conjugated_operator(values, grid: SpaceTimeGrid, spec: MultiTermSpec,
     derivative and carries the X/T factor.  The image is set to zero on the
     boundary ring, where the test functions vanish to high order anyway.
     ``spatial`` is the values' column of the walk :func:`beta_sweep` makes
-    over all bumps with :func:`_conjugated_terms`.
+    over all bumps with :func:`_conjugated_terms`.  The image goes into
+    ``out`` (a new array when None), which first holds e^t times the
+    values and may be ``values`` itself.
     """
     values = np.asarray(values, dtype=float)
     shape_t = (-1,) + (1,) * grid.ndim
-    growth = np.exp(grid.time.nodes).reshape(shape_t)
+    decay = np.exp(-grid.time.nodes).reshape(shape_t)
     inner = (slice(None),) + grid.interior()
+    grown = np.multiply(values, np.exp(grid.time.nodes).reshape(shape_t),
+                        out=out)
     drift = 0.0
-    if include_drift:
-        # the drift first, each part with its own e^t product, never both held
+    if include_drift:   # the drift first, its full-size parts not kept
         drift = multiterm_lowered(np.gradient(
-            values * growth, grid.spacing[-1], axis=grid.ndim, edge_order=2),
+            grown, grid.spacing[-1], axis=grid.ndim, edge_order=2),
             spec, grid.time.dt, frame.drift_ratio)
-        drift = drift[inner] * np.exp(-grid.time.nodes).reshape(shape_t)
-    interior = apply_discrete_operator(values * growth, spec,
+        drift = drift[inner] * decay
+    interior = apply_discrete_operator(grown, spec,
                                        *_conjugated_terms(frame), grid,
                                        spatial=spatial)
-    interior *= np.exp(-grid.time.nodes).reshape(shape_t)
+    interior *= decay
     interior += drift
-    image = np.zeros_like(values)
-    image[inner] = interior
-    return image
+    grown.fill(0.0)
+    grown[inner] = interior
+    return grown
 
 
 def _conjugated_terms(frame: HolmgrenFrame):
-    """Tilted matrix and tilt drift: the conjugated operator's spatial part."""
-    return frame.effective_matrix, LowerOrderTerm(frame.tilt_drift)
+    """Tilted matrix and tilt drift: the conjugated operator's spatial part.
+
+    The solver samples both at the same (t, x) arrays, the matrix first, so
+    the drift reuses the base field's sample that the matrix took.
+    """
+    held = {}
+
+    def matrix(t, x):
+        held.update(t=t, x=x, a=frame.field.a(t, x))
+        return frame.effective_matrix(t, x, a=held["a"])
+
+    def drift(t, x):
+        same = held.get("t") is t and held.get("x") is x
+        return frame.tilt_drift(t, x, a=held["a"] if same else None)
+
+    return matrix, LowerOrderTerm(drift)
 
 
 def carleman_rhs(values, grid: SpaceTimeGrid, beta: float,
@@ -306,40 +366,44 @@ def beta_sweep(config: BetaSweepConfig, bumps, grid: SpaceTimeGrid,
                frame: HolmgrenFrame) -> SweepResult:
     """Evaluate both sides over the (beta, bump) lattice.
 
-    Rows with zero right side and positive left side are flagged rather
-    than dropped.  A bump that is zero on every node, as every bump is on a
-    grid of one time step, raises ``ValueError``.
+    Each bump provides ``factors(times, mesh)`` as :class:`CompactBump`
+    does, and its values are their product.  Rows with zero right side and
+    positive left side are flagged rather than dropped.  A bump that is
+    zero on every node, as every bump is on a grid of one time step, raises
+    ``ValueError``, and so does a frame whose field fails the solver's
+    ellipticity precondition on the grid.
     """
     if frame.field.n != grid.ndim:
         raise ValueError("field dimension does not match the grid")
-    bumps = list(bumps)
+    _ellipticity_precondition(grid, frame.field)
     times, mesh = grid.time.nodes, grid.mesh()
+    factors = [b.factors(times, mesh) for b in bumps]
     profiles = _weight_profiles(grid, config.weight, config.betas)
-    if bumps:
-        # one walk over the levels for all bumps, times e^t; each bump is
-        # evaluated again below rather than held beside its L1 sums
-        block = np.stack([b.values(times, mesh).reshape(len(times), -1)
-                          for b in bumps], axis=-1)
-        block *= np.exp(times)[:, None, None]
-        spatial = _spatial_walk(grid, *_conjugated_terms(frame), block,
+    if factors:
+        # one walk over the levels for all bumps, times e^t, formed a block
+        # of levels at a time; each bump is evaluated again below
+        spatial = _spatial_walk(grid, *_conjugated_terms(frame),
+                                _GrownLevels(factors, grid),
                                 np.zeros((len(times), math.prod(
-                                    s - 2 for s in grid.shape), len(bumps))))
-        del block
+                                    s - 2 for s in grid.shape), len(factors))))
     rows = []
-    for test_id, bump in enumerate(bumps):
-        values = bump.values(times, mesh)
-        if not values.any():    # both sides would be 0: no ratio
+    for test_id, bump_factors in enumerate(factors):
+        work = _product(*bump_factors)
+        if not work.any():    # both sides would be 0: no ratio
             raise ValueError(
                 f"bump {test_id} is zero on every grid node; the grid has "
                 f"{len(times)} time levels, t = {float(times[0])!r} to "
                 f"{float(times[-1])!r}")
-        lhs_all = carleman_lhs(values, grid, config.betas, config.weight,
+        lhs_all = carleman_lhs(work, grid, config.betas, config.weight,
                                config.spec.alpha)
-        density = conjugated_operator(values, grid, config.spec, frame,
-                                      include_drift=config.include_drift,
-                                      spatial=spatial[..., test_id]) ** 2
-        rhs_all = _weighted_integrals(density, grid, profiles)
-        del density     # not held through the next bump's operator
+        # the values are spent: the workspace takes e^t times them, then
+        # the image, then its square
+        image = conjugated_operator(work, grid, config.spec, frame,
+                                    include_drift=config.include_drift,
+                                    spatial=spatial[..., test_id], out=work)
+        rhs_all = _weighted_integrals(np.square(image, out=image), grid,
+                                      profiles)
+        del work, image     # not held through the next bump's values
         for beta, lhs, rhs in zip(config.betas, lhs_all, rhs_all):
             # numerically zero right side with a nonzero left side means the
             # test function sits in the discrete kernel (both sides are

@@ -22,6 +22,14 @@ into BLAS calls; a longer stack is convolved by FFT in O(N log N) per
 column, which agrees with the direct sum to rounding but not bitwise.  The
 stepping history below is always the direct sum.
 
+The operators that sum several orders add each order's term into one
+output: :func:`caputo_l1` and :func:`rl_integral_l1` take an ``out`` and a
+``weight`` and add weight times their result into it one convolution block
+at a time (a Toeplitz row block, or 4 FFT columns), each element getting
+the products and sums of the whole-array form.  So, besides its input,
+:func:`multiterm_l1` holds its output and one order's differences, and
+:func:`multiterm_lowered` its output and one difference quotient.
+
 The solver steps with :class:`L1March` and the Carleman drift is
 :func:`multiterm_lowered`, so only this module discretizes orders in time.
 The march runs in blocks of ``BLOCK`` levels: a block's first step forms its
@@ -274,7 +282,7 @@ def l1_weights(alpha: float, m: int) -> np.ndarray:
 
 def _backward_difference(values: np.ndarray, dt: float) -> np.ndarray:
     """First discrete derivative, causal; node 0 uses the zero extension."""
-    v = np.empty_like(values)
+    v = np.empty(values.shape)
     np.subtract(values[1:], values[:-1], out=v[1:])
     v[1:] /= dt
     v[0] = values[0] / dt
@@ -295,23 +303,70 @@ def _toeplitz_rows(kernel: np.ndarray, rows, n_cols: int) -> np.ndarray:
     return windows[len(kernel) - 1 - np.asarray(rows)]
 
 
+def _convolved_blocks(kernel: np.ndarray, n: int, width, columns):
+    """Yield ``(index, block)``: the causal convolution of a stack, in pieces.
+
+    The stack has ``n`` levels and ``width`` columns (None for a single
+    series), and ``columns(index)`` returns its entries at ``index``:
+    ``...`` for all of them or ``np.s_[:, c0:c1]`` for a column block, so a
+    caller may form them per block.  ``block`` is the convolution at
+    ``[index]`` of the (n, width) result.  A series is one ``np.convolve``.
+    Fewer than ``FFT_LEVELS`` levels go as row blocks of
+    :func:`_toeplitz_rows` times all columns, one product per ``BLOCK``
+    rows, last block first.  From ``FFT_LEVELS`` levels on, blocks of 4
+    columns are convolved by ``np.fft.rfft``/``irfft`` of a power-of-two
+    length at least 2n - 1, so nothing wraps around.  The blocks are formed
+    one at a time, so a caller may write each before the next one reads.
+    """
+    if width is None:
+        yield ..., np.convolve(columns(...), kernel[:n])[:n]
+    elif n < FFT_LEVELS:
+        x = columns(...)
+        for r0 in range(BLOCK * ((n - 1) // BLOCK), -1, -BLOCK):
+            r1 = min(r0 + BLOCK, n)
+            yield (np.s_[r0:r1],
+                   _toeplitz_rows(kernel, range(r0, r1), r1) @ x[:r1])
+    else:
+        size = 1 << (2 * n - 2).bit_length()
+        spectrum = np.fft.rfft(kernel[:n], size)[:, None]
+        for c0 in range(0, width, 4):
+            index = np.s_[:, c0:c0 + 4]
+            block = np.fft.rfft(columns(index), size, axis=0)
+            block *= spectrum
+            yield index, np.fft.irfft(block, size, axis=0)[:n]
+
+
+def _as_stack(x: np.ndarray):
+    """``(x as an (len, columns) stack, its width)``; a series keeps its
+    shape, with width None.  A view whenever numpy can make one."""
+    if x.ndim == 1:
+        return x, None
+    flat = x.reshape(x.shape[0], -1)
+    return flat, flat.shape[1]
+
+
+def _target_stack(out: np.ndarray):
+    """:func:`_as_stack` of ``out[1:]``, which must be a view."""
+    target, width = _as_stack(out[1:])
+    if not np.shares_memory(target, out):
+        raise ValueError("out must be a C-ordered array")
+    return target, width
+
+
 def causal_convolve(kernel: np.ndarray, x: np.ndarray,
                     out: np.ndarray = None) -> np.ndarray:
     """out[k] = sum_{j<=k} kernel[k-j] x[j] along axis 0 of ``x``.
 
     ``kernel`` needs at least len(x) entries, and ``out`` may be ``x``
-    itself.  A 1-D series uses ``np.convolve``.  Several columns over fewer
-    than ``FFT_LEVELS`` levels are summed as row blocks of
-    :func:`_toeplitz_rows` times the data, one product per ``BLOCK`` rows,
-    last block first: each product goes through a block-sized temporary
-    before it overwrites rows that only the blocks already done read (an
-    ``out=`` that overlaps the data would make numpy copy all of it).  From
-    ``FFT_LEVELS`` levels on, blocks of 4 columns are convolved by
-    ``np.fft.rfft``/``irfft`` of a power-of-two length at least
-    2 len(x) - 1, so nothing wraps around; a block's temporaries, a few
-    such lengths per column, stay below one Toeplitz row block.  That is
-    O(N log N) per column, and it agrees with the direct sum to rounding,
-    not bitwise.
+    itself.  The sum is :func:`_convolved_blocks`'s: a 1-D series through
+    ``np.convolve``; a stack of columns over fewer than ``FFT_LEVELS``
+    levels as Toeplitz row blocks, last first, each through a block-sized
+    temporary before it overwrites rows that only the blocks already done
+    read (an ``out=`` that overlaps the data would make numpy copy all of
+    it); from ``FFT_LEVELS`` levels on by FFT in blocks of 4 columns, whose
+    temporaries, a few transform lengths per column, stay below one
+    Toeplitz row block.  That is O(N log N) per column, and it agrees with
+    the direct sum to rounding, not bitwise.
 
     ``FFT_LEVELS`` is the crossover of a solver check's stack.  Timed on a
     2-vCPU Xeon (numpy 2.4.6, one BLAS thread), the direct sum is faster
@@ -321,63 +376,97 @@ def causal_convolve(kernel: np.ndarray, x: np.ndarray,
     lengths pay up to 1.5x for the one constant.
     """
     x = np.asarray(x, dtype=float)
-    n = x.shape[0]
     if out is None:
         out = np.empty_like(x)
-    if x.ndim == 1:
-        out[...] = np.convolve(x, kernel[:n])[:n]
-        return out
-    flat = x.reshape(n, -1)
+    flat, width = _as_stack(x)
     target = out.reshape(flat.shape)
-    if n < FFT_LEVELS:
-        for r0 in range(BLOCK * ((n - 1) // BLOCK), -1, -BLOCK):
-            r1 = min(r0 + BLOCK, n)
-            target[r0:r1] = (_toeplitz_rows(kernel, range(r0, r1), r1)
-                             @ flat[:r1])
-    else:
-        size = 1 << (2 * n - 2).bit_length()
-        spectrum = np.fft.rfft(kernel[:n], size)[:, None]
-        for c0 in range(0, flat.shape[1], 4):
-            block = np.fft.rfft(flat[:, c0:c0 + 4], size, axis=0)
-            block *= spectrum
-            target[:, c0:c0 + 4] = np.fft.irfft(block, size, axis=0)[:n]
+    for index, block in _convolved_blocks(kernel, len(x), width,
+                                          flat.__getitem__):
+        target[index] = block
     if not np.shares_memory(target, out):    # ``out`` had no 2-D view
         out[...] = target.reshape(out.shape)
     return out
 
 
-def caputo_l1(values: np.ndarray, alpha: float, dt: float) -> np.ndarray:
+def _differences(values: np.ndarray, out: np.ndarray) -> None:
+    """out[k] = values[k+1] - values[k] along axis 0, in row blocks from the
+    last, so ``out`` may be ``values[1:]``: each block reads only rows that
+    no block written so far has overwritten."""
+    for r1 in range(len(out), 0, -BLOCK):
+        r0 = max(r1 - BLOCK, 0)
+        np.subtract(values[r0 + 1:r1 + 1], values[r0:r1], out=out[r0:r1])
+
+
+def caputo_l1(values: np.ndarray, alpha: float, dt: float,
+              out: np.ndarray = None, weight: float = None) -> np.ndarray:
     """L1 discrete Caputo derivative along axis 0 of ``values``.
 
     Orders in (0,1) use classical L1 product integration.  Order exactly 1
     falls back to the causal first difference.  Orders in (1,2) apply the L1
     scheme of order alpha-1 to the first discrete derivative, reducing the
-    second-derivative kernel to the first-derivative one.  The history is
-    :func:`causal_convolve`'s, the exact direct sum except on a stack of
-    columns of at least ``FFT_LEVELS`` levels.
+    second-derivative kernel to the first-derivative one; that pass runs in
+    place in the first derivative, so no second result-sized array is
+    formed.  The history is :func:`causal_convolve`'s, the exact direct sum
+    except on a stack of columns of at least ``FFT_LEVELS`` levels.
 
     Node 0 is the zero extension to t < 0.  Below order 1 only differences
     enter, so values[0] drops out.  From order 1 up the first difference at
     node 0 is values[0] / dt, and above 1 the result is the Caputo
     derivative only of data with u(0) = u'(0) = 0.
+
+    The result goes into ``out`` (a new array when None), which may be
+    ``values`` itself.  With a ``weight``, ``weight`` times the result is
+    added into ``out`` instead, which must be a C-ordered array of the
+    result's shape.  Below order 1 it is added one convolution block at a
+    time, and the only result-sized array formed is the differences of a
+    Toeplitz sum; an FFT sum forms each column block's own from a 2-D view
+    of ``values``, which numpy copies only when ``values`` has none.  From
+    order 1 up it is the first derivative.  Each element gets the products
+    and sums of ``out + weight * caputo_l1(values, alpha, dt)``.
     """
     values = np.asarray(values, dtype=float)
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"order must lie in (0,2), got {alpha}")
-    if alpha == 1.0:
-        return _backward_difference(values, dt)
-    if alpha > 1.0:
+    if alpha >= 1.0:
         v = _backward_difference(values, dt)
-        return caputo_l1(v, alpha - 1.0, dt)
+        if alpha > 1.0:   # through the module name, like every order below 1
+            caputo_l1(v, alpha - 1.0, dt, out=v)
+        if weight is not None:
+            v *= weight
+            out += v
+        elif out is not None:
+            out[...] = v
+        return v if out is None else out
 
     n = values.shape[0] - 1
-    out = np.zeros_like(values)
-    if n < 1:
+    scale = _gamma(2.0 - alpha) * dt ** alpha
+    if weight is None:
+        if out is None:
+            out = np.empty(values.shape)
+        if n >= 1:
+            # the differences, convolved where they are written
+            _differences(values, out[1:])
+            causal_convolve(l1_weights(alpha, n), out[1:], out=out[1:])
+            out[1:] /= scale
+        out[:1] = 0.0
         return out
-    # the differences of np.diff, convolved where they are written
-    np.subtract(values[1:], values[:-1], out=out[1:])
-    causal_convolve(l1_weights(alpha, n), out[1:], out=out[1:])
-    out[1:] /= _gamma(2.0 - alpha) * dt ** alpha
+    if n >= 1:
+        target, width = _target_stack(out)
+        if width is not None and n >= FFT_LEVELS:
+            flat = _as_stack(values)[0]
+
+            def columns(index):         # one column block's differences
+                return np.subtract(flat[1:][index], flat[:-1][index])
+        else:
+            diffs = np.subtract(values[1:], values[:-1])
+            columns = _as_stack(diffs)[0].__getitem__
+        for index, block in _convolved_blocks(l1_weights(alpha, n), n, width,
+                                              columns):
+            block /= scale
+            block *= weight
+            target[index] += block
+            del block       # before the next block is formed
+    out[:1] += 0.0      # node 0's term: zero, added as a whole sum would
     return out
 
 
@@ -467,31 +556,55 @@ class L1March:
         self._last[...] = x
 
 
-def rl_integral_l1(values: np.ndarray, mu: float, dt: float) -> np.ndarray:
+def rl_integral_l1(values: np.ndarray, mu: float, dt: float,
+                   out: np.ndarray = None, weight: float = None) -> np.ndarray:
     """Riemann-Liouville integral of order mu in (0,1] along axis 0.
 
     Piecewise-linear product integration: exact on linear interpolants of
     the data, matching the accuracy class of the L1 derivative weights.
+
+    The result goes into ``out`` (a new array when None).  With a
+    ``weight``, ``weight`` times the result is added into ``out`` instead,
+    which must be a C-ordered array of the result's shape.  Either way the
+    two kernels' sums are formed one convolution block at a time from a 2-D
+    view of ``values``, so no result-sized array is formed unless numpy has
+    to copy ``values`` for that view.
     """
     values = np.asarray(values, dtype=float)
     if not 0.0 < mu <= 1.0:
         raise ValueError(f"integral order must lie in (0,1], got {mu}")
     n = values.shape[0] - 1
-    res = np.zeros_like(values)
-    if n < 1:
-        return res
-    m = np.arange(1, n + 1, dtype=float)
-    upper = m ** (mu + 1.0) / (mu + 1.0) - (m - 1.0) * m ** mu / mu
-    lower = (m - 1.0) ** (mu + 1.0) / (mu + 1.0) - (m - 1.0) ** mu * (m - 1.0) / mu
-    a_w = upper - lower                              # weight of the older node
-    upper = m * m ** mu / mu - m ** (mu + 1.0) / (mu + 1.0)
-    lower = m * (m - 1.0) ** mu / mu - (m - 1.0) ** (mu + 1.0) / (mu + 1.0)
-    b_w = upper - lower                              # weight of the newer node
-    # J w(t_k) = dt^mu/Gamma(mu) * sum_m [a_m w_{k-m} + b_m w_{k-m+1}]
-    causal_convolve(a_w, values[:-1], out=res[1:])
-    res[1:] += causal_convolve(b_w, values[1:])
-    res *= dt ** mu / _gamma(mu)
-    return res
+    if out is None:
+        out = np.empty(values.shape)
+    if n >= 1:
+        m = np.arange(1, n + 1, dtype=float)
+        upper = m ** (mu + 1.0) / (mu + 1.0) - (m - 1.0) * m ** mu / mu
+        lower = ((m - 1.0) ** (mu + 1.0) / (mu + 1.0)
+                 - (m - 1.0) ** mu * (m - 1.0) / mu)
+        a_w = upper - lower                          # weight of the older node
+        upper = m * m ** mu / mu - m ** (mu + 1.0) / (mu + 1.0)
+        lower = m * (m - 1.0) ** mu / mu - (m - 1.0) ** (mu + 1.0) / (mu + 1.0)
+        b_w = upper - lower                          # weight of the newer node
+        # J w(t_k) = dt^mu/Gamma(mu) * sum_m [a_m w_{k-m} + b_m w_{k-m+1}]
+        scale = dt ** mu / _gamma(mu)
+        target, width = _target_stack(out)
+        flat = _as_stack(values)[0]
+        newer = _convolved_blocks(b_w, n, width, flat[1:].__getitem__)
+        for index, block in _convolved_blocks(a_w, n, width,
+                                              flat[:-1].__getitem__):
+            block += next(newer)[1]     # the same index's block
+            block *= scale
+            if weight is None:
+                target[index] = block
+            else:
+                block *= weight
+                target[index] += block
+            del block       # before the next block is formed
+    if weight is None:
+        out[:1] = 0.0
+    else:
+        out[:1] += 0.0  # node 0's term: zero, added as a whole sum would
+    return out
 
 
 def multiterm_lowered(values: np.ndarray, spec: MultiTermSpec, dt: float,
@@ -499,36 +612,43 @@ def multiterm_lowered(values: np.ndarray, spec: MultiTermSpec, dt: float,
     """Sum over l of ratio q_l times the order alpha_l - 1 operator, axis 0.
 
     Below 1 that is :func:`rl_integral_l1` of order 1 - alpha, at 1 the
-    identity, above 1 that of order 2 - alpha of the causal first difference.
+    identity, above 1 that of order 2 - alpha of the causal first difference
+    quotient, formed once for all such orders.  Every order's term is added
+    into one output that starts at zeros, so besides ``values`` at most the
+    output and that quotient are held.
     """
     flat = np.asarray(values, dtype=float).reshape(len(values), -1)
-    acc = 0.0
+    out = np.zeros(flat.shape)
+    quotient = None
     for q, al in zip(spec.weights, spec.orders):
         if al < 1.0:
-            block = rl_integral_l1(flat, 1.0 - al, dt)
+            rl_integral_l1(flat, 1.0 - al, dt, out=out, weight=q * ratio)
         elif al == 1.0:
-            block = flat
-        else:      # the first difference is zero at node 0
-            d1 = np.diff(flat, axis=0, prepend=flat[:1]) / dt
-            block = rl_integral_l1(d1, 2.0 - al, dt)
-        acc += q * ratio * block
-    return acc.reshape(np.shape(values))
+            out += q * ratio * flat
+        else:
+            if quotient is None:    # the first difference is zero at node 0
+                quotient = np.empty_like(flat)
+                np.subtract(flat[1:], flat[:-1], out=quotient[1:])
+                np.subtract(flat[:1], flat[:1], out=quotient[:1])
+                quotient /= dt
+            rl_integral_l1(quotient, 2.0 - al, dt, out=out, weight=q * ratio)
+    return out.reshape(np.shape(values))
 
 
 def multiterm_l1(values: np.ndarray, spec: MultiTermSpec,
                  dt: float) -> np.ndarray:
     """Array-level multi-term operator along axis 0 (no support check).
 
-    Each later order's term is added into the first's, so at most two
-    result-sized arrays live at once; the sum differs from one started at
-    zeros only in the sign of a zero.
+    The first order's result, times its weight, is the output; every later
+    order's term is added into it by :func:`caputo_l1` block by block, so
+    besides ``values`` the output and one order's differences are held.
+    The sum differs from one started at zeros only in the sign of a zero.
     """
-    acc = None
+    out = None
     for q, a in zip(spec.weights, spec.orders):
-        term = caputo_l1(values, a, dt)
-        term *= q
-        if acc is None:
-            acc = term
+        if out is None:
+            out = caputo_l1(values, a, dt)
+            out *= q
         else:
-            acc += term
-    return acc
+            caputo_l1(values, a, dt, out=out, weight=q)
+    return out

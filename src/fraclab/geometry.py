@@ -137,23 +137,25 @@ class HolmgrenFrame:
         m[..., :-1, -1] = 2.0 * self.c * x[..., :-1]
         return m
 
-    def effective_matrix(self, t, x):
+    def effective_matrix(self, t, x, a=None):
         """Quadratic-form matrix M^T a M with the tilt folded in.
 
         M maps duals by zeta_j = xi_j + 2 c x_j xi_n (j < n), zeta_n = xi_n.
         Together with :meth:`tilt_drift` this rewrites the composed
         second-order operator as an ordinary non-divergence form plus a
         first-order term, so the solver's per-level operator applies it as
-        its coefficient matrix callable, with the usual stencils.
+        its coefficient matrix callable, with the usual stencils.  ``a`` is
+        ``field.a(t, x)`` when the caller has sampled it already.
         """
-        a = np.asarray(self.field.a(t, x), dtype=float)
+        a = np.asarray(self.field.a(t, x) if a is None else a, dtype=float)
         return _congruence(self._tilt_matrix(x), a)
 
-    def tilt_drift(self, t, x):
+    def tilt_drift(self, t, x, a=None):
         """First-order by-product 2 c sum_{j<n} a_jj of the composed form,
-        as the coefficient vector of the normal derivative."""
+        as the coefficient vector of the normal derivative; ``a`` as in
+        :meth:`effective_matrix`."""
         x = np.asarray(x, dtype=float)
-        a = np.asarray(self.field.a(t, x), dtype=float)
+        a = np.asarray(self.field.a(t, x) if a is None else a, dtype=float)
         out = np.zeros(a.shape[:-1])
         n = self.map.n
         if n > 1:

@@ -79,6 +79,11 @@ class SpaceTimeGrid:
                     f"grid spacing h = {h!r} on axis {d}: h*h = {h * h!r} "
                     f"and 4*h*h = {4.0 * h * h!r} must be positive finite "
                     "floats")
+            if not 1.0 / (h * h) < math.inf:    # a subnormal h*h
+                raise ValueError(
+                    f"grid spacing h = {h!r} on axis {d}: 1/(h*h) = "
+                    f"{1.0 / (h * h)!r} overflows, so the stencil's "
+                    "weights would")
 
     @property
     def ndim(self) -> int:
@@ -304,10 +309,13 @@ def _level_operators(grid: SpaceTimeGrid, a, lower: LowerOrderTerm, times):
     is ``(matrix, count)`` for ``count`` consecutive levels, and the counts
     sum to ``len(times)``.  ``a``, ``b`` and ``b0`` are sampled on a block
     of levels per call, at most ``SAMPLE_BLOCK`` points (or one level), as
-    flat ``t`` of shape (N,) and ``y`` of shape (N, n).  A level
-    starts a new run when any of its samples differs from the level before
-    it, the previous block's last level included, so each run's matrix is
-    assembled once, into the :func:`_stencil_pattern` built once per walk.
+    flat ``t`` of shape (N,) and ``y`` of shape (N, n), the same two arrays
+    for all three in that order, so a pair of callables may share one
+    sample of what they derive from (the Carleman frame's terms do).  A
+    level starts a new run when any of its samples differs from the level
+    before it, the previous block's last level included, so each run's
+    matrix is assembled once, into the :func:`_stencil_pattern` built once
+    per walk.
     """
     y_int = grid.mesh()[grid.interior()].reshape(-1, grid.ndim)
     n_int, n = y_int.shape
@@ -318,9 +326,10 @@ def _level_operators(grid: SpaceTimeGrid, a, lower: LowerOrderTerm, times):
     for s in range(0, len(times), per_call):
         t = times[s:s + per_call]
         m = len(t)
+        t_flat, y_flat = np.repeat(t, n_int), np.tile(y_int, (m, 1))
         sampled = [None if f is None else np.asarray(
-            f(np.repeat(t, n_int), np.tile(y_int, (m, 1))),
-            dtype=float).reshape((m, n_int) + tail) for f, tail in terms]
+            f(t_flat, y_flat), dtype=float).reshape((m, n_int) + tail)
+            for f, tail in terms]
         # one exact comparison of every level with the level before it
         flat = np.hstack([v.reshape(m, -1) for v in sampled if v is not None])
         both = np.vstack([flat[:1] if last is None else last, flat])
@@ -675,7 +684,9 @@ def _spatial_walk(grid: SpaceTimeGrid, a, lower: LowerOrderTerm, work, out):
     functions: a stencil product with a block rounds column by column like B
     matrix-vector products, so one walk serves a whole batch, and each run
     of :func:`_level_operators` is applied as one product per at most
-    ``BLOCK`` levels.
+    ``BLOCK`` levels.  Only ``work[start:stop]`` is read, once per such
+    product, so ``work`` may be any object that forms those levels on
+    demand, as the Carleman sweep's bumps do.
     """
     end = 0
     for mat, count in _level_operators(grid, a, lower, grid.time.nodes):
@@ -700,6 +711,11 @@ def apply_discrete_operator(values, spec: MultiTermSpec, a,
     coefficient matrix callable.  ``spatial`` is this grid function's column
     of a :func:`_spatial_walk` over a batch, made with the same ``a`` and
     ``lower``; it is added in place of a walk of its own.
+
+    Every term is added into one interior-sized output, which is the
+    first order's L1 result: besides ``values`` and ``source``, that output
+    and :func:`multiterm_l1`'s one array of differences are held, and the
+    walk's level blocks.
     """
     values = np.asarray(values, dtype=float)
     nt = grid.time.n_steps

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,16 @@ class TestSides:
                                       include_drift=False)
         delta = np.abs(with_drift - without).max()
         assert 0.0 < delta < 0.5 * np.abs(without).max()
+
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_image_into_a_workspace_is_bitwise_the_new_image(self, in_place):
+        spec, frame, _, grid = sweep_case(2, 1.5)
+        v = np.random.default_rng(6).normal(size=(21, 13, 17))
+        expected = conjugated_operator(v, grid, spec, frame)
+        work = v if in_place else np.full_like(v, 7.0)
+        image = conjugated_operator(v, grid, spec, frame, out=work)
+        assert image is work
+        assert image.tobytes() == expected.tobytes()
 
     def test_image_does_not_depend_on_memory_layout(self):
         # the boundary ring of the drift is zeroed for any layout of values
@@ -326,8 +337,8 @@ class TestSweep:
                                  spec=spec, include_drift=False)
 
         class Premade:
-            def values(self, times, mesh):
-                return w
+            def factors(self, times, mesh):
+                return w, [np.ones(mesh.shape[:-1])]
 
         result = beta_sweep(config, [Premade()], grid, frame)
         assert result.flagged == len(result.rows)
@@ -453,6 +464,42 @@ class TestSweepBatching:
                    grid, frame)
         # the field depends on time, so each level is assembled once
         assert len(assembled) == grid.time.n_steps + 1
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_walked_levels_are_bitwise_the_stacked_bumps(self, ndim):
+        _, _, weight, grid = sweep_case(ndim, 1.5)
+        times, mesh = grid.time.nodes, grid.mesh()
+        bumps = default_bump_family(weight, grid, count=3)
+        stack = np.stack([b.values(times, mesh).reshape(len(times), -1)
+                          for b in bumps], axis=-1)
+        stack *= np.exp(times)[:, None, None]
+        levels = carleman._GrownLevels(
+            [b.factors(times, mesh) for b in bumps], grid)
+        for start, stop in ((0, 1), (3, 11), (0, len(times))):
+            assert (levels[start:stop].tobytes()
+                    == stack[start:stop].tobytes())
+
+    def test_sweep_holds_its_walk_and_a_few_bump_arrays(self):
+        # beside the walk's output (levels, interior nodes, bumps): one
+        # bump's workspace and the drift's input, difference quotient and
+        # output, plus two Toeplitz row blocks of 64 of the 161 levels, 5.1
+        # arrays of one bump's values; the parent held 7.7
+        _, frame, weight, grid = sweep_case(2, 1.5, n_steps=160)
+        grid = SpaceTimeGrid(bounds=grid.bounds, shape=(21, 21),
+                             time=grid.time)
+        config = BetaSweepConfig(betas=(25.0, 250.0), weight=weight,
+                                 spec=MultiTermSpec((1.5, 0.5), (1.0, 0.5)))
+        bumps = default_bump_family(weight, grid, count=3)
+        one = 8 * (grid.time.n_steps + 1) * math.prod(grid.shape)
+        walk = 8 * (grid.time.n_steps + 1) * 19 * 19 * len(bumps)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            beta_sweep(config, bumps, grid, frame)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak - walk <= 5.5 * one
 
 
 def space_first(density, grid, beta, weight):

@@ -1022,6 +1022,32 @@ class TestCommands:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_carleman_sweep_names_an_infinite_coefficient(self, tmp_path,
+                                                          capsys):
+        # a = 1 + 1e308 + 1e308 overflows: the sweep read it as a refuted
+        # inequality, FAIL with max_ratio Infinity and spread NaN
+        coeffs = {**POLYNOMIAL1, "tables": [{"j": 0, "k": 0, "terms": [
+            {"coeff": coeff, "t_pow": 0, "y_pows": [0]}
+            for coeff in (1.0, 1e308, 1e308)]}]}
+        config = {**VALID["carleman-sweep"], "coeffs": coeffs}
+        with pytest.warns(RuntimeWarning, match="overflow encountered in add"):
+            code, out = run(tmp_path, "carleman-sweep", config)
+        assert code == 3
+        assert ("coefficient field violates ellipticity at t=0 (margin -inf)"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_solve_names_a_subnormal_spacing_square(self, tmp_path, capsys):
+        # h = 1e-161: h*h = 1e-322 is positive, and solve overflowed in
+        # a / h**2 and exited as a singular Schur block
+        config = {**VALID["solve"], "grid": {**GRID1,
+                                             "bounds": [[0.0, 8e-161]]}}
+        code, out = run(tmp_path, "solve", config)
+        assert code == 3
+        assert ("on axis 0: 1/(h*h) = inf overflows"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_solve_names_a_nan_coefficient(self, tmp_path, capsys):
         # a = 1 + y^4 - y^4 on [0, 1e80]: y^4 overflows and a is NaN, whose
         # margin passed the precondition and failed later as a singular
@@ -1165,9 +1191,10 @@ class TestBenchmarkTracer:
 
     def test_tracer_counts_the_sweep_sampling(self, tmp_path):
         # the sweep's one walk samples the frame's tilted matrix through
-        # HolmgrenFrame.effective_matrix and the configured field's a, once
-        # per sampling block of levels for the matrix and once more for the
-        # tilt drift; a call that bypassed either would change these counts
+        # HolmgrenFrame.effective_matrix and the configured field's a once
+        # per sampling block of levels, and the tilt drift reuses that
+        # sample; the ellipticity precondition samples a at 3 times on all
+        # nodes; a call that bypassed either would change these counts
         bench = os.path.join(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))), "bench")
         config = tmp_path / "sweep.json"
@@ -1192,8 +1219,9 @@ class TestBenchmarkTracer:
             [sys.executable, "-c", code, bench, str(config),
              str(tmp_path / "out")],
             env=_subprocess_env(), capture_output=True, text=True, check=True)
-        # 361 interior nodes: 22 levels per call, 49 levels in 3 blocks
-        assert out.stdout.strip().splitlines()[-1] == "3 6 35378"
+        # 361 interior nodes: 22 levels per call, 49 levels in 3 blocks,
+        # 17,689 points; the precondition 3 x 441
+        assert out.stdout.strip().splitlines()[-1] == "3 6 19012"
 
 
 class TestImport:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -538,10 +539,130 @@ class TestLoweredOrders:
         ((1.5, 1.0, 0.5), (1.0, 0.6, 0.3))])
     @pytest.mark.parametrize("space", [(9,), (7, 6)])
     def test_matches_the_drift_loop_bitwise(self, orders, weights, space):
+        # a Toeplitz stack and an FFT one: the sums run over levels - 1
         spec = MultiTermSpec(orders, weights)
-        dn = np.random.default_rng(len(space)).standard_normal((41,) + space)
         inner = (slice(None),) + tuple(slice(1, -1) for _ in space)
-        got = multiterm_lowered(dn, spec, 0.025, 0.37)
-        assert got.shape == dn.shape
-        assert (got[inner].tobytes()
-                == parent_drift(dn, spec, 0.025, 0.37, inner).tobytes())
+        for levels in (41, FFT_LEVELS + 1):
+            dn = np.random.default_rng(len(space)).standard_normal(
+                (levels,) + space)
+            got = multiterm_lowered(dn, spec, 0.025, 0.37)
+            assert got.shape == dn.shape
+            assert (got[inner].tobytes()
+                    == parent_drift(dn, spec, 0.025, 0.37, inner).tobytes())
+
+
+def per_order_sum(values, spec, dt):
+    """Sum over the orders of q times caputo_l1, each term formed whole."""
+    acc = None
+    for q, a in zip(spec.weights, spec.orders):
+        term = caputo_l1(values, a, dt)
+        term *= q
+        if acc is None:
+            acc = term
+        else:
+            acc += term
+    return acc
+
+
+def traced_peak(fn, *args):
+    """``(fn(*args), the traced bytes it held at its peak)``."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - base
+
+
+ACCUMULATED_SPECS = [MultiTermSpec((0.75, 0.25), (1.0, 0.4)),
+                     MultiTermSpec((1.0, 0.5), (1.0, 0.3)),
+                     MultiTermSpec((1.5, 1.0, 0.5), (1.0, 0.6, 0.3)),
+                     MultiTermSpec((1.75, 1.25, 1.0, 0.25),
+                                   (1.0, 0.7, 0.5, 0.2))]
+
+
+class TestAccumulation:
+    @pytest.mark.parametrize("spec", ACCUMULATED_SPECS,
+                             ids=lambda s: str(s.orders))
+    @pytest.mark.parametrize("levels", [2 * BLOCK + 3, FFT_LEVELS + 1],
+                             ids=["toeplitz", "fft"])
+    @pytest.mark.parametrize("interior", [False, True],
+                             ids=["stack", "interior"])
+    def test_multiterm_equals_the_per_order_sum_bitwise(self, spec, levels,
+                                                        interior):
+        # every later order is added into the output block by block; the
+        # L1 sums run over levels - 1 differences; a 2-D stack has column
+        # views, an interior view of a grid none
+        rng = np.random.default_rng(levels)
+        if interior:
+            values = rng.standard_normal((levels, 7, 8))[:, 1:-1, 1:-1]
+        else:
+            values = rng.standard_normal((levels, 9))
+        got = multiterm_l1(values, spec, 0.01)
+        assert got.tobytes() == per_order_sum(values, spec, 0.01).tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_caputo_adds_its_weighted_term(self, alpha):
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((2 * BLOCK + 3, 4))
+        start = rng.standard_normal(values.shape)
+        expected = start + 0.3 * caputo_l1(values, alpha, 0.01)
+        got = caputo_l1(values, alpha, 0.01, out=start.copy(), weight=0.3)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_caputo_in_place_equals_out_of_place_bitwise(self):
+        rng = np.random.default_rng(4)
+        values = rng.standard_normal((2 * BLOCK + 3, 4))
+        expected = caputo_l1(values, 0.5, 0.01)
+        assert caputo_l1(values, 0.5, 0.01, out=values) is values
+        assert values.tobytes() == expected.tobytes()
+
+    def test_accumulating_into_a_strided_output_is_refused(self):
+        values = np.ones((9, 2, 2))
+        out = np.zeros((9, 2, 2), order="F")
+        with pytest.raises(ValueError, match="C-ordered"):
+            caputo_l1(values, 0.5, 0.1, out=out, weight=1.0)
+
+
+class TestMemory:
+    """Traced peaks in arrays of the result's size, beyond the inputs.
+
+    A Toeplitz sum also forms BLOCK rows of the kernel's matrix and a
+    BLOCK-row block at a time: on 640 levels of a 23 x 23 grid together
+    about a quarter of a result."""
+
+    @pytest.mark.parametrize("spec", [ACCUMULATED_SPECS[2],
+                                      ACCUMULATED_SPECS[3]],
+                             ids=lambda s: str(s.orders))
+    def test_multiterm_holds_the_output_and_one_array_of_differences(
+            self, spec):
+        # at the parent an order above 1 after the first held its first
+        # difference, its inner output and the sum: 3.25 results
+        values = np.random.default_rng(5).standard_normal((640, 23, 23))
+        result, peak = traced_peak(multiterm_l1, values[:, 1:-1, 1:-1],
+                                   spec, 0.01)
+        assert peak <= 2.4 * result.nbytes
+
+    def test_multiterm_on_an_fft_stack_holds_the_output_alone(self):
+        # each 4-column block forms its own differences and transforms;
+        # the parent held a second order's whole term (2.1 results)
+        values = np.random.default_rng(6).standard_normal(
+            (FFT_LEVELS + 1, 513))
+        result, peak = traced_peak(multiterm_l1, values,
+                                   ACCUMULATED_SPECS[0], 0.01)
+        assert peak <= 1.2 * result.nbytes
+
+    @pytest.mark.parametrize("spec", [MultiTermSpec((0.5,), (1.0,)),
+                                      ACCUMULATED_SPECS[0],
+                                      MultiTermSpec((1.5, 0.5), (1.0, 0.5))],
+                             ids=lambda s: str(s.orders))
+    def test_lowered_holds_the_output_and_the_quotient(self, spec):
+        # the output, for orders above 1 their one difference quotient, and
+        # two row blocks; the parent held 2.2 to 5.2 results
+        values = np.random.default_rng(7).standard_normal((640, 23, 23))
+        result, peak = traced_peak(multiterm_lowered, values, spec, 0.01,
+                                   0.37)
+        limit = 2.5 if max(spec.orders) > 1.0 else 1.5
+        assert peak <= limit * result.nbytes

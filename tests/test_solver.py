@@ -660,6 +660,18 @@ def coo_spatial_matrix(grid, a, bvec, bzero):
         shape=(len(rows_lin), int(np.prod(shape)))).tocsr()
 
 
+class TestGrid:
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_a_subnormal_spacing_square_is_named(self, axis):
+        # h = 1e-161: h*h = 1e-322 is positive, but a / h**2 overflows
+        bounds = [(0.0, 1.0), (0.0, 1.0)]
+        bounds[axis] = (0.0, 8e-161)
+        with pytest.raises(ValueError,
+                           match=rf"on axis {axis}: 1/\(h\*h\) = inf"):
+            SpaceTimeGrid(bounds=tuple(bounds), shape=(9, 9),
+                          time=TimeGrid.from_interval(1.0, 4))
+
+
 class TestAssembly:
     @pytest.mark.parametrize("with_b0", [False, True], ids=["", "b0"])
     @pytest.mark.parametrize("with_b", [False, True], ids=["", "b"])
