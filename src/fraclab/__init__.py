@@ -32,8 +32,7 @@ from .solver import (LowerOrderTerm, SolutionField, SolveResult,
                      apply_discrete_operator, load_solution, save_solution,
                      solve, ucp_experiment)
 from .carleman import (BetaSweepConfig, SweepResult, SweepRow, CompactBump,
-                       beta_sweep, carleman_lhs, carleman_rhs,
-                       conjugated_operator, default_bump_family,
-                       sweep_rows_csv)
+                       beta_sweep, carleman_lhs, conjugated_operator,
+                       default_bump_family, sweep_rows_csv)
 
 __version__ = "0.1.0"

@@ -42,8 +42,7 @@ class CompactBump:
     """Separable polynomial bump, vanishing to 4th order on its edges.
 
     value(t, x) = (s (1-s))^4 * prod_i (1 - r_i^2)^4 with s = t/t_span and
-    r_i the rescaled distance to the i-th center.  Analytic space and time
-    derivatives are provided for quadrature oracles.
+    r_i the rescaled distance to the i-th center.
     """
 
     centers: tuple
@@ -51,19 +50,12 @@ class CompactBump:
     t_span: float
     amplitude: float = 1.0
 
-    def _pieces(self, t, mesh):
-        s = np.clip(np.asarray(t, dtype=float) / self.t_span, 0.0, 1.0)
-        ts = (s * (1.0 - s)) ** 4
-        rs = [(mesh[..., i] - c) / w
-              for i, (c, w) in enumerate(zip(self.centers, self.halfwidths))]
-        xs = [np.clip(1.0 - r**2, 0.0, None) ** 4 for r in rs]
-        return s, ts, rs, xs
-
     def factors(self, times, mesh):
         """The time factor per level, shaped to broadcast over the mesh, and
         the space factors per axis; :meth:`values` multiplies them in order.
         """
-        xs = self._pieces(0.0, mesh)[3]
+        xs = [np.clip(1.0 - ((mesh[..., i] - c) / w) ** 2, 0.0, None) ** 4
+              for i, (c, w) in enumerate(zip(self.centers, self.halfwidths))]
         s = np.clip(np.asarray(times, dtype=float) / self.t_span, 0.0, 1.0)
         # the time factor per level as a scalar power: an array ** 4
         # rounds differently
@@ -73,37 +65,6 @@ class CompactBump:
     def values(self, times, mesh):
         """Samples of shape (len(times), *mesh.shape[:-1])."""
         return _product(*self.factors(times, mesh))
-
-    def space_gradient(self, times, mesh):
-        """Analytic first derivatives, shape (nt, *space, ndim)."""
-        nd = mesh.shape[-1]
-        out = []
-        for t in np.asarray(times, dtype=float):
-            _, ts, rs, xs = self._pieces(t, mesh)
-            grads = []
-            for i in range(nd):
-                g = self.amplitude * ts
-                for j in range(nd):
-                    if j == i:
-                        base = np.clip(1.0 - rs[j] ** 2, 0.0, None)
-                        g = g * (4.0 * base**3 * (-2.0 * rs[j])
-                                 / self.halfwidths[j])
-                    else:
-                        g = g * xs[j]
-                grads.append(np.broadcast_to(g, mesh.shape[:-1]).copy())
-            out.append(np.stack(grads, axis=-1))
-        return np.stack(out)
-
-    def time_derivative(self, times, mesh):
-        out = []
-        for t in np.asarray(times, dtype=float):
-            s, _, _, xs = self._pieces(t, mesh)
-            dts = 4.0 * (s * (1.0 - s)) ** 3 * (1.0 - 2.0 * s) / self.t_span
-            v = self.amplitude * dts
-            for xb in xs:
-                v = v * xb
-            out.append(np.broadcast_to(v, mesh.shape[:-1]).copy())
-        return np.stack(out)
 
 
 def _product(time_factor, space_factors):
@@ -193,14 +154,13 @@ def _weighted_integrals(density, grid: SpaceTimeGrid, profiles) -> list:
 
 
 def carleman_lhs(values, grid: SpaceTimeGrid, beta,
-                 weight: CarlemanWeightParams, alpha: float,
-                 gradient=None, time_derivative=None):
+                 weight: CarlemanWeightParams, alpha: float):
     """Left side: beta^3 |v|^2 + beta |grad v|^2 blocks under the weight.
 
     On the branch alpha >= 4/3 the block beta^(3 - 4/alpha) |d_t v|^2 is
-    added.  ``gradient``/``time_derivative`` override the centered-difference
-    derivatives with exact ones (used by the quadrature oracle tests).  A
-    sequence of betas gives one value per beta from each density formed once.
+    added.  The derivatives are centered differences, second order at the
+    edges too.  A sequence of betas gives one value per beta from each
+    density formed once.
     """
     values = np.asarray(values, dtype=float)
     betas = [beta] if np.ndim(beta) == 0 else list(beta)
@@ -213,13 +173,10 @@ def carleman_lhs(values, grid: SpaceTimeGrid, beta,
 
     add(3.0, values**2)
     for d, h in enumerate(grid.spacing):     # |grad v|^2 one axis at a time
-        add(1.0, (np.gradient(values, h, axis=d + 1, edge_order=2)
-                  if gradient is None else gradient[..., d]) ** 2)
+        add(1.0, np.gradient(values, h, axis=d + 1, edge_order=2) ** 2)
     if alpha >= BRANCH_THRESHOLD:
-        if time_derivative is None:
-            time_derivative = np.gradient(values, grid.time.dt, axis=0,
-                                          edge_order=2)
-        add(3.0 - 4.0 / alpha, time_derivative**2)
+        add(3.0 - 4.0 / alpha,
+            np.gradient(values, grid.time.dt, axis=0, edge_order=2) ** 2)
     return totals[0] if np.ndim(beta) == 0 else totals
 
 
@@ -280,16 +237,6 @@ def _conjugated_terms(frame: HolmgrenFrame):
         return frame.tilt_drift(t, x, a=held["a"] if same else None)
 
     return matrix, LowerOrderTerm(drift)
-
-
-def carleman_rhs(values, grid: SpaceTimeGrid, beta: float,
-                 weight: CarlemanWeightParams, spec: MultiTermSpec,
-                 frame: HolmgrenFrame, include_drift: bool = True) -> float:
-    """Right side: weighted square of the conjugated operator image."""
-    image = conjugated_operator(values, grid, spec, frame,
-                                include_drift=include_drift)
-    return _weighted_integrals(image**2, grid,
-                               _weight_profiles(grid, weight, [beta]))[0]
 
 
 @dataclass(frozen=True)
@@ -370,13 +317,16 @@ def beta_sweep(config: BetaSweepConfig, bumps, grid: SpaceTimeGrid,
     does, and its values are their product.  Rows with zero right side and
     positive left side are flagged rather than dropped.  A bump that is
     zero on every node, as every bump is on a grid of one time step, raises
-    ``ValueError``, and so does a frame whose field fails the solver's
-    ellipticity precondition on the grid.
+    ``ValueError``, and so do a frame whose field fails the solver's
+    ellipticity precondition on the grid and a grid whose e^t overflows.
     """
     if frame.field.n != grid.ndim:
         raise ValueError("field dimension does not match the grid")
     _ellipticity_precondition(grid, frame.field)
     times, mesh = grid.time.nodes, grid.mesh()
+    if times[-1] > _LOG_FLOAT_MAX:     # the conjugation's e^t overflows
+        raise ValueError(f"t = {float(times[-1])!r} overflows e^t: t must not "
+                         f"exceed ln(float max) = {_LOG_FLOAT_MAX:.6g}")
     factors = [b.factors(times, mesh) for b in bumps]
     profiles = _weight_profiles(grid, config.weight, config.betas)
     if factors:

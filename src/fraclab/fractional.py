@@ -22,13 +22,12 @@ into BLAS calls; a longer stack is convolved by FFT in O(N log N) per
 column, which agrees with the direct sum to rounding but not bitwise.  The
 stepping history below is always the direct sum.
 
-The operators that sum several orders add each order's term into one
-output: :func:`caputo_l1` and :func:`rl_integral_l1` take an ``out`` and a
-``weight`` and add weight times their result into it one convolution block
-at a time (a Toeplitz row block, or 4 FFT columns), each element getting
-the products and sums of the whole-array form.  So, besides its input,
-:func:`multiterm_l1` holds its output and one order's differences, and
-:func:`multiterm_lowered` its output and one difference quotient.
+:func:`caputo_l1` and :func:`rl_integral_l1` write their sum into an
+``out``, or add a weight times it, through one loop, :func:`_store_or_add`,
+a convolution block at a time (a Toeplitz row block, or 4 FFT columns).
+So, besides its input, :func:`multiterm_l1` holds its output and one
+order's differences, and :func:`multiterm_lowered` its output and one
+difference quotient.
 
 The solver steps with :class:`L1March` and the Carleman drift is
 :func:`multiterm_lowered`, so only this module discretizes orders in time.
@@ -50,8 +49,11 @@ BLOCK = 64
 """Time levels per Toeplitz row block of a batched history sum."""
 
 FFT_LEVELS = 1024
-"""Time levels from which :func:`causal_convolve` sums a stack of columns by
-FFT instead of Toeplitz row blocks."""
+"""Time levels from which :func:`_convolved_blocks` sums a stack of columns
+by FFT instead of Toeplitz row blocks: a solver check's crossover.  On a
+2-vCPU Xeon (numpy 2.4.6, one BLAS thread) the direct sum is faster below
+about 1,000 levels at 127 columns (6.9 against 6.3 ms at 1,024 levels) and
+below about 2,000 at 1,521 columns, which pay up to 1.5x in between."""
 
 
 def _gamma(x: float) -> float:
@@ -318,7 +320,7 @@ def _convolved_blocks(kernel: np.ndarray, n: int, width, columns):
     length at least 2n - 1, so nothing wraps around.  The blocks are formed
     one at a time, so a caller may write each before the next one reads.
     """
-    if width is None:
+    if width is None and n > 0:     # np.convolve refuses an empty series
         yield ..., np.convolve(columns(...), kernel[:n])[:n]
     elif n < FFT_LEVELS:
         x = columns(...)
@@ -341,50 +343,39 @@ def _as_stack(x: np.ndarray):
     shape, with width None.  A view whenever numpy can make one."""
     if x.ndim == 1:
         return x, None
-    flat = x.reshape(x.shape[0], -1)
+    flat = x.reshape(len(x), math.prod(x.shape[1:]))
     return flat, flat.shape[1]
 
 
 def _target_stack(out: np.ndarray):
     """:func:`_as_stack` of ``out[1:]``, which must be a view."""
     target, width = _as_stack(out[1:])
-    if not np.shares_memory(target, out):
+    if target.size and not np.shares_memory(target, out):
         raise ValueError("out must be a C-ordered array")
     return target, width
 
 
-def causal_convolve(kernel: np.ndarray, x: np.ndarray,
-                    out: np.ndarray = None) -> np.ndarray:
-    """out[k] = sum_{j<=k} kernel[k-j] x[j] along axis 0 of ``x``.
+def _store_or_add(out: np.ndarray, target, blocks, finish, weight):
+    """Put an L1 sum into ``out`` from :func:`_convolved_blocks`'s pairs.
 
-    ``kernel`` needs at least len(x) entries, and ``out`` may be ``x``
-    itself.  The sum is :func:`_convolved_blocks`'s: a 1-D series through
-    ``np.convolve``; a stack of columns over fewer than ``FFT_LEVELS``
-    levels as Toeplitz row blocks, last first, each through a block-sized
-    temporary before it overwrites rows that only the blocks already done
-    read (an ``out=`` that overlaps the data would make numpy copy all of
-    it); from ``FFT_LEVELS`` levels on by FFT in blocks of 4 columns, whose
-    temporaries, a few transform lengths per column, stay below one
-    Toeplitz row block.  That is O(N log N) per column, and it agrees with
-    the direct sum to rounding, not bitwise.
-
-    ``FFT_LEVELS`` is the crossover of a solver check's stack.  Timed on a
-    2-vCPU Xeon (numpy 2.4.6, one BLAS thread), the direct sum is faster
-    below about 1,000 levels at 127 columns (at 1,024 levels 6.9 ms
-    against 6.3 ms by FFT, at 2,048 28 ms against 15 ms), and below about
-    2,000 levels at 1,521 columns; such wide stacks between the two
-    lengths pay up to 1.5x for the one constant.
+    ``finish(block)`` scales a block in place, which is then written into
+    ``target``, :func:`_target_stack`'s view of ``out[1:]``, or with a
+    ``weight`` added there times it, as ``out + weight * sum`` would add
+    it.  Each block is dropped before the next is formed.  Node 0, where
+    every L1 sum is zero, is set to zero, or has zero added.
     """
-    x = np.asarray(x, dtype=float)
-    if out is None:
-        out = np.empty_like(x)
-    flat, width = _as_stack(x)
-    target = out.reshape(flat.shape)
-    for index, block in _convolved_blocks(kernel, len(x), width,
-                                          flat.__getitem__):
-        target[index] = block
-    if not np.shares_memory(target, out):    # ``out`` had no 2-D view
-        out[...] = target.reshape(out.shape)
+    for index, block in blocks:
+        finish(block)
+        if weight is None:
+            target[index] = block
+        else:
+            block *= weight
+            target[index] += block
+        del block       # before the next block is formed
+    if weight is None:
+        out[:1] = 0.0
+    else:
+        out[:1] += 0.0  # node 0's term: zero, added as a whole sum would
     return out
 
 
@@ -406,8 +397,8 @@ def caputo_l1(values: np.ndarray, alpha: float, dt: float,
     scheme of order alpha-1 to the first discrete derivative, reducing the
     second-derivative kernel to the first-derivative one; that pass runs in
     place in the first derivative, so no second result-sized array is
-    formed.  The history is :func:`causal_convolve`'s, the exact direct sum
-    except on a stack of columns of at least ``FFT_LEVELS`` levels.
+    formed.  The history is :func:`_convolved_blocks`'s, the exact direct
+    sum except on a stack of columns of at least ``FFT_LEVELS`` levels.
 
     Node 0 is the zero extension to t < 0.  Below order 1 only differences
     enter, so values[0] drops out.  From order 1 up the first difference at
@@ -416,13 +407,14 @@ def caputo_l1(values: np.ndarray, alpha: float, dt: float,
 
     The result goes into ``out`` (a new array when None), which may be
     ``values`` itself.  With a ``weight``, ``weight`` times the result is
-    added into ``out`` instead, which must be a C-ordered array of the
-    result's shape.  Below order 1 it is added one convolution block at a
-    time, and the only result-sized array formed is the differences of a
-    Toeplitz sum; an FFT sum forms each column block's own from a 2-D view
-    of ``values``, which numpy copies only when ``values`` has none.  From
-    order 1 up it is the first derivative.  Each element gets the products
-    and sums of ``out + weight * caputo_l1(values, alpha, dt)``.
+    added into ``out`` instead.  Below order 1 ``out`` must be a C-ordered
+    array of the result's shape, and :func:`_store_or_add` puts the sum
+    into it one convolution block at a time: written, the differences are
+    convolved in ``out``; added, only a Toeplitz sum's differences make a
+    result-sized array (an FFT sum forms each column block's own from a
+    2-D view of ``values``, a copy only when ``values`` has none).  From
+    order 1 up that array is the first derivative.  Each element gets the
+    products and sums of ``out + weight * caputo_l1(values, alpha, dt)``.
     """
     values = np.asarray(values, dtype=float)
     if not 0.0 < alpha < 2.0:
@@ -440,34 +432,24 @@ def caputo_l1(values: np.ndarray, alpha: float, dt: float,
 
     n = values.shape[0] - 1
     scale = _gamma(2.0 - alpha) * dt ** alpha
-    if weight is None:
-        if out is None:
-            out = np.empty(values.shape)
-        if n >= 1:
-            # the differences, convolved where they are written
-            _differences(values, out[1:])
-            causal_convolve(l1_weights(alpha, n), out[1:], out=out[1:])
-            out[1:] /= scale
-        out[:1] = 0.0
-        return out
-    if n >= 1:
-        target, width = _target_stack(out)
-        if width is not None and n >= FFT_LEVELS:
-            flat = _as_stack(values)[0]
+    if out is None and weight is None:
+        out = np.empty(values.shape)
+    target, width = _target_stack(out)
+    if weight is None:  # the differences, convolved where they are written
+        _differences(values, out[1:])
+        columns = target.__getitem__
+    elif width is not None and n >= FFT_LEVELS:
+        flat = _as_stack(values)[0]
 
-            def columns(index):         # one column block's differences
-                return np.subtract(flat[1:][index], flat[:-1][index])
-        else:
-            diffs = np.subtract(values[1:], values[:-1])
-            columns = _as_stack(diffs)[0].__getitem__
-        for index, block in _convolved_blocks(l1_weights(alpha, n), n, width,
-                                              columns):
-            block /= scale
-            block *= weight
-            target[index] += block
-            del block       # before the next block is formed
-    out[:1] += 0.0      # node 0's term: zero, added as a whole sum would
-    return out
+        def columns(index):         # one column block's differences
+            return np.subtract(flat[1:][index], flat[:-1][index])
+    else:
+        diffs = np.subtract(values[1:], values[:-1])
+        columns = _as_stack(diffs)[0].__getitem__
+    blocks = _convolved_blocks(l1_weights(alpha, n), n, width, columns)
+    return _store_or_add(out, target, blocks,
+                         lambda block: np.divide(block, scale, out=block),
+                         weight)
 
 
 def _caputo_l1_final(values: np.ndarray, alpha: float, dt: float) -> float:
@@ -509,15 +491,20 @@ class L1March:
         self.lead = self._prev = 0.0
         w_u = w_v = None
         for q, al in zip(spec.weights, spec.orders):
+            try:
+                power = dt ** (-al)
+            except OverflowError:
+                raise ValueError(f"time step dt={dt!r} is too small for order "
+                                 f"{al!r}: dt ** -{al!r} overflows") from None
             if al == 1.0:
-                self.lead += q * dt ** (-al)
+                self.lead += q * power
             elif al < 1.0:
-                scale = q * (1.0 / _gamma(2.0 - al)) * dt ** (-al)
+                scale = q * (1.0 / _gamma(2.0 - al)) * power
                 self.lead += scale
                 w = scale * l1_weights(al, n_steps)
                 w_u = w if w_u is None else w_u + w
             else:
-                scale = q * (1.0 / _gamma(3.0 - al)) * dt ** (-al)
+                scale = q * (1.0 / _gamma(3.0 - al)) * power
                 self.lead += scale
                 self._prev += scale
                 w = scale * dt * l1_weights(al - 1.0, n_steps)
@@ -563,48 +550,39 @@ def rl_integral_l1(values: np.ndarray, mu: float, dt: float,
     Piecewise-linear product integration: exact on linear interpolants of
     the data, matching the accuracy class of the L1 derivative weights.
 
-    The result goes into ``out`` (a new array when None).  With a
-    ``weight``, ``weight`` times the result is added into ``out`` instead,
-    which must be a C-ordered array of the result's shape.  Either way the
-    two kernels' sums are formed one convolution block at a time from a 2-D
-    view of ``values``, so no result-sized array is formed unless numpy has
-    to copy ``values`` for that view.
+    The result goes into ``out`` (a new array when None), a C-ordered
+    array of the result's shape.  With a ``weight``, ``weight`` times the
+    result is added into ``out`` instead.  Either way the two kernels' sums
+    are formed one convolution block at a time from a 2-D view of
+    ``values`` and put into ``out`` by :func:`_store_or_add`, so no
+    result-sized array is formed unless numpy has to copy ``values`` for
+    that view.
     """
     values = np.asarray(values, dtype=float)
     if not 0.0 < mu <= 1.0:
         raise ValueError(f"integral order must lie in (0,1], got {mu}")
     n = values.shape[0] - 1
-    if out is None:
+    if out is None and weight is None:
         out = np.empty(values.shape)
-    if n >= 1:
-        m = np.arange(1, n + 1, dtype=float)
-        upper = m ** (mu + 1.0) / (mu + 1.0) - (m - 1.0) * m ** mu / mu
-        lower = ((m - 1.0) ** (mu + 1.0) / (mu + 1.0)
-                 - (m - 1.0) ** mu * (m - 1.0) / mu)
-        a_w = upper - lower                          # weight of the older node
-        upper = m * m ** mu / mu - m ** (mu + 1.0) / (mu + 1.0)
-        lower = m * (m - 1.0) ** mu / mu - (m - 1.0) ** (mu + 1.0) / (mu + 1.0)
-        b_w = upper - lower                          # weight of the newer node
-        # J w(t_k) = dt^mu/Gamma(mu) * sum_m [a_m w_{k-m} + b_m w_{k-m+1}]
-        scale = dt ** mu / _gamma(mu)
-        target, width = _target_stack(out)
-        flat = _as_stack(values)[0]
-        newer = _convolved_blocks(b_w, n, width, flat[1:].__getitem__)
-        for index, block in _convolved_blocks(a_w, n, width,
-                                              flat[:-1].__getitem__):
-            block += next(newer)[1]     # the same index's block
-            block *= scale
-            if weight is None:
-                target[index] = block
-            else:
-                block *= weight
-                target[index] += block
-            del block       # before the next block is formed
-    if weight is None:
-        out[:1] = 0.0
-    else:
-        out[:1] += 0.0  # node 0's term: zero, added as a whole sum would
-    return out
+    m = np.arange(1, n + 1, dtype=float)
+    upper = m ** (mu + 1.0) / (mu + 1.0) - (m - 1.0) * m ** mu / mu
+    lower = ((m - 1.0) ** (mu + 1.0) / (mu + 1.0)
+             - (m - 1.0) ** mu * (m - 1.0) / mu)
+    a_w = upper - lower                          # weight of the older node
+    upper = m * m ** mu / mu - m ** (mu + 1.0) / (mu + 1.0)
+    lower = m * (m - 1.0) ** mu / mu - (m - 1.0) ** (mu + 1.0) / (mu + 1.0)
+    b_w = upper - lower                          # weight of the newer node
+    # J w(t_k) = dt^mu/Gamma(mu) * sum_m [a_m w_{k-m} + b_m w_{k-m+1}]
+    scale = dt ** mu / _gamma(mu)
+    target, width = _target_stack(out)
+    flat = _as_stack(values)[0]
+    newer = _convolved_blocks(b_w, n, width, flat[1:].__getitem__)
+
+    def finish(block):          # the same index's newer block, scaled
+        block += next(newer)[1]
+        block *= scale
+    blocks = _convolved_blocks(a_w, n, width, flat[:-1].__getitem__)
+    return _store_or_add(out, target, blocks, finish, weight)
 
 
 def multiterm_lowered(values: np.ndarray, spec: MultiTermSpec, dt: float,
@@ -623,8 +601,9 @@ def multiterm_lowered(values: np.ndarray, spec: MultiTermSpec, dt: float,
     for q, al in zip(spec.weights, spec.orders):
         if al < 1.0:
             rl_integral_l1(flat, 1.0 - al, dt, out=out, weight=q * ratio)
-        elif al == 1.0:
-            out += q * ratio * flat
+        elif al == 1.0:     # in row blocks: no result-sized temporary
+            for r0 in range(0, len(flat), BLOCK):
+                out[r0:r0 + BLOCK] += q * ratio * flat[r0:r0 + BLOCK]
         else:
             if quotient is None:    # the first difference is zero at node 0
                 quotient = np.empty_like(flat)

@@ -7,8 +7,8 @@ import pytest
 from fraclab import (BetaSweepConfig, CarlemanWeightParams, HolmgrenMap,
                      LowerOrderTerm, MultiTermSpec, SpaceTimeGrid,
                      CompactBump, TimeGrid, apply_discrete_operator,
-                     beta_sweep, carleman_lhs, carleman_rhs,
-                     conjugated_operator, default_bump_family,
+                     beta_sweep, carleman_lhs, conjugated_operator,
+                     default_bump_family,
                      diagonal_variable_field, identity_field,
                      pushforward_operator, sweep_rows_csv)
 from fraclab import carleman, solver
@@ -45,6 +45,63 @@ def single_bump(grid):
                     t_span=grid.time.t_final)
 
 
+def carleman_rhs(values, grid, beta, weight, spec, frame):
+    """Right side: the weighted square of the conjugated operator's image,
+    integrated as the sweep integrates it."""
+    image = conjugated_operator(values, grid, spec, frame)
+    return carleman._weighted_integrals(
+        image**2, grid, carleman._weight_profiles(grid, weight, [beta]))[0]
+
+
+def bump_pieces(bump, times, mesh):
+    """s = t / t_span per level, shaped to broadcast over the mesh, and per
+    axis the rescaled distance r and the base 1 - r^2, clipped at 0."""
+    s = np.clip(np.asarray(times, dtype=float) / bump.t_span, 0.0, 1.0)
+    rs = [(mesh[..., i] - c) / w
+          for i, (c, w) in enumerate(zip(bump.centers, bump.halfwidths))]
+    bases = [np.clip(1.0 - r**2, 0.0, None) for r in rs]
+    return s.reshape((-1,) + (1,) * (mesh.ndim - 1)), rs, bases
+
+
+def exact_gradient(bump, times, mesh):
+    """Analytic first space derivatives, shape (nt, *space, ndim)."""
+    s, rs, bases = bump_pieces(bump, times, mesh)
+    grads = []
+    for i in range(mesh.shape[-1]):
+        g = bump.amplitude * (s * (1.0 - s)) ** 4
+        for j, (r, base) in enumerate(zip(rs, bases)):
+            g = g * (4.0 * base**3 * (-2.0 * r) / bump.halfwidths[j]
+                     if j == i else base**4)
+        grads.append(g)
+    return np.stack(grads, axis=-1)
+
+
+def exact_time_derivative(bump, times, mesh):
+    """Analytic time derivative, shape (nt, *space)."""
+    s, _, bases = bump_pieces(bump, times, mesh)
+    v = (bump.amplitude * 4.0 * (s * (1.0 - s)) ** 3 * (1.0 - 2.0 * s)
+         / bump.t_span)
+    for base in bases:
+        v = v * base**4
+    return v
+
+
+def exact_lhs(values, gradient, time_derivative, grid, beta, weight, alpha):
+    """:func:`carleman_lhs` with the given derivatives in place of its
+    centered differences, integrated as it integrates."""
+    profiles = carleman._weight_profiles(grid, weight, [beta])
+
+    def part(density):
+        return carleman._weighted_integrals(density, grid, profiles)[0]
+
+    total = beta**3 * part(values**2)
+    for d in range(grid.ndim):
+        total += beta * part(gradient[..., d] ** 2)
+    if alpha >= BRANCH_THRESHOLD:
+        total += beta ** (3.0 - 4.0 / alpha) * part(time_derivative**2)
+    return total
+
+
 class TestSides:
     def test_zero_function(self):
         spec, frame, weight = setup()
@@ -75,9 +132,8 @@ class TestSides:
         fine = layer_grid(384, 4097)
         mesh_f = fine.mesh()
         v_f = bump.values(fine.time.nodes, mesh_f)
-        grads = bump.space_gradient(fine.time.nodes, mesh_f)
-        oracle = carleman_lhs(v_f, fine, beta, weight, spec.alpha,
-                              gradient=grads)
+        grads = exact_gradient(bump, fine.time.nodes, mesh_f)
+        oracle = exact_lhs(v_f, grads, None, fine, beta, weight, spec.alpha)
         assert abs(pipeline - oracle) / oracle < 1e-6
 
     def test_upper_branch_time_block_against_exact_derivatives(self):
@@ -92,12 +148,12 @@ class TestSides:
             bump = single_bump(grid)
             t, mesh = grid.time.nodes, grid.mesh()
             v = bump.values(t, mesh)
-            exact = {"gradient": bump.space_gradient(t, mesh),
-                     "time_derivative": bump.time_derivative(t, mesh)}
-            block, oracle = (
-                carleman_lhs(v, grid, beta, weight, 1.5, **derivs)
-                - carleman_lhs(v, grid, beta, weight, 0.5, **derivs)
-                for derivs in ({}, exact))
+            exact = (exact_gradient(bump, t, mesh),
+                     exact_time_derivative(bump, t, mesh))
+            block = (carleman_lhs(v, grid, beta, weight, 1.5)
+                     - carleman_lhs(v, grid, beta, weight, 0.5))
+            oracle = (exact_lhs(v, *exact, grid, beta, weight, 1.5)
+                      - exact_lhs(v, *exact, grid, beta, weight, 0.5))
             errs.append(abs(block - oracle) / oracle)
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(np.abs(orders - 2.0) <= 0.05)
@@ -254,7 +310,7 @@ class TestBumpShapes:
         mesh = grid.mesh()
         bump = single_bump(grid)
         v = bump.values(grid.time.nodes, mesh)
-        g_exact = bump.space_gradient(grid.time.nodes, mesh)[..., 0]
+        g_exact = exact_gradient(bump, grid.time.nodes, mesh)[..., 0]
         g_fd = np.gradient(v, grid.spacing[0], axis=1, edge_order=2)
         assert np.abs(g_exact - g_fd).max() < 2e-3 * np.abs(g_exact).max()
 
@@ -263,7 +319,7 @@ class TestBumpShapes:
         mesh = grid.mesh()
         bump = single_bump(grid)
         v = bump.values(grid.time.nodes, mesh)
-        d_exact = bump.time_derivative(grid.time.nodes, mesh)
+        d_exact = exact_time_derivative(bump, grid.time.nodes, mesh)
         d_fd = np.gradient(v, grid.time.dt, axis=0, edge_order=2)
         assert np.abs(d_exact - d_fd).max() < 2e-3 * np.abs(d_exact).max()
 
@@ -537,19 +593,3 @@ class TestIntegrationOrder:
             rhs = carleman_rhs(v, grid, beta, weight, spec, frame)
             oracle = space_first(image**2, grid, beta, weight)
             assert abs(rhs - oracle) <= 1e-14 * oracle
-
-    @pytest.mark.parametrize("ndim", [1, 2, 3])
-    @pytest.mark.parametrize("alpha", [0.5, 1.5])
-    def test_derivative_overrides_equal_the_default_path_bitwise(self, ndim,
-                                                                 alpha):
-        # a gradient= stack is read one axis at a time, like the default
-        _, _, weight, grid = sweep_case(ndim, alpha)
-        v = default_bump_family(weight, grid, count=1)[0].values(
-            grid.time.nodes, grid.mesh())
-        betas = (25.0, 100.0, 400.0)
-        grads = np.stack([np.gradient(v, h, axis=d + 1, edge_order=2)
-                          for d, h in enumerate(grid.spacing)], axis=-1)
-        dt_v = np.gradient(v, grid.time.dt, axis=0, edge_order=2)
-        assert (carleman_lhs(v, grid, betas, weight, alpha, gradient=grads,
-                             time_derivative=dt_v)
-                == carleman_lhs(v, grid, betas, weight, alpha))

@@ -1037,6 +1037,32 @@ class TestCommands:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_carleman_sweep_names_a_grid_whose_growth_overflows(
+            self, tmp_path, capsys):
+        # the demo sweep to t = 720: e^t overflowed in the conjugation and
+        # the run printed FAIL with max_ratio Infinity and spread NaN
+        config = json.loads((DEMO_CONFIGS / "carleman-sweep.json").read_text())
+        config["grid"]["t_final"] = config["map"]["T"] = 720.0
+        code, out = run(tmp_path, "carleman-sweep", config)
+        assert code == 3
+        assert ("t = 720.0 overflows e^t: t must not exceed ln(float max) = "
+                "709.783"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_solve_names_a_time_step_too_small_for_its_order(self, tmp_path,
+                                                             capsys):
+        # the demo solve at order 1.5 to t = 1e-250: dt ** -1.5 raised an
+        # OverflowError traceback, exit 1, the code of a FAIL
+        config = json.loads((DEMO_CONFIGS / "solve.json").read_text())
+        config["spec"] = {"orders": [1.5], "weights": [1.0]}
+        config["grid"]["t_final"] = 1e-250
+        code, out = run(tmp_path, "solve", config)
+        assert code == 3
+        assert ("is too small for order 1.5: dt ** -1.5 overflows"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_solve_names_a_subnormal_spacing_square(self, tmp_path, capsys):
         # h = 1e-161: h*h = 1e-322 is positive, and solve overflowed in
         # a / h**2 and exited as a singular Schur block

@@ -10,7 +10,7 @@ from fraclab import (ConvergenceError, MultiTermSpec, TimeGrid, caputo_l1,
                      rl_integral_l1)
 from fraclab import fractional
 from fraclab.fractional import (BLOCK, FFT_LEVELS, L1March, _caputo_l1_final,
-                                _gamma, causal_convolve, l1_weights,
+                                _convolved_blocks, _gamma, l1_weights,
                                 multiterm_lowered)
 
 SQRT_PI = math.sqrt(math.pi)
@@ -336,7 +336,19 @@ def per_column_convolve(kernel, x):
     return np.stack(cols, axis=1).reshape(x.shape)
 
 
-class TestCausalConvolve:
+def convolved(kernel, x):
+    """The causal convolution of ``x`` along axis 0, assembled from
+    :func:`_convolved_blocks`'s blocks."""
+    flat = x if x.ndim == 1 else x.reshape(len(x), -1)
+    width = None if x.ndim == 1 else flat.shape[1]
+    out = np.empty(flat.shape)
+    for index, block in _convolved_blocks(kernel, len(x), width,
+                                          flat.__getitem__):
+        out[index] = block
+    return out.reshape(x.shape)
+
+
+class TestConvolvedBlocks:
     @pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1,
                                    2 * BLOCK + 3])
     @pytest.mark.parametrize("trailing", [(3,), (2, 3)], ids=["2d", "3d"])
@@ -345,38 +357,23 @@ class TestCausalConvolve:
         kernel = rng.normal(size=n)
         x = rng.normal(size=(n,) + trailing)
         ref = per_column_convolve(kernel, x)
-        out = causal_convolve(kernel, x)
+        out = convolved(kernel, x)
         assert out.shape == x.shape
         assert np.allclose(out, ref, rtol=1e-13, atol=1e-13)
 
-    def test_out_into_a_slice(self):
+    def test_caputo_overwrites_a_given_output(self):
         n = 2 * BLOCK + 3
-        rng = np.random.default_rng(7)
-        kernel = rng.normal(size=n)
-        x = rng.normal(size=(n, 2, 3))
-        buf = np.full((n + 1, 2, 3), 5.0)
-        result = causal_convolve(kernel, x, out=buf[1:])
-        assert np.shares_memory(result, buf)
-        assert np.all(buf[0] == 5.0)
-        assert np.allclose(buf[1:], per_column_convolve(kernel, x),
-                           rtol=1e-13, atol=1e-13)
-
-    def test_out_without_a_flat_view(self):
-        n = BLOCK + 1
-        rng = np.random.default_rng(8)
-        kernel = rng.normal(size=n)
-        x = rng.normal(size=(n, 2, 3))
-        buf = np.zeros((n, 2, 4))
-        causal_convolve(kernel, x, out=buf[:, :, 1:])
-        assert np.all(buf[:, :, 0] == 0.0)
-        assert np.allclose(buf[:, :, 1:], per_column_convolve(kernel, x),
-                           rtol=1e-13, atol=1e-13)
+        values = np.random.default_rng(7).normal(size=(n + 1, 2, 3))
+        buf = np.full(values.shape, 5.0)
+        result = caputo_l1(values, 0.5, 0.01, out=buf)
+        assert result is buf
+        assert buf.tobytes() == caputo_l1(values, 0.5, 0.01).tobytes()
 
     def test_single_series_is_np_convolve(self):
         rng = np.random.default_rng(9)
         kernel = rng.normal(size=BLOCK + 5)
         x = rng.normal(size=BLOCK + 5)
-        assert np.array_equal(causal_convolve(kernel, x),
+        assert np.array_equal(convolved(kernel, x),
                               np.convolve(x, kernel)[:BLOCK + 5])
 
     @pytest.mark.parametrize("n", [FFT_LEVELS - 1, FFT_LEVELS,
@@ -386,9 +383,9 @@ class TestCausalConvolve:
         rng = np.random.default_rng(n)
         kernel = l1_weights(0.5, n)
         x = rng.normal(size=(n, 19))
-        fast = causal_convolve(kernel, x)
+        fast = convolved(kernel, x)
         monkeypatch.setattr(fractional, "FFT_LEVELS", n + 1)
-        direct = causal_convolve(kernel, x)
+        direct = convolved(kernel, x)
         if n < FFT_LEVELS:
             assert np.array_equal(fast, direct)
         scale = np.max(np.abs(direct), axis=0)
@@ -396,14 +393,13 @@ class TestCausalConvolve:
 
     @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK + 1, 2 * BLOCK + 3,
                                    FFT_LEVELS])
-    def test_in_place_equals_out_of_place_bitwise(self, n):
-        rng = np.random.default_rng(n + 1)
-        kernel = rng.normal(size=n)
-        x = rng.normal(size=(n, 2, 5))
-        ref = causal_convolve(kernel, x)
-        result = causal_convolve(kernel, x, out=x)
-        assert result is x
-        assert np.array_equal(x, ref)
+    def test_caputo_in_place_equals_out_of_place_bitwise(self, n):
+        # the sum over n differences is convolved where it is written
+        values = np.random.default_rng(n + 1).normal(size=(n + 1, 2, 5))
+        ref = caputo_l1(values, 0.5, 0.01)
+        result = caputo_l1(values, 0.5, 0.01, out=values)
+        assert result is values
+        assert np.array_equal(values, ref)
 
     @pytest.mark.parametrize("op,order", [(caputo_l1, 0.4), (caputo_l1, 1.6),
                                           (rl_integral_l1, 0.5),
@@ -619,11 +615,27 @@ class TestAccumulation:
         assert caputo_l1(values, 0.5, 0.01, out=values) is values
         assert values.tobytes() == expected.tobytes()
 
-    def test_accumulating_into_a_strided_output_is_refused(self):
+    @pytest.mark.parametrize("op,order", [(caputo_l1, 0.5),
+                                          (rl_integral_l1, 0.5)])
+    @pytest.mark.parametrize("shape", [(1,), (1, 3)],
+                             ids=["series", "stack"])
+    def test_one_level_is_node_zero_alone(self, op, order, shape):
+        # no differences to sum: written, node 0 is zero; added, a zero is
+        # added, which turns -0.0 into 0.0 as out + weight * result would
+        values = np.full(shape, 2.0)
+        assert op(values, order, 0.1).tobytes() == np.zeros(shape).tobytes()
+        start = np.full(shape, -0.0)
+        assert op(values, order, 0.1, out=start, weight=0.3) is start
+        assert start.tobytes() == np.zeros(shape).tobytes()
+
+    @pytest.mark.parametrize("op,order", [(caputo_l1, 0.5),
+                                          (rl_integral_l1, 0.5)])
+    @pytest.mark.parametrize("weight", [None, 1.0], ids=["write", "add"])
+    def test_a_strided_output_is_refused(self, op, order, weight):
         values = np.ones((9, 2, 2))
         out = np.zeros((9, 2, 2), order="F")
         with pytest.raises(ValueError, match="C-ordered"):
-            caputo_l1(values, 0.5, 0.1, out=out, weight=1.0)
+            op(values, order, 0.1, out=out, weight=weight)
 
 
 class TestMemory:
@@ -656,11 +668,13 @@ class TestMemory:
 
     @pytest.mark.parametrize("spec", [MultiTermSpec((0.5,), (1.0,)),
                                       ACCUMULATED_SPECS[0],
-                                      MultiTermSpec((1.5, 0.5), (1.0, 0.5))],
+                                      MultiTermSpec((1.5, 0.5), (1.0, 0.5)),
+                                      SPECS[4]],
                              ids=lambda s: str(s.orders))
     def test_lowered_holds_the_output_and_the_quotient(self, spec):
         # the output, for orders above 1 their one difference quotient, and
-        # two row blocks; the parent held 2.2 to 5.2 results
+        # two row blocks; whole-array terms held 2.2 to 5.2 results, and an
+        # order of exactly 1 added as one whole-array product held 3.0
         values = np.random.default_rng(7).standard_normal((640, 23, 23))
         result, peak = traced_peak(multiterm_lowered, values, spec, 0.01,
                                    0.37)
