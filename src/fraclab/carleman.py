@@ -29,8 +29,8 @@ import numpy as np
 
 from .fractional import MultiTermSpec, multiterm_lowered
 from .geometry import HolmgrenFrame
-from .solver import (LowerOrderTerm, SpaceTimeGrid, _ellipticity_precondition,
-                     _spatial_walk, apply_discrete_operator)
+from .solver import (SpaceTimeGrid, _ellipticity_precondition, _spatial_walk,
+                     apply_discrete_operator)
 from .symbols import CarlemanWeightParams
 
 BRANCH_THRESHOLD = 4.0 / 3.0
@@ -208,11 +208,10 @@ def conjugated_operator(values, grid: SpaceTimeGrid, spec: MultiTermSpec,
     if include_drift:   # the drift first, its full-size parts not kept
         drift = multiterm_lowered(np.gradient(
             grown, grid.spacing[-1], axis=grid.ndim, edge_order=2),
-            spec, grid.time.dt, frame.drift_ratio)
+            spec, grid.time.dt, frame.map.X / frame.map.T)
         drift = drift[inner] * decay
-    interior = apply_discrete_operator(grown, spec,
-                                       *_conjugated_terms(frame), grid,
-                                       spatial=spatial)
+    interior = apply_discrete_operator(grown, spec, _conjugated_terms(frame),
+                                       grid, spatial=spatial)
     interior *= decay
     interior += drift
     grown.fill(0.0)
@@ -221,22 +220,16 @@ def conjugated_operator(values, grid: SpaceTimeGrid, spec: MultiTermSpec,
 
 
 def _conjugated_terms(frame: HolmgrenFrame):
-    """Tilted matrix and tilt drift: the conjugated operator's spatial part.
+    """The sampler of the conjugated operator's spatial part.
 
-    The solver samples both at the same (t, x) arrays, the matrix first, so
-    the drift reuses the base field's sample that the matrix took.
+    Each call samples the frame's field once and gives that sample to the
+    tilted matrix and to the tilt drift; there is no zeroth-order term.
     """
-    held = {}
+    def terms(t, x):
+        a = frame.field.a(t, x)
+        return frame.effective_matrix(x, a), frame.tilt_drift(a), None
 
-    def matrix(t, x):
-        held.update(t=t, x=x, a=frame.field.a(t, x))
-        return frame.effective_matrix(t, x, a=held["a"])
-
-    def drift(t, x):
-        same = held.get("t") is t and held.get("x") is x
-        return frame.tilt_drift(t, x, a=held["a"] if same else None)
-
-    return matrix, LowerOrderTerm(drift)
+    return terms
 
 
 @dataclass(frozen=True)
@@ -332,7 +325,7 @@ def beta_sweep(config: BetaSweepConfig, bumps, grid: SpaceTimeGrid,
     if factors:
         # one walk over the levels for all bumps, times e^t, formed a block
         # of levels at a time; each bump is evaluated again below
-        spatial = _spatial_walk(grid, *_conjugated_terms(frame),
+        spatial = _spatial_walk(grid, _conjugated_terms(frame),
                                 _GrownLevels(factors, grid),
                                 np.zeros((len(times), math.prod(
                                     s - 2 for s in grid.shape), len(factors))))

@@ -497,15 +497,20 @@ class L1March:
                 raise ValueError(f"time step dt={dt!r} is too small for order "
                                  f"{al!r}: dt ** -{al!r} overflows") from None
             if al == 1.0:
-                self.lead += q * power
-            elif al < 1.0:
-                scale = q * (1.0 / _gamma(2.0 - al)) * power
-                self.lead += scale
+                scale = q * power
+            else:
+                top = 2.0 if al < 1.0 else 3.0
+                scale = q * (1.0 / _gamma(top - al)) * power
+            self.lead += scale
+            if not (math.isfinite(scale) and math.isfinite(self.lead)):
+                raise ValueError(
+                    f"order {al!r} with weight {q!r} at time step dt={dt!r}: "
+                    f"its scaled weight {scale!r} or the leading coefficient "
+                    f"{self.lead!r} is not finite")
+            if al < 1.0:
                 w = scale * l1_weights(al, n_steps)
                 w_u = w if w_u is None else w_u + w
-            else:
-                scale = q * (1.0 / _gamma(3.0 - al)) * power
-                self.lead += scale
+            elif al > 1.0:
                 self._prev += scale
                 w = scale * dt * l1_weights(al - 1.0, n_steps)
                 w_v = w if w_v is None else w_v + w

@@ -5,12 +5,14 @@ The local map flattens the vanishing region and tilts it in time,
     x' = y' - yhat',   x_n = y_n + c |y' - yhat'|^2 + s*X*t/T - (s-1)*X,
 
 with stage s = 1 recovering the basic transformation.  In the new
-coordinates the operator's second-order part is the matrix callable
-``HolmgrenFrame.effective_matrix`` (M^T a M), which the solver's discrete
-operator samples directly, plus the first-order ``tilt_drift``.  The global
-map sends the open unit cube onto all of space coordinate-wise, multiplying
-the coefficients by explicit weights.  Both directions are exact closed forms,
-so round trips are checked at machine precision.
+coordinates the operator's second-order part is
+``HolmgrenFrame.effective_matrix`` (M^T a M) plus the first-order
+``tilt_drift``.  Both take one sample of the frame's field ``a``, so the
+Carleman image's sampler for the solver's discrete operator samples the
+field once per block of time levels and hands that sample to both.  The
+global map sends the open unit cube onto all of space coordinate-wise,
+multiplying the coefficients by explicit weights.  Both directions are
+exact closed forms, so round trips are checked at machine precision.
 """
 
 from __future__ import annotations
@@ -57,11 +59,6 @@ class HolmgrenMap:
     @property
     def n(self) -> int:
         return len(self.y_hat)
-
-    @property
-    def drift_ratio(self) -> float:
-        """Coefficient X/T of the time tilt (stage-independent)."""
-        return self.X / self.T
 
     def forward(self, t, y):
         """Map (t, y) to (t, x).  Batched over leading axes."""
@@ -120,47 +117,37 @@ class HolmgrenFrame:
     field: EllipticCoeffField
     map: HolmgrenMap
 
-    @property
-    def c(self) -> float:
-        return self.map.c
-
-    @property
-    def drift_ratio(self) -> float:
-        return self.map.drift_ratio
-
     def _tilt_matrix(self, x):
         x = np.asarray(x, dtype=float)
         n = self.map.n
         m = np.zeros(x.shape[:-1] + (n, n))
         idx = np.arange(n)
         m[..., idx, idx] = 1.0
-        m[..., :-1, -1] = 2.0 * self.c * x[..., :-1]
+        m[..., :-1, -1] = 2.0 * self.map.c * x[..., :-1]
         return m
 
-    def effective_matrix(self, t, x, a=None):
+    def effective_matrix(self, x, a):
         """Quadratic-form matrix M^T a M with the tilt folded in.
 
-        M maps duals by zeta_j = xi_j + 2 c x_j xi_n (j < n), zeta_n = xi_n.
-        Together with :meth:`tilt_drift` this rewrites the composed
-        second-order operator as an ordinary non-divergence form plus a
-        first-order term, so the solver's per-level operator applies it as
-        its coefficient matrix callable, with the usual stencils.  ``a`` is
-        ``field.a(t, x)`` when the caller has sampled it already.
+        ``a`` is the sample ``field.a(t, x)``.  M maps duals by
+        zeta_j = xi_j + 2 c x_j xi_n (j < n), zeta_n = xi_n.  Together with
+        :meth:`tilt_drift` this rewrites the composed second-order operator
+        as an ordinary non-divergence form plus a first-order term, so the
+        solver's per-level operator applies them with the usual stencils.
         """
-        a = np.asarray(self.field.a(t, x) if a is None else a, dtype=float)
-        return _congruence(self._tilt_matrix(x), a)
+        return _congruence(self._tilt_matrix(x), np.asarray(a, dtype=float))
 
-    def tilt_drift(self, t, x, a=None):
+    def tilt_drift(self, a):
         """First-order by-product 2 c sum_{j<n} a_jj of the composed form,
-        as the coefficient vector of the normal derivative; ``a`` as in
-        :meth:`effective_matrix`."""
-        x = np.asarray(x, dtype=float)
-        a = np.asarray(self.field.a(t, x) if a is None else a, dtype=float)
+        as the coefficient vector of the normal derivative, from the sample
+        ``a`` of :meth:`effective_matrix`."""
+        a = np.asarray(a, dtype=float)
         out = np.zeros(a.shape[:-1])
         n = self.map.n
         if n > 1:
             idx = np.arange(n - 1)
-            out[..., -1] = 2.0 * self.c * np.sum(a[..., idx, idx], axis=-1)
+            out[..., -1] = 2.0 * self.map.c * np.sum(a[..., idx, idx],
+                                                     axis=-1)
         return out
 
 

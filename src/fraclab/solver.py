@@ -5,37 +5,40 @@ non-divergence form sum a_jk d_j d_k plus a centered first-order term; time
 steps with the L1 march of :mod:`fraclab.fractional`.
 
 One per-level operator serves the solver, its residual check and the
-Carleman image.  It reads the coefficient matrix as a callable
-a(t, Y) -> (..., n, n), not a field: :func:`solve` passes its field's ``a``,
-the Carleman image the Holmgren frame's tilted matrix.  A private generator
-samples a, b and b0 on blocks of time levels and yields -(L + l1), rows on
-interior nodes and columns on all nodes, as runs ``(matrix, count)``.
-Every matrix is a numpy array of stencil values on one array of columns,
-built once per walk, and its product with a vector or a block is numpy
-too.  A level starts a new run exactly when one of its samples differs
-from the level before it, so reuse is decided from the samples alone.  One
-walk over the levels serves a block of grid functions, as in the Carleman
-sweep, and applies each run as one product per at most ``BLOCK`` levels.
-Each step of :func:`solve` folds its run's
-leading coefficient into the centre slot of the interior columns once,
-moves the discrete history to the right-hand side, lifts the Dirichlet
-data through the boundary columns and solves for the interior unknowns
-with :class:`_BlockLU`, a numpy block LU of the system, which is
-block-tridiagonal over slabs of the first axis.  A level of a run whose
-matrix has been factorized is solved directly, with one refinement step.
-Otherwise the factor of an earlier run is kept and iterative refinement
-with it runs until the residual is at most 1e-13 of the right-hand side;
-a step that needs more than ``REFINE_CAP`` refinement steps factorizes
-its run's matrix and solves directly, and so does a step whose
-refinement contracts too slowly for the cap.  The diagnostics count
+Carleman image.  It reads the coefficients through one sampler,
+``terms(t, Y) -> (a, b, b0)``, not a field: a call takes one block of time
+levels and returns all three samples, b and b0 None when absent.
+:func:`solve` builds
+its sampler from its field's ``a`` and its :class:`LowerOrderTerm`, the
+Carleman image from the Holmgren frame's tilted matrix and tilt drift,
+which share one sample of the field.  A private generator calls the sampler
+once per block of time levels and yields -(L + l1), rows on interior nodes
+and columns on all nodes, as runs ``(matrix, count)``.  Every matrix is a
+numpy array of stencil values on one array of columns, built once per walk,
+and its product with a vector or a block is numpy too.  A level starts a
+new run exactly when one of its samples differs from the level before it,
+so reuse is decided from the samples alone.  One walk over the levels
+serves a block of grid functions, as in the Carleman sweep, and applies
+each run as one product per at most ``BLOCK`` levels.  Each step of
+:func:`solve` folds its run's leading coefficient into the centre slot of
+the interior columns once, moves the discrete history to the right-hand
+side, lifts the Dirichlet data through the boundary columns and solves for
+the interior unknowns with :class:`_BlockLU`, a numpy block LU of the
+system, which is block-tridiagonal over slabs of the first axis.  A level
+of a run whose matrix has been factorized is solved directly, with one
+refinement step.  Otherwise the factor of an earlier run is kept and
+iterative refinement with it runs until the residual is at most 1e-13 of
+the right-hand side; a step that needs more than ``REFINE_CAP`` refinement
+steps factorizes its run's matrix and solves directly, and so does a step
+whose refinement contracts too slowly for the cap.  The diagnostics count
 factorizations, steps solved through a stale factor (``lu_reuses``) and
 stale-factor refinement steps.  The ``condition_estimate`` diagnostic is
 the one-norm condition number of the first interior system: its exact
-largest column sum times Higham's single-column estimate of the
-inverse's norm through the factor, which draws no random numbers.
-The solver output therefore satisfies the assembled discrete equation to
-solver precision by construction, which :func:`apply_discrete_operator`
-verifies independently, sampling and assembling its own levels.
+largest column sum times Higham's single-column estimate of the inverse's
+norm through the factor, which draws no random numbers.  The solver output
+therefore satisfies the assembled discrete equation to solver precision by
+construction, which :func:`apply_discrete_operator` verifies independently,
+sampling and assembling its own levels.
 """
 
 from __future__ import annotations
@@ -302,34 +305,32 @@ def _spatial_matrix(grid: SpaceTimeGrid, a, bvec, bzero, pattern):
                           n_nodes=math.prod(grid.shape))
 
 
-def _level_operators(grid: SpaceTimeGrid, a, lower: LowerOrderTerm, times):
+def _level_operators(grid: SpaceTimeGrid, terms, times):
     """Yield the matrices of :func:`_spatial_matrix` at ``times`` as runs.
 
-    ``a(t, Y) -> (..., n, n)`` is the coefficient matrix callable.  Each run
-    is ``(matrix, count)`` for ``count`` consecutive levels, and the counts
-    sum to ``len(times)``.  ``a``, ``b`` and ``b0`` are sampled on a block
-    of levels per call, at most ``SAMPLE_BLOCK`` points (or one level), as
-    flat ``t`` of shape (N,) and ``y`` of shape (N, n), the same two arrays
-    for all three in that order, so a pair of callables may share one
-    sample of what they derive from (the Carleman frame's terms do).  A
-    level starts a new run when any of its samples differs from the level
-    before it, the previous block's last level included, so each run's
-    matrix is assembled once, into the :func:`_stencil_pattern` built once
-    per walk.
+    ``terms(t, y) -> (a, b, b0)`` samples the coefficients of one block of
+    levels, at most ``SAMPLE_BLOCK`` points (or one level), in one call:
+    ``t`` is flat of shape (N,) and ``y`` of shape (N, n); ``a`` is
+    (..., n, n), ``b`` (..., n) and ``b0`` (...), and ``b`` and ``b0`` are
+    None when absent.  Each run is ``(matrix, count)`` for ``count``
+    consecutive levels, and the counts sum to ``len(times)``.  A level
+    starts a new run when any of its samples differs from the level before
+    it, the previous block's last level included, so each run's matrix is
+    assembled once, into the :func:`_stencil_pattern` built once per walk.
     """
     y_int = grid.mesh()[grid.interior()].reshape(-1, grid.ndim)
     n_int, n = y_int.shape
     pattern = _stencil_pattern(grid)
-    terms = ((a, (n, n)), (lower.b, (n,)), (lower.b0, ()))
+    tails = ((n, n), (n,), ())
     per_call = max(1, SAMPLE_BLOCK // n_int)
     mat = last = None
     for s in range(0, len(times), per_call):
         t = times[s:s + per_call]
         m = len(t)
-        t_flat, y_flat = np.repeat(t, n_int), np.tile(y_int, (m, 1))
-        sampled = [None if f is None else np.asarray(
-            f(t_flat, y_flat), dtype=float).reshape((m, n_int) + tail)
-            for f, tail in terms]
+        sampled = [None if v is None else np.asarray(
+            v, dtype=float).reshape((m, n_int) + tail)
+            for v, tail in zip(terms(np.repeat(t, n_int),
+                                     np.tile(y_int, (m, 1))), tails)]
         # one exact comparison of every level with the level before it
         flat = np.hstack([v.reshape(m, -1) for v in sampled if v is not None])
         both = np.vstack([flat[:1] if last is None else last, flat])
@@ -611,10 +612,14 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
     march = L1March(spec, grid.time.dt, nt, n_int)
     values = np.zeros((nt + 1, inside.size))
 
+    def terms(t, y):
+        return (coeffs.a(t, y), None if lower.b is None else lower.b(t, y),
+                None if lower.b0 is None else lower.b0(t, y))
+
     cond_estimate = lu = None
     factorizations = lu_reuses = refinement_steps = 0
     step_residual = 0.0
-    runs = _level_operators(grid, coeffs.a, lower, times[1:])
+    runs = _level_operators(grid, terms, times[1:])
     left = 0                       # levels of the current run still to go
     for k in range(1, nt + 1):
         if left == 0:
@@ -668,7 +673,7 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
                    "lu_reuses": lu_reuses,
                    "refinement_steps": refinement_steps}
     if check_residual:
-        resid = apply_discrete_operator(values, spec, coeffs.a, lower, grid,
+        resid = apply_discrete_operator(values, spec, terms, grid,
                                         source=f_all)
         np.abs(resid, out=resid)
         # level 0 is pinned to zero, never solved
@@ -676,10 +681,10 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
     return SolveResult(field=sol, diagnostics=diagnostics)
 
 
-def _spatial_walk(grid: SpaceTimeGrid, a, lower: LowerOrderTerm, work, out):
+def _spatial_walk(grid: SpaceTimeGrid, terms, work, out):
     """Add each level's spatial operator applied to ``work[k]`` to ``out[k]``.
 
-    ``a`` is the coefficient matrix callable of :func:`_level_operators`.
+    ``terms`` is the coefficient sampler of :func:`_level_operators`.
     ``work`` is (nt+1, nodes) or a block (nt+1, nodes, B) of B grid
     functions: a stencil product with a block rounds column by column like B
     matrix-vector products, so one walk serves a whole batch, and each run
@@ -689,7 +694,7 @@ def _spatial_walk(grid: SpaceTimeGrid, a, lower: LowerOrderTerm, work, out):
     demand, as the Carleman sweep's bumps do.
     """
     end = 0
-    for mat, count in _level_operators(grid, a, lower, grid.time.nodes):
+    for mat, count in _level_operators(grid, terms, grid.time.nodes):
         end += count
         for start in range(end - count, end, BLOCK):
             stop = min(start + BLOCK, end)
@@ -701,16 +706,16 @@ def _spatial_walk(grid: SpaceTimeGrid, a, lower: LowerOrderTerm, work, out):
     return out
 
 
-def apply_discrete_operator(values, spec: MultiTermSpec, a,
-                            lower: LowerOrderTerm, grid: SpaceTimeGrid,
-                            source=None, spatial=None) -> np.ndarray:
+def apply_discrete_operator(values, spec: MultiTermSpec, terms,
+                            grid: SpaceTimeGrid, source=None,
+                            spatial=None) -> np.ndarray:
     """Discrete operator (or residual) on interior nodes at every time level.
 
     Computes the multi-term time operator minus the spatial operators,
-    minus ``source`` when given.  ``a(t, Y) -> (..., n, n)`` is the
-    coefficient matrix callable.  ``spatial`` is this grid function's column
-    of a :func:`_spatial_walk` over a batch, made with the same ``a`` and
-    ``lower``; it is added in place of a walk of its own.
+    minus ``source`` when given.  ``terms(t, Y) -> (a, b, b0)`` is the
+    coefficient sampler of :func:`_level_operators`.  ``spatial`` is this
+    grid function's column of a :func:`_spatial_walk` over a batch, made
+    with the same ``terms``; it is added in place of a walk of its own.
 
     Every term is added into one interior-sized output, which is the
     first order's L1 result: besides ``values`` and ``source``, that output
@@ -726,7 +731,7 @@ def apply_discrete_operator(values, spec: MultiTermSpec, a,
     out = multiterm_l1(values[(slice(None),) + grid.interior()], spec,
                        grid.time.dt).reshape(nt + 1, -1)
     if spatial is None:
-        _spatial_walk(grid, a, lower, values.reshape(nt + 1, -1), out)
+        _spatial_walk(grid, terms, values.reshape(nt + 1, -1), out)
     else:
         out += spatial
     out = out.reshape((nt + 1,) + tuple(s - 2 for s in shape))
@@ -739,63 +744,38 @@ def apply_discrete_operator(values, spec: MultiTermSpec, a,
 # vanishing-subdomain experiment
 
 
-@dataclass(frozen=True)
-class UcpConfig:
-    """Geometry and sources for the vanishing-subdomain demonstration."""
-
-    spec: MultiTermSpec
-    coeffs: EllipticCoeffField
-    grid: SpaceTimeGrid
-    omega: tuple                  # observation interval on the first axis
-    t_prime: float
-    source_centers: tuple
-    source_width: float = 0.08
-
-
-@dataclass
-class UcpReport:
-    rows: list                    # (center, distance, norm_omega, norm_total, ratio)
-    floor: float
-
-    @property
-    def min_ratio(self) -> float:
-        return min(r[4] for r in self.rows) if self.rows else float("nan")
-
-    @property
-    def all_above_floor(self) -> bool:
-        return all(r[4] > self.floor for r in self.rows)
-
-
 def _bump(r):
     return np.clip(1.0 - r**2, 0.0, None) ** 4
 
 
-def ucp_experiment(config: UcpConfig, floor: float = 1e-13) -> UcpReport:
+def ucp_experiment(spec: MultiTermSpec, coeffs: EllipticCoeffField,
+                   grid: SpaceTimeGrid, omega, t_prime: float,
+                   source_centers, source_width: float) -> list:
     """Solve with sources away from the observation window and compare norms.
 
-    For each source center the solution norm restricted to
-    omega x (0, t_prime) is compared with the norm over the whole cylinder.
-    A ratio above the resolution floor for every source is the expected
-    outcome: the computed fields never vanish on the window alone.  A
-    source inside the window or zero on every interior node, a window
-    holding no interior node, a ``t_prime`` below the first time step (the
-    window would hold only the initial level, pinned to zero) and a width
-    that is not positive raise ``ValueError``.
+    ``omega`` is the observation interval on the first axis.  For each
+    source center the solution norm restricted to omega x (0, t_prime) is
+    compared with the norm over the whole cylinder; the rows are
+    ``(center, distance, norm_omega, norm_total, ratio)``.  A ratio above
+    the resolution floor for every source is the expected outcome: the
+    computed fields never vanish on the window alone.  A source inside the
+    window or zero on every interior node, a window holding no interior
+    node, a ``t_prime`` below the first time step (the window would hold
+    only the initial level, pinned to zero) and a width that is not
+    positive raise ``ValueError``.
     """
-    grid = config.grid
-    lo, hi = config.omega
+    lo, hi = omega
     axis = grid.axes()[0]
     mask = np.zeros(grid.shape, dtype=bool)
     mask[(axis >= lo) & (axis <= hi)] = True
     if not mask[grid.interior()].any():
-        raise ValueError(f"omega {config.omega} holds no interior grid node")
-    if not config.source_width > 0.0:
-        raise ValueError(
-            f"source_width must be positive, got {config.source_width}")
-    tmask = grid.time.nodes <= config.t_prime
+        raise ValueError(f"omega {omega} holds no interior grid node")
+    if not source_width > 0.0:
+        raise ValueError(f"source_width must be positive, got {source_width}")
+    tmask = grid.time.nodes <= t_prime
     if not tmask[1:].any():
         raise ValueError(
-            f"t_prime {config.t_prime} lies below the first time step "
+            f"t_prime {t_prime} lies below the first time step "
             f"{grid.time.nodes[1]}")
 
     # the time ramp on a broadcast time axis, times the bump of each center
@@ -803,17 +783,16 @@ def ucp_experiment(config: UcpConfig, floor: float = 1e-13) -> UcpReport:
     ramp = ramp.reshape((-1,) + (1,) * grid.ndim)
     first = grid.mesh()[..., 0]
     rows = []
-    for center in config.source_centers:
+    for center in source_centers:
         if lo <= center <= hi:
             raise ValueError("source must be supported away from the window")
-        f = ramp * _bump((first - center) / config.source_width)
+        f = ramp * _bump((first - center) / source_width)
         if not f[(slice(None),) + grid.interior()].any():
             raise ValueError(f"source at {center} is zero on the interior")
-        result = solve(config.spec, config.coeffs, LowerOrderTerm.zero(), f,
-                       grid, check_residual=False)
-        sol = result.field
+        sol = solve(spec, coeffs, LowerOrderTerm.zero(), f, grid,
+                    check_residual=False).field
         n_omega = sol.norm_l2(t_mask=tmask, space_mask=mask)
         n_total = sol.norm_l2()
         distance = min(abs(center - lo), abs(center - hi))
         rows.append((center, distance, n_omega, n_total, n_omega / n_total))
-    return UcpReport(rows=rows, floor=floor)
+    return rows

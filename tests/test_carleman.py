@@ -1,11 +1,12 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from fraclab import (BetaSweepConfig, CarlemanWeightParams, HolmgrenMap,
-                     LowerOrderTerm, MultiTermSpec, SpaceTimeGrid,
+from fraclab import (BetaSweepConfig, CarlemanWeightParams, HolmgrenFrame,
+                     HolmgrenMap, MultiTermSpec, SpaceTimeGrid,
                      CompactBump, TimeGrid, apply_discrete_operator,
                      beta_sweep, carleman_lhs, conjugated_operator,
                      default_bump_family,
@@ -248,12 +249,12 @@ class TestConjugation:
         u = rng.normal(size=(25, 17))
         u[0] = 0.0
         field = identity_field(1)
-        lower = LowerOrderTerm.zero()
         times = grid.time.nodes
         direct = conjugated_operator(u, grid, spec, frame,
                                      include_drift=False)[:, 1:-1]
         manual = apply_discrete_operator(
-            u * np.exp(times)[:, None], spec, field.a, lower, grid)
+            u * np.exp(times)[:, None], spec,
+            lambda t, y: (field.a(t, y), None, None), grid)
         manual *= np.exp(-times)[:, None]
         assert np.abs(direct - manual).max() < 1e-10 * max(1.0, np.abs(manual).max())
 
@@ -283,7 +284,7 @@ class TestConjugation:
         # one walk over the levels for the whole batch, of e^t times each
         block = batch.reshape(21, -1, 3) * np.exp(grid.time.nodes)[:, None,
                                                                      None]
-        walked = solver._spatial_walk(grid, *_conjugated_terms(frame), block,
+        walked = solver._spatial_walk(grid, _conjugated_terms(frame), block,
                                       np.zeros((21, 11 * 15, 3)))
         for b in range(3):
             own = conjugated_operator(batch[..., b], grid, spec, frame,
@@ -292,6 +293,35 @@ class TestConjugation:
                                         include_drift=include_drift,
                                         spatial=walked[..., b])
             assert given.tobytes() == own.tobytes()
+
+    def test_sampler_samples_the_field_once_per_call(self):
+        # the tilted matrix and the tilt drift share one sample of the
+        # frame's field: one call of field.a per sampler call, so one per
+        # block of levels in a walk
+        _, frame, _, grid = sweep_case(2, 1.5, n_steps=60)
+        calls = []
+
+        def counted(t, x):
+            calls.append(len(t))
+            return frame.field.a(t, x)
+
+        terms = _conjugated_terms(HolmgrenFrame(
+            field=dataclasses.replace(frame.field, a=counted),
+            map=frame.map))
+        y = grid.mesh()[grid.interior()].reshape(-1, 2)
+        t = np.repeat(grid.time.nodes[:3], len(y))
+        y = np.tile(y, (3, 1))
+        matrix, drift, b0 = terms(t, y)
+        assert calls == [len(t)]
+        base = frame.field.a(t, y)
+        assert matrix.tobytes() == frame.effective_matrix(y, base).tobytes()
+        assert drift.tobytes() == frame.tilt_drift(base).tobytes()
+        assert b0 is None
+        # 165 interior nodes: 49 levels per call, 61 levels in 2 calls
+        calls.clear()
+        runs = list(solver._level_operators(grid, terms, grid.time.nodes))
+        assert sum(count for _, count in runs) == 61
+        assert calls == [49 * 165, 12 * 165]
 
 
 class TestBumpShapes:
@@ -383,7 +413,8 @@ class TestSweep:
         from fraclab import LowerOrderTerm, solve
         spec, frame, weight = setup()
         grid = layer_grid(32, 33)
-        tilt = LowerOrderTerm(b=frame.tilt_drift, b0=None)
+        tilt = LowerOrderTerm(
+            b=lambda t, Y: frame.tilt_drift(frame.field.a(t, Y)), b0=None)
         result = solve(spec, frame.field, tilt,
                        lambda t, Y: np.zeros(Y.shape[:-1]), grid,
                        bc=lambda t, Yb: t**2 * np.ones(Yb.shape[0]),

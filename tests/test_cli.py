@@ -144,7 +144,7 @@ class TestValidation:
 
 # configs with every optional field that VALID leaves out
 RICH = [
-    ("lemma21", {**SYMBOL, "map": {**MAP1, "y_hat": [0.0], "stage": 1},
+    ("lemma21", {**SYMBOL, "map": {**MAP1, "y_hat": [0.0]},
                  "region": {"t": [0.1, 0.9], "xn": [0.0, 0.05],
                             "xprime_halfwidth": 0.5},
                  "tol": 1e-8, "sigma_range": [0.5, 2.0]}),
@@ -404,6 +404,17 @@ class TestCommandTable:
         code, _ = run(tmp_path, command, {**VALID[command], "bogus_key": 1})
         assert code == 2
         assert "bogus_key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["lemma21", "lemma61"])
+    def test_map_has_no_stage_key(self, command, tmp_path, capsys):
+        # lemma61's stage is its top-level key, and no other command has
+        # a stage: a map.stage would run at another stage, or none, silently
+        config = {**VALID[command], "map": {**MAP1, "stage": 3}}
+        code, out = run(tmp_path, command, config)
+        assert code == 2
+        assert ("config error at $.map: Additional properties are not "
+                "allowed ('stage' unexpected)" in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_symbol_bracket_has_no_mode_key(self, tmp_path, capsys):
         # both brackets are always written, so a mode switch selects nothing
@@ -1060,6 +1071,19 @@ class TestCommands:
         code, out = run(tmp_path, "solve", config)
         assert code == 3
         assert ("is too small for order 1.5: dt ** -1.5 overflows"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_solve_names_an_infinite_leading_coefficient(self, tmp_path,
+                                                         capsys):
+        # weight 1e300 times dt ** -0.5 at t = 1e-200 overflows to inf: the
+        # solve printed FAIL with every residual NaN, exit 1
+        config = json.loads((DEMO_CONFIGS / "solve.json").read_text())
+        config["spec"] = {"orders": [1.5, 0.5], "weights": [1.0, 1e300]}
+        config["grid"]["t_final"] = 1e-200
+        code, out = run(tmp_path, "solve", config)
+        assert code == 3
+        assert ("order 0.5 with weight 1e+300 at time step dt=3.90625e-203"
                 in capsys.readouterr().err)
         assert not out.exists()
 

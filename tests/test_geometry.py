@@ -91,8 +91,8 @@ class TestPushforward:
         hmap = HolmgrenMap(y_hat=np.zeros(2), c=3.0, X=0.05, T=1.0)
         frame = pushforward_operator(field, hmap)
         x = np.array([0.0, 0.02])
-        eff = frame.effective_matrix(0.4, x)
         base = frame.field.a(0.4, x)
+        eff = frame.effective_matrix(x, base)
         assert np.allclose(eff, base, rtol=0.0, atol=1e-15)
 
     def test_normal_coefficient_gains_tilt_square(self):
@@ -100,7 +100,7 @@ class TestPushforward:
         hmap = HolmgrenMap(y_hat=np.zeros(2), c=1.0, X=0.05, T=1.0)
         frame = pushforward_operator(field, hmap)
         x = np.array([0.2, 0.01])
-        eff = frame.effective_matrix(0.0, x)
+        eff = frame.effective_matrix(x, frame.field.a(0.0, x))
         assert abs(eff[1, 1] - (1.0 + 4.0 * x[0] ** 2)) < 1e-14
 
     def test_effective_matrix_symmetric(self):
@@ -110,7 +110,7 @@ class TestPushforward:
         hmap = HolmgrenMap(y_hat=np.zeros(3), c=2.0, X=0.05, T=1.0)
         frame = pushforward_operator(field, hmap)
         x = rng.normal(size=3) * 0.1
-        eff = frame.effective_matrix(0.3, x)
+        eff = frame.effective_matrix(x, frame.field.a(0.3, x))
         assert np.allclose(eff, eff.T, atol=1e-15)
 
     @pytest.mark.parametrize("maker", [diagonal_variable_field,
@@ -178,7 +178,7 @@ class TestCongruence:
                   (0.8, rng.normal(size=n))]
         for t, x in points:
             m = frame._tilt_matrix(x)
-            got = frame.effective_matrix(t, x)
+            got = frame.effective_matrix(x, frame.field.a(t, x))
             want = np.einsum("...ji,...jk,...kl->...il", m,
                              np.asarray(frame.field.a(t, x), dtype=float), m)
             assert got.shape == want.shape

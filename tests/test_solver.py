@@ -11,9 +11,9 @@ import scipy.sparse.linalg as spla
 from fraclab import cli, solver
 from fraclab.fractional import ConvergenceError, _gamma
 from fraclab import (EllipticCoeffField, LowerOrderTerm, MultiTermSpec,
-                     SpaceTimeGrid, TimeGrid, UcpConfig,
-                     apply_discrete_operator, caputo_power_rule,
-                     constant_field, diagonal_variable_field,
+                     SpaceTimeGrid, TimeGrid, apply_discrete_operator,
+                     caputo_power_rule, constant_field,
+                     diagonal_variable_field,
                      identity_field, load_solution,
                      rotating_anisotropic_field, save_solution, solve,
                      ucp_experiment)
@@ -35,6 +35,16 @@ def manufactured_1d(spec):
         return (tfrac + np.pi**2 * t**2) * sine
 
     return exact, source
+
+
+def sampler(a, lower=LowerOrderTerm.zero()):
+    """The coefficient sampler that ``solve`` builds from a matrix callable
+    and a :class:`LowerOrderTerm`: ``(a, b, b0)`` from one call."""
+    def terms(t, y):
+        return (a(t, y), None if lower.b is None else lower.b(t, y),
+                None if lower.b0 is None else lower.b0(t, y))
+
+    return terms
 
 
 def csr(mat):
@@ -60,12 +70,12 @@ def marched_reference(spec, field, source, grid):
     inside[grid.interior()] = True
     inside = inside.reshape(-1)
     mats = [mat for mat, count in solver._level_operators(
-        grid, field.a, LowerOrderTerm.zero(), grid.time.nodes)
+        grid, sampler(field.a), grid.time.nodes)
         for _ in range(count)]
     u = np.zeros((grid.time.n_steps + 1,) + grid.shape)
     for k in range(1, grid.time.n_steps + 1):
-        rest = apply_discrete_operator(u, spec, field.a, LowerOrderTerm.zero(),
-                                       grid, source=source)[k].reshape(-1)
+        rest = apply_discrete_operator(u, spec, sampler(field.a), grid,
+                                       source=source)[k].reshape(-1)
         system = (c * sp.eye(int(inside.sum()))
                   + csr(mats[k])[:, inside]).tocsc()
         u[k][grid.interior()] = spla.splu(system).solve(-rest).reshape(
@@ -285,7 +295,7 @@ class TestSolve:
                              time=TimeGrid.from_interval(1.0, 2 * 64 + 3))
         # b0 changes at every level, so only the field without it is one run
         counts = [count for _, count in solver._level_operators(
-            grid, plain.a, lower, grid.time.nodes)]
+            grid, sampler(plain.a, lower), grid.time.nodes)]
         assert counts == ([132] if lower.b0 is None else [1] * 132)
         source = lambda t, Y: t * np.sin(np.pi * Y[..., 0])
         results = [solve(spec, field, lower, source, grid)
@@ -441,8 +451,7 @@ class TestDiscreteOperator:
         result = solve(spec, identity_field(1), LowerOrderTerm.zero(),
                        source, grid, check_residual=False)
         resid = apply_discrete_operator(result.field.values, spec,
-                                        identity_field(1).a,
-                                        LowerOrderTerm.zero(), grid,
+                                        sampler(identity_field(1).a), grid,
                                         source=source)
         assert np.abs(resid).max() <= 1e-10
 
@@ -454,8 +463,8 @@ class TestDiscreteOperator:
         v = rng.normal(size=(17, 17))
         u[0] = v[0] = 0.0
         field = identity_field(1)
-        op = lambda w: apply_discrete_operator(w, spec, field.a,
-                                               LowerOrderTerm.zero(), grid)
+        op = lambda w: apply_discrete_operator(w, spec, sampler(field.a),
+                                               grid)
         lhs = op(2.0 * u - 3.0 * v)
         rhs = 2.0 * op(u) - 3.0 * op(v)
         assert np.abs(lhs - rhs).max() < 1e-11
@@ -469,7 +478,8 @@ class TestDiscreteOperator:
             [np.cos(Y[..., 0] + t), Y[..., 1]], axis=-1))
         block = np.random.default_rng(7).normal(size=(99, 5))
         for mat, _ in solver._level_operators(
-                grid, diagonal_variable_field(2).a, lower, grid.time.nodes):
+                grid, sampler(diagonal_variable_field(2).a, lower),
+                grid.time.nodes):
             product = mat @ block
             for b in range(block.shape[1]):
                 assert (product[:, b].tobytes()
@@ -486,10 +496,10 @@ class TestDiscreteOperator:
         rng = np.random.default_rng(11)
         work = rng.normal(size=(132, 99) + trailing)
         start = rng.normal(size=(132, 63) + trailing)
-        walked = solver._spatial_walk(grid, field.a, LowerOrderTerm.zero(),
-                                      work, start.copy())
+        walked = solver._spatial_walk(grid, sampler(field.a), work,
+                                      start.copy())
         ((mat, count),) = solver._level_operators(
-            grid, field.a, LowerOrderTerm.zero(), grid.time.nodes)
+            grid, sampler(field.a), grid.time.nodes)
         assert count == 132
         for k in range(count):
             assert (walked[k].tobytes()
@@ -504,13 +514,12 @@ class TestDiscreteOperator:
         batch = np.random.default_rng(2).normal(size=(13, 7, 8, 3))
         # one walk over the levels for the whole batch
         block = batch.reshape(13, -1, 3)
-        walked = solver._spatial_walk(grid, field.a, lower, block,
+        terms = sampler(field.a, lower)
+        walked = solver._spatial_walk(grid, terms, block,
                                       np.zeros((13, 30, 3)))
         for b in range(3):
-            own = apply_discrete_operator(batch[..., b], spec, field.a,
-                                          lower, grid)
-            given = apply_discrete_operator(batch[..., b], spec, field.a,
-                                            lower, grid,
+            own = apply_discrete_operator(batch[..., b], spec, terms, grid)
+            given = apply_discrete_operator(batch[..., b], spec, terms, grid,
                                             spatial=walked[..., b])
             assert given.tobytes() == own.tobytes()
 
@@ -528,16 +537,15 @@ def switching_field(t_on, t_off):
         da_dy=lambda t, y: np.zeros(np.shape(y)[:-1] + (1, 1, 1)), delta=0.5)
 
 
-def per_level_runs(grid, a, lower, times):
+def per_level_runs(grid, terms, times):
     """Runs from one sample and one _spatial_matrix per level, merged while
     consecutive samples are exactly equal."""
     y_int = grid.mesh()[grid.interior()].reshape(-1, grid.ndim)
-    terms = (a, lower.b, lower.b0)
     pattern = solver._stencil_pattern(grid)
     runs = []
     for t in times:
-        sampled = [None if f is None else np.asarray(f(t, y_int), dtype=float)
-                   for f in terms]
+        sampled = [None if v is None else np.asarray(v, dtype=float)
+                   for v in terms(t, y_int)]
         if runs and all(s is None or np.array_equal(s, p)
                         for s, p in zip(sampled, runs[-1][2])):
             runs[-1][1] += 1
@@ -561,7 +569,8 @@ class TestLevelRuns:
         times = grid.time.nodes
         for levels, counts in ((times, [64, 36, 31]),
                                (times[1:], [63, 36, 31])):
-            runs = list(solver._level_operators(grid, field.a, lower, levels))
+            runs = list(solver._level_operators(grid, sampler(field.a),
+                                                levels))
             assert [count for _, count in runs] == counts
         spec = MultiTermSpec(orders=(1.5, 0.5), weights=(1.0, 0.5))
         source = lambda t, Y: t * np.sin(np.pi * Y[..., 0])
@@ -572,6 +581,34 @@ class TestLevelRuns:
                 == reference.field.values.tobytes())
         assert result.diagnostics == reference.diagnostics
         assert result.diagnostics["equation_residual_max"] <= 1e-10
+
+    @pytest.mark.parametrize("shape, n_steps", [
+        ((130,), 130), ((9, 9), 400), ((93, 93), 3)],
+        ids=["1d", "2d", "one-level-per-call"])
+    def test_sampler_is_called_once_per_block_of_levels(self, shape,
+                                                        n_steps):
+        # a block is max(1, SAMPLE_BLOCK // interior nodes) levels, and all
+        # of a block's coefficients come from one call
+        grid = SpaceTimeGrid(bounds=((0.0, 1.0),) * len(shape), shape=shape,
+                             time=TimeGrid.from_interval(1.0, n_steps))
+        n_int = math.prod(s - 2 for s in shape)
+        per_call = max(1, solver.SAMPLE_BLOCK // n_int)
+        lower = LowerOrderTerm(
+            b=lambda t, Y: np.cos(Y + np.asarray(t)[..., None]),
+            b0=lambda t, Y: np.sin(Y[..., 0] * t))
+        terms = sampler(diagonal_variable_field(len(shape)).a, lower)
+        calls = []
+
+        def counting(t, y):
+            calls.append(len(t))
+            return terms(t, y)
+
+        for times in (grid.time.nodes, grid.time.nodes[1:]):
+            calls.clear()
+            runs = list(solver._level_operators(grid, counting, times))
+            assert sum(count for _, count in runs) == len(times)
+            assert calls == [min(per_call, len(times) - s) * n_int
+                             for s in range(0, len(times), per_call)]
 
     def test_time_constant_terms_assemble_once_per_walk(self, monkeypatch):
         identity = identity_field(2)
@@ -590,10 +627,10 @@ class TestLevelRuns:
 
         monkeypatch.setattr(solver, "_spatial_matrix", counting)
         work = np.random.default_rng(1).normal(size=(401, 81))
-        solver._spatial_walk(grid, field.a, lower, work, np.zeros((401, 49)))
+        terms = sampler(field.a, lower)
+        solver._spatial_walk(grid, terms, work, np.zeros((401, 49)))
         assert len(calls) == 1
-        ((_, count),) = solver._level_operators(grid, field.a, lower,
-                                                grid.time.nodes)
+        ((_, count),) = solver._level_operators(grid, terms, grid.time.nodes)
         assert count == 401
 
     @pytest.mark.parametrize("make_field, shape, n_steps", [
@@ -610,9 +647,9 @@ class TestLevelRuns:
         lower = LowerOrderTerm(
             b=lambda t, Y: np.cos(Y + np.asarray(t)[..., None]))
         for times in (grid.time.nodes, grid.time.nodes[1:]):
-            for terms in (LowerOrderTerm.zero(), lower):
+            for term in (LowerOrderTerm.zero(), lower):
                 counts = [count for _, count in solver._level_operators(
-                    grid, make_field().a, terms, times)]
+                    grid, sampler(make_field().a, term), times)]
                 assert sum(counts) == len(times)
                 assert min(counts) >= 1
 
@@ -753,8 +790,8 @@ class TestAssembly:
         monkeypatch.setattr(solver, "_stencil_pattern", counting_pattern)
         monkeypatch.setattr(solver, "_spatial_matrix", counting_assembly)
         work = np.random.default_rng(2).normal(size=(401, 81))
-        solver._spatial_walk(grid, diagonal_variable_field(2).a, lower, work,
-                             np.zeros((401, 49)))
+        solver._spatial_walk(grid, sampler(diagonal_variable_field(2).a,
+                                           lower), work, np.zeros((401, 49)))
         # the field and b change at every level: 401 runs, one pattern
         assert len(assembled) == 401
         assert len(built) == 1
@@ -778,7 +815,7 @@ class TestBlockFactorization:
         lower = LowerOrderTerm(b=lambda t, Y: np.cos(3.0 * Y),
                                b0=lambda t, Y: np.sin(Y[..., 0]))
         stencil, _ = next(solver._level_operators(
-            grid, make_field().a, lower, grid.time.nodes[1:]))
+            grid, sampler(make_field().a, lower), grid.time.nodes[1:]))
         inside = solver._interior_flags(grid)
         system = solver._interior_system(stencil, inside, 2.5)
         oracle = (2.5 * sp.eye(int(inside.sum()))
@@ -879,30 +916,31 @@ class TestSerialization:
 
 
 class TestUcp:
-    def make_config(self, centers):
+    WIDTH = 0.08
+
+    def run(self, centers):
         spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
-        grid = grid_1d(48, 65)
-        return UcpConfig(spec=spec, coeffs=identity_field(1), grid=grid,
-                         omega=(0.05, 0.25), t_prime=0.5,
-                         source_centers=centers)
+        return ucp_experiment(spec, identity_field(1), grid_1d(48, 65),
+                              omega=(0.05, 0.25), t_prime=0.5,
+                              source_centers=centers, source_width=self.WIDTH)
 
     def test_window_norm_stays_above_floor(self):
-        report = ucp_experiment(self.make_config((0.5, 0.7, 0.9)))
-        assert report.all_above_floor
-        assert report.min_ratio > 1e-13
+        rows = self.run((0.5, 0.7, 0.9))
+        ratios = [row[4] for row in rows]
+        assert all(r > 1e-13 for r in ratios)
+        assert min(ratios) > 1e-13
         # farther sources leak less into the window, but never nothing
-        ratios = [row[4] for row in report.rows]
         assert ratios[0] > ratios[1] > ratios[2] > 0.0
 
     def test_source_inside_window_rejected(self):
         with pytest.raises(ValueError):
-            ucp_experiment(self.make_config((0.1,)))
+            self.run((0.1,))
 
     def test_source_off_the_grid_rejected(self):
         # a centre at 1.5 leaves the bump zero on every node of [0, 1]; the
         # ratio 0/0 would otherwise be reported as a ratio of 0
         with pytest.raises(ValueError, match="1.5"):
-            ucp_experiment(self.make_config((0.5, 1.5)))
+            self.run((0.5, 1.5))
 
     def test_sources_are_the_per_level_stack(self, monkeypatch):
         sources = []
@@ -913,13 +951,13 @@ class TestUcp:
             return original(spec, coeffs, lower, source, grid, **kwargs)
 
         monkeypatch.setattr(solver, "solve", capturing)
-        cfg = self.make_config((0.5, 0.7, 0.9))
-        ucp_experiment(cfg)
-        grid = cfg.grid
+        centers = (0.5, 0.7, 0.9)
+        self.run(centers)
+        grid = grid_1d(48, 65)
         mesh = grid.mesh()
-        for center, source in zip(cfg.source_centers, sources):
+        for center, source in zip(centers, sources):
             def f(t, Y):
-                r = (Y[..., 0] - center) / cfg.source_width
+                r = (Y[..., 0] - center) / self.WIDTH
                 return (min(t / grid.time.t_final, 1.0) ** 2
                         * np.clip(1.0 - r**2, 0.0, None) ** 4)
             expected = np.stack([f(t, mesh) for t in grid.time.nodes])
