@@ -488,9 +488,11 @@ def run_caputo_check(config, out, seed, threads):
 def run_symbol_bracket(config, out, seed, threads):
     spec, hmap, frame, weight, region = _symbol_setup(config)
     n = frame.field.n
+    magnitude_range = tuple(config.get("magnitude_range", (1.0, 1e3)))
     pts = symbols.full_region_sample(
         region, spec, n, config["n_samples"], np.random.default_rng(seed),
-        magnitude_range=tuple(config.get("magnitude_range", (1.0, 1e3))))
+        magnitude_range=magnitude_range)
+    symbols.squared_scale_check(magnitude_range, spec.alpha)
     full, principal, scale, ratio = symbols.bracket_report_batch(
         pts, spec, frame.field, weight, hmap.c)
     _write_phase_table(out, "brackets", n,
@@ -544,6 +546,7 @@ def run_garding(config, out, seed, threads):
                       lambda k, rng: (symbols.full_region_sample(
                           region, spec, n, k, rng,
                           magnitude_range=magnitude_range), None))
+    symbols.squared_scale_check(magnitude_range, spec.alpha)
     varpi, report = symbols.find_min_varpi(
         pts, spec, frame.field, weight, hmap.c,
         varpi_max=config.get("varpi_max", 1e8))

@@ -15,10 +15,10 @@ the certificate.
 
 - The characteristic sampler draws seeds in batches of 2n but solves only
   as many as it still needs, in draw order.  Its root-finder brackets each
-  root by doubling and refines it by safeguarded Newton steps, and a point
-  leaves the working set once it has converged, so a root does not depend
-  on which other points share its batch.  Rejected seeds are counted by
-  cause.
+  root between powers of two, walking from the leading-order root, and
+  refines it by safeguarded Newton steps; a point leaves the working set
+  once it has converged, so a root does not depend on which other points
+  share its batch.  Rejected seeds are counted by cause.
 - Certificates evaluate brackets on blocks of ``SAMPLE_BLOCK`` samples and
   keep only the per-sample scalars they need.
 - Ellipticity margins are exact eigenvalue margins, not probe vectors.
@@ -161,6 +161,21 @@ def anisotropic_scale(xi, sigma, tau, alpha: float):
 # the weighted symbol and its brackets, on batched samples
 
 
+def _real_contraction(subscripts, a, w):
+    """``np.einsum(subscripts, a, w)`` for real ``a`` and complex ``w``.
+
+    Two real contractions, one per part of ``w``.  The complex einsum
+    promotes ``a`` to a + 0i, whose extra products are zeros that cannot
+    move a sum started from +0, and adds the others in the same order, so
+    the bits agree for finite ``w``, at well under half the time.
+    """
+    re = np.einsum(subscripts, a, w.real)
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = np.einsum(subscripts, a, w.imag)
+    return out
+
+
 def weighted_symbol(t, x, tau, xi, sigma, spec, coeffs, c, X, grads=False):
     """Weighted symbol: a W.W in the tilted duals W plus the fractional sum.
 
@@ -180,7 +195,7 @@ def weighted_symbol(t, x, tau, xi, sigma, spec, coeffs, c, X, grads=False):
     W = xi.astype(complex).copy()
     W[..., -1] = xi[..., -1] + 1j * mu
     W[..., :-1] = xi[..., :-1] + 2.0 * c * x[..., :-1] * W[..., -1:]
-    G = np.einsum("...jk,...k->...j", a, W)
+    G = _real_contraction("...jk,...k->...j", a, W)
     quad = np.einsum("...j,...j->...", W, G)
     if not grads:
         return {"value": fractional_symbol(tau, spec) + quad}
@@ -196,11 +211,11 @@ def weighted_symbol(t, x, tau, xi, sigma, spec, coeffs, c, X, grads=False):
     d_xi[..., -1] = 2.0 * (G[..., -1] + 2.0 * c * tilt)
 
     d_x = np.empty(W.shape, dtype=complex)
-    d_x[..., :] = np.einsum("...rjk,...jk->...r", da_dx, WW)
+    d_x[..., :] = _real_contraction("...rjk,...jk->...r", da_dx, WW)
     d_x[..., :-1] += 4.0 * c * W[..., -1:] * G[..., :-1]
     d_x[..., -1] += 2j * np.abs(sigma) * (G[..., -1] + 2.0 * c * tilt)
 
-    d_t = np.einsum("...jk,...jk->...", da_dt, WW)
+    d_t = _real_contraction("...jk,...jk->...", da_dt, WW)
     return {"value": S + quad, "d_xi": d_xi, "d_x": d_x, "d_t": d_t,
             "d_tau": dS}
 
@@ -266,11 +281,11 @@ class CharacteristicSample:
 
     ``solved`` counts the seeds whose scalar equation was bracketed and
     solved; ``rejected`` counts seeds by cause: "degenerate_b" (the
-    scalar equation degenerates), "no_sign_change" (g(0) >= 0, or no sign
-    change within 60 doublings) and "residual" (solved, but the residual
-    exceeds the tolerance).  Seeds drawn after the last one needed are
-    never examined and appear in neither.  ``root_passes`` counts the
-    root-finder's passes, doubling and refinement, over all batches.
+    scalar equation degenerates), "no_sign_change" (g(0) >= 0, or g <= 0
+    at every power of two up to 2^60) and "residual" (solved, but the
+    residual exceeds the tolerance).  Seeds drawn after the last one needed
+    are never examined and appear in neither.  ``root_passes`` counts the
+    root-finder's passes, bracket and refinement, over all batches.
     """
 
     t: np.ndarray
@@ -301,13 +316,15 @@ def char_set_sample(region: SampleRegion, spec: MultiTermSpec,
     For each random base point, dual direction and sigma, the two real
     equations Re p = Im p = 0 reduce to one scalar equation in tau (the
     imaginary equation fixes the radial scaling of xi), which is bracketed
-    by doubling and solved by safeguarded Newton steps (see
-    :func:`_char_roots`).  Seeds are drawn in batches of 2 n_samples,
-    but only as many as are still needed are solved, in draw order.  Seeds
-    whose scalar equation has no root in the search range, or whose solved
-    point misses the residual certificate, are discarded and counted by
-    cause; the result is partial if the budget of 8 n_samples seeds runs
-    out first.
+    between powers of two from its leading-order root and solved by
+    safeguarded Newton steps (see :func:`_char_roots`).  Seeds are drawn
+    in batches of 2 n_samples, but only as many as are still needed are
+    solved, in draw order.  Seeds whose scalar equation has no root in the
+    search range, or whose solved point misses the residual certificate,
+    are discarded and counted by cause; the result is partial if the
+    budget of 8 n_samples seeds runs out first.  A ``sigma_range`` whose
+    top overflows the scalar equation raises ``ValueError`` before any
+    seed is drawn.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -318,6 +335,21 @@ def char_set_sample(region: SampleRegion, spec: MultiTermSpec,
     if sigma_range is None:
         floor = math.sqrt(spec.weight_sum / coeffs.delta) / X
         sigma_range = (3.0 * floor, 30.0 * floor)
+    # the root-finder forms Q R = 4 mu^4 B^2 C with mu = sigma (x_n - 2X);
+    # a <= 1/delta and |x'| <= h per coordinate bound |B| and C by
+    # v^2 / delta, v = 1 + 2 |c| h sqrt(n - 1)
+    v = 1.0 + 2.0 * abs(c) * region.xprime_halfwidth * math.sqrt(n - 1)
+    mu = sigma_range[1] * max(abs(x_n - 2.0 * X) for x_n in region.xn_range)
+    try:
+        top = 4.0 * mu**4 * v**6 / coeffs.delta**3
+    except OverflowError:
+        top = math.inf
+    if not math.isfinite(top):
+        raise ValueError(
+            f"sigma_range={tuple(sigma_range)!r} overflows the scalar "
+            "equation: its bound on Q R, 4 (hi max|x_n - 2X|)^4 v^6 / "
+            f"delta^3 with v = {v!r} and delta = {coeffs.delta!r}, is not "
+            "finite")
 
     kept = []
     found = solved = root_passes = 0
@@ -417,13 +449,62 @@ def _char_batch(region, spec, coeffs, c, X, batch, need, tol, rng,
     return tuple(np.concatenate(col) for col in zip(*parts)), counts
 
 
+def _bracket(A, Q, R, spec):
+    """First power of two hi in [1, 2^60] with g(hi) > 0, per point.
+
+    g(tau) = A Im(S)^2 - Q (R - Re S) with g(0) < 0.  Each point starts at
+    the power of two at or below its leading-order root tau0 = (Q R / (A
+    q1^2 sin^2(alpha1 pi/2)))^(1/(2 alpha1)), where A Im(S)^2 meets Q R at
+    large tau (the leading weight q1 is 1); the start is found in log2, so
+    Q R cannot overflow, clipped to [1, 2^60], and is 1 where tau0 is not
+    finite (A = 0).  From there hi halves while g(hi/2) > 0 and doubles
+    while g(hi) <= 0 and hi < 2^60, so wherever g is sign-monotone on the
+    powers of two, hi is the first one with g > 0, as doubling from 1
+    finds it.  Returns (hi, g_hi, g_lo, passes): g_hi <= 0 where no power
+    of two up to 2^60 has g > 0, g_lo is g(hi/2) wherever g_hi > 0 and
+    hi > 1 and 0 where hi = 1, and passes counts the symbol evaluations
+    over the working set.
+    """
+    def gfun(tau, j):
+        s = fractional_symbol(tau, spec)
+        return A[j] * s.imag**2 - Q[j] * (R[j] - s.real)
+
+    alpha = spec.alpha
+    lead = 2.0 * math.log2(math.sin(alpha * math.pi / 2.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.floor((np.log2(Q) + np.log2(R) - np.log2(A) - lead)
+                     / (2.0 * alpha))
+    k = np.where(np.isfinite(k), np.clip(k, 0.0, 60.0), 0.0)
+    hi = np.ldexp(1.0, k.astype(int))
+    g_hi = gfun(hi, slice(None))
+    g_lo = np.zeros(len(A))
+    passes = 1
+    act = np.flatnonzero(np.where(g_hi > 0.0, hi > 1.0, hi < 2.0**60))
+    while len(act):
+        passes += 1
+        h, gh = hi[act], g_hi[act]
+        up = gh <= 0.0
+        tau = np.where(up, 2.0 * h, 0.5 * h)
+        g = gfun(tau, act)
+        # the upper end moves up, or down onto a positive g(hi/2); a
+        # non-positive g(hi/2) is the lower end's value
+        move = up | (g > 0.0)
+        hi[act[move]] = tau[move]
+        g_hi[act[move]] = g[move]
+        g_lo[act[up]] = gh[up]
+        g_lo[act[~move]] = g[~move]
+        act = act[np.where(up, (g <= 0.0) & (tau < 2.0**60),
+                           move & (tau > 1.0))]
+    return hi, g_hi, g_lo, passes
+
+
 def _char_roots(A, Q, R, spec):
     """Roots of g(tau) = A Im(S)^2 - Q (R - Re S) on [0, 2^60], per point.
 
-    g(0) < 0 at every point.  The upper end doubles from 1 while g <= 0
-    there, at most 60 times, and a point is kept if g > 0 at its final
-    upper end.  A kept point is then refined inside its bracket [hi/2, hi]
-    ([0, 1] if hi never doubled) by Newton steps on
+    g(0) < 0 at every point.  :func:`_bracket` finds the first power of
+    two hi with g(hi) > 0, walking from the leading-order root, and a
+    point is kept if it finds one.  A kept point is then refined inside
+    its bracket [hi/2, hi] ([0, 1] if hi = 1) by Newton steps on
     g' = 2 A Im(S) Im(S') + Q Re(S'), from the secant point of the bracket
     (the midpoint of [0, 1]).  A Newton step that leaves the bracket or
     does not halve the step before it becomes a bisection step, as in
@@ -432,33 +513,10 @@ def _char_roots(A, Q, R, spec):
     step), or at the midpoint once its bracket holds no float inside.
     Returns (tau, good, passes): tau is defined where good holds,
     and passes counts the symbol evaluations over the working set,
-    doubling and refinement together.
+    bracket and refinement together.
     """
-    def gfun(tau, j):
-        s = fractional_symbol(tau, spec)
-        return A[j] * s.imag**2 - Q[j] * (R[j] - s.real)
-
+    hi, g_hi, g_lo, passes = _bracket(A, Q, R, spec)
     m = len(A)
-    hi = np.ones(m)
-    g_hi = np.empty(m)
-    g_lo = np.zeros(m)             # g(hi/2), once hi has doubled
-    act = np.arange(m)
-    passes = 0
-    for _ in range(60):
-        passes += 1
-        g_hi[act] = gfun(hi[act], act)
-        bad = g_hi[act] <= 0.0
-        n_bad = int(np.count_nonzero(bad))
-        if n_bad == 0:
-            break
-        g_lo[act[bad]] = g_hi[act[bad]]
-        hi[act[bad]] *= 2.0
-        if 2 * n_bad <= len(act):
-            act = act[bad]
-    else:
-        act = act[g_hi[act] <= 0.0]
-        passes += 1
-        g_hi[act] = gfun(hi[act], act)
     good = g_hi > 0.0
 
     # one row per quantity and one column per point still refining; the
@@ -470,10 +528,10 @@ def _char_roots(A, Q, R, spec):
     state = np.empty((7, n))
     lo, h, x, last, a, q, r = state
     h[:] = hi[act]
-    doubled = h > 1.0
-    lo[:] = np.where(doubled, 0.5 * h, 0.0)
+    halved = h > 1.0
+    lo[:] = np.where(halved, 0.5 * h, 0.0)
     gl, gh = g_lo[act], g_hi[act]
-    x[:] = np.where(doubled, h - gh * ((h - lo) / (gh - gl)), 0.5 * h)
+    x[:] = np.where(halved, h - gh * ((h - lo) / (gh - gl)), 0.5 * h)
     x[:] = np.where((x > lo) & (x < h), x, 0.5 * (lo + h))
     np.subtract(h, lo, out=last)
     a[:], q[:], r[:] = A[act], Q[act], R[act]
@@ -578,7 +636,8 @@ def full_region_sample(region: SampleRegion, spec: MultiTermSpec, n: int,
     Magnitudes are log-uniform; tau is drawn on the anisotropic scale
     rho^(2/alpha) so all three scale contributions are exercised.  A range
     whose largest tau, 1.2 hi^(2/alpha), is not a finite float raises
-    ``ValueError``.
+    ``ValueError``; :func:`squared_scale_check` bounds what the symbol's
+    terms form on these samples.
     """
     t, x = region.draw(rng, n_samples, n)
     rho = _log_uniform(rng, magnitude_range, n_samples, "magnitude_range")
@@ -598,6 +657,24 @@ def full_region_sample(region: SampleRegion, spec: MultiTermSpec, n: int,
     tau = (rng.choice([-1.0, 1.0], n_samples) * rho ** (2.0 / spec.alpha)
            * rng.uniform(0.0, 1.2, n_samples))
     return t, x, tau, xi, sigma
+
+
+def squared_scale_check(magnitude_range, alpha: float):
+    """Raise ``ValueError`` if |p|^2 can overflow on a full-region sample.
+
+    A sample of :func:`full_region_sample` at magnitude hi has scale at
+    most (1 + 1.2^alpha) hi^2; the Garding terms form its square, and
+    |p|^2 is of the same order.  A range whose ((1 + 1.2^alpha) hi^2)^2 is
+    not a finite float is named in the error.
+    """
+    try:
+        top = ((1.0 + 1.2**alpha) * magnitude_range[1] ** 2) ** 2
+    except OverflowError:
+        top = math.inf
+    if not math.isfinite(top):
+        raise ValueError(
+            f"magnitude_range={tuple(magnitude_range)!r} overflows |p|^2: "
+            f"((1+1.2^alpha)*hi^2)^2 is not finite at alpha={alpha}")
 
 
 def garding_precondition_check(points, spec: MultiTermSpec,

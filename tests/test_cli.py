@@ -572,7 +572,8 @@ class TestCommands:
             assert sorted(rejected) == sorted(symbols.REJECT_CAUSES)
             assert rejected["no_sign_change"] > 0 and rejected["residual"] > 0
             assert solved == summary["found"] + rejected["residual"]
-            # every chunk doubles at least once and refines at least once
+            # every chunk evaluates its first bracket at least once and
+            # refines at least once
             assert passes >= 2 * cli.N_CHUNKS
         varpis = []
         for threads in (1, 2, 3):
@@ -732,6 +733,57 @@ class TestCommands:
         assert "magnitude_range=(1.0, 1e+200) overflows tau" in err
         assert "alpha=0.5" in err
         assert not out.exists()
+
+    # the certify benchmark's configs at 2,000 samples
+    LEMMA21 = {"spec": {"orders": [0.5, 0.25], "weights": [1.0, 0.5]},
+               "coeffs": COEFFS2, "map": MAP1, "weight": WEIGHT,
+               "n_samples": 2000}
+    LEMMA61 = {"spec": SPEC, "coeffs": {"preset": "diagonal-variable",
+                                        "n": 2},
+               "map": MAP1, "weight": WEIGHT, "n_samples": 2000, "stage": 5}
+    GARDING = {"spec": {"orders": [1.5, 0.75], "weights": [1.0, 0.5]},
+               "coeffs": {"preset": "rotating-anisotropic", "n": 2,
+                          "ratio": 0.5},
+               "map": MAP1, "weight": WEIGHT, "n_samples": 2000}
+
+    @pytest.mark.parametrize("command", ["lemma21", "lemma61"])
+    @pytest.mark.parametrize("sigma_range", [(1e150, 1e152), (1e300, 1e308)],
+                             ids=["multiply", "square"])
+    def test_overflowing_sigma_range_is_named(self, command, sigma_range,
+                                              tmp_path, capsys):
+        # mu^2 or Q (R - Re S) used to overflow, with a warning, and every
+        # seed was rejected, so the run read as an empty sample
+        config = {**getattr(self, command.upper()),
+                  "sigma_range": list(sigma_range)}
+        code, out = run(tmp_path, command, config, seed=3)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"sigma_range={sigma_range!r} overflows the scalar equation" \
+            in err
+        assert "empty" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, hi", [("garding", 1e80),
+                                             ("symbol-bracket", 1e150)])
+    def test_magnitude_range_overflowing_the_squared_symbol_is_named(
+            self, command, hi, tmp_path, capsys):
+        # tau is finite, but |p|^2 and the squared scale are not: garding's
+        # terms used to be NaN, and symbol-bracket failed on NaN ratios
+        config = {**self.GARDING, "magnitude_range": [1.0, hi]}
+        code, out = run(tmp_path, command, config, seed=3)
+        assert code == 3
+        assert (f"magnitude_range={(1.0, hi)!r} overflows |p|^2: "
+                "((1+1.2^alpha)*hi^2)^2 is not finite at alpha=1.5"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["garding", "symbol-bracket"])
+    def test_magnitude_range_below_the_square_limit_passes(self, command,
+                                                           tmp_path):
+        config = {**self.GARDING, "magnitude_range": [1.0, 1e70]}
+        code, out = run(tmp_path, command, config, seed=3)
+        assert code == 0
+        assert json.loads((out / "summary.json").read_text())["pass"]
 
     def test_symbol_bracket_fails_on_non_finite_ratios(self, tmp_path,
                                                        monkeypatch, capsys):

@@ -163,6 +163,65 @@ class TestWeightedSymbol:
             assert np.all(np.abs(a - b) < 1e-12 * np.maximum(1.0, np.abs(a)))
 
 
+def signed_zero_data(rng, shape, zeros=0.3):
+    """Normal draws with about ``zeros`` of the entries set to +0 or -0."""
+    values = rng.normal(size=shape)
+    hit = rng.random(shape) < zeros
+    values[hit] = np.copysign(0.0, rng.choice([-1.0, 1.0], shape))[hit]
+    return values
+
+
+def same_bits(got, want):
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and np.array_equal(got.view(np.uint64), want.view(np.uint64)))
+
+
+class TestRealContraction:
+    """Two real einsums give the complex einsum's bits."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_complex_einsum(self, n):
+        rng = np.random.default_rng(40 + n)
+        m = 1001
+        w = signed_zero_data(rng, (m, n)) + 1j * signed_zero_data(rng, (m, n))
+        ww = w[..., :, None] * w[..., None, :]
+        for subscripts, a, b in (
+                ("...jk,...k->...j", signed_zero_data(rng, (m, n, n)), w),
+                ("...rjk,...jk->...r",
+                 signed_zero_data(rng, (m, n, n, n), 0.6), ww),
+                ("...jk,...jk->...", signed_zero_data(rng, (m, n, n)), ww)):
+            assert same_bits(symbols._real_contraction(subscripts, a, b),
+                             np.einsum(subscripts, a, b))
+
+    @pytest.mark.parametrize("field", [
+        identity_field(2), diagonal_variable_field(2), identity_field(3),
+        diagonal_variable_field(3), rotating_anisotropic_field(2)],
+        ids=["identity-2", "diagonal-2", "identity-3", "diagonal-3",
+             "rotating-2"])
+    def test_weighted_symbol_matches_complex_einsum(self, field, monkeypatch):
+        # the derivative tensors of the identity and diagonal fields are
+        # mostly structural zeros; x', xi and sigma hold exact zeros of
+        # both signs
+        rng = np.random.default_rng(7)
+        n, m = field.n, 600
+        spec = MultiTermSpec(orders=(1.3, 0.6), weights=(1.0, 0.4))
+        t = rng.uniform(0.0, 1.0, m)
+        x = np.empty((m, n))
+        x[:, :-1] = 0.2 * signed_zero_data(rng, (m, n - 1))
+        x[:, -1] = rng.uniform(0.0, 0.05, m)
+        tau = signed_zero_data(rng, m)
+        xi = signed_zero_data(rng, (m, n))
+        sigma = signed_zero_data(rng, m)
+        points = (t, x, tau, xi, sigma)
+        got = weighted_symbol(*points, spec, field, 1.0, 0.05, grads=True)
+        monkeypatch.setattr(symbols, "_real_contraction", np.einsum)
+        want = weighted_symbol(*points, spec, field, 1.0, 0.05, grads=True)
+        assert sorted(got) == sorted(want)
+        for key in got:
+            assert same_bits(got[key], want[key]), key
+
+
 class TestGradients:
     def test_tau_derivative_at_origin(self):
         spec = MultiTermSpec(orders=(0.7,), weights=(1.0,))
@@ -427,28 +486,45 @@ class TestCharacteristicSampling:
         assert np.max(np.abs(ratio2 - ratio) / np.abs(ratio)) < 1e-9
 
 
-def reference_roots(A, Q, R, spec):
-    """Bisection over all points: 60 doubling passes, then bisection passes
-    with np.where until every bracket holds no float inside."""
-    def g(tau, A, Q, R):
-        s = fractional_symbol(tau, spec)
-        return A * s.imag**2 - Q * (R - s.real)
+def reference_g(tau, A, Q, R, spec):
+    s = fractional_symbol(tau, spec)
+    return A * s.imag**2 - Q * (R - s.real)
 
-    lo = np.zeros(len(A))
+
+def doubling_bracket(A, Q, R, spec):
+    """The first bracket by doubling from 1, as :func:`symbols._bracket`
+    returns it: the upper end doubles while g <= 0 there, at most 60 times,
+    over the points still doubling.  Returns (hi, g_hi, g_lo, passes) with
+    g_lo = g(hi/2) where hi > 1."""
     hi = np.ones(len(A))
-    for _ in range(60):
-        bad = g(hi, A, Q, R) <= 0.0
-        if not bad.any():
+    g_hi = np.empty(len(A))
+    g_lo = np.zeros(len(A))
+    act = np.arange(len(A))
+    passes = 0
+    for step in range(61):
+        passes += 1
+        g_hi[act] = reference_g(hi[act], A[act], Q[act], R[act], spec)
+        act = act[g_hi[act] <= 0.0]
+        if step == 60 or len(act) == 0:
             break
-        hi[bad] *= 2.0
-    good = g(hi, A, Q, R) > 0.0
-    lo, hi, A, Q, R = lo[good], hi[good], A[good], Q[good], R[good]
+        g_lo[act] = g_hi[act]
+        hi[act] *= 2.0
+    return hi, g_hi, g_lo, passes
+
+
+def reference_roots(A, Q, R, spec):
+    """Bisection over all points: the doubling bracket, then bisection
+    passes with np.where until every bracket holds no float inside."""
+    hi, g_hi, _, _ = doubling_bracket(A, Q, R, spec)
+    good = g_hi > 0.0
+    lo = np.zeros(np.count_nonzero(good))
+    hi, A, Q, R = hi[good], A[good], Q[good], R[good]
     # [0, 1] halves down to the least subnormal in 1074 passes
     for _ in range(1200):
         mid = 0.5 * (lo + hi)
         if np.all((mid == lo) | (mid == hi)):
             break
-        gm = g(mid, A, Q, R)
+        gm = reference_g(mid, A, Q, R, spec)
         lo = np.where(gm < 0.0, mid, lo)
         hi = np.where(gm < 0.0, hi, mid)
     return 0.5 * (lo + hi), good
@@ -493,20 +569,87 @@ def reference_char_batch(region, spec, coeffs, c, X, batch, tol, rng,
 class TestRootFinder:
     spec = MultiTermSpec(orders=(0.5, 0.25), weights=(1.0, 0.5))
 
-    def test_roots_match_reference(self):
+    LADDER = (0.05, 0.3, 0.5, 1.0, 1.3, 1.5, 1.7, 1.85, 1.9, 1.95, 1.99)
+
+    def reference_points(self):
+        """3,000 random (A, Q, R) and four edge cases, for ``self.spec``.
+
+        Two roots far below the upper end 1 (g ~ 0.39 tau^2 - Q (R - 1.5)
+        near 0: 1.96e-100 and 5.8e-8); with A = 0, g = Q (Re S - R) and
+        Re S ~ 0.7 tau^(1/2), so a root beyond 2^60 is dropped and one
+        between 2^59 and 2^60 takes all 60 doublings.
+        """
         rng = np.random.default_rng(17)
         m = 3000
         A = 10.0 ** rng.uniform(-3.0, 2.0, m)
         Q = 10.0 ** rng.uniform(-2.0, 8.0, m)
         R = self.spec.weight_sum * (1.0 + 10.0 ** rng.uniform(-4.0, 4.0, m))
-        # two roots far below the upper end 1 (g ~ 0.39 tau^2 - Q (R - 1.5)
-        # near 0: 1.96e-100 and 5.8e-8); with A = 0, g = Q (Re S - R) and
-        # Re S ~ 0.7 tau^(1/2), so a root beyond 2^60 is dropped and one
-        # between 2^59 and 2^60 takes all 60 doublings
         ws = self.spec.weight_sum
         A = np.concatenate([A, [1.0, 1.0, 0.0, 0.0]])
         Q = np.concatenate([Q, [1e-200, 1.0, 1.0, 1.0]])
         R = np.concatenate([R, [2.0 * ws, ws * (1.0 + 1e-15), 1e12, 7e8]])
+        return A, Q, R
+
+    @staticmethod
+    def ladder_points(spec):
+        """Random (A, Q, R) whose roots run from below 1 past 2^60, with
+        A = 0 (start at 1), a tiny A (start at 2^60) and a zero Q."""
+        rng = np.random.default_rng(19)
+        m = 3000
+        A = 10.0 ** rng.uniform(-3.0, 2.0, m)
+        Q = 10.0 ** rng.uniform(-2.0, 14.0, m)
+        R = spec.weight_sum * (1.0 + 10.0 ** rng.uniform(-4.0, 6.0, m))
+        ws = spec.weight_sum
+        A = np.concatenate([A, [0.0, 0.0, 1e-300, 1e-300, 1.0]])
+        Q = np.concatenate([Q, [1.0, 1.0, 1.0, 1e10, 0.0]])
+        R = np.concatenate([R, [2.0 * ws, 1e30, 2.0 * ws, 1e10, 2.0 * ws]])
+        return A, Q, R
+
+    @pytest.mark.parametrize("alpha", (None, *LADDER))
+    def test_bracket_and_roots_match_doubling(self, alpha, monkeypatch):
+        # the walk from the leading-order root ends where doubling from 1
+        # ends, with the same g at both ends, so the roots keep their bits
+        if alpha is None:
+            spec = self.spec
+            A, Q, R = self.reference_points()
+        else:
+            spec = MultiTermSpec(orders=(alpha,), weights=(1.0,))
+            A, Q, R = self.ladder_points(spec)
+        hi, g_hi, g_lo, _ = symbols._bracket(A, Q, R, spec)
+        ref_hi, ref_g_hi, ref_g_lo, _ = doubling_bracket(A, Q, R, spec)
+        assert same_bits(hi, ref_hi) and same_bits(g_hi, ref_g_hi)
+        good = g_hi > 0.0
+        assert good.any() and (hi[good] > 1.0).any()
+        halved = good & (hi > 1.0)
+        assert same_bits(g_lo[halved], ref_g_lo[halved])
+        tau, good, _ = _char_roots(A, Q, R, spec)
+        monkeypatch.setattr(symbols, "_bracket", doubling_bracket)
+        ref_tau, ref_good, _ = _char_roots(A, Q, R, spec)
+        assert np.array_equal(good, ref_good)
+        assert same_bits(tau[good], ref_tau[good])
+
+    def test_bracket_walks_fewer_passes_than_doubling(self, monkeypatch):
+        # lemma21's geometry at 2,000 samples: the median root sits near
+        # 2^17, which doubling climbs to from 1 and the walk starts beside;
+        # the points and seed counts stay the same
+        weight = CarlemanWeightParams(X=0.05)
+
+        def sample():
+            return char_set_sample(region_for(weight), self.spec,
+                                   diagonal_variable_field(2), weight, 1.0,
+                                   2000, rng=np.random.default_rng(3))
+
+        walked = sample()
+        monkeypatch.setattr(symbols, "_bracket", doubling_bracket)
+        doubled = sample()
+        assert (walked.root_passes, doubled.root_passes) == (10, 34)
+        for name in ("t", "x", "tau", "xi", "sigma", "residual"):
+            assert same_bits(getattr(walked, name), getattr(doubled, name))
+        assert (walked.solved, walked.rejected) == (doubled.solved,
+                                                    doubled.rejected)
+
+    def test_roots_match_reference(self):
+        A, Q, R = self.reference_points()
         tau_ref, good_ref = reference_roots(A, Q, R, self.spec)
         assert good_ref[-4:].tolist() == [True, True, False, True]
         # tau_ref lists the good points only
@@ -698,6 +841,19 @@ class TestGarding:
             full_region_sample(self.region, spec, 2, 100,
                                np.random.default_rng(4),
                                magnitude_range=(1.0, hi))
+
+    @pytest.mark.parametrize("alpha,hi", [(0.5, 1e76), (1.5, 1e76)])
+    def test_finite_squared_scale_passes(self, alpha, hi):
+        symbols.squared_scale_check((1.0, hi), alpha)
+
+    @pytest.mark.parametrize("alpha,hi", [(0.5, 1e77), (1.5, 1e77),
+                                          (1.5, 1e230)])
+    def test_overflowing_squared_scale_names_the_range(self, alpha, hi):
+        # tau is finite at each of these (see above), |p|^2 is not
+        message = (f"magnitude_range=(1.0, {hi!r}) overflows |p|^2: "
+                   f"((1+1.2^alpha)*hi^2)^2 is not finite at alpha={alpha}")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            symbols.squared_scale_check((1.0, hi), alpha)
 
 
 class TestStageCertificate:
