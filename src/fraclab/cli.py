@@ -153,7 +153,6 @@ SCHEMAS = {
                             tol_apply=_NUM, tol_oracle=_NUM),
     "symbol-bracket": _object(_SYMBOL_REQUIRED, **_SYMBOL,
                               magnitude_range=_PAIR),
-    "char-sample": _object(_SYMBOL_REQUIRED, **_CHAR),
     "lemma21": _object(_SYMBOL_REQUIRED, **_CHAR),
     "garding": _object(_SYMBOL_REQUIRED, **_SYMBOL, varpi_max=_NUM,
                        magnitude_range=_PAIR),
@@ -363,17 +362,18 @@ def _phase_columns(total, n):
             np.empty((total, n)), np.empty(total)]
 
 
-def _parallel_char_samples(config, region, spec, coeffs, weight, c, seed,
-                           threads):
-    """Chunked characteristic sample of ``config["n_samples"]`` points."""
-    total = config["n_samples"]
+def _char_sample(config, seed, threads, field=None):
+    """:func:`_symbol_setup`'s spec, map, frame and weight, and a chunked
+    characteristic sample of ``config["n_samples"]`` points."""
+    spec, hmap, frame, weight, region = _symbol_setup(config, field)
+    coeffs, total = frame.field, config["n_samples"]
     tol = config.get("tol", 1e-8)
     sigma_range = (tuple(config["sigma_range"]) if "sigma_range" in config
                    else None)
 
     def draw(count, rng):
-        part = symbols.char_set_sample(region, spec, coeffs, weight, c, count,
-                                       tol=tol, rng=rng,
+        part = symbols.char_set_sample(region, spec, coeffs, weight, hmap.c,
+                                       count, tol=tol, rng=rng,
                                        sigma_range=sigma_range)
         return ((part.t, part.x, part.tau, part.xi, part.sigma,
                  part.residual),
@@ -383,13 +383,27 @@ def _parallel_char_samples(config, region, spec, coeffs, weight, c, seed,
         total, seed, threads,
         _phase_columns(total, coeffs.n) + [np.empty(total)], draw)
     kappas = [kappa for kappa, *_ in infos if not math.isnan(kappa)]
-    return symbols.CharacteristicSample(
+    return spec, hmap, frame, weight, symbols.CharacteristicSample(
         t=t, x=x, tau=tau, xi=xi, sigma=sigma, residual=residual,
         requested=total, kappa=max(kappas) if kappas else math.nan,
         solved=sum(info[1] for info in infos),
         rejected={cause: sum(info[2][cause] for info in infos)
                   for cause in symbols.REJECT_CAUSES},
         root_passes=sum(info[3] for info in infos))
+
+
+def _full_region_points(config, seed, threads):
+    """:func:`_symbol_setup`'s spec, map, frame and weight, and a chunked
+    full-region sample (t, x, tau, xi, sigma) of ``config["n_samples"]``
+    points."""
+    spec, hmap, frame, weight, region = _symbol_setup(config)
+    total, n = config["n_samples"], frame.field.n
+    magnitude_range = tuple(config.get("magnitude_range", (1.0, 1e3)))
+    pts, _ = _chunked(total, seed, threads, _phase_columns(total, n),
+                      lambda k, rng: (symbols.full_region_sample(
+                          region, spec, n, k, rng,
+                          magnitude_range=magnitude_range), None))
+    return spec, hmap, frame, weight, pts
 
 
 def _write_phase_table(out, name, n, columns, tail):
@@ -411,19 +425,8 @@ def _write_phase_table(out, name, n, columns, tail):
     write_csv(os.path.join(out, f"{name}_stats.csv"), header, [stats])
 
 
-def _write_char_points(out, sample, n):
-    _write_phase_table(out, "char_points", n,
-                       [sample.t, sample.x, sample.tau, sample.xi,
-                        sample.sigma, sample.residual], ["residual"])
-
-
 def _write_sorted(path, values):
     write_xy(path, [np.linspace(0.0, 1.0, len(values)), np.sort(values)])
-
-
-def _sample_counts(sample):
-    return {"solved": sample.solved, "rejected": dict(sample.rejected),
-            "root_passes": sample.root_passes}
 
 
 def _witness(report, t, x, tau, xi, sigma):
@@ -431,6 +434,29 @@ def _witness(report, t, x, tau, xi, sigma):
     i = report.argmin
     return {"t": float(t[i]), "x": x[i].tolist(), "tau": float(tau[i]),
             "xi": xi[i].tolist(), "sigma": float(sigma[i])}
+
+
+def _char_summary(out, sample, report, ok=True, **extra):
+    """Write ``sample``'s char_points table; return its certificate's summary.
+
+    ``report`` is the certificate on the sample, None for an empty sample,
+    whose summary has a NaN ``min_ratio`` and a null witness.  The run
+    passes only on a full sample whose report passes, and only if ``ok``.
+    ``extra`` entries follow ``min_ratio``.
+    """
+    _write_phase_table(out, "char_points", sample.x.shape[1],
+                       [sample.t, sample.x, sample.tau, sample.xi,
+                        sample.sigma, sample.residual], ["residual"])
+    found = sample.found
+    return {"pass": bool(found == sample.requested and report.passed and ok),
+            "min_ratio": report.min_ratio if found else math.nan, **extra,
+            "found": found, "requested": sample.requested,
+            "solved": sample.solved, "rejected": dict(sample.rejected),
+            "root_passes": sample.root_passes,
+            "max_residual": (float(sample.residual.max()) if found
+                             else math.nan),
+            "witness": (_witness(report, sample.t, sample.x, sample.tau,
+                                 sample.xi, sample.sigma) if found else None)}
 
 
 # ---------------------------------------------------------------------------
@@ -486,16 +512,10 @@ def run_caputo_check(config, out, seed, threads):
 
 
 def run_symbol_bracket(config, out, seed, threads):
-    spec, hmap, frame, weight, region = _symbol_setup(config)
-    n = frame.field.n
-    magnitude_range = tuple(config.get("magnitude_range", (1.0, 1e3)))
-    pts = symbols.full_region_sample(
-        region, spec, n, config["n_samples"], np.random.default_rng(seed),
-        magnitude_range=magnitude_range)
-    symbols.squared_scale_check(magnitude_range, spec.alpha)
+    spec, hmap, frame, weight, pts = _full_region_points(config, seed, threads)
     full, principal, scale, ratio = symbols.bracket_report_batch(
         pts, spec, frame.field, weight, hmap.c)
-    _write_phase_table(out, "brackets", n,
+    _write_phase_table(out, "brackets", frame.field.n,
                        [*pts, full, principal, scale, ratio],
                        ["bracket", "principal", "scale", "ratio"])
     write_xy(os.path.join(out, "bracket_ratio.xy"),
@@ -508,45 +528,20 @@ def run_symbol_bracket(config, out, seed, threads):
             "max_ratio": float(np.max(ratio))}
 
 
-def run_char_sample(config, out, seed, threads):
-    spec, hmap, frame, weight, region = _symbol_setup(config)
-    sample = _parallel_char_samples(config, region, spec, frame.field,
-                                    weight, hmap.c, seed, threads)
-    _write_char_points(out, sample, frame.field.n)
-    if sample.found:
-        _write_sorted(os.path.join(out, "char_residuals.xy"), sample.residual)
-    ok = sample.found == sample.requested
-    return {"pass": bool(ok), "requested": sample.requested,
-            "found": sample.found, "kappa": sample.kappa,
-            "max_residual": float(sample.residual.max())
-            if sample.found else math.nan, **_sample_counts(sample)}
-
-
 def run_lemma21(config, out, seed, threads):
-    spec, hmap, frame, weight, region = _symbol_setup(config)
-    sample = _parallel_char_samples(config, region, spec, frame.field,
-                                    weight, hmap.c, seed, threads)
-    report = symbols.lemma21_check(sample, spec, frame.field, weight, hmap.c)
-    _write_char_points(out, sample, frame.field.n)
-    _write_sorted(os.path.join(out, "lemma21_ratios.xy"),
-                  report.extras["ratios"])
-    return {"pass": bool(report.passed), "min_ratio": report.min_ratio,
-            "n_samples": report.n_samples, "kappa": sample.kappa,
-            "found": sample.found, "requested": sample.requested,
-            **_sample_counts(sample),
-            "witness": _witness(report, sample.t, sample.x, sample.tau,
-                                sample.xi, sample.sigma)}
+    spec, hmap, frame, weight, sample = _char_sample(config, seed, threads)
+    report = None
+    if sample.found:
+        report = symbols.lemma21_check(sample, spec, frame.field, weight,
+                                       hmap.c)
+        _write_sorted(os.path.join(out, "lemma21_ratios.xy"),
+                      report.extras["ratios"])
+    return _char_summary(out, sample, report, n_samples=sample.found,
+                         kappa=sample.kappa)
 
 
 def run_garding(config, out, seed, threads):
-    spec, hmap, frame, weight, region = _symbol_setup(config)
-    magnitude_range = tuple(config.get("magnitude_range", (1.0, 1e3)))
-    total, n = config["n_samples"], frame.field.n
-    pts, _ = _chunked(total, seed, threads, _phase_columns(total, n),
-                      lambda k, rng: (symbols.full_region_sample(
-                          region, spec, n, k, rng,
-                          magnitude_range=magnitude_range), None))
-    symbols.squared_scale_check(magnitude_range, spec.alpha)
+    spec, hmap, frame, weight, pts = _full_region_points(config, seed, threads)
     varpi, report = symbols.find_min_varpi(
         pts, spec, frame.field, weight, hmap.c,
         varpi_max=config.get("varpi_max", 1e8))
@@ -564,21 +559,15 @@ def run_garding(config, out, seed, threads):
 def run_lemma61(config, out, seed, threads):
     tilde = geometry.global_coefficients(
         fields.field_from_config(config["coeffs"]))
-    spec, hmap, frame, weight, region = _symbol_setup(config, tilde)
-    sample = _parallel_char_samples(config, region, spec, frame.field,
-                                    weight, hmap.c, seed, threads)
-    report = symbols.lemma61_check(sample, spec, tilde, hmap, weight)
-    _write_char_points(out, sample, frame.field.n)
+    spec, hmap, frame, weight, sample = _char_sample(config, seed, threads,
+                                                     tilde)
+    report, margin = None, math.nan
     if sample.found:
+        report = symbols.lemma61_check(sample, spec, tilde, hmap, weight)
+        margin = report.extras["ellipticity_margin"]
         _write_sorted(os.path.join(out, "char_residuals.xy"), sample.residual)
-    ok = report.passed and report.extras["ellipticity_margin"] >= -1e-12
-    return {"pass": bool(ok), "min_ratio": report.min_ratio,
-            "stage": config["stage"],
-            "ellipticity_margin": report.extras["ellipticity_margin"],
-            "found": sample.found, "requested": sample.requested,
-            **_sample_counts(sample),
-            "witness": _witness(report, sample.t, sample.x, sample.tau,
-                                sample.xi, sample.sigma)}
+    return _char_summary(out, sample, report, margin >= -1e-12,
+                         stage=config["stage"], ellipticity_margin=margin)
 
 
 def _manufactured_pieces(spec, coeffs, grid):

@@ -636,8 +636,9 @@ def full_region_sample(region: SampleRegion, spec: MultiTermSpec, n: int,
     Magnitudes are log-uniform; tau is drawn on the anisotropic scale
     rho^(2/alpha) so all three scale contributions are exercised.  A range
     whose largest tau, 1.2 hi^(2/alpha), is not a finite float raises
-    ``ValueError``; :func:`squared_scale_check` bounds what the symbol's
-    terms form on these samples.
+    ``ValueError``, and so, after that, does one that fails
+    :func:`squared_scale_check`, which bounds what the symbol's terms form
+    on these samples.
     """
     t, x = region.draw(rng, n_samples, n)
     rho = _log_uniform(rng, magnitude_range, n_samples, "magnitude_range")
@@ -649,6 +650,7 @@ def full_region_sample(region: SampleRegion, spec: MultiTermSpec, n: int,
         raise ValueError(
             f"magnitude_range={tuple(magnitude_range)!r} overflows tau: "
             f"1.2*hi^(2/alpha) is not finite at alpha={spec.alpha}")
+    squared_scale_check(magnitude_range, spec.alpha)
     direction = rng.normal(size=(n_samples, n + 1))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     stretch = rng.uniform(0.2, 1.0, n_samples)

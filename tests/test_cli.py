@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -36,7 +37,7 @@ SYMBOL = {"spec": SPEC, "coeffs": COEFFS1, "map": MAP1, "weight": WEIGHT,
           "n_samples": 10}
 VALID = {
     "caputo-check": {"alphas": [0.5], "n_steps": 8},
-    "symbol-bracket": SYMBOL, "char-sample": SYMBOL, "lemma21": SYMBOL,
+    "symbol-bracket": SYMBOL, "lemma21": SYMBOL,
     "garding": SYMBOL, "lemma61": {**SYMBOL, "stage": 2},
     "solve": {"spec": SPEC, "coeffs": COEFFS1, "grid": GRID1},
     "carleman-sweep": {"spec": SPEC, "coeffs": COEFFS1, "map": MAP1,
@@ -388,6 +389,12 @@ class TestCommandTable:
         handlers = {name for name in vars(cli) if name.startswith("run_")}
         assert handlers == {f"run_{c.replace('-', '_')}" for c in COMMANDS}
 
+    def test_readme_lists_every_command(self):
+        readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md"
+                  ).read_text()
+        listed = re.search(r"\nCommands: (.*?)\.\s", readme, re.S).group(1)
+        assert tuple(re.findall(r"`([^`]*)`", listed)) == COMMANDS
+
     @pytest.mark.parametrize("command", COMMANDS)
     def test_empty_config_names_a_required_field(self, command, tmp_path,
                                                  capsys):
@@ -490,11 +497,11 @@ class TestCommands:
         ("garding", {"magnitude_range": [-1, 10]}, "magnitude_range",
          (-1, 10)),
         ("garding", {"magnitude_range": [10, 1]}, "magnitude_range", (10, 1)),
-        ("char-sample", {"sigma_range": [0.0, 1.0]}, "sigma_range",
+        ("lemma21", {"sigma_range": [0.0, 1.0]}, "sigma_range",
          (0.0, 1.0)),
         ("lemma21", {"sigma_range": [2.0, 1.0]}, "sigma_range", (2.0, 1.0)),
         ("lemma21", {"region": {"t": [0.9, 0.1]}}, "t_range", (0.9, 0.1)),
-        ("char-sample", {"region": {"xprime_halfwidth": -0.1}},
+        ("lemma21", {"region": {"xprime_halfwidth": -0.1}},
          "xprime_halfwidth", -0.1),
     ], ids=["magnitude-zero", "magnitude-negative", "magnitude-reversed",
             "sigma-zero", "sigma-reversed", "region-reversed",
@@ -531,7 +538,7 @@ class TestCommands:
     def test_threads_do_not_change_results(self, tmp_path):
         base = {"spec": SPEC, "coeffs": COEFFS1, "map": MAP1,
                 "weight": WEIGHT, "n_samples": 300}
-        configs = {"char-sample": base, "lemma21": base,
+        configs = {"lemma21": base,
                    "lemma61": {**base, "stage": 3},
                    "garding": {**base, "n_samples": 3000},
                    "symbol-bracket": base}
@@ -558,8 +565,7 @@ class TestCommands:
         config = {"spec": SPEC, "coeffs": COEFFS2, "map": MAP1,
                   "weight": WEIGHT, "n_samples": 300,
                   "sigma_range": [10.0, 60.0], "tol": 2e-18}
-        for command, extra in (("char-sample", {}), ("lemma21", {}),
-                               ("lemma61", {"stage": 2})):
+        for command, extra in (("lemma21", {}), ("lemma61", {"stage": 2})):
             counts = []
             for threads in (1, 2, 3):
                 _, out = run(tmp_path, command, {**config, **extra}, seed=4,
@@ -586,14 +592,19 @@ class TestCommands:
             varpis.append(summary["varpi"])
         assert varpis[0] == varpis[1] == varpis[2] > 0.0
 
-    def test_char_sample_partial_fails(self, tmp_path):
+    @pytest.mark.parametrize("command", ["lemma21", "lemma61"])
+    def test_char_sample_partial_fails(self, command, tmp_path, capsys):
+        # 9 of 50 points, all with a positive ratio, used to pass
         config = {"spec": SPEC, "coeffs": COEFFS1, "map": MAP1,
-                  "weight": WEIGHT, "n_samples": 50,
-                  "sigma_range": [0.05, 0.1]}
-        code, out = run(tmp_path, "char-sample", config)
+                  "weight": WEIGHT, "n_samples": 50, "sigma_range": [3, 12],
+                  **({"stage": 2} if command == "lemma61" else {})}
+        code, out = run(tmp_path, command, config)
         assert code == 1
+        assert capsys.readouterr().out.startswith(f"FAIL {command}")
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["found"] < summary["requested"]
+        assert (summary["found"], summary["requested"]) == (9, 50)
+        assert summary["min_ratio"] > 0.0
+        assert 0.0 < summary["max_residual"] <= 1e-8
 
     def test_garding(self, tmp_path):
         config = {"spec": SPEC, "coeffs": COEFFS1, "map": MAP1,
@@ -690,6 +701,18 @@ class TestCommands:
         assert (abs(report.min_ratio - summary["min_ratio"])
                 <= 1e-12 * abs(summary["min_ratio"]))
 
+    def test_garding_and_symbol_bracket_draw_the_same_points(self, tmp_path):
+        config = {"spec": SPEC, "coeffs": COEFFS2, "map": MAP1,
+                  "weight": WEIGHT, "n_samples": 300}
+        _, out = run(tmp_path, "garding", config, seed=4, tag="garding")
+        w = json.loads((out / "summary.json").read_text())["witness"]
+        _, out = run(tmp_path, "symbol-bracket", config, seed=4, tag="bracket")
+        table = np.load(out / "brackets.npy")
+        point = [w["t"], *w["x"], w["tau"], *w["xi"], w["sigma"]]
+        names = table.dtype.names[:len(point)]
+        rows = recfunctions.structured_to_unstructured(table[list(names)])
+        assert np.count_nonzero((rows == point).all(axis=1)) == 1
+
     def test_symbol_bracket_csv_columns(self, tmp_path):
         config = {"spec": SPEC, "coeffs": COEFFS2, "map": MAP1,
                   "weight": WEIGHT, "n_samples": 100}
@@ -745,6 +768,28 @@ class TestCommands:
                "coeffs": {"preset": "rotating-anisotropic", "n": 2,
                           "ratio": 0.5},
                "map": MAP1, "weight": WEIGHT, "n_samples": 2000}
+
+    @pytest.mark.parametrize("command", ["lemma21", "lemma61"])
+    def test_empty_sample_fails_with_its_counts(self, command, tmp_path,
+                                                capsys):
+        # every root lies beyond 2^60; the run used to exit 3 with only
+        # "empty characteristic sample" and no summary
+        config = {**getattr(self, command.upper()), "n_samples": 300,
+                  "sigma_range": [1e20, 1e30]}
+        code, out = run(tmp_path, command, config, seed=3)
+        assert code == 1
+        assert capsys.readouterr().out.startswith(f"FAIL {command}")
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["found"], summary["requested"]) == (0, 300)
+        assert summary["solved"] == 0
+        # every seed of every batch is examined: 8 per requested point
+        assert summary["rejected"] == {"degenerate_b": 0,
+                                       "no_sign_change": 8 * 300,
+                                       "residual": 0}
+        assert math.isnan(summary["min_ratio"])
+        assert math.isnan(summary["max_residual"])
+        assert summary["witness"] is None
+        assert len(np.load(out / "char_points.npy")) == 0
 
     @pytest.mark.parametrize("command", ["lemma21", "lemma61"])
     @pytest.mark.parametrize("sigma_range", [(1e150, 1e152), (1e300, 1e308)],

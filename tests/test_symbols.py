@@ -824,7 +824,11 @@ class TestGarding:
                                self.weight, 1.0)
 
     @pytest.mark.parametrize("alpha,hi", [(0.5, 1e77), (1.5, 1e230)])
-    def test_largest_finite_tau_is_sampled(self, alpha, hi):
+    def test_largest_finite_tau_is_sampled(self, alpha, hi, monkeypatch):
+        # the tau bound alone; the |p|^2 bound, which the sampler checks
+        # after it and which refuses both ranges, is tested below
+        monkeypatch.setattr(symbols, "squared_scale_check",
+                            lambda magnitude_range, alpha: None)
         spec = MultiTermSpec(orders=(alpha,), weights=(1.0,))
         _, _, tau, _, _ = full_region_sample(
             self.region, spec, 2, 100, np.random.default_rng(4),
@@ -849,11 +853,17 @@ class TestGarding:
     @pytest.mark.parametrize("alpha,hi", [(0.5, 1e77), (1.5, 1e77),
                                           (1.5, 1e230)])
     def test_overflowing_squared_scale_names_the_range(self, alpha, hi):
-        # tau is finite at each of these (see above), |p|^2 is not
+        # tau is finite at each of these (see above), |p|^2 is not; the
+        # sampler checks both
         message = (f"magnitude_range=(1.0, {hi!r}) overflows |p|^2: "
                    f"((1+1.2^alpha)*hi^2)^2 is not finite at alpha={alpha}")
         with pytest.raises(ValueError, match=re.escape(message)):
             symbols.squared_scale_check((1.0, hi), alpha)
+        spec = MultiTermSpec(orders=(alpha,), weights=(1.0,))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            full_region_sample(self.region, spec, 2, 100,
+                               np.random.default_rng(4),
+                               magnitude_range=(1.0, hi))
 
 
 class TestStageCertificate:
