@@ -29,10 +29,9 @@ sample = char_set_sample(region, spec, field, weight, c=1.0, n_samples=4000,
                          tol=1e-8, rng=np.random.default_rng(0))
 print(f"characteristic sample: {sample.found}/{sample.requested} points, "
       f"worst |p|/scale = {sample.residual.max():.2e}")
-print(f"  size bound: |xi|^2 + |1+i tau|^alpha <= {sample.kappa:.2f} "
-      f"(sigma X)^2 on all points")
-
-report = lemma21_check(sample, spec, field, weight, c=1.0)
+report = lemma21_check(sample.points, spec, field, weight, c=1.0)
+print(f"  size bound: |xi|^2 + |1+i tau|^alpha <= "
+      f"{report.extras['kappa']:.2f} (sigma X)^2 on all points")
 print(f"  bracket certificate: min principal/scale^1.5 = "
       f"{report.min_ratio:.4e} over {report.n_samples} points -> "
       f"{'PASS' if report.passed else 'FAIL'}")
@@ -50,7 +49,7 @@ for stage in (1, 3, 5):
     frame = pushforward_operator(tilde, hmap)
     s = char_set_sample(region, spec1, frame.field, weight, hmap.c, 3000,
                         tol=1e-8, rng=np.random.default_rng(stage))
-    rep = lemma61_check(s, spec1, tilde, hmap, weight)
+    rep = lemma61_check(s.points, spec1, tilde, hmap, weight)
     print(f"  stage {stage}: min weighted ratio {rep.min_ratio:.4e}, "
           f"two-sided ellipticity margin "
           f"{rep.extras['ellipticity_margin']:.3e}")

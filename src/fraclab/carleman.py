@@ -295,7 +295,11 @@ class SweepResult:
         doc = {"max_ratio": self.max_ratio, "min_ratio": self.min_ratio,
                "flagged_rows": self.flagged, "spread": self.spread,
                "top_half_monotone_growth": self.top_half_monotone_growth()}
-        text = json.dumps(doc, indent=2)
+        # standard JSON: a non-finite value is written as null
+        text = json.dumps({k: None if isinstance(v, float)
+                           and not math.isfinite(v) else v
+                           for k, v in doc.items()},
+                          indent=2, allow_nan=False)
         if path is not None:
             with open(path, "w") as fh:
                 fh.write(text)

@@ -375,21 +375,19 @@ def _char_sample(config, seed, threads, field=None):
         part = symbols.char_set_sample(region, spec, coeffs, weight, hmap.c,
                                        count, tol=tol, rng=rng,
                                        sigma_range=sigma_range)
-        return ((part.t, part.x, part.tau, part.xi, part.sigma,
-                 part.residual),
-                (part.kappa, part.solved, part.rejected, part.root_passes))
+        return ((*part.points, part.residual),
+                (part.solved, part.rejected, part.root_passes))
 
-    (t, x, tau, xi, sigma, residual), infos = _chunked(
+    (*points, residual), infos = _chunked(
         total, seed, threads,
         _phase_columns(total, coeffs.n) + [np.empty(total)], draw)
-    kappas = [kappa for kappa, *_ in infos if not math.isnan(kappa)]
+    solved, rejected, root_passes = zip(*infos)
     return spec, hmap, frame, weight, symbols.CharacteristicSample(
-        t=t, x=x, tau=tau, xi=xi, sigma=sigma, residual=residual,
-        requested=total, kappa=max(kappas) if kappas else math.nan,
-        solved=sum(info[1] for info in infos),
-        rejected={cause: sum(info[2][cause] for info in infos)
+        points=tuple(points), residual=residual, requested=total,
+        solved=sum(solved),
+        rejected={cause: sum(r[cause] for r in rejected)
                   for cause in symbols.REJECT_CAUSES},
-        root_passes=sum(info[3] for info in infos))
+        root_passes=sum(root_passes))
 
 
 def _full_region_points(config, seed, threads):
@@ -429,9 +427,10 @@ def _write_sorted(path, values):
     write_xy(path, [np.linspace(0.0, 1.0, len(values)), np.sort(values)])
 
 
-def _witness(report, t, x, tau, xi, sigma):
+def _witness(report, points):
     """The phase point (t, x, tau, xi, sigma) where ``report`` is least."""
     i = report.argmin
+    t, x, tau, xi, sigma = points
     return {"t": float(t[i]), "x": x[i].tolist(), "tau": float(tau[i]),
             "xi": xi[i].tolist(), "sigma": float(sigma[i])}
 
@@ -440,13 +439,12 @@ def _char_summary(out, sample, report, ok=True, **extra):
     """Write ``sample``'s char_points table; return its certificate's summary.
 
     ``report`` is the certificate on the sample, None for an empty sample,
-    whose summary has a NaN ``min_ratio`` and a null witness.  The run
-    passes only on a full sample whose report passes, and only if ``ok``.
-    ``extra`` entries follow ``min_ratio``.
+    whose summary has a NaN ``min_ratio`` (null in ``summary.json``) and a
+    null witness.  The run passes only on a full sample whose report
+    passes, and only if ``ok``.  ``extra`` entries follow ``min_ratio``.
     """
-    _write_phase_table(out, "char_points", sample.x.shape[1],
-                       [sample.t, sample.x, sample.tau, sample.xi,
-                        sample.sigma, sample.residual], ["residual"])
+    _write_phase_table(out, "char_points", sample.points[1].shape[1],
+                       [*sample.points, sample.residual], ["residual"])
     found = sample.found
     return {"pass": bool(found == sample.requested and report.passed and ok),
             "min_ratio": report.min_ratio if found else math.nan, **extra,
@@ -455,8 +453,7 @@ def _char_summary(out, sample, report, ok=True, **extra):
             "root_passes": sample.root_passes,
             "max_residual": (float(sample.residual.max()) if found
                              else math.nan),
-            "witness": (_witness(report, sample.t, sample.x, sample.tau,
-                                 sample.xi, sample.sigma) if found else None)}
+            "witness": _witness(report, sample.points) if found else None}
 
 
 # ---------------------------------------------------------------------------
@@ -532,12 +529,12 @@ def run_lemma21(config, out, seed, threads):
     spec, hmap, frame, weight, sample = _char_sample(config, seed, threads)
     report = None
     if sample.found:
-        report = symbols.lemma21_check(sample, spec, frame.field, weight,
-                                       hmap.c)
+        report = symbols.lemma21_check(sample.points, spec, frame.field,
+                                       weight, hmap.c)
         _write_sorted(os.path.join(out, "lemma21_ratios.xy"),
                       report.extras["ratios"])
     return _char_summary(out, sample, report, n_samples=sample.found,
-                         kappa=sample.kappa)
+                         kappa=report.extras["kappa"] if report else math.nan)
 
 
 def run_garding(config, out, seed, threads):
@@ -553,7 +550,7 @@ def run_garding(config, out, seed, threads):
     write_csv(os.path.join(out, "garding.csv"), ["varpi", "min_ratio"], [curve])
     return {"pass": bool(report.passed), "varpi": varpi,
             "min_ratio": report.min_ratio, "n_samples": report.n_samples,
-            "witness": _witness(report, *pts)}
+            "witness": _witness(report, pts)}
 
 
 def run_lemma61(config, out, seed, threads):
@@ -563,7 +560,8 @@ def run_lemma61(config, out, seed, threads):
                                                      tilde)
     report, margin = None, math.nan
     if sample.found:
-        report = symbols.lemma61_check(sample, spec, tilde, hmap, weight)
+        report = symbols.lemma61_check(sample.points, spec, tilde, hmap,
+                                       weight)
         margin = report.extras["ellipticity_margin"]
         _write_sorted(os.path.join(out, "char_residuals.xy"), sample.residual)
     return _char_summary(out, sample, report, margin >= -1e-12,
@@ -765,13 +763,18 @@ def main(argv=None) -> int:
             os.rmdir(args.out)
         return 3
 
-    summary = {"command": args.command, "seed": args.seed, **summary}
+    # standard JSON: a non-finite value is written as null, as
+    # JSON.stringify writes it; a finite float keeps its repr
+    summary = json.loads(
+        json.dumps({"command": args.command, "seed": args.seed, **summary},
+                   default=float),
+        parse_constant=lambda _: None)
     with open(os.path.join(args.out, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, default=float)
+        json.dump(summary, fh, indent=2, allow_nan=False)
     print(("PASS" if summary["pass"] else "FAIL")
           + f" {args.command}: " + json.dumps(
               {k: v for k, v in summary.items() if k not in ("command",)},
-              default=float))
+              allow_nan=False))
     return 0 if summary["pass"] else 1
 
 

@@ -288,14 +288,9 @@ class CharacteristicSample:
     root-finder's passes, bracket and refinement, over all batches.
     """
 
-    t: np.ndarray
-    x: np.ndarray
-    tau: np.ndarray
-    xi: np.ndarray
-    sigma: np.ndarray
+    points: tuple               # arrays (t, x, tau, xi, sigma)
     residual: np.ndarray        # |p| / scale at each point
     requested: int
-    kappa: float                # max of (|xi|^2 + |1+i tau|^alpha)/(sigma X)^2
     solved: int = 0
     rejected: dict = field(
         default_factory=lambda: dict.fromkeys(REJECT_CAUSES, 0))
@@ -303,7 +298,7 @@ class CharacteristicSample:
 
     @property
     def found(self) -> int:
-        return len(self.tau)
+        return len(self.residual)
 
 
 def char_set_sample(region: SampleRegion, spec: MultiTermSpec,
@@ -330,6 +325,8 @@ def char_set_sample(region: SampleRegion, spec: MultiTermSpec,
         rng = np.random.default_rng(0)
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be positive, got {n_samples!r}")
     n = coeffs.n
     X = weight.X
     if sigma_range is None:
@@ -367,20 +364,9 @@ def char_set_sample(region: SampleRegion, spec: MultiTermSpec,
         for cause, k in counts.items():
             rejected[cause] += k
 
-    if found == 0:
-        empty = np.empty((0,))
-        return CharacteristicSample(t=empty, x=np.empty((0, n)), tau=empty,
-                                    xi=np.empty((0, n)), sigma=empty,
-                                    residual=empty, requested=n_samples,
-                                    kappa=math.nan, solved=solved,
-                                    rejected=rejected,
-                                    root_passes=root_passes)
-    t, x, tau, xi, sigma, resid = (np.concatenate(col) for col in zip(*kept))
-    kap = ((np.sum(xi**2, axis=-1) + np.abs(1.0 + 1j * tau) ** spec.alpha)
-           / (sigma * X) ** 2)
-    return CharacteristicSample(t=t, x=x, tau=tau, xi=xi, sigma=sigma,
-                                residual=resid, requested=n_samples,
-                                kappa=float(kap.max()), solved=solved,
+    *points, resid = (np.concatenate(col) for col in zip(*kept))
+    return CharacteristicSample(points=tuple(points), residual=resid,
+                                requested=n_samples, solved=solved,
                                 rejected=rejected, root_passes=root_passes)
 
 
@@ -598,34 +584,40 @@ class CertificateReport:
 
 
 def _blockwise(fn, *arrays):
-    """Concatenate the per-sample arrays ``fn`` returns on sample blocks."""
+    """Concatenate the arrays ``fn`` returns on sample blocks."""
     n = len(arrays[0])
     parts = [fn(*(a[s:s + SAMPLE_BLOCK] for a in arrays))
              for s in range(0, max(n, 1), SAMPLE_BLOCK)]
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
-def lemma21_check(sample: CharacteristicSample, spec: MultiTermSpec,
-                  coeffs: EllipticCoeffField, weight: CarlemanWeightParams,
-                  c: float) -> CertificateReport:
+def lemma21_check(points, spec: MultiTermSpec, coeffs: EllipticCoeffField,
+                  weight: CarlemanWeightParams, c: float) -> CertificateReport:
     """Minimum of principal bracket / scale^(3/2) over characteristic samples.
 
-    ``extras["ratios"]`` holds the ratio of every sample.
+    ``points`` is a tuple of arrays (t, x, tau, xi, sigma).
+    ``extras["ratios"]`` holds the ratio of every sample and
+    ``extras["kappa"]`` the size bound max (|xi|^2 + |1+i tau|^alpha) /
+    (sigma X)^2 over the samples.
     """
-    if sample.found == 0:
+    if len(points[2]) == 0:
         raise ValueError("empty characteristic sample")
 
     def ratios(t, x, tau, xi, sigma):
+        # the block's largest kappa, formed before the bracket's arrays so
+        # that its temporaries do not add to their peak
+        kappa = ((np.sum(xi**2, axis=-1)
+                  + np.abs(1.0 + 1j * tau) ** spec.alpha)
+                 / (sigma * weight.X) ** 2).max(keepdims=True)
         _, _, principal = _bracket_arrays(t, x, tau, xi, sigma, spec, coeffs,
                                           c, weight.X)
         scale = anisotropic_scale(xi, sigma, tau, spec.alpha)
-        return (principal / scale**1.5,)
+        return principal / scale**1.5, kappa
 
-    ratio, = _blockwise(ratios, sample.t, sample.x, sample.tau, sample.xi,
-                        sample.sigma)
+    ratio, kappa = _blockwise(ratios, *points)
     i = int(np.argmin(ratio))
     return CertificateReport(min_ratio=float(ratio[i]), n_samples=len(ratio),
-                             argmin=i, extras={"kappa": sample.kappa,
+                             argmin=i, extras={"kappa": float(kappa.max()),
                                                "ratios": ratio})
 
 
@@ -750,18 +742,19 @@ def find_min_varpi(points, spec: MultiTermSpec, coeffs: EllipticCoeffField,
     return varpi, _garding_report(elliptic, negative, varpi)
 
 
-def lemma61_check(sample: CharacteristicSample, spec: MultiTermSpec,
+def lemma61_check(points, spec: MultiTermSpec,
                   tilde_field: EllipticCoeffField, map: HolmgrenMap,
                   weight: CarlemanWeightParams) -> CertificateReport:
     """Stage-s certificate with the stretched scale.
 
-    The coefficients live on the globally stretched space; the sample's
-    base points are pulled back through the stage map to build the
-    component weights (1 + yt_j^2)^(3/2).  The weighted two-sided
+    ``points`` is a tuple of arrays (t, x, tau, xi, sigma) on the
+    characteristic set.  The coefficients live on the globally stretched
+    space; the base points are pulled back through the stage map to build
+    the component weights (1 + yt_j^2)^(3/2).  The weighted two-sided
     ellipticity is re-verified exactly at every sample; its worst slack is
     reported in the extras.
     """
-    if sample.found == 0:
+    if len(points[2]) == 0:
         raise ValueError("empty characteristic sample")
     frame = pushforward_operator(tilde_field, map)
 
@@ -777,14 +770,12 @@ def lemma61_check(sample: CharacteristicSample, spec: MultiTermSpec,
         weight_factor = (1.0 + y_tilde[..., -1] ** 2) ** 1.5
         return principal / (weight_factor * scale**1.5), y_tilde
 
-    ratio, y_tilde = _blockwise(ratios, sample.t, sample.x, sample.tau,
-                                sample.xi, sample.sigma)
-    margin = weighted_ellipticity_margin(tilde_field, sample.t, y_tilde)
+    ratio, y_tilde = _blockwise(ratios, *points)
+    margin = weighted_ellipticity_margin(tilde_field, points[0], y_tilde)
     i = int(np.argmin(ratio))
     return CertificateReport(min_ratio=float(ratio[i]), n_samples=len(ratio),
                              argmin=i,
-                             extras={"ellipticity_margin": margin,
-                                     "kappa": sample.kappa})
+                             extras={"ellipticity_margin": margin})
 
 
 def bracket_report_batch(points, spec: MultiTermSpec,

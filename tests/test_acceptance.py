@@ -169,7 +169,7 @@ def test_criterion_04_characteristic_bracket_bound():
                 sample = char_set_sample(region, spec, field, weight, 1.0,
                                          10000, tol=1e-8,
                                          rng=np.random.default_rng(42))
-                rep = lemma21_check(sample, spec, field, weight, 1.0)
+                rep = lemma21_check(sample.points, spec, field, weight, 1.0)
                 results.append((n, m, alpha, sample.found, rep.min_ratio))
     ok = all(found == 10000 and ratio > 0.0
              for _, _, _, found, ratio in results)
@@ -214,7 +214,7 @@ def test_criterion_06_stage_certificates():
         sample = char_set_sample(region, spec, frame.field, weight, hmap.c,
                                  10000, tol=1e-8,
                                  rng=np.random.default_rng(stage))
-        rep = lemma61_check(sample, spec, tilde, hmap, weight)
+        rep = lemma61_check(sample.points, spec, tilde, hmap, weight)
         results.append((stage, sample.found, rep.min_ratio,
                         rep.extras["ellipticity_margin"]))
     ok = all(found == 10000 and ratio > 0.0 and margin > 0.0

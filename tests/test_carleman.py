@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -469,6 +470,15 @@ class TestSweep:
         assert len(lines) == 1 + len(result.rows)
         doc = result.to_json()
         assert "max_ratio" in doc
+
+    def test_json_writes_non_finite_values_as_null(self):
+        # a sweep with no finite ratio: max, min and spread are inf
+        result = carleman.SweepResult(rows=[], max_ratio=math.inf,
+                                      min_ratio=math.inf, flagged=0)
+        doc = json.loads(result.to_json(), parse_constant=pytest.fail)
+        assert doc == {"max_ratio": None, "min_ratio": None,
+                       "flagged_rows": 0, "spread": None,
+                       "top_half_monotone_growth": False}
 
 
 def sweep_case(ndim, alpha, n_steps=20):

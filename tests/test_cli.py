@@ -1,6 +1,5 @@
 import itertools
 import json
-import math
 import os
 import pathlib
 import re
@@ -665,34 +664,47 @@ class TestCommands:
         assert summary["min_ratio"] > 0.0
         assert summary["ellipticity_margin"] >= -1e-12
 
-    @pytest.mark.parametrize("command", ["lemma21", "lemma61", "garding"])
-    def test_witness_reproduces_the_minimum(self, tmp_path, command):
-        # the summary alone (with the config) gives the minimum back
-        config = {"spec": SPEC, "coeffs": COEFFS2, "map": MAP1,
-                  "weight": WEIGHT, "n_samples": 400}
-        if command == "lemma61":
-            config["stage"] = 3
-        code, out = run(tmp_path, command, config, seed=7)
-        assert code == 0
+    @pytest.mark.parametrize("command, fail", [
+        ("lemma21", False), ("lemma61", False), ("garding", False),
+        ("lemma21", True), ("lemma61", True)],
+        ids=["lemma21", "lemma61", "garding", "lemma21-fail", "lemma61-fail"])
+    def test_witness_reproduces_the_minimum(self, tmp_path, command, fail):
+        # the summary alone (with the config) gives the minimum back, for a
+        # FAIL as for a PASS
+        if fail:
+            # the demo config at the single order 1.9 refutes the bound
+            demo = DEMO_CONFIGS / f"{command}.json"
+            config = {**json.loads(demo.read_text()),
+                      "spec": {"orders": [1.9], "weights": [1.0]},
+                      "n_samples": 500}
+            code, out = run(tmp_path, command, config, seed=3)
+        else:
+            config = {"spec": SPEC, "coeffs": COEFFS2, "map": MAP1,
+                      "weight": WEIGHT, "n_samples": 400}
+            if command == "lemma61":
+                config["stage"] = 3
+            code, out = run(tmp_path, command, config, seed=7)
+        assert code == (1 if fail else 0)
         summary = json.loads((out / "summary.json").read_text())
+        assert (summary["min_ratio"] < 0.0) == fail
         w = summary["witness"]
         point = (np.array([w["t"]]), np.array([w["x"]]),
                  np.array([w["tau"]]), np.array([w["xi"]]),
                  np.array([w["sigma"]]))
-        spec = fraclab.MultiTermSpec(orders=(0.5,), weights=(1.0,))
-        weight = symbols.CarlemanWeightParams(X=0.05)
-        field = fraclab.field_from_config(COEFFS2)
-        sample = symbols.CharacteristicSample(*point, residual=np.zeros(1),
-                                              requested=1, kappa=0.0)
+        spec = fraclab.MultiTermSpec(orders=tuple(config["spec"]["orders"]),
+                                     weights=tuple(config["spec"]["weights"]))
+        weight = symbols.CarlemanWeightParams(X=config["weight"]["X"])
+        field = fraclab.field_from_config(config["coeffs"])
+        hmap = fraclab.HolmgrenMap(y_hat=np.zeros(2),
+                                   stage=config.get("stage", 1),
+                                   **config["map"])
         if command == "lemma61":
-            hmap = fraclab.HolmgrenMap(y_hat=np.zeros(2), stage=3, **MAP1)
             report = symbols.lemma61_check(
-                sample, spec, geometry.global_coefficients(field), hmap,
+                point, spec, geometry.global_coefficients(field), hmap,
                 weight)
         else:
-            hmap = fraclab.HolmgrenMap(y_hat=np.zeros(2), **MAP1)
             frame = fraclab.pushforward_operator(field, hmap)
-            report = (symbols.lemma21_check(sample, spec, frame.field,
+            report = (symbols.lemma21_check(point, spec, frame.field,
                                             weight, hmap.c)
                       if command == "lemma21" else
                       symbols.garding_precondition_check(
@@ -786,8 +798,8 @@ class TestCommands:
         assert summary["rejected"] == {"degenerate_b": 0,
                                        "no_sign_change": 8 * 300,
                                        "residual": 0}
-        assert math.isnan(summary["min_ratio"])
-        assert math.isnan(summary["max_residual"])
+        assert summary["min_ratio"] is None
+        assert summary["max_residual"] is None
         assert summary["witness"] is None
         assert len(np.load(out / "char_points.npy")) == 0
 
@@ -1268,7 +1280,7 @@ class TestCommands:
         assert code == 1
         summary = json.loads((out / "summary.json").read_text())
         assert summary["pass"] is False
-        assert math.isnan(summary["roundtrip_error"])
+        assert summary["roundtrip_error"] is None
 
     def test_csv_full_precision(self, tmp_path):
         config = {"alphas": [0.5], "n_steps": 64}

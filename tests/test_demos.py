@@ -26,6 +26,11 @@ def test_demo_script_runs(script, tmp_path, monkeypatch):
         assert exc.code in (None, 0)
 
 
+def reject(name):
+    """``parse_constant`` for standard JSON: NaN and Infinity are errors."""
+    raise ValueError(f"summary.json holds {name}, which is not JSON")
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("config", sorted(DEMOS.glob("configs/*.json")),
                          ids=lambda p: p.stem)
@@ -34,4 +39,4 @@ def test_demo_config_passes(config, tmp_path):
     code = cli.main([config.stem, "--config", str(config), "--out", str(out)])
     assert code == 0
     with open(out / "summary.json") as fh:
-        assert json.load(fh)["pass"] is True
+        assert json.load(fh, parse_constant=reject)["pass"] is True

@@ -14,9 +14,9 @@ from fraclab import (CarlemanWeightParams, HolmgrenMap, MultiTermSpec,
                      real_part_margin, region_for, rotating_anisotropic_field,
                      weighted_symbol)
 from fraclab import symbols
-from fraclab.symbols import (SAMPLE_BLOCK, CharacteristicSample, _char_batch,
-                             _char_roots, _garding_terms,
-                             bracket_report_batch, fractional_symbol)
+from fraclab.symbols import (SAMPLE_BLOCK, _char_batch, _char_roots,
+                             _garding_terms, bracket_report_batch,
+                             fractional_symbol)
 
 RNG = np.random.default_rng(20240817)
 
@@ -443,7 +443,9 @@ class TestCharacteristicSampling:
                                  rng=np.random.default_rng(3))
         assert sample.found == 500
         assert sample.residual.max() <= 1e-8
-        assert np.isfinite(sample.kappa)
+        report = lemma21_check(sample.points, self.spec, self.field,
+                               self.weight, 1.0)
+        assert np.isfinite(report.extras["kappa"])
 
     def test_small_sigma_returns_partial(self):
         sample = char_set_sample(self.region, self.spec, self.field,
@@ -453,11 +455,17 @@ class TestCharacteristicSampling:
         assert sample.found == 0
         assert sample.requested == 50
 
+    def test_no_requested_points_is_an_error(self):
+        with pytest.raises(ValueError, match="n_samples must be positive"):
+            char_set_sample(self.region, self.spec, self.field, self.weight,
+                            1.0, 0)
+
     def test_lemma21_positive(self):
         sample = char_set_sample(self.region, self.spec, self.field,
                                  self.weight, 1.0, 2000, tol=1e-8,
                                  rng=np.random.default_rng(5))
-        report = lemma21_check(sample, self.spec, self.field, self.weight, 1.0)
+        report = lemma21_check(sample.points, self.spec, self.field,
+                               self.weight, 1.0)
         assert report.passed
         assert report.min_ratio > 0.0
         assert report.extras["kappa"] < 50.0
@@ -468,19 +476,19 @@ class TestCharacteristicSampling:
                                  rng=np.random.default_rng(3),
                                  sigma_range=(0.05, 0.1))
         with pytest.raises(ValueError):
-            lemma21_check(sample, self.spec, self.field, self.weight, 1.0)
+            lemma21_check(sample.points, self.spec, self.field, self.weight,
+                          1.0)
 
     def test_ratio_scaling_invariance(self):
         sample = char_set_sample(self.region, self.spec, self.field,
                                  self.weight, 1.0, 200, tol=1e-8,
                                  rng=np.random.default_rng(7))
-        pts = (sample.t, sample.x, sample.tau, sample.xi, sample.sigma)
-        _, _, _, ratio = bracket_report_batch(pts, self.spec, self.field,
-                                              self.weight, 1.0)
+        _, _, _, ratio = bracket_report_batch(sample.points, self.spec,
+                                              self.field, self.weight, 1.0)
         rho = 100.0
-        scaled = (sample.t, sample.x,
-                  sample.tau * rho ** (2.0 / self.spec.alpha),
-                  sample.xi * rho, sample.sigma * rho)
+        t, x, tau, xi, sigma = sample.points
+        scaled = (t, x, tau * rho ** (2.0 / self.spec.alpha), xi * rho,
+                  sigma * rho)
         _, _, _, ratio2 = bracket_report_batch(scaled, self.spec, self.field,
                                                self.weight, 1.0)
         assert np.max(np.abs(ratio2 - ratio) / np.abs(ratio)) < 1e-9
@@ -643,8 +651,9 @@ class TestRootFinder:
         monkeypatch.setattr(symbols, "_bracket", doubling_bracket)
         doubled = sample()
         assert (walked.root_passes, doubled.root_passes) == (10, 34)
-        for name in ("t", "x", "tau", "xi", "sigma", "residual"):
-            assert same_bits(getattr(walked, name), getattr(doubled, name))
+        for mine, ref in zip((*walked.points, walked.residual),
+                             (*doubled.points, doubled.residual)):
+            assert same_bits(mine, ref)
         assert (walked.solved, walked.rejected) == (doubled.solved,
                                                     doubled.rejected)
 
@@ -751,15 +760,13 @@ class TestBlockedReductions:
         tilde = global_coefficients(base)
         pts = full_region_sample(region_for(weight), spec, 2, m,
                                  np.random.default_rng(m))
-        sample = CharacteristicSample(*pts, residual=np.zeros(m),
-                                      requested=m, kappa=1.0)
 
         def reductions():
+            lemma21 = lemma21_check(pts, spec, base, weight, 1.0).extras
             return [*bracket_report_batch(pts, spec, base, weight, 1.0),
                     *_garding_terms(pts, spec, base, weight, 1.0),
-                    lemma21_check(sample, spec, base, weight, 1.0)
-                    .extras["ratios"],
-                    lemma61_check(sample, spec, tilde, hmap, weight).min_ratio]
+                    lemma21["ratios"], lemma21["kappa"],
+                    lemma61_check(pts, spec, tilde, hmap, weight).min_ratio]
 
         blocked = reductions()
         monkeypatch.setattr(symbols, "SAMPLE_BLOCK", 10 * m)
@@ -781,10 +788,11 @@ class TestGarding:
         sample = char_set_sample(self.region, self.spec, self.field,
                                  self.weight, 1.0, 300, tol=1e-10,
                                  rng=np.random.default_rng(11))
-        pts = (sample.t, sample.x, sample.tau, sample.xi, sample.sigma)
-        with_term = garding_precondition_check(pts, self.spec, self.field,
-                                               self.weight, 1.0, varpi=1e3)
-        report = lemma21_check(sample, self.spec, self.field, self.weight, 1.0)
+        with_term = garding_precondition_check(sample.points, self.spec,
+                                               self.field, self.weight, 1.0,
+                                               varpi=1e3)
+        report = lemma21_check(sample.points, self.spec, self.field,
+                               self.weight, 1.0)
         assert abs(with_term.min_ratio - 2.0 * report.min_ratio) \
             < 1e-4 * abs(report.min_ratio) + 1e-12
 
@@ -878,7 +886,7 @@ class TestStageCertificate:
         region = region_for(weight)
         sample = char_set_sample(region, spec, frame.field, weight, hmap.c,
                                  300, tol=1e-8, rng=np.random.default_rng(3))
-        report = lemma61_check(sample, spec, tilde, hmap, weight)
+        report = lemma61_check(sample.points, spec, tilde, hmap, weight)
         assert report.passed
         assert report.extras["ellipticity_margin"] >= -1e-12
 
@@ -899,7 +907,7 @@ class TestStageCertificate:
         region = region_for(weight)
         sample = char_set_sample(region, spec, frame.field, weight, hmap.c,
                                  500, tol=1e-8, rng=np.random.default_rng(9))
-        report = lemma61_check(sample, spec, tilde, hmap, weight)
+        report = lemma61_check(sample.points, spec, tilde, hmap, weight)
         assert report.passed
         assert report.extras["ellipticity_margin"] > 0.0
 
