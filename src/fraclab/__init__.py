@@ -30,8 +30,8 @@ from .symbols import (CarlemanWeightParams, CharacteristicSample,
 from .solver import (LowerOrderTerm, SolutionField, SolveResult,
                      SpaceTimeGrid, apply_discrete_operator, load_solution,
                      save_solution, solve, ucp_experiment)
-from .carleman import (BetaSweepConfig, SweepResult, SweepRow, CompactBump,
-                       beta_sweep, carleman_lhs, conjugated_operator,
-                       default_bump_family, sweep_rows_csv)
+from .carleman import (SweepResult, SweepRow, CompactBump, beta_sweep,
+                       carleman_lhs, conjugated_operator, default_bump_family,
+                       sweep_rows_csv)
 
 __version__ = "0.1.0"

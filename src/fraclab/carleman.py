@@ -21,7 +21,6 @@ quotient and its output, each the size of one bump's values.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -99,8 +98,7 @@ class _GrownLevels:
         return block
 
 
-def default_bump_family(weight: CarlemanWeightParams, grid: SpaceTimeGrid,
-                        count: int = 5):
+def default_bump_family(grid: SpaceTimeGrid, count: int = 5):
     """Bumps spread across the layer, strictly inside the box."""
     nd = grid.ndim
     bumps = []
@@ -233,26 +231,6 @@ def _conjugated_terms(frame: HolmgrenFrame):
 
 
 @dataclass(frozen=True)
-class BetaSweepConfig:
-    """Sweep controls: betas, weight, spec (whose alpha picks the branch)."""
-
-    betas: tuple
-    weight: CarlemanWeightParams
-    spec: MultiTermSpec
-    include_drift: bool = True
-
-    def __post_init__(self):
-        betas = tuple(float(b) for b in self.betas)
-        object.__setattr__(self, "betas", betas)
-        if any(b <= 0.0 for b in betas) or len(betas) < 2:
-            raise ValueError("need at least two positive beta values")
-        if sorted(betas) != list(betas):
-            raise ValueError("beta grid must increase")
-        if max(betas) / min(betas) < 10.0:
-            raise ValueError("beta grid must span at least one decade")
-
-
-@dataclass(frozen=True)
 class SweepRow:
     beta: float
     test_id: int
@@ -291,32 +269,28 @@ class SweepResult:
         return (self.max_ratio / self.min_ratio if self.min_ratio > 0
                 else math.inf)
 
-    def to_json(self, path=None) -> str:
-        doc = {"max_ratio": self.max_ratio, "min_ratio": self.min_ratio,
-               "flagged_rows": self.flagged, "spread": self.spread,
-               "top_half_monotone_growth": self.top_half_monotone_growth()}
-        # standard JSON: a non-finite value is written as null
-        text = json.dumps({k: None if isinstance(v, float)
-                           and not math.isfinite(v) else v
-                           for k, v in doc.items()},
-                          indent=2, allow_nan=False)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
 
-
-def beta_sweep(config: BetaSweepConfig, bumps, grid: SpaceTimeGrid,
-               frame: HolmgrenFrame) -> SweepResult:
+def beta_sweep(betas, weight: CarlemanWeightParams, spec: MultiTermSpec,
+               bumps, grid: SpaceTimeGrid, frame: HolmgrenFrame,
+               include_drift: bool = True) -> SweepResult:
     """Evaluate both sides over the (beta, bump) lattice.
 
-    Each bump provides ``factors(times, mesh)`` as :class:`CompactBump`
-    does, and its values are their product.  Rows with zero right side and
-    positive left side are flagged rather than dropped.  A bump that is
-    zero on every node, as every bump is on a grid of one time step, raises
-    ``ValueError``, and so do a frame whose field fails the solver's
+    ``spec``'s alpha picks the branch.  Each bump provides
+    ``factors(times, mesh)`` as :class:`CompactBump` does, and its values
+    are their product.  Rows with zero right side and positive left side
+    are flagged rather than dropped.  ``ValueError`` is raised, betas
+    first, for betas that are not two or more positive values increasing
+    over a decade, a bump that is zero on every node (as every bump is on
+    a grid of one time step), a frame whose field fails the solver's
     ellipticity precondition on the grid and a grid whose e^t overflows.
     """
+    betas = tuple(float(b) for b in betas)
+    if any(b <= 0.0 for b in betas) or len(betas) < 2:
+        raise ValueError("need at least two positive beta values")
+    if sorted(betas) != list(betas):
+        raise ValueError("beta grid must increase")
+    if max(betas) / min(betas) < 10.0:
+        raise ValueError("beta grid must span at least one decade")
     if frame.field.n != grid.ndim:
         raise ValueError("field dimension does not match the grid")
     _ellipticity_precondition(grid, frame.field)
@@ -325,7 +299,7 @@ def beta_sweep(config: BetaSweepConfig, bumps, grid: SpaceTimeGrid,
         raise ValueError(f"t = {float(times[-1])!r} overflows e^t: t must not "
                          f"exceed ln(float max) = {_LOG_FLOAT_MAX:.6g}")
     factors = [b.factors(times, mesh) for b in bumps]
-    profiles = _weight_profiles(grid, config.weight, config.betas)
+    profiles = _weight_profiles(grid, weight, betas)
     if factors:
         # one walk over the levels for all bumps, times e^t, formed a block
         # of levels at a time; each bump is evaluated again below
@@ -341,17 +315,16 @@ def beta_sweep(config: BetaSweepConfig, bumps, grid: SpaceTimeGrid,
                 f"bump {test_id} is zero on every grid node; the grid has "
                 f"{len(times)} time levels, t = {float(times[0])!r} to "
                 f"{float(times[-1])!r}")
-        lhs_all = carleman_lhs(work, grid, config.betas, config.weight,
-                               config.spec.alpha)
+        lhs_all = carleman_lhs(work, grid, betas, weight, spec.alpha)
         # the values are spent: the workspace takes e^t times them, then
         # the image, then its square
-        image = conjugated_operator(work, grid, config.spec, frame,
-                                    include_drift=config.include_drift,
+        image = conjugated_operator(work, grid, spec, frame,
+                                    include_drift=include_drift,
                                     spatial=spatial[..., test_id], out=work)
         rhs_all = _weighted_integrals(np.square(image, out=image), grid,
                                       profiles)
         del work, image     # not held through the next bump's values
-        for beta, lhs, rhs in zip(config.betas, lhs_all, rhs_all):
+        for beta, lhs, rhs in zip(betas, lhs_all, rhs_all):
             # numerically zero right side with a nonzero left side means the
             # test function sits in the discrete kernel (both sides are
             # quadratic, so the threshold is squared solver precision)

@@ -423,6 +423,17 @@ def _write_phase_table(out, name, n, columns, tail):
     write_csv(os.path.join(out, f"{name}_stats.csv"), header, [stats])
 
 
+def _write_json(path, doc):
+    """Write ``doc`` as standard JSON, a non-finite value as null (as
+    JSON.stringify writes it) and a finite float as its repr; return the
+    document written."""
+    doc = json.loads(json.dumps(doc, default=float),
+                     parse_constant=lambda _: None)
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, allow_nan=False)
+    return doc
+
+
 def _write_sorted(path, values):
     write_xy(path, [np.linspace(0.0, 1.0, len(values)), np.sort(values)])
 
@@ -462,6 +473,9 @@ def _char_summary(out, sample, report, ok=True, **extra):
 
 def run_caputo_check(config, out, seed, threads):
     alphas = config["alphas"]
+    for alpha in alphas:
+        if not 0.0 < alpha < 2.0:
+            raise ValueError(f"alpha={alpha!r} must lie in (0, 2)")
     n_steps = config["n_steps"]
     t_final = config.get("t_final", 1.0)
     p = config.get("power", 2.0)
@@ -656,18 +670,18 @@ def run_solve(config, out, seed, threads):
 def run_carleman_sweep(config, out, seed, threads):
     spec, _, frame, weight, _ = _symbol_setup(config)
     grid = _build_grid(config["grid"])
-    sweep_cfg = carl.BetaSweepConfig(
-        betas=tuple(config["betas"]), weight=weight, spec=spec,
-        include_drift=config.get("include_drift", True))
-    bumps = carl.default_bump_family(weight, grid,
-                                     count=config.get("n_bumps", 5))
-    result = carl.beta_sweep(sweep_cfg, bumps, grid, frame)
+    bumps = carl.default_bump_family(grid, count=config.get("n_bumps", 5))
+    result = carl.beta_sweep(config["betas"], weight, spec, bumps, grid, frame,
+                             include_drift=config.get("include_drift", True))
     carl.sweep_rows_csv(result, os.path.join(out, "sweep.csv"))
-    result.to_json(os.path.join(out, "sweep_summary.json"))
+    growth = result.top_half_monotone_growth()
+    _write_json(os.path.join(out, "sweep_summary.json"), {
+        "max_ratio": result.max_ratio, "min_ratio": result.min_ratio,
+        "flagged_rows": result.flagged, "spread": result.spread,
+        "top_half_monotone_growth": growth})
     for tid, pairs in result.ratios_by_test().items():
         write_xy(os.path.join(out, f"ratio_test{tid}.xy"),
                  np.array(sorted(pairs)).T)
-    growth = result.top_half_monotone_growth()
     ok = (result.flagged == 0 and math.isfinite(result.max_ratio)
           and result.spread <= config.get("spread_max", 100.0)
           and not growth)
@@ -739,6 +753,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
+    for flag, least in (("seed", 0), ("threads", 1)):
+        if getattr(args, flag) < least:
+            parser.error(f"argument --{flag}: must be at least {least}, "
+                         f"got {getattr(args, flag)}")
 
     try:
         with open(args.config) as fh:
@@ -763,14 +781,9 @@ def main(argv=None) -> int:
             os.rmdir(args.out)
         return 3
 
-    # standard JSON: a non-finite value is written as null, as
-    # JSON.stringify writes it; a finite float keeps its repr
-    summary = json.loads(
-        json.dumps({"command": args.command, "seed": args.seed, **summary},
-                   default=float),
-        parse_constant=lambda _: None)
-    with open(os.path.join(args.out, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, allow_nan=False)
+    summary = _write_json(os.path.join(args.out, "summary.json"),
+                          {"command": args.command, "seed": args.seed,
+                           **summary})
     print(("PASS" if summary["pass"] else "FAIL")
           + f" {args.command}: " + json.dumps(
               {k: v for k, v in summary.items() if k not in ("command",)},

@@ -87,7 +87,11 @@ class TimeGrid:
 
     @classmethod
     def from_interval(cls, t_final: float, n_steps: int) -> "TimeGrid":
-        return cls(dt=t_final / n_steps, n_steps=n_steps)
+        dt = t_final / n_steps
+        if dt <= 0.0:
+            raise ValueError(f"t_final={t_final!r} over n_steps={n_steps!r} "
+                             f"gives dt={dt!r}; dt must be positive")
+        return cls(dt=dt, n_steps=n_steps)
 
     @property
     def nodes(self) -> np.ndarray:

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from fraclab import (BetaSweepConfig, CarlemanWeightParams, HolmgrenMap,
+from fraclab import (CarlemanWeightParams, HolmgrenMap,
                      LowerOrderTerm, MultiTermSpec, SpaceTimeGrid, TimeGrid,
                      beta_sweep, c_alpha_sharp, caputo_l1, caputo_oracle,
                      caputo_power_rule, char_set_sample, constant_field,
@@ -324,10 +324,8 @@ def test_criterion_10_weighted_inequality_sweep():
     ok = True
     for alpha in (0.5, 1.5):
         spec = MultiTermSpec(orders=(alpha,), weights=(1.0,))
-        config = BetaSweepConfig(betas=(25.0, 50.0, 100.0, 200.0, 400.0),
-                                 weight=weight, spec=spec)
-        result = beta_sweep(config, default_bump_family(weight, grid, 5),
-                            grid, frame)
+        result = beta_sweep((25.0, 50.0, 100.0, 200.0, 400.0), weight, spec,
+                            default_bump_family(grid, 5), grid, frame)
         spread = result.max_ratio / result.min_ratio
         branch_ok = (result.flagged == 0
                      and math.isfinite(result.max_ratio)

@@ -1,12 +1,11 @@
 import dataclasses
-import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from fraclab import (BetaSweepConfig, CarlemanWeightParams, HolmgrenFrame,
+from fraclab import (CarlemanWeightParams, HolmgrenFrame,
                      HolmgrenMap, MultiTermSpec, SpaceTimeGrid,
                      CompactBump, TimeGrid, apply_discrete_operator,
                      beta_sweep, carleman_lhs, conjugated_operator,
@@ -329,7 +328,7 @@ class TestBumpShapes:
     def test_supported_inside(self):
         grid = layer_grid(32, 65)
         mesh = grid.mesh()
-        for bump in default_bump_family(CarlemanWeightParams(X=X), grid):
+        for bump in default_bump_family(grid):
             v = bump.values(grid.time.nodes, mesh)
             assert v[0].max() == 0.0              # vanishes at t = 0
             assert abs(v[:, 0]).max() == 0.0      # vanishes on the wall
@@ -379,12 +378,30 @@ class TestBumpShapes:
 
 class TestSweep:
     def test_config_validation(self):
-        weight = CarlemanWeightParams(X=X)
-        spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
-        with pytest.raises(ValueError):
-            BetaSweepConfig(betas=(25.0, 50.0), weight=weight, spec=spec)
-        with pytest.raises(ValueError):
-            BetaSweepConfig(betas=(400.0, 25.0), weight=weight, spec=spec)
+        spec, frame, weight = setup()
+        grid = layer_grid(8, 9)
+        bumps = default_bump_family(grid, count=1)
+        for betas, message in [
+                ((25.0,), "need at least two positive beta values"),
+                ((-25.0, 250.0), "need at least two positive beta values"),
+                ((400.0, 25.0), "beta grid must increase"),
+                ((25.0, 50.0), "beta grid must span at least one decade")]:
+            with pytest.raises(ValueError, match=message):
+                beta_sweep(betas, weight, spec, bumps, grid, frame)
+
+    def test_betas_are_checked_before_the_frame(self):
+        # a 2-D frame on a 1-D grid, with a bad beta grid: the betas are
+        # named, as the CLI named them when it checked them first
+        spec, _, weight = setup()
+        frame = pushforward_operator(
+            identity_field(2), HolmgrenMap(y_hat=np.zeros(2), c=1.0, X=X,
+                                           T=1.0))
+        grid = layer_grid(8, 9)
+        bumps = default_bump_family(grid, count=1)
+        with pytest.raises(ValueError, match="beta grid must increase"):
+            beta_sweep((400.0, 25.0), weight, spec, bumps, grid, frame)
+        with pytest.raises(ValueError, match="field dimension"):
+            beta_sweep((25.0, 250.0), weight, spec, bumps, grid, frame)
 
     def test_small_sweep_bounded(self):
         # thickness 0.3 puts the whole beta decade inside the concentration
@@ -396,10 +413,9 @@ class TestSweep:
         weight = CarlemanWeightParams(X=X_wide)
         grid = SpaceTimeGrid(bounds=((0.0, X_wide),), shape=(81,),
                              time=TimeGrid.from_interval(1.0, 64))
-        config = BetaSweepConfig(betas=(25.0, 50.0, 100.0, 200.0, 400.0),
-                                 weight=weight, spec=spec)
-        bumps = default_bump_family(weight, grid, count=2)
-        result = beta_sweep(config, bumps, grid, frame)
+        bumps = default_bump_family(grid, count=2)
+        result = beta_sweep((25.0, 50.0, 100.0, 200.0, 400.0), weight, spec,
+                            bumps, grid, frame)
         assert result.flagged == 0
         assert math.isfinite(result.max_ratio)
         assert result.max_ratio / result.min_ratio <= 100.0
@@ -421,14 +437,13 @@ class TestSweep:
                        bc=lambda t, Yb: t**2 * np.ones(Yb.shape[0]),
                        check_residual=False)
         w = result.field.values * np.exp(-grid.time.nodes)[:, None]
-        config = BetaSweepConfig(betas=(25.0, 250.0), weight=weight,
-                                 spec=spec, include_drift=False)
 
         class Premade:
             def factors(self, times, mesh):
                 return w, [np.ones(mesh.shape[:-1])]
 
-        result = beta_sweep(config, [Premade()], grid, frame)
+        result = beta_sweep((25.0, 250.0), weight, spec, [Premade()], grid,
+                            frame, include_drift=False)
         assert result.flagged == len(result.rows)
 
     def test_two_dimensional_operator_application(self):
@@ -439,10 +454,8 @@ class TestSweep:
         grid = SpaceTimeGrid(bounds=((-0.1, 0.1), (0.0, X)),
                              shape=(21, 21),
                              time=TimeGrid.from_interval(1.0, 24))
-        config = BetaSweepConfig(betas=(25.0, 250.0), weight=weight,
-                                 spec=spec)
-        bumps = default_bump_family(weight, grid, count=1)
-        result = beta_sweep(config, bumps, grid, frame)
+        bumps = default_bump_family(grid, count=1)
+        result = beta_sweep((25.0, 250.0), weight, spec, bumps, grid, frame)
         assert result.flagged == 0
         assert all(math.isfinite(r.ratio) and r.ratio > 0.0
                    for r in result.rows)
@@ -450,35 +463,22 @@ class TestSweep:
     def test_zero_image_rows_flagged(self, monkeypatch):
         spec, frame, weight = setup()
         grid = layer_grid(24, 25)
-        config = BetaSweepConfig(betas=(25.0, 250.0), weight=weight, spec=spec)
-        bumps = default_bump_family(weight, grid, count=1)
+        bumps = default_bump_family(grid, count=1)
         monkeypatch.setattr(carleman, "conjugated_operator",
                             lambda values, *_, **__: np.zeros_like(values))
-        result = beta_sweep(config, bumps, grid, frame)
+        result = beta_sweep((25.0, 250.0), weight, spec, bumps, grid, frame)
         assert result.flagged == len(result.rows)
 
-    def test_csv_and_json(self, tmp_path):
+    def test_csv_rows(self, tmp_path):
         spec, frame, weight = setup()
         grid = layer_grid(32, 41)
-        config = BetaSweepConfig(betas=(25.0, 250.0), weight=weight, spec=spec)
-        result = beta_sweep(config, default_bump_family(weight, grid, count=1),
-                            grid, frame)
+        result = beta_sweep((25.0, 250.0), weight, spec,
+                            default_bump_family(grid, count=1), grid, frame)
         csv_path = tmp_path / "rows.csv"
         sweep_rows_csv(result, str(csv_path))
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "beta,lhs,rhs,ratio,test_id"
         assert len(lines) == 1 + len(result.rows)
-        doc = result.to_json()
-        assert "max_ratio" in doc
-
-    def test_json_writes_non_finite_values_as_null(self):
-        # a sweep with no finite ratio: max, min and spread are inf
-        result = carleman.SweepResult(rows=[], max_ratio=math.inf,
-                                      min_ratio=math.inf, flagged=0)
-        doc = json.loads(result.to_json(), parse_constant=pytest.fail)
-        assert doc == {"max_ratio": None, "min_ratio": None,
-                       "flagged_rows": 0, "spread": None,
-                       "top_half_monotone_growth": False}
 
 
 def sweep_case(ndim, alpha, n_steps=20):
@@ -493,13 +493,13 @@ def sweep_case(ndim, alpha, n_steps=20):
     return spec, frame, weight, grid
 
 
-def reference_rows(config, bumps, grid, frame):
+def reference_rows(betas, weight, spec, bumps, grid, frame, include_drift):
     """(lhs, rhs, ratio) per row, one conjugated_operator call per bump and
     each side's weighted integrals formed per beta, in the production
     order: over time first, by the trapezoid weights' contraction, then
     over space under the weight; |grad v|^2 one axis at a time."""
     mesh = grid.mesh()
-    psi = config.weight.psi(mesh[..., -1])
+    psi = weight.psi(mesh[..., -1])
     w = np.full(grid.time.n_steps + 1, grid.time.dt)
     w[[0, -1]] /= 2.0
 
@@ -513,16 +513,16 @@ def reference_rows(config, bumps, grid, frame):
     rows = []
     for bump in bumps:
         v = bump.values(grid.time.nodes, mesh)
-        image = conjugated_operator(v, grid, config.spec, frame,
-                                    include_drift=config.include_drift)
-        for beta in config.betas:
+        image = conjugated_operator(v, grid, spec, frame,
+                                    include_drift=include_drift)
+        for beta in betas:
             lhs = beta**3 * weighted(v**2, beta)
             for d, h in enumerate(grid.spacing):
                 lhs += beta * weighted(
                     np.gradient(v, h, axis=d + 1, edge_order=2) ** 2, beta)
-            if config.spec.alpha >= BRANCH_THRESHOLD:
+            if spec.alpha >= BRANCH_THRESHOLD:
                 dt_v = np.gradient(v, grid.time.dt, axis=0, edge_order=2)
-                lhs += beta ** (3.0 - 4.0 / config.spec.alpha) * weighted(
+                lhs += beta ** (3.0 - 4.0 / spec.alpha) * weighted(
                     dt_v**2, beta)
             rhs = weighted(image**2, beta)
             rows.append((lhs, rhs, lhs / rhs))
@@ -537,12 +537,13 @@ class TestSweepBatching:
     def test_rows_equal_per_bump_reference_bitwise(self, ndim, include_drift,
                                                    alpha, count):
         spec, frame, weight, grid = sweep_case(ndim, alpha)
-        config = BetaSweepConfig(betas=(25.0, 100.0, 400.0), weight=weight,
-                                 spec=spec, include_drift=include_drift)
-        bumps = default_bump_family(weight, grid, count=count)
-        result = beta_sweep(config, bumps, grid, frame)
+        betas = (25.0, 100.0, 400.0)
+        bumps = default_bump_family(grid, count=count)
+        result = beta_sweep(betas, weight, spec, bumps, grid, frame,
+                            include_drift=include_drift)
         got = [(r.lhs, r.rhs, r.ratio) for r in result.rows]
-        assert got == reference_rows(config, bumps, grid, frame)
+        assert got == reference_rows(betas, weight, spec, bumps, grid, frame,
+                                     include_drift)
 
     @pytest.mark.parametrize("count", [1, 4])
     def test_one_walk_over_the_levels_per_sweep(self, count, monkeypatch):
@@ -555,18 +556,16 @@ class TestSweepBatching:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(solver, "_spatial_matrix", counting)
-        config = BetaSweepConfig(betas=(25.0, 250.0), weight=weight,
-                                 spec=spec)
-        beta_sweep(config, default_bump_family(weight, grid, count=count),
-                   grid, frame)
+        beta_sweep((25.0, 250.0), weight, spec,
+                   default_bump_family(grid, count=count), grid, frame)
         # the field depends on time, so each level is assembled once
         assert len(assembled) == grid.time.n_steps + 1
 
     @pytest.mark.parametrize("ndim", [1, 2])
     def test_walked_levels_are_bitwise_the_stacked_bumps(self, ndim):
-        _, _, weight, grid = sweep_case(ndim, 1.5)
+        *_, grid = sweep_case(ndim, 1.5)
         times, mesh = grid.time.nodes, grid.mesh()
-        bumps = default_bump_family(weight, grid, count=3)
+        bumps = default_bump_family(grid, count=3)
         stack = np.stack([b.values(times, mesh).reshape(len(times), -1)
                           for b in bumps], axis=-1)
         stack *= np.exp(times)[:, None, None]
@@ -584,15 +583,14 @@ class TestSweepBatching:
         _, frame, weight, grid = sweep_case(2, 1.5, n_steps=160)
         grid = SpaceTimeGrid(bounds=grid.bounds, shape=(21, 21),
                              time=grid.time)
-        config = BetaSweepConfig(betas=(25.0, 250.0), weight=weight,
-                                 spec=MultiTermSpec((1.5, 0.5), (1.0, 0.5)))
-        bumps = default_bump_family(weight, grid, count=3)
+        spec = MultiTermSpec((1.5, 0.5), (1.0, 0.5))
+        bumps = default_bump_family(grid, count=3)
         one = 8 * (grid.time.n_steps + 1) * math.prod(grid.shape)
         walk = 8 * (grid.time.n_steps + 1) * 19 * 19 * len(bumps)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            beta_sweep(config, bumps, grid, frame)
+            beta_sweep((25.0, 250.0), weight, spec, bumps, grid, frame)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -616,7 +614,7 @@ class TestIntegrationOrder:
         # space-first nested trapezoid to a few ulps over the beta decades
         spec, frame, weight, grid = sweep_case(ndim, alpha, n_steps)
         betas = (25.0, 50.0, 100.0, 200.0, 400.0)
-        v = default_bump_family(weight, grid, count=1)[0].values(
+        v = default_bump_family(grid, count=1)[0].values(
             grid.time.nodes, grid.mesh())
         grads = np.stack([np.gradient(v, h, axis=d + 1, edge_order=2)
                           for d, h in enumerate(grid.spacing)], axis=-1)

@@ -89,6 +89,24 @@ class TestValidation:
         assert code == 2
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["lemma21", "caputo-check"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "-1"), ("--threads", "0"), ("--threads", "-5")],
+        ids=["negative-seed", "zero-threads", "negative-threads"])
+    def test_seed_and_threads_are_checked(self, command, flag, value,
+                                          tmp_path, capsys):
+        # --threads below 1 ran one worker; a negative --seed died in
+        # numpy (lemma21, exit 3) or was recorded in summary.json
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(VALID[command]))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg), "--out", str(out),
+                  flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be at least" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_json(self, tmp_path, capsys):
         cfg = tmp_path / "broken.json"
         cfg.write_text("{not json")
@@ -488,6 +506,34 @@ class TestCommands:
         err = capsys.readouterr().err
         assert cause in err
         assert f"power={power!r}" in err and f"alpha={alphas[0]!r}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alpha", [2.5, 2.0, 0.0, -0.5])
+    def test_caputo_check_names_an_order_outside_zero_two(self, alpha,
+                                                         tmp_path, capsys):
+        # alpha 2.5 failed the power rule's check, "power=2.0 must exceed
+        # ceil(alpha) - 1 = 2", which is not the cause
+        config = {"alphas": [0.5, alpha], "n_steps": 64, "power": 2.0}
+        code, out = run(tmp_path, "caputo-check", config)
+        assert code == 3
+        assert (f"alpha={alpha!r} must lie in (0, 2)"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["caputo-check", "solve"])
+    @pytest.mark.parametrize("t_final", [-1, 0])
+    def test_a_non_positive_time_step_names_its_cause(self, command, t_final,
+                                                       tmp_path, capsys):
+        config = dict(VALID[command])
+        if command == "solve":
+            config["grid"] = {**GRID1, "t_final": t_final}
+        else:
+            config["t_final"] = t_final
+        code, out = run(tmp_path, command, config)
+        assert code == 3
+        assert (f"t_final={t_final!r} over n_steps=8 gives "
+                f"dt={t_final / 8!r}; dt must be positive"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("command, extra, name, value", [
@@ -1042,8 +1088,24 @@ class TestCommands:
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["spread"] <= 100.0
+        sweep = json.loads((out / "sweep_summary.json").read_text())
+        assert sweep["max_ratio"] == summary["max_ratio"]
         assert (out / "sweep.csv").exists()
         assert (out / "ratio_test0.xy").exists()
+
+    def test_carleman_sweep_writes_non_finite_values_as_null(
+            self, tmp_path, monkeypatch):
+        # a sweep with no finite ratio: max, min and spread are inf
+        monkeypatch.setattr(cli.carl, "beta_sweep", lambda *_, **__: (
+            cli.carl.SweepResult(rows=[], max_ratio=float("inf"),
+                                 min_ratio=float("inf"), flagged=0)))
+        code, out = run(tmp_path, "carleman-sweep", VALID["carleman-sweep"])
+        assert code == 1
+        with open(out / "sweep_summary.json") as fh:
+            doc = json.load(fh, parse_constant=pytest.fail)
+        assert doc == {"max_ratio": None, "min_ratio": None,
+                       "flagged_rows": 0, "spread": None,
+                       "top_half_monotone_growth": False}
 
     def test_carleman_sweep_rejects_an_overflowing_beta(self, tmp_path,
                                                         capsys):

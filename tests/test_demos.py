@@ -28,7 +28,7 @@ def test_demo_script_runs(script, tmp_path, monkeypatch):
 
 def reject(name):
     """``parse_constant`` for standard JSON: NaN and Infinity are errors."""
-    raise ValueError(f"summary.json holds {name}, which is not JSON")
+    raise ValueError(f"{name} is not JSON")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -38,5 +38,10 @@ def test_demo_config_passes(config, tmp_path):
     out = tmp_path / config.stem
     code = cli.main([config.stem, "--config", str(config), "--out", str(out)])
     assert code == 0
-    with open(out / "summary.json") as fh:
-        assert json.load(fh, parse_constant=reject)["pass"] is True
+    # summary.json and every other JSON artifact: sweep_summary.json,
+    # schedule.json, the solution's sidecar
+    docs = {}
+    for path in sorted(out.glob("*.json")):
+        with open(path) as fh:
+            docs[path.name] = json.load(fh, parse_constant=reject)
+    assert docs["summary.json"]["pass"] is True
