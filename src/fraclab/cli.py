@@ -587,7 +587,8 @@ def _manufactured_pieces(spec, coeffs, grid):
 
     The source is sum q D^alpha(t^2) S - t^2 sum a_jk d_j d_k S, with ``a``
     sampled once on the broadcast (t, Y).  Both take ``t`` on a broadcast
-    time axis, shape (n_steps+1, 1, ..., 1).
+    time axis, shape (m, 1, ..., 1): the solver samples the source a block
+    of levels at a time, and the error takes every level at once.
     """
     def exact(t, Y):
         v = np.asarray(t, dtype=float) ** 2
@@ -639,16 +640,13 @@ def run_solve(config, out, seed, threads):
             r2 = np.sum(((Y - center) / width) ** 2, axis=-1)
             return np.clip(1.0 - r2, 0.0, None) ** 4 * np.minimum(t, 1.0) ** 2
         exact = None
-    # a block of levels per call, at most SAMPLE_BLOCK points, as the
-    # solver samples the field
-    per_call = max(1, fields.SAMPLE_BLOCK // mesh[..., 0].size)
-    f = np.empty((len(times),) + grid.shape)
-    for s in range(0, len(times), per_call):
-        f[s:s + per_call] = source(times[s:s + per_call], mesh)
-    if not f[(slice(None),) + grid.interior()].any():
+    # the blocks the solver samples, up to the first nonzero one
+    inner = (slice(None),) + grid.interior()
+    if not any(block[inner].any()
+               for _, block in solver.source_blocks(source, grid)):
         raise ValueError("source is zero on every interior node")
-    result = solver.solve(spec, coeffs, solver.LowerOrderTerm.zero(), f, grid)
-    del f                          # before max_error's arrays
+    result = solver.solve(spec, coeffs, solver.LowerOrderTerm.zero(), source,
+                          grid)
     sol = result.field
     solver.save_solution(sol, os.path.join(out, "solution"))
     final = sol.values[-1].reshape(-1)
@@ -713,7 +711,8 @@ def run_continuation_plan(config, out, seed, threads):
     schedule = geometry.continuation_schedule(
         T=config["T"], X=config["X"], s_max=config["s_max"], n=config["n"],
         c=config.get("c", 1.0))
-    geometry.schedule_to_json(schedule, os.path.join(out, "schedule.json"))
+    with open(os.path.join(out, "schedule.json"), "w") as fh:
+        fh.write(geometry.schedule_to_json(schedule))
     # quick self-check: exact round trips and the stage recursion
     n_check = config.get("n_check", 1000)
     # the errors reduce by np.max, which carries a NaN into the verdict

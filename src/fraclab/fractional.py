@@ -87,6 +87,8 @@ class TimeGrid:
 
     @classmethod
     def from_interval(cls, t_final: float, n_steps: int) -> "TimeGrid":
+        if n_steps < 1:                # before dividing by it
+            raise ValueError("n_steps must be a positive integer")
         dt = t_final / n_steps
         if dt <= 0.0:
             raise ValueError(f"t_final={t_final!r} over n_steps={n_steps!r} "

@@ -391,10 +391,6 @@ def continuation_schedule(T: float, X: float, s_max: int, n: int,
     return out
 
 
-def schedule_to_json(schedule, path=None) -> str:
+def schedule_to_json(schedule) -> str:
     doc = [{"map": m.to_dict(), "region": r.to_dict()} for m, r in schedule]
-    text = json.dumps(doc, indent=2)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    return json.dumps(doc, indent=2)

@@ -39,6 +39,12 @@ norm through the factor, which draws no random numbers.  The solver output
 therefore satisfies the assembled discrete equation to solver precision by
 construction, which :func:`apply_discrete_operator` verifies independently,
 sampling and assembling its own levels.
+
+A callable source is sampled like the coefficients, one block of levels
+per call (:func:`source_blocks`), so neither the march nor the check holds
+the source of every level; the march reads one level of the current block
+per step.  The Dirichlet data stay one call per step: they are sampled on
+the boundary nodes alone.
 """
 
 from __future__ import annotations
@@ -348,18 +354,33 @@ def _level_operators(grid: SpaceTimeGrid, terms, times):
     yield mat, count
 
 
-def _source_levels(source, grid: SpaceTimeGrid) -> np.ndarray:
-    """Source samples of shape (n_steps+1, *shape) from a callable or array."""
-    if callable(source):
-        mesh = grid.mesh()
-        f_all = np.empty((grid.time.n_steps + 1,) + grid.shape)
-        for k, t in enumerate(grid.time.nodes):
-            f_all[k] = source(t, mesh)
-        return f_all
-    f_all = np.asarray(source, dtype=float)
-    if f_all.shape != (grid.time.n_steps + 1,) + grid.shape:
-        raise ValueError("source array shape mismatch")
-    return f_all
+def source_blocks(source, grid: SpaceTimeGrid):
+    """The source as ``(start, block)`` pairs covering every time level.
+
+    ``block`` holds the source at the levels ``start:start + len(block)``,
+    shape (m, *shape).  A callable ``f(t, Y)`` is sampled once per block
+    of at most ``SAMPLE_BLOCK // nodes`` levels (at least one), with ``t``
+    of shape (m, 1, ..., 1) and ``Y`` the full mesh, and each block is
+    sampled only when the iteration reaches it; its result is broadcast to
+    the block's shape.  An array of shape (n_steps+1, *shape) is one block.
+    """
+    levels = grid.time.n_steps + 1
+    if not callable(source):
+        f_all = np.asarray(source, dtype=float)
+        if f_all.shape != (levels,) + grid.shape:
+            raise ValueError("source array shape mismatch")
+        return iter([(0, f_all)])
+    times = grid.time.nodes.reshape((-1,) + (1,) * grid.ndim)
+    mesh = grid.mesh()
+    per_call = max(1, SAMPLE_BLOCK // math.prod(grid.shape))
+
+    def sampled():
+        for s in range(0, levels, per_call):
+            t = times[s:s + per_call]
+            yield s, np.broadcast_to(np.asarray(source(t, mesh), dtype=float),
+                                     (len(t),) + grid.shape)
+
+    return sampled()
 
 
 # ---------------------------------------------------------------------------
@@ -584,10 +605,17 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
     Parameters
     ----------
     source : callable or ndarray
-        Right-hand side f(t, Y) -> (...), or samples of shape
-        (n_steps+1, *shape).
+        Right-hand side f(t, Y), sampled by :func:`source_blocks`: one call
+        per block of at most ``SAMPLE_BLOCK // nodes`` levels, with ``t``
+        of shape (m, 1, ..., 1) and ``Y`` the full mesh, returning (m,
+        *shape) or a shape that broadcasts to it.  The march holds only the
+        current block, and the residual check samples the blocks again.
+        Or samples of shape (n_steps+1, *shape).
     bc : callable or None
-        Dirichlet data g(t, Y) on boundary nodes; None means homogeneous.
+        Dirichlet data g(t, Y) on the boundary nodes, called once per step
+        with a scalar ``t``: it samples the boundary nodes only, so a call
+        per level holds no array of every level and needs no blocks.  None
+        means homogeneous.
 
     Returns the solution field and diagnostics: per-step residual maximum,
     a one-norm condition estimate of the first interior step matrix, the
@@ -607,8 +635,10 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
     y_bnd = grid.mesh().reshape(-1, grid.ndim)[~inside]
     times = grid.time.nodes
 
-    f_all = _source_levels(source, grid)
-    f_levels = f_all.reshape(nt + 1, -1)
+    # the source one level at a time, sampled a block of levels at a time
+    f_levels = (level for _, block in source_blocks(source, grid)
+                for level in block.reshape(len(block), -1))
+    next(f_levels)                 # level 0 is pinned to zero
     march = L1March(spec, grid.time.dt, nt, n_int)
     values = np.zeros((nt + 1, inside.size))
 
@@ -628,7 +658,7 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
             fresh = False          # whether lu factorizes this run's system
         left -= 1
 
-        rhs = f_levels[k, inside] - march.history(k)
+        rhs = next(f_levels)[inside] - march.history(k)
         if bc is not None:
             values[k, ~inside] = bc(times[k], y_bnd)
             # the lift: the interior of values[k] is still zero
@@ -643,6 +673,7 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
                 lu_reuses += 1
         if x is None:
             if not fresh:
+                lu = None          # one factor held, not two
                 lu = _BlockLU(system, edges, slab)
                 fresh = True
                 factorizations += 1
@@ -658,7 +689,7 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
         # np.maximum, unlike max(), keeps a NaN residual
         step_residual = float(np.maximum(step_residual, np.abs(res).max()))
     lead = march.lead
-    del march                      # its series, before the check's arrays
+    del march, lu                  # before the check's arrays
 
     values = values.reshape((nt + 1,) + grid.shape)
     sol = SolutionField(values=values, grid=grid,
@@ -674,7 +705,7 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
                    "refinement_steps": refinement_steps}
     if check_residual:
         resid = apply_discrete_operator(values, spec, terms, grid,
-                                        source=f_all)
+                                        source=source)
         np.abs(resid, out=resid)
         # level 0 is pinned to zero, never solved
         diagnostics["equation_residual_max"] = float(resid[1:].max())
@@ -712,15 +743,17 @@ def apply_discrete_operator(values, spec: MultiTermSpec, terms,
     """Discrete operator (or residual) on interior nodes at every time level.
 
     Computes the multi-term time operator minus the spatial operators,
-    minus ``source`` when given.  ``terms(t, Y) -> (a, b, b0)`` is the
+    minus ``source`` when given.  ``source`` is a callable or an array as
+    in :func:`solve`, read through :func:`source_blocks` and subtracted a
+    block of levels at a time.  ``terms(t, Y) -> (a, b, b0)`` is the
     coefficient sampler of :func:`_level_operators`.  ``spatial`` is this
     grid function's column of a :func:`_spatial_walk` over a batch, made
     with the same ``terms``; it is added in place of a walk of its own.
 
     Every term is added into one interior-sized output, which is the
-    first order's L1 result: besides ``values`` and ``source``, that output
-    and :func:`multiterm_l1`'s one array of differences are held, and the
-    walk's level blocks.
+    first order's L1 result: besides ``values`` (and an array ``source``),
+    that output and :func:`multiterm_l1`'s one array of differences are
+    held, and the walk's or the source's level blocks.
     """
     values = np.asarray(values, dtype=float)
     nt = grid.time.n_steps
@@ -736,7 +769,9 @@ def apply_discrete_operator(values, spec: MultiTermSpec, terms,
         out += spatial
     out = out.reshape((nt + 1,) + tuple(s - 2 for s in shape))
     if source is not None:
-        out -= _source_levels(source, grid)[(slice(None),) + grid.interior()]
+        inner = (slice(None),) + grid.interior()
+        for start, block in source_blocks(source, grid):
+            out[start:start + len(block)] -= block[inner]
     return out
 
 

@@ -293,7 +293,7 @@ def test_criterion_09_manufactured_convergence():
 
     def source(t, Y):
         sine = np.sin(np.pi * Y[..., 0])
-        return (caputo_power_rule(2.0, 0.5, max(t, 1e-300))
+        return (caputo_power_rule(2.0, 0.5, np.maximum(t, 1e-300))
                 + np.pi**2 * t**2) * sine
 
     errors = []

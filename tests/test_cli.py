@@ -466,6 +466,45 @@ class TestCommandTable:
                            "marker": 1}
 
 
+def recording_solve(monkeypatch):
+    """Patch ``solver.solve`` to record its arguments and every call that it
+    makes to its source.  Returns ``(captured, calls)``: one ``(spec,
+    coeffs, source, grid)`` per solve, and ``(t, f(t, Y))`` per call."""
+    captured, calls = [], []
+    original = solver.solve
+
+    def capturing(spec, coeffs, lower, source, grid, **kwargs):
+        captured.append((spec, coeffs, source, grid))
+
+        def recorded(t, Y):
+            f = source(t, Y)
+            calls.append((t, f))
+            return f
+
+        return original(spec, coeffs, lower, recorded, grid, **kwargs)
+
+    monkeypatch.setattr(solver, "solve", capturing)
+    return captured, calls
+
+
+def sampled_passes(calls, grid):
+    """The recorded source blocks, split into passes over every level.
+
+    Each pass calls with ``t`` of shape (m, 1, ..., 1) on consecutive
+    levels from level 0 on, and returns the blocks' samples."""
+    levels = grid.time.nodes
+    passes, start = [], 0
+    for t, f in calls:
+        assert t.shape == (len(t),) + (1,) * grid.ndim
+        assert t.ravel().tobytes() == levels[start:start + len(t)].tobytes()
+        if start == 0:
+            passes.append([])
+        passes[-1].append(f)
+        start = (start + len(t)) % len(levels)
+    assert start == 0
+    return passes
+
+
 class TestCommands:
     def test_caputo_check(self, tmp_path):
         config = {"alphas": [0.25, 0.5, 1.25, 1.75], "n_steps": 512}
@@ -979,14 +1018,7 @@ class TestCommands:
     @pytest.mark.parametrize("ndim", [1, 2])
     def test_solve_source_is_the_per_level_stack(self, tmp_path, monkeypatch,
                                                  ndim, manufactured):
-        captured = []
-        original = solver.solve
-
-        def capturing(spec, coeffs, lower, source, grid, **kwargs):
-            captured.append((spec, source, grid))
-            return original(spec, coeffs, lower, source, grid, **kwargs)
-
-        monkeypatch.setattr(solver, "solve", capturing)
+        captured, calls = recording_solve(monkeypatch)
         config = {"spec": {"orders": [1.5, 0.5], "weights": [1.0, 0.5]},
                   "coeffs": {"preset": "identity", "n": ndim},
                   "grid": {"bounds": [[0.0, 1.0]] * ndim,
@@ -996,7 +1028,7 @@ class TestCommands:
                   "source": {"center": [0.6] * ndim, "width": 0.3}}
         code, _ = run(tmp_path, "solve", config)
         assert code == 0
-        ((spec, source, grid),) = captured
+        ((spec, _, _, grid),) = captured
 
         # the sources as scalar-time callables, one call per level
         def manufactured_source(t, Y):
@@ -1014,7 +1046,11 @@ class TestCommands:
         f = manufactured_source if manufactured else bump_source
         mesh = grid.mesh()
         expected = np.stack([f(t, mesh) for t in grid.time.nodes])
-        assert np.array_equal(source, expected)
+        # the march and the residual check each sample every level once
+        passes = sampled_passes(calls, grid)
+        assert len(passes) == 2
+        for blocks in passes:
+            assert np.array_equal(np.concatenate(blocks), expected)
 
     @pytest.mark.parametrize("preset,ndim", [
         ("identity", 1), ("identity", 2), ("identity", 3),
@@ -1027,15 +1063,8 @@ class TestCommands:
                                                        ndim):
         # 13 levels of 9^ndim nodes, 5 levels per sampling block: two full
         # blocks and a partial one
-        captured = []
-        original = solver.solve
-
-        def capturing(spec, coeffs, lower, source, grid, **kwargs):
-            captured.append((spec, coeffs, source, grid))
-            return original(spec, coeffs, lower, source, grid, **kwargs)
-
-        monkeypatch.setattr(solver, "solve", capturing)
-        monkeypatch.setattr(fraclab.fields, "SAMPLE_BLOCK", 5 * 9**ndim + 3)
+        captured, calls = recording_solve(monkeypatch)
+        monkeypatch.setattr(solver, "SAMPLE_BLOCK", 5 * 9**ndim + 3)
         coeffs = {"preset": preset, "n": ndim}
         if preset == "polynomial":
             # a_jj = 1 + t y_1 / 4, a_01 = y_2 / 10 from two dimensions on
@@ -1055,10 +1084,15 @@ class TestCommands:
                            "t_final": 1.5}}
         code, _ = run(tmp_path, "solve", config)
         assert code == 0
-        ((spec, field, source, grid),) = captured
+        ((spec, field, _, grid),) = captured
         _, whole = cli._manufactured_pieces(spec, field, grid)
         times = grid.time.nodes.reshape((-1,) + (1,) * ndim)
-        assert np.array_equal(source, whole(times, grid.mesh()))
+        expected = whole(times, grid.mesh())
+        passes = sampled_passes(calls, grid)
+        assert len(passes) == 2
+        for blocks in passes:
+            assert [len(b) for b in blocks] == [5, 5, 3]
+            assert np.array_equal(np.concatenate(blocks), expected)
 
     def test_solve_summary_is_a_function_of_the_seed(self, tmp_path):
         config = {"spec": SPEC, "coeffs": COEFFS2,
@@ -1329,7 +1363,11 @@ class TestCommands:
         config = {"T": 1.0, "X": 0.05, "s_max": 5, "n": 2}
         code, out = run(tmp_path, "continuation-plan", config)
         assert code == 0
-        doc = json.loads((out / "schedule.json").read_text())
+        # the file holds the library's text for the same schedule
+        text = (out / "schedule.json").read_text()
+        schedule = geometry.continuation_schedule(T=1.0, X=0.05, s_max=5, n=2)
+        assert text == geometry.schedule_to_json(schedule)
+        doc = json.loads(text)
         assert len(doc) == 5
         summary = json.loads((out / "summary.json").read_text())
         assert summary["roundtrip_error"] <= 1e-14

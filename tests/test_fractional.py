@@ -72,6 +72,17 @@ class TestGamma:
             _gamma(x)
 
 
+class TestTimeGrid:
+    @pytest.mark.parametrize("n_steps", [0, -1])
+    def test_from_interval_names_a_step_count_below_one(self, n_steps):
+        # 0 divided t_final by zero before the step count was checked
+        for make in (lambda: TimeGrid.from_interval(1.0, n_steps),
+                     lambda: TimeGrid(dt=0.1, n_steps=n_steps)):
+            with pytest.raises(ValueError) as info:
+                make()
+            assert str(info.value) == "n_steps must be a positive integer"
+
+
 class TestOracle:
     def test_constant_vanishes(self):
         val = caputo_oracle(lambda t: 0.0, 0.5, 1.0)

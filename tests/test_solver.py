@@ -30,7 +30,7 @@ def manufactured_1d(spec):
 
     def source(t, Y):
         sine = np.sin(np.pi * Y[..., 0])
-        tfrac = sum(q * caputo_power_rule(2.0, al, max(t, 1e-300))
+        tfrac = sum(q * caputo_power_rule(2.0, al, np.maximum(t, 1e-300))
                     for q, al in zip(spec.weights, spec.orders))
         return (tfrac + np.pi**2 * t**2) * sine
 
@@ -149,7 +149,7 @@ class TestSolve:
         def source(t, Y):
             s = np.sin(np.pi * Y[..., 0])
             c = np.cos(np.pi * Y[..., 0])
-            tfrac = sum(q * caputo_power_rule(2.0, al, max(t, 1e-300))
+            tfrac = sum(q * caputo_power_rule(2.0, al, np.maximum(t, 1e-300))
                         for q, al in zip(spec.weights, spec.orders))
             return (tfrac * s + np.pi**2 * t**2 * s
                     - 0.3 * np.pi * t**2 * c + 0.2 * t**2 * s)
@@ -195,7 +195,7 @@ class TestSolve:
             s2 = np.sin(np.pi * Y[..., 1])
             c1 = np.cos(np.pi * Y[..., 0])
             c2 = np.cos(np.pi * Y[..., 1])
-            tfrac = caputo_power_rule(2.0, 0.5, max(t, 1e-300))
+            tfrac = caputo_power_rule(2.0, 0.5, np.maximum(t, 1e-300))
             lap = np.pi**2 * t**2 * (2.0 * a[0, 1] * c1 * c2
                                      - (a[0, 0] + a[1, 1]) * s1 * s2)
             return tfrac * s1 * s2 - lap
@@ -218,7 +218,7 @@ class TestSolve:
 
         def source(t, Y):
             cos = np.cos(np.pi * Y[..., 0])
-            return (caputo_power_rule(2.0, 0.5, max(t, 1e-300))
+            return (caputo_power_rule(2.0, 0.5, np.maximum(t, 1e-300))
                     + np.pi**2 * t**2) * cos
 
         def bc(t, Yb):
@@ -441,6 +441,52 @@ class TestSolve:
                        lambda t, Y: np.ones(Y.shape[:-1]), grid,
                        check_residual=False)
         assert result.field.values.min() >= -1e-12
+
+
+class TestSourceBlocks:
+    @pytest.mark.parametrize("shape, n_steps, bc", [
+        ((33,), 40, None),
+        ((9, 8), 30, lambda t, Yb: t * Yb[..., 0]),
+        # more nodes than SAMPLE_BLOCK: one level per call
+        ((100, 100), 3, None)], ids=["1d", "2d-dirichlet", "one-level"])
+    def test_callable_equals_its_block_samples_bitwise(self, monkeypatch,
+                                                       shape, n_steps, bc):
+        # 7 levels per call where a grid allows it: full blocks and a
+        # partial one
+        nodes = math.prod(shape)
+        monkeypatch.setattr(solver, "SAMPLE_BLOCK", min(7 * nodes + 2, 8192))
+        grid = SpaceTimeGrid(bounds=((0.0, 1.0),) * len(shape), shape=shape,
+                             time=TimeGrid.from_interval(1.0, n_steps))
+        spec = MultiTermSpec(orders=(1.5, 0.5), weights=(1.0, 0.5))
+        lower = LowerOrderTerm(b0=lambda t, Y: -t * np.cos(Y[..., 0]))
+        calls = []
+
+        def source(t, Y):
+            calls.append(t.shape)
+            return np.sin(np.pi * Y[..., 0]) * np.exp(t * Y[..., -1])
+
+        blocks = list(solver.source_blocks(source, grid))
+        per_call = max(1, solver.SAMPLE_BLOCK // nodes)
+        levels = n_steps + 1
+        assert [start for start, _ in blocks] == list(
+            range(0, levels, per_call))
+        assert calls == [(min(per_call, levels - s),) + (1,) * len(shape)
+                         for s in range(0, levels, per_call)]
+        stack = np.concatenate([block for _, block in blocks])
+        field = diagonal_variable_field(len(shape))
+        results = [solve(spec, field, lower, f, grid, bc=bc)
+                   for f in (source, stack)]
+        assert (results[0].field.values.tobytes()
+                == results[1].field.values.tobytes())
+        assert results[0].diagnostics == results[1].diagnostics
+        assert results[0].diagnostics["equation_residual_max"] <= 1e-10
+        # the march and the check each sample every block once more
+        assert len(calls) == 3 * len(blocks)
+
+    def test_an_array_of_the_wrong_shape_is_rejected(self):
+        grid = grid_1d(8, 9)
+        with pytest.raises(ValueError, match="source array shape mismatch"):
+            solver.source_blocks(np.zeros((8, 9)), grid)
 
 
 class TestDiscreteOperator:
@@ -986,3 +1032,54 @@ class TestMemory:
             tracemalloc.stop()
         assert result.diagnostics["equation_residual_max"] <= 1e-10
         assert peak - base < 4.0 * f.nbytes
+
+    def test_callable_source_is_sampled_a_block_at_a_time(self):
+        # as above with the source sampled by solve: about 2.8 level
+        # arrays, since no level array of the source is held; a source
+        # stack built in the march or the check crosses 3
+        spec = MultiTermSpec(orders=(0.5, 0.25), weights=(1.0, 0.5))
+        grid = grid_1d(2048, 129)
+        _, source = manufactured_1d(spec)
+        level = (grid.time.n_steps + 1) * 129 * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = solve(spec, identity_field(1), LowerOrderTerm.zero(),
+                           source, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.diagnostics["equation_residual_max"] <= 1e-10
+        assert peak - base < 3.0 * level
+
+    def test_refactorizing_solve_holds_one_factor(self, monkeypatch):
+        # on 79 x 79 interior nodes the factor is about 25 times the
+        # solution, and every step of this field factorizes its own
+        # matrix: a stale factor kept while the next one is built adds a
+        # whole factor to the peak
+        factors = []
+
+        class Measured(solver._BlockLU):
+            def __init__(self, *args):
+                super().__init__(*args)
+                factors.append(sum(a.nbytes for a in
+                                   self.inv + self.lower + self.upper))
+
+        monkeypatch.setattr(solver, "_BlockLU", Measured)
+        spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
+        grid = SpaceTimeGrid(bounds=((0.0, 1.0),) * 2, shape=(81, 81),
+                             time=TimeGrid.from_interval(1.0, 8))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = solve(spec, diagonal_variable_field(2),
+                           LowerOrderTerm.zero(),
+                           lambda t, Y: t * np.ones(Y.shape[:-1]), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.diagnostics["factorizations"] >= 2
+        assert result.diagnostics["equation_residual_max"] <= 1e-10
+        # the solution and one more level array
+        levels = 2 * result.field.values.nbytes
+        assert peak - base < 1.5 * factors[0] + levels
