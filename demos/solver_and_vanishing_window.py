@@ -11,8 +11,8 @@ have to vanish everywhere).
 
 import numpy as np
 
-from fraclab import (LowerOrderTerm, MultiTermSpec, SpaceTimeGrid, TimeGrid,
-                     caputo_power_rule, identity_field, solve, ucp_experiment)
+from fraclab import (MultiTermSpec, SpaceTimeGrid, TimeGrid, caputo_power_rule,
+                     identity_field, solve, ucp_experiment)
 
 print(__doc__)
 
@@ -34,8 +34,8 @@ prev = None
 for n in (32, 64, 128, 256):
     grid = SpaceTimeGrid(bounds=((0.0, 1.0),), shape=(n,),
                          time=TimeGrid.from_interval(1.0, n))
-    result = solve(spec, identity_field(1), LowerOrderTerm.zero(), source,
-                   grid, check_residual=(n <= 64))
+    result = solve(spec, identity_field(1), source, grid,
+                   check_residual=(n <= 64))
     ref = np.stack([exact(t, grid.mesh()) for t in grid.time.nodes])
     err = float(np.abs(result.field.values - ref).max())
     line = f"  N_t = N_y = {n:4d}: max error {err:.3e}"

@@ -27,9 +27,9 @@ from .symbols import (CarlemanWeightParams, CharacteristicSample,
                       garding_precondition_check, imag_part_margin,
                       lemma21_check, lemma61_check, real_part_constant,
                       real_part_margin, region_for, weighted_symbol)
-from .solver import (LowerOrderTerm, SolutionField, SolveResult,
-                     SpaceTimeGrid, apply_discrete_operator, load_solution,
-                     save_solution, solve, ucp_experiment)
+from .solver import (SolutionField, SolveResult, SpaceTimeGrid,
+                     apply_discrete_operator, load_solution, save_solution,
+                     solve, ucp_experiment)
 from .carleman import (SweepResult, SweepRow, CompactBump, beta_sweep,
                        carleman_lhs, conjugated_operator, default_bump_family,
                        sweep_rows_csv)

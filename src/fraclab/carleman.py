@@ -285,14 +285,12 @@ def beta_sweep(betas, weight: CarlemanWeightParams, spec: MultiTermSpec,
     ellipticity precondition on the grid and a grid whose e^t overflows.
     """
     betas = tuple(float(b) for b in betas)
-    if any(b <= 0.0 for b in betas) or len(betas) < 2:
+    if any(not b > 0.0 for b in betas) or len(betas) < 2:
         raise ValueError("need at least two positive beta values")
     if sorted(betas) != list(betas):
         raise ValueError("beta grid must increase")
     if max(betas) / min(betas) < 10.0:
         raise ValueError("beta grid must span at least one decade")
-    if frame.field.n != grid.ndim:
-        raise ValueError("field dimension does not match the grid")
     _ellipticity_precondition(grid, frame.field)
     times, mesh = grid.time.nodes, grid.mesh()
     if times[-1] > _LOG_FLOAT_MAX:     # the conjugation's e^t overflows

@@ -645,8 +645,8 @@ def run_solve(config, out, seed, threads):
     if not any(block[inner].any()
                for _, block in solver.source_blocks(source, grid)):
         raise ValueError("source is zero on every interior node")
-    result = solver.solve(spec, coeffs, solver.LowerOrderTerm.zero(), source,
-                          grid)
+    # by keyword: bench/spans.py reads args[4] or kwargs["grid"]
+    result = solver.solve(spec, coeffs, source, grid=grid)
     sol = result.field
     solver.save_solution(sol, os.path.join(out, "solution"))
     final = sol.values[-1].reshape(-1)

@@ -80,7 +80,7 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.dt <= 0.0:
+        if not 0.0 < self.dt < math.inf:
             raise ValueError("dt must be positive")
         if self.n_steps < 1:
             raise ValueError("n_steps must be a positive integer")
@@ -90,7 +90,7 @@ class TimeGrid:
         if n_steps < 1:                # before dividing by it
             raise ValueError("n_steps must be a positive integer")
         dt = t_final / n_steps
-        if dt <= 0.0:
+        if not 0.0 < dt < math.inf:
             raise ValueError(f"t_final={t_final!r} over n_steps={n_steps!r} "
                              f"gives dt={dt!r}; dt must be positive")
         return cls(dt=dt, n_steps=n_steps)
@@ -262,7 +262,7 @@ def caputo_oracle(derivative, alpha: float, t: float, tol: float = 1e-10,
     if not 0.0 < alpha < 2.0 or alpha == 1.0:
         raise ValueError(f"order must lie in (0,1) or (1,2), got {alpha}")
     k = 1 if alpha < 1.0 else 2
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError("evaluation time must be positive")
     power = 1.0 / (k - alpha)
     value, abserr = _adaptive_gk21(lambda v: derivative(t - t * v ** power),
@@ -617,10 +617,8 @@ def multiterm_lowered(values: np.ndarray, spec: MultiTermSpec, dt: float,
                 out[r0:r0 + BLOCK] += q * ratio * flat[r0:r0 + BLOCK]
         else:
             if quotient is None:    # the first difference is zero at node 0
-                quotient = np.empty_like(flat)
-                np.subtract(flat[1:], flat[:-1], out=quotient[1:])
-                np.subtract(flat[:1], flat[:1], out=quotient[:1])
-                quotient /= dt
+                quotient = _backward_difference(flat, dt)
+                quotient[0] = (flat[0] - flat[0]) / dt
             rl_integral_l1(quotient, 2.0 - al, dt, out=out, weight=q * ratio)
     return out.reshape(np.shape(values))
 

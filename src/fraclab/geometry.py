@@ -47,11 +47,11 @@ class HolmgrenMap:
             raise ValueError("base point must be a vector")
         if y_hat[-1] != 0.0:
             raise ValueError("base point must sit on the interface y_n = 0")
-        if self.c < 0.0:
+        if not self.c >= 0.0:
             raise ValueError("convexification constant must be nonnegative")
         if not 0.0 < self.X < 1.0:
             raise ValueError("layer thickness X must lie in (0, 1)")
-        if self.T <= 0.0:
+        if not self.T > 0.0:
             raise ValueError("time horizon must be positive")
         if self.stage < 1:
             raise ValueError("stage must be a positive integer")
@@ -223,17 +223,13 @@ def global_coefficients(coeffs: EllipticCoeffField) -> EllipticCoeffField:
     """
     n = coeffs.n
 
-    def a(t, yt):
-        yt = np.asarray(yt, dtype=float)
-        w = stretch_weights(yt)
-        base = coeffs.a(t, global_diffeo_inverse(yt))
-        return base * w[..., :, None] * w[..., None, :]
-
-    def da_dt(t, yt):
-        yt = np.asarray(yt, dtype=float)
-        w = stretch_weights(yt)
-        base = coeffs.da_dt(t, global_diffeo_inverse(yt))
-        return base * w[..., :, None] * w[..., None, :]
+    def stretched(matrix):
+        def carried(t, yt):
+            yt = np.asarray(yt, dtype=float)
+            w = stretch_weights(yt)
+            base = matrix(t, global_diffeo_inverse(yt))
+            return base * w[..., :, None] * w[..., None, :]
+        return carried
 
     def da_dyt(t, yt):
         yt = np.asarray(yt, dtype=float)
@@ -255,7 +251,8 @@ def global_coefficients(coeffs: EllipticCoeffField) -> EllipticCoeffField:
             out[..., r, :, :] = term + prod
         return out
 
-    return EllipticCoeffField(n=n, a=a, da_dt=da_dt, da_dy=da_dyt,
+    return EllipticCoeffField(n=n, a=stretched(coeffs.a),
+                              da_dt=stretched(coeffs.da_dt), da_dy=da_dyt,
                               delta=coeffs.delta)
 
 
@@ -310,7 +307,7 @@ class CutoffSpec:
             raise ValueError("epsilon must lie in (0, 1)")
         if not 0.0 < self.X < 1.0:
             raise ValueError("X must lie in (0, 1)")
-        if self.l <= 0.0:
+        if not self.l > 0.0:
             raise ValueError("box depth must be positive")
         y_hat = (np.zeros(self.n) if self.y_hat is None
                  else np.asarray(self.y_hat, dtype=float))

@@ -9,7 +9,7 @@ Carleman image.  It reads the coefficients through one sampler,
 ``terms(t, Y) -> (a, b, b0)``, not a field: a call takes one block of time
 levels and returns all three samples, b and b0 None when absent.
 :func:`solve` builds
-its sampler from its field's ``a`` and its :class:`LowerOrderTerm`, the
+its sampler from its field's ``a`` and its ``b`` and ``b0`` callables, the
 Carleman image from the Holmgren frame's tilted matrix and tilt drift,
 which share one sample of the field.  A private generator calls the sampler
 once per block of time levels and yields -(L + l1), rows on interior nodes
@@ -113,18 +113,6 @@ class SpaceTimeGrid:
 
     def interior(self) -> tuple:
         return tuple(slice(1, -1) for _ in self.shape)
-
-
-@dataclass(frozen=True)
-class LowerOrderTerm:
-    """First-order term b . grad + b0 with grid-sampled coefficients."""
-
-    b: object = None     # callable (t, Y) -> (..., n) or None
-    b0: object = None    # callable (t, Y) -> (...)   or None
-
-    @classmethod
-    def zero(cls) -> "LowerOrderTerm":
-        return cls()
 
 
 @dataclass
@@ -583,7 +571,9 @@ class SolveResult:
 
 
 def _ellipticity_precondition(grid, coeffs):
-    """Exact eigenvalue margin of the two-sided bound at t = 0, T/2, T."""
+    """Field dimension, and the exact eigenvalue margin at t = 0, T/2, T."""
+    if coeffs.n != grid.ndim:
+        raise ValueError("field dimension does not match the grid")
     mesh = grid.mesh().reshape(-1, grid.ndim)
     for t in (0.0, grid.time.t_final / 2.0, grid.time.t_final):
         margin = coeffs.ellipticity_margin(t, mesh)
@@ -597,9 +587,9 @@ def _ellipticity_precondition(grid, coeffs):
                 f"(margin {margin:.3e})")
 
 
-def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
-          lower: LowerOrderTerm, source, grid: SpaceTimeGrid,
-          bc=None, check_residual: bool = True) -> SolveResult:
+def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField, source,
+          grid: SpaceTimeGrid, b=None, b0=None, bc=None,
+          check_residual: bool = True) -> SolveResult:
     """March the implicit scheme from the zero initial state.
 
     Parameters
@@ -611,6 +601,10 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
         *shape) or a shape that broadcasts to it.  The march holds only the
         current block, and the residual check samples the blocks again.
         Or samples of shape (n_steps+1, *shape).
+    grid : SpaceTimeGrid
+        By keyword: ``bench/spans.py`` reads ``args[4]`` or ``kwargs["grid"]``.
+    b, b0 : callable or None
+        First-order term b . grad + b0, samples (..., n) and (...), or None.
     bc : callable or None
         Dirichlet data g(t, Y) on the boundary nodes, called once per step
         with a scalar ``t``: it samples the boundary nodes only, so a call
@@ -624,8 +618,6 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
     LU) and ``refinement_steps`` (those taken with an earlier LU).  The
     initial level is identically zero, matching the support convention.
     """
-    if coeffs.n != grid.ndim:
-        raise ValueError("field dimension does not match the grid")
     _ellipticity_precondition(grid, coeffs)
 
     nt = grid.time.n_steps
@@ -643,8 +635,8 @@ def solve(spec: MultiTermSpec, coeffs: EllipticCoeffField,
     values = np.zeros((nt + 1, inside.size))
 
     def terms(t, y):
-        return (coeffs.a(t, y), None if lower.b is None else lower.b(t, y),
-                None if lower.b0 is None else lower.b0(t, y))
+        return (coeffs.a(t, y), None if b is None else b(t, y),
+                None if b0 is None else b0(t, y))
 
     cond_estimate = lu = None
     factorizations = lu_reuses = refinement_steps = 0
@@ -813,18 +805,20 @@ def ucp_experiment(spec: MultiTermSpec, coeffs: EllipticCoeffField,
             f"t_prime {t_prime} lies below the first time step "
             f"{grid.time.nodes[1]}")
 
-    # the time ramp on a broadcast time axis, times the bump of each center
-    ramp = np.minimum(grid.time.nodes / grid.time.t_final, 1.0) ** 2
-    ramp = ramp.reshape((-1,) + (1,) * grid.ndim)
     first = grid.mesh()[..., 0]
     rows = []
     for center in source_centers:
         if lo <= center <= hi:
             raise ValueError("source must be supported away from the window")
-        f = ramp * _bump((first - center) / source_width)
-        if not f[(slice(None),) + grid.interior()].any():
+        # the ramp is positive past t = 0: the bump alone decides this
+        if not _bump((first - center) / source_width)[grid.interior()].any():
             raise ValueError(f"source at {center} is zero on the interior")
-        sol = solve(spec, coeffs, LowerOrderTerm.zero(), f, grid,
+
+        def source(t, Y, c=center):
+            ramp = np.minimum(t / grid.time.t_final, 1.0) ** 2
+            return ramp * _bump((Y[..., 0] - c) / source_width)
+        # by keyword: bench/spans.py reads args[4] or kwargs["grid"]
+        sol = solve(spec, coeffs, source, grid=grid,
                     check_residual=False).field
         n_omega = sol.norm_l2(t_mask=tmask, space_mask=mask)
         n_total = sol.norm_l2()

@@ -44,7 +44,7 @@ class CarlemanWeightParams:
     X: float
 
     def __post_init__(self):
-        if self.X <= 0.0:
+        if not self.X > 0.0:
             raise ValueError("layer thickness must be positive")
 
     def psi(self, x_n):
@@ -323,7 +323,7 @@ def char_set_sample(region: SampleRegion, spec: MultiTermSpec,
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tolerance must be positive")
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples!r}")

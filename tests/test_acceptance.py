@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fraclab import (CarlemanWeightParams, HolmgrenMap,
-                     LowerOrderTerm, MultiTermSpec, SpaceTimeGrid, TimeGrid,
+                     MultiTermSpec, SpaceTimeGrid, TimeGrid,
                      beta_sweep, c_alpha_sharp, caputo_l1, caputo_oracle,
                      caputo_power_rule, char_set_sample, constant_field,
                      default_bump_family, diagonal_variable_field,
@@ -300,8 +300,8 @@ def test_criterion_09_manufactured_convergence():
     for n in (64, 128, 256):
         grid = SpaceTimeGrid(bounds=((0.0, 1.0),), shape=(n,),
                              time=TimeGrid.from_interval(1.0, n))
-        result = solve(spec, identity_field(1), LowerOrderTerm.zero(),
-                       source, grid, check_residual=False)
+        result = solve(spec, identity_field(1), source, grid,
+                       check_residual=False)
         ref = np.stack([exact(t, grid.mesh()) for t in grid.time.nodes])
         errors.append(float(np.abs(result.field.values - ref).max()))
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]

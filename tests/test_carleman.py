@@ -427,13 +427,13 @@ class TestSweep:
         # operator (drift off); the sweep must flag such rows, not average
         # them into the certificate; in 1-D the tilt matrix is [[1]], so the
         # frame's field has the effective matrix bitwise
-        from fraclab import LowerOrderTerm, solve
+        from fraclab import solve
         spec, frame, weight = setup()
         grid = layer_grid(32, 33)
-        tilt = LowerOrderTerm(
-            b=lambda t, Y: frame.tilt_drift(frame.field.a(t, Y)), b0=None)
-        result = solve(spec, frame.field, tilt,
+        result = solve(spec, frame.field,
                        lambda t, Y: np.zeros(Y.shape[:-1]), grid,
+                       b=lambda t, Y: frame.tilt_drift(frame.field.a(t, Y)),
+                       b0=None,
                        bc=lambda t, Yb: t**2 * np.ones(Yb.shape[0]),
                        check_residual=False)
         w = result.field.values * np.exp(-grid.time.nodes)[:, None]
@@ -527,6 +527,21 @@ def reference_rows(betas, weight, spec, bumps, grid, frame, include_drift):
             rhs = weighted(image**2, beta)
             rows.append((lhs, rhs, lhs / rhs))
     return rows
+
+
+class TestNonFiniteGuards:
+    # NaN fails every comparison, so "b <= 0" let a NaN beta through and
+    # the sweep returned an unflagged row with ratio inf
+    @pytest.mark.parametrize("betas", [(25.0, math.nan, 400.0),
+                                       (math.nan, 25.0, 400.0)],
+                             ids=["middle", "first"])
+    def test_a_nan_beta_fails_the_positivity_guard(self, betas):
+        spec, frame, weight = setup()
+        grid = layer_grid(8, 9)
+        bumps = default_bump_family(grid, count=1)
+        with pytest.raises(ValueError,
+                           match="need at least two positive beta values"):
+            beta_sweep(betas, weight, spec, bumps, grid, frame)
 
 
 class TestSweepBatching:

@@ -473,7 +473,7 @@ def recording_solve(monkeypatch):
     captured, calls = [], []
     original = solver.solve
 
-    def capturing(spec, coeffs, lower, source, grid, **kwargs):
+    def capturing(spec, coeffs, source, grid, **kwargs):
         captured.append((spec, coeffs, source, grid))
 
         def recorded(t, Y):
@@ -481,7 +481,7 @@ def recording_solve(monkeypatch):
             calls.append((t, f))
             return f
 
-        return original(spec, coeffs, lower, recorded, grid, **kwargs)
+        return original(spec, coeffs, recorded, grid=grid, **kwargs)
 
     monkeypatch.setattr(solver, "solve", capturing)
     return captured, calls
@@ -1447,6 +1447,34 @@ class TestBenchmarkTracer:
         # 5 bumps x 2 orders x 9 columns; 5 bumps and the solve's residual
         # check x 2 orders x 7 interior columns
         assert out.stdout.strip().splitlines()[-1] == "90 84 1"
+
+    @pytest.mark.parametrize("command, extra, calls", [
+        ("solve", {}, 1), ("ucp-demo", {"source_centers": [0.6, 0.8]}, 2)],
+        ids=["solve", "ucp-demo"])
+    def test_tracer_counts_the_solver_steps(self, tmp_path, command, extra,
+                                            calls):
+        # the tracer reads solve's grid as args[4] or kwargs["grid"]; a
+        # program caller that passed it by position would break the count
+        bench = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "bench")
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps({**VALID[command], **extra}))
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import spans\n"
+            "tracer = spans.install()\n"
+            "from fraclab import cli\n"
+            "cli.main([sys.argv[2], '--config', sys.argv[3],\n"
+            "          '--out', sys.argv[4]])\n"
+            "counts = tracer.report()['counts']\n"
+            "print(counts.get('solver.steps', 0),\n"
+            "      counts.get('solver.solve_calls', 0))\n")
+        out = subprocess.run(
+            [sys.executable, "-c", code, bench, command, str(path),
+             str(tmp_path / "out")],
+            env=_subprocess_env(), capture_output=True, text=True, check=True)
+        steps, solves = map(int, out.stdout.strip().splitlines()[-1].split())
+        assert solves == calls
+        assert steps == GRID1["n_steps"] * solves
 
     def test_tracer_counts_the_sweep_sampling(self, tmp_path):
         # the sweep's one walk samples the frame's tilted matrix through

@@ -83,6 +83,21 @@ class TestTimeGrid:
             assert str(info.value) == "n_steps must be a positive integer"
 
 
+class TestNonFiniteGuards:
+    # NaN fails every comparison, so a guard written x <= 0 let it through
+    @pytest.mark.parametrize("make, message", [
+        (lambda: TimeGrid(dt=math.nan, n_steps=2), "dt must be positive"),
+        (lambda: TimeGrid(dt=math.inf, n_steps=2), "dt must be positive"),
+        (lambda: TimeGrid.from_interval(math.nan, 4), "dt must be positive"),
+        (lambda: TimeGrid.from_interval(math.inf, 4), "dt must be positive"),
+        (lambda: caputo_oracle(lambda t: 1.0, 0.5, math.nan),
+         "evaluation time must be positive"),
+    ], ids=["dt-nan", "dt-inf", "interval-nan", "interval-inf", "oracle-t"])
+    def test_nan_and_inf_fail_the_positivity_guards(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+
 class TestOracle:
     def test_constant_vanishes(self):
         val = caputo_oracle(lambda t: 0.0, 0.5, 1.0)

@@ -83,6 +83,21 @@ class TestHolmgrenMap:
             HolmgrenMap(y_hat=np.zeros(2), c=1.0, X=0.1, T=1.0, stage=0)
 
 
+class TestNonFiniteGuards:
+    # NaN fails every comparison, so a guard written x <= 0 let it through
+    @pytest.mark.parametrize("make, message", [
+        (lambda: HolmgrenMap(y_hat=np.zeros(2), c=math.nan, X=0.1, T=1.0),
+         "convexification constant must be nonnegative"),
+        (lambda: HolmgrenMap(y_hat=np.zeros(2), c=1.0, X=0.1, T=math.nan),
+         "time horizon must be positive"),
+        (lambda: CutoffSpec(zeta=1, epsilon=0.5, X=0.1, n=2, l=math.nan),
+         "box depth must be positive"),
+    ], ids=["map-c", "map-T", "cutoff-l"])
+    def test_nan_fails_the_positivity_guards(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+
 class TestPushforward:
     def test_identity_at_flat_points(self):
         # with x' = 0 the tilt is inactive, so the effective form is the

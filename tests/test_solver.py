@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 
 from fraclab import cli, solver
 from fraclab.fractional import ConvergenceError, _gamma
-from fraclab import (EllipticCoeffField, LowerOrderTerm, MultiTermSpec,
+from fraclab import (EllipticCoeffField, MultiTermSpec,
                      SpaceTimeGrid, TimeGrid, apply_discrete_operator,
                      caputo_power_rule, constant_field,
                      diagonal_variable_field,
@@ -37,12 +37,12 @@ def manufactured_1d(spec):
     return exact, source
 
 
-def sampler(a, lower=LowerOrderTerm.zero()):
+def sampler(a, b=None, b0=None):
     """The coefficient sampler that ``solve`` builds from a matrix callable
-    and a :class:`LowerOrderTerm`: ``(a, b, b0)`` from one call."""
+    and its ``b`` and ``b0`` keywords: ``(a, b, b0)`` from one call."""
     def terms(t, y):
-        return (a(t, y), None if lower.b is None else lower.b(t, y),
-                None if lower.b0 is None else lower.b0(t, y))
+        return (a(t, y), None if b is None else b(t, y),
+                None if b0 is None else b0(t, y))
 
     return terms
 
@@ -103,7 +103,7 @@ class TestSolve:
     def test_zero_data_zero_solution(self):
         spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
         grid = grid_1d(16, 17)
-        result = solve(spec, identity_field(1), LowerOrderTerm.zero(),
+        result = solve(spec, identity_field(1),
                        lambda t, Y: np.zeros(Y.shape[:-1]), grid)
         assert np.all(result.field.values == 0.0)
 
@@ -111,8 +111,7 @@ class TestSolve:
         spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
         exact, source = manufactured_1d(spec)
         grid = grid_1d(64, 65)
-        result = solve(spec, identity_field(1), LowerOrderTerm.zero(),
-                       source, grid)
+        result = solve(spec, identity_field(1), source, grid)
         ref = np.stack([exact(t, grid.mesh()) for t in grid.time.nodes])
         err = np.abs(result.field.values - ref).max()
         assert err < 2e-2
@@ -125,7 +124,7 @@ class TestSolve:
         errs = []
         for n in (32, 64):
             grid = grid_1d(n, n + 1)
-            result = solve(spec, identity_field(1), LowerOrderTerm.zero(),
+            result = solve(spec, identity_field(1),
                            source, grid, check_residual=False)
             ref = np.stack([exact(t, grid.mesh()) for t in grid.time.nodes])
             errs.append(np.abs(result.field.values - ref).max())
@@ -140,8 +139,8 @@ class TestSolve:
     ], ids=["two-orders", "with-order-one"])
     def test_multiterm_with_first_order_term(self, orders, weights, n_steps):
         spec = MultiTermSpec(orders=orders, weights=weights)
-        lower = LowerOrderTerm(b=lambda t, Y: 0.3 * np.ones(Y.shape),
-                               b0=lambda t, Y: -0.2 * np.ones(Y.shape[:-1]))
+        lower = dict(b=lambda t, Y: 0.3 * np.ones(Y.shape),
+                     b0=lambda t, Y: -0.2 * np.ones(Y.shape[:-1]))
 
         def exact(t, Y):
             return t**2 * np.sin(np.pi * Y[..., 0])
@@ -155,7 +154,7 @@ class TestSolve:
                     - 0.3 * np.pi * t**2 * c + 0.2 * t**2 * s)
 
         grid = grid_1d(n_steps, 65)
-        result = solve(spec, identity_field(1), lower, source, grid)
+        result = solve(spec, identity_field(1), source, grid, **lower)
         ref = np.stack([exact(t, grid.mesh()) for t in grid.time.nodes])
         err = np.abs(result.field.values - ref).max()
         assert err < 5e-2
@@ -172,7 +171,7 @@ class TestSolve:
         _, source = manufactured_1d(spec)
         finals = []
         for n in (128, 256, 512):
-            result = solve(spec, identity_field(1), LowerOrderTerm.zero(),
+            result = solve(spec, identity_field(1),
                            source, grid_1d(n, 17), check_residual=False)
             finals.append(result.field.values[::n // 128])
         order = math.log2(np.abs(finals[0] - finals[1]).max()
@@ -203,7 +202,7 @@ class TestSolve:
         grid = SpaceTimeGrid(bounds=((0.0, 1.0), (0.0, 1.0)),
                              shape=(33, 33),
                              time=TimeGrid.from_interval(1.0, 32))
-        result = solve(spec, field, LowerOrderTerm.zero(), source, grid)
+        result = solve(spec, field, source, grid)
         ref = np.stack([exact(t, grid.mesh()) for t in grid.time.nodes])
         err = np.abs(result.field.values - ref).max()
         assert err < 5e-2
@@ -225,8 +224,7 @@ class TestSolve:
             return t**2 * np.cos(np.pi * Yb[..., 0])
 
         grid = grid_1d(96, 65)
-        result = solve(spec, identity_field(1), LowerOrderTerm.zero(),
-                       source, grid, bc=bc)
+        result = solve(spec, identity_field(1), source, grid, bc=bc)
         ref = np.stack([exact(t, grid.mesh()) for t in grid.time.nodes])
         err = np.abs(result.field.values - ref).max()
         assert err < 2e-2
@@ -246,7 +244,7 @@ class TestSolve:
             delta=1.0)
         spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
         with pytest.raises(ValueError):
-            solve(spec, bad, LowerOrderTerm.zero(),
+            solve(spec, bad,
                   lambda t, Y: np.zeros(Y.shape[:-1]), grid_1d(8, 9))
 
     def test_periodic_field_is_refactorized(self):
@@ -255,7 +253,7 @@ class TestSolve:
         spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
         grid = SpaceTimeGrid(bounds=((0.0, 1.0), (0.0, 1.0)), shape=(9, 9),
                              time=TimeGrid.from_interval(1.0, 16))
-        result = solve(spec, field, LowerOrderTerm.zero(),
+        result = solve(spec, field,
                        lambda t, Y: t * np.ones(Y.shape[:-1]), grid)
         assert result.diagnostics["equation_residual_max"] <= 1e-10
 
@@ -274,14 +272,13 @@ class TestSolve:
         spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
         grid = SpaceTimeGrid(bounds=((0.0, 1.0), (0.0, 1.0)), shape=(7, 7),
                              time=TimeGrid.from_interval(1.0, 12))
-        result = solve(spec, make_field(2), LowerOrderTerm.zero(),
+        result = solve(spec, make_field(2),
                        lambda t, Y: np.ones(Y.shape[:-1]), grid)
         assert len(calls) == factorizations
         assert result.diagnostics["factorizations"] == factorizations
 
     @pytest.mark.parametrize("lower", [
-        LowerOrderTerm.zero(),
-        LowerOrderTerm(b0=lambda t, Y: -t * np.cos(Y[..., 0]))],
+        {}, dict(b0=lambda t, Y: -t * np.cos(Y[..., 0]))],
         ids=["no-lower", "time-dependent-b0"])
     @pytest.mark.parametrize("shape", [(33,), (9, 8)], ids=["1d", "2d"])
     def test_unflagged_constant_field_matches_identity_bitwise(self, shape,
@@ -295,10 +292,10 @@ class TestSolve:
                              time=TimeGrid.from_interval(1.0, 2 * 64 + 3))
         # b0 changes at every level, so only the field without it is one run
         counts = [count for _, count in solver._level_operators(
-            grid, sampler(plain.a, lower), grid.time.nodes)]
-        assert counts == ([132] if lower.b0 is None else [1] * 132)
+            grid, sampler(plain.a, **lower), grid.time.nodes)]
+        assert counts == ([132] if "b0" not in lower else [1] * 132)
         source = lambda t, Y: t * np.sin(np.pi * Y[..., 0])
-        results = [solve(spec, field, lower, source, grid)
+        results = [solve(spec, field, source, grid, **lower)
                    for field in (flagged, plain)]
         assert (results[0].field.values.tobytes()
                 == results[1].field.values.tobytes())
@@ -310,7 +307,7 @@ class TestSolve:
         spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
         grid = SpaceTimeGrid(bounds=((0.0, 1.0), (0.0, 1.0)), shape=(7, 7),
                              time=TimeGrid.from_interval(1.0, 12))
-        result = solve(spec, diagonal_variable_field(2), LowerOrderTerm.zero(),
+        result = solve(spec, diagonal_variable_field(2),
                        lambda t, Y: np.ones(Y.shape[:-1]), grid)
         assert result.diagnostics["equation_residual_max"] <= 1e-10
 
@@ -320,8 +317,7 @@ class TestSolve:
         spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
         source = np.zeros((9, 9))
         source[3, 4] = np.nan
-        result = solve(spec, identity_field(1), LowerOrderTerm.zero(),
-                       source, grid_1d(8, 9))
+        result = solve(spec, identity_field(1), source, grid_1d(8, 9))
         assert math.isnan(result.diagnostics["linear_residual_max"])
         assert math.isnan(result.diagnostics["equation_residual_max"])
 
@@ -336,7 +332,6 @@ class TestSolve:
         spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
         grid = grid_1d(64, 17)
         result = solve(spec, dataclasses.replace(field, a=counting),
-                       LowerOrderTerm.zero(),
                        lambda t, Y: t * np.ones(Y.shape[:-1]), grid)
         assert result.diagnostics["equation_residual_max"] <= 1e-10
         # three for the ellipticity precondition, one for the solve and one
@@ -352,7 +347,7 @@ class TestSolve:
         mesh = grid.mesh()
         source = (np.sin(np.pi * mesh[..., 0]) * (1.0 + mesh[..., 1])
                   * times ** 1.5)
-        result = solve(spec, field, LowerOrderTerm.zero(), source, grid)
+        result = solve(spec, field, source, grid)
         assert result.diagnostics["lu_reuses"] > 0
         assert result.diagnostics["equation_residual_max"] <= 1e-10
         reference = marched_reference(spec, field, source, grid)
@@ -366,7 +361,7 @@ class TestSolve:
         spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
         grid = SpaceTimeGrid(bounds=((0.0, 1.0), (0.0, 1.0)), shape=(9, 9),
                              time=TimeGrid.from_interval(1.0, 24))
-        result = solve(spec, field, LowerOrderTerm.zero(),
+        result = solve(spec, field,
                        lambda t, Y: t * np.ones(Y.shape[:-1]), grid)
         diag = result.diagnostics
         assert diag["factorizations"] == 24
@@ -386,7 +381,7 @@ class TestSolve:
                              time=TimeGrid.from_interval(1.0, 32))
 
         def run():
-            return solve(spec, field, LowerOrderTerm.zero(),
+            return solve(spec, field,
                          lambda t, Y: t * np.ones(Y.shape[:-1]), grid,
                          check_residual=False)
 
@@ -424,7 +419,6 @@ class TestSolve:
             for seed in (1, 2):
                 np.random.seed(seed)
                 result = solve(spec, make_field(len(shape)),
-                               LowerOrderTerm.zero(),
                                lambda t, Y: np.ones(Y.shape[:-1]), grid,
                                check_residual=False)
                 estimates.append(result.diagnostics["condition_estimate"])
@@ -437,7 +431,7 @@ class TestSolve:
     def test_maximum_principle_sanity(self):
         spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
         grid = grid_1d(64, 33)
-        result = solve(spec, identity_field(1), LowerOrderTerm.zero(),
+        result = solve(spec, identity_field(1),
                        lambda t, Y: np.ones(Y.shape[:-1]), grid,
                        check_residual=False)
         assert result.field.values.min() >= -1e-12
@@ -458,7 +452,7 @@ class TestSourceBlocks:
         grid = SpaceTimeGrid(bounds=((0.0, 1.0),) * len(shape), shape=shape,
                              time=TimeGrid.from_interval(1.0, n_steps))
         spec = MultiTermSpec(orders=(1.5, 0.5), weights=(1.0, 0.5))
-        lower = LowerOrderTerm(b0=lambda t, Y: -t * np.cos(Y[..., 0]))
+        lower = dict(b0=lambda t, Y: -t * np.cos(Y[..., 0]))
         calls = []
 
         def source(t, Y):
@@ -474,7 +468,7 @@ class TestSourceBlocks:
                          for s in range(0, levels, per_call)]
         stack = np.concatenate([block for _, block in blocks])
         field = diagonal_variable_field(len(shape))
-        results = [solve(spec, field, lower, f, grid, bc=bc)
+        results = [solve(spec, field, f, grid, bc=bc, **lower)
                    for f in (source, stack)]
         assert (results[0].field.values.tobytes()
                 == results[1].field.values.tobytes())
@@ -494,7 +488,7 @@ class TestDiscreteOperator:
         spec = MultiTermSpec(orders=(1.5, 0.5), weights=(1.0, 0.5))
         _, source = manufactured_1d(spec)
         grid = grid_1d(48, 33)
-        result = solve(spec, identity_field(1), LowerOrderTerm.zero(),
+        result = solve(spec, identity_field(1),
                        source, grid, check_residual=False)
         resid = apply_discrete_operator(result.field.values, spec,
                                         sampler(identity_field(1).a), grid,
@@ -520,11 +514,11 @@ class TestDiscreteOperator:
         # column exactly like B matrix-vector products
         grid = SpaceTimeGrid(bounds=((0.0, 1.0), (0.0, 1.0)), shape=(9, 11),
                              time=TimeGrid.from_interval(1.0, 3))
-        lower = LowerOrderTerm(b=lambda t, Y: np.stack(
+        lower = dict(b=lambda t, Y: np.stack(
             [np.cos(Y[..., 0] + t), Y[..., 1]], axis=-1))
         block = np.random.default_rng(7).normal(size=(99, 5))
         for mat, _ in solver._level_operators(
-                grid, sampler(diagonal_variable_field(2).a, lower),
+                grid, sampler(diagonal_variable_field(2).a, **lower),
                 grid.time.nodes):
             product = mat @ block
             for b in range(block.shape[1]):
@@ -556,11 +550,11 @@ class TestDiscreteOperator:
         grid = SpaceTimeGrid(bounds=((0.0, 1.0), (0.0, 1.0)), shape=(7, 8),
                              time=TimeGrid.from_interval(1.0, 12))
         field = diagonal_variable_field(2)
-        lower = LowerOrderTerm(b0=lambda t, Y: np.sin(Y[..., 0] * t))
+        lower = dict(b0=lambda t, Y: np.sin(Y[..., 0] * t))
         batch = np.random.default_rng(2).normal(size=(13, 7, 8, 3))
         # one walk over the levels for the whole batch
         block = batch.reshape(13, -1, 3)
-        terms = sampler(field.a, lower)
+        terms = sampler(field.a, **lower)
         walked = solver._spatial_walk(grid, terms, block,
                                       np.zeros((13, 30, 3)))
         for b in range(3):
@@ -611,7 +605,6 @@ class TestLevelRuns:
         dt = grid.time.dt
         assert solver.SAMPLE_BLOCK // 128 == 64
         field = switching_field(63.5 * dt, 99.5 * dt)
-        lower = LowerOrderTerm.zero()
         times = grid.time.nodes
         for levels, counts in ((times, [64, 36, 31]),
                                (times[1:], [63, 36, 31])):
@@ -620,9 +613,9 @@ class TestLevelRuns:
             assert [count for _, count in runs] == counts
         spec = MultiTermSpec(orders=(1.5, 0.5), weights=(1.0, 0.5))
         source = lambda t, Y: t * np.sin(np.pi * Y[..., 0])
-        result = solve(spec, field, lower, source, grid)
+        result = solve(spec, field, source, grid)
         monkeypatch.setattr(solver, "_level_operators", per_level_runs)
-        reference = solve(spec, field, lower, source, grid)
+        reference = solve(spec, field, source, grid)
         assert (result.field.values.tobytes()
                 == reference.field.values.tobytes())
         assert result.diagnostics == reference.diagnostics
@@ -639,10 +632,10 @@ class TestLevelRuns:
                              time=TimeGrid.from_interval(1.0, n_steps))
         n_int = math.prod(s - 2 for s in shape)
         per_call = max(1, solver.SAMPLE_BLOCK // n_int)
-        lower = LowerOrderTerm(
+        lower = dict(
             b=lambda t, Y: np.cos(Y + np.asarray(t)[..., None]),
             b0=lambda t, Y: np.sin(Y[..., 0] * t))
-        terms = sampler(diagonal_variable_field(len(shape)).a, lower)
+        terms = sampler(diagonal_variable_field(len(shape)).a, **lower)
         calls = []
 
         def counting(t, y):
@@ -660,7 +653,7 @@ class TestLevelRuns:
         identity = identity_field(2)
         field = EllipticCoeffField(n=2, a=identity.a, da_dt=identity.da_dt,
                                    da_dy=identity.da_dy, delta=1.0)
-        lower = LowerOrderTerm(b0=lambda t, Y: -0.5 * np.cos(Y[..., 0]))
+        lower = dict(b0=lambda t, Y: -0.5 * np.cos(Y[..., 0]))
         # 49 interior nodes: 167 levels per sampling call, three calls
         grid = SpaceTimeGrid(bounds=((0.0, 1.0), (0.0, 1.0)), shape=(9, 9),
                              time=TimeGrid.from_interval(1.0, 400))
@@ -673,7 +666,7 @@ class TestLevelRuns:
 
         monkeypatch.setattr(solver, "_spatial_matrix", counting)
         work = np.random.default_rng(1).normal(size=(401, 81))
-        terms = sampler(field.a, lower)
+        terms = sampler(field.a, **lower)
         solver._spatial_walk(grid, terms, work, np.zeros((401, 49)))
         assert len(calls) == 1
         ((_, count),) = solver._level_operators(grid, terms, grid.time.nodes)
@@ -690,12 +683,12 @@ class TestLevelRuns:
     def test_run_counts_sum_to_the_levels(self, make_field, shape, n_steps):
         grid = SpaceTimeGrid(bounds=((0.0, 1.0),) * len(shape), shape=shape,
                              time=TimeGrid.from_interval(1.0, n_steps))
-        lower = LowerOrderTerm(
+        lower = dict(
             b=lambda t, Y: np.cos(Y + np.asarray(t)[..., None]))
         for times in (grid.time.nodes, grid.time.nodes[1:]):
-            for term in (LowerOrderTerm.zero(), lower):
+            for term in ({}, lower):
                 counts = [count for _, count in solver._level_operators(
-                    grid, sampler(make_field().a, term), times)]
+                    grid, sampler(make_field().a, **term), times)]
                 assert sum(counts) == len(times)
                 assert min(counts) >= 1
 
@@ -820,7 +813,7 @@ class TestAssembly:
     def test_pattern_is_built_once_per_walk(self, monkeypatch):
         grid = SpaceTimeGrid(bounds=((0.0, 1.0), (0.0, 1.0)), shape=(9, 9),
                              time=TimeGrid.from_interval(1.0, 400))
-        lower = LowerOrderTerm(
+        lower = dict(
             b=lambda t, Y: np.cos(Y + np.asarray(t)[..., None]))
         built, assembled = [], []
         pattern, assemble = solver._stencil_pattern, solver._spatial_matrix
@@ -837,7 +830,7 @@ class TestAssembly:
         monkeypatch.setattr(solver, "_spatial_matrix", counting_assembly)
         work = np.random.default_rng(2).normal(size=(401, 81))
         solver._spatial_walk(grid, sampler(diagonal_variable_field(2).a,
-                                           lower), work, np.zeros((401, 49)))
+                                           **lower), work, np.zeros((401, 49)))
         # the field and b change at every level: 401 runs, one pattern
         assert len(assembled) == 401
         assert len(built) == 1
@@ -858,10 +851,10 @@ class TestBlockFactorization:
         grid = SpaceTimeGrid(bounds=((0.0, 1.0),) * len(shape), shape=shape,
                              time=TimeGrid.from_interval(1.0, 4))
         # a first-order term makes the system unsymmetric
-        lower = LowerOrderTerm(b=lambda t, Y: np.cos(3.0 * Y),
-                               b0=lambda t, Y: np.sin(Y[..., 0]))
+        lower = dict(b=lambda t, Y: np.cos(3.0 * Y),
+                     b0=lambda t, Y: np.sin(Y[..., 0]))
         stencil, _ = next(solver._level_operators(
-            grid, sampler(make_field().a, lower), grid.time.nodes[1:]))
+            grid, sampler(make_field().a, **lower), grid.time.nodes[1:]))
         inside = solver._interior_flags(grid)
         system = solver._interior_system(stencil, inside, 2.5)
         oracle = (2.5 * sp.eye(int(inside.sum()))
@@ -904,7 +897,7 @@ class TestSerialization:
         spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
         _, source = manufactured_1d(spec)
         grid = grid_1d(12, 9)
-        result = solve(spec, identity_field(1), LowerOrderTerm.zero(),
+        result = solve(spec, identity_field(1),
                        source, grid, check_residual=False)
         prefix = str(tmp_path / "run")
         save_solution(result.field, prefix)
@@ -989,25 +982,40 @@ class TestUcp:
             self.run((0.5, 1.5))
 
     def test_sources_are_the_per_level_stack(self, monkeypatch):
+        # each centre's source is a callable; sampled in blocks of 7 levels
+        # (and a partial one) it is the scalar per-level stack, bitwise
         sources = []
         original = solver.solve
 
-        def capturing(spec, coeffs, lower, source, grid, **kwargs):
+        def recording(spec, coeffs, source, **kwargs):
             sources.append(source)
-            return original(spec, coeffs, lower, source, grid, **kwargs)
+            return original(spec, coeffs, source, **kwargs)
 
-        monkeypatch.setattr(solver, "solve", capturing)
+        monkeypatch.setattr(solver, "solve", recording)
         centers = (0.5, 0.7, 0.9)
-        self.run(centers)
-        grid = grid_1d(48, 65)
-        mesh = grid.mesh()
-        for center, source in zip(centers, sources):
-            def f(t, Y):
-                r = (Y[..., 0] - center) / self.WIDTH
-                return (min(t / grid.time.t_final, 1.0) ** 2
-                        * np.clip(1.0 - r**2, 0.0, None) ** 4)
-            expected = np.stack([f(t, mesh) for t in grid.time.nodes])
-            assert np.array_equal(source, expected)
+        spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
+        for grid in (grid_1d(48, 65),
+                     SpaceTimeGrid(bounds=((0.0, 1.0), (0.0, 0.5)),
+                                   shape=(33, 9),
+                                   time=TimeGrid.from_interval(2.0, 24))):
+            sources.clear()
+            monkeypatch.setattr(solver, "SAMPLE_BLOCK",
+                                7 * math.prod(grid.shape) + 2)
+            ucp_experiment(spec, identity_field(grid.ndim), grid,
+                           omega=(0.05, 0.25), t_prime=0.5,
+                           source_centers=centers, source_width=self.WIDTH)
+            assert len(sources) == len(centers)
+            mesh = grid.mesh()
+            for center, source in zip(centers, sources):
+                def f(t, Y):
+                    r = (Y[..., 0] - center) / self.WIDTH
+                    return (min(t / grid.time.t_final, 1.0) ** 2
+                            * np.clip(1.0 - r**2, 0.0, None) ** 4)
+                expected = np.stack([f(t, mesh) for t in grid.time.nodes])
+                blocks = list(solver.source_blocks(source, grid))
+                assert len(blocks) > 1
+                sampled = np.concatenate([block for _, block in blocks])
+                assert sampled.tobytes() == expected.tobytes()
 
 
 class TestMemory:
@@ -1026,7 +1034,7 @@ class TestMemory:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            result = solve(spec, field, LowerOrderTerm.zero(), f, grid)
+            result = solve(spec, field, f, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1044,8 +1052,7 @@ class TestMemory:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            result = solve(spec, identity_field(1), LowerOrderTerm.zero(),
-                           source, grid)
+            result = solve(spec, identity_field(1), source, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1073,7 +1080,6 @@ class TestMemory:
         try:
             base = tracemalloc.get_traced_memory()[0]
             result = solve(spec, diagonal_variable_field(2),
-                           LowerOrderTerm.zero(),
                            lambda t, Y: t * np.ones(Y.shape[:-1]), grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -430,6 +430,23 @@ class TestBracket:
                       < 1e-10 * abs(principal[0]))
 
 
+class TestNonFiniteGuards:
+    # NaN fails every comparison, so a guard written x <= 0 let it through;
+    # a NaN tol rejected every solved seed as "residual"
+    @pytest.mark.parametrize("make, message", [
+        (lambda: CarlemanWeightParams(X=math.nan),
+         "layer thickness must be positive"),
+        (lambda: char_set_sample(
+            region_for(CarlemanWeightParams(X=0.05)),
+            MultiTermSpec(orders=(0.5,), weights=(1.0,)), identity_field(2),
+            CarlemanWeightParams(X=0.05), 1.0, 50, tol=math.nan),
+         "tolerance must be positive"),
+    ], ids=["weight-X", "sample-tol"])
+    def test_nan_fails_the_positivity_guards(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+
 class TestCharacteristicSampling:
     def setup_method(self):
         self.spec = MultiTermSpec(orders=(0.5, 0.25), weights=(1.0, 0.5))
