@@ -12,16 +12,15 @@ refute the inequality.
 
 import numpy as np
 
-from fraclab import (CarlemanWeightParams, HolmgrenMap, MultiTermSpec,
-                     SpaceTimeGrid, TimeGrid, beta_sweep, default_bump_family,
-                     identity_field, pushforward_operator)
+from fraclab import (HolmgrenMap, MultiTermSpec, SpaceTimeGrid, TimeGrid,
+                     beta_sweep, default_bump_family, identity_field,
+                     pushforward_operator)
 
 print(__doc__)
 
 X = 0.3
 hmap = HolmgrenMap(y_hat=np.zeros(1), c=1.0, X=X, T=1.0)
 frame = pushforward_operator(identity_field(1), hmap)
-weight = CarlemanWeightParams(X=X)
 grid = SpaceTimeGrid(bounds=((0.0, X),), shape=(161,),
                      time=TimeGrid.from_interval(1.0, 160))
 betas = (25.0, 50.0, 100.0, 200.0, 400.0)
@@ -29,7 +28,7 @@ betas = (25.0, 50.0, 100.0, 200.0, 400.0)
 for alpha in (0.5, 1.5):
     spec = MultiTermSpec(orders=(alpha,), weights=(1.0,))
     bumps = default_bump_family(grid, count=3)
-    result = beta_sweep(betas, weight, spec, bumps, grid, frame)
+    result = beta_sweep(betas, spec, bumps, grid, frame)
     branch = "with time-derivative block" if alpha >= 4.0 / 3.0 else \
         "first-derivative blocks only"
     print(f"\norder alpha = {alpha} ({branch}):")

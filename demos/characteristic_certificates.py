@@ -12,24 +12,23 @@ stretched coefficients and weighted scale.
 
 import numpy as np
 
-from fraclab import (CarlemanWeightParams, HolmgrenMap, MultiTermSpec,
-                     char_set_sample, diagonal_variable_field,
-                     find_min_varpi, full_region_sample, global_coefficients,
-                     lemma21_check, lemma61_check, pushforward_operator,
-                     region_for)
+from fraclab import (HolmgrenMap, MultiTermSpec, char_set_sample,
+                     diagonal_variable_field, find_min_varpi,
+                     full_region_sample, global_coefficients, lemma21_check,
+                     lemma61_check, pushforward_operator, region_for)
 
 print(__doc__)
 
-weight = CarlemanWeightParams(X=0.05)
-region = region_for(weight)
+X = 0.05
+region = region_for(X)
 field = diagonal_variable_field(2)
 spec = MultiTermSpec(orders=(0.5, 0.25), weights=(1.0, 0.5))
 
-sample = char_set_sample(region, spec, field, weight, c=1.0, n_samples=4000,
+sample = char_set_sample(region, spec, field, c=1.0, X=X, n_samples=4000,
                          tol=1e-8, rng=np.random.default_rng(0))
 print(f"characteristic sample: {sample.found}/{sample.requested} points, "
       f"worst |p|/scale = {sample.residual.max():.2e}")
-report = lemma21_check(sample.points, spec, field, weight, c=1.0)
+report = lemma21_check(sample.points, spec, field, c=1.0, X=X)
 print(f"  size bound: |xi|^2 + |1+i tau|^alpha <= "
       f"{report.extras['kappa']:.2f} (sigma X)^2 on all points")
 print(f"  bracket certificate: min principal/scale^1.5 = "
@@ -37,7 +36,7 @@ print(f"  bracket certificate: min principal/scale^1.5 = "
       f"{'PASS' if report.passed else 'FAIL'}")
 
 points = full_region_sample(region, spec, 2, 50000, np.random.default_rng(1))
-varpi, rep = find_min_varpi(points, spec, field, weight, c=1.0)
+varpi, rep = find_min_varpi(points, spec, field, c=1.0, X=X)
 print(f"\nfull-region sharpened bound: smallest multiplier {varpi:.4g} "
       f"(closed form), min ratio {rep.min_ratio:.3e} > 0")
 
@@ -45,11 +44,11 @@ print("\nstage certificates with stretched coefficients:")
 tilde = global_coefficients(field)
 spec1 = MultiTermSpec(orders=(0.5,), weights=(1.0,))
 for stage in (1, 3, 5):
-    hmap = HolmgrenMap(y_hat=np.zeros(2), c=1.0, X=0.05, T=1.0, stage=stage)
+    hmap = HolmgrenMap(y_hat=np.zeros(2), c=1.0, X=X, T=1.0, stage=stage)
     frame = pushforward_operator(tilde, hmap)
-    s = char_set_sample(region, spec1, frame.field, weight, hmap.c, 3000,
+    s = char_set_sample(region, spec1, frame.field, hmap.c, hmap.X, 3000,
                         tol=1e-8, rng=np.random.default_rng(stage))
-    rep = lemma61_check(s.points, spec1, tilde, hmap, weight)
+    rep = lemma61_check(s.points, spec1, tilde, hmap)
     print(f"  stage {stage}: min weighted ratio {rep.min_ratio:.4e}, "
           f"two-sided ellipticity margin "
           f"{rep.extras['ellipticity_margin']:.3e}")

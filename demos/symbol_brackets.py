@@ -11,20 +11,19 @@ precision; the bracket is also exactly cubic under the anisotropic scaling
 
 import numpy as np
 
-from fraclab import (CarlemanWeightParams, MultiTermSpec, constant_field,
-                     weighted_symbol)
+from fraclab import MultiTermSpec, constant_field, weighted_symbol
 from fraclab.symbols import bracket_report_batch
 
 print(__doc__)
 
 spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
-weight = CarlemanWeightParams(X=0.1)
+X = 0.1
 field = constant_field(np.array([[1.0]]))
 
 # every call takes a batch (t, x, tau, xi, sigma) of samples; one point here
 point = (np.zeros(1), np.zeros((1, 1)), np.zeros(1), np.ones((1, 1)),
          np.ones(1))
-g = weighted_symbol(*point, spec, field, c=1.0, X=weight.X, grads=True)
+g = weighted_symbol(*point, spec, field, c=1.0, X=X, grads=True)
 print(f"hand point (tau=0, xi_n=1, sigma=1, X=0.1): value = {g['value'][0]}")
 print("  (analytically 1 + (1 - 0.2i)^2 = 1.96 - 0.4i)")
 print(f"  d/dxi_n = {g['d_xi'][0, 0]}, d/dx_n = {g['d_x'][0, 0]}, "
@@ -39,8 +38,8 @@ draws = [(0.3, [0.0, rng.uniform(0.0, 0.1)], rng.uniform(-2, 2),
           rng.normal(size=2), rng.uniform(0.5, 3.0)) for _ in range(4)]
 t, x, tau, xi, sigma = (np.array(col) for col in zip(*draws))
 _, principal, _, _ = bracket_report_batch((t, x, tau, xi, sigma), spec,
-                                          field2, weight, c=0.0)
-mu = sigma * (x[:, -1] - 2.0 * weight.X)
+                                          field2, c=0.0, X=X)
+mu = sigma * (x[:, -1] - 2.0 * X)
 closed = (4.0 * sigma * (xi @ a[:, -1]) ** 2
           + 4.0 * a[-1, -1] ** 2 * sigma * mu**2)
 for got, want in zip(principal, closed):
@@ -53,7 +52,7 @@ ones = np.ones_like(rho)
 scaled = (0.4 * ones, np.array([0.05, 0.02]) * ones[:, None],
           1.1 * rho ** (2.0 / spec.alpha),
           np.array([0.8, -1.2]) * rho[:, None], 1.7 * rho)
-_, principal, _, _ = bracket_report_batch(scaled, spec, field2, weight, 1.0)
+_, principal, _, _ = bracket_report_batch(scaled, spec, field2, 1.0, X)
 for r, value in zip(rho[1:], principal[1:]):
     print(f"  rho = {r:6.0f}: bracket/rho^3 = {value / r**3:.12f}"
           f"  (base {principal[0]:.12f})")

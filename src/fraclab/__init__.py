@@ -20,13 +20,13 @@ from .geometry import (ContinuationRegion, CutoffSpec, HolmgrenFrame,
                        global_diffeo_inverse, make_cutoffs,
                        pushforward_operator, smooth_step, stretch_weights,
                        weighted_ellipticity_margin)
-from .symbols import (CarlemanWeightParams, CharacteristicSample,
-                      CertificateReport, SampleRegion, anisotropic_scale,
-                      c_alpha, c_alpha_sharp, char_set_sample,
-                      find_min_varpi, fractional_symbol, full_region_sample,
-                      garding_precondition_check, imag_part_margin,
-                      lemma21_check, lemma61_check, real_part_constant,
-                      real_part_margin, region_for, weighted_symbol)
+from .symbols import (CharacteristicSample, CertificateReport, SampleRegion,
+                      anisotropic_scale, c_alpha, c_alpha_sharp,
+                      char_set_sample, find_min_varpi, fractional_symbol,
+                      full_region_sample, garding_precondition_check,
+                      imag_part_margin, lemma21_check, lemma61_check,
+                      real_part_constant, real_part_margin, region_for,
+                      weighted_symbol)
 from .solver import (SolutionField, SolveResult, SpaceTimeGrid,
                      apply_discrete_operator, load_solution, save_solution,
                      solve, ucp_experiment)

@@ -30,7 +30,6 @@ from .fractional import MultiTermSpec, multiterm_lowered
 from .geometry import HolmgrenFrame
 from .solver import (SpaceTimeGrid, _ellipticity_precondition, _spatial_walk,
                      apply_discrete_operator)
-from .symbols import CarlemanWeightParams
 
 BRANCH_THRESHOLD = 4.0 / 3.0
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)   # np.exp overflows past it
@@ -120,13 +119,13 @@ def default_bump_family(grid: SpaceTimeGrid, count: int = 5):
     return bumps
 
 
-def _weight_profiles(grid: SpaceTimeGrid, weight, betas) -> list:
-    """exp(2 beta psi(x_n)) on the space grid, one per beta.
+def _weight_profiles(grid: SpaceTimeGrid, X: float, betas) -> list:
+    """exp(2 beta psi), psi = (x_n - 2X)^2 / 2, on the space grid, per beta.
 
     A beta whose profile overflows a float raises ``ValueError``: its
     infinite weight times a zero density is NaN on both sides.
     """
-    psi = weight.psi(grid.mesh()[..., -1])
+    psi = 0.5 * (grid.mesh()[..., -1] - 2.0 * X) ** 2
     top = float(np.max(psi))
     for beta in betas:
         if 2.0 * beta * top > _LOG_FLOAT_MAX:
@@ -151,18 +150,17 @@ def _weighted_integrals(density, grid: SpaceTimeGrid, profiles) -> list:
     return out
 
 
-def carleman_lhs(values, grid: SpaceTimeGrid, beta,
-                 weight: CarlemanWeightParams, alpha: float):
+def carleman_lhs(values, grid: SpaceTimeGrid, beta, X: float, alpha: float):
     """Left side: beta^3 |v|^2 + beta |grad v|^2 blocks under the weight.
 
     On the branch alpha >= 4/3 the block beta^(3 - 4/alpha) |d_t v|^2 is
     added.  The derivatives are centered differences, second order at the
     edges too.  A sequence of betas gives one value per beta from each
-    density formed once.
+    density formed once.  X is the weight's layer thickness.
     """
     values = np.asarray(values, dtype=float)
     betas = [beta] if np.ndim(beta) == 0 else list(beta)
-    profiles = _weight_profiles(grid, weight, betas)
+    profiles = _weight_profiles(grid, X, betas)
     totals = [0.0] * len(betas)
 
     def add(power, density):    # each density is dropped once it is summed
@@ -270,19 +268,20 @@ class SweepResult:
                 else math.inf)
 
 
-def beta_sweep(betas, weight: CarlemanWeightParams, spec: MultiTermSpec,
-               bumps, grid: SpaceTimeGrid, frame: HolmgrenFrame,
+def beta_sweep(betas, spec: MultiTermSpec, bumps, grid: SpaceTimeGrid,
+               frame: HolmgrenFrame,
                include_drift: bool = True) -> SweepResult:
     """Evaluate both sides over the (beta, bump) lattice.
 
-    ``spec``'s alpha picks the branch.  Each bump provides
-    ``factors(times, mesh)`` as :class:`CompactBump` does, and its values
-    are their product.  Rows with zero right side and positive left side
-    are flagged rather than dropped.  ``ValueError`` is raised, betas
-    first, for betas that are not two or more positive values increasing
-    over a decade, a bump that is zero on every node (as every bump is on
-    a grid of one time step), a frame whose field fails the solver's
-    ellipticity precondition on the grid and a grid whose e^t overflows.
+    ``spec``'s alpha picks the branch, and ``frame.map.X`` is the weight's
+    layer thickness.  Each bump provides ``factors(times, mesh)`` as
+    :class:`CompactBump` does, and its values are their product.  Rows
+    with zero right side and positive left side are flagged rather than
+    dropped.  ``ValueError`` is raised, betas first, for betas that are
+    not two or more positive values increasing over a decade, a bump that
+    is zero on every node (as every bump is on a grid of one time step), a
+    frame whose field fails the solver's ellipticity precondition on the
+    grid and a grid whose e^t overflows.
     """
     betas = tuple(float(b) for b in betas)
     if any(not b > 0.0 for b in betas) or len(betas) < 2:
@@ -297,7 +296,8 @@ def beta_sweep(betas, weight: CarlemanWeightParams, spec: MultiTermSpec,
         raise ValueError(f"t = {float(times[-1])!r} overflows e^t: t must not "
                          f"exceed ln(float max) = {_LOG_FLOAT_MAX:.6g}")
     factors = [b.factors(times, mesh) for b in bumps]
-    profiles = _weight_profiles(grid, weight, betas)
+    X = frame.map.X
+    profiles = _weight_profiles(grid, X, betas)
     if factors:
         # one walk over the levels for all bumps, times e^t, formed a block
         # of levels at a time; each bump is evaluated again below
@@ -313,7 +313,7 @@ def beta_sweep(betas, weight: CarlemanWeightParams, spec: MultiTermSpec,
                 f"bump {test_id} is zero on every grid node; the grid has "
                 f"{len(times)} time levels, t = {float(times[0])!r} to "
                 f"{float(times[-1])!r}")
-        lhs_all = carleman_lhs(work, grid, betas, weight, spec.alpha)
+        lhs_all = carleman_lhs(work, grid, betas, X, spec.alpha)
         # the values are spent: the workspace takes e^t times them, then
         # the image, then its square
         image = conjugated_operator(work, grid, spec, frame,

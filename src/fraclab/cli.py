@@ -274,8 +274,8 @@ def _build_spec(cfg) -> MultiTermSpec:
                          weights=tuple(cfg["weights"]))
 
 
-def _build_region(cfg, weight, T) -> symbols.SampleRegion:
-    base = symbols.region_for(weight, T=T)
+def _build_region(cfg, X, T) -> symbols.SampleRegion:
+    base = symbols.region_for(X, T=T)
     if cfg is None:
         return base
     return symbols.SampleRegion(
@@ -291,10 +291,12 @@ def _build_grid(cfg) -> solver.SpaceTimeGrid:
 
 
 def _symbol_setup(config, field=None):
-    """Spec, map, pushed-forward frame, weight and sampling region.
+    """Spec, map, pushed-forward frame and sampling region.
 
     ``field`` replaces the coefficients built from ``config["coeffs"]``.
     The map's stage is the config's top-level ``stage`` (lemma61's), else 1.
+    The map's X is the one layer thickness, of the map and of the weight:
+    a ``weight.X`` that differs from it raises ``ValueError``.
     """
     spec = _build_spec(config["spec"])
     if field is None:
@@ -303,10 +305,13 @@ def _symbol_setup(config, field=None):
     hmap = geometry.HolmgrenMap(
         y_hat=np.asarray(cfg.get("y_hat", np.zeros(field.n)), dtype=float),
         c=cfg["c"], X=cfg["X"], T=cfg["T"], stage=config.get("stage", 1))
+    X = config["weight"]["X"]
+    if X != hmap.X:
+        raise ValueError(f"weight.X={X!r} differs from map.X={hmap.X!r}: "
+                         "the map's X is the weight's layer thickness")
     frame = geometry.pushforward_operator(field, hmap)
-    weight = symbols.CarlemanWeightParams(X=config["weight"]["X"])
-    region = _build_region(config.get("region"), weight, hmap.T)
-    return spec, hmap, frame, weight, region
+    region = _build_region(config.get("region"), hmap.X, hmap.T)
+    return spec, hmap, frame, region
 
 
 N_CHUNKS = 16
@@ -363,16 +368,16 @@ def _phase_columns(total, n):
 
 
 def _char_sample(config, seed, threads, field=None):
-    """:func:`_symbol_setup`'s spec, map, frame and weight, and a chunked
+    """:func:`_symbol_setup`'s spec, map and frame, and a chunked
     characteristic sample of ``config["n_samples"]`` points."""
-    spec, hmap, frame, weight, region = _symbol_setup(config, field)
+    spec, hmap, frame, region = _symbol_setup(config, field)
     coeffs, total = frame.field, config["n_samples"]
     tol = config.get("tol", 1e-8)
     sigma_range = (tuple(config["sigma_range"]) if "sigma_range" in config
                    else None)
 
     def draw(count, rng):
-        part = symbols.char_set_sample(region, spec, coeffs, weight, hmap.c,
+        part = symbols.char_set_sample(region, spec, coeffs, hmap.c, hmap.X,
                                        count, tol=tol, rng=rng,
                                        sigma_range=sigma_range)
         return ((*part.points, part.residual),
@@ -382,7 +387,7 @@ def _char_sample(config, seed, threads, field=None):
         total, seed, threads,
         _phase_columns(total, coeffs.n) + [np.empty(total)], draw)
     solved, rejected, root_passes = zip(*infos)
-    return spec, hmap, frame, weight, symbols.CharacteristicSample(
+    return spec, hmap, frame, symbols.CharacteristicSample(
         points=tuple(points), residual=residual, requested=total,
         solved=sum(solved),
         rejected={cause: sum(r[cause] for r in rejected)
@@ -391,17 +396,17 @@ def _char_sample(config, seed, threads, field=None):
 
 
 def _full_region_points(config, seed, threads):
-    """:func:`_symbol_setup`'s spec, map, frame and weight, and a chunked
+    """:func:`_symbol_setup`'s spec, map and frame, and a chunked
     full-region sample (t, x, tau, xi, sigma) of ``config["n_samples"]``
     points."""
-    spec, hmap, frame, weight, region = _symbol_setup(config)
+    spec, hmap, frame, region = _symbol_setup(config)
     total, n = config["n_samples"], frame.field.n
     magnitude_range = tuple(config.get("magnitude_range", (1.0, 1e3)))
     pts, _ = _chunked(total, seed, threads, _phase_columns(total, n),
                       lambda k, rng: (symbols.full_region_sample(
                           region, spec, n, k, rng,
                           magnitude_range=magnitude_range), None))
-    return spec, hmap, frame, weight, pts
+    return spec, hmap, frame, pts
 
 
 def _write_phase_table(out, name, n, columns, tail):
@@ -523,9 +528,9 @@ def run_caputo_check(config, out, seed, threads):
 
 
 def run_symbol_bracket(config, out, seed, threads):
-    spec, hmap, frame, weight, pts = _full_region_points(config, seed, threads)
+    spec, hmap, frame, pts = _full_region_points(config, seed, threads)
     full, principal, scale, ratio = symbols.bracket_report_batch(
-        pts, spec, frame.field, weight, hmap.c)
+        pts, spec, frame.field, hmap.c, hmap.X)
     _write_phase_table(out, "brackets", frame.field.n,
                        [*pts, full, principal, scale, ratio],
                        ["bracket", "principal", "scale", "ratio"])
@@ -540,11 +545,11 @@ def run_symbol_bracket(config, out, seed, threads):
 
 
 def run_lemma21(config, out, seed, threads):
-    spec, hmap, frame, weight, sample = _char_sample(config, seed, threads)
+    spec, hmap, frame, sample = _char_sample(config, seed, threads)
     report = None
     if sample.found:
         report = symbols.lemma21_check(sample.points, spec, frame.field,
-                                       weight, hmap.c)
+                                       hmap.c, hmap.X)
         _write_sorted(os.path.join(out, "lemma21_ratios.xy"),
                       report.extras["ratios"])
     return _char_summary(out, sample, report, n_samples=sample.found,
@@ -552,9 +557,9 @@ def run_lemma21(config, out, seed, threads):
 
 
 def run_garding(config, out, seed, threads):
-    spec, hmap, frame, weight, pts = _full_region_points(config, seed, threads)
+    spec, hmap, frame, pts = _full_region_points(config, seed, threads)
     varpi, report = symbols.find_min_varpi(
-        pts, spec, frame.field, weight, hmap.c,
+        pts, spec, frame.field, hmap.c, hmap.X,
         varpi_max=config.get("varpi_max", 1e8))
     elliptic, negative = report.extras["elliptic"], report.extras["negative"]
     sweep_varpis = [varpi * f for f in (0.25, 0.5, 1.0, 2.0, 4.0) if varpi * f > 0]
@@ -570,12 +575,10 @@ def run_garding(config, out, seed, threads):
 def run_lemma61(config, out, seed, threads):
     tilde = geometry.global_coefficients(
         fields.field_from_config(config["coeffs"]))
-    spec, hmap, frame, weight, sample = _char_sample(config, seed, threads,
-                                                     tilde)
+    spec, hmap, frame, sample = _char_sample(config, seed, threads, tilde)
     report, margin = None, math.nan
     if sample.found:
-        report = symbols.lemma61_check(sample.points, spec, tilde, hmap,
-                                       weight)
+        report = symbols.lemma61_check(sample.points, spec, tilde, hmap)
         margin = report.extras["ellipticity_margin"]
         _write_sorted(os.path.join(out, "char_residuals.xy"), sample.residual)
     return _char_summary(out, sample, report, margin >= -1e-12,
@@ -666,10 +669,10 @@ def run_solve(config, out, seed, threads):
 
 
 def run_carleman_sweep(config, out, seed, threads):
-    spec, _, frame, weight, _ = _symbol_setup(config)
+    spec, _, frame, _ = _symbol_setup(config)
     grid = _build_grid(config["grid"])
     bumps = carl.default_bump_family(grid, count=config.get("n_bumps", 5))
-    result = carl.beta_sweep(config["betas"], weight, spec, bumps, grid, frame,
+    result = carl.beta_sweep(config["betas"], spec, bumps, grid, frame,
                              include_drift=config.get("include_drift", True))
     carl.sweep_rows_csv(result, os.path.join(out, "sweep.csv"))
     growth = result.top_half_monotone_growth()

@@ -262,7 +262,7 @@ def caputo_oracle(derivative, alpha: float, t: float, tol: float = 1e-10,
     if not 0.0 < alpha < 2.0 or alpha == 1.0:
         raise ValueError(f"order must lie in (0,1) or (1,2), got {alpha}")
     k = 1 if alpha < 1.0 else 2
-    if not t > 0.0:
+    if not 0.0 < t < math.inf:
         raise ValueError("evaluation time must be positive")
     power = 1.0 / (k - alpha)
     value, abserr = _adaptive_gk21(lambda v: derivative(t - t * v ** power),

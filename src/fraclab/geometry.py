@@ -47,11 +47,11 @@ class HolmgrenMap:
             raise ValueError("base point must be a vector")
         if y_hat[-1] != 0.0:
             raise ValueError("base point must sit on the interface y_n = 0")
-        if not self.c >= 0.0:
+        if not 0.0 <= self.c < math.inf:
             raise ValueError("convexification constant must be nonnegative")
         if not 0.0 < self.X < 1.0:
             raise ValueError("layer thickness X must lie in (0, 1)")
-        if not self.T > 0.0:
+        if not 0.0 < self.T < math.inf:
             raise ValueError("time horizon must be positive")
         if self.stage < 1:
             raise ValueError("stage must be a positive integer")
@@ -307,7 +307,7 @@ class CutoffSpec:
             raise ValueError("epsilon must lie in (0, 1)")
         if not 0.0 < self.X < 1.0:
             raise ValueError("X must lie in (0, 1)")
-        if not self.l > 0.0:
+        if not 0.0 < self.l < math.inf:
             raise ValueError("box depth must be positive")
         y_hat = (np.zeros(self.n) if self.y_hat is None
                  else np.asarray(self.y_hat, dtype=float))

@@ -785,11 +785,11 @@ def ucp_experiment(spec: MultiTermSpec, coeffs: EllipticCoeffField,
     compared with the norm over the whole cylinder; the rows are
     ``(center, distance, norm_omega, norm_total, ratio)``.  A ratio above
     the resolution floor for every source is the expected outcome: the
-    computed fields never vanish on the window alone.  A source inside the
-    window or zero on every interior node, a window holding no interior
-    node, a ``t_prime`` below the first time step (the window would hold
-    only the initial level, pinned to zero) and a width that is not
-    positive raise ``ValueError``.
+    computed fields never vanish on the window alone.  A source whose bump
+    (center +- width) meets the window or is zero on every interior node,
+    a window holding no interior node, a ``t_prime`` below the first time
+    step (the window would hold only the initial level, pinned to zero) and
+    a width that is not positive raise ``ValueError``.
     """
     lo, hi = omega
     axis = grid.axes()[0]
@@ -808,8 +808,10 @@ def ucp_experiment(spec: MultiTermSpec, coeffs: EllipticCoeffField,
     first = grid.mesh()[..., 0]
     rows = []
     for center in source_centers:
-        if lo <= center <= hi:
-            raise ValueError("source must be supported away from the window")
+        if center - source_width < hi and center + source_width > lo:
+            raise ValueError(
+                f"source at {center} of half-width {source_width} meets the "
+                f"window {omega}: it must be supported away from it")
         # the ramp is positive past t = 0: the bump alone decides this
         if not _bump((first - center) / source_width)[grid.interior()].any():
             raise ValueError(f"source at {center} is zero on the interior")

@@ -37,20 +37,6 @@ from .geometry import HolmgrenMap, pushforward_operator, stretch_weights, \
     weighted_ellipticity_margin
 
 
-@dataclass(frozen=True)
-class CarlemanWeightParams:
-    """Layer thickness X of the quadratic weight psi = (x_n - 2X)^2 / 2."""
-
-    X: float
-
-    def __post_init__(self):
-        if not self.X > 0.0:
-            raise ValueError("layer thickness must be positive")
-
-    def psi(self, x_n):
-        return 0.5 * (np.asarray(x_n, dtype=float) - 2.0 * self.X) ** 2
-
-
 # ---------------------------------------------------------------------------
 # elementary symbols and the two scalar constants
 
@@ -266,10 +252,10 @@ def _log_uniform(rng, bounds, size, name):
     return np.exp(rng.uniform(math.log(lo), math.log(hi), size))
 
 
-def region_for(weight: CarlemanWeightParams, T: float = 1.0) -> SampleRegion:
+def region_for(X: float, T: float = 1.0) -> SampleRegion:
     """Default sampling box |x'| <= sqrt(X), 0 <= x_n <= X."""
-    return SampleRegion(t_range=(0.0, T), xn_range=(0.0, weight.X),
-                        xprime_halfwidth=math.sqrt(weight.X))
+    return SampleRegion(t_range=(0.0, T), xn_range=(0.0, X),
+                        xprime_halfwidth=math.sqrt(X))
 
 
 REJECT_CAUSES = ("degenerate_b", "no_sign_change", "residual")
@@ -302,8 +288,8 @@ class CharacteristicSample:
 
 
 def char_set_sample(region: SampleRegion, spec: MultiTermSpec,
-                    coeffs: EllipticCoeffField, weight: CarlemanWeightParams,
-                    c: float, n_samples: int, tol: float = 1e-8,
+                    coeffs: EllipticCoeffField, c: float, X: float,
+                    n_samples: int, tol: float = 1e-8,
                     rng=None, sigma_range: tuple | None = None
                     ) -> CharacteristicSample:
     """Sample the characteristic set of the weighted symbol.
@@ -327,8 +313,9 @@ def char_set_sample(region: SampleRegion, spec: MultiTermSpec,
         raise ValueError("tolerance must be positive")
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples!r}")
+    if not 0.0 < X < math.inf:
+        raise ValueError(f"layer thickness X must be positive, got {X!r}")
     n = coeffs.n
-    X = weight.X
     if sigma_range is None:
         floor = math.sqrt(spec.weight_sum / coeffs.delta) / X
         sigma_range = (3.0 * floor, 30.0 * floor)
@@ -592,7 +579,7 @@ def _blockwise(fn, *arrays):
 
 
 def lemma21_check(points, spec: MultiTermSpec, coeffs: EllipticCoeffField,
-                  weight: CarlemanWeightParams, c: float) -> CertificateReport:
+                  c: float, X: float) -> CertificateReport:
     """Minimum of principal bracket / scale^(3/2) over characteristic samples.
 
     ``points`` is a tuple of arrays (t, x, tau, xi, sigma).
@@ -608,9 +595,9 @@ def lemma21_check(points, spec: MultiTermSpec, coeffs: EllipticCoeffField,
         # that its temporaries do not add to their peak
         kappa = ((np.sum(xi**2, axis=-1)
                   + np.abs(1.0 + 1j * tau) ** spec.alpha)
-                 / (sigma * weight.X) ** 2).max(keepdims=True)
+                 / (sigma * X) ** 2).max(keepdims=True)
         _, _, principal = _bracket_arrays(t, x, tau, xi, sigma, spec, coeffs,
-                                          c, weight.X)
+                                          c, X)
         scale = anisotropic_scale(xi, sigma, tau, spec.alpha)
         return principal / scale**1.5, kappa
 
@@ -672,9 +659,8 @@ def squared_scale_check(magnitude_range, alpha: float):
 
 
 def garding_precondition_check(points, spec: MultiTermSpec,
-                               coeffs: EllipticCoeffField,
-                               weight: CarlemanWeightParams, c: float,
-                               varpi: float) -> CertificateReport:
+                               coeffs: EllipticCoeffField, c: float,
+                               X: float, varpi: float) -> CertificateReport:
     """Minimum of [varpi scale^(-1/2) |p|^2 + 2 bracket] / scale^(3/2).
 
     ``points`` is a tuple of arrays (t, x, tau, xi, sigma); samples need not
@@ -682,14 +668,14 @@ def garding_precondition_check(points, spec: MultiTermSpec,
     (|p|^2 / scale^2) and "negative" (2 bracket / scale^(3/2)), so the
     ratio at any other varpi is varpi * elliptic + negative.
     """
-    elliptic, negative = _garding_terms(points, spec, coeffs, weight, c)
+    elliptic, negative = _garding_terms(points, spec, coeffs, c, X)
     return _garding_report(elliptic, negative, varpi)
 
 
-def _garding_terms(points, spec, coeffs, weight, c):
+def _garding_terms(points, spec, coeffs, c, X):
     def terms(t, x, tau, xi, sigma):
         out, full, _ = _bracket_arrays(t, x, tau, xi, sigma, spec, coeffs, c,
-                                       weight.X)
+                                       X)
         scale = anisotropic_scale(xi, sigma, tau, spec.alpha)
         return np.abs(out["value"]) ** 2 / scale**2, 2.0 * full / scale**1.5
 
@@ -706,8 +692,7 @@ def _garding_report(elliptic, negative, varpi):
 
 
 def find_min_varpi(points, spec: MultiTermSpec, coeffs: EllipticCoeffField,
-                   weight: CarlemanWeightParams, c: float,
-                   varpi_max: float = 1e8):
+                   c: float, X: float, varpi_max: float = 1e8):
     """The least float varpi with a positive minimum ratio.
 
     varpi * elliptic + negative > 0 at every sample once varpi exceeds
@@ -719,7 +704,7 @@ def find_min_varpi(points, spec: MultiTermSpec, coeffs: EllipticCoeffField,
     ``varpi_max`` passes, which would refute the sharpened bound on this
     sample cloud, or if a term is NaN.
     """
-    elliptic, negative = _garding_terms(points, spec, coeffs, weight, c)
+    elliptic, negative = _garding_terms(points, spec, coeffs, c, X)
 
     def passes(varpi):
         return np.min(varpi * elliptic + negative) > 0.0
@@ -743,8 +728,8 @@ def find_min_varpi(points, spec: MultiTermSpec, coeffs: EllipticCoeffField,
 
 
 def lemma61_check(points, spec: MultiTermSpec,
-                  tilde_field: EllipticCoeffField, map: HolmgrenMap,
-                  weight: CarlemanWeightParams) -> CertificateReport:
+                  tilde_field: EllipticCoeffField,
+                  map: HolmgrenMap) -> CertificateReport:
     """Stage-s certificate with the stretched scale.
 
     ``points`` is a tuple of arrays (t, x, tau, xi, sigma) on the
@@ -760,7 +745,7 @@ def lemma61_check(points, spec: MultiTermSpec,
 
     def ratios(t, x, tau, xi, sigma):
         _, _, principal = _bracket_arrays(t, x, tau, xi, sigma, spec,
-                                          frame.field, map.c, weight.X)
+                                          frame.field, map.c, map.X)
         _, y_tilde = map.inverse(t, x)
         w = stretch_weights(y_tilde)
         eta_t = w * xi
@@ -779,12 +764,11 @@ def lemma61_check(points, spec: MultiTermSpec,
 
 
 def bracket_report_batch(points, spec: MultiTermSpec,
-                         coeffs: EllipticCoeffField,
-                         weight: CarlemanWeightParams, c: float):
+                         coeffs: EllipticCoeffField, c: float, X: float):
     """Arrays (bracket, principal, scale, ratio) for CSV-style listings."""
     def report(t, x, tau, xi, sigma):
         _, full, principal = _bracket_arrays(t, x, tau, xi, sigma, spec,
-                                             coeffs, c, weight.X)
+                                             coeffs, c, X)
         scale = anisotropic_scale(xi, sigma, tau, spec.alpha) ** 1.5
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(scale > 0.0, principal / scale, np.inf)

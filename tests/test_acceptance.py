@@ -10,8 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from fraclab import (CarlemanWeightParams, HolmgrenMap,
-                     MultiTermSpec, SpaceTimeGrid, TimeGrid,
+from fraclab import (HolmgrenMap, MultiTermSpec, SpaceTimeGrid, TimeGrid,
                      beta_sweep, c_alpha_sharp, caputo_l1, caputo_oracle,
                      caputo_power_rule, char_set_sample, constant_field,
                      default_bump_family, diagonal_variable_field,
@@ -75,7 +74,6 @@ def test_criterion_02_gradient_consistency():
         spec = MultiTermSpec(orders=(1.3, 0.6), weights=(1.0, 0.4))
         field = (rotating_anisotropic_field(n) if n >= 2
                  else diagonal_variable_field(1))
-        weight = CarlemanWeightParams(X=X_LAYER)
         t, x, tau, xi, sigma = stack(
             (rng.uniform(0.1, 0.9),
              np.concatenate([rng.uniform(-0.2, 0.2, n - 1),
@@ -84,11 +82,11 @@ def test_criterion_02_gradient_consistency():
              rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n),
              rng.uniform(0.5, 3.0)) for _ in range(1000))
         g = weighted_symbol(t, x, tau, xi, sigma, spec, field, 1.0,
-                            weight.X, grads=True)
+                            X_LAYER, grads=True)
 
         def value(t, x, tau, xi):
             return weighted_symbol(t, x, tau, xi, sigma, spec, field, 1.0,
-                                   weight.X)["value"]
+                                   X_LAYER)["value"]
 
         h = 1e-5
         pairs = []
@@ -128,7 +126,7 @@ def test_criterion_02_gradient_consistency():
 def test_criterion_03_closed_form_bracket():
     rng = np.random.default_rng(12)
     rels = []
-    weight = CarlemanWeightParams(X=0.1)
+    X = 0.1
     spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
     for n in (1, 2, 3):
         m = rng.normal(size=(n, n))
@@ -143,9 +141,9 @@ def test_criterion_03_closed_form_bracket():
              rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n),
              rng.uniform(0.5, 3.0)) for _ in range(1000))
         _, principal, _, _ = bracket_report_batch(points, spec, field,
-                                                  weight, c=0.0)
+                                                  c=0.0, X=X)
         _, x, _, xi, sigma = points
-        mu = sigma * (x[:, -1] - 2.0 * weight.X)
+        mu = sigma * (x[:, -1] - 2.0 * X)
         closed = (4.0 * sigma * (xi @ a[:, -1]) ** 2
                   + 4.0 * a[-1, -1] ** 2 * sigma * mu**2)
         rels.append(np.abs(principal - closed) / np.abs(closed))
@@ -158,18 +156,17 @@ def test_criterion_03_closed_form_bracket():
 
 
 def test_criterion_04_characteristic_bracket_bound():
-    weight = CarlemanWeightParams(X=X_LAYER)
-    region = region_for(weight)
+    region = region_for(X_LAYER)
     results = []
     for n in (1, 2):
         field = field_for(n)
         for m in (1, 2):
             for alpha in (0.3, 0.5, 1.0, 1.5):
                 spec = spec_for(alpha, m)
-                sample = char_set_sample(region, spec, field, weight, 1.0,
+                sample = char_set_sample(region, spec, field, 1.0, X_LAYER,
                                          10000, tol=1e-8,
                                          rng=np.random.default_rng(42))
-                rep = lemma21_check(sample.points, spec, field, weight, 1.0)
+                rep = lemma21_check(sample.points, spec, field, 1.0, X_LAYER)
                 results.append((n, m, alpha, sample.found, rep.min_ratio))
     ok = all(found == 10000 and ratio > 0.0
              for _, _, _, found, ratio in results)
@@ -181,8 +178,7 @@ def test_criterion_04_characteristic_bracket_bound():
 
 
 def test_criterion_05_sharpened_full_region_bound():
-    weight = CarlemanWeightParams(X=X_LAYER)
-    region = region_for(weight)
+    region = region_for(X_LAYER)
     results = []
     for n in (1, 2):
         field = field_for(n)
@@ -191,7 +187,7 @@ def test_criterion_05_sharpened_full_region_bound():
                 spec = spec_for(alpha, m)
                 pts = full_region_sample(region, spec, n, 100000,
                                          np.random.default_rng(5))
-                varpi, rep = find_min_varpi(pts, spec, field, weight, 1.0)
+                varpi, rep = find_min_varpi(pts, spec, field, 1.0, X_LAYER)
                 results.append((n, m, alpha, varpi, rep.min_ratio))
     ok = all(r[4] > 0.0 for r in results)
     max_varpi = max(r[3] for r in results)
@@ -202,8 +198,7 @@ def test_criterion_05_sharpened_full_region_bound():
 
 
 def test_criterion_06_stage_certificates():
-    weight = CarlemanWeightParams(X=X_LAYER)
-    region = region_for(weight)
+    region = region_for(X_LAYER)
     spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
     tilde = global_coefficients(diagonal_variable_field(2))
     results = []
@@ -211,10 +206,10 @@ def test_criterion_06_stage_certificates():
         hmap = HolmgrenMap(y_hat=np.zeros(2), c=1.0, X=X_LAYER, T=1.0,
                            stage=stage)
         frame = pushforward_operator(tilde, hmap)
-        sample = char_set_sample(region, spec, frame.field, weight, hmap.c,
+        sample = char_set_sample(region, spec, frame.field, hmap.c, hmap.X,
                                  10000, tol=1e-8,
                                  rng=np.random.default_rng(stage))
-        rep = lemma61_check(sample.points, spec, tilde, hmap, weight)
+        rep = lemma61_check(sample.points, spec, tilde, hmap)
         results.append((stage, sample.found, rep.min_ratio,
                         rep.extras["ellipticity_margin"]))
     ok = all(found == 10000 and ratio > 0.0 and margin > 0.0
@@ -229,7 +224,6 @@ def test_criterion_07_bracket_homogeneity():
     rng = np.random.default_rng(23)
     spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
     field = diagonal_variable_field(2)
-    weight = CarlemanWeightParams(X=X_LAYER)
     t, x, tau, xi, sigma = stack(
         (rng.uniform(0.1, 0.9),
          np.array([rng.uniform(-0.2, 0.2), rng.uniform(0.0, X_LAYER)]),
@@ -241,7 +235,7 @@ def test_criterion_07_bracket_homogeneity():
         points = (t, x, tau * rho ** (2.0 / spec.alpha), xi * rho,
                   sigma * rho)
         _, principal, _, _ = bracket_report_batch(points, spec, field,
-                                                  weight, 1.0)
+                                                  1.0, X_LAYER)
         scaled[rho] = principal / rho**3
     worst = float(np.max(np.abs(scaled[1000.0] - scaled[100.0])
                          / np.abs(scaled[100.0])))
@@ -317,14 +311,13 @@ def test_criterion_10_weighted_inequality_sweep():
     X_wide = 0.3
     hmap = HolmgrenMap(y_hat=np.zeros(1), c=1.0, X=X_wide, T=1.0)
     frame = pushforward_operator(identity_field(1), hmap)
-    weight = CarlemanWeightParams(X=X_wide)
     grid = SpaceTimeGrid(bounds=((0.0, X_wide),), shape=(161,),
                          time=TimeGrid.from_interval(1.0, 160))
     details = []
     ok = True
     for alpha in (0.5, 1.5):
         spec = MultiTermSpec(orders=(alpha,), weights=(1.0,))
-        result = beta_sweep((25.0, 50.0, 100.0, 200.0, 400.0), weight, spec,
+        result = beta_sweep((25.0, 50.0, 100.0, 200.0, 400.0), spec,
                             default_bump_family(grid, 5), grid, frame)
         spread = result.max_ratio / result.min_ratio
         branch_ok = (result.flagged == 0

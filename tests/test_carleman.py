@@ -5,8 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fraclab import (CarlemanWeightParams, HolmgrenFrame,
-                     HolmgrenMap, MultiTermSpec, SpaceTimeGrid,
+from fraclab import (HolmgrenFrame, HolmgrenMap, MultiTermSpec, SpaceTimeGrid,
                      CompactBump, TimeGrid, apply_discrete_operator,
                      beta_sweep, carleman_lhs, conjugated_operator,
                      default_bump_family,
@@ -29,16 +28,12 @@ def setup(alpha=0.5, m=1):
     spec = MultiTermSpec(orders=orders, weights=weights)
     hmap = HolmgrenMap(y_hat=np.zeros(1), c=1.0, X=X, T=1.0)
     frame = pushforward_operator(identity_field(1), hmap)
-    weight = CarlemanWeightParams(X=X)
-    return spec, frame, weight
+    return spec, frame
 
 
-class ShiftedWeight(CarlemanWeightParams):
-    """psi plus a constant: both sides pick up the same exponential factor,
-    so ratios must not move."""
-
-    def psi(self, x_n):
-        return super().psi(x_n) + 0.005
+def psi(x_n, X):
+    """The weight's exponent (x_n - 2X)^2 / 2."""
+    return 0.5 * (x_n - 2.0 * X) ** 2
 
 
 def single_bump(grid):
@@ -46,12 +41,12 @@ def single_bump(grid):
                     t_span=grid.time.t_final)
 
 
-def carleman_rhs(values, grid, beta, weight, spec, frame):
+def carleman_rhs(values, grid, beta, spec, frame):
     """Right side: the weighted square of the conjugated operator's image,
     integrated as the sweep integrates it."""
     image = conjugated_operator(values, grid, spec, frame)
-    return carleman._weighted_integrals(
-        image**2, grid, carleman._weight_profiles(grid, weight, [beta]))[0]
+    profiles = carleman._weight_profiles(grid, frame.map.X, [beta])
+    return carleman._weighted_integrals(image**2, grid, profiles)[0]
 
 
 def bump_pieces(bump, times, mesh):
@@ -87,10 +82,10 @@ def exact_time_derivative(bump, times, mesh):
     return v
 
 
-def exact_lhs(values, gradient, time_derivative, grid, beta, weight, alpha):
+def exact_lhs(values, gradient, time_derivative, grid, beta, X, alpha):
     """:func:`carleman_lhs` with the given derivatives in place of its
     centered differences, integrated as it integrates."""
-    profiles = carleman._weight_profiles(grid, weight, [beta])
+    profiles = carleman._weight_profiles(grid, X, [beta])
 
     def part(density):
         return carleman._weighted_integrals(density, grid, profiles)[0]
@@ -105,43 +100,42 @@ def exact_lhs(values, gradient, time_derivative, grid, beta, weight, alpha):
 
 class TestSides:
     def test_zero_function(self):
-        spec, frame, weight = setup()
+        spec, frame = setup()
         grid = layer_grid(32, 33)
         v = np.zeros((33, 33))
-        assert carleman_lhs(v, grid, 50.0, weight, spec.alpha) == 0.0
-        assert carleman_rhs(v, grid, 50.0, weight, spec, frame) == 0.0
+        assert carleman_lhs(v, grid, 50.0, X, spec.alpha) == 0.0
+        assert carleman_rhs(v, grid, 50.0, spec, frame) == 0.0
 
     def test_rhs_quadratic_scaling(self):
-        spec, frame, weight = setup()
+        spec, frame = setup()
         grid = layer_grid(48, 49)
         v = single_bump(grid).values(grid.time.nodes, grid.mesh())
-        r1 = carleman_rhs(v, grid, 50.0, weight, spec, frame)
-        r2 = carleman_rhs(2.0 * v, grid, 50.0, weight, spec, frame)
+        r1 = carleman_rhs(v, grid, 50.0, spec, frame)
+        r2 = carleman_rhs(2.0 * v, grid, 50.0, spec, frame)
         assert abs(r2 - 4.0 * r1) < 1e-10 * abs(r1)
 
     def test_lhs_against_dense_quadrature_oracle(self):
         # exact-derivative dense-grid evaluation vs the centered-difference
         # pipeline; agreement at 1e-6 needs a fine pipeline grid
-        spec, frame, weight = setup()
+        spec, frame = setup()
         beta = 50.0
         grid = layer_grid(192, 8193)
         bump = single_bump(grid)
         mesh = grid.mesh()
         v = bump.values(grid.time.nodes, mesh)
-        pipeline = carleman_lhs(v, grid, beta, weight, spec.alpha)
+        pipeline = carleman_lhs(v, grid, beta, X, spec.alpha)
 
         fine = layer_grid(384, 4097)
         mesh_f = fine.mesh()
         v_f = bump.values(fine.time.nodes, mesh_f)
         grads = exact_gradient(bump, fine.time.nodes, mesh_f)
-        oracle = exact_lhs(v_f, grads, None, fine, beta, weight, spec.alpha)
+        oracle = exact_lhs(v_f, grads, None, fine, beta, X, spec.alpha)
         assert abs(pipeline - oracle) / oracle < 1e-6
 
     def test_upper_branch_time_block_against_exact_derivatives(self):
         # the block beta^(3 - 4/alpha) |d_t v|^2 is what alpha = 1.5 adds
         # to alpha = 0.5; its centered time differences converge to the
         # analytic time derivative at order 2 (errors 4.9e-4 .. 3.1e-5)
-        _, _, weight = setup()
         beta = 50.0
         errs = []
         for n in (192, 384, 768):
@@ -151,10 +145,10 @@ class TestSides:
             v = bump.values(t, mesh)
             exact = (exact_gradient(bump, t, mesh),
                      exact_time_derivative(bump, t, mesh))
-            block = (carleman_lhs(v, grid, beta, weight, 1.5)
-                     - carleman_lhs(v, grid, beta, weight, 0.5))
-            oracle = (exact_lhs(v, *exact, grid, beta, weight, 1.5)
-                      - exact_lhs(v, *exact, grid, beta, weight, 0.5))
+            block = (carleman_lhs(v, grid, beta, X, 1.5)
+                     - carleman_lhs(v, grid, beta, X, 0.5))
+            oracle = (exact_lhs(v, *exact, grid, beta, X, 1.5)
+                      - exact_lhs(v, *exact, grid, beta, X, 0.5))
             errs.append(abs(block - oracle) / oracle)
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(np.abs(orders - 2.0) <= 0.05)
@@ -165,45 +159,53 @@ class TestSides:
         t_int = ((4.0 * s**3 * np.polynomial.Polynomial([1.0, -2.0])) ** 2
                  ).integ()(1.0)
         space = (256.0 * bump.values([0.5], mesh)[0]) ** 2    # T(1/2) = 1/256
-        x_int = np.trapezoid(np.exp(2.0 * beta * weight.psi(mesh[..., 0]))
+        x_int = np.trapezoid(np.exp(2.0 * beta * psi(mesh[..., 0], X))
                              * space, dx=grid.spacing[0])
         closed = beta ** (3.0 - 4.0 / 1.5) * t_int * x_int
         assert abs(oracle - closed) <= 1e-9 * closed
 
-    def test_weight_shift_cancels_in_ratio(self):
-        spec, frame, weight = setup()
+    def test_weight_shift_cancels_in_ratio(self, monkeypatch):
+        # psi plus a constant 0.005 scales every profile by e^(2 beta 0.005):
+        # both sides pick up the same factor, so ratios must not move
+        spec, frame = setup()
         grid = layer_grid(40, 41)
         v = single_bump(grid).values(grid.time.nodes, grid.mesh())
         beta = 50.0
-        base = (carleman_lhs(v, grid, beta, weight, spec.alpha)
-                / carleman_rhs(v, grid, beta, weight, spec, frame))
-        shifted_weight = ShiftedWeight(X=X)
-        shifted = (carleman_lhs(v, grid, beta, shifted_weight, spec.alpha)
-                   / carleman_rhs(v, grid, beta, shifted_weight, spec, frame))
-        assert abs(shifted - base) / base < 1e-12
+
+        def ratio():
+            return (carleman_lhs(v, grid, beta, X, spec.alpha)
+                    / carleman_rhs(v, grid, beta, spec, frame))
+
+        base = ratio()
+        original = carleman._weight_profiles
+        monkeypatch.setattr(
+            carleman, "_weight_profiles", lambda grid, X, betas: [
+                profile * math.exp(2.0 * b * 0.005)
+                for b, profile in zip(betas, original(grid, X, betas))])
+        assert abs(ratio() - base) / base < 1e-12
 
     def test_quadrature_convergence(self):
-        spec, frame, weight = setup()
+        spec, frame = setup()
         vals = []
         for n in (64, 128):
             grid = layer_grid(n, n + 1)
             v = single_bump(grid).values(grid.time.nodes, grid.mesh())
-            lhs = carleman_lhs(v, grid, 100.0, weight, spec.alpha)
-            rhs = carleman_rhs(v, grid, 100.0, weight, spec, frame)
+            lhs = carleman_lhs(v, grid, 100.0, X, spec.alpha)
+            rhs = carleman_rhs(v, grid, 100.0, spec, frame)
             vals.append((lhs, rhs))
         assert abs(vals[1][0] - vals[0][0]) / vals[1][0] < 0.01
         assert abs(vals[1][1] - vals[0][1]) / vals[1][1] < 0.01
 
     def test_upper_branch_adds_time_block(self):
-        _, frame, weight = setup()
+        _, frame = setup()
         grid = layer_grid(40, 41)
         v = single_bump(grid).values(grid.time.nodes, grid.mesh())
-        low = carleman_lhs(v, grid, 30.0, weight, alpha=0.5)
-        high = carleman_lhs(v, grid, 30.0, weight, alpha=1.5)
+        low = carleman_lhs(v, grid, 30.0, X, alpha=0.5)
+        high = carleman_lhs(v, grid, 30.0, X, alpha=1.5)
         assert high > low
 
     def test_drift_block_is_small_perturbation(self):
-        spec, frame, weight = setup()
+        spec, frame = setup()
         grid = layer_grid(48, 49)
         v = single_bump(grid).values(grid.time.nodes, grid.mesh())
         with_drift = conjugated_operator(v, grid, spec, frame,
@@ -215,7 +217,7 @@ class TestSides:
 
     @pytest.mark.parametrize("in_place", [False, True])
     def test_image_into_a_workspace_is_bitwise_the_new_image(self, in_place):
-        spec, frame, _, grid = sweep_case(2, 1.5)
+        spec, frame, grid = sweep_case(2, 1.5)
         v = np.random.default_rng(6).normal(size=(21, 13, 17))
         expected = conjugated_operator(v, grid, spec, frame)
         work = v if in_place else np.full_like(v, 7.0)
@@ -225,7 +227,7 @@ class TestSides:
 
     def test_image_does_not_depend_on_memory_layout(self):
         # the boundary ring of the drift is zeroed for any layout of values
-        spec, frame, _, grid = sweep_case(2, 1.5)
+        spec, frame, grid = sweep_case(2, 1.5)
         v = np.random.default_rng(4).normal(size=(21, 13, 17))
         c_order = conjugated_operator(v, grid, spec, frame)
         f_order = conjugated_operator(np.asfortranarray(v), grid, spec, frame)
@@ -243,7 +245,7 @@ class TestConjugation:
 
     def test_conjugation_is_pre_post_multiplication(self):
         spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
-        _, frame, _ = setup()
+        _, frame = setup()
         grid = layer_grid(24, 17)
         rng = np.random.default_rng(5)
         u = rng.normal(size=(25, 17))
@@ -262,7 +264,7 @@ class TestConjugation:
         # for order one the conjugated operator is (d_t + 1 - L) up to the
         # backward-difference error O(dt)
         spec = MultiTermSpec(orders=(1.0,), weights=(1.0,))
-        _, frame, _ = setup()
+        _, frame = setup()
         grid = SpaceTimeGrid(bounds=((0.0, 1.0),), shape=(17,),
                              time=TimeGrid.from_interval(1.0, 256))
         mesh = grid.mesh()
@@ -279,7 +281,7 @@ class TestConjugation:
 
     @pytest.mark.parametrize("include_drift", [True, False])
     def test_walked_spatial_part_is_bitwise_the_own_walk(self, include_drift):
-        spec, frame, _, grid = sweep_case(2, 1.5)
+        spec, frame, grid = sweep_case(2, 1.5)
         batch = np.random.default_rng(2).normal(size=(21, 13, 17, 3))
         # one walk over the levels for the whole batch, of e^t times each
         block = batch.reshape(21, -1, 3) * np.exp(grid.time.nodes)[:, None,
@@ -298,7 +300,7 @@ class TestConjugation:
         # the tilted matrix and the tilt drift share one sample of the
         # frame's field: one call of field.a per sampler call, so one per
         # block of levels in a walk
-        _, frame, _, grid = sweep_case(2, 1.5, n_steps=60)
+        _, frame, grid = sweep_case(2, 1.5, n_steps=60)
         calls = []
 
         def counted(t, x):
@@ -378,7 +380,7 @@ class TestBumpShapes:
 
 class TestSweep:
     def test_config_validation(self):
-        spec, frame, weight = setup()
+        spec, frame = setup()
         grid = layer_grid(8, 9)
         bumps = default_bump_family(grid, count=1)
         for betas, message in [
@@ -387,21 +389,21 @@ class TestSweep:
                 ((400.0, 25.0), "beta grid must increase"),
                 ((25.0, 50.0), "beta grid must span at least one decade")]:
             with pytest.raises(ValueError, match=message):
-                beta_sweep(betas, weight, spec, bumps, grid, frame)
+                beta_sweep(betas, spec, bumps, grid, frame)
 
     def test_betas_are_checked_before_the_frame(self):
         # a 2-D frame on a 1-D grid, with a bad beta grid: the betas are
         # named, as the CLI named them when it checked them first
-        spec, _, weight = setup()
+        spec, _ = setup()
         frame = pushforward_operator(
             identity_field(2), HolmgrenMap(y_hat=np.zeros(2), c=1.0, X=X,
                                            T=1.0))
         grid = layer_grid(8, 9)
         bumps = default_bump_family(grid, count=1)
         with pytest.raises(ValueError, match="beta grid must increase"):
-            beta_sweep((400.0, 25.0), weight, spec, bumps, grid, frame)
+            beta_sweep((400.0, 25.0), spec, bumps, grid, frame)
         with pytest.raises(ValueError, match="field dimension"):
-            beta_sweep((25.0, 250.0), weight, spec, bumps, grid, frame)
+            beta_sweep((25.0, 250.0), spec, bumps, grid, frame)
 
     def test_small_sweep_bounded(self):
         # thickness 0.3 puts the whole beta decade inside the concentration
@@ -410,11 +412,10 @@ class TestSweep:
         spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
         hmap = HolmgrenMap(y_hat=np.zeros(1), c=1.0, X=X_wide, T=1.0)
         frame = pushforward_operator(identity_field(1), hmap)
-        weight = CarlemanWeightParams(X=X_wide)
         grid = SpaceTimeGrid(bounds=((0.0, X_wide),), shape=(81,),
                              time=TimeGrid.from_interval(1.0, 64))
         bumps = default_bump_family(grid, count=2)
-        result = beta_sweep((25.0, 50.0, 100.0, 200.0, 400.0), weight, spec,
+        result = beta_sweep((25.0, 50.0, 100.0, 200.0, 400.0), spec,
                             bumps, grid, frame)
         assert result.flagged == 0
         assert math.isfinite(result.max_ratio)
@@ -428,7 +429,7 @@ class TestSweep:
         # them into the certificate; in 1-D the tilt matrix is [[1]], so the
         # frame's field has the effective matrix bitwise
         from fraclab import solve
-        spec, frame, weight = setup()
+        spec, frame = setup()
         grid = layer_grid(32, 33)
         result = solve(spec, frame.field,
                        lambda t, Y: np.zeros(Y.shape[:-1]), grid,
@@ -442,7 +443,7 @@ class TestSweep:
             def factors(self, times, mesh):
                 return w, [np.ones(mesh.shape[:-1])]
 
-        result = beta_sweep((25.0, 250.0), weight, spec, [Premade()], grid,
+        result = beta_sweep((25.0, 250.0), spec, [Premade()], grid,
                             frame, include_drift=False)
         assert result.flagged == len(result.rows)
 
@@ -450,29 +451,28 @@ class TestSweep:
         spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
         hmap = HolmgrenMap(y_hat=np.zeros(2), c=1.0, X=X, T=1.0)
         frame = pushforward_operator(identity_field(2), hmap)
-        weight = CarlemanWeightParams(X=X)
         grid = SpaceTimeGrid(bounds=((-0.1, 0.1), (0.0, X)),
                              shape=(21, 21),
                              time=TimeGrid.from_interval(1.0, 24))
         bumps = default_bump_family(grid, count=1)
-        result = beta_sweep((25.0, 250.0), weight, spec, bumps, grid, frame)
+        result = beta_sweep((25.0, 250.0), spec, bumps, grid, frame)
         assert result.flagged == 0
         assert all(math.isfinite(r.ratio) and r.ratio > 0.0
                    for r in result.rows)
 
     def test_zero_image_rows_flagged(self, monkeypatch):
-        spec, frame, weight = setup()
+        spec, frame = setup()
         grid = layer_grid(24, 25)
         bumps = default_bump_family(grid, count=1)
         monkeypatch.setattr(carleman, "conjugated_operator",
                             lambda values, *_, **__: np.zeros_like(values))
-        result = beta_sweep((25.0, 250.0), weight, spec, bumps, grid, frame)
+        result = beta_sweep((25.0, 250.0), spec, bumps, grid, frame)
         assert result.flagged == len(result.rows)
 
     def test_csv_rows(self, tmp_path):
-        spec, frame, weight = setup()
+        spec, frame = setup()
         grid = layer_grid(32, 41)
-        result = beta_sweep((25.0, 250.0), weight, spec,
+        result = beta_sweep((25.0, 250.0), spec,
                             default_bump_family(grid, count=1), grid, frame)
         csv_path = tmp_path / "rows.csv"
         sweep_rows_csv(result, str(csv_path))
@@ -486,26 +486,25 @@ def sweep_case(ndim, alpha, n_steps=20):
     spec = MultiTermSpec(orders=(alpha, alpha / 2.0), weights=(1.0, 0.5))
     hmap = HolmgrenMap(y_hat=np.zeros(ndim), c=1.0, X=0.3, T=1.0)
     frame = pushforward_operator(diagonal_variable_field(ndim), hmap)
-    weight = CarlemanWeightParams(X=0.3)
     bounds = ((-0.3, 0.3),) * (ndim - 1) + ((0.0, 0.3),)
     grid = SpaceTimeGrid(bounds=bounds, shape=(13,) * (ndim - 1) + (17,),
                          time=TimeGrid.from_interval(1.0, n_steps))
-    return spec, frame, weight, grid
+    return spec, frame, grid
 
 
-def reference_rows(betas, weight, spec, bumps, grid, frame, include_drift):
+def reference_rows(betas, spec, bumps, grid, frame, include_drift):
     """(lhs, rhs, ratio) per row, one conjugated_operator call per bump and
     each side's weighted integrals formed per beta, in the production
     order: over time first, by the trapezoid weights' contraction, then
     over space under the weight; |grad v|^2 one axis at a time."""
     mesh = grid.mesh()
-    psi = weight.psi(mesh[..., -1])
+    exponent = psi(mesh[..., -1], frame.map.X)
     w = np.full(grid.time.n_steps + 1, grid.time.dt)
     w[[0, -1]] /= 2.0
 
     def weighted(density, beta):
         integrand = ((w @ density.reshape(len(w), -1)).reshape(grid.shape)
-                     * np.exp(2.0 * beta * psi))
+                     * np.exp(2.0 * beta * exponent))
         for ax in range(grid.ndim - 1, -1, -1):
             integrand = np.trapezoid(integrand, dx=grid.spacing[ax], axis=ax)
         return float(integrand)
@@ -536,12 +535,12 @@ class TestNonFiniteGuards:
                                        (math.nan, 25.0, 400.0)],
                              ids=["middle", "first"])
     def test_a_nan_beta_fails_the_positivity_guard(self, betas):
-        spec, frame, weight = setup()
+        spec, frame = setup()
         grid = layer_grid(8, 9)
         bumps = default_bump_family(grid, count=1)
         with pytest.raises(ValueError,
                            match="need at least two positive beta values"):
-            beta_sweep(betas, weight, spec, bumps, grid, frame)
+            beta_sweep(betas, spec, bumps, grid, frame)
 
 
 class TestSweepBatching:
@@ -551,18 +550,18 @@ class TestSweepBatching:
     @pytest.mark.parametrize("count", [1, 5])
     def test_rows_equal_per_bump_reference_bitwise(self, ndim, include_drift,
                                                    alpha, count):
-        spec, frame, weight, grid = sweep_case(ndim, alpha)
+        spec, frame, grid = sweep_case(ndim, alpha)
         betas = (25.0, 100.0, 400.0)
         bumps = default_bump_family(grid, count=count)
-        result = beta_sweep(betas, weight, spec, bumps, grid, frame,
+        result = beta_sweep(betas, spec, bumps, grid, frame,
                             include_drift=include_drift)
         got = [(r.lhs, r.rhs, r.ratio) for r in result.rows]
-        assert got == reference_rows(betas, weight, spec, bumps, grid, frame,
+        assert got == reference_rows(betas, spec, bumps, grid, frame,
                                      include_drift)
 
     @pytest.mark.parametrize("count", [1, 4])
     def test_one_walk_over_the_levels_per_sweep(self, count, monkeypatch):
-        spec, frame, weight, grid = sweep_case(2, 1.5)
+        spec, frame, grid = sweep_case(2, 1.5)
         assembled = []
         original = solver._spatial_matrix
 
@@ -571,7 +570,7 @@ class TestSweepBatching:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(solver, "_spatial_matrix", counting)
-        beta_sweep((25.0, 250.0), weight, spec,
+        beta_sweep((25.0, 250.0), spec,
                    default_bump_family(grid, count=count), grid, frame)
         # the field depends on time, so each level is assembled once
         assert len(assembled) == grid.time.n_steps + 1
@@ -595,7 +594,7 @@ class TestSweepBatching:
         # bump's workspace and the drift's input, difference quotient and
         # output, plus two Toeplitz row blocks of 64 of the 161 levels, 5.1
         # arrays of one bump's values; the parent held 7.7
-        _, frame, weight, grid = sweep_case(2, 1.5, n_steps=160)
+        _, frame, grid = sweep_case(2, 1.5, n_steps=160)
         grid = SpaceTimeGrid(bounds=grid.bounds, shape=(21, 21),
                              time=grid.time)
         spec = MultiTermSpec((1.5, 0.5), (1.0, 0.5))
@@ -605,16 +604,16 @@ class TestSweepBatching:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            beta_sweep((25.0, 250.0), weight, spec, bumps, grid, frame)
+            beta_sweep((25.0, 250.0), spec, bumps, grid, frame)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         assert peak - walk <= 5.5 * one
 
 
-def space_first(density, grid, beta, weight):
+def space_first(density, grid, beta, X):
     """The nested trapezoid over space under the weight, then over time."""
-    integrand = density * np.exp(2.0 * beta * weight.psi(grid.mesh()[..., -1]))
+    integrand = density * np.exp(2.0 * beta * psi(grid.mesh()[..., -1], X))
     for ax in range(integrand.ndim - 1, 0, -1):
         integrand = np.trapezoid(integrand, dx=grid.spacing[ax - 1], axis=ax)
     return float(np.trapezoid(integrand, dx=grid.time.dt, axis=0))
@@ -627,7 +626,7 @@ class TestIntegrationOrder:
     def test_sides_match_the_space_first_oracle(self, ndim, alpha, n_steps):
         # time first reorders the sums only: both sides agree with the
         # space-first nested trapezoid to a few ulps over the beta decades
-        spec, frame, weight, grid = sweep_case(ndim, alpha, n_steps)
+        spec, frame, grid = sweep_case(ndim, alpha, n_steps)
         betas = (25.0, 50.0, 100.0, 200.0, 400.0)
         v = default_bump_family(grid, count=1)[0].values(
             grid.time.nodes, grid.mesh())
@@ -635,15 +634,15 @@ class TestIntegrationOrder:
                           for d, h in enumerate(grid.spacing)], axis=-1)
         dt_v = np.gradient(v, grid.time.dt, axis=0, edge_order=2)
         image = conjugated_operator(v, grid, spec, frame)
-        lhs = carleman_lhs(v, grid, betas, weight, alpha)
+        lhs = carleman_lhs(v, grid, betas, frame.map.X, alpha)
         for beta, got in zip(betas, lhs):
-            oracle = (beta**3 * space_first(v**2, grid, beta, weight)
+            oracle = (beta**3 * space_first(v**2, grid, beta, frame.map.X)
                       + beta * space_first(np.sum(grads**2, axis=-1),
-                                           grid, beta, weight))
+                                           grid, beta, frame.map.X))
             if alpha >= BRANCH_THRESHOLD:
                 oracle += beta ** (3.0 - 4.0 / alpha) * space_first(
-                    dt_v**2, grid, beta, weight)
+                    dt_v**2, grid, beta, frame.map.X)
             assert abs(got - oracle) <= 1e-14 * oracle
-            rhs = carleman_rhs(v, grid, beta, weight, spec, frame)
-            oracle = space_first(image**2, grid, beta, weight)
+            rhs = carleman_rhs(v, grid, beta, spec, frame)
+            oracle = space_first(image**2, grid, beta, frame.map.X)
             assert abs(rhs - oracle) <= 1e-14 * oracle

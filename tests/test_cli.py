@@ -3,6 +3,7 @@ import json
 import os
 import pathlib
 import re
+import runpy
 import subprocess
 import sys
 import warnings
@@ -722,11 +723,10 @@ class TestCommands:
                   "weight": WEIGHT, "n_samples": 3000}
         _, out = run(tmp_path, "garding", config, seed=6)
         spec = fraclab.MultiTermSpec(orders=(0.5,), weights=(1.0,))
-        weight = symbols.CarlemanWeightParams(X=0.05)
         hmap = fraclab.HolmgrenMap(y_hat=np.zeros(2), **MAP1)
         frame = fraclab.pushforward_operator(
             fraclab.field_from_config(COEFFS2), hmap)
-        region = _build_region(None, weight, hmap.T)
+        region = _build_region(None, hmap.X, hmap.T)
         counts = _chunk_counts(3000)
         seeds = np.random.SeedSequence(6).spawn(len(counts))
         parts = [symbols.full_region_sample(region, spec, 2, k,
@@ -737,7 +737,7 @@ class TestCommands:
         assert len(rows) == 5
         for varpi, min_ratio in rows:
             report = symbols.garding_precondition_check(
-                pts, spec, frame.field, weight, 1.0, varpi)
+                pts, spec, frame.field, 1.0, hmap.X, varpi)
             assert min_ratio == report.min_ratio
 
     def test_lemma61(self, tmp_path):
@@ -778,22 +778,20 @@ class TestCommands:
                  np.array([w["sigma"]]))
         spec = fraclab.MultiTermSpec(orders=tuple(config["spec"]["orders"]),
                                      weights=tuple(config["spec"]["weights"]))
-        weight = symbols.CarlemanWeightParams(X=config["weight"]["X"])
         field = fraclab.field_from_config(config["coeffs"])
         hmap = fraclab.HolmgrenMap(y_hat=np.zeros(2),
                                    stage=config.get("stage", 1),
                                    **config["map"])
         if command == "lemma61":
             report = symbols.lemma61_check(
-                point, spec, geometry.global_coefficients(field), hmap,
-                weight)
+                point, spec, geometry.global_coefficients(field), hmap)
         else:
             frame = fraclab.pushforward_operator(field, hmap)
             report = (symbols.lemma21_check(point, spec, frame.field,
-                                            weight, hmap.c)
+                                            hmap.c, hmap.X)
                       if command == "lemma21" else
                       symbols.garding_precondition_check(
-                          point, spec, frame.field, weight, hmap.c,
+                          point, spec, frame.field, hmap.c, hmap.X,
                           summary["varpi"]))
         assert (abs(report.min_ratio - summary["min_ratio"])
                 <= 1e-12 * abs(summary["min_ratio"]))
@@ -1238,6 +1236,19 @@ class TestCommands:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["lemma21", "carleman-sweep"])
+    def test_a_weight_thickness_other_than_the_maps_is_refused(
+            self, tmp_path, capsys, command):
+        # one X sets the map and the weight: lemma21 with map.X 0.05 and
+        # weight.X 0.2 sampled the box and the weight at 0.2 and the map
+        # at 0.05, and passed
+        config = {**VALID[command], "weight": {"X": 0.2}}
+        code, out = run(tmp_path, command, config)
+        assert code == 3
+        assert ("weight.X=0.2 differs from map.X=0.05"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_carleman_sweep_names_an_infinite_coefficient(self, tmp_path,
                                                           capsys):
         # a = 1 + 1e308 + 1e308 overflows: the sweep read it as a refuted
@@ -1509,6 +1520,30 @@ class TestBenchmarkTracer:
         # 361 interior nodes: 22 levels per call, 49 levels in 3 blocks,
         # 17,689 points; the precondition 3 x 441
         assert out.stdout.strip().splitlines()[-1] == "3 6 19012"
+
+
+def _bench_commands():
+    """Every command of bench/workloads.py, loaded from its file."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench/workloads.py"
+    workloads = runpy.run_path(str(path))["WORKLOADS"]
+    return [pytest.param(command, id=f"{workload}-{command.name}")
+            for workload, commands in workloads.items()
+            for command in commands]
+
+
+class TestBenchmarkConfigs:
+    # the benchmark runs these configs; a schema or cross-field check that
+    # refused one would break it while every other test passed
+    @pytest.mark.parametrize("command", _bench_commands())
+    def test_full_config_validates_and_warm_up_passes(self, tmp_path,
+                                                      capsys, command):
+        cli.validate_config(command.cli, command.config)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(command.warmup_config()))
+        code = main([command.cli, "--config", str(cfg),
+                     "--out", str(tmp_path / "out"), *command.args])
+        assert code == 0
+        assert capsys.readouterr().out.startswith(f"PASS {command.cli}: ")
 
 
 class TestImport:

@@ -92,7 +92,10 @@ class TestNonFiniteGuards:
         (lambda: TimeGrid.from_interval(math.inf, 4), "dt must be positive"),
         (lambda: caputo_oracle(lambda t: 1.0, 0.5, math.nan),
          "evaluation time must be positive"),
-    ], ids=["dt-nan", "dt-inf", "interval-nan", "interval-inf", "oracle-t"])
+        (lambda: caputo_oracle(lambda t: 1.0, 0.5, math.inf),
+         "evaluation time must be positive"),
+    ], ids=["dt-nan", "dt-inf", "interval-nan", "interval-inf", "oracle-t",
+            "oracle-t-inf"])
     def test_nan_and_inf_fail_the_positivity_guards(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()

@@ -84,15 +84,25 @@ class TestHolmgrenMap:
 
 
 class TestNonFiniteGuards:
-    # NaN fails every comparison, so a guard written x <= 0 let it through
+    # NaN fails every comparison, so a guard written x <= 0 let it through,
+    # and +inf passes a guard written x > 0
     @pytest.mark.parametrize("make, message", [
         (lambda: HolmgrenMap(y_hat=np.zeros(2), c=math.nan, X=0.1, T=1.0),
          "convexification constant must be nonnegative"),
+        (lambda: HolmgrenMap(y_hat=np.zeros(2), c=math.inf, X=0.1, T=1.0),
+         "convexification constant must be nonnegative"),
+        (lambda: HolmgrenMap(y_hat=np.zeros(2), c=1.0, X=math.nan, T=1.0),
+         r"layer thickness X must lie in \(0, 1\)"),
         (lambda: HolmgrenMap(y_hat=np.zeros(2), c=1.0, X=0.1, T=math.nan),
+         "time horizon must be positive"),
+        (lambda: HolmgrenMap(y_hat=np.zeros(2), c=1.0, X=0.1, T=math.inf),
          "time horizon must be positive"),
         (lambda: CutoffSpec(zeta=1, epsilon=0.5, X=0.1, n=2, l=math.nan),
          "box depth must be positive"),
-    ], ids=["map-c", "map-T", "cutoff-l"])
+        (lambda: CutoffSpec(zeta=1, epsilon=0.5, X=0.1, n=2, l=math.inf),
+         "box depth must be positive"),
+    ], ids=["map-c", "map-c-inf", "map-X", "map-T", "map-T-inf", "cutoff-l",
+            "cutoff-l-inf"])
     def test_nan_fails_the_positivity_guards(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()

@@ -975,6 +975,15 @@ class TestUcp:
         with pytest.raises(ValueError):
             self.run((0.1,))
 
+    @pytest.mark.parametrize("center", [0.3, 0.0], ids=["right", "left"])
+    def test_source_whose_bump_meets_the_window_rejected(self, center):
+        # centre 0.3's bump covers (0.22, 0.38), which meets (0.05, 0.25)
+        # though the centre lies outside it; checked by its centre alone,
+        # the source ran and its row read ratio 0.076
+        with pytest.raises(ValueError, match=f"source at {center} of "
+                           "half-width 0.08 meets the window"):
+            self.run((0.6, center))
+
     def test_source_off_the_grid_rejected(self):
         # a centre at 1.5 leaves the bump zero on every node of [0, 1]; the
         # ratio 0/0 would otherwise be reported as a ratio of 0

@@ -4,8 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from fraclab import (CarlemanWeightParams, HolmgrenMap, MultiTermSpec,
-                     SampleRegion, anisotropic_scale, c_alpha, c_alpha_sharp,
+from fraclab import (HolmgrenMap, MultiTermSpec, SampleRegion,
+                     anisotropic_scale, c_alpha, c_alpha_sharp,
                      char_set_sample, constant_field, diagonal_variable_field,
                      find_min_varpi, full_region_sample,
                      garding_precondition_check, global_coefficients,
@@ -246,18 +246,18 @@ class TestGradients:
         spec = MultiTermSpec(orders=(1.3, 0.6), weights=(1.0, 0.4))
         field = (rotating_anisotropic_field(n) if n >= 2
                  else diagonal_variable_field(1))
-        weight = CarlemanWeightParams(X=0.05)
+        X = 0.05
         _assert_gradients_match(random_points(n, rng, 40), spec, field,
-                                weight, 1.0, rtol=1e-6)
+                                1.0, X, rtol=1e-6)
 
 
-def _assert_gradients_match(points, spec, field, weight, c, rtol):
+def _assert_gradients_match(points, spec, field, c, X, rtol):
     t, x, tau, xi, sigma = points
-    g = weighted_symbol(*points, spec, field, c, weight.X, grads=True)
+    g = weighted_symbol(*points, spec, field, c, X, grads=True)
 
     def value(t, x, tau, xi):
         return weighted_symbol(t, x, tau, xi, sigma, spec, field, c,
-                               weight.X)["value"]
+                               X)["value"]
 
     floor = 1e-4 * (1.0 + np.abs(g["value"]))
 
@@ -302,7 +302,7 @@ class TestBracket:
         _, principal, _, _ = bracket_report_batch(
             batch((0.0, [0.0], 0.0, [1.0], 1.0)),
             MultiTermSpec(orders=(0.5,), weights=(1.0,)), identity_field(1),
-            CarlemanWeightParams(X=0.1), c=1.0)
+            c=1.0, X=0.1)
         assert abs(principal[0] - 4.16) < 1e-14
 
     def test_antisymmetry_and_self_bracket(self):
@@ -310,8 +310,8 @@ class TestBracket:
         points = random_points(2, rng)
         spec = MultiTermSpec(orders=(0.8,), weights=(1.0,))
         field = diagonal_variable_field(2)
-        weight = CarlemanWeightParams(X=0.05)
-        g = weighted_symbol(*points, spec, field, 1.0, weight.X, grads=True)
+        X = 0.05
+        g = weighted_symbol(*points, spec, field, 1.0, X, grads=True)
         keys = ("d_xi", "d_x", "d_tau", "d_t")
         re = {k: g[k].real for k in keys}
         im = {k: g[k].imag for k in keys}
@@ -320,7 +320,7 @@ class TestBracket:
         ba = poisson_bracket_generic(im, re)
         assert np.all(np.abs(ab + ba) < 1e-12 * np.maximum(1.0, np.abs(ab)))
         # the generic bracket is the oracle of the specialized full bracket
-        full = bracket_report_batch(points, spec, field, weight, 1.0)[0]
+        full = bracket_report_batch(points, spec, field, 1.0, X)[0]
         assert np.all(np.abs(ab - full) < 1e-12 * np.maximum(1.0, np.abs(ab)))
 
     def test_bilinearity_on_random_polynomial_symbols(self):
@@ -343,13 +343,13 @@ class TestBracket:
         rng = np.random.default_rng(40 + n)
         field = random_spd_field(n, rng)
         a = field.a(0.0, np.zeros(n))
-        weight = CarlemanWeightParams(X=0.1)
+        X = 0.1
         spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
         points = random_points(n, rng, 200)
         _, principal, _, _ = bracket_report_batch(points, spec, field,
-                                                  weight, c=0.0)
+                                                  c=0.0, X=X)
         _, x, _, xi, sigma = points
-        mu = np.abs(sigma) * (x[:, -1] - 2.0 * weight.X)
+        mu = np.abs(sigma) * (x[:, -1] - 2.0 * X)
         closed = (4.0 * np.abs(sigma) * (xi @ a[:, -1]) ** 2
                   + 4.0 * a[-1, -1] ** 2 * np.abs(sigma) * mu**2)
         assert np.all(np.abs(principal - closed) <= 1e-12 * np.abs(closed))
@@ -357,13 +357,13 @@ class TestBracket:
     def test_closed_form_line_case_any_tilt(self):
         rng = np.random.default_rng(77)
         field = constant_field(np.array([[1.7]]))
-        weight = CarlemanWeightParams(X=0.1)
+        X = 0.1
         spec = MultiTermSpec(orders=(1.5,), weights=(1.0,))
         points = random_points(1, rng, 100)
         _, principal, _, _ = bracket_report_batch(points, spec, field,
-                                                  weight, c=3.0)
+                                                  c=3.0, X=X)
         _, x, _, xi, sigma = points
-        mu = np.abs(sigma) * (x[:, -1] - 2.0 * weight.X)
+        mu = np.abs(sigma) * (x[:, -1] - 2.0 * X)
         closed = (4.0 * np.abs(sigma) * (1.7 * xi[:, 0]) ** 2
                   + 4.0 * 1.7**2 * np.abs(sigma) * mu**2)
         assert np.all(np.abs(principal - closed) <= 1e-12 * np.abs(closed))
@@ -373,8 +373,7 @@ class TestBracket:
         points = random_points(2, rng)
         spec = MultiTermSpec(orders=(0.9,), weights=(1.0,))
         full, principal, _, _ = bracket_report_batch(
-            points, spec, random_spd_field(2, rng),
-            CarlemanWeightParams(X=0.05), 1.0)
+            points, spec, random_spd_field(2, rng), 1.0, 0.05)
         assert full[0] == principal[0]
 
     def test_full_differs_for_time_dependent_coefficients(self):
@@ -382,8 +381,7 @@ class TestBracket:
         points = random_points(2, rng)
         spec = MultiTermSpec(orders=(0.9,), weights=(1.0,))
         full, principal, _, _ = bracket_report_batch(
-            points, spec, rotating_anisotropic_field(2),
-            CarlemanWeightParams(X=0.05), 1.0)
+            points, spec, rotating_anisotropic_field(2), 1.0, 0.05)
         assert full[0] != principal[0]
 
     def test_sympy_oracle_variable_coefficients(self):
@@ -405,10 +403,9 @@ class TestBracket:
 
         field = diagonal_variable_field(1, amplitude=amp)
         spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
-        weight = CarlemanWeightParams(X=X)
         rng = np.random.default_rng(21)
         points = random_points(1, rng, 25)
-        full = bracket_report_batch(points, spec, field, weight, 1.0)[0]
+        full = bracket_report_batch(points, spec, field, 1.0, X)[0]
         t, x, tau, xi, sigma = points
         ref = np.array([float(fn(*p)) for p in
                         zip(t, x[:, 0], tau, xi[:, 0], sigma)])
@@ -418,14 +415,14 @@ class TestBracket:
         rng = np.random.default_rng(30)
         spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
         field = diagonal_variable_field(2)
-        weight = CarlemanWeightParams(X=0.05)
+        X = 0.05
         t, x, tau, xi, sigma = random_points(2, rng)
         rho = np.array([1.0, 10.0, 100.0, 1000.0])
         scaled = (np.repeat(t, 4), np.repeat(x, 4, axis=0),
                   tau * rho ** (2.0 / spec.alpha), xi * rho[:, None],
                   sigma * rho)
         _, principal, _, _ = bracket_report_batch(scaled, spec, field,
-                                                  weight, 1.0)
+                                                  1.0, X)
         assert np.all(np.abs(principal / rho**3 - principal[0])
                       < 1e-10 * abs(principal[0]))
 
@@ -434,14 +431,11 @@ class TestNonFiniteGuards:
     # NaN fails every comparison, so a guard written x <= 0 let it through;
     # a NaN tol rejected every solved seed as "residual"
     @pytest.mark.parametrize("make, message", [
-        (lambda: CarlemanWeightParams(X=math.nan),
-         "layer thickness must be positive"),
         (lambda: char_set_sample(
-            region_for(CarlemanWeightParams(X=0.05)),
-            MultiTermSpec(orders=(0.5,), weights=(1.0,)), identity_field(2),
-            CarlemanWeightParams(X=0.05), 1.0, 50, tol=math.nan),
+            region_for(0.05), MultiTermSpec(orders=(0.5,), weights=(1.0,)),
+            identity_field(2), 1.0, 0.05, 50, tol=math.nan),
          "tolerance must be positive"),
-    ], ids=["weight-X", "sample-tol"])
+    ], ids=["sample-tol"])
     def test_nan_fails_the_positivity_guards(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
@@ -451,22 +445,22 @@ class TestCharacteristicSampling:
     def setup_method(self):
         self.spec = MultiTermSpec(orders=(0.5, 0.25), weights=(1.0, 0.5))
         self.field = random_spd_field(2, np.random.default_rng(1))
-        self.weight = CarlemanWeightParams(X=0.05)
-        self.region = region_for(self.weight)
+        self.X = 0.05
+        self.region = region_for(self.X)
 
     def test_certificate_holds_by_construction(self):
         sample = char_set_sample(self.region, self.spec, self.field,
-                                 self.weight, 1.0, 500, tol=1e-8,
+                                 1.0, self.X, 500, tol=1e-8,
                                  rng=np.random.default_rng(3))
         assert sample.found == 500
         assert sample.residual.max() <= 1e-8
         report = lemma21_check(sample.points, self.spec, self.field,
-                               self.weight, 1.0)
+                               1.0, self.X)
         assert np.isfinite(report.extras["kappa"])
 
     def test_small_sigma_returns_partial(self):
         sample = char_set_sample(self.region, self.spec, self.field,
-                                 self.weight, 1.0, 50, tol=1e-8,
+                                 1.0, self.X, 50, tol=1e-8,
                                  rng=np.random.default_rng(3),
                                  sigma_range=(0.05, 0.1))
         assert sample.found == 0
@@ -474,40 +468,48 @@ class TestCharacteristicSampling:
 
     def test_no_requested_points_is_an_error(self):
         with pytest.raises(ValueError, match="n_samples must be positive"):
-            char_set_sample(self.region, self.spec, self.field, self.weight,
-                            1.0, 0)
+            char_set_sample(self.region, self.spec, self.field, 1.0,
+                            self.X, 0)
+
+    @pytest.mark.parametrize("X", [0.0, -0.05, math.nan, math.inf])
+    def test_a_layer_thickness_that_is_not_positive_is_an_error(self, X):
+        # X = 0 divided sigma's floor by zero, and X = -0.05 was named as
+        # a reversed sigma_range
+        with pytest.raises(ValueError, match="layer thickness X must be "
+                           f"positive, got {X!r}"):
+            char_set_sample(self.region, self.spec, self.field, 1.0, X, 10)
 
     def test_lemma21_positive(self):
         sample = char_set_sample(self.region, self.spec, self.field,
-                                 self.weight, 1.0, 2000, tol=1e-8,
+                                 1.0, self.X, 2000, tol=1e-8,
                                  rng=np.random.default_rng(5))
         report = lemma21_check(sample.points, self.spec, self.field,
-                               self.weight, 1.0)
+                               1.0, self.X)
         assert report.passed
         assert report.min_ratio > 0.0
         assert report.extras["kappa"] < 50.0
 
     def test_lemma21_empty_errors(self):
         sample = char_set_sample(self.region, self.spec, self.field,
-                                 self.weight, 1.0, 10, tol=1e-8,
+                                 1.0, self.X, 10, tol=1e-8,
                                  rng=np.random.default_rng(3),
                                  sigma_range=(0.05, 0.1))
         with pytest.raises(ValueError):
-            lemma21_check(sample.points, self.spec, self.field, self.weight,
-                          1.0)
+            lemma21_check(sample.points, self.spec, self.field, 1.0,
+                          self.X)
 
     def test_ratio_scaling_invariance(self):
         sample = char_set_sample(self.region, self.spec, self.field,
-                                 self.weight, 1.0, 200, tol=1e-8,
+                                 1.0, self.X, 200, tol=1e-8,
                                  rng=np.random.default_rng(7))
         _, _, _, ratio = bracket_report_batch(sample.points, self.spec,
-                                              self.field, self.weight, 1.0)
+                                              self.field, 1.0, self.X)
         rho = 100.0
         t, x, tau, xi, sigma = sample.points
         scaled = (t, x, tau * rho ** (2.0 / self.spec.alpha), xi * rho,
                   sigma * rho)
         _, _, _, ratio2 = bracket_report_batch(scaled, self.spec, self.field,
-                                               self.weight, 1.0)
+                                               1.0, self.X)
         assert np.max(np.abs(ratio2 - ratio) / np.abs(ratio)) < 1e-9
 
 
@@ -657,11 +659,11 @@ class TestRootFinder:
         # lemma21's geometry at 2,000 samples: the median root sits near
         # 2^17, which doubling climbs to from 1 and the walk starts beside;
         # the points and seed counts stay the same
-        weight = CarlemanWeightParams(X=0.05)
+        X = 0.05
 
         def sample():
-            return char_set_sample(region_for(weight), self.spec,
-                                   diagonal_variable_field(2), weight, 1.0,
+            return char_set_sample(region_for(X), self.spec,
+                                   diagonal_variable_field(2), 1.0, X,
                                    2000, rng=np.random.default_rng(3))
 
         walked = sample()
@@ -699,8 +701,8 @@ class TestRootFinder:
 
     def _batch_setup(self, seed):
         field = diagonal_variable_field(2)
-        weight = CarlemanWeightParams(X=0.05)
-        return (region_for(weight), self.spec, field, 1.0, weight.X, 400,
+        X = 0.05
+        return (region_for(X), self.spec, field, 1.0, X, 400,
                 np.random.default_rng(seed))
 
     def test_prefix_matches_reference(self):
@@ -754,9 +756,9 @@ class TestRootFinder:
         assert counts["degenerate_b"] == counts["residual"] == 0
 
     def test_sample_counts_add_up(self):
-        weight = CarlemanWeightParams(X=0.05)
-        sample = char_set_sample(region_for(weight), self.spec,
-                                 diagonal_variable_field(2), weight, 1.0,
+        X = 0.05
+        sample = char_set_sample(region_for(X), self.spec,
+                                 diagonal_variable_field(2), 1.0, X,
                                  300, tol=2e-18, rng=np.random.default_rng(3),
                                  sigma_range=(10.0, 60.0))
         assert sample.rejected["no_sign_change"] > 0
@@ -772,18 +774,18 @@ class TestBlockedReductions:
     def test_blocked_equals_unblocked(self, m, monkeypatch):
         spec = MultiTermSpec(orders=(0.5, 0.25), weights=(1.0, 0.5))
         base = diagonal_variable_field(2)
-        weight = CarlemanWeightParams(X=0.05)
+        X = 0.05
         hmap = HolmgrenMap(y_hat=np.zeros(2), c=1.0, X=0.05, T=1.0, stage=3)
         tilde = global_coefficients(base)
-        pts = full_region_sample(region_for(weight), spec, 2, m,
+        pts = full_region_sample(region_for(X), spec, 2, m,
                                  np.random.default_rng(m))
 
         def reductions():
-            lemma21 = lemma21_check(pts, spec, base, weight, 1.0).extras
-            return [*bracket_report_batch(pts, spec, base, weight, 1.0),
-                    *_garding_terms(pts, spec, base, weight, 1.0),
+            lemma21 = lemma21_check(pts, spec, base, 1.0, X).extras
+            return [*bracket_report_batch(pts, spec, base, 1.0, X),
+                    *_garding_terms(pts, spec, base, 1.0, X),
                     lemma21["ratios"], lemma21["kappa"],
-                    lemma61_check(pts, spec, tilde, hmap, weight).min_ratio]
+                    lemma61_check(pts, spec, tilde, hmap).min_ratio]
 
         blocked = reductions()
         monkeypatch.setattr(symbols, "SAMPLE_BLOCK", 10 * m)
@@ -796,33 +798,33 @@ class TestGarding:
     def setup_method(self):
         self.spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
         self.field = random_spd_field(2, np.random.default_rng(2))
-        self.weight = CarlemanWeightParams(X=0.05)
-        self.region = region_for(self.weight)
+        self.X = 0.05
+        self.region = region_for(self.X)
         self.points = full_region_sample(self.region, self.spec, 2, 20000,
                                          np.random.default_rng(10))
 
     def test_reduces_to_bracket_on_characteristic_points(self):
         sample = char_set_sample(self.region, self.spec, self.field,
-                                 self.weight, 1.0, 300, tol=1e-10,
+                                 1.0, self.X, 300, tol=1e-10,
                                  rng=np.random.default_rng(11))
         with_term = garding_precondition_check(sample.points, self.spec,
-                                               self.field, self.weight, 1.0,
+                                               self.field, 1.0, self.X,
                                                varpi=1e3)
         report = lemma21_check(sample.points, self.spec, self.field,
-                               self.weight, 1.0)
+                               1.0, self.X)
         assert abs(with_term.min_ratio - 2.0 * report.min_ratio) \
             < 1e-4 * abs(report.min_ratio) + 1e-12
 
     def test_monotone_in_varpi(self):
         r1 = garding_precondition_check(self.points, self.spec, self.field,
-                                        self.weight, 1.0, varpi=1.0)
+                                        1.0, self.X, varpi=1.0)
         r2 = garding_precondition_check(self.points, self.spec, self.field,
-                                        self.weight, 1.0, varpi=2.0)
+                                        1.0, self.X, varpi=2.0)
         assert r2.min_ratio >= r1.min_ratio
 
     def test_varpi_is_the_least_passing_float(self):
         varpi, report = find_min_varpi(self.points, self.spec, self.field,
-                                       self.weight, 1.0)
+                                       1.0, self.X)
         elliptic, negative = (report.extras["elliptic"],
                               report.extras["negative"])
         assert report.extras["varpi"] == varpi
@@ -834,8 +836,8 @@ class TestGarding:
         exact = np.max(-negative[mask] / elliptic[mask])
         assert abs(varpi - exact) <= 4.0 * np.spacing(exact)
         with pytest.raises(RuntimeError, match="no varpi below"):
-            find_min_varpi(self.points, self.spec, self.field, self.weight,
-                           1.0, varpi_max=below)
+            find_min_varpi(self.points, self.spec, self.field, 1.0,
+                           self.X, varpi_max=below)
 
     def test_nan_terms_are_named(self):
         # a tau past the float range, which full_region_sample refuses
@@ -846,7 +848,7 @@ class TestGarding:
             with pytest.raises(RuntimeError,
                                match="terms are NaN at 3 of 20000 samples"):
                 find_min_varpi((t, x, tau, xi, sigma), self.spec, self.field,
-                               self.weight, 1.0)
+                               1.0, self.X)
 
     @pytest.mark.parametrize("alpha,hi", [(0.5, 1e77), (1.5, 1e230)])
     def test_largest_finite_tau_is_sampled(self, alpha, hi, monkeypatch):
@@ -897,13 +899,12 @@ class TestStageCertificate:
         base = identity_field(2)
         tilde = global_coefficients(base)
         hmap = HolmgrenMap(y_hat=np.zeros(2), c=1.0, X=0.05, T=1.0, stage=1)
-        weight = CarlemanWeightParams(X=0.05)
         spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
         frame = pushforward_operator(tilde, hmap)
-        region = region_for(weight)
-        sample = char_set_sample(region, spec, frame.field, weight, hmap.c,
+        region = region_for(hmap.X)
+        sample = char_set_sample(region, spec, frame.field, hmap.c, hmap.X,
                                  300, tol=1e-8, rng=np.random.default_rng(3))
-        report = lemma61_check(sample.points, spec, tilde, hmap, weight)
+        report = lemma61_check(sample.points, spec, tilde, hmap)
         assert report.passed
         assert report.extras["ellipticity_margin"] >= -1e-12
 
@@ -918,13 +919,12 @@ class TestStageCertificate:
         base = diagonal_variable_field(2)
         tilde = global_coefficients(base)
         hmap = HolmgrenMap(y_hat=np.zeros(2), c=1.0, X=0.05, T=1.0, stage=5)
-        weight = CarlemanWeightParams(X=0.05)
         spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
         frame = pushforward_operator(tilde, hmap)
-        region = region_for(weight)
-        sample = char_set_sample(region, spec, frame.field, weight, hmap.c,
+        region = region_for(hmap.X)
+        sample = char_set_sample(region, spec, frame.field, hmap.c, hmap.X,
                                  500, tol=1e-8, rng=np.random.default_rng(9))
-        report = lemma61_check(sample.points, spec, tilde, hmap, weight)
+        report = lemma61_check(sample.points, spec, tilde, hmap)
         assert report.passed
         assert report.extras["ellipticity_margin"] > 0.0
 
