@@ -159,8 +159,7 @@ SCHEMAS = {
     "lemma61": _object(_SYMBOL_REQUIRED + ("stage",), **_CHAR, stage=_POSINT),
     "solve": _object(("spec", "coeffs", "grid"), spec=_SPEC, coeffs=_COEFFS,
                      grid=_GRID,
-                     source=_object((), center=_NUMS, width=_NUM),
-                     manufactured={"type": "boolean"}),
+                     source=_object((), center=_NUMS, width=_NUM)),
     "carleman-sweep": _object(
         ("spec", "coeffs", "map", "weight", "grid", "betas"),
         spec=_SPEC, coeffs=_COEFFS, map=_MAP, weight=_WEIGHT, grid=_GRID,
@@ -626,11 +625,11 @@ def run_solve(config, out, seed, threads):
     grid = _build_grid(config["grid"])
     times = grid.time.nodes.reshape((-1,) + (1,) * grid.ndim)
     mesh = grid.mesh()
-    manufactured = config.get("manufactured", True)
-    if manufactured:
+    # a source section selects the bump; without one, the manufactured u*
+    src_cfg = config.get("source")
+    if src_cfg is None:
         exact, source = _manufactured_pieces(spec, coeffs, grid)
     else:
-        src_cfg = config.get("source", {})
         center = np.asarray(src_cfg.get("center", [0.5] * grid.ndim))
         width = src_cfg.get("width", 0.1)
         if not width > 0.0:

@@ -1,14 +1,15 @@
 """Symmetric elliptic coefficient fields with exact derivative oracles.
 
-Every field bundles the matrix callable a(t, y) with its analytic time and
-space derivatives, so downstream symbol derivatives never fall back on
-finite differences.  Callables are batch-aware: ``t`` may be a scalar or a
-shape (N,) array, ``y`` a shape (n,) or (N, n) array, and the matrix comes
-back with matching batch axes, i.e. (n, n) or (N, n, n).  The space
-derivative carries the direction as the first matrix axis: element [r, j, k]
-is the derivative of a_jk along y_r.  A field declares nothing about its
-time dependence: the solver samples it on blocks of time levels and lets
-consecutive levels whose samples are exactly equal share one matrix.
+Every field bundles the matrix callable a(t, y) with one callable,
+``grads``, for its analytic time and space derivatives, so downstream symbol
+derivatives never fall back on finite differences.  Callables are
+batch-aware: ``t`` may be a scalar or a shape (N,) array, ``y`` a shape (n,)
+or (N, n) array, and the matrix comes back with matching batch axes, i.e.
+(n, n) or (N, n, n).  The space derivative carries the direction as the
+first matrix axis: element [r, j, k] is the derivative of a_jk along y_r.  A
+field declares nothing about its time dependence: the solver samples it on
+blocks of time levels and lets consecutive levels whose samples are exactly
+equal share one matrix.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ class EllipticCoeffField:
         Spatial dimension.
     a : callable
         ``a(t, y) -> (..., n, n)`` symmetric matrix samples.
-    da_dt : callable
-        ``da_dt(t, y) -> (..., n, n)`` time derivative.
-    da_dy : callable
-        ``da_dy(t, y) -> (..., n, n, n)`` space derivatives, direction first.
+    grads : callable
+        ``grads(t, y) -> (da_dt, da_dy)``: the time derivative, shape
+        (..., n, n), and the space derivatives, shape (..., n, n, n),
+        direction first.
     delta : float
         Constant with delta |xi|^2 <= a xi.xi <= |xi|^2 / delta on the
         region of interest.
@@ -44,8 +45,7 @@ class EllipticCoeffField:
 
     n: int
     a: Callable
-    da_dt: Callable
-    da_dy: Callable
+    grads: Callable
     delta: float
 
     def __post_init__(self):
@@ -81,37 +81,26 @@ def diagonal_variable_field(n: int, amplitude: float = 0.3) -> EllipticCoeffFiel
     if not 0.0 <= amplitude < 1.0:
         raise ValueError("amplitude must lie in [0, 1)")
     delta = 1.0 - amplitude
+    idx = np.arange(n)
+
+    def diagonal(diag, axes=2):
+        out = np.zeros(diag.shape[:-1] + (n,) * axes)
+        out[(...,) + (idx,) * axes] = diag
+        return out
 
     def a(t, y):
         t = np.asarray(t, dtype=float)
         y = np.asarray(y, dtype=float)
-        diag = 1.0 + amplitude * np.sin(y) * np.cos(t)[..., None]
-        out = np.zeros(diag.shape + (n,))
-        idx = np.arange(n)
-        out[..., idx, idx] = diag
-        return out
+        return diagonal(1.0 + amplitude * np.sin(y) * np.cos(t)[..., None])
 
-    def da_dt(t, y):
+    def grads(t, y):
         t = np.asarray(t, dtype=float)
         y = np.asarray(y, dtype=float)
-        diag = -amplitude * np.sin(y) * np.sin(t)[..., None]
-        out = np.zeros(diag.shape + (n,))
-        idx = np.arange(n)
-        out[..., idx, idx] = diag
-        return out
-
-    def da_dy(t, y):
-        t = np.asarray(t, dtype=float)
-        y = np.asarray(y, dtype=float)
-        diag = amplitude * np.cos(y) * np.cos(t)[..., None]
-        batch = diag.shape[:-1]
-        out = np.zeros(batch + (n, n, n))
-        idx = np.arange(n)
         # only a_jj depends on y_j, so d a_jj / d y_r is diagonal in (r, j)
-        out[..., idx, idx, idx] = diag
-        return out
+        return (diagonal(-amplitude * np.sin(y) * np.sin(t)[..., None]),
+                diagonal(amplitude * np.cos(y) * np.cos(t)[..., None], 3))
 
-    return EllipticCoeffField(n=n, a=a, da_dt=da_dt, da_dy=da_dy, delta=delta)
+    return EllipticCoeffField(n=n, a=a, grads=grads, delta=delta)
 
 
 def rotating_anisotropic_field(n: int, ratio: float = 0.5, spin: float = 1.0,
@@ -125,11 +114,9 @@ def rotating_anisotropic_field(n: int, ratio: float = 0.5, spin: float = 1.0,
     if not 0.0 < ratio <= 1.0:
         raise ValueError("ratio must lie in (0, 1]")
 
-    def pieces(t, y):
-        t = np.asarray(t, dtype=float)
-        y = np.asarray(y, dtype=float)
-        theta = spin * t + shear * y[..., 0]
-        return theta
+    def angle(t, y):
+        return (spin * np.asarray(t, dtype=float)
+                + shear * np.asarray(y, dtype=float)[..., 0])
 
     def matrix_from_theta(theta):
         ct, st = np.cos(theta), np.sin(theta)
@@ -150,18 +137,16 @@ def rotating_anisotropic_field(n: int, ratio: float = 0.5, spin: float = 1.0,
         return out
 
     def a(t, y):
-        return matrix_from_theta(pieces(t, y))
+        return matrix_from_theta(angle(t, y))
 
-    def da_dt(t, y):
-        return spin * dmatrix_dtheta(pieces(t, y))
+    def grads(t, y):
+        theta = angle(t, y)
+        dm = dmatrix_dtheta(theta)
+        dy = np.zeros(theta.shape + (n, n, n))
+        dy[..., 0, :, :] = shear * dm
+        return spin * dm, dy
 
-    def da_dy(t, y):
-        theta = pieces(t, y)
-        out = np.zeros(theta.shape + (n, n, n))
-        out[..., 0, :, :] = shear * dmatrix_dtheta(theta)
-        return out
-
-    return EllipticCoeffField(n=n, a=a, da_dt=da_dt, da_dy=da_dy, delta=ratio)
+    return EllipticCoeffField(n=n, a=a, grads=grads, delta=ratio)
 
 
 def polynomial_field(n: int, tables, delta: float) -> EllipticCoeffField:
@@ -173,7 +158,7 @@ def polynomial_field(n: int, tables, delta: float) -> EllipticCoeffField:
     The declared ``delta`` is trusted here and validated by sampling in the
     callers that care.
     """
-    terms = []  # (j, k, coeff, t_pow, y_pows)
+    terms = []  # ((j, k), coeff, t_pow, y_pows)
     for entry in tables:
         j, k = int(entry["j"]), int(entry["k"])
         if not (0 <= j < n and 0 <= k < n):
@@ -182,7 +167,8 @@ def polynomial_field(n: int, tables, delta: float) -> EllipticCoeffField:
             pows = tuple(int(p) for p in term["y_pows"])
             if len(pows) != n:
                 raise ValueError("y_pows length must equal the dimension")
-            terms.append((j, k, float(term["coeff"]), int(term["t_pow"]), pows))
+            terms.append(((j, k), float(term["coeff"]), int(term["t_pow"]),
+                          pows))
 
     def monomial(t, y, t_pow, y_pows):
         val = np.ones(np.broadcast_shapes(np.shape(t), np.shape(y)[:-1]))
@@ -193,41 +179,30 @@ def polynomial_field(n: int, tables, delta: float) -> EllipticCoeffField:
                 val = val * np.asarray(y, dtype=float)[..., r] ** p
         return val
 
-    def accumulate(t, y, kind, direction=None):
-        t_arr = np.asarray(t, dtype=float)
-        y_arr = np.asarray(y, dtype=float)
-        batch = np.broadcast_shapes(t_arr.shape, y_arr.shape[:-1])
-        out = np.zeros(batch + (n, n))
-        for j, k, c, p0, pows in terms:
-            if kind == "a":
-                val = c * monomial(t, y, p0, pows)
-            elif kind == "dt":
-                if p0 == 0:
-                    continue
-                val = c * p0 * monomial(t, y, p0 - 1, pows)
-            else:
-                p = pows[direction]
-                if p == 0:
-                    continue
-                dp = list(pows)
-                dp[direction] = p - 1
-                val = c * p * monomial(t, y, p0, tuple(dp))
-            out[..., j, k] += val
-            if j != k:
-                out[..., k, j] += val
+    # the power rule as tables of the same form, in term order, so every
+    # slot sums its monomials in the order listed
+    d_t = [(jk, c * p0, p0 - 1, pows) for jk, c, p0, pows in terms if p0]
+    d_y = [((r,) + jk, c * p, p0, pows[:r] + (p - 1,) + pows[r + 1:])
+           for jk, c, p0, pows in terms for r, p in enumerate(pows) if p]
+
+    def accumulate(t, y, table, shape):
+        out = np.zeros(np.broadcast_shapes(np.shape(t), np.shape(y)[:-1])
+                       + shape)
+        for slot, c, t_pow, y_pows in table:
+            val = c * monomial(t, y, t_pow, y_pows)
+            out[(...,) + slot] += val
+            if slot[-2] != slot[-1]:
+                out[(...,) + slot[:-2] + (slot[-1], slot[-2])] += val
         return out
 
     def a(t, y):
-        return accumulate(t, y, "a")
+        return accumulate(t, y, terms, (n, n))
 
-    def da_dt(t, y):
-        return accumulate(t, y, "dt")
+    def grads(t, y):
+        return (accumulate(t, y, d_t, (n, n)),
+                accumulate(t, y, d_y, (n, n, n)))
 
-    def da_dy(t, y):
-        parts = [accumulate(t, y, "dy", r) for r in range(n)]
-        return np.stack(parts, axis=-3)
-
-    return EllipticCoeffField(n=n, a=a, da_dt=da_dt, da_dy=da_dy, delta=delta)
+    return EllipticCoeffField(n=n, a=a, grads=grads, delta=float(delta))
 
 
 def constant_field(matrix, delta: float | None = None) -> EllipticCoeffField:
@@ -251,24 +226,34 @@ def constant_field(matrix, delta: float | None = None) -> EllipticCoeffField:
     return EllipticCoeffField(
         n=n,
         a=lambda t, y: broadcast(t, y, matrix),
-        da_dt=lambda t, y: broadcast(t, y, np.zeros((n, n))),
-        da_dy=lambda t, y: broadcast(t, y, np.zeros((n, n, n))),
+        grads=lambda t, y: (broadcast(t, y, np.zeros((n, n))),
+                            broadcast(t, y, np.zeros((n, n, n)))),
         delta=delta,
     )
 
 
+# preset -> (builder of (n, **keys), the keys it reads besides preset and n)
+_PRESETS = {
+    "identity": (identity_field, ()),
+    "diagonal-variable": (diagonal_variable_field, ("amplitude",)),
+    "rotating-anisotropic": (rotating_anisotropic_field,
+                             ("ratio", "spin", "shear")),
+    "polynomial": (polynomial_field, ("tables", "delta")),
+}
+
+
 def field_from_config(config) -> EllipticCoeffField:
-    """Build a field from a JSON-style preset description."""
+    """Build a field from a JSON-style preset description.
+
+    A key that the preset does not read raises ``ValueError`` naming it.
+    """
     preset = config["preset"]
-    n = int(config["n"])
-    if preset == "identity":
-        return identity_field(n)
-    if preset == "diagonal-variable":
-        return diagonal_variable_field(n, amplitude=config.get("amplitude", 0.3))
-    if preset == "rotating-anisotropic":
-        return rotating_anisotropic_field(
-            n, ratio=config.get("ratio", 0.5),
-            spin=config.get("spin", 1.0), shear=config.get("shear", 0.5))
-    if preset == "polynomial":
-        return polynomial_field(n, config["tables"], float(config["delta"]))
-    raise ValueError(f"unknown coefficient preset {preset!r}")
+    if preset not in _PRESETS:
+        raise ValueError(f"unknown coefficient preset {preset!r}")
+    build, keys = _PRESETS[preset]
+    extra = [key for key in config if key not in ("preset", "n") + keys]
+    if extra:
+        raise ValueError(f"coefficient preset {preset!r} does not read "
+                         f"{', '.join(map(repr, extra))}")
+    return build(int(config["n"]),
+                 **{key: config[key] for key in keys if key in config})

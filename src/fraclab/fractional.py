@@ -81,7 +81,7 @@ class TimeGrid:
 
     def __post_init__(self):
         if not 0.0 < self.dt < math.inf:
-            raise ValueError("dt must be positive")
+            raise ValueError("dt must be positive and finite")
         if self.n_steps < 1:
             raise ValueError("n_steps must be a positive integer")
 
@@ -92,7 +92,8 @@ class TimeGrid:
         dt = t_final / n_steps
         if not 0.0 < dt < math.inf:
             raise ValueError(f"t_final={t_final!r} over n_steps={n_steps!r} "
-                             f"gives dt={dt!r}; dt must be positive")
+                             f"gives dt={dt!r}; dt must be positive and "
+                             "finite")
         return cls(dt=dt, n_steps=n_steps)
 
     @property
@@ -263,7 +264,7 @@ def caputo_oracle(derivative, alpha: float, t: float, tol: float = 1e-10,
         raise ValueError(f"order must lie in (0,1) or (1,2), got {alpha}")
     k = 1 if alpha < 1.0 else 2
     if not 0.0 < t < math.inf:
-        raise ValueError("evaluation time must be positive")
+        raise ValueError("evaluation time must be positive and finite")
     power = 1.0 / (k - alpha)
     value, abserr = _adaptive_gk21(lambda v: derivative(t - t * v ** power),
                                    tol, max_subdivisions)

@@ -48,11 +48,12 @@ class HolmgrenMap:
         if y_hat[-1] != 0.0:
             raise ValueError("base point must sit on the interface y_n = 0")
         if not 0.0 <= self.c < math.inf:
-            raise ValueError("convexification constant must be nonnegative")
+            raise ValueError(
+                "convexification constant must be nonnegative and finite")
         if not 0.0 < self.X < 1.0:
             raise ValueError("layer thickness X must lie in (0, 1)")
         if not 0.0 < self.T < math.inf:
-            raise ValueError("time horizon must be positive")
+            raise ValueError("time horizon must be positive and finite")
         if self.stage < 1:
             raise ValueError("stage must be a positive integer")
 
@@ -171,22 +172,16 @@ def pushforward_operator(coeffs: EllipticCoeffField,
     def a(t, x):
         return coeffs.a(t, pullback(t, x))
 
-    def da_dt(t, x):
-        y = pullback(t, x)
-        return coeffs.da_dt(t, y) - slope * coeffs.da_dy(t, y)[..., -1, :, :]
-
-    def da_dx(t, x):
+    def grads(t, x):
         x = np.asarray(x, dtype=float)
-        y = pullback(t, x)
-        dy = coeffs.da_dy(t, y)
-        out = np.array(dy, copy=True)
+        dt, dy = coeffs.grads(t, pullback(t, x))
+        dx = np.array(dy, copy=True)
         # d/dx_j = d/dy_j - 2 c x_j d/dy_n for the tangential directions
-        out[..., :-1, :, :] -= (2.0 * map.c * x[..., :-1, None, None]
-                                * dy[..., -1:, :, :])
-        return out
+        dx[..., :-1, :, :] -= (2.0 * map.c * x[..., :-1, None, None]
+                               * dy[..., -1:, :, :])
+        return dt - slope * dy[..., -1, :, :], dx
 
-    pushed = EllipticCoeffField(n=n, a=a, da_dt=da_dt, da_dy=da_dx,
-                                delta=coeffs.delta)
+    pushed = EllipticCoeffField(n=n, a=a, grads=grads, delta=coeffs.delta)
     return HolmgrenFrame(field=pushed, map=map)
 
 
@@ -223,20 +218,18 @@ def global_coefficients(coeffs: EllipticCoeffField) -> EllipticCoeffField:
     """
     n = coeffs.n
 
-    def stretched(matrix):
-        def carried(t, yt):
-            yt = np.asarray(yt, dtype=float)
-            w = stretch_weights(yt)
-            base = matrix(t, global_diffeo_inverse(yt))
-            return base * w[..., :, None] * w[..., None, :]
-        return carried
+    def a(t, yt):
+        yt = np.asarray(yt, dtype=float)
+        w = stretch_weights(yt)
+        base = coeffs.a(t, global_diffeo_inverse(yt))
+        return base * w[..., :, None] * w[..., None, :]
 
-    def da_dyt(t, yt):
+    def grads(t, yt):
         yt = np.asarray(yt, dtype=float)
         y = global_diffeo_inverse(yt)
         w = stretch_weights(yt)
         base = np.asarray(coeffs.a(t, y), dtype=float)
-        dbase = np.asarray(coeffs.da_dy(t, y), dtype=float)
+        dt, dbase = coeffs.grads(t, y)
         dy_dyt = (1.0 + yt**2) ** -1.5
         dw = 3.0 * yt * np.sqrt(1.0 + yt**2)
         batch = base.shape[:-2]
@@ -249,11 +242,9 @@ def global_coefficients(coeffs: EllipticCoeffField) -> EllipticCoeffField:
             prod[..., r, :] = dw[..., r, None] * w * base[..., r, :]
             prod[..., :, r] += dw[..., r, None] * w * base[..., :, r]
             out[..., r, :, :] = term + prod
-        return out
+        return dt * w[..., :, None] * w[..., None, :], out
 
-    return EllipticCoeffField(n=n, a=stretched(coeffs.a),
-                              da_dt=stretched(coeffs.da_dt), da_dy=da_dyt,
-                              delta=coeffs.delta)
+    return EllipticCoeffField(n=n, a=a, grads=grads, delta=coeffs.delta)
 
 
 def weighted_ellipticity_margin(tilde_field: EllipticCoeffField, t,
@@ -308,7 +299,7 @@ class CutoffSpec:
         if not 0.0 < self.X < 1.0:
             raise ValueError("X must lie in (0, 1)")
         if not 0.0 < self.l < math.inf:
-            raise ValueError("box depth must be positive")
+            raise ValueError("box depth must be positive and finite")
         y_hat = (np.zeros(self.n) if self.y_hat is None
                  else np.asarray(self.y_hat, dtype=float))
         object.__setattr__(self, "y_hat", y_hat)

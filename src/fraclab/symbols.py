@@ -187,8 +187,7 @@ def weighted_symbol(t, x, tau, xi, sigma, spec, coeffs, c, X, grads=False):
         return {"value": fractional_symbol(tau, spec) + quad}
 
     S, dS = fractional_symbol(tau, spec, derivative=True)
-    da_dt = np.asarray(coeffs.da_dt(t, x), dtype=float)
-    da_dx = np.asarray(coeffs.da_dy(t, x), dtype=float)
+    da_dt, da_dx = coeffs.grads(t, x)
     WW = W[..., :, None] * W[..., None, :]
     tilt = np.einsum("...j,...j->...", x[..., :-1], G[..., :-1])
 
@@ -252,8 +251,16 @@ def _log_uniform(rng, bounds, size, name):
     return np.exp(rng.uniform(math.log(lo), math.log(hi), size))
 
 
+def _check_thickness(X):
+    """Raise ``ValueError`` unless the layer thickness X is in (0, inf)."""
+    if not 0.0 < X < math.inf:
+        raise ValueError(
+            f"layer thickness X must be positive and finite, got {X!r}")
+
+
 def region_for(X: float, T: float = 1.0) -> SampleRegion:
     """Default sampling box |x'| <= sqrt(X), 0 <= x_n <= X."""
+    _check_thickness(X)
     return SampleRegion(t_range=(0.0, T), xn_range=(0.0, X),
                         xprime_halfwidth=math.sqrt(X))
 
@@ -313,8 +320,7 @@ def char_set_sample(region: SampleRegion, spec: MultiTermSpec,
         raise ValueError("tolerance must be positive")
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples!r}")
-    if not 0.0 < X < math.inf:
-        raise ValueError(f"layer thickness X must be positive, got {X!r}")
+    _check_thickness(X)
     n = coeffs.n
     if sigma_range is None:
         floor = math.sqrt(spec.weight_sum / coeffs.delta) / X
@@ -587,6 +593,7 @@ def lemma21_check(points, spec: MultiTermSpec, coeffs: EllipticCoeffField,
     ``extras["kappa"]`` the size bound max (|xi|^2 + |1+i tau|^alpha) /
     (sigma X)^2 over the samples.
     """
+    _check_thickness(X)
     if len(points[2]) == 0:
         raise ValueError("empty characteristic sample")
 
@@ -673,6 +680,8 @@ def garding_precondition_check(points, spec: MultiTermSpec,
 
 
 def _garding_terms(points, spec, coeffs, c, X):
+    _check_thickness(X)
+
     def terms(t, x, tau, xi, sigma):
         out, full, _ = _bracket_arrays(t, x, tau, xi, sigma, spec, coeffs, c,
                                        X)
@@ -766,6 +775,8 @@ def lemma61_check(points, spec: MultiTermSpec,
 def bracket_report_batch(points, spec: MultiTermSpec,
                          coeffs: EllipticCoeffField, c: float, X: float):
     """Arrays (bracket, principal, scale, ratio) for CSV-style listings."""
+    _check_thickness(X)
+
     def report(t, x, tau, xi, sigma):
         _, full, principal = _bracket_arrays(t, x, tau, xi, sigma, spec,
                                              coeffs, c, X)

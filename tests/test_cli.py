@@ -52,8 +52,7 @@ VALID = {
 LOCATED = [
     ("ucp-demo", {**VALID["ucp-demo"], "source_centers": []},
      "$.source_centers"),
-    ("solve", {**VALID["solve"], "manufactured": False,
-               "source": {"centre": [0.2]}}, "$.source"),
+    ("solve", {**VALID["solve"], "source": {"centre": [0.2]}}, "$.source"),
     ("solve", {**VALID["solve"], "coeffs": {
         k: v for k, v in POLYNOMIAL1.items() if k != "delta"}},
      "$.coeffs"),
@@ -168,7 +167,7 @@ RICH = [
                             "xprime_halfwidth": 0.5},
                  "tol": 1e-8, "sigma_range": [0.5, 2.0]}),
     ("garding", {**SYMBOL, "varpi_max": 1e6, "magnitude_range": [1.0, 10.0]}),
-    ("solve", {**VALID["solve"], "coeffs": POLYNOMIAL1, "manufactured": False,
+    ("solve", {**VALID["solve"], "coeffs": POLYNOMIAL1,
                "source": {"center": [0.5], "width": 0.1}}),
     ("carleman-sweep", {**VALID["carleman-sweep"], "n_bumps": 2,
                         "include_drift": False, "spread_max": 10.0}),
@@ -979,7 +978,6 @@ class TestCommands:
         config = {"spec": SPEC, "coeffs": COEFFS1,
                   "grid": {"bounds": [[0.0, 1.0]], "shape": [33],
                            "n_steps": 24, "t_final": 1.0},
-                  "manufactured": False,
                   "source": {"center": [0.6], "width": 0.15}}
         code, out = run(tmp_path, "solve", config)
         assert code == 0
@@ -987,6 +985,32 @@ class TestCommands:
         assert "max_error" not in summary
         assert summary["equation_residual_max"] <= 1e-10
         assert (out / "final_profile.xy").exists()
+
+    def test_a_preset_refuses_keys_it_does_not_read(self, tmp_path,
+                                                    capsys):
+        coeffs = {"preset": "identity", "n": 1, "amplitude": 0.9,
+                  "ratio": 0.1, "tables": []}
+        code, out = run(tmp_path, "solve", {**VALID["solve"],
+                                            "coeffs": coeffs})
+        assert code == 3
+        assert ("coefficient preset 'identity' does not read 'amplitude', "
+                "'ratio', 'tables'" in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_an_empty_source_section_selects_the_default_bump(
+            self, tmp_path, monkeypatch):
+        # a source section once ran the manufactured problem unless a
+        # "manufactured": false key came with it
+        captured, _ = recording_solve(monkeypatch)
+        code, out = run(tmp_path, "solve", {**VALID["solve"], "source": {}})
+        assert code == 0
+        assert "max_error" not in json.loads(
+            (out / "summary.json").read_text())
+        ((_, _, source, grid),) = captured
+        Y = grid.mesh()
+        r2 = np.sum(((Y - 0.5) / 0.1) ** 2, axis=-1)
+        assert np.array_equal(source(0.5, Y),
+                              np.clip(1.0 - r2, 0.0, None) ** 4 * 0.25)
 
     @pytest.mark.parametrize("ndim, source, message", [
         (1, {"center": [0.5, 3.0], "width": 0.1},
@@ -1005,7 +1029,7 @@ class TestCommands:
                   "grid": {"bounds": [[0.0, 1.0]] * ndim,
                            "shape": [33] * ndim, "n_steps": 8,
                            "t_final": 1.0},
-                  "manufactured": False, "source": source}
+                  "source": source}
         code, out = run(tmp_path, "solve", config)
         assert code == 3
         assert message in capsys.readouterr().err
@@ -1022,8 +1046,8 @@ class TestCommands:
                   "grid": {"bounds": [[0.0, 1.0]] * ndim,
                            "shape": [9] * ndim, "n_steps": 12,
                            "t_final": 1.5},
-                  "manufactured": manufactured,
-                  "source": {"center": [0.6] * ndim, "width": 0.3}}
+                  **({} if manufactured else {"source": {
+                      "center": [0.6] * ndim, "width": 0.3}})}
         code, _ = run(tmp_path, "solve", config)
         assert code == 0
         ((spec, _, _, grid),) = captured

@@ -54,8 +54,8 @@ def test_derivative_oracles(field):
         t = rng.uniform(0.1, 1.9)
         y = rng.normal(size=field.n)
         fd_t = (field.a(t + h, y) - field.a(t - h, y)) / (2.0 * h)
-        assert np.max(np.abs(fd_t - field.da_dt(t, y))) < 1e-7
-        dy = field.da_dy(t, y)
+        dt, dy = field.grads(t, y)
+        assert np.max(np.abs(fd_t - dt)) < 1e-7
         for r in range(field.n):
             e = np.zeros(field.n)
             e[r] = h
@@ -68,12 +68,12 @@ def test_batch_shape_contract(field):
     n = field.n
     y1 = np.zeros(n)
     assert field.a(0.5, y1).shape == (n, n)
-    assert field.da_dy(0.5, y1).shape == (n, n, n)
+    assert [g.shape for g in field.grads(0.5, y1)] == [(n, n), (n, n, n)]
     yb = np.zeros((11, n))
     tb = np.linspace(0.0, 1.0, 11)
     assert field.a(tb, yb).shape == (11, n, n)
-    assert field.da_dt(tb, yb).shape == (11, n, n)
-    assert field.da_dy(tb, yb).shape == (11, n, n, n)
+    assert [g.shape for g in field.grads(tb, yb)] == [(11, n, n),
+                                                     (11, n, n, n)]
 
 
 class TestPolynomial:
@@ -105,12 +105,13 @@ class TestPolynomial:
             t = rng.uniform(0.1, 1.9)
             y = rng.normal(size=2)
             fd_t = (field.a(t + h, y) - field.a(t - h, y)) / (2.0 * h)
-            assert np.max(np.abs(fd_t - field.da_dt(t, y))) < 1e-8
+            dt, dy = field.grads(t, y)
+            assert np.max(np.abs(fd_t - dt)) < 1e-8
             for r in range(2):
                 e = np.zeros(2)
                 e[r] = h
                 fd = (field.a(t, y + e) - field.a(t, y - e)) / (2.0 * h)
-                assert np.max(np.abs(fd - field.da_dy(t, y)[r])) < 1e-8
+                assert np.max(np.abs(fd - dy[r])) < 1e-8
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
@@ -143,3 +144,22 @@ class TestConstructors:
                                   "ratio": 0.25}).delta == 0.25
         with pytest.raises(ValueError):
             field_from_config({"preset": "nope", "n": 2})
+
+    # each preset once ran, ignoring the keys that only other presets read
+    @pytest.mark.parametrize("config, extra", [
+        ({"preset": "identity", "n": 2, "amplitude": 0.9, "ratio": 0.1,
+          "tables": []}, "'amplitude', 'ratio', 'tables'"),
+        ({"preset": "diagonal-variable", "n": 2, "amplitude": 0.3,
+          "shear": 0.5}, "'shear'"),
+        ({"preset": "rotating-anisotropic", "n": 2, "ratio": 0.5,
+          "delta": 0.5}, "'delta'"),
+        ({"preset": "polynomial", "n": 1, "tables": [], "delta": 0.5,
+          "amplitude": 0.3, "spin": 1.0}, "'amplitude', 'spin'"),
+    ], ids=["identity", "diagonal-variable", "rotating-anisotropic",
+            "polynomial"])
+    def test_from_config_refuses_keys_its_preset_does_not_read(self, config,
+                                                              extra):
+        with pytest.raises(ValueError, match=(
+                f"coefficient preset '{config['preset']}' does not read "
+                f"{extra}$")):
+            field_from_config(config)

@@ -87,13 +87,15 @@ class TestNonFiniteGuards:
     # NaN fails every comparison, so a guard written x <= 0 let it through
     @pytest.mark.parametrize("make, message", [
         (lambda: TimeGrid(dt=math.nan, n_steps=2), "dt must be positive"),
-        (lambda: TimeGrid(dt=math.inf, n_steps=2), "dt must be positive"),
+        (lambda: TimeGrid(dt=math.inf, n_steps=2),
+         "dt must be positive and finite"),
         (lambda: TimeGrid.from_interval(math.nan, 4), "dt must be positive"),
-        (lambda: TimeGrid.from_interval(math.inf, 4), "dt must be positive"),
+        (lambda: TimeGrid.from_interval(math.inf, 4),
+         "dt must be positive and finite"),
         (lambda: caputo_oracle(lambda t: 1.0, 0.5, math.nan),
          "evaluation time must be positive"),
         (lambda: caputo_oracle(lambda t: 1.0, 0.5, math.inf),
-         "evaluation time must be positive"),
+         "evaluation time must be positive and finite"),
     ], ids=["dt-nan", "dt-inf", "interval-nan", "interval-inf", "oracle-t",
             "oracle-t-inf"])
     def test_nan_and_inf_fail_the_positivity_guards(self, make, message):

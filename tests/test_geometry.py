@@ -90,17 +90,17 @@ class TestNonFiniteGuards:
         (lambda: HolmgrenMap(y_hat=np.zeros(2), c=math.nan, X=0.1, T=1.0),
          "convexification constant must be nonnegative"),
         (lambda: HolmgrenMap(y_hat=np.zeros(2), c=math.inf, X=0.1, T=1.0),
-         "convexification constant must be nonnegative"),
+         "convexification constant must be nonnegative and finite"),
         (lambda: HolmgrenMap(y_hat=np.zeros(2), c=1.0, X=math.nan, T=1.0),
          r"layer thickness X must lie in \(0, 1\)"),
         (lambda: HolmgrenMap(y_hat=np.zeros(2), c=1.0, X=0.1, T=math.nan),
          "time horizon must be positive"),
         (lambda: HolmgrenMap(y_hat=np.zeros(2), c=1.0, X=0.1, T=math.inf),
-         "time horizon must be positive"),
+         "time horizon must be positive and finite"),
         (lambda: CutoffSpec(zeta=1, epsilon=0.5, X=0.1, n=2, l=math.nan),
          "box depth must be positive"),
         (lambda: CutoffSpec(zeta=1, epsilon=0.5, X=0.1, n=2, l=math.inf),
-         "box depth must be positive"),
+         "box depth must be positive and finite"),
     ], ids=["map-c", "map-c-inf", "map-X", "map-T", "map-T-inf", "cutoff-l",
             "cutoff-l-inf"])
     def test_nan_fails_the_positivity_guards(self, make, message):
@@ -150,12 +150,13 @@ class TestPushforward:
             t = rng.uniform(0.1, 0.9)
             x = rng.normal(size=2) * 0.2
             fd_t = (frame.field.a(t + h, x) - frame.field.a(t - h, x)) / (2 * h)
-            assert np.max(np.abs(fd_t - frame.field.da_dt(t, x))) < 1e-7
+            dt, dx = frame.field.grads(t, x)
+            assert np.max(np.abs(fd_t - dt)) < 1e-7
             for r in range(2):
                 e = np.zeros(2)
                 e[r] = h
                 fd = (frame.field.a(t, x + e) - frame.field.a(t, x - e)) / (2 * h)
-                assert np.max(np.abs(fd - frame.field.da_dy(t, x)[r])) < 1e-7
+                assert np.max(np.abs(fd - dx[r])) < 1e-7
 
     def test_pushforward_preserves_ellipticity(self):
         field = diagonal_variable_field(3)
@@ -255,12 +256,13 @@ class TestGlobalDiffeo:
             t = rng.uniform(0.1, 0.9)
             yt = rng.normal(size=2)
             fd_t = (tilde.a(t + h, yt) - tilde.a(t - h, yt)) / (2 * h)
-            assert np.max(np.abs(fd_t - tilde.da_dt(t, yt))) < 1e-6
+            dt, dyt = tilde.grads(t, yt)
+            assert np.max(np.abs(fd_t - dt)) < 1e-6
             for r in range(2):
                 e = np.zeros(2)
                 e[r] = h
                 fd = (tilde.a(t, yt + e) - tilde.a(t, yt - e)) / (2 * h)
-                assert np.max(np.abs(fd - tilde.da_dy(t, yt)[r])) < 1e-6
+                assert np.max(np.abs(fd - dyt[r])) < 1e-6
 
     def test_weighted_ellipticity_sampled(self):
         tilde = global_coefficients(diagonal_variable_field(3))

@@ -239,8 +239,8 @@ class TestSolve:
             n=1,
             a=lambda t, y: np.broadcast_to(
                 np.array([[0.5]]), np.shape(y)[:-1] + (1, 1)).copy(),
-            da_dt=lambda t, y: np.zeros(np.shape(y)[:-1] + (1, 1)),
-            da_dy=lambda t, y: np.zeros(np.shape(y)[:-1] + (1, 1, 1)),
+            grads=lambda t, y: (np.zeros(np.shape(y)[:-1] + (1, 1)),
+                                np.zeros(np.shape(y)[:-1] + (1, 1, 1))),
             delta=1.0)
         spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
         with pytest.raises(ValueError):
@@ -285,8 +285,7 @@ class TestSolve:
                                                                lower):
         flagged = identity_field(len(shape))
         plain = EllipticCoeffField(n=flagged.n, a=flagged.a,
-                                   da_dt=flagged.da_dt, da_dy=flagged.da_dy,
-                                   delta=flagged.delta)
+                                   grads=flagged.grads, delta=flagged.delta)
         spec = MultiTermSpec(orders=(1.5, 0.5), weights=(1.0, 0.5))
         grid = SpaceTimeGrid(bounds=((0.0, 1.0),) * len(shape), shape=shape,
                              time=TimeGrid.from_interval(1.0, 2 * 64 + 3))
@@ -573,8 +572,9 @@ def switching_field(t_on, t_off):
         return np.broadcast_to(level, batch + (1, 1)).copy()
 
     return EllipticCoeffField(
-        n=1, a=a, da_dt=lambda t, y: np.zeros(np.shape(y)[:-1] + (1, 1)),
-        da_dy=lambda t, y: np.zeros(np.shape(y)[:-1] + (1, 1, 1)), delta=0.5)
+        n=1, a=a, grads=lambda t, y: (np.zeros(np.shape(y)[:-1] + (1, 1)),
+                                      np.zeros(np.shape(y)[:-1] + (1, 1, 1))),
+        delta=0.5)
 
 
 def per_level_runs(grid, terms, times):
@@ -651,8 +651,8 @@ class TestLevelRuns:
 
     def test_time_constant_terms_assemble_once_per_walk(self, monkeypatch):
         identity = identity_field(2)
-        field = EllipticCoeffField(n=2, a=identity.a, da_dt=identity.da_dt,
-                                   da_dy=identity.da_dy, delta=1.0)
+        field = EllipticCoeffField(n=2, a=identity.a, grads=identity.grads,
+                                   delta=1.0)
         lower = dict(b0=lambda t, Y: -0.5 * np.cos(Y[..., 0]))
         # 49 interior nodes: 167 levels per sampling call, three calls
         grid = SpaceTimeGrid(bounds=((0.0, 1.0), (0.0, 1.0)), shape=(9, 9),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -13,7 +14,7 @@ from fraclab import (HolmgrenMap, MultiTermSpec, SampleRegion,
                      lemma61_check, pushforward_operator, real_part_constant,
                      real_part_margin, region_for, rotating_anisotropic_field,
                      weighted_symbol)
-from fraclab import symbols
+from fraclab import geometry, symbols
 from fraclab.symbols import (SAMPLE_BLOCK, _char_batch, _char_roots,
                              _garding_terms, bracket_report_batch,
                              fractional_symbol)
@@ -161,6 +162,41 @@ class TestWeightedSymbol:
             a = weighted_symbol(*points, spec, field, c=1.5, X=0.0)["value"]
             b = weighted_symbol(*points, spec, field, c=1.5, X=0.05)["value"]
             assert np.all(np.abs(a - b) < 1e-12 * np.maximum(1.0, np.abs(a)))
+
+
+class TestDerivativeSamples:
+    # one symbol with gradients samples the base field's derivatives once
+    # through the Holmgren map and the global stretch, and its values once
+    # more only where the stretch's product rule needs them
+    @pytest.mark.parametrize("stretched, expected", [
+        (False, {"a": 1, "grads": 1, "map": 2, "stretch": 0}),
+        (True, {"a": 2, "grads": 1, "map": 2, "stretch": 2}),
+    ], ids=["pushed-forward", "stretched"])
+    def test_samples_per_symbol_with_gradients(self, monkeypatch, stretched,
+                                               expected):
+        counts = dict.fromkeys(expected, 0)
+
+        def counting(name, fn):
+            def counted(*args):
+                counts[name] += 1
+                return fn(*args)
+            return counted
+
+        base = diagonal_variable_field(2)
+        base = dataclasses.replace(base, a=counting("a", base.a),
+                                   grads=counting("grads", base.grads))
+        monkeypatch.setattr(HolmgrenMap, "inverse",
+                            counting("map", HolmgrenMap.inverse))
+        monkeypatch.setattr(geometry, "global_diffeo_inverse",
+                            counting("stretch", geometry.global_diffeo_inverse))
+        hmap = HolmgrenMap(y_hat=np.zeros(2), c=1.0, X=0.05, T=1.0,
+                           stage=5 if stretched else 1)
+        frame = pushforward_operator(
+            global_coefficients(base) if stretched else base, hmap)
+        weighted_symbol(*random_points(2, np.random.default_rng(9), 8),
+                        MultiTermSpec(orders=(0.5,), weights=(1.0,)),
+                        frame.field, 1.0, 0.05, grads=True)
+        assert counts == expected
 
 
 def signed_zero_data(rng, shape, zeros=0.3):
@@ -473,11 +509,21 @@ class TestCharacteristicSampling:
 
     @pytest.mark.parametrize("X", [0.0, -0.05, math.nan, math.inf])
     def test_a_layer_thickness_that_is_not_positive_is_an_error(self, X):
-        # X = 0 divided sigma's floor by zero, and X = -0.05 was named as
-        # a reversed sigma_range
-        with pytest.raises(ValueError, match="layer thickness X must be "
-                           f"positive, got {X!r}"):
-            char_set_sample(self.region, self.spec, self.field, 1.0, X, 10)
+        # X = 0 divided sigma's floor and kappa by zero, X = -0.05 was named
+        # as a reversed sigma_range, made region_for take a negative square
+        # root and let lemma21_check certify a negative layer, and X = inf
+        # raised invalid-value warnings in the brackets
+        points = random_points(2, np.random.default_rng(4), 5)
+        args = (self.spec, self.field, 1.0, X)
+        for check in (lambda: region_for(X),
+                      lambda: char_set_sample(self.region, *args, 10),
+                      lambda: lemma21_check(points, *args),
+                      lambda: bracket_report_batch(points, *args),
+                      lambda: garding_precondition_check(points, *args, 1.0),
+                      lambda: find_min_varpi(points, *args)):
+            with pytest.raises(ValueError, match="layer thickness X must be "
+                               f"positive and finite, got {X!r}"):
+                check()
 
     def test_lemma21_positive(self):
         sample = char_set_sample(self.region, self.spec, self.field,
