@@ -9,14 +9,17 @@ structured ``.npy`` arrays whose field names are their column names, each
 with a CSV of its columns' min, max and mean beside it), a
 ``summary.json`` with the pass/fail verdict, and whitespace separated xy
 files for plotting.  A fixed seed makes runs bit-reproducible; worker
-threads only split sampling into deterministic chunks.  Importing this
-module loads neither jsonschema nor scipy, nor the thread pool's
+threads only split sampling and certifying into deterministic chunks,
+whose rows are written in order as they come.  Importing this module
+loads neither jsonschema nor scipy, nor the thread pool's
 ``concurrent.futures``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -77,23 +80,52 @@ def write_xy(path, columns):
     _write_rows(path, columns)
 
 
-def write_npy(path, header, columns):
-    """A structured array with one ``<f8`` field per name of ``header``.
-
-    The bytes are those of ``np.save`` of the stacked table, written block
-    by block from ``columns`` as in ``write_csv``.
+@contextlib.contextmanager
+def write_npy(path, header, rows):
+    """A structured array of at most ``rows`` rows, one ``<f8`` field per
+    name of ``header``; the yielded ``append(columns)`` writes a part of it
+    block by block, as ``write_csv`` does.  If the block raises, the file
+    is removed.  The bytes are those of ``np.save`` of the stacked table:
+    the header is rewritten for the rows appended, and if numpy's padding
+    of the row count is gone, the rows move up to a shorter header.
     """
-    columns = _as_2d(columns)
-    width = sum(c.shape[1] for c in columns)
-    if width != len(header):
-        raise ValueError(f"{len(header)} field names for {width} columns")
     dtype = np.dtype([(name, "<f8") for name in header])
-    with open(path, "wb") as fh:
-        np.lib.format.write_array_header_1_0(fh, {
+
+    def header_bytes(count):
+        buf = io.BytesIO()
+        np.lib.format.write_array_header_1_0(buf, {
             "descr": np.lib.format.dtype_to_descr(dtype),
-            "fortran_order": False, "shape": (len(columns[0]),)})
+            "fortran_order": False, "shape": (count,)})
+        return buf.getvalue()
+
+    def append(columns):
+        width = sum(c.shape[1] for c in _as_2d(columns))
+        if width != len(header):
+            raise ValueError(f"{len(header)} field names for {width} columns")
         for block in _blocks(columns):
             fh.write(block.astype("<f8", copy=False).tobytes())
+
+    first = header_bytes(rows)
+    with open(path, "w+b") as fh:
+        try:
+            fh.write(first)
+            yield append
+            end = fh.tell()
+            final = header_bytes((end - len(first)) // dtype.itemsize)
+            shift = len(first) - len(final)
+            if shift:
+                for start in range(len(first), end, 1 << 20):
+                    fh.seek(start)
+                    data = fh.read(1 << 20)
+                    fh.seek(start - shift)
+                    fh.write(data)
+                fh.truncate(end - shift)
+            fh.seek(0)
+            fh.write(final)
+        except BaseException:
+            fh.close()
+            os.remove(path)
+            raise
 
 
 # ---------------------------------------------------------------------------
@@ -324,107 +356,131 @@ def _chunk_counts(total: int):
     return [base + (1 if i < total % chunks else 0) for i in range(chunks)]
 
 
-def _chunked(total, seed, threads, columns, draw):
-    """Run ``draw(count, rng)`` on each chunk of ``total`` rows, in order.
+def _chunked(total, seed, threads, work):
+    """Yield ``work(count, rng)`` for each chunk of ``total`` rows, in order.
 
     Each chunk draws from its own child of the seed's sequence, so the
-    rows do not depend on how many threads run them.  ``draw`` returns
-    ``(rows, info)``: ``rows`` holds at most ``count`` rows of each of
-    ``columns`` (arrays of ``total`` rows), and the chunk copies them into
-    its place there as soon as it is done, so no worker thread keeps a
-    chunk's arrays on its heap.  Rows that a chunk did not fill are closed
-    up.  Returns the merged columns and the chunks' ``info``, in order.
+    results do not depend on how many threads run them.  At most
+    ``threads`` chunks run while the caller holds the result before them.
     """
     counts = _chunk_counts(total)
-    starts = [sum(counts[:i]) for i in range(len(counts))]
-    rngs = [np.random.default_rng(s)
-            for s in np.random.SeedSequence(seed).spawn(len(counts))]
-
-    def run(start, count, rng):
-        rows, info = draw(count, rng)
-        for column, values in zip(columns, rows):
-            column[start:start + len(values)] = values
-        return len(rows[0]), info
-
+    chunks = zip(counts, np.random.SeedSequence(seed).spawn(len(counts)))
     if threads <= 1:
-        done = [run(*chunk) for chunk in zip(starts, counts, rngs)]
-    else:
-        # imported here: it loads logging, which no single-thread run needs
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            done = list(pool.map(run, starts, counts, rngs))
-    if sum(filled for filled, _ in done) < total:
-        keep = np.concatenate([np.arange(start, start + filled)
-                               for start, (filled, _) in zip(starts, done)])
-        columns = [column[keep] for column in columns]
-    return columns, [info for _, info in done]
+        for count, seq in chunks:
+            yield work(count, np.random.default_rng(seq))
+        return
+    # imported here: it loads logging, which no single-thread run needs
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        ahead = []
+        for count, seq in chunks:
+            ahead.append(pool.submit(work, count, np.random.default_rng(seq)))
+            if len(ahead) > threads:
+                yield ahead.pop(0).result()
+        while ahead:
+            yield ahead.pop(0).result()
 
 
-def _phase_columns(total, n):
-    """Empty columns t, x, tau, xi and sigma of ``total`` rows."""
-    return [np.empty(total), np.empty((total, n)), np.empty(total),
-            np.empty((total, n)), np.empty(total)]
-
-
-def _char_sample(config, seed, threads, field=None):
-    """:func:`_symbol_setup`'s spec, map and frame, and a chunked
-    characteristic sample of ``config["n_samples"]`` points."""
-    spec, hmap, frame, region = _symbol_setup(config, field)
-    coeffs, total = frame.field, config["n_samples"]
-    tol = config.get("tol", 1e-8)
-    sigma_range = (tuple(config["sigma_range"]) if "sigma_range" in config
-                   else None)
-
-    def draw(count, rng):
-        part = symbols.char_set_sample(region, spec, coeffs, hmap.c, hmap.X,
-                                       count, tol=tol, rng=rng,
-                                       sigma_range=sigma_range)
-        return ((*part.points, part.residual),
-                (part.solved, part.rejected, part.root_passes))
-
-    (*points, residual), infos = _chunked(
-        total, seed, threads,
-        _phase_columns(total, coeffs.n) + [np.empty(total)], draw)
-    solved, rejected, root_passes = zip(*infos)
-    return spec, hmap, frame, symbols.CharacteristicSample(
-        points=tuple(points), residual=residual, requested=total,
-        solved=sum(solved),
-        rejected={cause: sum(r[cause] for r in rejected)
-                  for cause in symbols.REJECT_CAUSES},
-        root_passes=sum(root_passes))
-
-
-def _full_region_points(config, seed, threads):
-    """:func:`_symbol_setup`'s spec, map and frame, and a chunked
-    full-region sample (t, x, tau, xi, sigma) of ``config["n_samples"]``
-    points."""
-    spec, hmap, frame, region = _symbol_setup(config)
-    total, n = config["n_samples"], frame.field.n
-    magnitude_range = tuple(config.get("magnitude_range", (1.0, 1e3)))
-    pts, _ = _chunked(total, seed, threads, _phase_columns(total, n),
-                      lambda k, rng: (symbols.full_region_sample(
-                          region, spec, n, k, rng,
-                          magnitude_range=magnitude_range), None))
-    return spec, hmap, frame, pts
-
-
-def _write_phase_table(out, name, n, columns, tail):
+@contextlib.contextmanager
+def _phase_table(out, name, n, tail, rows):
     """One record per phase point (t, x, tau, xi, sigma, *tail).
 
-    ``name.npy`` holds the records; ``name_stats.csv``, with the same
-    column names, holds each column's min, max and mean, one row each (no
-    rows for an empty table).
+    The yielded function appends records to ``name.npy`` as
+    :func:`write_npy`'s does.  ``name_stats.csv``, with the same column
+    names, then holds each column's min, max and mean, one row each (no
+    rows for an empty table), read back a column at a time: numpy sums a
+    whole column pairwise, so a mean folded chunk by chunk moves bits.
     """
     header = (["t"] + [f"x{i + 1}" for i in range(n)] + ["tau"]
               + [f"xi{i + 1}" for i in range(n)] + ["sigma", *tail])
-    write_npy(os.path.join(out, f"{name}.npy"), header, columns)
-    stats = np.empty((0, len(header)))
-    if len(columns[0]):
-        # NaN and inf entries carry into their column's row, unwarned
-        with np.errstate(invalid="ignore", over="ignore"):
-            stats = np.array([[col.min(), col.max(), col.mean()]
-                              for c in _as_2d(columns) for col in c.T]).T
+    path = os.path.join(out, f"{name}.npy")
+    with write_npy(path, header, rows) as append:
+        yield append
+    with open(path, "rb") as fh:
+        np.lib.format.read_magic(fh)
+        (count,), _, dtype = np.lib.format.read_array_header_1_0(fh)
+        start, column = fh.tell(), np.empty(count)
+        stats = np.empty((3 if count else 0, len(header)))
+        for j in range(len(header) if count else 0):
+            fh.seek(start)
+            for i in range(0, count, WRITE_BLOCK):
+                block = np.fromfile(fh, dtype, min(WRITE_BLOCK, count - i))
+                column[i:i + len(block)] = block[header[j]]
+            # NaN and inf entries carry into their column's row, unwarned
+            with np.errstate(invalid="ignore", over="ignore"):
+                stats[:, j] = column.min(), column.max(), column.mean()
     write_csv(os.path.join(out, f"{name}_stats.csv"), header, [stats])
+
+
+def _char_certify(config, out, seed, threads, check, xy, field=None):
+    """Sample the characteristic set and certify it, a chunk at a time.
+
+    Each worker draws a chunk with ``char_set_sample`` and certifies it if
+    it is not empty: ``check(part, spec, frame, hmap)`` returns its report,
+    a per-sample column and a scalar.  In chunk order, the rows go to the
+    char_points table; the column, sorted, goes to ``xy``.  ``field`` is as
+    in :func:`_symbol_setup`.  Returns the sample's summary entries, with
+    the first least ratio as ``np.argmin`` picks it and its witness, and
+    the scalars.
+    """
+    spec, hmap, frame, region = _symbol_setup(config, field)
+    total, tol = config["n_samples"], config.get("tol", 1e-8)
+    sigma_range = (tuple(config["sigma_range"]) if "sigma_range" in config
+                   else None)
+
+    def work(count, rng):
+        part = symbols.char_set_sample(region, spec, frame.field, hmap.c,
+                                       hmap.X, count, tol=tol, rng=rng,
+                                       sigma_range=sigma_range)
+        return part, check(part, spec, frame, hmap) if part.found else None
+
+    infos, checked = [], []
+    with _phase_table(out, "char_points", frame.field.n, ["residual"],
+                      total) as append:
+        for part, result in _chunked(total, seed, threads, work):
+            append([*part.points, part.residual])
+            infos.append((part.solved, part.rejected, part.root_passes))
+            if result:
+                report, column, scalar = result
+                checked.append((report.min_ratio, part.residual.max(),
+                                _witness(part.points, report.argmin),
+                                column, scalar))
+    solved, rejected, root_passes = zip(*infos)
+    mins, residual_max, witnesses, kept, scalars = (
+        list(zip(*checked)) or [()] * 5)
+    least = int(np.argmin(mins)) if mins else None
+    if kept:
+        column = np.concatenate(kept)
+        column.sort()
+        write_xy(os.path.join(out, xy),
+                 [np.linspace(0.0, 1.0, len(column)), column])
+    sample = {"min_ratio": mins[least] if mins else math.nan,
+              "found": sum(map(len, kept)), "requested": total,
+              "solved": sum(solved),
+              "rejected": {cause: sum(r[cause] for r in rejected)
+                           for cause in symbols.REJECT_CAUSES},
+              "root_passes": sum(root_passes),
+              "max_residual": float(max(residual_max, default=math.nan)),
+              "witness": witnesses[least] if mins else None}
+    return sample, scalars
+
+
+def _full_region_chunks(config, seed, threads, evaluate):
+    """:func:`_symbol_setup`'s frame, ``draw(count, rng)`` of a chunk's
+    full-region points (t, x, tau, xi, sigma), and the chunks: ``(points,
+    evaluate(points, spec, coeffs, c, X))``, each made in its worker."""
+    spec, hmap, frame, region = _symbol_setup(config)
+    magnitude_range = tuple(config.get("magnitude_range", (1.0, 1e3)))
+
+    def draw(count, rng):
+        return symbols.full_region_sample(region, spec, frame.field.n, count,
+                                          rng, magnitude_range=magnitude_range)
+
+    def work(count, rng):
+        points = draw(count, rng)
+        return points, evaluate(points, spec, frame.field, hmap.c, hmap.X)
+
+    return frame, draw, _chunked(config["n_samples"], seed, threads, work)
 
 
 def _write_json(path, doc):
@@ -438,37 +494,21 @@ def _write_json(path, doc):
     return doc
 
 
-def _write_sorted(path, values):
-    write_xy(path, [np.linspace(0.0, 1.0, len(values)), np.sort(values)])
-
-
-def _witness(report, points):
-    """The phase point (t, x, tau, xi, sigma) where ``report`` is least."""
-    i = report.argmin
+def _witness(points, i):
+    """Row ``i`` of the phase points (t, x, tau, xi, sigma)."""
     t, x, tau, xi, sigma = points
     return {"t": float(t[i]), "x": x[i].tolist(), "tau": float(tau[i]),
             "xi": xi[i].tolist(), "sigma": float(sigma[i])}
 
 
-def _char_summary(out, sample, report, ok=True, **extra):
-    """Write ``sample``'s char_points table; return its certificate's summary.
-
-    ``report`` is the certificate on the sample, None for an empty sample,
-    whose summary has a NaN ``min_ratio`` (null in ``summary.json``) and a
-    null witness.  The run passes only on a full sample whose report
-    passes, and only if ``ok``.  ``extra`` entries follow ``min_ratio``.
-    """
-    _write_phase_table(out, "char_points", sample.points[1].shape[1],
-                       [*sample.points, sample.residual], ["residual"])
-    found = sample.found
-    return {"pass": bool(found == sample.requested and report.passed and ok),
-            "min_ratio": report.min_ratio if found else math.nan, **extra,
-            "found": found, "requested": sample.requested,
-            "solved": sample.solved, "rejected": dict(sample.rejected),
-            "root_passes": sample.root_passes,
-            "max_residual": (float(sample.residual.max()) if found
-                             else math.nan),
-            "witness": _witness(report, sample.points) if found else None}
+def _char_summary(sample, ok=True, **extra):
+    """The run passes only on a full ``sample`` whose least ratio is
+    positive, and only if ``ok``; ``extra`` entries follow ``min_ratio``.
+    An empty sample has a null ``min_ratio`` and witness."""
+    passed = (sample["found"] == sample["requested"]
+              and sample["min_ratio"] > 0.0 and ok)
+    return {"pass": bool(passed), "min_ratio": sample["min_ratio"], **extra,
+            **sample}
 
 
 # ---------------------------------------------------------------------------
@@ -527,12 +567,16 @@ def run_caputo_check(config, out, seed, threads):
 
 
 def run_symbol_bracket(config, out, seed, threads):
-    spec, hmap, frame, pts = _full_region_points(config, seed, threads)
-    full, principal, scale, ratio = symbols.bracket_report_batch(
-        pts, spec, frame.field, hmap.c, hmap.X)
-    _write_phase_table(out, "brackets", frame.field.n,
-                       [*pts, full, principal, scale, ratio],
-                       ["bracket", "principal", "scale", "ratio"])
+    frame, _, chunks = _full_region_chunks(config, seed, threads,
+                                           symbols.bracket_report_batch)
+    ratios = []
+    with _phase_table(out, "brackets", frame.field.n,
+                      ["bracket", "principal", "scale", "ratio"],
+                      config["n_samples"]) as append:
+        for points, columns in chunks:
+            append([*points, *columns])
+            ratios.append(columns[3])
+    ratio = np.concatenate(ratios)
     write_xy(os.path.join(out, "bracket_ratio.xy"),
              [np.arange(len(ratio)), np.sort(ratio)])
     # a NaN or inf ratio, as from overflowing magnitudes, fails the run
@@ -544,23 +588,35 @@ def run_symbol_bracket(config, out, seed, threads):
 
 
 def run_lemma21(config, out, seed, threads):
-    spec, hmap, frame, sample = _char_sample(config, seed, threads)
-    report = None
-    if sample.found:
-        report = symbols.lemma21_check(sample.points, spec, frame.field,
+    def check(part, spec, frame, hmap):
+        report = symbols.lemma21_check(part.points, spec, frame.field,
                                        hmap.c, hmap.X)
-        _write_sorted(os.path.join(out, "lemma21_ratios.xy"),
-                      report.extras["ratios"])
-    return _char_summary(out, sample, report, n_samples=sample.found,
-                         kappa=report.extras["kappa"] if report else math.nan)
+        return report, report.extras["ratios"], report.extras["kappa"]
+
+    sample, kappas = _char_certify(config, out, seed, threads, check,
+                                   "lemma21_ratios.xy")
+    return _char_summary(sample, n_samples=sample["found"],
+                         kappa=float(np.max(kappas)) if kappas else math.nan)
 
 
 def run_garding(config, out, seed, threads):
-    spec, hmap, frame, pts = _full_region_points(config, seed, threads)
-    varpi, report = symbols.find_min_varpi(
-        pts, spec, frame.field, hmap.c, hmap.X,
-        varpi_max=config.get("varpi_max", 1e8))
-    elliptic, negative = report.extras["elliptic"], report.extras["negative"]
+    # the least varpi needs every sample's two terms, not its points: the
+    # witness's chunk is drawn again
+    frame, draw, chunks = _full_region_chunks(config, seed, threads,
+                                              symbols._garding_terms)
+    elliptic, negative = np.empty((2, config["n_samples"]))
+    start = 0
+    for _, terms in chunks:
+        stop = start + len(terms[0])
+        elliptic[start:stop], negative[start:stop] = terms
+        start = stop
+    varpi, report = symbols._least_varpi(elliptic, negative,
+                                         config.get("varpi_max", 1e8))
+    counts = _chunk_counts(config["n_samples"])
+    k = int(np.searchsorted(np.cumsum(counts), report.argmin, side="right"))
+    seq = np.random.SeedSequence(seed).spawn(len(counts))[k]
+    witness = _witness(draw(counts[k], np.random.default_rng(seq)),
+                       report.argmin - sum(counts[:k]))
     sweep_varpis = [varpi * f for f in (0.25, 0.5, 1.0, 2.0, 4.0) if varpi * f > 0]
     curve = np.array([(v, np.min(v * elliptic + negative))
                       for v in sweep_varpis] or [(0.0, report.min_ratio)])
@@ -568,20 +624,22 @@ def run_garding(config, out, seed, threads):
     write_csv(os.path.join(out, "garding.csv"), ["varpi", "min_ratio"], [curve])
     return {"pass": bool(report.passed), "varpi": varpi,
             "min_ratio": report.min_ratio, "n_samples": report.n_samples,
-            "witness": _witness(report, pts)}
+            "witness": witness}
 
 
 def run_lemma61(config, out, seed, threads):
     tilde = geometry.global_coefficients(
         fields.field_from_config(config["coeffs"]))
-    spec, hmap, frame, sample = _char_sample(config, seed, threads, tilde)
-    report, margin = None, math.nan
-    if sample.found:
-        report = symbols.lemma61_check(sample.points, spec, tilde, hmap)
-        margin = report.extras["ellipticity_margin"]
-        _write_sorted(os.path.join(out, "char_residuals.xy"), sample.residual)
-    return _char_summary(out, sample, report, margin >= -1e-12,
-                         stage=config["stage"], ellipticity_margin=margin)
+
+    def check(part, spec, frame, hmap):
+        report = symbols.lemma61_check(part.points, spec, tilde, hmap)
+        return report, part.residual, report.extras["ellipticity_margin"]
+
+    sample, margins = _char_certify(config, out, seed, threads, check,
+                                    "char_residuals.xy", tilde)
+    margin = float(np.min(margins)) if margins else math.nan
+    return _char_summary(sample, margin >= -1e-12, stage=config["stage"],
+                         ellipticity_margin=margin)
 
 
 def _manufactured_pieces(spec, coeffs, grid):

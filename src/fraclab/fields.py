@@ -232,28 +232,35 @@ def constant_field(matrix, delta: float | None = None) -> EllipticCoeffField:
     )
 
 
-# preset -> (builder of (n, **keys), the keys it reads besides preset and n)
+# preset -> (builder of (n, **keys), the keys it reads besides preset and
+# n that it may go without, and those that it requires)
 _PRESETS = {
-    "identity": (identity_field, ()),
-    "diagonal-variable": (diagonal_variable_field, ("amplitude",)),
+    "identity": (identity_field, (), ()),
+    "diagonal-variable": (diagonal_variable_field, ("amplitude",), ()),
     "rotating-anisotropic": (rotating_anisotropic_field,
-                             ("ratio", "spin", "shear")),
-    "polynomial": (polynomial_field, ("tables", "delta")),
+                             ("ratio", "spin", "shear"), ()),
+    "polynomial": (polynomial_field, (), ("tables", "delta")),
 }
 
 
 def field_from_config(config) -> EllipticCoeffField:
     """Build a field from a JSON-style preset description.
 
-    A key that the preset does not read raises ``ValueError`` naming it.
+    A key that the preset does not read, or one that it requires and the
+    description lacks, raises ``ValueError`` naming it.
     """
     preset = config["preset"]
     if preset not in _PRESETS:
         raise ValueError(f"unknown coefficient preset {preset!r}")
-    build, keys = _PRESETS[preset]
+    build, optional, required = _PRESETS[preset]
+    keys = optional + required
     extra = [key for key in config if key not in ("preset", "n") + keys]
     if extra:
         raise ValueError(f"coefficient preset {preset!r} does not read "
                          f"{', '.join(map(repr, extra))}")
+    missing = [key for key in required if key not in config]
+    if missing:
+        raise ValueError(f"coefficient preset {preset!r} requires "
+                         f"{', '.join(map(repr, missing))}")
     return build(int(config["n"]),
                  **{key: config[key] for key in keys if key in config})

@@ -20,7 +20,8 @@ the certificate.
   once it has converged, so a root does not depend on which other points
   share its batch.  Rejected seeds are counted by cause.
 - Certificates evaluate brackets on blocks of ``SAMPLE_BLOCK`` samples and
-  keep only the per-sample scalars they need.
+  keep only the per-sample scalars they need; the CLI certifies a sample
+  a seeded chunk at a time, as each chunk is drawn.
 - Ellipticity margins are exact eigenvalue margins, not probe vectors.
 """
 
@@ -713,8 +714,12 @@ def find_min_varpi(points, spec: MultiTermSpec, coeffs: EllipticCoeffField,
     ``varpi_max`` passes, which would refute the sharpened bound on this
     sample cloud, or if a term is NaN.
     """
-    elliptic, negative = _garding_terms(points, spec, coeffs, c, X)
+    return _least_varpi(*_garding_terms(points, spec, coeffs, c, X),
+                        varpi_max)
 
+
+def _least_varpi(elliptic, negative, varpi_max):
+    """:func:`find_min_varpi` on the per-sample terms of the cloud."""
     def passes(varpi):
         return np.min(varpi * elliptic + negative) > 0.0
 

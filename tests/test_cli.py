@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import os
@@ -6,6 +7,7 @@ import re
 import runpy
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -364,7 +366,8 @@ class TestWriters:
         # a reversed view is a non-contiguous 2-D column
         columns = [column, table[:, ::-1], column]
         names = ["p", "q1", "q2", "q3", "r"]
-        cli.write_npy(tmp_path / "a.npy", names, columns)
+        with cli.write_npy(tmp_path / "a.npy", names, rows) as append:
+            append(columns)
         stacked = recfunctions.unstructured_to_structured(
             np.column_stack(columns),
             np.dtype([(name, "<f8") for name in names]))
@@ -379,7 +382,8 @@ class TestWriters:
         table, column = _writer_table(rows)
         names = ["p", "q1", "q2", "q3"]
         cli.write_csv(tmp_path / "a.csv", names, [column, table])
-        cli.write_npy(tmp_path / "a.npy", names, [column, table])
+        with cli.write_npy(tmp_path / "a.npy", names, rows) as append:
+            append([column, table])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)   # empty at 0 rows
             text = np.loadtxt(tmp_path / "a.csv", delimiter=",", skiprows=1,
@@ -392,11 +396,47 @@ class TestWriters:
         assert np.array_equal(binary[kept].view(np.uint64),
                               text[kept].view(np.uint64))
 
+    @pytest.mark.parametrize("requested, found", [
+        (100_000, 99_999), (100_000, 9), (10, 0)])
+    @pytest.mark.parametrize("pad", [True, False], ids=["padded", "unpadded"])
+    def test_streamed_npy_equals_save(self, tmp_path, monkeypatch, requested,
+                                      found, pad):
+        # rows arrive in uneven parts, one empty, and the header first
+        # states more rows than arrive.  Numpy pads the row count so that
+        # the header's length does not change; without the pad, these names
+        # end the header for 100,000 rows a 64-byte block after the one for
+        # 9, and the rows must move up
+        if not pad:
+            monkeypatch.setitem(np.lib.format.write_array_header_1_0.__globals__,
+                                "GROWTH_AXIS_MAX_DIGITS", 0)
+        names = ["p", "q" * 35]
+        dtype = np.dtype([(name, "<f8") for name in names])
+
+        def header_length(rows):
+            buf = io.BytesIO()
+            np.lib.format.write_array_header_1_0(buf, {
+                "descr": np.lib.format.dtype_to_descr(dtype),
+                "fortran_order": False, "shape": (rows,)})
+            return len(buf.getvalue())
+
+        assert (header_length(requested) != header_length(found)) == (
+            not pad and (requested, found) == (100_000, 9))
+        table = np.random.default_rng(found).normal(size=(found, 2))
+        cuts = [0, found // 9, found // 9, found - found // 3, found]
+        with cli.write_npy(tmp_path / "a.npy", names, requested) as append:
+            for lo, hi in zip(cuts, cuts[1:]):
+                append([table[lo:hi, 0], table[lo:hi, 1:]])
+        np.save(tmp_path / "b.npy",
+                recfunctions.unstructured_to_structured(table, dtype))
+        assert (tmp_path / "a.npy").read_bytes() \
+            == (tmp_path / "b.npy").read_bytes()
+
     @pytest.mark.parametrize("rows", [0, 3])
     def test_npy_names_must_match_columns(self, tmp_path, rows):
         with pytest.raises(ValueError, match="3 field names for 4 columns"):
-            cli.write_npy(tmp_path / "a.npy", ["p", "q", "r"],
-                          [np.zeros(rows), np.zeros((rows, 3))])
+            with cli.write_npy(tmp_path / "a.npy", ["p", "q", "r"],
+                               rows) as append:
+                append([np.zeros(rows), np.zeros((rows, 3))])
         assert not (tmp_path / "a.npy").exists()
 
 
@@ -689,6 +729,36 @@ class TestCommands:
         assert (summary["found"], summary["requested"]) == (9, 50)
         assert summary["min_ratio"] > 0.0
         assert 0.0 < summary["max_residual"] <= 1e-8
+        assert len(np.load(out / "char_points.npy")) == 9
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("command, sampler", [
+        ("lemma21", "char_set_sample"),
+        ("symbol-bracket", "full_region_sample")])
+    def test_a_refused_chunk_leaves_no_partial_table(
+            self, command, sampler, threads, tmp_path, monkeypatch, capsys):
+        # the fifth chunk of 16 is refused after the rows of earlier chunks
+        # went to the table; the table goes, and so does a directory the
+        # run made, while one it found stays, empty
+        original = getattr(symbols, sampler)
+
+        def refuse_fifth(*args, **kwargs):
+            if next(calls) == 4:
+                raise ValueError("chunk 5 refused")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(symbols, sampler, refuse_fifth)
+        (tmp_path / "found_out").mkdir()
+        for tag in ("made", "found"):
+            calls = itertools.count()
+            code, out = run(tmp_path, command, {**SYMBOL, "n_samples": 160},
+                            threads=threads, tag=tag)
+            assert code == 3
+            assert "chunk 5 refused" in capsys.readouterr().err
+            if tag == "made":
+                assert not out.exists()
+            else:
+                assert list(out.iterdir()) == []
 
     def test_garding(self, tmp_path):
         config = {"spec": SPEC, "coeffs": COEFFS1, "map": MAP1,
@@ -831,8 +901,8 @@ class TestCommands:
             assert stats[:, i].tolist() == [table[name].min(),
                                             table[name].max(),
                                             table[name].mean()]
-        cli._write_phase_table(tmp_path, "empty", 1, [np.empty(0)] * 4 + [
-            np.empty(0)], [])
+        with cli._phase_table(tmp_path, "empty", 1, [], 0) as append:
+            append([np.empty(0)] * 5)
         assert (tmp_path / "empty_stats.csv").read_text() \
             == "t,x1,tau,xi1,sigma\n"
         assert len(np.load(tmp_path / "empty.npy")) == 0
@@ -929,10 +999,14 @@ class TestCommands:
         # a NaN ratio, which an in-range magnitude no longer produces,
         # still fails the run rather than passing on a NaN minimum
         original = symbols.bracket_report_batch
+        calls = []
 
         def with_nan(*args, **kwargs):
+            # each chunk is one call: the first one's ratio 3 is the NaN
             full, principal, scale, ratio = original(*args, **kwargs)
-            ratio[3] = np.nan
+            if not calls:
+                ratio[3] = np.nan
+            calls.append(len(ratio))
             return full, principal, scale, ratio
 
         monkeypatch.setattr(symbols, "bracket_report_batch", with_nan)
@@ -943,6 +1017,7 @@ class TestCommands:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["non_finite_ratios"] == 1
         assert not summary["pass"]
+        assert len(calls) == cli.N_CHUNKS
 
     def test_solve_manufactured(self, tmp_path):
         config = {"spec": SPEC, "coeffs": COEFFS1,
@@ -1429,6 +1504,27 @@ def _subprocess_env():
     src = os.path.dirname(os.path.dirname(fraclab.__file__))
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+class TestMemory:
+    @pytest.mark.parametrize("command", ["lemma21", "garding"])
+    def test_certify_holds_columns_not_phase_points(self, command, tmp_path):
+        # 32,000 samples, 16 chunks: lemma21 keeps its ratios and garding
+        # its two terms, 8 and 16 bytes a sample, beside one chunk's
+        # arrays.  Traced peaks measured 1.5-2.3 MB and 1.7 MB; holding
+        # every sample's phase point and certificate, 5.9-6.7 and 5.8 MB
+        config = {**getattr(TestCommands, command.upper()),
+                  "n_samples": 32_000}
+        handler = getattr(cli, f"run_{command}")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            summary = handler(config, tmp_path, 0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert summary["pass"]
+        assert peak - base < 100 * config["n_samples"]
 
 
 class TestBenchmarkTracer:

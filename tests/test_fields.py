@@ -163,3 +163,13 @@ class TestConstructors:
                 f"coefficient preset '{config['preset']}' does not read "
                 f"{extra}$")):
             field_from_config(config)
+
+    # a library caller reached polynomial_field's TypeError on a missing
+    # argument; the CLI's schema requires both keys
+    @pytest.mark.parametrize("missing", ["tables", "delta"])
+    def test_from_config_names_a_key_its_preset_requires(self, missing):
+        config = {"preset": "polynomial", "n": 1, "tables": [], "delta": 0.5}
+        del config[missing]
+        with pytest.raises(ValueError, match=(
+                f"coefficient preset 'polynomial' requires '{missing}'$")):
+            field_from_config(config)
