@@ -8,11 +8,13 @@ tables with full-precision numbers (the per-sample phase tables are
 structured ``.npy`` arrays whose field names are their column names, each
 with a CSV of its columns' min, max and mean beside it), a
 ``summary.json`` with the pass/fail verdict, and whitespace separated xy
-files for plotting.  A fixed seed makes runs bit-reproducible; worker
-threads only split sampling and certifying into deterministic chunks,
-whose rows are written in order as they come.  Importing this module
-loads neither jsonschema nor scipy, nor the thread pool's
-``concurrent.futures``.
+files for plotting.  A per-sample value, such as a certificate's ratio,
+is a field of its phase table and is written nowhere else.  A fixed seed
+makes runs bit-reproducible; worker threads only split sampling and
+certifying into deterministic chunks, whose rows are written in order as
+they come, so no command holds a whole-sample column but garding's two
+terms.  Importing this module loads neither jsonschema nor scipy, nor
+the thread pool's ``concurrent.futures``.
 """
 
 from __future__ import annotations
@@ -412,16 +414,16 @@ def _phase_table(out, name, n, tail, rows):
     write_csv(os.path.join(out, f"{name}_stats.csv"), header, [stats])
 
 
-def _char_certify(config, out, seed, threads, check, xy, field=None):
+def _char_certify(config, out, seed, threads, check, field=None):
     """Sample the characteristic set and certify it, a chunk at a time.
 
     Each worker draws a chunk with ``char_set_sample`` and certifies it if
     it is not empty: ``check(part, spec, frame, hmap)`` returns its report,
-    a per-sample column and a scalar.  In chunk order, the rows go to the
-    char_points table; the column, sorted, goes to ``xy``.  ``field`` is as
-    in :func:`_symbol_setup`.  Returns the sample's summary entries, with
-    the first least ratio as ``np.argmin`` picks it and its witness, and
-    the scalars.
+    whose ``extras["ratios"]`` holds each sample's ratio, and a scalar.  In
+    chunk order, the rows and their ratios go to the char_points table.
+    ``field`` is as in :func:`_symbol_setup`.  Returns the sample's summary
+    entries, with the first least ratio as ``np.argmin`` picks it and its
+    witness, and the scalars.
     """
     spec, hmap, frame, region = _symbol_setup(config, field)
     total, tol = config["n_samples"], config.get("tol", 1e-8)
@@ -435,27 +437,22 @@ def _char_certify(config, out, seed, threads, check, xy, field=None):
         return part, check(part, spec, frame, hmap) if part.found else None
 
     infos, checked = [], []
-    with _phase_table(out, "char_points", frame.field.n, ["residual"],
-                      total) as append:
+    with _phase_table(out, "char_points", frame.field.n,
+                      ["residual", "ratio"], total) as append:
         for part, result in _chunked(total, seed, threads, work):
-            append([*part.points, part.residual])
-            infos.append((part.solved, part.rejected, part.root_passes))
+            infos.append((part.found, part.solved, part.rejected,
+                          part.root_passes))
+            # an empty chunk has no rows to write
             if result:
-                report, column, scalar = result
+                report, scalar = result
+                append([*part.points, part.residual, report.extras["ratios"]])
                 checked.append((report.min_ratio, part.residual.max(),
-                                _witness(part.points, report.argmin),
-                                column, scalar))
-    solved, rejected, root_passes = zip(*infos)
-    mins, residual_max, witnesses, kept, scalars = (
-        list(zip(*checked)) or [()] * 5)
+                                _witness(part.points, report.argmin), scalar))
+    found, solved, rejected, root_passes = zip(*infos)
+    mins, residual_max, witnesses, scalars = list(zip(*checked)) or [()] * 4
     least = int(np.argmin(mins)) if mins else None
-    if kept:
-        column = np.concatenate(kept)
-        column.sort()
-        write_xy(os.path.join(out, xy),
-                 [np.linspace(0.0, 1.0, len(column)), column])
     sample = {"min_ratio": mins[least] if mins else math.nan,
-              "found": sum(map(len, kept)), "requested": total,
+              "found": sum(found), "requested": total,
               "solved": sum(solved),
               "rejected": {cause: sum(r[cause] for r in rejected)
                            for cause in symbols.REJECT_CAUSES},
@@ -569,32 +566,34 @@ def run_caputo_check(config, out, seed, threads):
 def run_symbol_bracket(config, out, seed, threads):
     frame, _, chunks = _full_region_chunks(config, seed, threads,
                                            symbols.bracket_report_batch)
-    ratios = []
+    # folded in chunk order: np.min and np.max of the chunks' extremes are
+    # those of the whole column, a NaN included
+    count = non_finite = 0
+    lows, highs = [], []
     with _phase_table(out, "brackets", frame.field.n,
                       ["bracket", "principal", "scale", "ratio"],
                       config["n_samples"]) as append:
         for points, columns in chunks:
             append([*points, *columns])
-            ratios.append(columns[3])
-    ratio = np.concatenate(ratios)
-    write_xy(os.path.join(out, "bracket_ratio.xy"),
-             [np.arange(len(ratio)), np.sort(ratio)])
-    # a NaN or inf ratio, as from overflowing magnitudes, fails the run
-    non_finite = int(np.count_nonzero(~np.isfinite(ratio)))
-    return {"pass": non_finite == 0, "n_samples": len(ratio),
+            ratio = columns[3]
+            count += len(ratio)
+            # a NaN or inf ratio, as from overflowing magnitudes, fails the run
+            non_finite += int(np.count_nonzero(~np.isfinite(ratio)))
+            lows.append(np.min(ratio))
+            highs.append(np.max(ratio))
+    return {"pass": non_finite == 0, "n_samples": count,
             "non_finite_ratios": non_finite,
-            "min_ratio": float(np.min(ratio)),
-            "max_ratio": float(np.max(ratio))}
+            "min_ratio": float(np.min(lows)),
+            "max_ratio": float(np.max(highs))}
 
 
 def run_lemma21(config, out, seed, threads):
     def check(part, spec, frame, hmap):
         report = symbols.lemma21_check(part.points, spec, frame.field,
                                        hmap.c, hmap.X)
-        return report, report.extras["ratios"], report.extras["kappa"]
+        return report, report.extras["kappa"]
 
-    sample, kappas = _char_certify(config, out, seed, threads, check,
-                                   "lemma21_ratios.xy")
+    sample, kappas = _char_certify(config, out, seed, threads, check)
     return _char_summary(sample, n_samples=sample["found"],
                          kappa=float(np.max(kappas)) if kappas else math.nan)
 
@@ -618,7 +617,7 @@ def run_garding(config, out, seed, threads):
     witness = _witness(draw(counts[k], np.random.default_rng(seq)),
                        report.argmin - sum(counts[:k]))
     sweep_varpis = [varpi * f for f in (0.25, 0.5, 1.0, 2.0, 4.0) if varpi * f > 0]
-    curve = np.array([(v, np.min(v * elliptic + negative))
+    curve = np.array([(v, symbols._garding_min(elliptic, negative, v)[0])
                       for v in sweep_varpis] or [(0.0, report.min_ratio)])
     write_xy(os.path.join(out, "garding_curve.xy"), [curve[:, 0], curve[:, 1]])
     write_csv(os.path.join(out, "garding.csv"), ["varpi", "min_ratio"], [curve])
@@ -633,10 +632,9 @@ def run_lemma61(config, out, seed, threads):
 
     def check(part, spec, frame, hmap):
         report = symbols.lemma61_check(part.points, spec, tilde, hmap)
-        return report, part.residual, report.extras["ellipticity_margin"]
+        return report, report.extras["ellipticity_margin"]
 
-    sample, margins = _char_certify(config, out, seed, threads, check,
-                                    "char_residuals.xy", tilde)
+    sample, margins = _char_certify(config, out, seed, threads, check, tilde)
     margin = float(np.min(margins)) if margins else math.nan
     return _char_summary(sample, margin >= -1e-12, stage=config["stage"],
                          ellipticity_margin=margin)

@@ -692,10 +692,25 @@ def _garding_terms(points, spec, coeffs, c, X):
     return _blockwise(terms, *points)
 
 
+def _garding_min(elliptic, negative, varpi):
+    """Minimum of varpi * elliptic + negative and its index, the first as
+    ``np.argmin`` picks it (a NaN before any number), formed a block of
+    ``SAMPLE_BLOCK`` rows at a time, so no whole-sample column is made."""
+    least, where = None, 0
+    for start in range(0, max(len(elliptic), 1), SAMPLE_BLOCK):
+        ratio = varpi * elliptic[start:start + SAMPLE_BLOCK]
+        ratio += negative[start:start + SAMPLE_BLOCK]
+        i = int(np.argmin(ratio))
+        if least is None or ratio[i] < least or np.isnan(ratio[i]):
+            least, where = float(ratio[i]), start + i
+        if math.isnan(least):
+            break
+    return least, where
+
+
 def _garding_report(elliptic, negative, varpi):
-    ratio = varpi * elliptic + negative
-    i = int(np.argmin(ratio))
-    return CertificateReport(min_ratio=float(ratio[i]), n_samples=len(ratio),
+    least, i = _garding_min(elliptic, negative, varpi)
+    return CertificateReport(min_ratio=least, n_samples=len(elliptic),
                              argmin=i, extras={"varpi": varpi,
                                                "elliptic": elliptic,
                                                "negative": negative})
@@ -719,18 +734,24 @@ def find_min_varpi(points, spec: MultiTermSpec, coeffs: EllipticCoeffField,
 
 
 def _least_varpi(elliptic, negative, varpi_max):
-    """:func:`find_min_varpi` on the per-sample terms of the cloud."""
+    """:func:`find_min_varpi` on the per-sample terms of the cloud, read a
+    block of ``SAMPLE_BLOCK`` rows at a time."""
     def passes(varpi):
-        return np.min(varpi * elliptic + negative) > 0.0
+        return _garding_min(elliptic, negative, varpi)[0] > 0.0
 
-    nans = int(np.count_nonzero(np.isnan(elliptic + negative)))
+    blocks = [(elliptic[s:s + SAMPLE_BLOCK], negative[s:s + SAMPLE_BLOCK])
+              for s in range(0, len(elliptic), SAMPLE_BLOCK)]
+    nans = sum(int(np.count_nonzero(np.isnan(e + n))) for e, n in blocks)
     if nans:
         raise RuntimeError(
             f"the garding terms are NaN at {nans} of {len(negative)} "
             "samples, so no varpi gives a positive minimum")
-    need = negative <= 0.0
+    starts = []
     with np.errstate(divide="ignore", invalid="ignore"):
-        varpi = float(np.max(-negative[need] / elliptic[need], initial=0.0))
+        for e, n in blocks:
+            need = n <= 0.0
+            starts.append(np.max(-n[need] / e[need], initial=0.0))
+    varpi = float(np.max(starts, initial=0.0))
     while varpi <= varpi_max and not passes(varpi):
         varpi = float(np.nextafter(varpi, math.inf))
     if not varpi <= varpi_max:
@@ -751,7 +772,8 @@ def lemma61_check(points, spec: MultiTermSpec,
     space; the base points are pulled back through the stage map to build
     the component weights (1 + yt_j^2)^(3/2).  The weighted two-sided
     ellipticity is re-verified exactly at every sample; its worst slack is
-    reported in the extras.
+    ``extras["ellipticity_margin"]``, and ``extras["ratios"]`` holds the
+    ratio of every sample.
     """
     if len(points[2]) == 0:
         raise ValueError("empty characteristic sample")
@@ -773,8 +795,8 @@ def lemma61_check(points, spec: MultiTermSpec,
     margin = weighted_ellipticity_margin(tilde_field, points[0], y_tilde)
     i = int(np.argmin(ratio))
     return CertificateReport(min_ratio=float(ratio[i]), n_samples=len(ratio),
-                             argmin=i,
-                             extras={"ellipticity_margin": margin})
+                             argmin=i, extras={"ellipticity_margin": margin,
+                                               "ratios": ratio})
 
 
 def bracket_report_batch(points, spec: MultiTermSpec,

@@ -676,12 +676,58 @@ class TestCommands:
             names = sorted(p.name for p in outs[0].iterdir()
                            if p.suffix in suffixes)
             assert len(names) >= 2
+            # the table is where a certificate's per-sample ratios are
+            assert (command == "garding"
+                    or any(name.endswith(".npy") for name in names))
             for out in outs[1:]:
                 assert names == sorted(p.name for p in out.iterdir()
                                        if p.suffix in suffixes)
                 for name in names:
                     assert (out / name).read_bytes() \
                         == (outs[0] / name).read_bytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("command", ["lemma21", "lemma61"])
+    def test_ratio_field_holds_the_minimum_and_its_witness(self, command,
+                                                           threads, tmp_path):
+        code, out = run(tmp_path, command, getattr(self, command.upper()),
+                        seed=3, threads=threads)
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        table = np.load(out / "char_points.npy")
+        assert table.dtype.names[-2:] == ("residual", "ratio")
+        assert len(table) == summary["found"]
+        ratio = table["ratio"]
+        assert float(np.min(ratio)).hex() == summary["min_ratio"].hex()
+        w = summary["witness"]
+        point = [w["t"], *w["x"], w["tau"], *w["xi"], w["sigma"]]
+        row = table[int(np.argmin(ratio))]
+        assert [row[name] for name in table.dtype.names[:len(point)]] \
+            == point
+        header = (out / "char_points_stats.csv").read_text().splitlines()[0]
+        assert header == ",".join(table.dtype.names)
+
+    @pytest.mark.parametrize("command", ["lemma21", "lemma61",
+                                         "symbol-bracket"])
+    def test_only_the_table_grows_with_the_sample(self, command, tmp_path):
+        # every per-sample value is in the .npy table; the other files
+        # hold a fixed set of numbers, whose text may differ by a few digits
+        base = {k: v for k, v in getattr(
+            self, command.upper().replace("SYMBOL-BRACKET", "LEMMA21")).items()
+            if k != "n_samples"}
+        sizes = []
+        for n in (2000, 8000):
+            code, out = run(tmp_path, command, {**base, "n_samples": n},
+                            seed=3, tag=f"n{n}")
+            assert code == 0
+            sizes.append({p.name: p.stat().st_size for p in out.iterdir()})
+        small, large = sizes
+        assert sorted(small) == sorted(large)
+        for name in small:
+            if name.endswith(".npy"):
+                assert large[name] > 3 * small[name]
+            else:
+                assert abs(large[name] - small[name]) <= 16, name
 
     def test_rejection_counts_do_not_depend_on_threads(self, tmp_path):
         # sigma from 10 is below the sign-change floor for part of the seeds,
@@ -1507,15 +1553,17 @@ def _subprocess_env():
 
 
 class TestMemory:
-    @pytest.mark.parametrize("command", ["lemma21", "garding"])
+    @pytest.mark.parametrize("command", ["lemma21", "lemma61", "garding",
+                                         "symbol-bracket"])
     def test_certify_holds_columns_not_phase_points(self, command, tmp_path):
-        # 32,000 samples, 16 chunks: lemma21 keeps its ratios and garding
-        # its two terms, 8 and 16 bytes a sample, beside one chunk's
-        # arrays.  Traced peaks measured 1.5-2.3 MB and 1.7 MB; holding
-        # every sample's phase point and certificate, 5.9-6.7 and 5.8 MB
-        config = {**getattr(TestCommands, command.upper()),
-                  "n_samples": 32_000}
-        handler = getattr(cli, f"run_{command}")
+        # 32,000 samples, 16 chunks: only garding keeps a whole-sample
+        # column, its two terms, 16 bytes a sample, beside one chunk's
+        # arrays.  Traced peaks measured 1.9, 1.5, 1.7 and 1.2 MB; holding
+        # every sample's phase point and certificate, 5.9-6.7 MB (lemma21)
+        # and 5.8 MB (garding)
+        name = command.upper().replace("SYMBOL-BRACKET", "LEMMA21")
+        config = {**getattr(TestCommands, name), "n_samples": 32_000}
+        handler = getattr(cli, "run_" + command.replace("-", "_"))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -884,6 +885,56 @@ class TestGarding:
         with pytest.raises(RuntimeError, match="no varpi below"):
             find_min_varpi(self.points, self.spec, self.field, 1.0,
                            self.X, varpi_max=below)
+
+    @pytest.mark.parametrize("block", [7, 4096, SAMPLE_BLOCK])
+    def test_blocked_search_matches_whole_columns(self, block, monkeypatch):
+        # the search, its report and the minima read the two terms a block
+        # of rows at a time; the whole-column formulas give the same floats
+        # and the same first argmin
+        elliptic, negative = _garding_terms(self.points, self.spec,
+                                            self.field, 1.0, self.X)
+
+        def whole(varpi):
+            ratio = varpi * elliptic + negative
+            i = int(np.argmin(ratio))
+            return float(ratio[i]), i
+
+        monkeypatch.setattr(symbols, "SAMPLE_BLOCK", block)
+        varpi, report = symbols._least_varpi(elliptic, negative, 1e8)
+        assert (report.min_ratio, report.argmin) == whole(varpi)
+        assert whole(varpi)[0] > 0.0 >= whole(np.nextafter(varpi, 0.0))[0]
+        for v in (0.0, 0.25 * varpi, 4.0 * varpi):
+            assert symbols._garding_min(elliptic, negative, v) == whole(v)
+
+    def test_blocked_minimum_takes_the_first_tie_and_nan(self, monkeypatch):
+        monkeypatch.setattr(symbols, "SAMPLE_BLOCK", 16)
+        elliptic = np.ones(100)
+        negative = np.random.default_rng(3).uniform(0.0, 1.0, 100)
+        negative[[30, 70]] = -5.0
+        assert symbols._garding_min(elliptic, negative, 1.0) == (-4.0, 30)
+        negative[[50, 90]] = np.nan
+        least, i = symbols._garding_min(elliptic, negative, 1.0)
+        assert math.isnan(least) and i == 50 == np.argmin(negative)
+        with pytest.raises(ValueError):
+            symbols._garding_min(elliptic[:0], negative[:0], 1.0)
+
+    def test_search_holds_no_whole_sample_temporary(self):
+        rng = np.random.default_rng(4)
+        m = 40 * SAMPLE_BLOCK
+        elliptic = rng.uniform(0.5, 1.0, m)
+        negative = rng.uniform(-1.0, 1.0, m)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            varpi, _ = symbols._least_varpi(elliptic, negative, 1e8)
+            for f in (0.25, 0.5, 1.0, 2.0, 4.0):
+                symbols._garding_min(elliptic, negative, f * varpi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a column is 8 m bytes; a block's temporaries, a few 8-byte
+        # values per row of SAMPLE_BLOCK, are a few hundred KB at most
+        assert peak - base < 8 * m // 4
 
     def test_nan_terms_are_named(self):
         # a tau past the float range, which full_region_sample refuses
