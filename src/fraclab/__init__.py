@@ -28,8 +28,7 @@ from .symbols import (CharacteristicSample, CertificateReport, SampleRegion,
                       real_part_constant, real_part_margin, region_for,
                       weighted_symbol)
 from .solver import (SolutionField, SolveResult, SpaceTimeGrid,
-                     apply_discrete_operator, load_solution, save_solution,
-                     solve, ucp_experiment)
+                     apply_discrete_operator, solve, ucp_experiment)
 from .carleman import (SweepResult, SweepRow, CompactBump, beta_sweep,
                        carleman_lhs, conjugated_operator, default_bump_family,
                        sweep_rows_csv)

@@ -6,7 +6,8 @@ keywords those schemas use, runs the corresponding library verification,
 and writes its artifacts into the output directory: CSV and ``.npy``
 tables with full-precision numbers (the per-sample phase tables are
 structured ``.npy`` arrays whose field names are their column names, each
-with a CSV of its columns' min, max and mean beside it), a
+with a CSV of its columns' min, max and mean beside it; ``solve``'s
+solution is ``solution.npy``, its grid in ``solution.json``), a
 ``summary.json`` with the pass/fail verdict, and whitespace separated xy
 files for plotting.  A per-sample value, such as a certificate's ratio,
 is a field of its phase table and is written nowhere else.  A fixed seed
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import io
 import json
 import math
 import os
@@ -88,17 +88,16 @@ def write_npy(path, header, rows):
     name of ``header``; the yielded ``append(columns)`` writes a part of it
     block by block, as ``write_csv`` does.  If the block raises, the file
     is removed.  The bytes are those of ``np.save`` of the stacked table:
-    the header is rewritten for the rows appended, and if numpy's padding
-    of the row count is gone, the rows move up to a shorter header.
+    the header is rewritten in place for the rows appended, which numpy's
+    padding of the row count keeps at its length; a header of another
+    length raises ``RuntimeError`` and removes the file.
     """
     dtype = np.dtype([(name, "<f8") for name in header])
 
-    def header_bytes(count):
-        buf = io.BytesIO()
-        np.lib.format.write_array_header_1_0(buf, {
+    def write_header(count):
+        np.lib.format.write_array_header_1_0(fh, {
             "descr": np.lib.format.dtype_to_descr(dtype),
             "fortran_order": False, "shape": (count,)})
-        return buf.getvalue()
 
     def append(columns):
         width = sum(c.shape[1] for c in _as_2d(columns))
@@ -107,23 +106,18 @@ def write_npy(path, header, rows):
         for block in _blocks(columns):
             fh.write(block.astype("<f8", copy=False).tobytes())
 
-    first = header_bytes(rows)
     with open(path, "w+b") as fh:
         try:
-            fh.write(first)
+            write_header(rows)
+            start = fh.tell()
             yield append
-            end = fh.tell()
-            final = header_bytes((end - len(first)) // dtype.itemsize)
-            shift = len(first) - len(final)
-            if shift:
-                for start in range(len(first), end, 1 << 20):
-                    fh.seek(start)
-                    data = fh.read(1 << 20)
-                    fh.seek(start - shift)
-                    fh.write(data)
-                fh.truncate(end - shift)
+            count = (fh.tell() - start) // dtype.itemsize
             fh.seek(0)
-            fh.write(final)
+            write_header(count)
+            if fh.tell() != start:
+                raise RuntimeError(
+                    f"the .npy header for {count} rows is {fh.tell()} bytes, "
+                    f"not the {start} written for {rows}")
         except BaseException:
             fh.close()
             os.remove(path)
@@ -706,7 +700,12 @@ def run_solve(config, out, seed, threads):
     # by keyword: bench/spans.py reads args[4] or kwargs["grid"]
     result = solver.solve(spec, coeffs, source, grid=grid)
     sol = result.field
-    solver.save_solution(sol, os.path.join(out, "solution"))
+    np.save(os.path.join(out, "solution.npy"), sol.values)
+    _write_json(os.path.join(out, "solution.json"), {
+        "n_space": grid.ndim, "shape": list(grid.shape),
+        "n_steps": grid.time.n_steps, "dt": grid.time.dt,
+        "bounds": [list(b) for b in grid.bounds], "bc": sol.bc,
+        "source": sol.source})
     final = sol.values[-1].reshape(-1)
     write_csv(os.path.join(out, "final_slice.csv"),
               [f"y{i + 1}" for i in range(grid.ndim)] + ["u"],
@@ -731,10 +730,6 @@ def run_carleman_sweep(config, out, seed, threads):
                              include_drift=config.get("include_drift", True))
     carl.sweep_rows_csv(result, os.path.join(out, "sweep.csv"))
     growth = result.top_half_monotone_growth()
-    _write_json(os.path.join(out, "sweep_summary.json"), {
-        "max_ratio": result.max_ratio, "min_ratio": result.min_ratio,
-        "flagged_rows": result.flagged, "spread": result.spread,
-        "top_half_monotone_growth": growth})
     for tid, pairs in result.ratios_by_test().items():
         write_xy(os.path.join(out, f"ratio_test{tid}.xy"),
                  np.array(sorted(pairs)).T)

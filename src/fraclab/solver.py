@@ -49,9 +49,7 @@ the boundary nodes alone.
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,56 +138,6 @@ class SolutionField:
             v = v[(slice(None),) + np.nonzero(space_mask)]
         cell = self.grid.time.dt * np.prod(self.grid.spacing)
         return float(np.sqrt(np.sum(v**2) * cell))
-
-
-_MAGIC = b"FDSF"
-
-
-def save_solution(sol: SolutionField, prefix: str) -> None:
-    """Flat binary layout plus a JSON sidecar.
-
-    Header: magic, version u32, n_space u32, n_time_nodes u32, per-axis node
-    count u32, dt f64, per-axis spacing f64, per-axis origin f64; payload is
-    the row-major float64 array.
-    """
-    grid = sol.grid
-    with open(prefix + ".bin", "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<III", 1, grid.ndim, grid.time.n_steps + 1))
-        fh.write(struct.pack(f"<{grid.ndim}I", *grid.shape))
-        fh.write(struct.pack("<d", grid.time.dt))
-        fh.write(struct.pack(f"<{grid.ndim}d", *grid.spacing))
-        fh.write(struct.pack(f"<{grid.ndim}d", *(lo for lo, _ in grid.bounds)))
-        sol.values.astype("<f8", copy=False).tofile(fh)
-    sidecar = {
-        "n_space": grid.ndim,
-        "shape": list(grid.shape),
-        "n_steps": grid.time.n_steps,
-        "dt": grid.time.dt,
-        "bounds": [list(b) for b in grid.bounds],
-        "bc": sol.bc,
-        "source": sol.source,
-    }
-    with open(prefix + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2)
-
-
-def load_solution(prefix: str) -> SolutionField:
-    with open(prefix + ".json") as fh:
-        meta = json.load(fh)
-    with open(prefix + ".bin", "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError("not a solution file")
-        _, ndim, n_time = struct.unpack("<III", fh.read(12))
-        shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-        (dt,) = struct.unpack("<d", fh.read(8))
-        fh.read(8 * ndim)  # spacing, reconstructed from bounds
-        fh.read(8 * ndim)  # origins
-        payload = np.fromfile(fh, dtype="<f8").reshape((n_time,) + shape)
-    grid = SpaceTimeGrid(bounds=tuple(tuple(b) for b in meta["bounds"]),
-                         shape=shape, time=TimeGrid(dt=dt, n_steps=n_time - 1))
-    return SolutionField(values=payload, grid=grid, bc=meta["bc"],
-                         source=meta["source"])
 
 
 # ---------------------------------------------------------------------------

@@ -405,7 +405,7 @@ class TestWriters:
         # states more rows than arrive.  Numpy pads the row count so that
         # the header's length does not change; without the pad, these names
         # end the header for 100,000 rows a 64-byte block after the one for
-        # 9, and the rows must move up
+        # 9, and the writer refuses the table instead of moving its rows
         if not pad:
             monkeypatch.setitem(np.lib.format.write_array_header_1_0.__globals__,
                                 "GROWTH_AXIS_MAX_DIGITS", 0)
@@ -419,13 +419,25 @@ class TestWriters:
                 "fortran_order": False, "shape": (rows,)})
             return len(buf.getvalue())
 
-        assert (header_length(requested) != header_length(found)) == (
-            not pad and (requested, found) == (100_000, 9))
+        moved = header_length(requested) != header_length(found)
+        assert moved == (not pad and (requested, found) == (100_000, 9))
         table = np.random.default_rng(found).normal(size=(found, 2))
         cuts = [0, found // 9, found // 9, found - found // 3, found]
-        with cli.write_npy(tmp_path / "a.npy", names, requested) as append:
-            for lo, hi in zip(cuts, cuts[1:]):
-                append([table[lo:hi, 0], table[lo:hi, 1:]])
+
+        def write():
+            with cli.write_npy(tmp_path / "a.npy", names,
+                               requested) as append:
+                for lo, hi in zip(cuts, cuts[1:]):
+                    append([table[lo:hi, 0], table[lo:hi, 1:]])
+
+        if moved:
+            with pytest.raises(RuntimeError, match=(
+                    r"the \.npy header for 9 rows is 128 bytes, "
+                    r"not the 192 written for 100000")):
+                write()
+            assert not (tmp_path / "a.npy").exists()
+            return
+        write()
         np.save(tmp_path / "b.npy",
                 recfunctions.unstructured_to_structured(table, dtype))
         assert (tmp_path / "a.npy").read_bytes() \
@@ -1071,7 +1083,7 @@ class TestCommands:
                            "n_steps": 32, "t_final": 1.0}}
         code, out = run(tmp_path, "solve", config)
         assert code == 0
-        assert (out / "solution.bin").exists()
+        assert (out / "solution.npy").exists()
         assert (out / "solution.json").exists()
         assert (out / "final_slice.csv").exists()
         summary = json.loads((out / "summary.json").read_text())
@@ -1265,8 +1277,11 @@ class TestCommands:
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["spread"] <= 100.0
-        sweep = json.loads((out / "sweep_summary.json").read_text())
-        assert sweep["max_ratio"] == summary["max_ratio"]
+        # the sweep's five values, written nowhere else
+        assert summary["min_ratio"] <= summary["max_ratio"]
+        assert summary["flagged"] == 0
+        assert summary["top_half_monotone_growth"] is False
+        assert not (out / "sweep_summary.json").exists()
         assert (out / "sweep.csv").exists()
         assert (out / "ratio_test0.xy").exists()
 
@@ -1278,11 +1293,11 @@ class TestCommands:
                                  min_ratio=float("inf"), flagged=0)))
         code, out = run(tmp_path, "carleman-sweep", VALID["carleman-sweep"])
         assert code == 1
-        with open(out / "sweep_summary.json") as fh:
+        with open(out / "summary.json") as fh:
             doc = json.load(fh, parse_constant=pytest.fail)
-        assert doc == {"max_ratio": None, "min_ratio": None,
-                       "flagged_rows": 0, "spread": None,
-                       "top_half_monotone_growth": False}
+        assert doc == {"command": "carleman-sweep", "seed": 0, "pass": False,
+                       "max_ratio": None, "min_ratio": None, "spread": None,
+                       "flagged": 0, "top_half_monotone_growth": False}
 
     def test_carleman_sweep_rejects_an_overflowing_beta(self, tmp_path,
                                                         capsys):
@@ -1335,8 +1350,7 @@ class TestCommands:
         names = sorted(p.name for p in outs[0][1].iterdir()
                        if p.name != "summary.json")
         assert names == ["ratio_test0.xy", "ratio_test1.xy", "ratio_test2.xy",
-                         "ratio_test3.xy", "ratio_test4.xy", "sweep.csv",
-                         "sweep_summary.json"]
+                         "ratio_test3.xy", "ratio_test4.xy", "sweep.csv"]
         for name in names:
             assert ((outs[0][1] / name).read_bytes()
                     == (outs[1][1] / name).read_bytes()), name
@@ -1690,12 +1704,16 @@ class TestBenchmarkTracer:
         assert out.stdout.strip().splitlines()[-1] == "3 6 19012"
 
 
-def _bench_commands():
-    """Every command of bench/workloads.py, loaded from its file."""
+def _bench_workloads():
+    """bench/workloads.py's ``WORKLOADS``, loaded from its file."""
     path = pathlib.Path(__file__).resolve().parents[1] / "bench/workloads.py"
-    workloads = runpy.run_path(str(path))["WORKLOADS"]
+    return runpy.run_path(str(path))["WORKLOADS"]
+
+
+def _bench_commands():
+    """Every command of bench/workloads.py."""
     return [pytest.param(command, id=f"{workload}-{command.name}")
-            for workload, commands in workloads.items()
+            for workload, commands in _bench_workloads().items()
             for command in commands]
 
 
@@ -1712,6 +1730,28 @@ class TestBenchmarkConfigs:
                      "--out", str(tmp_path / "out"), *command.args])
         assert code == 0
         assert capsys.readouterr().out.startswith(f"PASS {command.cli}: ")
+
+    def test_every_artifact_is_text_json_or_npy(self, tmp_path):
+        # one binary format: every benchmark command at its warm-up size
+        # and every demo config writes text, JSON and numpy's .npy alone
+        runs = [(command.cli, command.warmup_config(), command.args)
+                for commands in _bench_workloads().values()
+                for command in commands]
+        runs += [(path.stem, json.loads(path.read_text()), ())
+                 for path in sorted(DEMO_CONFIGS.glob("*.json"))]
+        npy = 0
+        for i, (name, config, args) in enumerate(runs):
+            cfg, out = tmp_path / f"{i}.json", tmp_path / f"out{i}"
+            cfg.write_text(json.dumps(config))
+            assert main([name, "--config", str(cfg), "--out", str(out),
+                         *args]) == 0, name
+            for path in out.iterdir():
+                assert path.suffix in (".csv", ".xy", ".json", ".npy"), path
+                if path.suffix == ".npy":
+                    np.load(path, allow_pickle=False)
+                    npy += 1
+        # char_points of lemma21 and lemma61, twice each; three solutions
+        assert npy == 7
 
 
 class TestImport:

@@ -38,8 +38,8 @@ def test_demo_config_passes(config, tmp_path):
     out = tmp_path / config.stem
     code = cli.main([config.stem, "--config", str(config), "--out", str(out)])
     assert code == 0
-    # summary.json and every other JSON artifact: sweep_summary.json,
-    # schedule.json, the solution's sidecar
+    # summary.json and every other JSON artifact: schedule.json and the
+    # solution's sidecar
     docs = {}
     for path in sorted(out.glob("*.json")):
         with open(path) as fh:

@@ -14,8 +14,7 @@ from fraclab import (EllipticCoeffField, MultiTermSpec,
                      SpaceTimeGrid, TimeGrid, apply_discrete_operator,
                      caputo_power_rule, constant_field,
                      diagonal_variable_field,
-                     identity_field, load_solution,
-                     rotating_anisotropic_field, save_solution, solve,
+                     identity_field, rotating_anisotropic_field, solve,
                      ucp_experiment)
 
 
@@ -892,60 +891,61 @@ class TestBlockFactorization:
             solver._BlockLU(system, *solver._blocking(grid))
 
 
+def run_solve(tmp_path, shape, tag):
+    """``solve`` through the CLI on the unit cube, 4 steps to t = 1."""
+    ndim = len(shape)
+    config = {"spec": {"orders": [0.5], "weights": [1.0]},
+              "coeffs": {"preset": "identity", "n": ndim},
+              "grid": {"bounds": [[0.0, 1.0]] * ndim, "shape": list(shape),
+                       "n_steps": 4, "t_final": 1.0}}
+    cfg = tmp_path / f"{tag}.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / tag
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    return out
+
+
 class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        spec = MultiTermSpec(orders=(0.5,), weights=(1.0,))
-        _, source = manufactured_1d(spec)
-        grid = grid_1d(12, 9)
-        result = solve(spec, identity_field(1),
-                       source, grid, check_residual=False)
-        prefix = str(tmp_path / "run")
-        save_solution(result.field, prefix)
-        back = load_solution(prefix)
-        assert np.array_equal(back.values, result.field.values)
-        assert back.grid.shape == grid.shape
-        assert back.grid.time.n_steps == grid.time.n_steps
+    def test_round_trip(self, tmp_path, monkeypatch):
+        # solution.npy holds the solved values bitwise, in the grid's shape
+        solved = []
 
-    @pytest.mark.parametrize("order", ["C", "F"])
-    def test_payload_bytes_equal_the_copying_writer(self, tmp_path, order):
-        # the payload as written before the writer stopped copying it
-        def copying_payload(sol, path):
-            with open(path, "wb") as fh:
-                sol.values.astype("<f8").tofile(fh)
+        def recording(*args, **kwargs):
+            solved.append(solve(*args, **kwargs))
+            return solved[-1]
 
-        grid = SpaceTimeGrid(bounds=((0.0, 1.0), (0.0, 2.0)), shape=(5, 7),
-                             time=TimeGrid.from_interval(1.0, 6))
-        values = np.asarray(np.random.default_rng(5).normal(
-            size=(7, 5, 7)), order=order)
-        sol = solver.SolutionField(values=values, grid=grid)
-        save_solution(sol, str(tmp_path / "run"))
-        copying_payload(sol, tmp_path / "ref.bin")
-        payload = (tmp_path / "ref.bin").read_bytes()
-        written = (tmp_path / "run.bin").read_bytes()
-        assert len(payload) == values.size * 8
-        assert written[-len(payload):] == payload
+        monkeypatch.setattr(solver, "solve", recording)
+        for shape in ((9,), (5, 7)):
+            out = run_solve(tmp_path, shape, f"run{len(shape)}")
+            values = np.load(out / "solution.npy", allow_pickle=False)
+            assert values.shape == (5,) + shape
+            assert values.dtype == "<f8"
+            assert np.array_equal(values.view(np.uint64),
+                                  solved[-1].field.values.view(np.uint64))
+            meta = json.loads((out / "solution.json").read_text())
+            assert list(meta) == ["n_space", "shape", "n_steps", "dt",
+                                  "bounds", "bc", "source"]
+            assert meta == {"n_space": len(shape), "shape": list(shape),
+                            "n_steps": 4, "dt": 0.25,
+                            "bounds": [[0.0, 1.0]] * len(shape),
+                            "bc": {"type": "dirichlet", "homogeneous": True},
+                            "source": {"kind": "callable"}}
 
     def test_time_slice_csv(self, tmp_path):
         # solve's final_slice.csv: mesh and last level, the bytes of
         # np.savetxt with "%.17g"
         for shape in ((9,), (5, 7)):
             ndim = len(shape)
-            config = {"spec": {"orders": [0.5], "weights": [1.0]},
-                      "coeffs": {"preset": "identity", "n": ndim},
-                      "grid": {"bounds": [[0.0, 1.0]] * ndim,
-                               "shape": list(shape), "n_steps": 4,
-                               "t_final": 1.0}}
-            cfg = tmp_path / f"solve{ndim}.json"
-            cfg.write_text(json.dumps(config))
-            out = tmp_path / f"out{ndim}"
-            assert cli.main(["solve", "--config", str(cfg), "--out",
-                             str(out)]) == 0
-            sol = load_solution(str(out / "solution"))
+            out = run_solve(tmp_path, shape, f"out{ndim}")
+            meta = json.loads((out / "solution.json").read_text())
+            grid = SpaceTimeGrid(
+                bounds=meta["bounds"], shape=meta["shape"],
+                time=TimeGrid(dt=meta["dt"], n_steps=meta["n_steps"]))
+            values = np.load(out / "solution.npy")
             header = ",".join([f"y{i + 1}" for i in range(ndim)] + ["u"])
             ref = tmp_path / f"ref{ndim}.csv"
             np.savetxt(ref, np.column_stack(
-                [sol.grid.mesh().reshape(-1, ndim),
-                 sol.values[-1].reshape(-1)]),
+                [grid.mesh().reshape(-1, ndim), values[-1].reshape(-1)]),
                 fmt="%.17g", delimiter=",", header=header, comments="")
             slice_csv = (out / "final_slice.csv").read_bytes()
             assert slice_csv == ref.read_bytes()
