@@ -10,18 +10,19 @@ with a CSV of its columns' min, max and mean beside it; ``solve``'s
 solution is ``solution.npy``, its grid in ``solution.json``), a
 ``summary.json`` with the pass/fail verdict, and whitespace separated xy
 files for plotting.  A per-sample value, such as a certificate's ratio,
-is a field of its phase table and is written nowhere else.  A fixed seed
-makes runs bit-reproducible; worker threads only split sampling and
-certifying into deterministic chunks, whose rows are written in order as
-they come, so no command holds a whole-sample column but garding's two
-terms.  Importing this module loads neither jsonschema nor scipy, nor
-the thread pool's ``concurrent.futures``.
+is a field of its phase table and is written nowhere else.  The certify
+commands read one seeded point source: chunk makers in a fixed order, each
+making the same points at every call, which worker threads run while the
+rows are written in chunk order; so no byte depends on --threads, and no
+whole-sample column is held but garding's two terms.  Importing this
+module loads neither jsonschema nor scipy, nor ``concurrent.futures``.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -344,33 +345,37 @@ def _symbol_setup(config, field=None):
 N_CHUNKS = 16
 
 
-def _chunk_counts(total: int):
-    """Fixed split independent of the worker count, so the seed list and
-    the merged result do not depend on --threads."""
+def _seeded(total, seed, draw):
+    """The seeded point source of ``total`` rows: one zero-argument maker
+    per chunk of a fixed split that does not depend on --threads.  Maker k
+    returns ``draw(count, rng=rng)``, ``rng`` from the k-th child of the
+    seed's sequence, with the same bits at every call."""
     chunks = max(1, min(N_CHUNKS, total))
-    base = total // chunks
-    return [base + (1 if i < total % chunks else 0) for i in range(chunks)]
+    seqs = np.random.SeedSequence(seed).spawn(chunks)
+
+    def maker(k):
+        count = total // chunks + (1 if k < total % chunks else 0)
+        return lambda: draw(count, rng=np.random.default_rng(seqs[k]))
+
+    return [maker(k) for k in range(chunks)]
 
 
-def _chunked(total, seed, threads, work):
-    """Yield ``work(count, rng)`` for each chunk of ``total`` rows, in order.
+def _chunked(source, threads, work):
+    """Yield ``work(make())`` for each maker of the point ``source``, in
+    order, each run in a worker.  At most ``threads`` chunks run while the
+    caller holds the result before them."""
+    def run(make):
+        return work(make())
 
-    Each chunk draws from its own child of the seed's sequence, so the
-    results do not depend on how many threads run them.  At most
-    ``threads`` chunks run while the caller holds the result before them.
-    """
-    counts = _chunk_counts(total)
-    chunks = zip(counts, np.random.SeedSequence(seed).spawn(len(counts)))
     if threads <= 1:
-        for count, seq in chunks:
-            yield work(count, np.random.default_rng(seq))
+        yield from map(run, source)
         return
     # imported here: it loads logging, which no single-thread run needs
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) as pool:
         ahead = []
-        for count, seq in chunks:
-            ahead.append(pool.submit(work, count, np.random.default_rng(seq)))
+        for make in source:
+            ahead.append(pool.submit(run, make))
             if len(ahead) > threads:
                 yield ahead.pop(0).result()
         while ahead:
@@ -408,32 +413,23 @@ def _phase_table(out, name, n, tail, rows):
     write_csv(os.path.join(out, f"{name}_stats.csv"), header, [stats])
 
 
-def _char_certify(config, out, seed, threads, check, field=None):
-    """Sample the characteristic set and certify it, a chunk at a time.
+def _char_certify(source, out, threads, check, n, total):
+    """Certify a point source of characteristic samples, chunk by chunk.
 
-    Each worker draws a chunk with ``char_set_sample`` and certifies it if
-    it is not empty: ``check(part, spec, frame, hmap)`` returns its report,
-    whose ``extras["ratios"]`` holds each sample's ratio, and a scalar.  In
-    chunk order, the rows and their ratios go to the char_points table.
-    ``field`` is as in :func:`_symbol_setup`.  Returns the sample's summary
-    entries, with the first least ratio as ``np.argmin`` picks it and its
-    witness, and the scalars.
-    """
-    spec, hmap, frame, region = _symbol_setup(config, field)
-    total, tol = config["n_samples"], config.get("tol", 1e-8)
-    sigma_range = (tuple(config["sigma_range"]) if "sigma_range" in config
-                   else None)
-
-    def work(count, rng):
-        part = symbols.char_set_sample(region, spec, frame.field, hmap.c,
-                                       hmap.X, count, tol=tol, rng=rng,
-                                       sigma_range=sigma_range)
-        return part, check(part, spec, frame, hmap) if part.found else None
+    Each worker makes a chunk, a ``CharacteristicSample`` in ``n``
+    dimensions, and certifies it if it is not empty: ``check(part)``
+    returns its report, whose ``extras["ratios"]`` holds each sample's
+    ratio, and a scalar.  In chunk order, the rows and their ratios go to
+    the char_points table.  Returns the summary entries of the ``total``
+    requested samples, with the first least ratio as ``np.argmin`` picks
+    it and its witness, and the scalars."""
+    def work(part):
+        return part, check(part) if part.found else None
 
     infos, checked = [], []
-    with _phase_table(out, "char_points", frame.field.n,
-                      ["residual", "ratio"], total) as append:
-        for part, result in _chunked(total, seed, threads, work):
+    with _phase_table(out, "char_points", n, ["residual", "ratio"],
+                      total) as append:
+        for part, result in _chunked(source, threads, work):
             infos.append((part.found, part.solved, part.rejected,
                           part.root_passes))
             # an empty chunk has no rows to write
@@ -454,24 +450,6 @@ def _char_certify(config, out, seed, threads, check, field=None):
               "max_residual": float(max(residual_max, default=math.nan)),
               "witness": witnesses[least] if mins else None}
     return sample, scalars
-
-
-def _full_region_chunks(config, seed, threads, evaluate):
-    """:func:`_symbol_setup`'s frame, ``draw(count, rng)`` of a chunk's
-    full-region points (t, x, tau, xi, sigma), and the chunks: ``(points,
-    evaluate(points, spec, coeffs, c, X))``, each made in its worker."""
-    spec, hmap, frame, region = _symbol_setup(config)
-    magnitude_range = tuple(config.get("magnitude_range", (1.0, 1e3)))
-
-    def draw(count, rng):
-        return symbols.full_region_sample(region, spec, frame.field.n, count,
-                                          rng, magnitude_range=magnitude_range)
-
-    def work(count, rng):
-        points = draw(count, rng)
-        return points, evaluate(points, spec, frame.field, hmap.c, hmap.X)
-
-    return frame, draw, _chunked(config["n_samples"], seed, threads, work)
 
 
 def _write_json(path, doc):
@@ -558,8 +536,15 @@ def run_caputo_check(config, out, seed, threads):
 
 
 def run_symbol_bracket(config, out, seed, threads):
-    frame, _, chunks = _full_region_chunks(config, seed, threads,
-                                           symbols.bracket_report_batch)
+    spec, hmap, frame, region = _symbol_setup(config)
+    source = _seeded(config["n_samples"], seed, functools.partial(
+        symbols.full_region_sample, region, spec, frame.field.n,
+        magnitude_range=tuple(config.get("magnitude_range", (1.0, 1e3)))))
+
+    def work(points):
+        return points, symbols.bracket_report_batch(points, spec, frame.field,
+                                                    hmap.c, hmap.X)
+
     # folded in chunk order: np.min and np.max of the chunks' extremes are
     # those of the whole column, a NaN included
     count = non_finite = 0
@@ -567,7 +552,7 @@ def run_symbol_bracket(config, out, seed, threads):
     with _phase_table(out, "brackets", frame.field.n,
                       ["bracket", "principal", "scale", "ratio"],
                       config["n_samples"]) as append:
-        for points, columns in chunks:
+        for points, columns in _chunked(source, threads, work):
             append([*points, *columns])
             ratio = columns[3]
             count += len(ratio)
@@ -582,34 +567,43 @@ def run_symbol_bracket(config, out, seed, threads):
 
 
 def run_lemma21(config, out, seed, threads):
-    def check(part, spec, frame, hmap):
+    spec, hmap, frame, region = _symbol_setup(config)
+    source = _seeded(config["n_samples"], seed, functools.partial(
+        symbols.char_set_sample, region, spec, frame.field, hmap.c, hmap.X,
+        tol=config.get("tol", 1e-8),
+        sigma_range=tuple(config.get("sigma_range", ())) or None))
+
+    def check(part):
         report = symbols.lemma21_check(part.points, spec, frame.field,
                                        hmap.c, hmap.X)
         return report, report.extras["kappa"]
 
-    sample, kappas = _char_certify(config, out, seed, threads, check)
+    sample, kappas = _char_certify(source, out, threads, check, frame.field.n,
+                                   config["n_samples"])
     return _char_summary(sample, n_samples=sample["found"],
                          kappa=float(np.max(kappas)) if kappas else math.nan)
 
 
 def run_garding(config, out, seed, threads):
+    spec, hmap, frame, region = _symbol_setup(config)
+    source = _seeded(config["n_samples"], seed, functools.partial(
+        symbols.full_region_sample, region, spec, frame.field.n,
+        magnitude_range=tuple(config.get("magnitude_range", (1.0, 1e3)))))
+
+    terms_of = functools.partial(symbols._garding_terms, spec=spec,
+                                 coeffs=frame.field, c=hmap.c, X=hmap.X)
     # the least varpi needs every sample's two terms, not its points: the
-    # witness's chunk is drawn again
-    frame, draw, chunks = _full_region_chunks(config, seed, threads,
-                                              symbols._garding_terms)
+    # witness's chunk is made again, from the row offsets of the chunks
     elliptic, negative = np.empty((2, config["n_samples"]))
-    start = 0
-    for _, terms in chunks:
-        stop = start + len(terms[0])
-        elliptic[start:stop], negative[start:stop] = terms
-        start = stop
+    starts = [0]
+    for terms in _chunked(source, threads, terms_of):
+        stop = starts[-1] + len(terms[0])
+        elliptic[starts[-1]:stop], negative[starts[-1]:stop] = terms
+        starts.append(stop)
     varpi, report = symbols._least_varpi(elliptic, negative,
                                          config.get("varpi_max", 1e8))
-    counts = _chunk_counts(config["n_samples"])
-    k = int(np.searchsorted(np.cumsum(counts), report.argmin, side="right"))
-    seq = np.random.SeedSequence(seed).spawn(len(counts))[k]
-    witness = _witness(draw(counts[k], np.random.default_rng(seq)),
-                       report.argmin - sum(counts[:k]))
+    k = int(np.searchsorted(starts, report.argmin, side="right")) - 1
+    witness = _witness(source[k](), report.argmin - starts[k])
     sweep_varpis = [varpi * f for f in (0.25, 0.5, 1.0, 2.0, 4.0) if varpi * f > 0]
     curve = np.array([(v, symbols._garding_min(elliptic, negative, v)[0])
                       for v in sweep_varpis] or [(0.0, report.min_ratio)])
@@ -623,12 +617,18 @@ def run_garding(config, out, seed, threads):
 def run_lemma61(config, out, seed, threads):
     tilde = geometry.global_coefficients(
         fields.field_from_config(config["coeffs"]))
+    spec, hmap, frame, region = _symbol_setup(config, tilde)
+    source = _seeded(config["n_samples"], seed, functools.partial(
+        symbols.char_set_sample, region, spec, frame.field, hmap.c, hmap.X,
+        tol=config.get("tol", 1e-8),
+        sigma_range=tuple(config.get("sigma_range", ())) or None))
 
-    def check(part, spec, frame, hmap):
+    def check(part):
         report = symbols.lemma61_check(part.points, spec, tilde, hmap)
         return report, report.extras["ellipticity_margin"]
 
-    sample, margins = _char_certify(config, out, seed, threads, check, tilde)
+    sample, margins = _char_certify(source, out, threads, check,
+                                    frame.field.n, config["n_samples"])
     margin = float(np.min(margins)) if margins else math.nan
     return _char_summary(sample, margin >= -1e-12, stage=config["stage"],
                          ellipticity_margin=margin)

@@ -17,7 +17,7 @@ import pytest
 
 import fraclab
 from fraclab import cli, geometry, solver, symbols
-from fraclab.cli import COMMANDS, _build_region, _chunk_counts, main
+from fraclab.cli import COMMANDS, _build_region, _seeded, main
 
 # an overflow or a NaN in a command fails its test instead of printing
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -694,7 +694,8 @@ class TestCommands:
             for out in outs[1:]:
                 assert names == sorted(p.name for p in out.iterdir()
                                        if p.suffix in suffixes)
-                for name in names:
+                # the summary holds the witness, which garding makes again
+                for name in names + ["summary.json"]:
                     assert (out / name).read_bytes() \
                         == (outs[0] / name).read_bytes()
 
@@ -791,8 +792,9 @@ class TestCommands:
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("command, sampler", [
-        ("lemma21", "char_set_sample"),
-        ("symbol-bracket", "full_region_sample")])
+        ("lemma21", "char_set_sample"), ("lemma61", "char_set_sample"),
+        ("symbol-bracket", "full_region_sample"),
+        ("garding", "full_region_sample")])
     def test_a_refused_chunk_leaves_no_partial_table(
             self, command, sampler, threads, tmp_path, monkeypatch, capsys):
         # the fifth chunk of 16 is refused after the rows of earlier chunks
@@ -809,7 +811,8 @@ class TestCommands:
         (tmp_path / "found_out").mkdir()
         for tag in ("made", "found"):
             calls = itertools.count()
-            code, out = run(tmp_path, command, {**SYMBOL, "n_samples": 160},
+            code, out = run(tmp_path, command,
+                            {**VALID[command], "n_samples": 160},
                             threads=threads, tag=tag)
             assert code == 3
             assert "chunk 5 refused" in capsys.readouterr().err
@@ -854,11 +857,9 @@ class TestCommands:
         frame = fraclab.pushforward_operator(
             fraclab.field_from_config(COEFFS2), hmap)
         region = _build_region(None, hmap.X, hmap.T)
-        counts = _chunk_counts(3000)
-        seeds = np.random.SeedSequence(6).spawn(len(counts))
-        parts = [symbols.full_region_sample(region, spec, 2, k,
-                                            np.random.default_rng(sd))
-                 for k, sd in zip(counts, seeds)]
+        parts = [make() for make in _seeded(
+            3000, 6, lambda count, rng: symbols.full_region_sample(
+                region, spec, 2, count, rng))]
         pts = tuple(np.concatenate([p[j] for p in parts]) for j in range(5))
         rows = np.loadtxt(out / "garding.csv", delimiter=",", skiprows=1)
         assert len(rows) == 5
@@ -866,6 +867,65 @@ class TestCommands:
             report = symbols.garding_precondition_check(
                 pts, spec, frame.field, 1.0, hmap.X, varpi)
             assert min_ratio == report.min_ratio
+
+    def test_seeded_source_is_the_fixed_split(self):
+        # the one place the seeding rule is pinned: 16 chunks whatever the
+        # worker count, the larger first, chunk k drawing from the k-th
+        # child of the seed's sequence, and a maker is a pure function
+        def draw(count, rng):
+            return count, rng.random(3)
+
+        source = _seeded(3000, 11, draw)
+        assert [make()[0] for make in source] == [188] * 8 + [187] * 8
+        children = np.random.SeedSequence(11).spawn(cli.N_CHUNKS)
+        for make, child in zip(source, children):
+            assert (make()[1].tobytes() == make()[1].tobytes()
+                    == np.random.default_rng(child).random(3).tobytes())
+        assert [make()[0] for make in _seeded(5, 0, draw)] == [1] * 5
+
+    @pytest.mark.parametrize("command", ["lemma21", "lemma61"])
+    def test_char_certify_equals_the_check_on_a_fixed_source(self, command,
+                                                             tmp_path):
+        # three fixed characteristic points through the chunked pipeline
+        # give the check's own ratios, minimum and witness, bitwise
+        config = getattr(self, command.upper())
+        field = fraclab.field_from_config(config["coeffs"])
+        if command == "lemma61":
+            field = geometry.global_coefficients(field)
+        spec, hmap, frame, region = cli._symbol_setup(config, field)
+        part = symbols.char_set_sample(region, spec, frame.field, hmap.c,
+                                       hmap.X, 3, rng=np.random.default_rng(2))
+        assert part.found == 3
+
+        def check(part):
+            if command == "lemma61":
+                report = symbols.lemma61_check(part.points, spec, field, hmap)
+            else:
+                report = symbols.lemma21_check(part.points, spec,
+                                               frame.field, hmap.c, hmap.X)
+            return report, 0.0
+
+        expected, _ = check(part)
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            out.mkdir()
+            sample, scalars = cli._char_certify([lambda: part], out, threads,
+                                                check, 2, 3)
+            table = np.load(out / "char_points.npy")
+            rows = recfunctions.structured_to_unstructured(table)
+            assert rows.tobytes() == np.column_stack(
+                [*part.points, part.residual,
+                 expected.extras["ratios"]]).tobytes()
+            assert table["ratio"].tobytes() \
+                == expected.extras["ratios"].tobytes()
+            assert (sample["found"], sample["requested"]) == (3, 3)
+            assert sample["min_ratio"].hex() == expected.min_ratio.hex()
+            t, x, tau, xi, sigma = part.points
+            i = expected.argmin
+            assert sample["witness"] == {
+                "t": t[i], "x": x[i].tolist(), "tau": tau[i],
+                "xi": xi[i].tolist(), "sigma": sigma[i]}
+            assert scalars == (0.0,)
 
     def test_lemma61(self, tmp_path):
         config = {"spec": SPEC, "coeffs": COEFFS2, "map": MAP1,
