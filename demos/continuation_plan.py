@@ -9,18 +9,20 @@ coordinate-wise stretch y -> y/sqrt(1-y^2) opens the unit cube onto all of
 space while multiplying the coefficients by explicit weights.
 """
 
+import json
+
 import numpy as np
 
 from fraclab import (ContinuationRegion, CutoffSpec, continuation_schedule,
                      global_diffeo_forward, global_diffeo_inverse,
                      make_cutoffs)
-from fraclab.geometry import schedule_to_json
 
 print(__doc__)
 
 T, X, n = 1.0, 0.05, 2
 schedule = continuation_schedule(T=T, X=X, s_max=4, n=n)
-print(schedule_to_json(schedule))
+print(json.dumps([{"map": m.to_dict(), "region": r.to_dict()}
+                  for m, r in schedule], indent=2))
 
 print("\nmembership samples for the stage-3 slab:")
 region = ContinuationRegion(stage=3, X=X, T=T)

@@ -539,7 +539,7 @@ def run_symbol_bracket(config, out, seed, threads):
     spec, hmap, frame, region = _symbol_setup(config)
     source = _seeded(config["n_samples"], seed, functools.partial(
         symbols.full_region_sample, region, spec, frame.field.n,
-        magnitude_range=tuple(config.get("magnitude_range", (1.0, 1e3)))))
+        **{k: config[k] for k in ("magnitude_range",) if k in config}))
 
     def work(points):
         return points, symbols.bracket_report_batch(points, spec, frame.field,
@@ -547,7 +547,7 @@ def run_symbol_bracket(config, out, seed, threads):
 
     # folded in chunk order: np.min and np.max of the chunks' extremes are
     # those of the whole column, a NaN included
-    count = non_finite = 0
+    non_finite = 0
     lows, highs = [], []
     with _phase_table(out, "brackets", frame.field.n,
                       ["bracket", "principal", "scale", "ratio"],
@@ -555,12 +555,11 @@ def run_symbol_bracket(config, out, seed, threads):
         for points, columns in _chunked(source, threads, work):
             append([*points, *columns])
             ratio = columns[3]
-            count += len(ratio)
             # a NaN or inf ratio, as from overflowing magnitudes, fails the run
             non_finite += int(np.count_nonzero(~np.isfinite(ratio)))
             lows.append(np.min(ratio))
             highs.append(np.max(ratio))
-    return {"pass": non_finite == 0, "n_samples": count,
+    return {"pass": non_finite == 0, "n_samples": config["n_samples"],
             "non_finite_ratios": non_finite,
             "min_ratio": float(np.min(lows)),
             "max_ratio": float(np.max(highs))}
@@ -570,8 +569,7 @@ def run_lemma21(config, out, seed, threads):
     spec, hmap, frame, region = _symbol_setup(config)
     source = _seeded(config["n_samples"], seed, functools.partial(
         symbols.char_set_sample, region, spec, frame.field, hmap.c, hmap.X,
-        tol=config.get("tol", 1e-8),
-        sigma_range=tuple(config.get("sigma_range", ())) or None))
+        **{k: config[k] for k in ("tol", "sigma_range") if k in config}))
 
     def check(part):
         report = symbols.lemma21_check(part.points, spec, frame.field,
@@ -588,7 +586,7 @@ def run_garding(config, out, seed, threads):
     spec, hmap, frame, region = _symbol_setup(config)
     source = _seeded(config["n_samples"], seed, functools.partial(
         symbols.full_region_sample, region, spec, frame.field.n,
-        magnitude_range=tuple(config.get("magnitude_range", (1.0, 1e3)))))
+        **{k: config[k] for k in ("magnitude_range",) if k in config}))
 
     terms_of = functools.partial(symbols._garding_terms, spec=spec,
                                  coeffs=frame.field, c=hmap.c, X=hmap.X)
@@ -620,8 +618,7 @@ def run_lemma61(config, out, seed, threads):
     spec, hmap, frame, region = _symbol_setup(config, tilde)
     source = _seeded(config["n_samples"], seed, functools.partial(
         symbols.char_set_sample, region, spec, frame.field, hmap.c, hmap.X,
-        tol=config.get("tol", 1e-8),
-        sigma_range=tuple(config.get("sigma_range", ())) or None))
+        **{k: config[k] for k in ("tol", "sigma_range") if k in config}))
 
     def check(part):
         report = symbols.lemma61_check(part.points, spec, tilde, hmap)
@@ -764,8 +761,9 @@ def run_continuation_plan(config, out, seed, threads):
     schedule = geometry.continuation_schedule(
         T=config["T"], X=config["X"], s_max=config["s_max"], n=config["n"],
         c=config.get("c", 1.0))
-    with open(os.path.join(out, "schedule.json"), "w") as fh:
-        fh.write(geometry.schedule_to_json(schedule))
+    _write_json(os.path.join(out, "schedule.json"),
+                [{"map": m.to_dict(), "region": r.to_dict()}
+                 for m, r in schedule])
     # quick self-check: exact round trips and the stage recursion
     n_check = config.get("n_check", 1000)
     # the errors reduce by np.max, which carries a NaN into the verdict

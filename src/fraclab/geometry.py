@@ -17,7 +17,6 @@ exact closed forms, so round trips are checked at machine precision.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -377,8 +376,3 @@ def continuation_schedule(T: float, X: float, s_max: int, n: int,
         holmgren = HolmgrenMap(y_hat=np.zeros(n), c=c, X=X, T=T, stage=s)
         out.append((holmgren, ContinuationRegion(stage=s, X=X, T=T)))
     return out
-
-
-def schedule_to_json(schedule) -> str:
-    doc = [{"map": m.to_dict(), "region": r.to_dict()} for m, r in schedule]
-    return json.dumps(doc, indent=2)

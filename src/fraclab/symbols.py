@@ -248,7 +248,8 @@ def _log_uniform(rng, bounds, size, name):
     """``size`` log-uniform draws on ``bounds``, a pair 0 < lo <= hi."""
     lo, hi = bounds
     if not 0.0 < lo <= hi < math.inf:
-        raise ValueError(f"{name} needs 0 < lo <= hi, got {name}={bounds!r}")
+        raise ValueError(
+            f"{name} needs 0 < lo <= hi, got {name}={tuple(bounds)!r}")
     return np.exp(rng.uniform(math.log(lo), math.log(hi), size))
 
 
@@ -784,15 +785,13 @@ def lemma61_check(points, spec: MultiTermSpec,
                                           frame.field, map.c, map.X)
         _, y_tilde = map.inverse(t, x)
         w = stretch_weights(y_tilde)
-        eta_t = w * xi
-        sigma_t = w[..., -1] * sigma
-        scale = (np.sum(eta_t**2, axis=-1) + sigma_t**2
-                 + np.abs(tau) ** spec.alpha)
-        weight_factor = (1.0 + y_tilde[..., -1] ** 2) ** 1.5
-        return principal / (weight_factor * scale**1.5), y_tilde
+        scale = anisotropic_scale(w * xi, w[..., -1] * sigma, tau, spec.alpha)
+        # the block's margin: the least over blocks is the whole sample's
+        margin = weighted_ellipticity_margin(tilde_field, t, y_tilde)
+        return principal / (w[..., -1] * scale**1.5), np.array([margin])
 
-    ratio, y_tilde = _blockwise(ratios, *points)
-    margin = weighted_ellipticity_margin(tilde_field, points[0], y_tilde)
+    ratio, margins = _blockwise(ratios, *points)
+    margin = float(np.min(margins))
     i = int(np.argmin(ratio))
     return CertificateReport(min_ratio=float(ratio[i]), n_samples=len(ratio),
                              argmin=i, extras={"ellipticity_margin": margin,

@@ -821,6 +821,38 @@ class TestCommands:
             else:
                 assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command, sampler, options", [
+        ("lemma21", "char_set_sample",
+         {"tol": 1e-9, "sigma_range": [60.0, 600.0]}),
+        ("lemma61", "char_set_sample",
+         {"tol": 1e-9, "sigma_range": [60.0, 600.0]}),
+        ("symbol-bracket", "full_region_sample",
+         {"magnitude_range": [1.0, 1e4]}),
+        ("garding", "full_region_sample", {"magnitude_range": [2.0, 500.0]})])
+    def test_sampler_gets_only_the_options_the_config_sets(
+            self, command, sampler, options, tmp_path, monkeypatch, capsys):
+        # the sampler's own defaults stand for the keys a config omits
+        original = getattr(symbols, sampler)
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append({k: v for k, v in kwargs.items() if k != "rng"})
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(symbols, sampler, recording)
+        for tag, extra in (("unset", {}), ("set", options)):
+            seen.clear()
+            code, _ = run(tmp_path, command, {**VALID[command], **extra},
+                          tag=tag)
+            assert code == 0
+            assert seen and all(kwargs == extra for kwargs in seen)
+        # an inverted range read from a list is still named as a pair
+        name = next(k for k in options if k.endswith("_range"))
+        code, _ = run(tmp_path, command, {**VALID[command], name: [5.0, 1.0]},
+                      tag="inverted")
+        assert code == 3
+        assert f"{name}=(5.0, 1.0)" in capsys.readouterr().err
+
     def test_garding(self, tmp_path):
         config = {"spec": SPEC, "coeffs": COEFFS1, "map": MAP1,
                   "weight": WEIGHT, "n_samples": 5000}
@@ -1593,14 +1625,32 @@ class TestCommands:
         config = {"T": 1.0, "X": 0.05, "s_max": 5, "n": 2}
         code, out = run(tmp_path, "continuation-plan", config)
         assert code == 0
-        # the file holds the library's text for the same schedule
+        # the file holds each stage's map and region as standard JSON
         text = (out / "schedule.json").read_text()
         schedule = geometry.continuation_schedule(T=1.0, X=0.05, s_max=5, n=2)
-        assert text == geometry.schedule_to_json(schedule)
-        doc = json.loads(text)
+        doc = [{"map": m.to_dict(), "region": r.to_dict()}
+               for m, r in schedule]
+        assert text == json.dumps(doc, indent=2)
+        assert json.loads(text, parse_constant=pytest.fail) == doc
         assert len(doc) == 5
         summary = json.loads((out / "summary.json").read_text())
         assert summary["roundtrip_error"] <= 1e-14
+
+    def test_continuation_plan_writes_an_infinite_slope_as_null(self,
+                                                               tmp_path):
+        # at T = 1e-320 the slab's time coefficient s X / T is inf, which
+        # schedule.json writes null, as every JSON artifact does, and not
+        # as Infinity, which is no JSON; with t that small the stage
+        # recursion misses its 1e-14 gate
+        config = {"T": 1e-320, "X": 0.05, "s_max": 2, "n": 2}
+        code, out = run(tmp_path, "continuation-plan", config)
+        assert code == 1
+        with open(out / "schedule.json") as fh:
+            doc = json.load(fh, parse_constant=pytest.fail)
+        assert [stage["region"]["slab"]["coeff_t"] for stage in doc] \
+            == [None, None]
+        assert [stage["region"]["slab"]["bound"] for stage in doc] \
+            == [0.05, 0.1]
 
     def test_continuation_plan_fails_on_nan_round_trips(self, tmp_path):
         # c = 1e308 overflows the map, so every round trip is NaN
@@ -1810,6 +1860,10 @@ class TestBenchmarkConfigs:
                 if path.suffix == ".npy":
                     np.load(path, allow_pickle=False)
                     npy += 1
+                # standard JSON: no NaN or Infinity
+                if path.suffix == ".json":
+                    with open(path) as fh:
+                        json.load(fh, parse_constant=pytest.fail)
         # char_points of lemma21 and lemma61, twice each; three solutions
         assert npy == 7
 

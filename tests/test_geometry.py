@@ -12,7 +12,6 @@ from fraclab import (ContinuationRegion, CutoffSpec, HolmgrenMap,
                      pushforward_operator, rotating_anisotropic_field,
                      smooth_step, stretch_weights,
                      weighted_ellipticity_margin)
-from fraclab.geometry import schedule_to_json
 
 
 def polynomial_preset(n):
@@ -357,8 +356,12 @@ class TestContinuation:
             assert np.all(xn[member] < hmap.X)
 
     def test_schedule_json(self):
+        # each stage's map and region as standard JSON, as in schedule.json
         schedule = continuation_schedule(T=1.0, X=0.05, s_max=3, n=2)
-        doc = json.loads(schedule_to_json(schedule))
+        doc = [{"map": m.to_dict(), "region": r.to_dict()}
+               for m, r in schedule]
+        assert json.loads(json.dumps(doc, allow_nan=False),
+                          parse_constant=pytest.fail) == doc
         assert len(doc) == 3
         assert doc[2]["map"]["stage"] == 3
         assert doc[0]["region"]["slab"]["bound"] == 0.05

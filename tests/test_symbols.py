@@ -829,16 +829,20 @@ class TestBlockedReductions:
 
         def reductions():
             lemma21 = lemma21_check(pts, spec, base, 1.0, X).extras
+            lemma61 = lemma61_check(pts, spec, tilde, hmap)
             return [*bracket_report_batch(pts, spec, base, 1.0, X),
                     *_garding_terms(pts, spec, base, 1.0, X),
-                    lemma21["ratios"], lemma21["kappa"],
-                    lemma61_check(pts, spec, tilde, hmap).min_ratio]
+                    lemma21["ratios"], lemma21["kappa"], lemma61.min_ratio,
+                    lemma61.extras["ratios"],
+                    lemma61.extras["ellipticity_margin"]]
 
         blocked = reductions()
         monkeypatch.setattr(symbols, "SAMPLE_BLOCK", 10 * m)
         single = reductions()
+        assert len(blocked) == len(single) == 11
         for got, ref in zip(blocked, single):
             assert np.array_equal(got, ref)
+            assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
 
 
 class TestGarding:
@@ -861,6 +865,38 @@ class TestGarding:
                                1.0, self.X)
         assert abs(with_term.min_ratio - 2.0 * report.min_ratio) \
             < 1e-4 * abs(report.min_ratio) + 1e-12
+
+    @pytest.mark.parametrize("orders, weights", [
+        ((1.9,), (1.0,)), ((0.5,), (1.0,)), ((0.5, 0.25), (1.0, 0.5))],
+        ids=["1.9", "0.5", "0.5-0.25"])
+    @pytest.mark.parametrize("preset", [diagonal_variable_field,
+                                        identity_field],
+                             ids=["diagonal-variable", "identity"])
+    def test_negative_term_is_the_lemma21_ratio_on_the_char_set(
+            self, orders, weights, preset):
+        # on the characteristic set |p| <= tol scale, so Garding's ratio
+        # is its negative term 2 full / scale^(3/2): twice lemma21's ratio
+        # plus the time bracket's part, which vanishes when a is constant
+        spec = MultiTermSpec(orders=orders, weights=weights)
+        X, tol = 0.05, 1e-8
+        hmap = HolmgrenMap(y_hat=np.zeros(2), c=1.0, X=X, T=1.0)
+        field = pushforward_operator(preset(2), hmap).field
+        sample = char_set_sample(region_for(X), spec, field, 1.0, X, 400,
+                                 tol=tol, rng=np.random.default_rng(3))
+        assert sample.found == 400
+        points = sample.points
+        elliptic, negative = _garding_terms(points, spec, field, 1.0, X)
+        ratio = lemma21_check(points, spec, field, 1.0, X).extras["ratios"]
+        _, full, principal = symbols._bracket_arrays(*points, spec, field,
+                                                     1.0, X)
+        _, _, tau, xi, sigma = points
+        scale = anisotropic_scale(xi, sigma, tau, spec.alpha)
+        time_part = 2.0 * (full - principal) / scale**1.5
+        assert np.all(np.abs(negative - (2.0 * ratio + time_part))
+                      <= 1e-12 * (np.abs(2.0 * ratio) + np.abs(time_part)))
+        if preset is identity_field:
+            assert negative.tobytes() == (2.0 * ratio).tobytes()
+        assert np.all(elliptic <= tol**2)
 
     def test_monotone_in_varpi(self):
         r1 = garding_precondition_check(self.points, self.spec, self.field,
